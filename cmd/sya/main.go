@@ -10,7 +10,7 @@
 //	    [-timeout D] [-checkpoint file] [-checkpoint-every N] \
 //	    [-metrics-addr host:port] [-trace-out file.jsonl] [-trace-max-mb N] \
 //	    [-progress N] [-local-atom relation|terms -local-budget N]
-//	    [-shards N [-shard-addrs host:port,...]] [-chunk-grain N]
+//	    [-shards N [-shard-addrs host:port,...]]
 //
 // CSV files need a header row naming the relation's columns (order free).
 // Spatial columns parse WKT ("POINT (1 2)"); boolean columns accept
@@ -39,9 +39,7 @@
 // kernels and sampler) synchronized by a halo exchange at every epoch
 // barrier; -shard-addrs switches the exchange from in-process channels to
 // length-prefixed CRC-framed TCP. A sharded run checkpoints per shard
-// (<file>.shard<i>) and resumes like a single-process one. -chunk-grain
-// caps the sampler work-chunk size (cells per spatial chunk, variables per
-// hogwild bucket) without changing the chains.
+// (<file>.shard<i>) and resumes like a single-process one.
 package main
 
 import (
@@ -84,10 +82,8 @@ func main() {
 		traceMaxMB  = flag.Int("trace-max-mb", 0, "rotate -trace-out to <file>.1 when it exceeds this many MB (0 = unbounded)")
 		progress    = flag.Int("progress", 0, "print a convergence diagnostic to stderr every N epochs (0 = off)")
 		groundWork  = flag.Int("ground-workers", 0, "grounding worker-pool width (0 = GOMAXPROCS, 1 = sequential; output graph is identical)")
-		noKernels   = flag.Bool("no-kernels", false, "score with the interpreted factor walk instead of compiled sampling kernels (bit-identical; escape hatch)")
 		localAtom   = flag.String("local-atom", "", "answer one atom key (relation|term,...) by lazy local grounding instead of full inference")
 		localBudget = flag.Int("local-budget", 0, "variable budget for -local-atom: sample a bounded subgraph of at most N variables (0 = 256)")
-		chunkGrain  = flag.Int("chunk-grain", 0, "cap sampler work-chunk size: cells per spatial chunk / variables per hogwild bucket (0 = engine defaults)")
 		shards      = flag.Int("shards", 0, "partition the ground graph into N share-nothing shards with halo exchange (sya engine, batch inference; 0/1 = single-process)")
 		shardAddrs  = flag.String("shard-addrs", "", "comma-separated per-shard TCP listen addresses (length -shards); empty = in-process transports")
 	)
@@ -111,7 +107,6 @@ func main() {
 		timeout: *timeout, ckptPath: *ckptPath, ckptEvery: *ckptEvery,
 		metricsAddr: *metricsAddr, traceOut: *traceOut, traceMaxMB: *traceMaxMB,
 		progress: *progress, groundWorkers: *groundWork,
-		noKernels: *noKernels, chunkGrain: *chunkGrain,
 		shards: *shards, shardAddrs: *shardAddrs,
 		localAtom: *localAtom, localBudget: *localBudget,
 	})
@@ -145,8 +140,6 @@ type runOpts struct {
 	traceMaxMB    int
 	progress      int
 	groundWorkers int
-	noKernels     bool
-	chunkGrain    int
 	shards        int
 	shardAddrs    string
 
@@ -176,8 +169,6 @@ func run(o runOpts) error {
 		Bandwidth: o.bandwidth, SpatialScale: o.scale,
 		Seed:           o.seed,
 		GroundWorkers:  o.groundWorkers,
-		NoKernels:      o.noKernels,
-		ChunkGrain:     o.chunkGrain,
 		Shards:         o.shards,
 		CheckpointPath: o.ckptPath, CheckpointEvery: o.ckptEvery,
 	}
@@ -264,7 +255,7 @@ func run(o runOpts) error {
 		fmt.Printf("# ground factor graph saved to %s\n", o.saveGraph)
 	}
 	if o.learnIters > 0 {
-		weights, err := s.LearnWeightsContext(ctx, learn.Options{Iterations: o.learnIters, Seed: o.seed, NoKernels: o.noKernels})
+		weights, err := s.LearnWeightsContext(ctx, learn.Options{Iterations: o.learnIters, Seed: o.seed})
 		if err != nil {
 			return err
 		}

@@ -1,5 +1,8 @@
 // Command syabench regenerates the paper's evaluation tables and figures
-// (Section VI) over the synthetic GWDB and NYCCAS datasets.
+// (Section VI) over the synthetic GWDB and NYCCAS datasets. It measures
+// nothing else: the system's performance ledger (batch builds, sharded
+// inference, serving reads, upserts and lazy queries, per-layer timings) is
+// the benchmark under benchmark/, run with `bash benchmark/run.sh`.
 //
 // Usage:
 //
@@ -8,21 +11,20 @@
 //	syabench all
 //
 // Experiments: table1, fig1, fig8, fig9, fig10, fig11, fig12, fig13,
-// fig14, ablation, serving, local, shard. Flags scale the workloads; -paper approaches the paper's
-// sizes (slow). -metrics-addr serves live Prometheus metrics and pprof for
-// the duration of the suite; -trace-out records JSONL phase traces
+// fig14, ablation. Flags scale the workloads; -paper approaches the paper's
+// sizes (slow), with any explicitly given -wells/-side/-epochs/-runs applied
+// on top. -metrics-addr serves live Prometheus metrics and pprof for the
+// duration of the suite; -trace-out records JSONL phase traces
 // (-trace-max-mb bounds the file via rotation). -phase=grounding restricts
 // the suite to grounding-only comparisons (table1, fig9, fig10 with
-// inference skipped); -phase=local runs the lazy-grounding budget sweep
-// (-local-json writes BENCH_local.json); -phase=shard runs the sharded
-// share-nothing inference sweep plus the chunk-grain sweep (-shard-json
-// writes BENCH_shard.json); -ground-workers sizes the grounding worker pool;
-// -chunk-grain caps the sampler work-chunk size for every experiment.
+// inference skipped); -ground-workers sizes the grounding worker pool.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -42,14 +44,11 @@ var experiments = map[string]func(bench.Params) (*bench.Table, error){
 	"fig13":    bench.Fig13,
 	"fig14":    bench.Fig14,
 	"ablation": bench.Ablation,
-	"serving":  bench.Serving,
-	"local":    bench.Local,
-	"shard":    bench.Shard,
 }
 
 // order fixes the "all" execution sequence.
 var order = []string{
-	"table1", "fig1", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "ablation", "serving", "local", "shard",
+	"table1", "fig1", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "ablation",
 }
 
 // groundingPhase lists the experiments that remain meaningful under
@@ -61,68 +60,104 @@ var groundingPhase = map[string]bool{
 	"fig10":  true,
 }
 
-// servingPhase lists the experiments -phase=serving runs: the resident-KB
-// load harness only.
-var servingPhase = map[string]bool{
-	"serving": true,
+// runOptions carries the flags that configure the run around the
+// experiments rather than the experiments themselves.
+type runOptions struct {
+	list        bool
+	timeout     time.Duration
+	metricsAddr string
+	traceOut    string
+	traceMaxMB  int
 }
 
-// localPhase lists the experiments -phase=local runs: the lazy-grounding
-// budget sweep only.
-var localPhase = map[string]bool{
-	"local": true,
-}
-
-// shardPhase lists the experiments -phase=shard runs: the sharded-inference
-// sweep (shard counts + chunk-grain) only.
-var shardPhase = map[string]bool{
-	"shard": true,
+// parseArgs resolves a command line into the suite parameters and the
+// experiments to run, in order. Parse errors and usage go to stderr the way
+// the flag package writes them; the returned error repeats the reason.
+func parseArgs(args []string, stderr io.Writer) (bench.Params, []string, runOptions, error) {
+	p := bench.DefaultParams()
+	var o runOptions
+	fs := flag.NewFlagSet("syabench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.BoolVar(&o.list, "list", false, "list experiments and exit")
+	paper := fs.Bool("paper", false, "approach the paper's workload sizes (slow); explicit -wells/-side/-epochs/-runs still apply")
+	fs.IntVar(&p.GWDBWells, "wells", p.GWDBWells, "GWDB synthetic well count")
+	fs.IntVar(&p.NYCCASSide, "side", p.NYCCASSide, "NYCCAS raster side length (cells)")
+	fs.IntVar(&p.Epochs, "epochs", p.Epochs, "inference epoch budget E")
+	fs.IntVar(&p.Runs, "runs", p.Runs, "averaging runs for quality metrics")
+	fs.Int64Var(&p.Seed, "seed", p.Seed, "base RNG seed")
+	fs.IntVar(&p.Workers, "workers", p.Workers, "sampler worker-pool width (0 = GOMAXPROCS)")
+	fs.IntVar(&p.GroundWorkers, "ground-workers", p.GroundWorkers, "grounding worker-pool width (0 = GOMAXPROCS, 1 = sequential; output graph is identical)")
+	phase := fs.String("phase", "", "restrict to one pipeline phase: grounding (skip inference, blank quality columns)")
+	fs.DurationVar(&o.timeout, "timeout", 0, "stop starting new experiments after this long (0 = none)")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve live /metrics, /debug/vars and pprof on this address while experiments run")
+	fs.StringVar(&o.traceOut, "trace-out", "", "write JSONL phase-trace events for every experiment to this file")
+	fs.IntVar(&o.traceMaxMB, "trace-max-mb", 0, "rotate -trace-out to <file>.1 when it exceeds this many MB (0 = unbounded)")
+	if err := fs.Parse(args); err != nil {
+		return p, nil, o, err
+	}
+	if *paper {
+		// Paper scale replaces the default of every scale flag; a flag the
+		// user actually gave (Visit walks exactly those) keeps its value.
+		pp := bench.PaperScaleParams()
+		scale := map[string]struct {
+			dst   *int
+			paper int
+		}{
+			"wells":  {&p.GWDBWells, pp.GWDBWells},
+			"side":   {&p.NYCCASSide, pp.NYCCASSide},
+			"epochs": {&p.Epochs, pp.Epochs},
+			"runs":   {&p.Runs, pp.Runs},
+		}
+		fs.Visit(func(f *flag.Flag) { delete(scale, f.Name) })
+		for _, s := range scale {
+			*s.dst = s.paper
+		}
+	}
+	switch *phase {
+	case "":
+	case "grounding":
+		p.GroundOnly = true
+	default:
+		return p, nil, o, fmt.Errorf("unknown -phase %q (supported: grounding)", *phase)
+	}
+	if o.list {
+		return p, nil, o, nil
+	}
+	names := fs.Args()
+	if len(names) == 0 {
+		return p, nil, o, errors.New("usage: syabench [flags] <experiment>... | all | -list")
+	}
+	if len(names) == 1 && names[0] == "all" {
+		names = order
+	}
+	for _, name := range names {
+		if experiments[name] == nil {
+			return p, nil, o, fmt.Errorf("unknown experiment %q (try -list)", name)
+		}
+	}
+	return p, names, o, nil
 }
 
 func main() {
-	defaults := bench.DefaultParams()
-	var (
-		list    = flag.Bool("list", false, "list experiments and exit")
-		paper   = flag.Bool("paper", false, "approach the paper's workload sizes (slow)")
-		wells   = flag.Int("wells", defaults.GWDBWells, "GWDB synthetic well count")
-		side    = flag.Int("side", defaults.NYCCASSide, "NYCCAS raster side length (cells)")
-		ep      = flag.Int("epochs", defaults.Epochs, "inference epoch budget E")
-		runs    = flag.Int("runs", defaults.Runs, "averaging runs for quality metrics")
-		seed    = flag.Int64("seed", defaults.Seed, "base RNG seed")
-		work    = flag.Int("workers", defaults.Workers, "sampler worker-pool width (0 = GOMAXPROCS)")
-		gwork   = flag.Int("ground-workers", defaults.GroundWorkers, "grounding worker-pool width (0 = GOMAXPROCS, 1 = sequential; output graph is identical)")
-		phase   = flag.String("phase", "", "restrict to one pipeline phase: grounding (skip inference, blank quality columns) or serving (resident-KB load harness)")
-		noKern  = flag.Bool("no-kernels", false, "score with the interpreted factor walk instead of compiled sampling kernels (bit-identical; for measuring the kernel speedup)")
-		timeout = flag.Duration("timeout", 0, "stop starting new experiments after this long (0 = none)")
-
-		servingJSON = flag.String("serving-json", "", "with the serving experiment, write its machine-readable report (BENCH_serving.json shape) to this path")
-		localJSON   = flag.String("local-json", "", "with the local experiment, write its machine-readable report (BENCH_local.json shape) to this path")
-		shardJSON   = flag.String("shard-json", "", "with the shard experiment, write its machine-readable report (BENCH_shard.json shape) to this path")
-		grain       = flag.Int("chunk-grain", 0, "cap sampler work-chunk size: cells per spatial chunk / variables per hogwild bucket (0 = engine defaults)")
-
-		metricsAddr = flag.String("metrics-addr", "", "serve live /metrics, /debug/vars and pprof on this address while experiments run")
-		traceOut    = flag.String("trace-out", "", "write JSONL phase-trace events for every experiment to this file")
-		traceMaxMB  = flag.Int("trace-max-mb", 0, "rotate -trace-out to <file>.1 when it exceeds this many MB (0 = unbounded)")
-	)
-	flag.Parse()
-	if *list {
-		names := make([]string, 0, len(experiments))
-		for n := range experiments {
-			names = append(names, n)
-		}
+	p, names, o, err := parseArgs(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "syabench: %v\n", err)
+		os.Exit(2)
+	}
+	if o.list {
+		names := append([]string(nil), order...)
 		sort.Strings(names)
 		for _, n := range names {
 			fmt.Println(n)
 		}
 		return
 	}
-	p := defaults
-	if *paper {
-		p = bench.PaperScaleParams()
-	}
-	if *metricsAddr != "" {
+	if o.metricsAddr != "" {
 		p.Metrics = obs.NewRegistry()
-		srv, err := obs.Serve(*metricsAddr, p.Metrics)
+		srv, err := obs.Serve(o.metricsAddr, p.Metrics)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "syabench: %v\n", err)
 			os.Exit(1)
@@ -130,117 +165,37 @@ func main() {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "# metrics: http://%s/metrics (pprof under /debug/pprof/)\n", srv.Addr)
 	}
-	if *traceOut != "" {
-		tr, err := obs.OpenTraceRotating(*traceOut, int64(*traceMaxMB)<<20)
+	if o.traceOut != "" {
+		tr, err := obs.OpenTraceRotating(o.traceOut, int64(o.traceMaxMB)<<20)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "syabench: %v\n", err)
 			os.Exit(1)
 		}
 		defer func() {
 			if err := tr.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "# WARNING: trace %s: %v\n", *traceOut, err)
+				fmt.Fprintf(os.Stderr, "# WARNING: trace %s: %v\n", o.traceOut, err)
 			}
 		}()
 		p.Trace = tr
-	}
-	p.GWDBWells = *wells
-	p.NYCCASSide = *side
-	p.Epochs = *ep
-	p.Runs = *runs
-	p.Seed = *seed
-	p.Workers = *work
-	p.GroundWorkers = *gwork
-	p.NoKernels = *noKern
-	p.ServingJSON = *servingJSON
-	p.LocalJSON = *localJSON
-	p.ShardJSON = *shardJSON
-	p.ChunkGrain = *grain
-	servingOnly := false
-	localOnly := false
-	shardOnly := false
-	switch *phase {
-	case "":
-	case "grounding":
-		p.GroundOnly = true
-	case "serving":
-		servingOnly = true
-	case "local":
-		localOnly = true
-	case "shard":
-		shardOnly = true
-	default:
-		fmt.Fprintf(os.Stderr, "syabench: unknown -phase %q (supported: grounding, serving, local, shard)\n", *phase)
-		os.Exit(2)
-	}
-	if *paper {
-		// Flag overrides apply on top of paper scale only when changed.
-		pp := bench.PaperScaleParams()
-		if *wells == defaults.GWDBWells {
-			p.GWDBWells = pp.GWDBWells
-		}
-		if *side == defaults.NYCCASSide {
-			p.NYCCASSide = pp.NYCCASSide
-		}
-		if *ep == defaults.Epochs {
-			p.Epochs = pp.Epochs
-		}
-		if *runs == defaults.Runs {
-			p.Runs = pp.Runs
-		}
-	}
-
-	args := flag.Args()
-	if len(args) == 0 && servingOnly {
-		args = []string{"serving"}
-	}
-	if len(args) == 0 && localOnly {
-		args = []string{"local"}
-	}
-	if len(args) == 0 && shardOnly {
-		args = []string{"shard"}
-	}
-	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: syabench [flags] <experiment>... | all | -list")
-		os.Exit(2)
-	}
-	if len(args) == 1 && args[0] == "all" {
-		args = order
 	}
 	// -timeout is a between-experiments budget: each experiment runs to
 	// completion (its tables stay internally consistent), but once the
 	// deadline passes no further experiment starts.
 	var deadline time.Time
-	if *timeout > 0 {
-		deadline = time.Now().Add(*timeout)
+	if o.timeout > 0 {
+		deadline = time.Now().Add(o.timeout)
 	}
-	for i, name := range args {
-		fn, ok := experiments[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "syabench: unknown experiment %q (try -list)\n", name)
-			os.Exit(2)
-		}
+	for i, name := range names {
 		if p.GroundOnly && !groundingPhase[name] {
 			fmt.Fprintf(os.Stderr, "syabench: -phase=grounding: skipping inference-bound experiment %s\n", name)
 			continue
 		}
-		if servingOnly && !servingPhase[name] {
-			fmt.Fprintf(os.Stderr, "syabench: -phase=serving: skipping non-serving experiment %s\n", name)
-			continue
-		}
-		if localOnly && !localPhase[name] {
-			fmt.Fprintf(os.Stderr, "syabench: -phase=local: skipping non-local experiment %s\n", name)
-			continue
-		}
-		if shardOnly && !shardPhase[name] {
-			fmt.Fprintf(os.Stderr, "syabench: -phase=shard: skipping non-shard experiment %s\n", name)
-			continue
-		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
-			fmt.Fprintf(os.Stderr, "syabench: -timeout %v reached, skipping %v\n", *timeout, args[i:])
+			fmt.Fprintf(os.Stderr, "syabench: -timeout %v reached, skipping %v\n", o.timeout, names[i:])
 			break
 		}
 		start := time.Now()
-		tbl, err := fn(p)
+		tbl, err := experiments[name](p)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "syabench: %s: %v\n", name, err)
 			p.Trace.Close() // os.Exit skips the deferred flush

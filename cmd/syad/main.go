@@ -90,8 +90,6 @@ func main() {
 		scale       = flag.Float64("scale", 1, "spatial weighing zero-distance scale")
 		seed        = flag.Int64("seed", 1, "sampler seed")
 		groundWork  = flag.Int("ground-workers", 0, "grounding worker-pool width (0 = GOMAXPROCS)")
-		noKernels   = flag.Bool("no-kernels", false, "score with the interpreted factor walk instead of compiled sampling kernels")
-		chunkGrain  = flag.Int("chunk-grain", 0, "cap sampler work-chunk size: cells per spatial chunk / variables per hogwild bucket (0 = engine defaults)")
 		label       = flag.String("label", "", "metrics label: scope all series with {system=NAME}")
 		traceOut    = flag.String("trace-out", "", "write structured JSONL phase-trace events to this file")
 		traceMaxMB  = flag.Int("trace-max-mb", 0, "rotate -trace-out to <file>.1 when it exceeds this many MB (0 = unbounded)")
@@ -123,7 +121,7 @@ func main() {
 		epochs: *epochs, warmupEpochs: *warmupEp, upsertEpochs: *upsertEp,
 		cacheTTL: *cacheTTL, localBudget: *localBudget, localEpochs: *localEpochs,
 		bandwidth: *bandwidth, scale: *scale, seed: *seed,
-		groundWorkers: *groundWork, noKernels: *noKernels, chunkGrain: *chunkGrain, label: *label,
+		groundWorkers: *groundWork, label: *label,
 		traceOut: *traceOut, traceMaxMB: *traceMaxMB,
 		traceRing: *traceRing, slowMS: *slowMS,
 		walPath: *walPath, walSyncEvery: *walSyncEvery, walSnapshotEvery: *walSnapEvery,
@@ -159,8 +157,6 @@ type runOpts struct {
 	scale         float64
 	seed          int64
 	groundWorkers int
-	noKernels     bool
-	chunkGrain    int
 	label         string
 	traceOut      string
 	traceMaxMB    int
@@ -195,8 +191,6 @@ func run(ctx context.Context, o runOpts) (err error) {
 		Bandwidth: o.bandwidth, SpatialScale: o.scale,
 		Seed:          o.seed,
 		GroundWorkers: o.groundWorkers,
-		NoKernels:     o.noKernels,
-		ChunkGrain:    o.chunkGrain,
 		Metrics:       reg,
 		MetricLabel:   o.label,
 	}

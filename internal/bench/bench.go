@@ -51,10 +51,6 @@ type Params struct {
 	// 1 → fully sequential). The grounded factor graph is identical for any
 	// setting; only wall-clock time changes.
 	GroundWorkers int
-	// NoKernels scores inference with the interpreted factor walk instead
-	// of compiled sampling kernels (bit-identical chains; used to measure
-	// the kernel speedup itself).
-	NoKernels bool
 	// GroundOnly restricts experiments to the grounding phase: systems are
 	// built and grounded but inference is skipped, so quality columns are
 	// blank. Used by syabench -phase=grounding for grounding-only
@@ -68,21 +64,6 @@ type Params struct {
 	// Trace, when non-nil, receives the phase events of every experiment
 	// run (grounding rules, learning iterations, inference epochs).
 	Trace *obs.Trace
-	// ServingJSON, when non-empty, makes the serving experiment write its
-	// machine-readable report (BENCH_serving.json shape) to this path.
-	ServingJSON string
-
-	// LocalJSON, when non-empty, makes the local experiment write its
-	// machine-readable report (the BENCH_local.json shape) to this path.
-	LocalJSON string
-
-	// ShardJSON, when non-empty, makes the shard experiment write its
-	// machine-readable report (the BENCH_shard.json shape) to this path.
-	ShardJSON string
-	// ChunkGrain caps the sampler work-chunk size (cells per spatial chunk,
-	// variables per hogwild bucket); 0 keeps the engine defaults. The shard
-	// experiment additionally sweeps this knob itself.
-	ChunkGrain int
 }
 
 // DefaultParams returns laptop-scale defaults.
@@ -175,6 +156,3 @@ func f3(v float64) string {
 
 // ms formats a duration in milliseconds.
 func ms(d float64) string { return fmt.Sprintf("%.1fms", d) }
-
-// fmtSscan wraps fmt.Sscan for test helpers.
-func fmtSscan(s string, v *float64) (int, error) { return fmt.Sscan(s, v) }

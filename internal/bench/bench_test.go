@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -54,22 +55,15 @@ func TestFig1ShapeReproduces(t *testing.T) {
 		t.Fatalf("last row = %v", last)
 	}
 	var dd, sya float64
-	if _, err := parseFloat(last[2], &dd); err != nil {
+	if _, err := fmt.Sscan(last[2], &dd); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := parseFloat(last[3], &sya); err != nil {
+	if _, err := fmt.Sscan(last[3], &sya); err != nil {
 		t.Fatal(err)
 	}
 	if sya < dd {
 		t.Errorf("Sya F1 %v < DeepDive %v:\n%s", sya, dd, out)
 	}
-}
-
-func parseFloat(s string, out *float64) (int, error) {
-	var v float64
-	n, err := fmtSscan(s, &v)
-	*out = v
-	return n, err
 }
 
 func TestFig8And9(t *testing.T) {
@@ -92,12 +86,12 @@ func TestFig8And9(t *testing.T) {
 	var syaF1, ddF1 float64
 	for _, r := range tbl9.Rows {
 		if r[0] == "GWDB" && r[1] == "sya" {
-			if _, err := parseFloat(r[2], &syaF1); err != nil {
+			if _, err := fmt.Sscan(r[2], &syaF1); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if r[0] == "GWDB" && r[1] == "deepdive" {
-			if _, err := parseFloat(r[2], &ddF1); err != nil {
+			if _, err := fmt.Sscan(r[2], &ddF1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -132,7 +126,7 @@ func TestFig11(t *testing.T) {
 	var prev float64 = 1e18
 	for _, r := range tbl.Rows {
 		var allowed float64
-		if _, err := parseFloat(r[5], &allowed); err != nil {
+		if _, err := fmt.Sscan(r[5], &allowed); err != nil {
 			t.Fatal(err)
 		}
 		if allowed > prev {

@@ -109,7 +109,6 @@ func Fig11(p Params) (*Table, error) {
 			Epochs:           p.Epochs,
 			Seed:             p.Seed,
 			PruneThreshold:   T,
-			NoKernels:        p.NoKernels,
 			SkipFactorTables: true,
 			Metrics:          p.Metrics,
 			Trace:            p.Trace,

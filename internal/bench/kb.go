@@ -77,8 +77,6 @@ func (k *gwdbKB) system(engine core.Engine, seed int64) *core.System {
 		GroundWorkers:    k.p.GroundWorkers,
 		Epochs:           k.p.Epochs,
 		Seed:             seed,
-		NoKernels:        k.p.NoKernels,
-		ChunkGrain:       k.p.ChunkGrain,
 		SkipFactorTables: true,
 		Metrics:          k.p.Metrics,
 		Trace:            k.p.Trace,
@@ -177,8 +175,6 @@ func (k *nyccasKB) Build(engine core.Engine, seed int64) (*core.System, error) {
 		GroundWorkers:    k.p.GroundWorkers,
 		Epochs:           k.p.Epochs,
 		Seed:             seed,
-		NoKernels:        k.p.NoKernels,
-		ChunkGrain:       k.p.ChunkGrain,
 		SkipFactorTables: true,
 		Metrics:          k.p.Metrics,
 		Trace:            k.p.Trace,

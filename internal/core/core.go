@@ -103,19 +103,6 @@ type Config struct {
 	// marginal counters (0 → one tenth of the per-chain epoch budget;
 	// negative → no burn-in).
 	BurnIn int
-	// NoKernels makes inference and learning score variables with the
-	// interpreted per-factor walk instead of the compiled per-variable
-	// sampling kernels. The zero value — kernels on — is the fast path; the
-	// two produce bit-identical chains, so this is purely an escape hatch
-	// (surfaced as -no-kernels on the CLIs).
-	NoKernels bool
-	// ChunkGrain caps the work-chunk size of the samplers: cells per
-	// dispatched chunk for the spatial sampler, variables per hogwild
-	// bucket for the baseline. 0 keeps the engine defaults (one chunk per
-	// worker per conclique group; 64-variable buckets). The chains are
-	// unchanged for any setting — grain only shifts the dispatch/parallelism
-	// trade-off (surfaced as -chunk-grain on the CLIs).
-	ChunkGrain int
 
 	// Shards enables sharded share-nothing inference (Sya engine, batch
 	// inference only): the ground graph is partitioned by pyramid subtree
@@ -420,14 +407,7 @@ func (s *System) GroundingTime() time.Duration { return s.groundDur }
 func (s *System) newSampler() (gibbs.Sampler, error) {
 	switch s.cfg.Engine {
 	case EngineDeepDive:
-		opts := []gibbs.SamplerOption{gibbs.WithSharedPool(s.pool)}
-		if s.cfg.NoKernels {
-			opts = append(opts, gibbs.NoKernels())
-		}
-		if s.cfg.ChunkGrain > 0 {
-			opts = append(opts, gibbs.WithChunkGrain(s.cfg.ChunkGrain))
-		}
-		h := gibbs.NewHogwild(s.ground.Graph, s.cfg.Seed, s.cfg.Workers, opts...)
+		h := gibbs.NewHogwild(s.ground.Graph, s.cfg.Seed, s.cfg.Workers, gibbs.WithSharedPool(s.pool))
 		h.SetBurnIn(s.burnIn(1))
 		return h, nil
 	default:
@@ -438,8 +418,6 @@ func (s *System) newSampler() (gibbs.Sampler, error) {
 			Workers:       s.cfg.Workers,
 			Seed:          s.cfg.Seed,
 			BurnIn:        s.burnIn(s.cfg.Instances),
-			NoKernels:     s.cfg.NoKernels,
-			ChunkGrain:    s.cfg.ChunkGrain,
 			Shared:        s.pool,
 		})
 	}
@@ -489,7 +467,7 @@ func (s *System) InferContext(ctx context.Context, epochs int) (*Scores, gibbs.R
 		return nil, stats, fmt.Errorf("core: Ground must run before Infer")
 	}
 	if !s.learned && s.hasLearnedRules() {
-		if _, err := s.LearnWeightsContext(ctx, learn.Options{Seed: s.cfg.Seed, NoKernels: s.cfg.NoKernels}); err != nil {
+		if _, err := s.LearnWeightsContext(ctx, learn.Options{Seed: s.cfg.Seed}); err != nil {
 			return nil, stats, fmt.Errorf("core: auto-learning @weight(?) rules: %w", err)
 		}
 	}
@@ -540,8 +518,6 @@ func (s *System) ensureShardGroup() error {
 		Workers:         s.cfg.Workers,
 		Seed:            s.cfg.Seed,
 		BurnIn:          s.burnIn(s.cfg.Instances),
-		NoKernels:       s.cfg.NoKernels,
-		ChunkGrain:      s.cfg.ChunkGrain,
 		Metrics:         s.cfg.Metrics,
 		CheckpointPath:  s.cfg.CheckpointPath,
 		CheckpointEvery: s.cfg.CheckpointEvery,

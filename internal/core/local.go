@@ -165,11 +165,7 @@ func (s *System) QueryLocal(ctx context.Context, key string, budget LocalBudget)
 	// just this subgraph inside the sampler's scorer, and the pool is
 	// subgraph-sized (never the System's shared full-graph pool — the
 	// shapes don't match).
-	var opts []gibbs.SamplerOption
-	if s.cfg.NoKernels {
-		opts = append(opts, gibbs.NoKernels())
-	}
-	smp := gibbs.NewHogwild(lg.Graph, s.cfg.Seed, s.cfg.Workers, opts...)
+	smp := gibbs.NewHogwild(lg.Graph, s.cfg.Seed, s.cfg.Workers)
 	defer smp.Close()
 	smp.SetBurnIn(epochs / 10)
 	if _, err := smp.Run(ctx, epochs); err != nil {

@@ -1,0 +1,13 @@
+package gibbs
+
+// InterpretedWalk switches a sampler from the compiled kernels to
+// factorgraph's interpreted conditional-score walk, the reference
+// implementation the kernels must match bit for bit. Production code has no
+// way to select it; the harness calls it before the first epoch.
+func (s *Sequential) InterpretedWalk() { s.sc.k = nil }
+
+// InterpretedWalk: see (*Sequential).InterpretedWalk.
+func (h *Hogwild) InterpretedWalk() { h.sc.k = nil }
+
+// InterpretedWalk: see (*Sequential).InterpretedWalk.
+func (s *Spatial) InterpretedWalk() { s.sc.k = nil }

@@ -176,9 +176,8 @@ func marginalsFrom(g *factorgraph.Graph, get func(v int) ([]float64, float64)) [
 // sampleOne draws a new value for v from its conditional distribution and
 // stores it in the assignment. buf must have capacity ≥ the max domain; it
 // is untouched on the buffer-free binary fast path. Scores come from the
-// sampler's scorer — compiled kernels by default, interpreted with
-// NoKernels — which are bit-identical, so every variant's chain is the same
-// on either path.
+// sampler's scorer: compiled kernels, or in tests the interpreted reference
+// walk — the two are bit-identical, so the chain is the same on either.
 func sampleOne(sc *scorer, v factorgraph.VarID, assign factorgraph.Assignment,
 	rng *prng, buf []float64) int32 {
 	if sc.g.DomainOf(v) == 2 {

@@ -419,7 +419,7 @@ func TestSampleOneDistribution(t *testing.T) {
 	assign := g.InitialAssignment()
 	rng := taskRNG(5, 0xabc)
 	buf := make([]float64, 2)
-	sc := newScorer(g, false)
+	sc := newScorer(g)
 	ones := 0
 	n := 200000
 	for i := 0; i < n; i++ {

@@ -384,6 +384,40 @@ func TestIncrementalSweepsOnlyDirtyCells(t *testing.T) {
 	}
 }
 
+// TestHomeCellsMatchSamplerPlacement: the sampler-free placement that
+// shard.Partition deals subtrees by is the placement a sampler built with
+// the same options schedules by, atom for atom.
+func TestHomeCellsMatchSamplerPlacement(t *testing.T) {
+	g := mustGraph(t, testutil.Spec{
+		Vars: 400, Domain: 2, Spatial: true,
+		LogicalFactors: 300, SpatialPairs: 600, Seed: 5,
+	})
+	for _, opts := range []gibbs.SpatialOptions{
+		{Levels: 5},
+		{Levels: 6, LocalityLevel: 3, Capacity: 8},
+	} {
+		s, err := gibbs.NewSpatial(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		homes, err := gibbs.HomeCells(g, opts)
+		s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(homes) == 0 {
+			t.Fatal("test premise broken: no atom has a home cell")
+		}
+		for i := 0; i < g.NumVars(); i++ {
+			v := factorgraph.VarID(i)
+			want, wantOK := s.HomeCell(v)
+			if got, ok := homes[v]; ok != wantOK || got != want {
+				t.Errorf("%+v: var %d home = %+v (%v), sampler says %+v (%v)", opts, v, got, ok, want, wantOK)
+			}
+		}
+	}
+}
+
 // TestSpatialSteadyStateEpochAllocFree pins the pooled epoch loop's
 // zero-allocation property (the benchmark counterpart records numbers; this
 // enforces the invariant in every test run).
@@ -421,8 +455,8 @@ func TestHogwildSteadyStateEpochAllocFree(t *testing.T) {
 // kernel equivalence contract (the per-score contract lives in
 // factorgraph's kernel tests): in every scheduling-deterministic
 // configuration, a chain run on compiled kernels is bit-identical to the
-// same chain run with NoKernels — not statistically close, float-for-float
-// equal. With that established, the statistical harness transfers to the
+// same chain run on the interpreted walk (the export_test.go seam) — not
+// statistically close, float-for-float equal. With that established, the statistical harness transfers to the
 // compiled path wholesale.
 func TestCompiledMatchesInterpretedChains(t *testing.T) {
 	for _, shape := range testutil.Shapes(902) {
@@ -431,35 +465,36 @@ func TestCompiledMatchesInterpretedChains(t *testing.T) {
 			g := mustGraph(t, shape.Spec)
 			samplers := []struct {
 				name string
-				run  func(noKernels bool) [][]float64
+				run  func(interpreted bool) [][]float64
 			}{
-				{"sequential", func(nk bool) [][]float64 {
-					var opts []gibbs.SamplerOption
-					if nk {
-						opts = append(opts, gibbs.NoKernels())
+				{"sequential", func(interpreted bool) [][]float64 {
+					s := gibbs.NewSequential(g, 29)
+					if interpreted {
+						s.InterpretedWalk()
 					}
-					s := gibbs.NewSequential(g, 29, opts...)
 					s.RunEpochs(300)
 					return s.Marginals()
 				}},
-				{"hogwild", func(nk bool) [][]float64 {
-					var opts []gibbs.SamplerOption
-					if nk {
-						opts = append(opts, gibbs.NoKernels())
-					}
-					h := gibbs.NewHogwild(g, 29, 1, opts...)
+				{"hogwild", func(interpreted bool) [][]float64 {
+					h := gibbs.NewHogwild(g, 29, 1)
 					defer h.Close()
+					if interpreted {
+						h.InterpretedWalk()
+					}
 					h.RunEpochs(300)
 					return h.Marginals()
 				}},
-				{"spatial", func(nk bool) [][]float64 {
+				{"spatial", func(interpreted bool) [][]float64 {
 					s, err := gibbs.NewSpatial(g, gibbs.SpatialOptions{
-						Levels: 4, Instances: 2, Seed: 29, Workers: 1, NoKernels: nk,
+						Levels: 4, Instances: 2, Seed: 29, Workers: 1,
 					})
 					if err != nil {
 						t.Fatal(err)
 					}
 					defer s.Close()
+					if interpreted {
+						s.InterpretedWalk()
+					}
 					s.RunTotalEpochs(300)
 					return s.Marginals()
 				}},
@@ -479,10 +514,11 @@ func TestCompiledMatchesInterpretedChains(t *testing.T) {
 	}
 }
 
-// TestSamplersMatchExactWithoutKernels keeps the interpreted escape hatch
+// TestSamplersMatchExactWithoutKernels keeps the interpreted reference walk
 // under direct statistical coverage: all three samplers against exact
-// marginals with NoKernels set, on one binary-spatial shape (the compiled
-// default gets the full shape sweep above; bit-identity transfers the rest).
+// marginals on the interpreted walk, on one binary-spatial shape (the
+// compiled path gets the full shape sweep above; bit-identity transfers the
+// rest).
 func TestSamplersMatchExactWithoutKernels(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long-running convergence property")
@@ -497,31 +533,34 @@ func TestSamplersMatchExactWithoutKernels(t *testing.T) {
 		run  func() [][]float64
 	}{
 		{"sequential", func() [][]float64 {
-			s := gibbs.NewSequential(g, 17, gibbs.NoKernels())
+			s := gibbs.NewSequential(g, 17)
+			s.InterpretedWalk()
 			s.RunEpochs(20000)
 			return s.Marginals()
 		}},
 		{"hogwild", func() [][]float64 {
-			h := gibbs.NewHogwild(g, 17, 3, gibbs.NoKernels())
+			h := gibbs.NewHogwild(g, 17, 3)
 			defer h.Close()
+			h.InterpretedWalk()
 			h.RunEpochs(25000)
 			return h.Marginals()
 		}},
 		{"spatial", func() [][]float64 {
 			s, err := gibbs.NewSpatial(g, gibbs.SpatialOptions{
-				Levels: 4, Instances: 2, Seed: 17, Workers: 2, NoKernels: true,
+				Levels: 4, Instances: 2, Seed: 17, Workers: 2,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Close()
+			s.InterpretedWalk()
 			s.RunTotalEpochs(25000)
 			return s.Marginals()
 		}},
 	}
 	for _, s := range samplers {
 		if d := testutil.MaxTV(s.run(), exact); d > tvTol {
-			t.Errorf("%s (NoKernels): max TV distance %.4f > %.2f", s.name, d, tvTol)
+			t.Errorf("%s (interpreted walk): max TV distance %.4f > %.2f", s.name, d, tvTol)
 		}
 	}
 }

@@ -56,14 +56,13 @@ type Hogwild struct {
 	obsState // metrics/trace/diagnostics plane (zero: disabled)
 }
 
-// hogwildGrain is the default bucket size of the hogwild partition
-// (overridable with WithChunkGrain). Buckets — not workers — are the unit of
-// PRNG stream identity and of dispatch, so the sampling program is a pure
-// function of (graph, seed, grain): any worker count executes the same
-// buckets under the same streams. The grain keeps bench-scale graphs
-// (thousands of query variables) in tens of buckets — enough chunks to load
-// any realistic worker width without making the per-chunk dispatch overhead
-// visible.
+// hogwildGrain is the bucket size of the hogwild partition. Buckets — not
+// workers — are the unit of PRNG stream identity and of dispatch, so the
+// sampling program is a pure function of (graph, seed): any worker count
+// executes the same buckets under the same streams. The grain keeps
+// bench-scale graphs (thousands of query variables) in tens of buckets —
+// enough chunks to load any realistic worker width without making the
+// per-chunk dispatch overhead visible.
 const hogwildGrain = 64
 
 // SetBurnIn discards the first n chain epochs from the marginal counters.
@@ -106,18 +105,12 @@ func (h *Hogwild) SetProgress(every int, fn func(Progress)) {
 func (h *Hogwild) SetCheckpointer(cp *Checkpointer) { h.ckpt = cp }
 
 // NewHogwild builds a hogwild sampler; workers ≤ 0 selects GOMAXPROCS.
-// Options default to the compiled-kernel scoring path (see NoKernels).
 func NewHogwild(g *factorgraph.Graph, seed int64, workers int, opts ...SamplerOption) *Hogwild {
 	cfg := applySamplerOptions(opts)
 	query := queryVars(g)
-	grain := cfg.grain
-	if grain <= 0 {
-		grain = hogwildGrain
-	}
-	// The partition depends on the graph and grain alone: fixed-grain
-	// buckets, so the chunk set (and each chunk's PRNG stream) is
-	// worker-count independent.
-	buckets := (len(query) + grain - 1) / grain
+	// The partition depends on the graph alone: fixed-grain buckets, so the
+	// chunk set (and each chunk's PRNG stream) is worker-count independent.
+	buckets := (len(query) + hogwildGrain - 1) / hogwildGrain
 	if buckets < 1 {
 		buckets = 1
 	}
@@ -130,7 +123,7 @@ func NewHogwild(g *factorgraph.Graph, seed int64, workers int, opts ...SamplerOp
 	pool, own := poolFor(cfg.shared, workers, 1, g)
 	h := &Hogwild{
 		g:       g,
-		sc:      newScorer(g, cfg.noKernels),
+		sc:      newScorer(g),
 		assign:  g.InitialAssignment(),
 		seed:    seed,
 		workers: workers,
@@ -183,10 +176,6 @@ func (h *Hogwild) Close() {
 
 // Name implements Sampler.
 func (h *Hogwild) Name() string { return "hogwild" }
-
-// Buckets reports the partition's bucket count (diagnostics: the dispatch
-// and PRNG-stream granularity selected by the chunk grain).
-func (h *Hogwild) Buckets() int { return h.buckets }
 
 // TotalEpochs implements Sampler.
 func (h *Hogwild) TotalEpochs() int { return h.epochs }

@@ -4,25 +4,21 @@ import (
 	"repro/internal/factorgraph"
 )
 
-// scorer routes conditional-score evaluation either through the graph's
-// compiled sampling kernels (the default) or the interpreted CSR walk. The
-// two paths are bit-identical (factorgraph's golden equivalence test), so
-// the choice affects throughput only: seeds, checkpoints and marginals are
-// the same either way. The samplers hold one scorer each and pass it to
+// scorer routes conditional-score evaluation through the graph's compiled
+// sampling kernels. The interpreted CSR walk behind a nil k is the reference
+// implementation the kernels are tested against: the two are bit-identical
+// (factorgraph's golden equivalence test), and only tests select it (see
+// export_test.go). The samplers hold one scorer each and pass it to
 // sampleOne; the single nil check per call is the entire dispatch cost.
 type scorer struct {
 	g *factorgraph.Graph
-	k *factorgraph.Kernels // nil → interpreted path
+	k *factorgraph.Kernels // nil → interpreted reference walk (tests only)
 }
 
 // newScorer builds a scorer over g, compiling (or reusing) the graph's
-// kernels unless noKernels asks for the interpreted path.
-func newScorer(g *factorgraph.Graph, noKernels bool) scorer {
-	sc := scorer{g: g}
-	if !noKernels {
-		sc.k = g.Kernels()
-	}
-	return sc
+// kernels.
+func newScorer(g *factorgraph.Graph) scorer {
+	return scorer{g: g, k: g.Kernels()}
 }
 
 // conditionalScores evaluates all candidate values of v (general path).
@@ -41,21 +37,12 @@ func (sc *scorer) binaryConditionalScores(v factorgraph.VarID, assign factorgrap
 	return sc.g.BinaryConditionalScores(v, assign)
 }
 
-// SamplerOption configures optional behavior of the sequential and hogwild
-// constructors (the spatial sampler takes SpatialOptions instead).
+// SamplerOption configures optional behavior of the hogwild constructor
+// (the spatial sampler takes SpatialOptions instead).
 type SamplerOption func(*samplerConfig)
 
 type samplerConfig struct {
-	noKernels bool
-	shared    *SharedPool
-	grain     int
-}
-
-// NoKernels makes a sampler evaluate conditional scores on the interpreted
-// graph walk instead of the compiled kernels — the `-no-kernels` escape
-// hatch. Results are bit-identical either way; only throughput differs.
-func NoKernels() SamplerOption {
-	return func(c *samplerConfig) { c.noKernels = true }
+	shared *SharedPool
 }
 
 // WithSharedPool makes the sampler draw its worker pool from sp instead of
@@ -63,15 +50,6 @@ func NoKernels() SamplerOption {
 // sampler of the same shape (see SharedPool).
 func WithSharedPool(sp *SharedPool) SamplerOption {
 	return func(c *samplerConfig) { c.shared = sp }
-}
-
-// WithChunkGrain overrides the hogwild bucket size (default hogwildGrain).
-// Buckets are the unit of PRNG stream identity, so a different grain runs a
-// different — but statistically equivalent — sampling program; a checkpoint
-// resumed under a different grain continues under the new partition.
-// n ≤ 0 keeps the default.
-func WithChunkGrain(n int) SamplerOption {
-	return func(c *samplerConfig) { c.grain = n }
 }
 
 func applySamplerOptions(opts []SamplerOption) samplerConfig {
@@ -83,8 +61,8 @@ func applySamplerOptions(opts []SamplerOption) samplerConfig {
 }
 
 // publishKernelMetrics exposes the compiled-kernel build stats on the
-// sampler metric gauges. Called when a sampler running on compiled kernels
-// attaches metrics; a nil kernel set (interpreted path) publishes nothing.
+// sampler metric gauges. Called when a sampler attaches metrics; a nil
+// kernel set (the tests' interpreted path) publishes nothing.
 func publishKernelMetrics(m *Metrics, k *factorgraph.Kernels) {
 	if m == nil || k == nil {
 		return

@@ -66,7 +66,7 @@ func MAPContext(ctx context.Context, g *factorgraph.Graph, opts MAPOptions) (fac
 	query := queryVars(g)
 	// MAP always runs on the compiled kernels: they are bit-identical to the
 	// interpreted walk, and MAP has no user-facing escape hatch to plumb.
-	sc := newScorer(g, false)
+	sc := newScorer(g)
 	var best factorgraph.Assignment
 	bestE := 0.0
 	decay := 1.0

@@ -4,7 +4,8 @@ package gibbs_test
 // ReportAllocs numbers are the acceptance gauge for the persistent worker
 // pool: after warm-up, an epoch of the spatial and hogwild samplers must
 // run at 0 allocs/op (also enforced by the AllocsPerRun tests in
-// harness_test.go). Results are recorded in BENCH_sampler.json.
+// harness_test.go). For working measurements only: the recorded numbers are
+// the benchmark's gibbs.epoch_us and gibbs.alloc_per_epoch rows.
 
 import (
 	"context"

@@ -59,13 +59,11 @@ func (s *Sequential) SetProgress(every int, fn func(Progress)) {
 	s.enableProgress(s.g, every, fn, []*counts{s.counts})
 }
 
-// NewSequential builds a sequential sampler with the given seed. Options
-// default to the compiled-kernel scoring path (see NoKernels).
-func NewSequential(g *factorgraph.Graph, seed int64, opts ...SamplerOption) *Sequential {
-	cfg := applySamplerOptions(opts)
+// NewSequential builds a sequential sampler with the given seed.
+func NewSequential(g *factorgraph.Graph, seed int64) *Sequential {
 	return &Sequential{
 		g:      g,
-		sc:     newScorer(g, cfg.noKernels),
+		sc:     newScorer(g),
 		assign: g.InitialAssignment(),
 		rng:    taskRNG(seed, 0x5e90),
 		counts: newCounts(g),

@@ -38,16 +38,6 @@ type SpatialOptions struct {
 	// Space overrides the pyramid bounding space (derived from atom
 	// locations when zero).
 	Space geom.Rect
-	// NoKernels evaluates conditional scores on the interpreted graph walk
-	// instead of the compiled sampling kernels (the `-no-kernels` escape
-	// hatch). Results are bit-identical either way; only throughput differs.
-	NoKernels bool
-	// ChunkGrain caps the number of cells per dispatched chunk (0 =
-	// uncapped: one chunk per worker per conclique group). Smaller chunks
-	// load-balance unevenly sized cells at the cost of more dispatch
-	// overhead. PRNG streams are pinned to cells, not chunks, so the chain
-	// is bit-identical for any grain.
-	ChunkGrain int
 	// Shared, when non-nil, supplies the worker pool from a SharedPool
 	// cache instead of building a private one; Close releases the pool back
 	// for the next sampler of the same shape.
@@ -193,17 +183,58 @@ func NewSpatial(g *factorgraph.Graph, opts SpatialOptions) (*Spatial, error) {
 	opts = opts.withDefaults()
 	s := &Spatial{
 		g:         g,
-		sc:        newScorer(g, opts.NoKernels),
+		sc:        newScorer(g),
 		opts:      opts,
 		pinned:    make([]bool, g.NumVars()),
 		dirty:     map[factorgraph.VarID]bool{},
-		homeCell:  map[factorgraph.VarID]pyramid.CellKey{},
 		cellIndex: map[pyramid.CellKey]int32{},
 		incCache:  map[uint64]*restrictedView{},
 	}
-	var entries []pyramid.Entry
+	pyr, entries, nonSpatial, err := buildPyramid(g, opts)
+	if err != nil {
+		return nil, err
+	}
+	var residual []factorgraph.VarID
+	if pyr != nil {
+		s.pyr = pyr
+		s.homeCell, residual = homeCells(pyr, entries, opts.sweepLevels())
+		s.buildSchedule()
+	}
+	sort.Slice(residual, func(i, j int) bool { return residual[i] < residual[j] })
+	s.tail = append(residual, nonSpatial...)
+	s.pool, s.ownPool = poolFor(opts.Shared, opts.Workers*opts.Instances, opts.Instances, g)
+	s.shared = opts.Shared
+	for k := 0; k < opts.Instances; k++ {
+		inst := &instance{
+			assign: g.InitialAssignment(),
+			counts: newCounts(g),
+		}
+		s.instances = append(s.instances, inst)
+		s.runs = append(s.runs, &spatialRun{s: s, inst: inst, k: k})
+		s.tailRuns = append(s.tailRuns, &tailRun{s: s, inst: inst, k: k})
+	}
+	return s, nil
+}
+
+// HomeCells computes the home pyramid cell of every located query atom of g
+// under opts: the placement NewSpatial schedules by, without the sampler
+// around it (no kernels, pool or chain state). Atoms missing from the map
+// are swept in the serial tail (see Spatial.HomeCell).
+func HomeCells(g *factorgraph.Graph, opts SpatialOptions) (map[factorgraph.VarID]pyramid.CellKey, error) {
+	opts = opts.withDefaults()
+	pyr, entries, _, err := buildPyramid(g, opts)
+	if err != nil || pyr == nil {
+		return nil, err
+	}
+	home, _ := homeCells(pyr, entries, opts.sweepLevels())
+	return home, nil
+}
+
+// buildPyramid indexes the located query atoms of g (opts with defaults
+// applied). It returns the index (nil when no query atom has a location),
+// the indexed entries and the query atoms without a location.
+func buildPyramid(g *factorgraph.Graph, opts SpatialOptions) (pyr *pyramid.Index, entries []pyramid.Entry, nonSpatial []factorgraph.VarID, err error) {
 	var space geom.Rect
-	var nonSpatial, residual []factorgraph.VarID
 	first := true
 	for _, v := range queryVars(g) {
 		meta := g.Var(v)
@@ -227,31 +258,17 @@ func NewSpatial(g *factorgraph.Graph, opts SpatialOptions) (*Spatial, error) {
 		pad := 1e-9 + 0.001*(space.Width()+space.Height())
 		space = space.Expand(pad)
 	}
-	if len(entries) > 0 {
-		pyr, err := pyramid.Build(space, entries, pyramid.Options{
-			Levels:   opts.Levels,
-			Capacity: opts.Capacity,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("gibbs: building pyramid: %w", err)
-		}
-		s.pyr = pyr
-		residual = s.buildSchedule(entries)
+	if len(entries) == 0 {
+		return nil, nil, nonSpatial, nil
 	}
-	sort.Slice(residual, func(i, j int) bool { return residual[i] < residual[j] })
-	s.tail = append(residual, nonSpatial...)
-	s.pool, s.ownPool = poolFor(opts.Shared, opts.Workers*opts.Instances, opts.Instances, g)
-	s.shared = opts.Shared
-	for k := 0; k < opts.Instances; k++ {
-		inst := &instance{
-			assign: g.InitialAssignment(),
-			counts: newCounts(g),
-		}
-		s.instances = append(s.instances, inst)
-		s.runs = append(s.runs, &spatialRun{s: s, inst: inst, k: k})
-		s.tailRuns = append(s.tailRuns, &tailRun{s: s, inst: inst, k: k})
+	pyr, err = pyramid.Build(space, entries, pyramid.Options{
+		Levels:   opts.Levels,
+		Capacity: opts.Capacity,
+	})
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("gibbs: building pyramid: %w", err)
 	}
-	return s, nil
+	return pyr, entries, nonSpatial, nil
 }
 
 // Close releases the sampler's worker pool: shared pools return to their
@@ -310,21 +327,20 @@ func (s *Spatial) SetProgress(every int, fn func(Progress)) {
 // checkpoint is written at every epoch multiple of cp.Every. nil disables.
 func (s *Spatial) SetCheckpointer(cp *Checkpointer) { s.ckpt = cp }
 
-// buildSchedule computes each atom's home cell and flattens the per-level
-// conclique cell tasks into the contiguous schedule arrays. It returns the
+// homeCells computes each indexed atom's home cell: its lowest maintained
+// pyramid cell, clamped to the deepest swept level. It also returns the
 // atoms whose home lies above the swept range.
-func (s *Spatial) buildSchedule(entries []pyramid.Entry) (residual []factorgraph.VarID) {
-	levels := s.sweepLevels()
+func homeCells(pyr *pyramid.Index, entries []pyramid.Entry, levels []int) (home map[factorgraph.VarID]pyramid.CellKey, residual []factorgraph.VarID) {
 	minSwept, maxSwept := levels[0], levels[len(levels)-1]
-	byCell := map[pyramid.CellKey][]factorgraph.VarID{}
+	home = make(map[factorgraph.VarID]pyramid.CellKey, len(entries))
 	for _, e := range entries {
 		v := factorgraph.VarID(e.ID)
-		home := s.pyr.LowestCell(e.Loc)
-		if home == nil {
+		lowest := pyr.LowestCell(e.Loc)
+		if lowest == nil {
 			residual = append(residual, v)
 			continue
 		}
-		hl := home.Key.Level
+		hl := lowest.Key.Level
 		if hl > maxSwept {
 			hl = maxSwept
 		}
@@ -332,13 +348,21 @@ func (s *Spatial) buildSchedule(entries []pyramid.Entry) (residual []factorgraph
 			residual = append(residual, v)
 			continue
 		}
-		key := pyramid.CellKey{Level: hl, X: home.Key.X >> (home.Key.Level - hl), Y: home.Key.Y >> (home.Key.Level - hl)}
-		s.homeCell[v] = key
+		home[v] = pyramid.CellKey{Level: hl, X: lowest.Key.X >> (lowest.Key.Level - hl), Y: lowest.Key.Y >> (lowest.Key.Level - hl)}
+	}
+	return home, residual
+}
+
+// buildSchedule flattens the home cells' per-level conclique cell tasks into
+// the contiguous schedule arrays.
+func (s *Spatial) buildSchedule() {
+	byCell := map[pyramid.CellKey][]factorgraph.VarID{}
+	for v, key := range s.homeCell {
 		byCell[key] = append(byCell[key], v)
 	}
 	sc := &s.sched
 	sc.varOff = append(sc.varOff, 0)
-	for _, l := range levels {
+	for _, l := range s.opts.sweepLevels() {
 		var keys []pyramid.CellKey
 		for k := range byCell {
 			if k.Level == l {
@@ -376,7 +400,6 @@ func (s *Spatial) buildSchedule(entries []pyramid.Entry) (residual []factorgraph
 	for i := range sc.allCells {
 		sc.allCells[i] = int32(i)
 	}
-	return residual
 }
 
 // Name implements Sampler.
@@ -391,10 +414,10 @@ func (s *Spatial) Pyramid() *pyramid.Index { return s.pyr }
 // sweepLevels returns the pyramid levels visited per epoch: 2..LocalityLevel
 // as in Algorithm 1 line 10, or the single deepest available level when the
 // pyramid is too shallow for that range.
-func (s *Spatial) sweepLevels() []int {
-	top := s.opts.LocalityLevel
-	if top > s.opts.Levels-1 {
-		top = s.opts.Levels - 1
+func (o SpatialOptions) sweepLevels() []int {
+	top := o.LocalityLevel
+	if top > o.Levels-1 {
+		top = o.Levels - 1
 	}
 	if top < 2 {
 		return []int{top}
@@ -560,9 +583,6 @@ func (s *Spatial) sweepEpochs(ctx context.Context, n int, cells, groupOff []int3
 				}
 			}
 			per := (hi - lo + int32(s.opts.Workers) - 1) / int32(s.opts.Workers)
-			if g := int32(s.opts.ChunkGrain); g > 0 && per > g {
-				per = g
-			}
 			for k := range s.instances {
 				r := s.runs[k]
 				for off := lo; off < hi; off += per {
@@ -926,7 +946,7 @@ func (s *Spatial) CellStats() []string {
 		coverAt[l]++
 	}
 	var out []string
-	for _, l := range s.sweepLevels() {
+	for _, l := range s.opts.sweepLevels() {
 		out = append(out, fmt.Sprintf("level %d: %d cells, %d concliques", l, cellsAt[l], coverAt[l]))
 	}
 	return out

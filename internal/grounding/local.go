@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/factorgraph"
 )
@@ -111,8 +110,8 @@ func (h frontierHeap) Less(i, j int) bool {
 	}
 	return h[i].v < h[j].v
 }
-func (h frontierHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *frontierHeap) Push(x any)        { *h = append(*h, x.(frontierItem)) }
+func (h frontierHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *frontierHeap) Push(x any)   { *h = append(*h, x.(frontierItem)) }
 func (h *frontierHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -215,7 +214,7 @@ func ExtractLocal(res *Result, root factorgraph.VarID, opts LocalOptions) (*Loca
 			expand(other, w)
 		}
 	}
-	return buildLocalGraph(res, root, interior, frozenAt)
+	return buildLocalGraph(g, root, interior, frozenAt)
 }
 
 // extractEvidenceRoot handles a query whose atom is already observed (graph
@@ -236,154 +235,50 @@ func extractEvidenceRoot(g *factorgraph.Graph, root factorgraph.VarID, val int32
 	return &LocalGraph{Graph: sub, Root: lid, Interior: nil, BoundaryVars: 1}, nil
 }
 
-// buildLocalGraph materializes the subgraph: interior variables first (in
-// expansion order), then every non-interior neighbour frozen as evidence,
-// then all factors and spatial pairs touching an interior variable. The cut
-// weight accumulates over factors with an uncertain frozen endpoint; any
-// positive cut weight means the expansion truncated uncertain tissue (an
-// uncertain boundary variable is always adjacent to the interior through
-// the edge that discovered it).
-func buildLocalGraph(res *Result, root factorgraph.VarID, interior []factorgraph.VarID,
+// buildLocalGraph materializes the subgraph through factorgraph.Sub —
+// interior variables first (in expansion order), then every non-interior
+// neighbour frozen as evidence, then all factors and spatial pairs touching
+// an interior variable — and sums the cut weight over the kept factors with
+// an uncertain frozen endpoint. Any positive cut weight means the expansion
+// truncated uncertain tissue (an uncertain boundary variable is always
+// adjacent to the interior through the edge that discovered it).
+func buildLocalGraph(g *factorgraph.Graph, root factorgraph.VarID, interior []factorgraph.VarID,
 	frozenAt func(factorgraph.VarID) (int32, bool)) (*LocalGraph, error) {
-	g := res.Graph
-	in := make(map[factorgraph.VarID]bool, len(interior))
-	for _, v := range interior {
-		in[v] = true
-	}
-
-	// Collect the factor and spatial-pair sets (deduped, ascending) and the
-	// boundary variable set.
-	factorSet := map[int32]bool{}
-	spatialSet := map[int32]bool{}
-	boundarySet := map[factorgraph.VarID]bool{}
-	for _, v := range interior {
-		for _, f := range g.VarLogicalFactors(v) {
-			factorSet[f] = true
-		}
-		for _, sp := range g.VarSpatialPairs(v) {
-			spatialSet[sp] = true
-		}
-	}
-	factors := sortedInt32(factorSet)
-	spatials := sortedInt32(spatialSet)
-	for _, f := range factors {
-		vars, _ := g.FactorVars(f)
-		for _, u := range vars {
-			if !in[u] {
-				boundarySet[u] = true
-			}
-		}
-	}
-	for _, sp := range spatials {
-		a, bv, _ := g.SpatialPair(sp)
-		if !in[a] {
-			boundarySet[a] = true
-		}
-		if !in[bv] {
-			boundarySet[bv] = true
-		}
-	}
-	boundary := make([]factorgraph.VarID, 0, len(boundarySet))
-	for v := range boundarySet {
-		boundary = append(boundary, v)
-	}
-	sort.Slice(boundary, func(i, j int) bool { return boundary[i] < boundary[j] })
-
-	b := factorgraph.NewBuilder()
-	// Per-relation allowed-pair masks carry over for every relation present.
-	seenRel := map[int32]bool{}
-	addMask := func(v factorgraph.VarID) error {
-		rel := g.Var(v).Relation
-		if seenRel[rel] {
-			return nil
-		}
-		seenRel[rel] = true
-		if mask, h := g.AllowedPairMask(rel); mask != nil {
-			return b.SetAllowedPairs(rel, h, mask)
-		}
-		return nil
-	}
-	localID := make(map[factorgraph.VarID]factorgraph.VarID, len(interior)+len(boundary))
-	var cutWeight float64
 	uncertain := map[factorgraph.VarID]bool{}
-	for _, v := range interior {
-		if err := addMask(v); err != nil {
-			return nil, err
-		}
-		lid, err := b.AddVariable(g.Var(v))
-		if err != nil {
-			return nil, err
-		}
-		localID[v] = lid
-	}
-	for _, v := range boundary {
-		if err := addMask(v); err != nil {
-			return nil, err
-		}
-		meta := g.Var(v)
+	sub, err := factorgraph.Sub(g, interior, func(v factorgraph.VarID) int32 {
 		val, evGrade := frozenAt(v)
-		meta.Evidence = val
 		if !evGrade {
 			uncertain[v] = true
 		}
-		lid, err := b.AddVariable(meta)
-		if err != nil {
-			return nil, err
-		}
-		localID[v] = lid
-	}
-	for _, f := range factors {
-		vars, neg := g.FactorVars(f)
-		lvars := make([]factorgraph.VarID, len(vars))
-		cut := false
-		for i, u := range vars {
-			lvars[i] = localID[u]
-			if uncertain[u] {
-				cut = true
-			}
-		}
-		if cut {
-			cutWeight += math.Abs(g.FactorWeightOf(f))
-		}
-		lneg := append([]bool(nil), neg...)
-		if err := b.AddFactor(g.FactorKindOf(f), g.FactorWeightOf(f), lvars, lneg); err != nil {
-			return nil, err
-		}
-	}
-	pairs := make([]factorgraph.SpatialPair, 0, len(spatials))
-	for _, sp := range spatials {
-		a, bv, w := g.SpatialPair(sp)
-		if uncertain[a] || uncertain[bv] {
-			cutWeight += math.Abs(w)
-		}
-		pairs = append(pairs, factorgraph.SpatialPair{A: localID[a], B: localID[bv], W: w})
-	}
-	if err := b.AddSpatialPairs(pairs); err != nil {
-		return nil, err
-	}
-	sub, err := b.Finalize()
+		return val
+	})
 	if err != nil {
 		return nil, err
 	}
+	var cutWeight float64
+	for _, f := range sub.Factors {
+		vars, _ := g.FactorVars(f)
+		for _, u := range vars {
+			if uncertain[u] {
+				cutWeight += math.Abs(g.FactorWeightOf(f))
+				break
+			}
+		}
+	}
+	for _, sp := range sub.Spatials {
+		if a, b, w := g.SpatialPair(sp); uncertain[a] || uncertain[b] {
+			cutWeight += math.Abs(w)
+		}
+	}
 	lg := &LocalGraph{
-		Graph:        sub,
-		Root:         localID[root],
+		Graph:        sub.Graph,
+		Root:         sub.LocalID[root],
 		Interior:     interior,
-		BoundaryVars: len(boundary),
+		BoundaryVars: len(sub.Boundary),
 		Truncated:    cutWeight > 0,
 	}
 	if cutWeight > 0 {
 		lg.ErrorBound = math.Tanh(cutWeight)
 	}
 	return lg, nil
-}
-
-// sortedInt32 flattens a set into an ascending slice.
-func sortedInt32(set map[int32]bool) []int32 {
-	out := make([]int32, 0, len(set))
-	for x := range set {
-		out = append(out, x)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -48,11 +48,6 @@ type Options struct {
 	MaxWeight float64
 	// Seed drives the chains.
 	Seed int64
-	// NoKernels scores the chains with the interpreted factor-walk instead
-	// of the graph's compiled sampling kernels. The two paths are
-	// bit-identical; this is the learning-side face of the samplers'
-	// `-no-kernels` escape hatch.
-	NoKernels bool
 	// Trace, when non-nil, receives one "learning" phase event per gradient
 	// iteration (gradient norm and wall time) plus a closing summary.
 	Trace *obs.Trace
@@ -93,10 +88,9 @@ type chain struct {
 	vars   []factorgraph.VarID // variables this chain resamples
 	rng    *prng
 	buf    []float64
-	// score is the conditional-score backend: the graph's compiled kernels
-	// by default, or the interpreted factor-walk under Options.NoKernels.
-	// Learned weights flow through either one because both read the live
-	// weight tables (kernels store indices, not copies).
+	// score is the conditional-score backend: the graph's compiled kernels.
+	// Learned weights flow through it because kernels read the live weight
+	// tables (they store indices, not copies).
 	score func(factorgraph.VarID, factorgraph.Assignment, []float64) []float64
 }
 
@@ -188,10 +182,7 @@ func Weights(ctx context.Context, g *factorgraph.Graph, factorRule []int32, numR
 		}
 		return true
 	})
-	score := g.ConditionalScores
-	if !opts.NoKernels {
-		score = g.Kernels().ConditionalScores
-	}
+	score := g.Kernels().ConditionalScores
 	data := &chain{assign: g.InitialAssignment(), vars: queryVars,
 		rng: newPrng(opts.Seed, 1), buf: make([]float64, maxDom), score: score}
 	model := &chain{assign: g.InitialAssignment(), vars: allVars,

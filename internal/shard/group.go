@@ -37,11 +37,6 @@ type Options struct {
 	Seed int64
 	// BurnIn discards this many initial epochs per chain from the counters.
 	BurnIn int
-	// NoKernels scores with the interpreted walk (escape hatch).
-	NoKernels bool
-	// ChunkGrain caps cells per dispatched chunk inside each shard's
-	// sampler (see gibbs.SpatialOptions.ChunkGrain).
-	ChunkGrain int
 	// ExchangeTimeout bounds the wait at one epoch barrier (and the final
 	// counts gather). A shard that hears nothing from a neighbour for this
 	// long fails the run with an error naming the silent shard — the torn-
@@ -101,17 +96,17 @@ var exchangeBuckets = []float64{1e-6, 1e-5, 1e-4, 5e-4, 1e-3, 5e-3, .01, .05, .1
 // bookkeeping.
 type node struct {
 	id  int
-	sub *subgraph
+	sub *factorgraph.Subgraph
 	smp *gibbs.Spatial
 	tr  Transport
 
-	peers     []int                     // sorted neighbour shard ids
-	sendVars  map[int][]factorgraph.VarID // per peer: local ids of owned vars the peer holds as halo
-	recvVars  map[int][]factorgraph.VarID // per peer: local ids of halo vars owned by the peer
-	lastSent  map[int][]int32             // per peer: last values sent (var-major, K per var)
-	sendBuf   map[int][]int32             // per peer: current-values scratch
-	stash     []Message                   // early frames (epoch ahead of the barrier)
-	haloVars  int                         // halo variables held (all peers)
+	peers    []int                       // sorted neighbour shard ids
+	sendVars map[int][]factorgraph.VarID // per peer: local ids of owned vars the peer holds as halo
+	recvVars map[int][]factorgraph.VarID // per peer: local ids of halo vars owned by the peer
+	lastSent map[int][]int32             // per peer: last values sent (var-major, K per var)
+	sendBuf  map[int][]int32             // per peer: current-values scratch
+	stash    []Message                   // early frames (epoch ahead of the barrier)
+	haloVars int                         // halo variables held (all peers)
 
 	exBytes   *obs.Counter
 	exSeconds *obs.Histogram
@@ -154,7 +149,7 @@ func New(g *factorgraph.Graph, opts Options) (*Group, error) {
 	gr := &Group{g: g, opts: opts, plan: plan}
 	init := g.InitialAssignment()
 
-	subs := make([]*subgraph, opts.Shards)
+	subs := make([]*factorgraph.Subgraph, opts.Shards)
 	for i := 0; i < opts.Shards; i++ {
 		if subs[i], err = buildSubgraph(g, plan, i, init); err != nil {
 			return nil, fmt.Errorf("shard %d: building subgraph: %w", i, err)
@@ -167,7 +162,7 @@ func New(g *factorgraph.Graph, opts Options) (*Group, error) {
 	recvGlobal := make([]map[int][]factorgraph.VarID, opts.Shards)
 	for j, sub := range subs {
 		recvGlobal[j] = map[int][]factorgraph.VarID{}
-		for _, v := range sub.boundary {
+		for _, v := range sub.Boundary {
 			if owner := plan.Owner[v]; owner >= 0 {
 				recvGlobal[j][owner] = append(recvGlobal[j][owner], v)
 			}
@@ -186,7 +181,7 @@ func New(g *factorgraph.Graph, opts Options) (*Group, error) {
 		for p, vars := range recvGlobal[i] {
 			locals := make([]factorgraph.VarID, len(vars))
 			for k, v := range vars {
-				locals[k] = subs[i].localID[v]
+				locals[k] = subs[i].LocalID[v]
 			}
 			n.recvVars[p] = locals
 			n.haloVars += len(vars)
@@ -198,7 +193,7 @@ func New(g *factorgraph.Graph, opts Options) (*Group, error) {
 			}
 			locals := make([]factorgraph.VarID, len(vars))
 			for k, v := range vars {
-				locals[k] = subs[i].localID[v]
+				locals[k] = subs[i].LocalID[v]
 			}
 			n.sendVars[p] = locals
 		}
@@ -207,7 +202,7 @@ func New(g *factorgraph.Graph, opts Options) (*Group, error) {
 		}
 		sort.Ints(n.peers)
 
-		n.smp, err = gibbs.NewSpatial(subs[i].g, gibbs.SpatialOptions{
+		n.smp, err = gibbs.NewSpatial(subs[i].Graph, gibbs.SpatialOptions{
 			Levels:        opts.Levels,
 			LocalityLevel: opts.LocalityLevel,
 			Capacity:      opts.Capacity,
@@ -215,8 +210,6 @@ func New(g *factorgraph.Graph, opts Options) (*Group, error) {
 			Workers:       opts.Workers,
 			Seed:          shardSeed(opts.Seed, i),
 			BurnIn:        opts.BurnIn,
-			NoKernels:     opts.NoKernels,
-			ChunkGrain:    opts.ChunkGrain,
 			Space:         plan.Space,
 		})
 		if err != nil {
@@ -454,7 +447,7 @@ func (n *node) applyHalo(m Message, k int) error {
 	}
 	return decodeHalo(m.Payload, k, len(vars), func(idx int, vals []int32) error {
 		lid := vars[idx]
-		dom := n.sub.g.Var(lid).Domain
+		dom := n.sub.Graph.Var(lid).Domain
 		for j, x := range vals {
 			if x < 0 || x >= dom {
 				return fmt.Errorf("epoch %d: halo frame from shard %d: value %d outside domain %d", m.Epoch, m.From, x, dom)
@@ -469,11 +462,11 @@ func (n *node) applyHalo(m Message, k int) error {
 // summed across instances, from the sampler's checkpoint snapshot.
 func (n *node) encodeCountsFrame() []byte {
 	cp := n.smp.Snapshot()
-	vids := make([]int64, len(n.sub.interior))
-	rows := make([][]int64, len(n.sub.interior))
-	for li, gv := range n.sub.interior {
+	vids := make([]int64, len(n.sub.Interior))
+	rows := make([][]int64, len(n.sub.Interior))
+	for li, gv := range n.sub.Interior {
 		vids[li] = int64(gv)
-		dom := int(n.sub.g.Var(factorgraph.VarID(li)).Domain)
+		dom := int(n.sub.Graph.Var(factorgraph.VarID(li)).Domain)
 		row := make([]int64, dom)
 		for _, inst := range cp.Instances {
 			for x, c := range inst.Counts[li] {

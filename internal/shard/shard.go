@@ -9,7 +9,7 @@
 // in one binary, or a length-prefixed CRC-framed TCP transport.
 //
 // Partition rule. Each located query atom already has a home pyramid cell
-// (gibbs.Spatial.HomeCell); its *subtree* is the home cell's ancestor at
+// (gibbs.HomeCells); its *subtree* is the home cell's ancestor at
 // level SubtreeLevel (default 2, the minimum swept level, giving up to 16
 // subtrees). Subtrees are ordered by (conclique, Y, X) — the conclique
 // ordering spreads same-colour subtrees across shards — and dealt
@@ -65,9 +65,9 @@ type Plan struct {
 	Shards int
 }
 
-// Partition computes the pyramid-subtree shard assignment. A probe spatial
-// sampler supplies each atom's home cell (the same schedule the per-shard
-// samplers will build); the probe is discarded before sampling starts.
+// Partition computes the pyramid-subtree shard assignment from each atom's
+// home cell (gibbs.HomeCells: the same placement the per-shard samplers will
+// schedule by, computed without building a sampler or compiling kernels).
 func Partition(g *factorgraph.Graph, opts Options) (*Plan, error) {
 	opts = opts.withDefaults()
 	plan := &Plan{Owner: make([]int, g.NumVars()), Shards: opts.Shards}
@@ -92,31 +92,27 @@ func Partition(g *factorgraph.Graph, opts Options) (*Plan, error) {
 		}
 	}
 	if !first {
-		// The same padding NewSpatial applies, so probe and shard pyramids
-		// address cells identically.
+		// The same padding NewSpatial applies, so the partition and the
+		// shard pyramids address cells identically.
 		pad := 1e-9 + 0.001*(plan.Space.Width()+plan.Space.Height())
 		plan.Space = plan.Space.Expand(pad)
 	}
 
-	probe, err := gibbs.NewSpatial(g, gibbs.SpatialOptions{
+	homes, err := gibbs.HomeCells(g, gibbs.SpatialOptions{
 		Levels:        opts.Levels,
 		LocalityLevel: opts.LocalityLevel,
 		Capacity:      opts.Capacity,
-		Instances:     1,
-		Workers:       1,
 		Space:         plan.Space,
-		NoKernels:     true, // schedule only; never samples
 	})
 	if err != nil {
-		return nil, fmt.Errorf("shard: partition probe: %w", err)
+		return nil, fmt.Errorf("shard: partition: %w", err)
 	}
-	defer probe.Close()
 
 	// Group scheduled atoms by subtree; unplaced atoms go to the tail.
 	bySubtree := map[pyramid.CellKey][]factorgraph.VarID{}
 	var tail []factorgraph.VarID
 	for _, v := range query {
-		home, ok := probe.HomeCell(v)
+		home, ok := homes[v]
 		if !ok {
 			tail = append(tail, v)
 			continue
@@ -162,139 +158,19 @@ func Partition(g *factorgraph.Graph, opts Options) (*Plan, error) {
 	return plan, nil
 }
 
-// subgraph is one shard's materialized share: its interior variables (in
-// ascending full-graph order, occupying local ids 0..len-1), every factor
-// touching them, and the frozen boundary shell — evidence variables plus
-// halo variables owned by other shards.
-type subgraph struct {
-	g        *factorgraph.Graph
-	interior []factorgraph.VarID                     // global ids, local id = index
-	boundary []factorgraph.VarID                     // global ids, after interior
-	localID  map[factorgraph.VarID]factorgraph.VarID // global → local
-}
-
-// buildSubgraph materializes shard `id`'s subgraph. Boundary variables
-// freeze as evidence at init (the full graph's initial assignment), so a
-// fresh group starts from exactly the global initial chain state; the halo
-// exchange overwrites the halo copies' assignment values from epoch 1 on.
-func buildSubgraph(g *factorgraph.Graph, plan *Plan, id int, init factorgraph.Assignment) (*subgraph, error) {
+// buildSubgraph materializes shard `id`'s share: its interior variables (in
+// ascending full-graph order), every factor touching them, and the frozen
+// boundary shell — evidence variables plus halo variables owned by other
+// shards. Halo variables freeze at init (the full graph's initial
+// assignment), so a fresh group starts from exactly the global initial chain
+// state; the halo exchange overwrites the halo copies' assignment values
+// from epoch 1 on.
+func buildSubgraph(g *factorgraph.Graph, plan *Plan, id int, init factorgraph.Assignment) (*factorgraph.Subgraph, error) {
 	var interior []factorgraph.VarID
 	for v, owner := range plan.Owner {
 		if owner == id {
 			interior = append(interior, factorgraph.VarID(v))
 		}
 	}
-	in := make(map[factorgraph.VarID]bool, len(interior))
-	for _, v := range interior {
-		in[v] = true
-	}
-
-	factorSet := map[int32]bool{}
-	spatialSet := map[int32]bool{}
-	boundarySet := map[factorgraph.VarID]bool{}
-	for _, v := range interior {
-		for _, f := range g.VarLogicalFactors(v) {
-			factorSet[f] = true
-		}
-		for _, sp := range g.VarSpatialPairs(v) {
-			spatialSet[sp] = true
-		}
-	}
-	factors := sortedInt32(factorSet)
-	spatials := sortedInt32(spatialSet)
-	for _, f := range factors {
-		vars, _ := g.FactorVars(f)
-		for _, u := range vars {
-			if !in[u] {
-				boundarySet[u] = true
-			}
-		}
-	}
-	for _, sp := range spatials {
-		a, b, _ := g.SpatialPair(sp)
-		if !in[a] {
-			boundarySet[a] = true
-		}
-		if !in[b] {
-			boundarySet[b] = true
-		}
-	}
-	boundary := make([]factorgraph.VarID, 0, len(boundarySet))
-	for v := range boundarySet {
-		boundary = append(boundary, v)
-	}
-	sort.Slice(boundary, func(i, j int) bool { return boundary[i] < boundary[j] })
-
-	b := factorgraph.NewBuilder()
-	seenRel := map[int32]bool{}
-	addMask := func(v factorgraph.VarID) error {
-		rel := g.Var(v).Relation
-		if seenRel[rel] {
-			return nil
-		}
-		seenRel[rel] = true
-		if mask, h := g.AllowedPairMask(rel); mask != nil {
-			return b.SetAllowedPairs(rel, h, mask)
-		}
-		return nil
-	}
-	localID := make(map[factorgraph.VarID]factorgraph.VarID, len(interior)+len(boundary))
-	for _, v := range interior {
-		if err := addMask(v); err != nil {
-			return nil, err
-		}
-		lid, err := b.AddVariable(g.Var(v))
-		if err != nil {
-			return nil, err
-		}
-		localID[v] = lid
-	}
-	for _, v := range boundary {
-		if err := addMask(v); err != nil {
-			return nil, err
-		}
-		meta := g.Var(v)
-		if meta.Evidence == factorgraph.NoEvidence {
-			meta.Evidence = init[v] // halo variable: frozen at the global initial state
-		}
-		lid, err := b.AddVariable(meta)
-		if err != nil {
-			return nil, err
-		}
-		localID[v] = lid
-	}
-	for _, f := range factors {
-		vars, neg := g.FactorVars(f)
-		lvars := make([]factorgraph.VarID, len(vars))
-		for i, u := range vars {
-			lvars[i] = localID[u]
-		}
-		lneg := append([]bool(nil), neg...)
-		if err := b.AddFactor(g.FactorKindOf(f), g.FactorWeightOf(f), lvars, lneg); err != nil {
-			return nil, err
-		}
-	}
-	pairs := make([]factorgraph.SpatialPair, 0, len(spatials))
-	for _, sp := range spatials {
-		a, bv, w := g.SpatialPair(sp)
-		pairs = append(pairs, factorgraph.SpatialPair{A: localID[a], B: localID[bv], W: w})
-	}
-	if err := b.AddSpatialPairs(pairs); err != nil {
-		return nil, err
-	}
-	sub, err := b.Finalize()
-	if err != nil {
-		return nil, err
-	}
-	return &subgraph{g: sub, interior: interior, boundary: boundary, localID: localID}, nil
-}
-
-// sortedInt32 flattens a set into an ascending slice.
-func sortedInt32(set map[int32]bool) []int32 {
-	out := make([]int32, 0, len(set))
-	for x := range set {
-		out = append(out, x)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return factorgraph.Sub(g, interior, func(v factorgraph.VarID) int32 { return init[v] })
 }
