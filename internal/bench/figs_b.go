@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -521,10 +522,8 @@ func Ablation(p Params) (*Table, error) {
 				sampler = gibbs.NewHogwild(g, p.Seed+3, p.Workers)
 			}
 			t0 := time.Now()
-			if sp, ok := sampler.(*gibbs.Spatial); ok {
-				sp.RunTotalEpochs(p.Epochs)
-			} else {
-				sampler.RunEpochs(p.Epochs)
+			if _, err := sampler.RunTotal(context.Background(), p.Epochs); err != nil {
+				return nil, err
 			}
 			dur := time.Since(t0)
 			exs := examplesFromMarginals(k, gres, sampler.Marginals())

@@ -186,11 +186,7 @@ type System struct {
 	// shardGroup is the sharded-inference engine when cfg.Shards > 1 (built
 	// lazily by the first InferContext, like the sampler).
 	shardGroup *shard.Group
-	// pool caches the sampler worker pool across sampler lifetimes, so the
-	// learn→infer and re-infer paths reuse worker goroutines instead of
-	// rebuilding them per run (see gibbs.SharedPool).
-	pool    *gibbs.SharedPool
-	learned bool
+	learned    bool
 
 	// local is the lazily built per-grounding state of the QueryLocal path:
 	// the VarID→atom-key reverse index and the deterministic freeze
@@ -213,7 +209,7 @@ func NewSystem(cfg Config) *System {
 	if cfg.MetricLabel != "" {
 		cfg.Metrics = cfg.Metrics.With("system", cfg.MetricLabel)
 	}
-	return &System{cfg: cfg, db: storage.NewDB(), pool: gibbs.NewSharedPool()}
+	return &System{cfg: cfg, db: storage.NewDB()}
 }
 
 // Config returns the effective configuration.
@@ -387,15 +383,11 @@ func (s *System) closeSampler() {
 	}
 }
 
-// Close releases the System's resources — the pooled sampler and the shared
-// worker-pool cache behind it, which own persistent worker goroutines. The
-// System stays usable for loading and grounding; the next inference call
-// builds a fresh sampler (and a fresh pool). Idempotent.
-func (s *System) Close() {
-	s.closeSampler()
-	s.pool.Close()
-	s.pool = gibbs.NewSharedPool()
-}
+// Close releases the System's resources — the live sampler (or shard group)
+// and the persistent worker goroutines of the pool it owns. The System stays
+// usable for loading and grounding; the next inference call builds a fresh
+// sampler. Idempotent.
+func (s *System) Close() { s.closeSampler() }
 
 // Grounding returns the last grounding result (nil before Ground).
 func (s *System) Grounding() *grounding.Result { return s.ground }
@@ -407,7 +399,7 @@ func (s *System) GroundingTime() time.Duration { return s.groundDur }
 func (s *System) newSampler() (gibbs.Sampler, error) {
 	switch s.cfg.Engine {
 	case EngineDeepDive:
-		h := gibbs.NewHogwild(s.ground.Graph, s.cfg.Seed, s.cfg.Workers, gibbs.WithSharedPool(s.pool))
+		h := gibbs.NewHogwild(s.ground.Graph, s.cfg.Seed, s.cfg.Workers)
 		h.SetBurnIn(s.burnIn(1))
 		return h, nil
 	default:
@@ -418,7 +410,6 @@ func (s *System) newSampler() (gibbs.Sampler, error) {
 			Workers:       s.cfg.Workers,
 			Seed:          s.cfg.Seed,
 			BurnIn:        s.burnIn(s.cfg.Instances),
-			Shared:        s.pool,
 		})
 	}
 }
@@ -490,12 +481,7 @@ func (s *System) InferContext(ctx context.Context, epochs int) (*Scores, gibbs.R
 		return nil, stats, err
 	}
 	start := time.Now()
-	var err error
-	if sp, ok := s.sampler.(*gibbs.Spatial); ok {
-		stats, err = sp.RunTotal(ctx, epochs)
-	} else {
-		stats, err = s.sampler.Run(ctx, epochs)
-	}
+	stats, err := s.sampler.RunTotal(ctx, epochs)
 	s.inferDur += time.Since(start)
 	if err != nil {
 		return nil, stats, err
@@ -599,12 +585,22 @@ func (s *System) InferenceTime() time.Duration { return s.inferDur }
 // Sampler exposes the live sampler (nil before Infer).
 func (s *System) Sampler() gibbs.Sampler { return s.sampler }
 
+// incremental returns the live sampler as the spatial sampler — the only
+// variant with evidence pins and restricted resampling.
+func (s *System) incremental() (*gibbs.Spatial, error) {
+	sp, ok := s.sampler.(*gibbs.Spatial)
+	if !ok {
+		return nil, fmt.Errorf("core: incremental inference needs the Sya engine with a live sampler")
+	}
+	return sp, nil
+}
+
 // UpdateEvidence pins a ground atom to a value (incremental inference; Sya
 // engine only) — the atom is identified by its relation and term values.
 func (s *System) UpdateEvidence(relation string, vals []storage.Value, value int32) error {
-	sp, ok := s.sampler.(*gibbs.Spatial)
-	if !ok {
-		return fmt.Errorf("core: incremental evidence updates need the Sya engine with a live sampler")
+	sp, err := s.incremental()
+	if err != nil {
+		return err
 	}
 	vid, ok := s.VarIDFor(relation, vals)
 	if !ok {
@@ -630,10 +626,9 @@ func (s *System) InferIncremental(epochs int) (*Scores, error) {
 // InferIncrementalContext is InferIncremental under a context, with the
 // same cancellation and error semantics as InferContext.
 func (s *System) InferIncrementalContext(ctx context.Context, epochs int) (*Scores, gibbs.RunStats, error) {
-	var stats gibbs.RunStats
-	sp, ok := s.sampler.(*gibbs.Spatial)
-	if !ok {
-		return nil, stats, fmt.Errorf("core: incremental inference needs the Sya engine with a live sampler")
+	sp, err := s.incremental()
+	if err != nil {
+		return nil, gibbs.RunStats{}, err
 	}
 	start := time.Now()
 	stats, err := sp.RunIncrementalContext(ctx, epochs)

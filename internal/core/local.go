@@ -104,13 +104,12 @@ func (s *System) QueryLocal(ctx context.Context, key string, budget LocalBudget)
 	}
 	st := s.localLookup()
 
-	// Boundary freezing policy. The live spatial sampler (when inference has
-	// run) informs the frozen state: upsert pins are evidence-grade (their
+	// Boundary freezing policy. The live sampler (when inference has run)
+	// informs the frozen state: upsert pins are evidence-grade (their
 	// point-mass marginal recovers the pinned value), and any other sampled
 	// variable freezes at its current modal state as a warm guess — still
 	// counted toward the truncation bound, but far closer to the posterior
 	// than the cold initial chain state.
-	sp, _ := s.sampler.(*gibbs.Spatial)
 	argmaxOf := func(m []float64) int32 {
 		arg, best := int32(0), -1.0
 		for i, p := range m {
@@ -121,10 +120,10 @@ func (s *System) QueryLocal(ctx context.Context, key string, budget LocalBudget)
 		return arg
 	}
 	freeze := func(v factorgraph.VarID) (int32, bool) {
-		if sp == nil {
+		if s.sampler == nil {
 			return 0, false // cold: deterministic initial chain state
 		}
-		return argmaxOf(sp.MarginalVar(v)), s.pinned[v]
+		return argmaxOf(s.sampler.MarginalVar(v)), s.pinned[v]
 	}
 
 	groundSpan := obs.SpanFromContext(ctx).Child("local_ground")
@@ -161,10 +160,9 @@ func (s *System) QueryLocal(ctx context.Context, key string, budget LocalBudget)
 	sampleSpan := obs.SpanFromContext(ctx).Child("local_sample")
 	defer sampleSpan.End()
 	sampleStart := time.Now()
-	// A private hogwild sampler over the slab: kernels compile lazily for
-	// just this subgraph inside the sampler's scorer, and the pool is
-	// subgraph-sized (never the System's shared full-graph pool — the
-	// shapes don't match).
+	// A private hogwild sampler over the slab — the same engine at a
+	// different size: kernels compile lazily for just this subgraph inside
+	// the sampler's scorer, and its pool is subgraph-sized.
 	smp := gibbs.NewHogwild(lg.Graph, s.cfg.Seed, s.cfg.Workers)
 	defer smp.Close()
 	smp.SetBurnIn(epochs / 10)

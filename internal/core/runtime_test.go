@@ -11,9 +11,11 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/factorgraph"
 	"repro/internal/gibbs"
 	"repro/internal/gibbs/testutil"
+	"repro/internal/learn"
 )
 
 // engineExactTol is the end-to-end total-variation tolerance. The ebola
@@ -118,6 +120,48 @@ func TestSamplerReusedAcrossInferCallsAndClosed(t *testing.T) {
 		t.Error("expected a fresh sampler after Close")
 	}
 	s.Close()
+}
+
+// TestCloseReleasesWorkersAcrossLearn walks the one path on which a sampler
+// is replaced over an unchanged graph — infer, learn weights, infer — for
+// both engines: each sampler owns the pool it builds, so LearnWeights closing
+// the first and Close closing the second must leave no worker goroutine
+// behind, and the second Close is a no-op.
+func TestCloseReleasesWorkersAcrossLearn(t *testing.T) {
+	for _, engine := range []Engine{EngineSya, EngineDeepDive} {
+		t.Run(engine.String(), func(t *testing.T) {
+			defer testutil.GoroutineLeakCheck(t)()
+			s := newEbolaSystem(t, Config{Engine: engine, Seed: 5, Workers: 2})
+			if _, err := s.Ground(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.InferEpochs(50); err != nil {
+				t.Fatal(err)
+			}
+			first := s.Sampler()
+			if _, err := s.LearnWeights(learn.Options{Iterations: 10, Seed: 5}); err != nil {
+				t.Fatal(err)
+			}
+			scores, err := s.InferEpochs(200)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Sampler() == nil || s.Sampler() == first {
+				t.Error("expected a fresh sampler after LearnWeights")
+			}
+			if s.Sampler().TotalEpochs() == 0 {
+				t.Error("the rebuilt sampler ran no epoch")
+			}
+			if p, ok := scores.TrueProb("HasEbola", countyVals(datagen.EbolaCounties()[2])); !ok || p <= 0 || p >= 1 {
+				t.Errorf("Bong score after learn = %v (found %v), want an interior probability", p, ok)
+			}
+			s.Close()
+			s.Close()
+			if s.Sampler() != nil {
+				t.Error("sampler still live after Close")
+			}
+		})
+	}
 }
 
 func TestConfigCheckpointResumeEndToEnd(t *testing.T) {

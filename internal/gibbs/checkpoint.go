@@ -407,12 +407,15 @@ func restoreInstance(inst InstanceState, assign factorgraph.Assignment, cs *coun
 }
 
 // Snapshot implements Sampler. Call with no run in flight.
-func (s *Spatial) Snapshot() *Checkpoint {
+func (s *engine) Snapshot() *Checkpoint {
 	cp := &Checkpoint{
-		Sampler: s.Name(),
-		Seed:    s.opts.Seed,
+		Sampler: s.name,
+		Seed:    s.seed,
 		Epochs:  int64(s.epochs),
-		Workers: int64(s.opts.Workers),
+		Workers: int64(s.workers),
+	}
+	if s.chain != nil {
+		cp.RNG = s.chain.state
 	}
 	for _, p := range s.pinned {
 		if p {
@@ -426,75 +429,32 @@ func (s *Spatial) Snapshot() *Checkpoint {
 	return cp
 }
 
-// Restore implements Sampler: loads a snapshot taken by a spatial sampler
-// with the same seed over the same graph. The dirty set and cached
-// restricted schedules are reset (pins travel with the checkpoint; pending
-// incremental work does not).
-func (s *Spatial) Restore(cp *Checkpoint) error {
-	if err := validateCheckpoint(cp, s.Name(), s.opts.Seed, s.g, len(s.instances)); err != nil {
+// Restore implements Sampler: loads a snapshot taken by the same sampler
+// kind with the same seed over the same graph. Any worker width can restore
+// any snapshot: the schedule and every PRNG stream derive from the graph and
+// seed alone, so the resumed run executes the identical sampling program
+// (cp.Workers is informational). The sequential sampler's lineage is its
+// chain PRNG state, restored directly, so any seed's snapshot resumes
+// exactly.
+func (s *engine) Restore(cp *Checkpoint) error {
+	if err := validateCheckpoint(cp, s.name, s.seed, s.g, len(s.instances)); err != nil {
 		return err
 	}
 	s.epochs = int(cp.Epochs)
+	if s.chain != nil {
+		s.chain.state = cp.RNG
+	}
 	if cp.Pinned != nil {
 		copy(s.pinned, cp.Pinned)
 	} else {
-		for i := range s.pinned {
-			s.pinned[i] = false
-		}
+		clear(s.pinned)
 	}
 	for k, inst := range s.instances {
 		inst.epochs = int(cp.Instances[k].Epochs)
 		restoreInstance(cp.Instances[k], inst.assign, inst.counts)
 	}
-	s.dirty = map[factorgraph.VarID]bool{}
-	s.incCache = map[uint64]*restrictedView{}
-	return nil
-}
-
-// Snapshot implements Sampler. Call with no run in flight.
-func (h *Hogwild) Snapshot() *Checkpoint {
-	return &Checkpoint{
-		Sampler:   h.Name(),
-		Seed:      h.seed,
-		Epochs:    int64(h.epochs),
-		Workers:   int64(h.workers),
-		Instances: []InstanceState{snapshotInstance(h.epochs, h.assign, h.counts)},
+	if s.restored != nil {
+		s.restored()
 	}
-}
-
-// Restore implements Sampler. Any worker width can restore any hogwild
-// snapshot: the bucket partition and per-bucket PRNG streams derive from
-// the graph and seed alone (fixed-grain buckets, chunk-pinned streams), so
-// the resumed run executes the identical sampling program regardless of how
-// many workers carry it. cp.Workers is informational.
-func (h *Hogwild) Restore(cp *Checkpoint) error {
-	if err := validateCheckpoint(cp, h.Name(), h.seed, h.g, 1); err != nil {
-		return err
-	}
-	h.epochs = int(cp.Epochs)
-	restoreInstance(cp.Instances[0], h.assign, h.counts)
-	return nil
-}
-
-// Snapshot implements Sampler.
-func (s *Sequential) Snapshot() *Checkpoint {
-	return &Checkpoint{
-		Sampler:   s.Name(),
-		Seed:      0, // the chain PRNG state below carries the full lineage
-		Epochs:    int64(s.epochs),
-		RNG:       s.rng.state,
-		Instances: []InstanceState{snapshotInstance(s.epochs, s.assign, s.counts)},
-	}
-}
-
-// Restore implements Sampler. The sequential chain's PRNG state is restored
-// directly, so any seed's snapshot resumes exactly.
-func (s *Sequential) Restore(cp *Checkpoint) error {
-	if err := validateCheckpoint(cp, s.Name(), 0, s.g, 1); err != nil {
-		return err
-	}
-	s.epochs = int(cp.Epochs)
-	s.rng.state = cp.RNG
-	restoreInstance(cp.Instances[0], s.assign, s.counts)
 	return nil
 }

@@ -1,0 +1,442 @@
+package gibbs
+
+import (
+	"context"
+	"time"
+
+	"repro/internal/factorgraph"
+	"repro/internal/obs"
+)
+
+// schedule is the flat per-epoch sweep plan the engine executes (Algorithm 1
+// lines 10–15 in the general case), precomputed once so an epoch issues no
+// per-group allocations: every scheduled variable sits in one contiguous
+// vars slice, units are contiguous ranges of it, and groups are contiguous
+// ranges of the unit array. Groups run serially; the units of one group are
+// sampled in parallel, the variables inside a unit sequentially; the tail is
+// swept last, serially, as one chunk. The three variants differ only in the
+// plan they build: spatial units are pyramid cells grouped by (level,
+// conclique), hogwild's are random buckets in one group, and the sequential
+// sampler has one unit holding every query variable.
+type schedule struct {
+	vars   []factorgraph.VarID // all scheduled variables, unit-major
+	varOff []int32             // per unit: range into vars; len = numUnits+1
+
+	units    []int32 // identity unit-index list (full-sweep batch)
+	groupOff []int32 // per group: range into units; len = numGroups+1
+
+	tail []factorgraph.VarID // serial sweep after the groups
+}
+
+func (sc *schedule) unitVars(u int32) []factorgraph.VarID {
+	return sc.vars[sc.varOff[u]:sc.varOff[u+1]]
+}
+
+// allUnits fills the full-sweep unit list once vars and varOff are laid out.
+func (sc *schedule) allUnits() {
+	sc.units = make([]int32, len(sc.varOff)-1)
+	for i := range sc.units {
+		sc.units[i] = int32(i)
+	}
+}
+
+// oneGroup finishes a schedule whose units all belong to a single group.
+func (sc *schedule) oneGroup() {
+	sc.allUnits()
+	sc.groupOff = []int32{0, int32(len(sc.units))}
+}
+
+// instance is one of the K parallel sampler instances of Algorithm 1: its
+// own Markov chain (assignment) and sample counters C_k.
+type instance struct {
+	assign factorgraph.Assignment
+	counts *counts
+	epochs int // chain epochs run (burn-in accounting, PRNG lineage)
+}
+
+// tailUnit is the unit index under which the serial tail draws its stream
+// and rides the pool (as the chunk [tailUnit, tailUnit)).
+const tailUnit = -1
+
+// engine is the one sampler behind Sequential, Hogwild and Spatial: K chains
+// over one graph, one epoch loop (sweepEpochs) driven by a schedule, one
+// checkpoint and marginal path, one obs/hook wiring, and one worker pool
+// that the engine builds, owns and closes. A constructor supplies the
+// schedule, the chunking (split), the PRNG stream identity and the pool
+// width; see DESIGN §6 for the table of what each variant supplies.
+type engine struct {
+	name string
+	g    *factorgraph.Graph
+	sc   scorer
+	// seed and workers are the lineage a checkpoint records and validates
+	// (both 0 for the sequential sampler, whose chain PRNG state carries it).
+	seed    int64
+	workers int
+	// split is the most chunks one instance's share of a group is cut into.
+	split int32
+	// Stream identity, resolved once per unit: chain, when non-nil, is the
+	// one persistent PRNG every draw comes from; otherwise stream derives the
+	// unit's state from (instance, chain epoch, unit), so the sampling
+	// program never depends on which worker runs the unit.
+	chain  *prng
+	stream func(k int, epoch uint64, unit int32) uint64
+
+	instances []*instance
+	runs      []*unitRun // per instance, reused every batch
+	sched     schedule
+	pinned    []bool // evidence added after construction (never swept)
+	burnIn    int
+	epochs    int
+	pool      *Pool
+
+	// restored, when non-nil, runs after a successful Restore so a variant
+	// can drop state derived from the replaced chain.
+	restored func()
+
+	hooks TestHooks     // fault-injection plane (zero in production)
+	ckpt  *Checkpointer // periodic snapshot writer (nil: disabled)
+
+	obsState // metrics/trace/diagnostics plane (zero: disabled)
+
+	// Instrumentation (nil unless a variant enables it): per-unit sweep
+	// counts and tail-variable visits, counted once per group dispatch.
+	swept     []int
+	sweptTail int
+}
+
+// start builds the chain state and the pool once the constructor has set the
+// identity fields: K instances and a pool of the given goroutine count (0:
+// chunks run inline on the caller).
+func (s *engine) start(instances, goroutines int) {
+	s.sc = newScorer(s.g)
+	s.pinned = make([]bool, s.g.NumVars())
+	s.pool = newPool(goroutines, instances, s.g)
+	for k := 0; k < instances; k++ {
+		inst := &instance{assign: s.g.InitialAssignment(), counts: newCounts(s.g)}
+		s.instances = append(s.instances, inst)
+		s.runs = append(s.runs, &unitRun{s: s, inst: inst, k: k})
+	}
+}
+
+// Close releases the sampler's worker pool. Optional — an abandoned pool is
+// cleaned up by a finalizer — but deterministic for callers that create many
+// samplers. Idempotent.
+func (s *engine) Close() { s.pool.Close() }
+
+// Name implements Sampler.
+func (s *engine) Name() string { return s.name }
+
+// TotalEpochs implements Sampler.
+func (s *engine) TotalEpochs() int { return s.epochs }
+
+// SetBurnIn discards chain epochs below n from the marginal counters (they
+// are still sampled, moving the chain).
+func (s *engine) SetBurnIn(n int) { s.burnIn = n }
+
+// SetTestHooks installs the fault-injection plane (see TestHooks). Call
+// with no run in flight.
+func (s *engine) SetTestHooks(h TestHooks) {
+	s.hooks = h
+	s.installChunkHook()
+}
+
+// SetMetrics attaches (or detaches, with nil) the obs metric handles. The
+// chunk counter rides the pool's hook seam, composed with any installed
+// fault-injection hook. Call with no run in flight.
+func (s *engine) SetMetrics(m *Metrics) {
+	s.met = m
+	s.installChunkHook()
+	publishKernelMetrics(m, s.sc.k)
+}
+
+// installChunkHook (re)installs the pool chunk hook composing the obs chunk
+// counter with the fault-injection hook.
+func (s *engine) installChunkHook() {
+	var c *obs.Counter
+	if s.met != nil {
+		c = s.met.Chunks
+	}
+	s.pool.setHook(composeChunkHook(c, s.hooks.BeforeChunk))
+}
+
+// SetProgress enables convergence diagnostics every `every` epochs over the
+// K instances' counters (see Sampler.SetProgress). A single chain reads
+// Spread 0.
+func (s *engine) SetProgress(every int, fn func(Progress)) {
+	chains := make([]*counts, 0, len(s.instances))
+	for _, inst := range s.instances {
+		chains = append(chains, inst.counts)
+	}
+	s.enableProgress(s.g, every, fn, chains)
+}
+
+// SetCheckpointer enables periodic snapshots: during context-aware runs a
+// checkpoint is written at every epoch multiple of cp.Every. nil disables.
+func (s *engine) SetCheckpointer(cp *Checkpointer) { s.ckpt = cp }
+
+// unitRun is one instance's share of the batch currently in flight — the
+// pool's chunk runner: which units to sweep, under which epoch identity. One
+// descriptor per instance is allocated at construction and mutated only
+// between batches, so dispatching is allocation-free.
+type unitRun struct {
+	s     *engine
+	inst  *instance
+	k     int
+	epoch uint64
+	count bool
+	units []int32 // unit-index list the chunk [lo, hi) ranges refer to
+	tail  []factorgraph.VarID
+}
+
+func (r *unitRun) runChunk(w *workerState, lo, hi int32) {
+	if lo == tailUnit {
+		r.sweep(w, tailUnit, r.tail)
+		return
+	}
+	for _, u := range r.units[lo:hi] {
+		r.sweep(w, u, r.s.sched.unitVars(u))
+	}
+}
+
+// sweep samples one unit's variables sequentially with standard Gibbs steps
+// under the unit's stream.
+func (r *unitRun) sweep(w *workerState, u int32, vars []factorgraph.VarID) {
+	s := r.s
+	rng := s.chain
+	var derived prng
+	if rng == nil {
+		derived.state = s.stream(r.k, r.epoch, u)
+		rng = &derived
+	}
+	for _, v := range vars {
+		if s.pinned[v] {
+			continue
+		}
+		x := sampleOne(&s.sc, v, r.inst.assign, rng, w.buf)
+		if r.count {
+			w.record(r.k, v, x)
+		}
+	}
+}
+
+// RunEpochs implements Sampler: each call runs n epochs on every instance,
+// instances in parallel (so one call does the work of n·K raw epochs in n
+// rounds, matching Algorithm 1's e = E/K). It is the uninterruptible legacy
+// entry point: a worker panic (impossible unless sampler internals or an
+// injected fault panic) is re-raised on the caller.
+func (s *engine) RunEpochs(n int) {
+	if _, err := s.Run(context.Background(), n); err != nil {
+		panic(err)
+	}
+}
+
+// Run advances every instance by up to n epochs under ctx. Cancellation is
+// chunk-granular: parked chunks are skipped once ctx fires and the call
+// returns after at most one in-flight chunk per worker, keeping the partial
+// samples accumulated so far. A worker panic returns a *WorkerPanicError
+// (the sampler is then poisoned; see WorkerPanicError). A checkpoint write
+// failure returns the write error. nil ctx means context.Background().
+func (s *engine) Run(ctx context.Context, n int) (RunStats, error) {
+	return s.sweepEpochs(ctx, n, s.sched.units, s.sched.groupOff, s.sched.tail)
+}
+
+// RunTotalEpochs is RunTotal without a context; like RunEpochs, a worker
+// panic is re-raised on the caller.
+func (s *engine) RunTotalEpochs(total int) {
+	if _, err := s.RunTotal(context.Background(), total); err != nil {
+		panic(err)
+	}
+}
+
+// RunTotal runs approximately total raw epochs of work split across the K
+// instances (Algorithm 1 line 4: e = E/K, rounded up). K > 1 chains always
+// run at least one round; a single chain runs exactly Run(ctx, total).
+func (s *engine) RunTotal(ctx context.Context, total int) (RunStats, error) {
+	k := len(s.instances)
+	per := (total + k - 1) / k
+	if per < 1 && k > 1 {
+		per = 1
+	}
+	return s.Run(ctx, per)
+}
+
+// sweepEpochs runs up to n epochs over the given unit batch: groups
+// serially, each group's units chunked across the pool for all K instances
+// at once, then the serial tail, then the epoch barrier where worker count
+// deltas merge into the instances' counters. The full sweep passes the
+// precomputed schedule; the spatial sampler's RunIncremental passes its
+// restricted view. Nothing in the per-epoch loop allocates.
+//
+// Interruption points: ctx is checked before each epoch, between groups and
+// at the barrier, and workers skip parked chunks once ctx fires. An epoch
+// cut short by cancellation keeps its merged partial samples but is not
+// counted in RunStats.Epochs (its PRNG epoch identity is consumed). On a
+// worker panic the pending worker deltas are discarded so no partial chunk
+// reaches the counters, and the pool's sticky *WorkerPanicError is returned.
+// An inline pool has no fault envelope: a panic propagates to the caller.
+func (s *engine) sweepEpochs(ctx context.Context, n int, units, groupOff []int32, tail []factorgraph.VarID) (RunStats, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	st := RunStats{Reason: ReasonDone}
+	done := ctx.Done()
+	active := s.obsActive()
+	for e := 0; e < n; e++ {
+		if ctx.Err() != nil {
+			st.Reason = reasonFromCtx(ctx)
+			break
+		}
+		eo := beginEpochObs(active)
+		for _, r := range s.runs {
+			// Burn-in is decided before the chain epoch increments.
+			r.count = r.inst.epochs >= s.burnIn
+			r.inst.epochs++
+			r.epoch, r.units, r.tail = uint64(r.inst.epochs), units, tail
+		}
+		s.epochs++
+		interrupted := false
+		for gi := 0; gi+1 < len(groupOff); gi++ {
+			lo, hi := groupOff[gi], groupOff[gi+1]
+			if lo == hi {
+				continue
+			}
+			if done != nil {
+				select {
+				case <-done:
+					interrupted = true
+				default:
+				}
+				if interrupted {
+					break
+				}
+			}
+			if s.swept != nil {
+				for _, u := range units[lo:hi] {
+					s.swept[u]++
+				}
+			}
+			per := (hi - lo + s.split - 1) / s.split
+			for _, r := range s.runs {
+				for off := lo; off < hi; off += per {
+					s.pool.dispatch(r, off, min(off+per, hi), done)
+				}
+			}
+			if active {
+				eo.noteQueue(s.pool.queued())
+			}
+			if err := s.barrier(); err != nil {
+				st.Reason = ReasonPanic
+				return st, err
+			}
+		}
+		if !interrupted && len(tail) > 0 {
+			if s.swept != nil {
+				s.sweptTail += len(tail)
+			}
+			for _, r := range s.runs {
+				s.pool.dispatch(r, tailUnit, tailUnit, done)
+			}
+			if err := s.barrier(); err != nil {
+				st.Reason = ReasonPanic
+				return st, err
+			}
+		}
+		var mergeStart time.Time
+		if active {
+			mergeStart = time.Now()
+		}
+		for k, inst := range s.instances {
+			s.pool.mergeDeltas(k, inst.counts)
+		}
+		if active {
+			eo.merge = time.Since(mergeStart)
+		}
+		if interrupted || ctx.Err() != nil {
+			// Cancellation landed mid-epoch: chunks pulled after the fire
+			// were skipped, so the epoch is partial — keep its samples but
+			// do not count it.
+			st.Reason = reasonFromCtx(ctx)
+			break
+		}
+		st.Epochs++
+		if active {
+			finishEpochObs(s.met, s.trace, s.name, s.epochs, &eo)
+		}
+		if s.diagDue(s.epochs) {
+			s.takeDiag(s.name, s.epochs, &st)
+		}
+		if s.ckpt != nil && s.ckpt.due(s.epochs) {
+			if err := saveCheckpointObs(s.met, s.trace, s.name, s.epochs, func() error {
+				return s.ckpt.Save(s.Snapshot())
+			}); err != nil {
+				return st, err
+			}
+		}
+		if s.hooks.AfterEpoch != nil {
+			s.hooks.AfterEpoch(s.epochs)
+		}
+	}
+	s.finalDiag(s.name, s.epochs, &st)
+	return st, nil
+}
+
+// barrier waits for the batch in flight. On a worker panic it drops every
+// instance's unmerged deltas (a partially-executed chunk must not reach the
+// counters) and returns the pool's sticky error.
+func (s *engine) barrier() error {
+	s.pool.wait()
+	err := s.pool.err()
+	if err != nil {
+		for k := range s.instances {
+			s.pool.discardDeltas(k)
+		}
+	}
+	return err
+}
+
+// Marginals implements Sampler: the average of the K instances' counters
+// (Algorithm 1 lines 16 and 18–19), one MarginalVar per variable.
+func (s *engine) Marginals() [][]float64 {
+	n := s.g.NumVars()
+	out := make([][]float64, n)
+	for i := 0; i < n; i++ {
+		out[i] = s.MarginalVar(factorgraph.VarID(i))
+	}
+	return out
+}
+
+// MarginalVar returns one variable's marginal without materializing the
+// whole-graph slice — the serving layer's point-query read path. Evidence
+// variables and variables pinned after construction get a point mass,
+// unsampled variables a uniform. Not safe concurrently with a running
+// sweep; callers serialize reads against sampling (the server holds its
+// read lock for queries and its write lock around resamples).
+func (s *engine) MarginalVar(v factorgraph.VarID) []float64 {
+	meta := s.g.Var(v)
+	m := make([]float64, meta.Domain)
+	if meta.Evidence != factorgraph.NoEvidence {
+		m[meta.Evidence] = 1
+		return m
+	}
+	if s.pinned[v] {
+		m[s.instances[0].assign.Get(v)] = 1
+		return m
+	}
+	var total float64
+	for _, inst := range s.instances {
+		for x, c := range inst.counts.c[v] {
+			m[x] += float64(c)
+		}
+		total += float64(inst.counts.totals[v])
+	}
+	if total == 0 {
+		for x := range m {
+			m[x] = 1 / float64(meta.Domain)
+		}
+	} else {
+		for x := range m {
+			m[x] /= total
+		}
+	}
+	return m
+}

@@ -4,10 +4,4 @@ package gibbs
 // factorgraph's interpreted conditional-score walk, the reference
 // implementation the kernels must match bit for bit. Production code has no
 // way to select it; the harness calls it before the first epoch.
-func (s *Sequential) InterpretedWalk() { s.sc.k = nil }
-
-// InterpretedWalk: see (*Sequential).InterpretedWalk.
-func (h *Hogwild) InterpretedWalk() { h.sc.k = nil }
-
-// InterpretedWalk: see (*Sequential).InterpretedWalk.
-func (s *Spatial) InterpretedWalk() { s.sc.k = nil }
+func (s *engine) InterpretedWalk() { s.sc.k = nil }

@@ -1,12 +1,16 @@
 // Package gibbs implements the inference module of the paper (Section V):
 // marginal-probability estimation over a (spatial) factor graph via Gibbs
-// sampling. Three sampler variants are provided:
+// sampling. There is one sampler engine — K chains, one epoch loop, one
+// worker pool, one checkpoint and observability path — driven by a flat
+// schedule of groups → units → variables plus a serial tail; the three
+// variants are three schedules of it:
 //
 //   - Sequential: single-site sweeps in variable order — the textbook
-//     baseline [46].
+//     baseline [46]. One unit, one chain, run inline on the caller.
 //   - Hogwild: DeepDive/DimmWitted-style parallel Gibbs [46], [47] that
-//     randomly partitions variables across workers which sweep
-//     asynchronously over a shared assignment.
+//     randomly partitions variables into buckets which sweep
+//     asynchronously over a shared assignment. One group of buckets, one
+//     chain.
 //   - Spatial: the paper's Spatial Gibbs Sampling (Algorithm 1), which
 //     partitions spatial atoms with an in-memory partial pyramid index,
 //     sweeps conclique-by-conclique (cells within one conclique in
@@ -15,9 +19,9 @@
 //     inference: after evidence updates only the concliques of affected
 //     cells are resampled (Fig. 13a).
 //
-// Randomness is seeded: parallel sections derive per-task PRNGs from
-// (seed, epoch, task) with splitmix64, so the sampling schedule does not
-// depend on goroutine scheduling. The sequential sampler is fully
+// Randomness is seeded: parallel sections derive per-unit PRNGs from
+// (seed, instance, epoch, unit) with splitmix64, so the sampling schedule
+// does not depend on goroutine scheduling. The sequential sampler is fully
 // deterministic. The parallel samplers are deterministic up to the
 // interleaving of dependent variables sampled concurrently: hogwild by
 // design, and the spatial sampler when the spatial interaction radius
@@ -35,8 +39,8 @@ import (
 	"repro/internal/obs"
 )
 
-// prng is a splitmix64 pseudo-random generator. Samplers create one PRNG
-// per parallel task (cell, worker, epoch); unlike math/rand sources, its
+// prng is a splitmix64 pseudo-random generator. The engine creates one PRNG
+// per swept unit per epoch; unlike math/rand sources, its
 // construction is a single mix rather than an O(600) seeding pass, which
 // matters when the spatial sweep derives thousands of deterministic streams
 // per second.
@@ -84,11 +88,16 @@ type Sampler interface {
 	// describing why and how far the run got, and a worker panic returns a
 	// *WorkerPanicError. nil ctx means context.Background().
 	Run(ctx context.Context, n int) (RunStats, error)
+	// RunTotal runs about total raw epochs of work split across the
+	// sampler's K chains (Run(ctx, ⌈total/K⌉)); with one chain it is Run.
+	RunTotal(ctx context.Context, total int) (RunStats, error)
 	// Marginals returns the estimated marginal distribution of every
 	// variable: marginals[v][x] ≈ P(v = x). Evidence variables get a point
 	// mass. Before any sampling it returns uniform distributions for query
 	// variables.
 	Marginals() [][]float64
+	// MarginalVar returns Marginals()[v] without materializing the rest.
+	MarginalVar(v factorgraph.VarID) []float64
 	// TotalEpochs reports epochs run so far.
 	TotalEpochs() int
 	// Snapshot captures the full chain state as a versioned checkpoint;
@@ -129,48 +138,6 @@ func newCounts(g *factorgraph.Graph) *counts {
 		cs.c[i] = make([]int64, g.Var(factorgraph.VarID(i)).Domain)
 	}
 	return cs
-}
-
-func (cs *counts) add(v factorgraph.VarID, x int32) {
-	cs.c[v][x]++
-	cs.totals[v]++
-}
-
-func (cs *counts) reset() {
-	for i := range cs.c {
-		for j := range cs.c[i] {
-			cs.c[i][j] = 0
-		}
-		cs.totals[i] = 0
-	}
-}
-
-// marginalsFrom converts counts to probabilities; evidence variables get a
-// point mass and unsampled query variables a uniform distribution.
-func marginalsFrom(g *factorgraph.Graph, get func(v int) ([]float64, float64)) [][]float64 {
-	n := g.NumVars()
-	out := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		v := g.Var(factorgraph.VarID(i))
-		m := make([]float64, v.Domain)
-		if v.Evidence != factorgraph.NoEvidence {
-			m[v.Evidence] = 1
-			out[i] = m
-			continue
-		}
-		vals, total := get(i)
-		if total == 0 {
-			for j := range m {
-				m[j] = 1 / float64(v.Domain)
-			}
-		} else {
-			for j := range m {
-				m[j] = vals[j] / total
-			}
-		}
-		out[i] = m
-	}
-	return out
 }
 
 // sampleOne draws a new value for v from its conditional distribution and

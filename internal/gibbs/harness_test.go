@@ -9,6 +9,7 @@ package gibbs_test
 // sampler execution core (such as the persistent worker pool) safe.
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/factorgraph"
@@ -562,5 +563,105 @@ func TestSamplersMatchExactWithoutKernels(t *testing.T) {
 		if d := testutil.MaxTV(s.run(), exact); d > tvTol {
 			t.Errorf("%s (interpreted walk): max TV distance %.4f > %.2f", s.name, d, tvTol)
 		}
+	}
+}
+
+// TestMarginalVarMatchesMarginals: the per-variable read every caller of the
+// Sampler interface may use agrees bit for bit with the whole-graph read, on
+// every variant, for every kind of variable: unsampled (before any epoch),
+// query, evidence and — on spatial — pinned after construction.
+func TestMarginalVarMatchesMarginals(t *testing.T) {
+	g := mustGraph(t, testutil.Spec{Vars: 40, Domain: 3, Spatial: true, Seed: 77})
+	sp, err := gibbs.NewSpatial(g, gibbs.SpatialOptions{Instances: 2, Workers: 1, Seed: 3, BurnIn: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	samplers := map[string]gibbs.Sampler{
+		"sequential": gibbs.NewSequential(g, 3),
+		"hogwild":    gibbs.NewHogwild(g, 3, 1),
+		"spatial":    sp,
+	}
+	check := func(t *testing.T, s gibbs.Sampler, stage string) {
+		t.Helper()
+		all := s.Marginals()
+		for v := range all {
+			one := s.MarginalVar(factorgraph.VarID(v))
+			if len(one) != len(all[v]) {
+				t.Fatalf("%s: variable %d: MarginalVar has %d entries, Marginals %d", stage, v, len(one), len(all[v]))
+			}
+			for x := range one {
+				if math.Float64bits(one[x]) != math.Float64bits(all[v][x]) {
+					t.Errorf("%s: variable %d (evidence %d): MarginalVar %v != Marginals %v",
+						stage, v, g.Var(factorgraph.VarID(v)).Evidence, one, all[v])
+					break
+				}
+			}
+		}
+	}
+	for name, s := range samplers {
+		t.Run(name, func(t *testing.T) {
+			defer s.Close()
+			check(t, s, "unsampled")
+			s.RunEpochs(30)
+			check(t, s, "sampled")
+			sp, ok := s.(*gibbs.Spatial)
+			if !ok {
+				return
+			}
+			var pin factorgraph.VarID = -1
+			g.Vars(func(id factorgraph.VarID, v factorgraph.Variable) bool {
+				if v.Evidence == factorgraph.NoEvidence {
+					pin = id
+				}
+				return pin < 0
+			})
+			if err := sp.UpdateEvidence(pin, 2); err != nil {
+				t.Fatal(err)
+			}
+			sp.RunIncremental(5)
+			check(t, sp, "pinned")
+			if m := sp.MarginalVar(pin); m[2] != 1 {
+				t.Errorf("pinned variable %d reads %v, want a point mass on 2", pin, m)
+			}
+		})
+	}
+}
+
+// TestRunIncrementalWithoutSpatialAtoms: on a graph with no located atoms
+// the spatial schedule is empty and everything rides the serial tail; an
+// evidence update must still resample the pinned variable's neighbours (the
+// restricted view used to panic building its group offsets from the empty
+// schedule).
+func TestRunIncrementalWithoutSpatialAtoms(t *testing.T) {
+	g := mustGraph(t, testutil.Spec{Vars: 12, Seed: 78})
+	s, err := gibbs.NewSpatial(g, gibbs.SpatialOptions{Instances: 2, Workers: 1, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Pyramid() != nil || s.ScheduledCells() != 0 {
+		t.Fatal("test premise broken: graph has located atoms")
+	}
+	s.RunEpochs(10)
+	var pin factorgraph.VarID = -1
+	g.Vars(func(id factorgraph.VarID, v factorgraph.Variable) bool {
+		if v.Evidence == factorgraph.NoEvidence && len(g.VarLogicalFactors(id)) > 0 {
+			pin = id
+		}
+		return pin < 0
+	})
+	if pin < 0 {
+		t.Fatal("test premise broken: no query variable with a factor")
+	}
+	if err := s.UpdateEvidence(pin, 1); err != nil {
+		t.Fatal(err)
+	}
+	s.InstrumentSweeps()
+	s.RunIncremental(3)
+	if s.SweptTailVars() == 0 {
+		t.Error("incremental run swept no tail variable")
+	}
+	if m := s.MarginalVar(pin); m[1] != 1 {
+		t.Errorf("pinned variable %d reads %v, want a point mass on 1", pin, m)
 	}
 }

@@ -37,29 +37,6 @@ func (sc *scorer) binaryConditionalScores(v factorgraph.VarID, assign factorgrap
 	return sc.g.BinaryConditionalScores(v, assign)
 }
 
-// SamplerOption configures optional behavior of the hogwild constructor
-// (the spatial sampler takes SpatialOptions instead).
-type SamplerOption func(*samplerConfig)
-
-type samplerConfig struct {
-	shared *SharedPool
-}
-
-// WithSharedPool makes the sampler draw its worker pool from sp instead of
-// building a private one; Close releases the pool back to sp for the next
-// sampler of the same shape (see SharedPool).
-func WithSharedPool(sp *SharedPool) SamplerOption {
-	return func(c *samplerConfig) { c.shared = sp }
-}
-
-func applySamplerOptions(opts []SamplerOption) samplerConfig {
-	var c samplerConfig
-	for _, o := range opts {
-		o(&c)
-	}
-	return c
-}
-
 // publishKernelMetrics exposes the compiled-kernel build stats on the
 // sampler metric gauges. Called when a sampler attaches metrics; a nil
 // kernel set (the tests' interpreted path) publishes nothing.

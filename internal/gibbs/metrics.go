@@ -165,16 +165,16 @@ func saveCheckpointObs(m *Metrics, tr *obs.Trace, sampler string, epoch int, sav
 // durMs renders a duration as fractional milliseconds for trace fields.
 func durMs(d time.Duration) float64 { return obs.Ms(d) }
 
-// obsState is the instrumentation state embedded by the three sampler
-// variants: the metric handles, the trace sink, and the convergence
-// diagnostics enabled via SetProgress. The zero value is fully disabled.
+// obsState is the engine's instrumentation state: the metric handles, the
+// trace sink, and the convergence diagnostics enabled via SetProgress. The
+// zero value is fully disabled.
 type obsState struct {
 	met           *Metrics
 	trace         *obs.Trace
 	progressEvery int
 	progressFn    func(Progress)
 	diag          *diagTracker
-	chains        []*counts // the sampler's chain counters, set by SetProgress
+	chains        []*counts // the K chain counters, set by SetProgress
 }
 
 // obsActive reports whether per-epoch measurement should run at all — the
@@ -184,8 +184,8 @@ func (o *obsState) obsActive() bool { return o.met != nil || o.trace != nil }
 // SetTrace implements the Sampler method for every variant via embedding.
 func (o *obsState) SetTrace(tr *obs.Trace) { o.trace = tr }
 
-// enableProgress wires the diagnostics: the samplers call it from their
-// SetProgress with their own graph and chain counters.
+// enableProgress wires the diagnostics over the engine's graph and chain
+// counters.
 func (o *obsState) enableProgress(g *factorgraph.Graph, every int, fn func(Progress), chains []*counts) {
 	o.progressEvery, o.progressFn = every, fn
 	o.chains = chains

@@ -9,10 +9,11 @@ import (
 	"repro/internal/factorgraph"
 )
 
-// Pool is the persistent worker pool behind the parallel samplers
-// (DimmWitted-style long-lived execution engine). A pool is created once
-// per sampler; its goroutines start lazily on the first dispatch, block on
-// a work channel between batches, and own all reusable per-worker state:
+// Pool is the persistent worker pool behind the sampler engine
+// (DimmWitted-style long-lived execution engine). Every sampler builds
+// exactly one pool, owns it, and closes it on Close; its goroutines start
+// lazily on the first dispatch, block on a work channel between batches, and
+// own all reusable per-worker state:
 //
 //   - a score buffer sized to the graph's maximum domain (unused on the
 //     binary fast path),
@@ -32,6 +33,10 @@ import (
 // the channel has fired by the time a worker pulls it, bounding a canceled
 // run's latency to at most one in-flight chunk.
 //
+// An inline pool (zero goroutines — the sequential sampler's) keeps the same
+// scratch, delta and hook plumbing but runs each chunk on the issuer at
+// dispatch, outside the fault envelope: a panic propagates to the caller.
+//
 // Concurrency contract: one batch is in flight at a time (dispatch* then
 // wait, all from a single issuer goroutine). The samplers uphold this —
 // their RunEpochs/RunIncremental calls must not race with each other,
@@ -43,13 +48,12 @@ import (
 // abandoned pool becomes collectable and its finalizer shuts the workers
 // down).
 type Pool struct {
-	work    chan chunk
-	wg      *sync.WaitGroup // in-flight chunks of the current batch
-	sh      *poolShared
-	ws      []*workerState
-	start   sync.Once
-	stop    sync.Once
-	workers int
+	work  chan chunk      // nil: inline pool
+	wg    *sync.WaitGroup // in-flight chunks of the current batch
+	sh    *poolShared
+	ws    []*workerState
+	start sync.Once
+	stop  sync.Once
 }
 
 // poolShared is the fault state shared by the issuer and the workers. It is
@@ -91,20 +95,27 @@ func (sh *poolShared) err() error {
 	return sh.panicErr
 }
 
+// beforeChunk runs the installed chunk hook, if any, with the ordinal of the
+// chunk about to execute.
+func (sh *poolShared) beforeChunk() {
+	if h := sh.hook; h != nil {
+		h(sh.hookChunks.Add(1) - 1)
+	}
+}
+
 // chunk is one unit of dispatched work. The meaning of [lo, hi) belongs to
-// the runner: a cell-index range for spatial sweeps, a bucket index for
-// hogwild, ignored for serial tails. done, when non-nil, is the issuing
-// run's cancellation channel: a worker that pulls a chunk whose done has
-// fired acknowledges it without executing.
+// the runner: a range of the batch's unit list, or the serial tail. done,
+// when non-nil, is the issuing run's cancellation channel: a worker that
+// pulls a chunk whose done has fired acknowledges it without executing.
 type chunk struct {
 	cr     chunkRunner
 	lo, hi int32
 	done   <-chan struct{}
 }
 
-// chunkRunner is implemented by the per-sampler batch descriptors
-// (spatialRun, tailRun, hogwildRun). Implementations must only touch the
-// worker's own state and data owned by their chunk.
+// chunkRunner is implemented by the engine's per-instance batch descriptor
+// (unitRun). Implementations must only touch the worker's own state and
+// data owned by their chunk.
 type chunkRunner interface {
 	runChunk(w *workerState, lo, hi int32)
 }
@@ -133,19 +144,18 @@ func (w *workerState) record(k int, v factorgraph.VarID, x int32) {
 }
 
 // newPool sizes a pool for a sampler over g with the given worker count and
-// number of sampler instances (hogwild uses one instance).
+// number of sampler instances. workers = 0 builds an inline pool: one
+// scratch state, no goroutines.
 func newPool(workers, instances int, g *factorgraph.Graph) *Pool {
-	if workers < 1 {
-		workers = 1
-	}
 	nq := len(queryVars(g))
 	p := &Pool{
-		work:    make(chan chunk, workers*4),
-		wg:      new(sync.WaitGroup),
-		sh:      new(poolShared),
-		workers: workers,
+		wg: new(sync.WaitGroup),
+		sh: new(poolShared),
 	}
-	for i := 0; i < workers; i++ {
+	if workers > 0 {
+		p.work = make(chan chunk, workers*4)
+	}
+	for i := 0; i < max(workers, 1); i++ {
 		w := &workerState{
 			buf:     make([]float64, maxDomain(g)),
 			dc:      make([]*counts, instances),
@@ -166,6 +176,11 @@ func newPool(workers, instances int, g *factorgraph.Graph) *Pool {
 // issuing run is canceled. The issuer must follow a sequence of dispatches
 // with wait.
 func (p *Pool) dispatch(cr chunkRunner, lo, hi int32, done <-chan struct{}) {
+	if p.work == nil {
+		p.sh.beforeChunk()
+		cr.runChunk(p.ws[0], lo, hi)
+		return
+	}
 	p.start.Do(func() {
 		for _, w := range p.ws {
 			// Workers capture only the channel, the batch WaitGroup, the
@@ -242,7 +257,9 @@ func (p *Pool) Close() {
 	p.stop.Do(func() {
 		runtime.SetFinalizer(p, nil)
 		p.start.Do(func() {}) // never started ⇒ nothing to release
-		close(p.work)
+		if p.work != nil {
+			close(p.work)
+		}
 	})
 }
 
@@ -274,8 +291,6 @@ func runPoolChunk(sh *poolShared, w *workerState, c chunk) {
 		default:
 		}
 	}
-	if h := sh.hook; h != nil {
-		h(sh.hookChunks.Add(1) - 1)
-	}
+	sh.beforeChunk()
 	c.cr.runChunk(w, c.lo, c.hi)
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"time"
 
 	"repro/internal/conclique"
 	"repro/internal/factorgraph"
@@ -38,10 +37,6 @@ type SpatialOptions struct {
 	// Space overrides the pyramid bounding space (derived from atom
 	// locations when zero).
 	Space geom.Rect
-	// Shared, when non-nil, supplies the worker pool from a SharedPool
-	// cache instead of building a private one; Close releases the pool back
-	// for the next sampler of the same shape.
-	Shared *SharedPool
 }
 
 func (o SpatialOptions) withDefaults() SpatialOptions {
@@ -60,34 +55,6 @@ func (o SpatialOptions) withDefaults() SpatialOptions {
 	return o
 }
 
-// instance is one of the K parallel sampler instances of Algorithm 1: its
-// own Markov chain (assignment) and sample counters C_k.
-type instance struct {
-	assign factorgraph.Assignment
-	counts *counts
-	epochs int // chain epochs run (for burn-in accounting)
-}
-
-// schedule is the flattened per-epoch sweep plan (Algorithm 1 lines 10–15),
-// precomputed once so an epoch issues no per-group allocations: every
-// scheduled variable sits in one contiguous vars slice, cells are contiguous
-// ranges of it, and groups — one per (level, conclique) with at least one
-// cell — are contiguous ranges of the cell array. Cells within one group
-// are mutually non-adjacent and sampled in parallel; groups run serially.
-type schedule struct {
-	vars   []factorgraph.VarID // all scheduled home-cell atoms
-	varOff []int32             // per cell: range into vars; len = numCells+1
-	keys   []pyramid.CellKey   // per cell: its pyramid cell
-
-	allCells   []int32 // identity cell-index list (full-sweep batch)
-	groupOff   []int32 // per group: range into allCells; len = numGroups+1
-	groupLevel []int   // per group: pyramid level (diagnostics)
-}
-
-func (sc *schedule) cellVars(ci int32) []factorgraph.VarID {
-	return sc.vars[sc.varOff[ci]:sc.varOff[ci+1]]
-}
-
 // restrictedView is one cached restricted schedule of RunIncremental, keyed
 // by the dirty-variable set that produced it: the dirty cells (with group
 // boundaries preserved) plus the affected tail variables. Views stay valid
@@ -95,7 +62,7 @@ func (sc *schedule) cellVars(ci int32) []factorgraph.VarID {
 // execution time, never from the view (a view can only over-include).
 type restrictedView struct {
 	dirty    []factorgraph.VarID // sorted member list, for exact key checks
-	cells    []int32
+	cells    []int32             // dirty unit indices, group-major
 	groupOff []int32
 	extra    []factorgraph.VarID
 }
@@ -122,58 +89,36 @@ func (rv *restrictedView) matches(dirty map[factorgraph.VarID]bool) bool {
 // their counters are averaged (line 16); marginals come from the averaged
 // counters.
 //
-// Execution goes through a persistent Pool: the instances' cell tasks for
-// one conclique are chunked across long-lived workers, an epoch barrier
-// merges the workers' count deltas into each instance's counters, and the
-// flattened schedule plus per-worker scratch make a steady-state epoch
-// allocation-free.
+// It is the engine's general schedule: one unit per home cell, one group per
+// non-empty (level, conclique), each instance's share of a group cut into
+// at most Workers chunks, and a PRNG stream per (instance, epoch, cell).
 //
 // Each atom is sampled exactly once per epoch, at its *home* cell (its
 // lowest maintained pyramid cell, clamped to LocalityLevel) — the Figure 6
 // reading where a parent cell's partial graph is divided among its
 // maintained children. Atoms whose home lies above the swept range
 // (sparse, merged-away quadrants) and atoms without a location are swept
-// sequentially at the end of the epoch.
+// sequentially at the end of the epoch (the schedule's tail).
 //
-// Fault tolerance (see Run): runs accept a context checked at chunk
-// boundaries, worker panics surface as a *WorkerPanicError instead of
-// deadlocking the epoch barrier, and Snapshot/Restore round-trip the full
-// chain state for checkpoint/resume.
+// On top of the engine it adds the paper's incremental inference:
+// UpdateEvidence pins variables on the live chains and RunIncremental
+// resamples only the affected cells, through a restricted view of the same
+// schedule.
 type Spatial struct {
-	g    *factorgraph.Graph
-	sc   scorer
+	engine
 	opts SpatialOptions
 	pyr  *pyramid.Index // nil when the graph has no located query atoms
 
-	instances []*instance
-	sched     schedule
-	tail      []factorgraph.VarID // residual + non-spatial vars, serial sweep
-	homeCell  map[factorgraph.VarID]pyramid.CellKey
-	cellIndex map[pyramid.CellKey]int32 // cell key → schedule cell index
-	pinned    []bool                    // evidence added after construction
-	dirty     map[factorgraph.VarID]bool
-	epochs    int
-
-	pool     *Pool
-	shared   *SharedPool // nil → pool is privately owned
-	ownPool  bool
-	runs     []*spatialRun // per instance, reused every batch
-	tailRuns []*tailRun    // per instance, reused every epoch
+	keys       []pyramid.CellKey // per unit: its pyramid cell
+	groupLevel []int             // per group: pyramid level (diagnostics)
+	homeCell   map[factorgraph.VarID]pyramid.CellKey
+	cellIndex  map[pyramid.CellKey]int32 // cell key → schedule unit index
+	dirty      map[factorgraph.VarID]bool
 
 	// incCache caches restricted schedule views keyed by an
 	// order-independent hash of the dirty set, so repeated incremental
 	// updates of the same cells sweep allocation-free.
 	incCache map[uint64]*restrictedView
-
-	hooks TestHooks     // fault-injection plane (zero in production)
-	ckpt  *Checkpointer // periodic snapshot writer (nil: disabled)
-
-	obsState // metrics/trace/diagnostics plane (zero: disabled)
-
-	// Instrumentation (nil unless InstrumentSweeps was called): cells and
-	// tail variables swept per epoch, counted once per group dispatch.
-	sweptCells map[pyramid.CellKey]int
-	sweptTail  int
 }
 
 // NewSpatial builds the sampler, including the pyramid index over the
@@ -182,14 +127,16 @@ type Spatial struct {
 func NewSpatial(g *factorgraph.Graph, opts SpatialOptions) (*Spatial, error) {
 	opts = opts.withDefaults()
 	s := &Spatial{
-		g:         g,
-		sc:        newScorer(g),
+		engine: engine{
+			name: "spatial", g: g, seed: opts.Seed, workers: opts.Workers,
+			split: int32(opts.Workers), burnIn: opts.BurnIn,
+		},
 		opts:      opts,
-		pinned:    make([]bool, g.NumVars()),
-		dirty:     map[factorgraph.VarID]bool{},
 		cellIndex: map[pyramid.CellKey]int32{},
-		incCache:  map[uint64]*restrictedView{},
 	}
+	s.stream = s.cellStream
+	s.restored = s.resetIncremental
+	s.resetIncremental()
 	pyr, entries, nonSpatial, err := buildPyramid(g, opts)
 	if err != nil {
 		return nil, err
@@ -198,22 +145,32 @@ func NewSpatial(g *factorgraph.Graph, opts SpatialOptions) (*Spatial, error) {
 	if pyr != nil {
 		s.pyr = pyr
 		s.homeCell, residual = homeCells(pyr, entries, opts.sweepLevels())
-		s.buildSchedule()
 	}
+	s.buildSchedule()
 	sort.Slice(residual, func(i, j int) bool { return residual[i] < residual[j] })
-	s.tail = append(residual, nonSpatial...)
-	s.pool, s.ownPool = poolFor(opts.Shared, opts.Workers*opts.Instances, opts.Instances, g)
-	s.shared = opts.Shared
-	for k := 0; k < opts.Instances; k++ {
-		inst := &instance{
-			assign: g.InitialAssignment(),
-			counts: newCounts(g),
-		}
-		s.instances = append(s.instances, inst)
-		s.runs = append(s.runs, &spatialRun{s: s, inst: inst, k: k})
-		s.tailRuns = append(s.tailRuns, &tailRun{s: s, inst: inst, k: k})
-	}
+	s.sched.tail = append(residual, nonSpatial...)
+	s.start(opts.Instances, opts.Workers*opts.Instances)
 	return s, nil
+}
+
+// cellStream is the spatial stream identity: (seed, instance, epoch, cell),
+// with a fixed tag in place of the cell for the serial tail.
+func (s *Spatial) cellStream(k int, epoch uint64, unit int32) uint64 {
+	if unit == tailUnit {
+		return taskSeed(s.seed, uint64(k)+1, epoch<<8, 0xfeed)
+	}
+	key := s.keys[unit]
+	return taskSeed(s.seed, uint64(k)+1, epoch<<8,
+		uint64(key.Level)<<40, uint64(uint32(key.X))<<16|uint64(uint32(key.Y)))
+}
+
+// resetIncremental drops the dirty set and the cached restricted views (at
+// construction, and after a Restore: pins travel with the checkpoint,
+// pending incremental work does not, and a view built under the replaced
+// pins may miss a tail variable that is no longer pinned).
+func (s *Spatial) resetIncremental() {
+	s.dirty = map[factorgraph.VarID]bool{}
+	s.incCache = map[uint64]*restrictedView{}
 }
 
 // HomeCells computes the home pyramid cell of every located query atom of g
@@ -271,62 +228,6 @@ func buildPyramid(g *factorgraph.Graph, opts SpatialOptions) (pyr *pyramid.Index
 	return pyr, entries, nonSpatial, nil
 }
 
-// Close releases the sampler's worker pool: shared pools return to their
-// SharedPool cache, private ones shut down. Optional — abandoned private
-// pools are cleaned up by a finalizer — but deterministic for callers that
-// create many samplers. Idempotent.
-func (s *Spatial) Close() {
-	if s.ownPool {
-		s.pool.Close()
-		return
-	}
-	if s.shared != nil {
-		s.pool.setHook(nil)
-		s.shared.Release(s.pool, s.opts.Workers*s.opts.Instances, s.opts.Instances, s.g)
-		s.shared = nil
-	}
-}
-
-// SetTestHooks installs the fault-injection plane (see TestHooks). Call
-// with no run in flight.
-func (s *Spatial) SetTestHooks(h TestHooks) {
-	s.hooks = h
-	s.installChunkHook()
-}
-
-// SetMetrics attaches (or detaches, with nil) the obs metric handles. The
-// chunk counter rides the pool's hook seam, composed with any installed
-// fault-injection hook. Call with no run in flight.
-func (s *Spatial) SetMetrics(m *Metrics) {
-	s.met = m
-	s.installChunkHook()
-	publishKernelMetrics(m, s.sc.k)
-}
-
-// installChunkHook (re)installs the pool chunk hook composing the obs chunk
-// counter with the fault-injection hook.
-func (s *Spatial) installChunkHook() {
-	var c *obs.Counter
-	if s.met != nil {
-		c = s.met.Chunks
-	}
-	s.pool.setHook(composeChunkHook(c, s.hooks.BeforeChunk))
-}
-
-// SetProgress enables convergence diagnostics every `every` epochs over the
-// K instances' counters (see Sampler.SetProgress).
-func (s *Spatial) SetProgress(every int, fn func(Progress)) {
-	chains := make([]*counts, 0, len(s.instances))
-	for _, inst := range s.instances {
-		chains = append(chains, inst.counts)
-	}
-	s.enableProgress(s.g, every, fn, chains)
-}
-
-// SetCheckpointer enables periodic snapshots: during context-aware runs a
-// checkpoint is written at every epoch multiple of cp.Every. nil disables.
-func (s *Spatial) SetCheckpointer(cp *Checkpointer) { s.ckpt = cp }
-
 // homeCells computes each indexed atom's home cell: its lowest maintained
 // pyramid cell, clamped to the deepest swept level. It also returns the
 // atoms whose home lies above the swept range.
@@ -354,7 +255,9 @@ func homeCells(pyr *pyramid.Index, entries []pyramid.Entry, levels []int) (home 
 }
 
 // buildSchedule flattens the home cells' per-level conclique cell tasks into
-// the contiguous schedule arrays.
+// the contiguous schedule arrays: one unit per cell, one group per non-empty
+// (level, conclique). Without located atoms the schedule is empty and every
+// query variable rides the tail.
 func (s *Spatial) buildSchedule() {
 	byCell := map[pyramid.CellKey][]factorgraph.VarID{}
 	for v, key := range s.homeCell {
@@ -376,37 +279,28 @@ func (s *Spatial) buildSchedule() {
 			return keys[i].X < keys[j].X
 		})
 		for q := conclique.ID(0); q < conclique.Count; q++ {
-			start := int32(len(sc.keys))
+			start := int32(len(s.keys))
 			for _, k := range keys {
 				if conclique.Of(k) != q {
 					continue
 				}
 				vars := byCell[k]
 				sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
-				s.cellIndex[k] = int32(len(sc.keys))
-				sc.keys = append(sc.keys, k)
+				s.cellIndex[k] = int32(len(s.keys))
+				s.keys = append(s.keys, k)
 				sc.vars = append(sc.vars, vars...)
 				sc.varOff = append(sc.varOff, int32(len(sc.vars)))
 			}
-			if int32(len(sc.keys)) == start {
+			if int32(len(s.keys)) == start {
 				continue // empty (level, conclique) groups are dropped
 			}
 			sc.groupOff = append(sc.groupOff, start)
-			sc.groupLevel = append(sc.groupLevel, l)
+			s.groupLevel = append(s.groupLevel, l)
 		}
 	}
-	sc.groupOff = append(sc.groupOff, int32(len(sc.keys)))
-	sc.allCells = make([]int32, len(sc.keys))
-	for i := range sc.allCells {
-		sc.allCells[i] = int32(i)
-	}
+	sc.groupOff = append(sc.groupOff, int32(len(s.keys)))
+	sc.allUnits()
 }
-
-// Name implements Sampler.
-func (s *Spatial) Name() string { return "spatial" }
-
-// TotalEpochs implements Sampler.
-func (s *Spatial) TotalEpochs() int { return s.epochs }
 
 // Pyramid exposes the index (for tests and diagnostics).
 func (s *Spatial) Pyramid() *pyramid.Index { return s.pyr }
@@ -429,240 +323,6 @@ func (o SpatialOptions) sweepLevels() []int {
 	return out
 }
 
-// spatialRun describes one instance's share of the batch currently in
-// flight: which cells to sweep, under which epoch identity. One descriptor
-// per instance is allocated at construction and mutated only between
-// batches, so dispatching is allocation-free.
-type spatialRun struct {
-	s     *Spatial
-	inst  *instance
-	k     int
-	epoch uint64
-	count bool
-	cells []int32 // cell-index list the chunk [lo, hi) ranges refer to
-}
-
-func (r *spatialRun) runChunk(w *workerState, lo, hi int32) {
-	s := r.s
-	for _, ci := range r.cells[lo:hi] {
-		key := s.sched.keys[ci]
-		rng := prng{state: taskSeed(s.opts.Seed, uint64(r.k)+1, r.epoch<<8,
-			uint64(key.Level)<<40, uint64(uint32(key.X))<<16|uint64(uint32(key.Y)))}
-		for _, v := range s.sched.cellVars(ci) {
-			if s.pinned[v] {
-				continue
-			}
-			x := sampleOne(&s.sc, v, r.inst.assign, &rng, w.buf)
-			if r.count {
-				w.record(r.k, v, x)
-			}
-		}
-	}
-}
-
-// tailRun sweeps one instance's residual + non-spatial variables (or the
-// incremental extra list) sequentially, as one chunk.
-type tailRun struct {
-	s     *Spatial
-	inst  *instance
-	k     int
-	epoch uint64
-	count bool
-	vars  []factorgraph.VarID
-}
-
-func (r *tailRun) runChunk(w *workerState, _, _ int32) {
-	s := r.s
-	rng := prng{state: taskSeed(s.opts.Seed, uint64(r.k)+1, r.epoch<<8, 0xfeed)}
-	for _, v := range r.vars {
-		if s.pinned[v] {
-			continue
-		}
-		x := sampleOne(&s.sc, v, r.inst.assign, &rng, w.buf)
-		if r.count {
-			w.record(r.k, v, x)
-		}
-	}
-}
-
-// RunEpochs implements Sampler: each call runs n epochs on every instance,
-// instances in parallel (so one call does the work of n·K raw epochs in n
-// rounds, matching Algorithm 1's e = E/K). It is the uninterruptible legacy
-// entry point: a worker panic (impossible unless sampler internals or an
-// injected fault panic) is re-raised on the caller.
-func (s *Spatial) RunEpochs(n int) {
-	if _, err := s.Run(context.Background(), n); err != nil {
-		panic(err)
-	}
-}
-
-// Run advances every instance by up to n epochs under ctx. Cancellation is
-// chunk-granular: parked chunks are skipped once ctx fires and the call
-// returns after at most one in-flight chunk per worker, keeping the partial
-// samples accumulated so far. A worker panic returns a *WorkerPanicError
-// (the sampler is then poisoned; see WorkerPanicError). A checkpoint write
-// failure returns the write error. nil ctx means context.Background().
-func (s *Spatial) Run(ctx context.Context, n int) (RunStats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return s.sweepEpochs(ctx, n, s.sched.allCells, s.sched.groupOff, s.tail)
-}
-
-// RunTotalEpochs runs approximately total raw epochs of work split across
-// the K instances (Algorithm 1 line 4: e = E/K).
-func (s *Spatial) RunTotalEpochs(total int) {
-	if _, err := s.RunTotal(context.Background(), total); err != nil {
-		panic(err)
-	}
-}
-
-// RunTotal is the context-aware RunTotalEpochs: total raw epochs split
-// across the K instances.
-func (s *Spatial) RunTotal(ctx context.Context, total int) (RunStats, error) {
-	per := (total + len(s.instances) - 1) / len(s.instances)
-	if per < 1 {
-		per = 1
-	}
-	return s.Run(ctx, per)
-}
-
-// sweepEpochs runs up to n epochs over the given cell batch: groups
-// serially, each group's cells chunked across the pool for all K instances
-// at once, then the serial tail, then the epoch barrier where worker count
-// deltas merge into the instances' counters. The full sweep passes the
-// precomputed schedule; RunIncremental passes its restricted view. Nothing
-// in the per-epoch loop allocates.
-//
-// Interruption points: ctx is checked before each epoch and between
-// conclique groups, and workers skip parked chunks once ctx fires. An
-// epoch cut short by cancellation keeps its merged partial samples but is
-// not counted in RunStats.Epochs (its PRNG epoch identity is consumed). On
-// a worker panic the pending worker deltas are discarded so no partial
-// chunk reaches the counters, and the pool's sticky *WorkerPanicError is
-// returned.
-func (s *Spatial) sweepEpochs(ctx context.Context, n int, cells, groupOff []int32, tail []factorgraph.VarID) (RunStats, error) {
-	st := RunStats{Reason: ReasonDone}
-	done := ctx.Done()
-	active := s.obsActive()
-	for e := 0; e < n; e++ {
-		if ctx.Err() != nil {
-			st.Reason = reasonFromCtx(ctx)
-			s.finalDiag("spatial", s.epochs, &st)
-			return st, nil
-		}
-		eo := beginEpochObs(active)
-		for k, inst := range s.instances {
-			count := inst.epochs >= s.opts.BurnIn
-			inst.epochs++
-			r := s.runs[k]
-			r.epoch, r.count, r.cells = uint64(inst.epochs), count, cells
-			tr := s.tailRuns[k]
-			tr.epoch, tr.count, tr.vars = uint64(inst.epochs), count, tail
-		}
-		s.epochs++
-		interrupted := false
-		for gi := 0; gi+1 < len(groupOff); gi++ {
-			lo, hi := groupOff[gi], groupOff[gi+1]
-			if lo == hi {
-				continue
-			}
-			if done != nil {
-				select {
-				case <-done:
-					interrupted = true
-				default:
-				}
-				if interrupted {
-					break
-				}
-			}
-			if s.sweptCells != nil {
-				for _, ci := range cells[lo:hi] {
-					s.sweptCells[s.sched.keys[ci]]++
-				}
-			}
-			per := (hi - lo + int32(s.opts.Workers) - 1) / int32(s.opts.Workers)
-			for k := range s.instances {
-				r := s.runs[k]
-				for off := lo; off < hi; off += per {
-					end := off + per
-					if end > hi {
-						end = hi
-					}
-					s.pool.dispatch(r, off, end, done)
-				}
-			}
-			if active {
-				eo.noteQueue(s.pool.queued())
-			}
-			s.pool.wait()
-			if err := s.pool.err(); err != nil {
-				s.discardAllDeltas()
-				st.Reason = ReasonPanic
-				return st, err
-			}
-		}
-		if !interrupted && len(tail) > 0 {
-			if s.sweptCells != nil {
-				s.sweptTail += len(tail)
-			}
-			for k := range s.instances {
-				s.pool.dispatch(s.tailRuns[k], 0, 0, done)
-			}
-			s.pool.wait()
-			if err := s.pool.err(); err != nil {
-				s.discardAllDeltas()
-				st.Reason = ReasonPanic
-				return st, err
-			}
-		}
-		var mergeStart time.Time
-		if active {
-			mergeStart = time.Now()
-		}
-		for k, inst := range s.instances {
-			s.pool.mergeDeltas(k, inst.counts)
-		}
-		if active {
-			eo.merge = time.Since(mergeStart)
-		}
-		if interrupted {
-			st.Reason = reasonFromCtx(ctx)
-			s.finalDiag("spatial", s.epochs, &st)
-			return st, nil
-		}
-		st.Epochs++
-		if active {
-			finishEpochObs(s.met, s.trace, "spatial", s.epochs, &eo)
-		}
-		if s.diagDue(s.epochs) {
-			s.takeDiag("spatial", s.epochs, &st)
-		}
-		if s.ckpt != nil && s.ckpt.due(s.epochs) {
-			epoch := s.epochs
-			if err := saveCheckpointObs(s.met, s.trace, "spatial", epoch, func() error {
-				return s.ckpt.Save(s.Snapshot())
-			}); err != nil {
-				return st, err
-			}
-		}
-		if s.hooks.AfterEpoch != nil {
-			s.hooks.AfterEpoch(s.epochs)
-		}
-	}
-	s.finalDiag("spatial", s.epochs, &st)
-	return st, nil
-}
-
-// discardAllDeltas drops every instance's unmerged worker deltas (panic
-// path: a partially-executed chunk must not reach the counters).
-func (s *Spatial) discardAllDeltas() {
-	for k := range s.instances {
-		s.pool.discardDeltas(k)
-	}
-}
-
 // UpdateEvidence pins a variable to an observed value after construction
 // and marks it dirty for incremental inference. Its cells' concliques are
 // resampled by the next RunIncremental call.
@@ -677,13 +337,8 @@ func (s *Spatial) UpdateEvidence(v factorgraph.VarID, val int32) error {
 	s.dirty[v] = true
 	for _, inst := range s.instances {
 		inst.assign.Set(v, val)
-		// Pinning invalidates the variable's accumulated counts. Worker
-		// deltas need no reset: they are empty outside sweepEpochs.
-		for x := range inst.counts.c[v] {
-			inst.counts.c[v][x] = 0
-		}
-		inst.counts.totals[v] = 0
 	}
+	s.resetVarCounts(v) // pinning invalidates the accumulated counts
 	return nil
 }
 
@@ -723,7 +378,7 @@ func (s *Spatial) RunIncrementalContext(ctx context.Context, n int) (RunStats, e
 	span.Notef("dirty=%d cells=%d tail=%d epochs=%d", len(s.dirty), len(view.cells), len(view.extra), n)
 	defer span.End()
 	for _, ci := range view.cells {
-		for _, v := range s.sched.cellVars(ci) {
+		for _, v := range s.sched.unitVars(ci) {
 			if !s.pinned[v] {
 				s.resetVarCounts(v)
 			}
@@ -837,66 +492,26 @@ func (s *Spatial) restrictedFor(dirty map[factorgraph.VarID]bool) *restrictedVie
 	return view
 }
 
-// Marginals implements Sampler: the average of the K instances' counters
-// (Algorithm 1 lines 16 and 18–19). Variables pinned by UpdateEvidence get
-// a point mass like original evidence.
-func (s *Spatial) Marginals() [][]float64 {
-	n := s.g.NumVars()
-	out := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = s.MarginalVar(factorgraph.VarID(i))
-	}
-	return out
-}
-
-// MarginalVar returns one variable's marginal without materializing the
-// whole-graph slice — the serving layer's point-query read path. Same
-// semantics as Marginals: evidence and pinned variables get a point mass,
-// unsampled variables a uniform. Not safe concurrently with a running
-// sweep; callers serialize reads against sampling (the server holds its
-// read lock for queries and its write lock around resamples).
-func (s *Spatial) MarginalVar(v factorgraph.VarID) []float64 {
-	meta := s.g.Var(v)
-	m := make([]float64, meta.Domain)
-	if meta.Evidence != factorgraph.NoEvidence {
-		m[meta.Evidence] = 1
-		return m
-	}
-	if s.pinned[v] {
-		m[s.instances[0].assign.Get(v)] = 1
-		return m
-	}
-	var total float64
-	for _, inst := range s.instances {
-		for x, c := range inst.counts.c[v] {
-			m[x] += float64(c)
-		}
-		total += float64(inst.counts.totals[v])
-	}
-	if total == 0 {
-		for x := range m {
-			m[x] = 1 / float64(meta.Domain)
-		}
-	} else {
-		for x := range m {
-			m[x] /= total
-		}
-	}
-	return m
-}
-
-// InstrumentSweeps enables schedule instrumentation: subsequent epochs
-// record how often each pyramid cell was swept and how many tail variables
-// were visited. Test/diagnostic use only (recording is not allocation-free).
+// InstrumentSweeps enables (or restarts) schedule instrumentation:
+// subsequent epochs record how often each pyramid cell was swept and how
+// many tail variables were visited. Test/diagnostic use only.
 func (s *Spatial) InstrumentSweeps() {
-	s.sweptCells = map[pyramid.CellKey]int{}
+	s.swept = make([]int, len(s.keys))
 	s.sweptTail = 0
 }
 
-// SweptCells returns the per-cell sweep counts recorded since
+// SweptCells returns the sweep counts of the cells swept since
 // InstrumentSweeps, keyed by pyramid cell. Counts are per epoch, not per
 // instance (all K instances sweep the same cells).
-func (s *Spatial) SweptCells() map[pyramid.CellKey]int { return s.sweptCells }
+func (s *Spatial) SweptCells() map[pyramid.CellKey]int {
+	out := map[pyramid.CellKey]int{}
+	for u, n := range s.swept {
+		if n > 0 {
+			out[s.keys[u]] = n
+		}
+	}
+	return out
+}
 
 // SweptTailVars returns the number of tail-variable visits recorded since
 // InstrumentSweeps.
@@ -930,7 +545,7 @@ func (s *Spatial) SetChainValue(k int, v factorgraph.VarID, x int32) {
 }
 
 // ScheduledCells returns the number of cells in the full sweep schedule.
-func (s *Spatial) ScheduledCells() int { return len(s.sched.keys) }
+func (s *Spatial) ScheduledCells() int { return len(s.keys) }
 
 // CellStats summarizes the sweep schedule for diagnostics: per swept level,
 // the number of home cells and conclique cover size.
@@ -941,7 +556,7 @@ func (s *Spatial) CellStats() []string {
 	cellsAt := map[int]int{}
 	coverAt := map[int]int{}
 	for gi := 0; gi+1 < len(s.sched.groupOff); gi++ {
-		l := s.sched.groupLevel[gi]
+		l := s.groupLevel[gi]
 		cellsAt[l] += int(s.sched.groupOff[gi+1] - s.sched.groupOff[gi])
 		coverAt[l]++
 	}

@@ -40,7 +40,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/factorgraph"
 	"repro/internal/geom"
-	"repro/internal/gibbs"
 	"repro/internal/grounding"
 	"repro/internal/index/rtree"
 	"repro/internal/obs"
@@ -351,10 +350,8 @@ func (s *Server) marginalFor(vid factorgraph.VarID) []float64 {
 		return m
 	}
 	var m []float64
-	if sp, ok := s.sys.Sampler().(*gibbs.Spatial); ok {
-		m = sp.MarginalVar(vid)
-	} else if smp := s.sys.Sampler(); smp != nil {
-		m = smp.Marginals()[vid]
+	if smp := s.sys.Sampler(); smp != nil {
+		m = smp.MarginalVar(vid)
 	} else {
 		// No sampler yet (Warmup not run): evidence is known, queries are
 		// uniform.

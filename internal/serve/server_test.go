@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/factorgraph"
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/storage"
@@ -231,4 +232,42 @@ func TestServeStructuralUpsertRebuildsIndex(t *testing.T) {
 		t.Errorf("vars after structural upsert = %d, want 5", health.Vars)
 	}
 	_ = srv
+}
+
+// TestServePointReadDeepDiveEngine: the read path goes through
+// Sampler.MarginalVar for every engine, so a DeepDive-backed server (hogwild
+// sampler) serves exactly the score a batch Infer computes for the atom.
+func TestServePointReadDeepDiveEngine(t *testing.T) {
+	cfg := core.Config{Engine: core.EngineDeepDive, Seed: 7}
+	_, ts := startServer(t, newEbolaSystem(t, cfg), Options{})
+
+	batch := newEbolaSystem(t, cfg)
+	defer batch.Close()
+	if _, err := batch.Ground(); err != nil {
+		t.Fatal(err)
+	}
+	scores, err := batch.Infer()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	bong := datagen.EbolaCounties()[2]
+	var pt queryResponse
+	url := fmt.Sprintf("%s/v1/score/point?relation=HasEbola&x=%g&y=%g", ts.URL, bong.Loc.X, bong.Loc.Y)
+	if code := getJSON(t, url, &pt); code != http.StatusOK {
+		t.Fatalf("point status %d", code)
+	}
+	if len(pt.Atoms) != 1 {
+		t.Fatalf("point atoms = %+v", pt.Atoms)
+	}
+	want := -1.0
+	scores.Each("HasEbola", func(key string, _ factorgraph.VarID, m []float64) bool {
+		if key == pt.Atoms[0].Key {
+			want = m[1]
+		}
+		return want < 0
+	})
+	if got := pt.Atoms[0].Score; got != want || want <= 0 || want >= 1 {
+		t.Errorf("served score %v, batch Infer score %v: want equal interior probabilities", got, want)
+	}
 }

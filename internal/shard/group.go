@@ -18,13 +18,10 @@ import (
 type Options struct {
 	// Shards is N, the share-nothing partition count (≤ 1 → 1).
 	Shards int
-	// SubtreeLevel is the pyramid level whose cells define the dealt
-	// subtrees (default 2, the minimum swept level — up to 16 subtrees).
-	SubtreeLevel int
-	// Levels, LocalityLevel, Capacity parameterize each shard's pyramid
-	// exactly like gibbs.SpatialOptions (the global bounding space is
-	// shared, so cell geometry agrees across shards).
-	Levels, LocalityLevel, Capacity int
+	// Levels and LocalityLevel parameterize each shard's pyramid exactly
+	// like gibbs.SpatialOptions (the global bounding space is shared, so
+	// cell geometry agrees across shards).
+	Levels, LocalityLevel int
 	// Instances is K, the chain count per shard. Instance k of every shard
 	// exchanges with instance k of its neighbours, so the group runs K
 	// coherent global chains. Default 2.
@@ -62,9 +59,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Shards < 1 {
 		o.Shards = 1
-	}
-	if o.SubtreeLevel <= 0 {
-		o.SubtreeLevel = 2
 	}
 	if o.Instances <= 0 {
 		o.Instances = 2
@@ -205,7 +199,6 @@ func New(g *factorgraph.Graph, opts Options) (*Group, error) {
 		n.smp, err = gibbs.NewSpatial(subs[i].Graph, gibbs.SpatialOptions{
 			Levels:        opts.Levels,
 			LocalityLevel: opts.LocalityLevel,
-			Capacity:      opts.Capacity,
 			Instances:     opts.Instances,
 			Workers:       opts.Workers,
 			Seed:          shardSeed(opts.Seed, i),

@@ -10,7 +10,7 @@
 //
 // Partition rule. Each located query atom already has a home pyramid cell
 // (gibbs.HomeCells); its *subtree* is the home cell's ancestor at
-// level SubtreeLevel (default 2, the minimum swept level, giving up to 16
+// level subtreeLevel (2, the minimum swept level, giving up to 16
 // subtrees). Subtrees are ordered by (conclique, Y, X) — the conclique
 // ordering spreads same-colour subtrees across shards — and dealt
 // round-robin to the N shards; atoms without a home cell (no location, or
@@ -47,6 +47,9 @@ import (
 	"repro/internal/gibbs"
 	"repro/internal/index/pyramid"
 )
+
+// subtreeLevel is the pyramid level whose cells define the dealt subtrees.
+const subtreeLevel = 2
 
 // Plan is the deterministic shard assignment of one ground graph: a pure
 // function of (graph, options), so every process of a distributed group
@@ -101,7 +104,6 @@ func Partition(g *factorgraph.Graph, opts Options) (*Plan, error) {
 	homes, err := gibbs.HomeCells(g, gibbs.SpatialOptions{
 		Levels:        opts.Levels,
 		LocalityLevel: opts.LocalityLevel,
-		Capacity:      opts.Capacity,
 		Space:         plan.Space,
 	})
 	if err != nil {
@@ -118,9 +120,9 @@ func Partition(g *factorgraph.Graph, opts Options) (*Plan, error) {
 			continue
 		}
 		sub := home
-		if home.Level > opts.SubtreeLevel {
-			shift := home.Level - opts.SubtreeLevel
-			sub = pyramid.CellKey{Level: opts.SubtreeLevel, X: home.X >> shift, Y: home.Y >> shift}
+		if home.Level > subtreeLevel {
+			shift := home.Level - subtreeLevel
+			sub = pyramid.CellKey{Level: subtreeLevel, X: home.X >> shift, Y: home.Y >> shift}
 		}
 		bySubtree[sub] = append(bySubtree[sub], v)
 	}
