@@ -12,47 +12,50 @@ import (
 // layer uses it to print spatial values.
 
 // MarshalWKT renders g in OGC WKT.
-func MarshalWKT(g Geometry) string {
-	var b strings.Builder
+func MarshalWKT(g Geometry) string { return string(AppendWKT(nil, g)) }
+
+// AppendWKT appends the OGC WKT rendering of g to dst: the allocation-free
+// form of MarshalWKT for callers that reuse a buffer.
+func AppendWKT(dst []byte, g Geometry) []byte {
 	switch gg := g.(type) {
 	case Point:
-		fmt.Fprintf(&b, "POINT (%s %s)", fmtCoord(gg.X), fmtCoord(gg.Y))
+		dst = append(dst, "POINT ("...)
+		dst = appendCoord(dst, gg)
+		return append(dst, ')')
 	case Rect:
 		// WKT has no rectangle type; encode as its ring polygon.
-		writeRing(&b, "POLYGON ((", rectRing(gg), true)
+		return appendRing(dst, "POLYGON ((", rectRing(gg), true)
 	case Polygon:
-		writeRing(&b, "POLYGON ((", gg.Ring, true)
+		return appendRing(dst, "POLYGON ((", gg.Ring, true)
 	case LineString:
-		writeRing(&b, "LINESTRING (", gg.Points, false)
+		return appendRing(dst, "LINESTRING (", gg.Points, false)
 	default:
-		return "GEOMETRY EMPTY"
+		return append(dst, "GEOMETRY EMPTY"...)
 	}
-	return b.String()
 }
 
-func fmtCoord(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+func appendCoord(dst []byte, p Point) []byte {
+	dst = strconv.AppendFloat(dst, p.X, 'g', -1, 64)
+	dst = append(dst, ' ')
+	return strconv.AppendFloat(dst, p.Y, 'g', -1, 64)
+}
 
-func writeRing(b *strings.Builder, prefix string, pts []Point, closeRing bool) {
-	b.WriteString(prefix)
+func appendRing(dst []byte, prefix string, pts []Point, closeRing bool) []byte {
+	dst = append(dst, prefix...)
 	for i, p := range pts {
 		if i > 0 {
-			b.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		b.WriteString(fmtCoord(p.X))
-		b.WriteByte(' ')
-		b.WriteString(fmtCoord(p.Y))
+		dst = appendCoord(dst, p)
 	}
 	if closeRing && len(pts) > 0 && pts[0] != pts[len(pts)-1] {
-		b.WriteString(", ")
-		b.WriteString(fmtCoord(pts[0].X))
-		b.WriteByte(' ')
-		b.WriteString(fmtCoord(pts[0].Y))
+		dst = append(dst, ", "...)
+		dst = appendCoord(dst, pts[0])
 	}
 	if closeRing {
-		b.WriteString("))")
-	} else {
-		b.WriteString(")")
+		return append(dst, "))"...)
 	}
+	return append(dst, ')')
 }
 
 // ParseWKT parses a WKT string into a Geometry. POINT, LINESTRING and

@@ -178,6 +178,7 @@ func (gr *Grounder) DeltaContext(ctx context.Context, prev *Result, changed []st
 
 	p := &Patch{Derivations: len(affected)}
 	resolved := map[factorgraph.VarID]bool{}
+	var keyBuf []byte // atom-key scratch, reused across rows
 	for qi, di := range affected {
 		d := gr.prog.Derivations[di]
 		rows, err := jobs[qi].wait()
@@ -185,18 +186,19 @@ func (gr *Grounder) DeltaContext(ctx context.Context, prev *Result, changed []st
 			return nil, fmt.Errorf("grounding: delta derivation %s: %w", derLabel(d), err)
 		}
 		rel, _ := gr.prog.Relation(d.Head.Rel)
+		relKey := strings.ToLower(rel.Name)
 		width := len(d.Head.Terms)
 		for ri, row := range rows.Rows {
 			if err := gr.checkCtx(ri); err != nil {
 				return nil, err
 			}
 			p.Rows++
-			key := atomKey(rel.Name, row[:width])
-			vid, found := prev.VarID[key]
+			keyBuf = AppendAtomKey(keyBuf[:0], relKey, row[:width])
+			vid, found := prev.VarID[string(keyBuf)]
 			if !found {
 				gr.opts.Trace.Emit("grounding", "delta_structural",
-					"derivation", derLabel(d), "atom", key)
-				return structuralPatch(fmt.Sprintf("derivation %s produced new ground atom %s", derLabel(d), key), start), nil
+					"derivation", derLabel(d), "atom", string(keyBuf))
+				return structuralPatch(fmt.Sprintf("derivation %s produced new ground atom %s", derLabel(d), keyBuf), start), nil
 			}
 			ev, err := labelToEvidence(rel, row[width])
 			if err != nil {
@@ -213,7 +215,7 @@ func (gr *Grounder) DeltaContext(ctx context.Context, prev *Result, changed []st
 				// keep the first label, so the patch leaves it alone.
 				continue
 			}
-			p.Pins = append(p.Pins, EvidencePin{Var: vid, Key: key, Value: ev})
+			p.Pins = append(p.Pins, EvidencePin{Var: vid, Key: string(keyBuf), Value: ev})
 		}
 	}
 	p.Elapsed = time.Since(start)

@@ -190,16 +190,23 @@ func (gr *Grounder) EnsureSchemas() error {
 // relation name and the atom's term values: "relname|v1|v2|..." with the
 // relation lower-cased and values rendered by storage.Value.String.
 func AtomKey(rel string, vals []storage.Value) string {
-	parts := make([]string, 0, len(vals)+1)
-	parts = append(parts, strings.ToLower(rel))
-	for _, v := range vals {
-		parts = append(parts, v.String())
-	}
-	return strings.Join(parts, "|")
+	return string(AppendAtomKey(nil, rel, vals))
 }
 
-// atomKey is the internal alias.
-func atomKey(rel string, vals []storage.Value) string { return AtomKey(rel, vals) }
+// AppendAtomKey appends the bytes of AtomKey(rel, vals) to dst. The emission
+// loops render every head atom of every result row only to probe VarID, so
+// they reuse one scratch buffer and look up m[string(buf)], which Go
+// compiles without building the string. strings.ToLower returns its argument
+// unchanged when there is nothing to lower, so a caller that lower-cases rel
+// once per rule pays nothing per row.
+func AppendAtomKey(dst []byte, rel string, vals []storage.Value) []byte {
+	dst = append(dst, strings.ToLower(rel)...)
+	for _, v := range vals {
+		dst = append(dst, '|')
+		dst = v.AppendString(dst)
+	}
+	return dst
+}
 
 // Ground runs all phases and returns the spatial factor graph.
 func (gr *Grounder) Ground() (*Result, error) {
@@ -416,6 +423,7 @@ func (gr *Grounder) runDerivations(b *factorgraph.Builder, res *Result) error {
 	}
 	jobs := gr.execAhead(queries)
 	defer drainJobs(jobs)
+	var keyBuf []byte // atom-key scratch, reused across rows
 	for di, d := range gr.prog.Derivations {
 		derStart := time.Now()
 		rows, err := jobs[di].wait()
@@ -423,18 +431,19 @@ func (gr *Grounder) runDerivations(b *factorgraph.Builder, res *Result) error {
 			return fmt.Errorf("grounding: derivation %s: %w", d.Label, err)
 		}
 		rel, _ := gr.prog.Relation(d.Head.Rel)
+		relKey := strings.ToLower(rel.Name)
 		width := len(d.Head.Terms)
 		for ri, row := range rows.Rows {
 			if err := gr.checkCtx(ri); err != nil {
 				return err
 			}
-			key := atomKey(rel.Name, row[:width])
+			keyBuf = AppendAtomKey(keyBuf[:0], relKey, row[:width])
 			ev, err := labelToEvidence(rel, row[width])
 			if err != nil {
 				return fmt.Errorf("grounding: derivation %s: %w", d.Label, err)
 			}
 			res.Stats.DerivationRows[derLabel(d)]++
-			if existing, dup := atoms[key]; dup {
+			if existing, dup := atoms[string(keyBuf)]; dup {
 				res.Stats.DuplicateDerivations++
 				// Evidence beats NULL; conflicting evidence keeps the first.
 				if existing.evidence == factorgraph.NoEvidence && ev != factorgraph.NoEvidence {
@@ -442,7 +451,7 @@ func (gr *Grounder) runDerivations(b *factorgraph.Builder, res *Result) error {
 				}
 				continue
 			}
-			atoms[key] = &derivedAtom{
+			atoms[string(keyBuf)] = &derivedAtom{
 				rel:      rel,
 				vals:     append([]storage.Value(nil), row[:width]...),
 				evidence: ev,
@@ -570,6 +579,7 @@ func (gr *Grounder) runInferenceRules(b *factorgraph.Builder, res *Result) error
 	}
 	jobs := gr.execAhead(queries)
 	defer drainJobs(jobs)
+	var keyBuf []byte // atom-key scratch, reused across rows and head atoms
 	for ri, rule := range gr.prog.Rules {
 		ruleStart := time.Now()
 		q := queries[ri]
@@ -590,19 +600,25 @@ func (gr *Grounder) runInferenceRules(b *factorgraph.Builder, res *Result) error
 				return err
 			}
 		}
+		headRels := make([]string, len(rule.Head))
+		for hi, h := range rule.Head {
+			headRels[hi] = strings.ToLower(h.Atom.Rel)
+		}
+		// AddFactor copies vars and neg, so one pair of slices serves the rule.
+		vars := make([]factorgraph.VarID, 0, len(rule.Head))
+		neg := make([]bool, 0, len(rule.Head))
 		for ri, row := range rows.Rows {
 			if err := gr.checkCtx(ri); err != nil {
 				return err
 			}
-			vars := make([]factorgraph.VarID, 0, len(rule.Head))
-			neg := make([]bool, 0, len(rule.Head))
+			vars, neg = vars[:0], neg[:0]
 			off := 0
 			ok := true
 			for hi, h := range rule.Head {
 				w := q.HeadWidths[hi]
-				key := atomKey(h.Atom.Rel, row[off:off+w])
+				keyBuf = AppendAtomKey(keyBuf[:0], headRels[hi], row[off:off+w])
 				off += w
-				vid, found := res.VarID[key]
+				vid, found := res.VarID[string(keyBuf)]
 				if !found {
 					res.Stats.SkippedHeadLookups++
 					ok = false

@@ -1,6 +1,7 @@
 package grounding
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -439,5 +440,52 @@ func TestStatsRuleBookkeeping(t *testing.T) {
 	}
 	if res.Stats.TotalTime <= 0 {
 		t.Error("total time not measured")
+	}
+}
+
+// TestAppendAtomKeyMatchesString pins the public atom-key bytes (serve
+// responses, /v1/explain, WAL-replayed pins): AppendAtomKey, AtomKey and the
+// join of Value.String renderings agree on every value kind, and the literal
+// keys below are what the string-building AtomKey produced before
+// AppendAtomKey existed.
+func TestAppendAtomKeyMatchesString(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	cases := []struct {
+		rel  string
+		vals []storage.Value
+		want string
+	}{
+		{"IsSafe", []storage.Value{storage.Int(7), storage.Geom(geom.Pt(1.5, -2))}, "issafe|7|POINT (1.5 -2)"},
+		{"R", nil, "r"},
+		{"r", []storage.Value{storage.Null, storage.Bool(true), storage.Bool(false)}, "r|NULL|true|false"},
+		{"r", []storage.Value{storage.Int(-9007199254740993), storage.Float(0.1), storage.Float(1e21), storage.Float(1e-7)},
+			"r|-9007199254740993|0.1|1e+21|1e-07"},
+		{"r", []storage.Value{storage.Float(negZero), storage.Float(math.NaN()), storage.Float(math.Inf(1)), storage.Float(math.Inf(-1))},
+			"r|-0|NaN|+Inf|-Inf"},
+		{"r", []storage.Value{storage.Str("a|b"), storage.Str("")}, "r|a|b|"},
+		{"r", []storage.Value{storage.Geom(geom.Pt(negZero, 123456789.125))}, "r|POINT (-0 1.23456789125e+08)"},
+		{"r", []storage.Value{storage.Geom(geom.NewRect(geom.Pt(0, 0), geom.Pt(2, 1)))},
+			"r|POLYGON ((0 0, 2 0, 2 1, 0 1, 0 0))"},
+		{"r", []storage.Value{storage.Geom(geom.Polygon{Ring: []geom.Point{geom.Pt(0, 0), geom.Pt(4, 0), geom.Pt(0, 3.5)}})},
+			"r|POLYGON ((0 0, 4 0, 0 3.5, 0 0))"},
+		{"r", []storage.Value{storage.Geom(geom.LineString{Points: []geom.Point{geom.Pt(0, 0), geom.Pt(1, 1), geom.Pt(2, 0.25)}})},
+			"r|LINESTRING (0 0, 1 1, 2 0.25)"},
+		{"ÄB", []storage.Value{storage.Int(1)}, "äb|1"},
+	}
+	for _, tc := range cases {
+		if got := AtomKey(tc.rel, tc.vals); got != tc.want {
+			t.Errorf("AtomKey(%q, %v) = %q, want %q", tc.rel, tc.vals, got, tc.want)
+		}
+		parts := []string{strings.ToLower(tc.rel)}
+		for _, v := range tc.vals {
+			parts = append(parts, v.String())
+		}
+		if joined := strings.Join(parts, "|"); joined != tc.want {
+			t.Errorf("joined Value.String of (%q, %v) = %q, want %q", tc.rel, tc.vals, joined, tc.want)
+		}
+		// Appending extends dst in place and leaves what was there alone.
+		if got := string(AppendAtomKey([]byte("x="), tc.rel, tc.vals)); got != "x="+tc.want {
+			t.Errorf("AppendAtomKey(\"x=\", %q, %v) = %q, want %q", tc.rel, tc.vals, got, "x="+tc.want)
+		}
 	}
 }

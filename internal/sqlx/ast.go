@@ -130,6 +130,18 @@ type SelectItem struct {
 	Star  bool   // SELECT * (Expr nil)
 }
 
+// name is the item's output column name: its alias, else the bare column
+// name of a plain reference, else the expression's SQL text.
+func (it SelectItem) name() string {
+	if it.Alias != "" {
+		return it.Alias
+	}
+	if c, ok := it.Expr.(boundCol); ok {
+		return c.Col
+	}
+	return it.Expr.SQL()
+}
+
 // TableRef names a FROM table with an optional alias.
 type TableRef struct {
 	Table string
@@ -197,11 +209,13 @@ func conjoin(es []Expr) Expr {
 	return out
 }
 
-// exprColumns collects the table aliases referenced by an expression.
+// exprAliases collects the table aliases referenced by an expression.
 func exprAliases(e Expr, acc map[string]bool) {
 	switch v := e.(type) {
 	case ColRef:
 		acc[strings.ToLower(v.Table)] = true
+	case boundCol:
+		acc[v.Table] = true // bindExpr stored the lower-cased alias
 	case Binary:
 		exprAliases(v.L, acc)
 		exprAliases(v.R, acc)

@@ -9,16 +9,37 @@ import (
 	"repro/internal/storage"
 )
 
-// env resolves column references during evaluation: one binding per table
-// alias in the current joined tuple.
+// env holds what an expression is evaluated against: one row per FROM table
+// of the current joined tuple, indexed by scanNode.slot. Plans evaluate
+// bound expressions (see bindExpr), whose column references index rows
+// directly; aliases and schemas serve only expressions nobody bound, which
+// resolve names per evaluation.
 type env struct {
-	aliases []string         // lower-cased
-	schemas []storage.Schema // aligned with aliases
-	rows    []storage.Row    // aligned with aliases
+	rows    []storage.Row
 	params  map[string]storage.Value
+	aliases []string         // lower-cased, aligned with rows
+	schemas []storage.Schema // aligned with rows
 }
 
-// resolve finds the binding and column index for a reference.
+// boundCol is a ColRef resolved at plan time to the env slot of its table's
+// row and the column's index in it.
+type boundCol struct {
+	ColRef
+	slot, col int
+}
+
+// metricLit is a constant metric-name argument of ST_DISTANCE / ST_DWITHIN,
+// parsed once when the plan was bound. It evaluates to the original value.
+type metricLit struct {
+	src Expr
+	val storage.Value
+	m   geom.Metric
+}
+
+// SQL implements Expr.
+func (l metricLit) SQL() string { return l.src.SQL() }
+
+// resolve finds the binding and column index for a reference by name.
 func (e *env) resolve(c ColRef) (int, int, error) {
 	if c.Table != "" {
 		want := strings.ToLower(c.Table)
@@ -59,6 +80,15 @@ func (e *env) eval(x Expr) (storage.Value, error) {
 			return storage.Null, fmt.Errorf("sqlx: unbound parameter :%s", v.Name)
 		}
 		return val, nil
+	case boundCol:
+		// An unbound slot holds a nil row: the zero-tuple global group of an
+		// aggregate query has no tuple to read a plain column from.
+		if row := e.rows[v.slot]; v.col < len(row) {
+			return row[v.col], nil
+		}
+		return storage.Null, fmt.Errorf("sqlx: no row bound for %s", v.SQL())
+	case metricLit:
+		return v.val, nil
 	case ColRef:
 		bi, ci, err := e.resolve(v)
 		if err != nil {
@@ -228,13 +258,18 @@ func (e *env) evalBool(x Expr) (bool, error) {
 // within, overlaps, plus union and buffer helpers, named in their PostGIS
 // forms since the translator emits PostGIS-style SQL (Fig. 5).
 func (e *env) evalCall(c Call) (storage.Value, error) {
-	args := make([]storage.Value, len(c.Args))
-	for i, a := range c.Args {
+	// Up to four arguments (every spatial builtin) stay on the stack.
+	var buf [4]storage.Value
+	args := buf[:0]
+	if len(c.Args) > len(buf) {
+		args = make([]storage.Value, 0, len(c.Args))
+	}
+	for _, a := range c.Args {
 		v, err := e.eval(a)
 		if err != nil {
 			return storage.Null, err
 		}
-		args[i] = v
+		args = append(args, v)
 	}
 	// NULL in, NULL out for all builtins.
 	for _, a := range args {
@@ -251,16 +286,11 @@ func (e *env) evalCall(c Call) (storage.Value, error) {
 		if err != nil {
 			return storage.Null, err
 		}
-		m, err := metricArg(c.Name, args, 2)
+		m, err := metricArg(c, args, 2)
 		if err != nil {
 			return storage.Null, err
 		}
-		pa, aPt := ga.(geom.Point)
-		pb, bPt := gb.(geom.Point)
-		if aPt && bPt {
-			return storage.Float(m.Dist(pa, pb)), nil
-		}
-		return storage.Float(geom.DistanceGeometries(ga, gb)), nil
+		return storage.Float(stDistance(ga, gb, m)), nil
 	case "ST_DWITHIN":
 		if err := arity(c, 3, 4); err != nil {
 			return storage.Null, err
@@ -273,7 +303,7 @@ func (e *env) evalCall(c Call) (storage.Value, error) {
 		if err != nil {
 			return storage.Null, err
 		}
-		m, err := metricArg(c.Name, args, 3)
+		m, err := metricArg(c, args, 3)
 		if err != nil {
 			return storage.Null, err
 		}
@@ -434,14 +464,31 @@ func twoGeoms(name string, args []storage.Value) (geom.Geometry, geom.Geometry, 
 	return ga, gb, nil
 }
 
-// metricArg parses an optional trailing metric name argument
-// ('euclidean' | 'miles' | 'km'); Euclidean when absent.
-func metricArg(name string, args []storage.Value, idx int) (geom.Metric, error) {
+// stDistance is ST_DISTANCE: the metric between two points, the planar
+// separation of any other pair of geometries. The interpreter and the
+// planner's typed spatial conjunct (conjunct.holds) share this definition;
+// ST_DWITHIN's shared definition is geom.DWithin.
+func stDistance(a, b geom.Geometry, m geom.Metric) float64 {
+	pa, aPt := a.(geom.Point)
+	pb, bPt := b.(geom.Point)
+	if aPt && bPt {
+		return m.Dist(pa, pb)
+	}
+	return geom.DistanceGeometries(a, b)
+}
+
+// metricArg reads the optional trailing metric name argument
+// ('euclidean' | 'miles' | 'km'); Euclidean when absent. A constant one was
+// parsed when the plan was bound.
+func metricArg(c Call, args []storage.Value, idx int) (geom.Metric, error) {
 	if len(args) <= idx {
 		return geom.Euclidean, nil
 	}
+	if lit, ok := c.Args[idx].(metricLit); ok {
+		return lit.m, nil
+	}
 	if args[idx].Kind != storage.KindString {
-		return 0, fmt.Errorf("sqlx: %s metric argument must be a string", name)
+		return 0, fmt.Errorf("sqlx: %s metric argument must be a string", c.Name)
 	}
 	return ParseMetric(args[idx].S)
 }

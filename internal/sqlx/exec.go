@@ -3,9 +3,11 @@ package sqlx
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
+	"repro/internal/geom"
 	"repro/internal/index/rtree"
 	"repro/internal/parallel"
 	"repro/internal/storage"
@@ -20,8 +22,9 @@ type Result struct {
 // Engine executes SQL statements against a storage database.
 type Engine struct {
 	db *storage.DB
-	// workers > 1 enables sharded batch evaluation inside joins, residual
-	// filters and projection (see shardAll); ctx is polled between batches.
+	// workers > 1 enables sharded batch evaluation inside joins (their
+	// co-filters included) and projection (see shardAll); ctx is polled
+	// between batches.
 	// Both are set by SetParallelism — the zero value runs fully
 	// sequentially.
 	workers int
@@ -35,11 +38,11 @@ func NewEngine(db *storage.DB) *Engine { return &Engine{db: db} }
 func (e *Engine) DB() *storage.DB { return e.db }
 
 // SetParallelism configures batched tuple evaluation inside SELECT
-// execution: the probe side of hash, spatial and nested-loop joins, the
-// residual filter pass after each join step, and the projection pass are
-// each split into row batches evaluated by up to `workers` goroutines, with
-// batch outputs concatenated in input order — result rows are identical for
-// any worker count. ctx (nil → Background) is polled between batches so a
+// execution: the probe side of hash, spatial and nested-loop joins (with the
+// co-filters fused into it) and the projection pass are each split into row
+// batches evaluated by up to `workers` goroutines, with batch outputs
+// concatenated in input order — result rows are identical for any worker
+// count. ctx (nil → Background) is polled between batches so a
 // cancelled grounding stops mid-query. workers <= 1 keeps the engine
 // sequential.
 //
@@ -140,226 +143,131 @@ func (e *Engine) ExecStmt(stmt *Stmt, params map[string]storage.Value) (*Result,
 }
 
 // tupleSet is the intermediate join state: for each result tuple, one row id
-// per bound scan node (aligned with nodes).
+// per joined scan node (aligned with nodes, i.e. in plan-step order).
 type tupleSet struct {
 	nodes  []*scanNode
 	tuples [][]int
+	slots  int // FROM width: env rows are indexed by scanNode.slot
 }
 
-func (ts *tupleSet) envFor(params map[string]storage.Value) *env {
-	ev := &env{
-		aliases: make([]string, len(ts.nodes)),
-		schemas: make([]storage.Schema, len(ts.nodes)),
-		rows:    make([]storage.Row, len(ts.nodes)),
-		params:  params,
-	}
-	for i, n := range ts.nodes {
-		ev.aliases[i] = n.alias
-		ev.schemas[i] = n.tbl.Schema()
-	}
-	return ev
+func (ts *tupleSet) newEnv(params map[string]storage.Value) *env {
+	return &env{rows: make([]storage.Row, ts.slots), params: params}
 }
 
 func (ts *tupleSet) bind(ev *env, tuple []int) {
 	for i, n := range ts.nodes {
-		ev.rows[i] = n.tbl.Row(tuple[i])
+		ev.rows[n.slot] = n.rows[tuple[i]]
 	}
 }
 
 func (e *Engine) runSelect(p *plan, params map[string]storage.Value) (*Result, error) {
-	ts := &tupleSet{}
-	for stepIdx, step := range p.steps {
-		if stepIdx == 0 {
-			ts.nodes = append(ts.nodes, step.node)
-			for _, id := range step.node.ids {
-				ts.tuples = append(ts.tuples, []int{id})
-			}
-		} else {
-			if err := e.joinStep(ts, step, params); err != nil {
-				return nil, err
-			}
-		}
-		// Residual predicates that became evaluable at this step: a pure
-		// per-tuple filter, sharded like a join's probe side — each batch
-		// evaluates with its own env and kept tuples concatenate in input
-		// order.
-		if len(step.extra) > 0 {
-			extra := step.extra
-			kept, err := shardAll(e, len(ts.tuples), func(lo, hi int) ([][]int, error) {
-				ev := ts.envFor(params)
-				var out [][]int
-				for _, tuple := range ts.tuples[lo:hi] {
-					ts.bind(ev, tuple)
-					ok := true
-					for _, f := range extra {
-						pass, err := ev.evalBool(f)
-						if err != nil {
-							return nil, err
-						}
-						if !pass {
-							ok = false
-							break
-						}
-					}
-					if ok {
-						out = append(out, tuple)
-					}
-				}
-				return out, nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			ts.tuples = kept
+	first := p.steps[0].node
+	ts := &tupleSet{nodes: []*scanNode{first}, slots: len(p.sel.From)}
+	ts.tuples = make([][]int, len(first.ids))
+	for i := range first.ids {
+		ts.tuples[i] = first.ids[i : i+1 : i+1]
+	}
+	for _, step := range p.steps[1:] {
+		if err := e.joinStep(ts, step, params); err != nil {
+			return nil, err
 		}
 	}
 	return e.project(ts, p.sel, params)
 }
 
-// joinStep extends every tuple with matching rows of the step's node. Each
-// join flavour is expressed as a probeRange closure evaluating one
-// contiguous probe-tuple batch with batch-local envs and scratch; shared
-// state (the hash table, the R-tree, the right side's rows) is built once
-// and only read during probing. shardAll shards the batches across the
-// engine's workers — batch outputs concatenate in input order, so the
-// joined tuple order is identical for any worker count.
+// joinStep extends every tuple with the matching rows of the step's node, in
+// one fused probe loop: the join's access path (hash table, R-tree or the
+// whole right side) proposes candidate row ids in ascending order, and each
+// candidate must pass the join conjunct's exact test and every co-filter of
+// the step before a joined tuple is allocated for it — so the cost of a step
+// follows its output, not the fan-out of whichever conjunct got the index.
+//
+// The loop runs over contiguous probe-tuple batches with batch-local env and
+// scratch; shared state (the hash table, the R-tree, the right side's rows)
+// is built once and only read during probing. shardAll shards the batches
+// across the engine's workers — batch outputs concatenate in input order, so
+// the joined tuple order is identical for any worker count.
 func (e *Engine) joinStep(ts *tupleSet, step planStep, params map[string]storage.Value) error {
-	right := step.node
-	via := step.joinVia
+	right, via := step.node, step.joinVia
 
-	extend := func(tuple []int, rid int) []int {
-		nt := make([]int, len(tuple)+1)
-		copy(nt, tuple)
-		nt[len(tuple)] = rid
-		return nt
-	}
-
-	var probeRange func(lo, hi int) ([][]int, error)
+	// candidates returns, for the probe tuple bound in ev, the ascending
+	// right-side row ids worth testing (buf is the batch's scratch); tests are
+	// what each must pass once its row is bound too.
+	var candidates func(ev *env, buf *[]int) []int
+	tests := step.extra
 	switch {
 	case via != nil && via.kind == conjEqui:
-		// Hash join: build on the right side's filtered rows.
-		probe, build := via.leftCol, via.rightCol
-		if strings.EqualFold(build.Table, right.alias) {
-			// already right
-		} else {
-			probe, build = via.rightCol, via.leftCol
-		}
-		bi := right.tbl.Schema().ColIndex(build.Col)
-		if bi < 0 {
-			return fmt.Errorf("sqlx: %s has no column %q", right.ref.Table, build.Col)
-		}
-		ht := map[string][]int{}
+		// Hash join: build on the right side's filtered rows. Keys are exact
+		// (equal keys ⇔ Value.Equal), so a bucket needs no re-check.
+		probe, build := via.sides(right)
+		ht := map[hashKey][]int{}
 		for _, id := range right.ids {
-			v := right.tbl.Row(id)[bi]
-			if v.IsNull() {
-				continue // NULL never equi-joins
+			if k, ok := hashKeyOf(right.rows[id][build.col]); ok {
+				ht[k] = append(ht[k], id)
 			}
-			k := hashKeyOf(v)
-			ht[k] = append(ht[k], id)
 		}
-		probeRange = func(lo, hi int) ([][]int, error) {
-			ev := ts.envFor(params)
-			var out [][]int
-			for _, tuple := range ts.tuples[lo:hi] {
-				ts.bind(ev, tuple)
-				v, err := ev.eval(probe)
-				if err != nil {
-					return nil, err
-				}
-				if v.IsNull() {
-					continue
-				}
-				for _, rid := range ht[hashKeyOf(v)] {
-					if right.tbl.Row(rid)[bi].Equal(v) {
-						out = append(out, extend(tuple, rid))
-					}
-				}
+		candidates = func(ev *env, _ *[]int) []int {
+			k, ok := hashKeyOf(ev.rows[probe.slot][probe.col])
+			if !ok {
+				return nil
 			}
-			return out, nil
+			return ht[k]
 		}
 	case via != nil && via.kind == conjSpatial:
 		// R-tree spatial join: filter candidates by expanded bounding box,
-		// then refine with the exact predicate expression.
-		probe, build := via.leftGeom, via.rightGeom
-		if !strings.EqualFold(build.Table, right.alias) {
-			probe, build = via.rightGeom, via.leftGeom
-		}
-		tree, err := spatialJoinIndex(right, build.Col)
-		if err != nil {
-			return err
-		}
-		probeRange = func(lo, hi int) ([][]int, error) {
-			ev := ts.envFor(params)
-			refine := ts.envFor(params)
-			refine.aliases = append(refine.aliases, right.alias)
-			refine.schemas = append(refine.schemas, right.tbl.Schema())
-			refine.rows = append(refine.rows, nil)
-			var cands []int // batch-reused scratch
-			var out [][]int
-			for _, tuple := range ts.tuples[lo:hi] {
-				ts.bind(ev, tuple)
-				gv, err := ev.eval(probe)
-				if err != nil {
-					return nil, err
-				}
-				if gv.IsNull() {
-					continue
-				}
-				g, err := gv.AsGeom()
-				if err != nil {
-					return nil, err
-				}
-				window := expandWindow(g.Bounds(), via.radius, via.metric)
-				cands = cands[:0]
-				tree.Search(window, func(it rtree.Item) bool {
-					cands = append(cands, int(it.Data))
-					return true
-				})
-				sort.Ints(cands)
-				for i := range ts.nodes {
-					refine.rows[i] = ev.rows[i]
-				}
-				for _, rid := range cands {
-					refine.rows[len(ts.nodes)] = right.tbl.Row(rid)
-					ok, err := refine.evalBool(via.expr)
-					if err != nil {
-						return nil, err
-					}
-					if ok {
-						out = append(out, extend(tuple, rid))
-					}
-				}
+		// then refine with the exact predicate.
+		probe, build := via.sides(right)
+		tree := spatialJoinIndex(right, build.col)
+		tests = append([]*conjunct{via}, tests...)
+		candidates = func(ev *env, buf *[]int) []int {
+			g := ev.rows[probe.slot][probe.col].G
+			if g == nil {
+				return nil
 			}
-			return out, nil
+			cands := (*buf)[:0]
+			tree.Search(expandWindow(g.Bounds(), via.radius, via.metric), func(it rtree.Item) bool {
+				cands = append(cands, int(it.Data))
+				return true
+			})
+			sort.Ints(cands)
+			*buf = cands
+			return cands
 		}
 	default:
 		// Nested-loop (theta or cross) join.
-		probeRange = func(lo, hi int) ([][]int, error) {
-			thetaEv := ts.envFor(params)
-			thetaEv.aliases = append(thetaEv.aliases, right.alias)
-			thetaEv.schemas = append(thetaEv.schemas, right.tbl.Schema())
-			thetaEv.rows = append(thetaEv.rows, nil)
-			var out [][]int
-			for _, tuple := range ts.tuples[lo:hi] {
-				ts.bind(thetaEv, tuple)
-				for _, rid := range right.ids {
-					thetaEv.rows[len(ts.nodes)] = right.tbl.Row(rid)
-					if via != nil {
-						ok, err := thetaEv.evalBool(via.expr)
-						if err != nil {
-							return nil, err
-						}
-						if !ok {
-							continue
-						}
-					}
-					out = append(out, extend(tuple, rid))
-				}
-			}
-			return out, nil
+		if via != nil {
+			tests = append([]*conjunct{via}, tests...)
 		}
+		candidates = func(*env, *[]int) []int { return right.ids }
 	}
-	out, err := shardAll(e, len(ts.tuples), probeRange)
+
+	width := len(ts.nodes) + 1
+	out, err := shardAll(e, len(ts.tuples), func(lo, hi int) ([][]int, error) {
+		ev := ts.newEnv(params)
+		var buf []int
+		var out [][]int
+		for _, tuple := range ts.tuples[lo:hi] {
+			ts.bind(ev, tuple)
+		candidate:
+			for _, rid := range candidates(ev, &buf) {
+				ev.rows[right.slot] = right.rows[rid]
+				for _, c := range tests {
+					ok, err := c.holds(ev)
+					if err != nil {
+						return nil, err
+					}
+					if !ok {
+						continue candidate
+					}
+				}
+				nt := make([]int, width)
+				copy(nt, tuple)
+				nt[width-1] = rid
+				out = append(out, nt)
+			}
+		}
+		return out, nil
+	})
 	if err != nil {
 		return err
 	}
@@ -368,13 +276,41 @@ func (e *Engine) joinStep(ts *tupleSet, step planStep, params map[string]storage
 	return nil
 }
 
-func hashKeyOf(v storage.Value) string {
-	// Reuse Value.String for scalar bucketing; normalize numerics so that
-	// Int(3) and Float(3) collide (Equal re-checks afterwards).
-	if f, err := v.AsFloat(); err == nil {
-		return fmt.Sprintf("n%v", f)
+// hashKey is a comparable hash-join key. Two non-NULL values have equal keys
+// exactly when Value.Equal holds: numbers of either kind meet as float64 with
+// -0 normalised to +0, geometries as their WKT.
+type hashKey struct {
+	kind storage.Kind // KindFloat for every number
+	bits uint64       // the number's float64 bits, or a bool's 0/1
+	s    string       // text, or a geometry's WKT
+}
+
+// hashKeyOf returns v's key; ok is false for the values that equal nothing,
+// NULL and NaN.
+func hashKeyOf(v storage.Value) (k hashKey, ok bool) {
+	switch v.Kind {
+	case storage.KindNull:
+		return k, false
+	case storage.KindInt, storage.KindFloat:
+		f, _ := v.AsFloat()
+		if f != f {
+			return k, false
+		}
+		if f == 0 {
+			f = 0 // -0 equals +0
+		}
+		return hashKey{kind: storage.KindFloat, bits: math.Float64bits(f)}, true
+	case storage.KindBool:
+		k.kind = v.Kind
+		if v.I != 0 {
+			k.bits = 1
+		}
+		return k, true
+	case storage.KindGeom:
+		return hashKey{kind: v.Kind, s: geom.MarshalWKT(v.G)}, true
+	default:
+		return hashKey{kind: v.Kind, s: v.S}, true
 	}
-	return v.Kind.String() + ":" + v.String()
 }
 
 // anyAggregateItem reports whether any SELECT item contains an aggregate.
@@ -537,7 +473,7 @@ func projectAggregated(ts *tupleSet, sel *SelectStmt, params map[string]storage.
 			return nil, fmt.Errorf("sqlx: SELECT * cannot be combined with aggregation")
 		}
 	}
-	ev := ts.envFor(params)
+	ev := ts.newEnv(params)
 	type group struct {
 		first  []int
 		tuples [][]int
@@ -573,15 +509,7 @@ func projectAggregated(ts *tupleSet, sel *SelectStmt, params map[string]storage.
 	}
 	res := &Result{}
 	for _, item := range sel.Items {
-		name := item.Alias
-		if name == "" {
-			if cr, ok := item.Expr.(ColRef); ok {
-				name = cr.Col
-			} else {
-				name = item.Expr.SQL()
-			}
-		}
-		res.Cols = append(res.Cols, name)
+		res.Cols = append(res.Cols, item.name())
 	}
 	type ordered struct {
 		row  storage.Row
@@ -597,9 +525,8 @@ func projectAggregated(ts *tupleSet, sel *SelectStmt, params map[string]storage.
 			}
 			if g.first == nil {
 				// Zero-tuple global group: only aggregate-derived literals
-				// are meaningful; evaluate with no bindings.
-				bare := &env{params: params}
-				return bare.eval(re)
+				// are meaningful; evaluate with no row bound.
+				return ts.newEnv(params).eval(re)
 			}
 			ts.bind(ev, g.first)
 			return ev.eval(re)
@@ -687,24 +614,16 @@ func (e *Engine) project(ts *tupleSet, sel *SelectStmt, params map[string]storag
 	for _, item := range sel.Items {
 		if item.Star {
 			for _, n := range ts.nodes {
-				for _, c := range n.tbl.Schema().Cols {
+				for ci, c := range n.tbl.Schema().Cols {
 					projs = append(projs, proj{
 						name: n.ref.EffectiveAlias() + "." + c.Name,
-						expr: ColRef{Table: n.alias, Col: c.Name},
+						expr: boundCol{ColRef: ColRef{Table: n.alias, Col: c.Name}, slot: n.slot, col: ci},
 					})
 				}
 			}
 			continue
 		}
-		name := item.Alias
-		if name == "" {
-			if cr, ok := item.Expr.(ColRef); ok {
-				name = cr.Col
-			} else {
-				name = item.Expr.SQL()
-			}
-		}
-		projs = append(projs, proj{name: name, expr: item.Expr})
+		projs = append(projs, proj{name: item.name(), expr: item.Expr})
 	}
 	res := &Result{}
 	for _, pj := range projs {
@@ -715,7 +634,7 @@ func (e *Engine) project(ts *tupleSet, sel *SelectStmt, params map[string]storag
 		keys []storage.Value
 	}
 	rows, err := shardAll(e, len(ts.tuples), func(lo, hi int) ([]ordered, error) {
-		ev := ts.envFor(params)
+		ev := ts.newEnv(params)
 		out := make([]ordered, 0, hi-lo)
 		for _, tuple := range ts.tuples[lo:hi] {
 			ts.bind(ev, tuple)
@@ -783,8 +702,9 @@ func (e *Engine) project(ts *tupleSet, sel *SelectStmt, params map[string]storag
 	if sel.Limit >= 0 && len(rows) > sel.Limit {
 		rows = rows[:sel.Limit]
 	}
-	for _, r := range rows {
-		res.Rows = append(res.Rows, r.row)
+	res.Rows = make([]storage.Row, len(rows))
+	for i, r := range rows {
+		res.Rows[i] = r.row
 	}
 	return res, nil
 }

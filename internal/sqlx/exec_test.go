@@ -127,6 +127,45 @@ func TestEquiJoin(t *testing.T) {
 	if a != 1 || b != 5 {
 		t.Errorf("join = (%d, %d)", a, b)
 	}
+
+	// Hash-join keys agree with Value.Equal: -0 meets +0, a bigint meets the
+	// double of the same value, NaN and NULL join nothing (not even
+	// themselves).
+	db := storage.NewDB()
+	f, _ := db.Create(storage.Schema{Name: "F", Cols: []storage.Column{
+		{Name: "id", Kind: storage.KindInt},
+		{Name: "x", Kind: storage.KindFloat},
+	}})
+	_ = f.AppendAll([]storage.Row{
+		{storage.Int(1), storage.Float(0)},
+		{storage.Int(2), storage.Float(math.Copysign(0, -1))},
+		{storage.Int(3), storage.Float(3)},
+		{storage.Int(4), storage.Float(math.NaN())},
+		{storage.Int(5), storage.Null},
+	})
+	n, _ := db.Create(storage.Schema{Name: "N", Cols: []storage.Column{
+		{Name: "id", Kind: storage.KindInt},
+		{Name: "x", Kind: storage.KindInt},
+	}})
+	_ = n.AppendAll([]storage.Row{
+		{storage.Int(1), storage.Int(0)},
+		{storage.Int(2), storage.Int(3)},
+		{storage.Int(3), storage.Null},
+	})
+	pairs := func(q string) string {
+		t.Helper()
+		var out []string
+		for _, r := range exec(t, NewEngine(db), q).Rows {
+			out = append(out, r[0].String()+"-"+r[1].String())
+		}
+		return strings.Join(out, " ")
+	}
+	if got, want := pairs("SELECT a.id, b.id FROM F a, F b WHERE a.x = b.x ORDER BY a.id, b.id"), "1-1 1-2 2-1 2-2 3-3"; got != want {
+		t.Errorf("double self-join = %q, want %q", got, want)
+	}
+	if got, want := pairs("SELECT f.id, n.id FROM F f, N n WHERE f.x = n.x ORDER BY f.id, n.id"), "1-1 2-1 3-2"; got != want {
+		t.Errorf("double-bigint join = %q, want %q", got, want)
+	}
 }
 
 func TestSpatialJoinDWithin(t *testing.T) {
@@ -240,6 +279,49 @@ func TestJoinOrderSmallestFirst(t *testing.T) {
 	}
 	if !strings.Contains(res.Rows[1][0].S, "hash-join") {
 		t.Errorf("expected hash join second, got %q", res.Rows[1][0].S)
+	}
+}
+
+// TestAccessPathFollowsSelectivity plans one query text over two datasets:
+// the conjunct with the smaller estimated output becomes the access path and
+// the other rides along as a co-filter, whichever kind each is — the join
+// order is a cost, not a fixed rank of kinds.
+func TestAccessPathFollowsSelectivity(t *testing.T) {
+	const q = `EXPLAIN SELECT a.id, b.id FROM P a, P b
+		WHERE a.k = b.k AND ST_DISTANCE(a.loc, b.loc) < 5`
+	plan := func(key func(i int) int64, extent float64) string {
+		t.Helper()
+		db := storage.NewDB()
+		tb, _ := db.Create(storage.Schema{Name: "P", Cols: []storage.Column{
+			{Name: "id", Kind: storage.KindInt},
+			{Name: "k", Kind: storage.KindInt},
+			{Name: "loc", Kind: storage.KindGeom, GeomType: geom.TypePoint},
+		}})
+		rng := rand.New(rand.NewSource(5))
+		for i := 0; i < 200; i++ {
+			row := storage.Row{storage.Int(int64(i)), storage.Int(key(i)),
+				storage.Geom(geom.Pt(rng.Float64()*extent, rng.Float64()*extent))}
+			if err := tb.Append(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res := exec(t, NewEngine(db), q)
+		if len(res.Rows) != 2 {
+			t.Fatalf("plan lines = %d: %v", len(res.Rows), res.Rows)
+		}
+		return res.Rows[1][0].S
+	}
+	// Four key values, a radius that covers 1 % of the extent: ~50 rows per
+	// key against ~2 per window.
+	step := plan(func(i int) int64 { return int64(i % 4) }, 100)
+	if !strings.HasPrefix(step, "spatial-join") || !strings.Contains(step, "then-filter (a.k = b.k)") {
+		t.Errorf("low-cardinality key, small radius: want spatial-join ... then-filter (a.k = b.k), got %q", step)
+	}
+	// A unique key, a radius that covers the whole extent: 1 row per key
+	// against all 200 per window.
+	step = plan(func(i int) int64 { return int64(i) }, 3)
+	if !strings.HasPrefix(step, "hash-join") || !strings.Contains(step, "then-filter (ST_DISTANCE(a.loc, b.loc) < 5)") {
+		t.Errorf("unique key, covering radius: want hash-join ... then-filter (ST_DISTANCE(...) < 5), got %q", step)
 	}
 }
 

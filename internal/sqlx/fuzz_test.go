@@ -17,8 +17,12 @@ import (
 // ordering, index-assisted spatial joins, or predicate pushdown and the
 // obvious semantics fails the test.
 
-// fuzzDB builds small random tables with ints, floats, and points.
-func fuzzDB(t *testing.T, rng *rand.Rand) *storage.DB {
+// fuzzDB builds random tables A, B, C of minRows..maxRows rows with ints,
+// floats and points. Keys, values and locations are each occasionally NULL,
+// and every other table sits on a grid of pitch 5, so that distances often
+// land exactly on the radii randomSpatial draws (multiples of 5) and <, <=
+// and ST_DWITHIN tell apart.
+func fuzzDB(t *testing.T, rng *rand.Rand, minRows, maxRows int) *storage.DB {
 	t.Helper()
 	db := storage.NewDB()
 	for _, name := range []string{"A", "B", "C"} {
@@ -34,16 +38,23 @@ func fuzzDB(t *testing.T, rng *rand.Rand) *storage.DB {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := 5 + rng.Intn(20)
+		n := minRows + rng.Intn(maxRows-minRows+1)
+		grid := rng.Intn(2) == 0
 		for i := 0; i < n; i++ {
+			loc := geom.Pt(rng.Float64()*50, rng.Float64()*50)
+			if grid {
+				loc = geom.Pt(float64(5*rng.Intn(11)), float64(5*rng.Intn(11)))
+			}
 			row := storage.Row{
 				storage.Int(int64(i)),
 				storage.Int(int64(rng.Intn(4))),
 				storage.Float(float64(rng.Intn(100)) / 10),
-				storage.Geom(geom.Pt(rng.Float64()*50, rng.Float64()*50)),
+				storage.Geom(loc),
 			}
-			if rng.Intn(12) == 0 {
-				row[2] = storage.Null // occasional NULL
+			for _, col := range []int{1, 2, 3} {
+				if rng.Intn(12) == 0 {
+					row[col] = storage.Null // occasional NULL key, value, geometry
+				}
 			}
 			if err := tbl.Append(row); err != nil {
 				t.Fatal(err)
@@ -53,10 +64,33 @@ func fuzzDB(t *testing.T, rng *rand.Rand) *storage.DB {
 	return db
 }
 
-// randomQuery builds a random 1–3 table SELECT with mixed predicates.
-func randomQuery(rng *rand.Rand) string {
+// randomSpatial renders a distance conjunct between two aliases in one of
+// the shapes the planner classifies: ST_DISTANCE <, ST_DISTANCE <= or
+// ST_DWITHIN, with no metric argument, the Euclidean one, or miles (the
+// coordinates then read as degrees, a degree being some 69 miles).
+func randomSpatial(rng *rand.Rand, a, b string) string {
+	r := 5 * (1 + rng.Intn(7))
+	metric := ""
+	switch rng.Intn(3) {
+	case 1:
+		metric = ", 'euclidean'"
+	case 2:
+		metric = ", 'miles'"
+		r *= 69
+	}
+	switch rng.Intn(3) {
+	case 0:
+		return fmt.Sprintf("ST_DISTANCE(%s.loc, %s.loc%s) < %d", a, b, metric, r)
+	case 1:
+		return fmt.Sprintf("ST_DISTANCE(%s.loc, %s.loc%s) <= %d", a, b, metric, r)
+	default:
+		return fmt.Sprintf("ST_DWITHIN(%s.loc, %s.loc, %d%s)", a, b, r, metric)
+	}
+}
+
+// randomQuery builds a random SELECT over nt tables with mixed predicates.
+func randomQuery(rng *rand.Rand, nt int) string {
 	tables := []string{"A", "B", "C"}
-	nt := 1 + rng.Intn(3)
 	var from, aliases []string
 	for i := 0; i < nt; i++ {
 		alias := fmt.Sprintf("t%d", i)
@@ -65,36 +99,48 @@ func randomQuery(rng *rand.Rand) string {
 	}
 	var conds []string
 	pick := func() string { return aliases[rng.Intn(len(aliases))] }
-	// 0–4 random conjuncts.
+	// pair draws two distinct aliases, when the query has them.
+	pair := func() (string, string, bool) {
+		a, b := pick(), pick()
+		return a, b, a != b
+	}
+	// 0–4 random conjuncts (the last two cases add two each).
 	for i := 0; i < rng.Intn(5); i++ {
-		switch rng.Intn(6) {
+		switch rng.Intn(10) {
 		case 0:
 			conds = append(conds, fmt.Sprintf("%s.k = %d", pick(), rng.Intn(4)))
 		case 1:
 			conds = append(conds, fmt.Sprintf("%s.v < %d.5", pick(), rng.Intn(10)))
 		case 2:
-			if nt > 1 {
-				a, b := pick(), pick()
-				if a != b {
-					conds = append(conds, fmt.Sprintf("%s.k = %s.k", a, b))
-				}
+			if a, b, ok := pair(); ok {
+				conds = append(conds, fmt.Sprintf("%s.k = %s.k", a, b))
 			}
 		case 3:
-			if nt > 1 {
-				a, b := pick(), pick()
-				if a != b {
-					conds = append(conds, fmt.Sprintf("ST_DWITHIN(%s.loc, %s.loc, %d)", a, b, 5+rng.Intn(30)))
-				}
+			if a, b, ok := pair(); ok {
+				conds = append(conds, fmt.Sprintf("ST_DWITHIN(%s.loc, %s.loc, %d)", a, b, 5+rng.Intn(30)))
 			}
 		case 4:
 			conds = append(conds, fmt.Sprintf("ST_WITHIN(%s.loc, ST_GEOMFROMTEXT('POLYGON((0 0, %d 0, %d %d, 0 %d))'))",
 				pick(), 10+rng.Intn(40), 10+rng.Intn(40), 10+rng.Intn(40), 10+rng.Intn(40)))
 		case 5:
-			if nt > 1 {
-				a, b := pick(), pick()
-				if a != b {
-					conds = append(conds, fmt.Sprintf("ST_DISTANCE(%s.loc, %s.loc) < %d", a, b, 5+rng.Intn(30)))
-				}
+			if a, b, ok := pair(); ok {
+				conds = append(conds, fmt.Sprintf("ST_DISTANCE(%s.loc, %s.loc) < %d", a, b, 5+rng.Intn(30)))
+			}
+		case 6, 7, 8:
+			// An equi and a distance conjunct on the same pair of aliases:
+			// whichever the planner makes the access path, the other is
+			// fused into its probe loop (the GWDB R10 shape).
+			if a, b, ok := pair(); ok {
+				conds = append(conds, fmt.Sprintf("%s.k = %s.k", a, b), randomSpatial(rng, a, b))
+			}
+		case 9:
+			// A distance band: one classified conjunct, one theta co-filter
+			// (the Fig. 10 step-rule shape).
+			if a, b, ok := pair(); ok {
+				lo := 3 + rng.Intn(10)
+				conds = append(conds,
+					fmt.Sprintf("ST_DISTANCE(%s.loc, %s.loc) < %d", a, b, lo+5+rng.Intn(20)),
+					fmt.Sprintf("ST_DISTANCE(%s.loc, %s.loc) >= %d", a, b, lo))
 			}
 		}
 	}
@@ -162,9 +208,13 @@ func naiveEval(t *testing.T, db *storage.DB, sel *SelectStmt) []string {
 	return out
 }
 
-func engineEval(t *testing.T, db *storage.DB, q string) []string {
+// engineRows runs q at the given worker count and renders the rows in the
+// order the engine returned them.
+func engineRows(t *testing.T, db *storage.DB, q string, workers int) []string {
 	t.Helper()
-	res, err := NewEngine(db).Exec(q, nil)
+	e := NewEngine(db)
+	e.SetParallelism(workers, nil)
+	res, err := e.Exec(q, nil)
 	if err != nil {
 		t.Fatalf("engine %q: %v", q, err)
 	}
@@ -176,29 +226,56 @@ func engineEval(t *testing.T, db *storage.DB, q string) []string {
 		}
 		out = append(out, strings.Join(cells, "|"))
 	}
-	sort.Strings(out)
 	return out
+}
+
+// diffRows fails the test at the first row where got and want differ.
+func diffRows(t *testing.T, trial int, q, gotName string, got []string, wantName string, want []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("trial %d: %q\n%s %d rows, %s %d rows", trial, q, gotName, len(got), wantName, len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("trial %d: %q\nrow %d: %s %q vs %s %q", trial, q, i, gotName, got[i], wantName, want[i])
+		}
+	}
 }
 
 func TestPlannerMatchesNaiveEvaluator(t *testing.T) {
 	rng := rand.New(rand.NewSource(12345))
-	for trial := 0; trial < 250; trial++ {
-		db := fuzzDB(t, rng)
-		q := randomQuery(rng)
+	for trial := 0; trial < 400; trial++ {
+		db := fuzzDB(t, rng, 5, 24)
+		q := randomQuery(rng, 1+rng.Intn(3))
 		stmt, err := Parse(q)
 		if err != nil {
 			t.Fatalf("trial %d: Parse(%q): %v", trial, q, err)
 		}
 		want := naiveEval(t, db, stmt.Select)
-		got := engineEval(t, db, q)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %q\nengine %d rows, naive %d rows", trial, q, len(got), len(want))
+		got := engineRows(t, db, q, 1)
+		sort.Strings(got)
+		diffRows(t, trial, q, "engine", got, "naive", want)
+	}
+}
+
+// TestShardedProbeMatchesNaiveEvaluator is the same oracle on tables large
+// enough to cross probeParallelMin, where the small-table family never gets:
+// two-table queries (the naive cross product is quadratic) run at one and
+// three workers must return the naive multiset, in the same row order for
+// both worker counts.
+func TestShardedProbeMatchesNaiveEvaluator(t *testing.T) {
+	rng := rand.New(rand.NewSource(2718))
+	for trial := 0; trial < 16; trial++ {
+		db := fuzzDB(t, rng, 150, 300)
+		q := randomQuery(rng, 2)
+		stmt, err := Parse(q)
+		if err != nil {
+			t.Fatalf("trial %d: Parse(%q): %v", trial, q, err)
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: %q\nrow %d: engine %q vs naive %q", trial, q, i, got[i], want[i])
-			}
-		}
+		seq := engineRows(t, db, q, 1)
+		diffRows(t, trial, q, "workers=3", engineRows(t, db, q, 3), "workers=1", seq)
+		sort.Strings(seq)
+		diffRows(t, trial, q, "engine", seq, "naive", naiveEval(t, db, stmt.Select))
 	}
 }
 
@@ -207,8 +284,8 @@ func TestAggregateMatchesNaiveEvaluator(t *testing.T) {
 	// counts over the naive row multiset.
 	rng := rand.New(rand.NewSource(777))
 	for trial := 0; trial < 50; trial++ {
-		db := fuzzDB(t, rng)
-		base := randomQuery(rng)
+		db := fuzzDB(t, rng, 5, 24)
+		base := randomQuery(rng, 1+rng.Intn(3))
 		stmt, err := Parse(base)
 		if err != nil {
 			t.Fatal(err)

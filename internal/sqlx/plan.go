@@ -15,14 +15,31 @@ import (
 //  1. per-table scans with pushed-down single-table predicates — the
 //     paper's "range query" step (Fig. 5 runs the within-range filter
 //     before the distance join);
-//  2. a greedy join order over the filtered tables, preferring hash
-//     equi-joins, then R-tree–assisted spatial joins, then theta/cross
-//     joins — smaller inputs first, which is exactly the heuristic
-//     re-ordering optimization of Section IV-B;
-//  3. residual filters, projection, DISTINCT, ORDER BY, LIMIT.
+//  2. a greedy join order over the filtered tables, seeded with the smallest
+//     one. Each next (table, conjunct) pair is the one with the smallest
+//     estimated output per probe tuple — rows / distinct keys for an equi
+//     edge, rows × window area / extent area for a distance edge, rows for
+//     theta and cross joins — so the selective operator becomes the access
+//     path whatever its kind: the heuristic re-ordering of Section IV-B,
+//     decided by the data. Kind (hash, then R-tree, then nested loop),
+//     smaller input and alias only break ties, so the order is a pure
+//     function of the data and the query;
+//  3. every other conjunct that becomes evaluable at a step rides along as
+//     a co-filter: the executor tests it on each candidate inside the probe
+//     loop, before a joined tuple exists (EXPLAIN prints it as then-filter);
+//  4. projection, DISTINCT, ORDER BY, LIMIT.
 //
 // Because tables are in memory, the planner materializes filtered row-id
 // lists eagerly and uses their true sizes as cardinalities.
+//
+// Row order is part of the contract (grounding turns rows into factor ids):
+// result tuples are lexicographic in plan-step order, with the joined
+// table's row ids ascending inside each probe tuple, for every join kind.
+// Which conjunct serves as access path therefore never changes the rows of
+// a query over two tables, whose step order smallestNode alone decides;
+// from three tables on, the step order — hence the row order — follows the
+// estimates. Either way it is deterministic and independent of the worker
+// count.
 
 // conjunct classification.
 type conjunctKind uint8
@@ -39,32 +56,79 @@ type conjunct struct {
 	kind    conjunctKind
 	aliases []string // lower-cased, sorted
 	applied bool
+	// fanout[i] estimates how many rows of aliases[i] match one probe tuple
+	// through this conjunct (two-alias conjuncts only).
+	fanout [2]float64
 
-	// equi-join detail
-	leftCol, rightCol ColRef
-	// spatial-join detail
-	leftGeom, rightGeom ColRef
-	radius              float64
-	metric              geom.Metric
+	// left and right are the two columns of an equi conjunct (a.x = b.y) or
+	// the geometry arguments of a spatial one, in the order written.
+	left, right boundCol
+	// spatial-join detail: ST_DWITHIN(l, r, radius) when dwithin is set,
+	// else ST_DISTANCE(l, r) op radius with op one of OpLt, OpLe.
+	radius  float64
+	metric  geom.Metric
+	op      BinOp
+	dwithin bool
+}
+
+// sides returns the conjunct's column on the joined node and the one on the
+// already-bound side of an equi or spatial join.
+func (c *conjunct) sides(joined *scanNode) (probe, build boundCol) {
+	if c.right.slot == joined.slot {
+		return c.left, c.right
+	}
+	return c.right, c.left
+}
+
+// holds evaluates the conjunct on the tuple bound in ev. Classified
+// conjuncts run as typed code on their resolved columns — an equi edge is
+// Value.Equal (NULL never matching), a spatial edge is exactly the
+// comparison evalCall and evalBinary would compute — everything else goes
+// through the interpreter.
+func (c *conjunct) holds(ev *env) (bool, error) {
+	switch c.kind {
+	case conjEqui:
+		l, r := ev.rows[c.left.slot][c.left.col], ev.rows[c.right.slot][c.right.col]
+		return !l.IsNull() && !r.IsNull() && l.Equal(r), nil
+	case conjSpatial:
+		l, r := ev.rows[c.left.slot][c.left.col], ev.rows[c.right.slot][c.right.col]
+		if l.G == nil || r.G == nil {
+			return false, nil // NULL geometry never matches
+		}
+		switch {
+		case c.dwithin:
+			return geom.DWithin(l.G, r.G, c.radius, c.metric), nil
+		case c.op == OpLt:
+			return stDistance(l.G, r.G, c.metric) < c.radius, nil
+		default:
+			// Value.Compare orders an unordered pair (NaN) as equal, so
+			// "<=" is "not greater".
+			return !(stDistance(l.G, r.G, c.metric) > c.radius), nil
+		}
+	default:
+		return ev.evalBool(c.expr)
+	}
 }
 
 type scanNode struct {
 	ref     TableRef
 	alias   string // lower-cased
+	slot    int    // position in FROM: the env binding slot of this table's row
 	tbl     *storage.Table
+	rows    []storage.Row // the table's rows, captured once; index = row id
 	filters []Expr
-	ids     []int // filtered row ids
+	ids     []int // filtered row ids, ascending
 }
 
 type planStep struct {
 	node    *scanNode
-	joinVia *conjunct // nil for the first (scan) step
-	extra   []Expr    // residual predicates applied after this step
+	joinVia *conjunct   // nil for the first (scan) step and for cross joins
+	extra   []*conjunct // co-filters tested on each candidate of this step
 }
 
 type plan struct {
 	steps []planStep
-	sel   *SelectStmt
+	sel   *SelectStmt // every column reference resolved to a boundCol
 }
 
 // Explain renders the plan as human-readable lines, one per pipeline step.
@@ -95,8 +159,8 @@ func (p *plan) Explain() []string {
 			fmt.Fprintf(&b, " filter [%s]", strings.Join(parts, " AND "))
 		}
 		fmt.Fprintf(&b, " (%d rows)", len(s.node.ids))
-		for _, e := range s.extra {
-			b.WriteString(" then-filter " + e.SQL())
+		for _, c := range s.extra {
+			b.WriteString(" then-filter " + c.expr.SQL())
 		}
 		out = append(out, b.String())
 	}
@@ -120,113 +184,65 @@ func buildPlan(db *storage.DB, sel *SelectStmt, params map[string]storage.Value)
 		if byAlias[alias] != nil {
 			return nil, fmt.Errorf("sqlx: duplicate table alias %q", ref.EffectiveAlias())
 		}
-		n := &scanNode{ref: ref, alias: alias, tbl: tbl}
+		// Tables are append-only, so the row slice captured here is a
+		// consistent prefix for the whole query and binding a tuple is a
+		// slice index, not a lock per row.
+		n := &scanNode{ref: ref, alias: alias, slot: i, tbl: tbl, rows: tbl.Rows()}
 		nodes[i] = n
 		byAlias[alias] = n
 	}
-	// Qualify unqualified column references so alias analysis is exact.
-	qualify := func(e Expr) (Expr, error) { return qualifyExpr(e, nodes) }
-	if sel.Where != nil {
-		w, err := qualify(sel.Where)
-		if err != nil {
-			return nil, err
-		}
-		sel = cloneSelectWithWhere(sel, w)
-	}
-	for i, item := range sel.Items {
-		if item.Star {
-			continue
-		}
-		q, err := qualify(item.Expr)
-		if err != nil {
-			return nil, err
-		}
-		sel.Items[i].Expr = q
-	}
-	for i := range sel.OrderBy {
-		// ORDER BY may name a SELECT-item alias; substitute its expression
-		// (already qualified above).
-		if cr, ok := sel.OrderBy[i].Expr.(ColRef); ok && cr.Table == "" {
-			substituted := false
-			for _, item := range sel.Items {
-				if !item.Star && strings.EqualFold(item.Alias, cr.Col) {
-					sel.OrderBy[i].Expr = item.Expr
-					substituted = true
-					break
-				}
-			}
-			if substituted {
-				continue
-			}
-		}
-		q, err := qualify(sel.OrderBy[i].Expr)
-		if err != nil {
-			return nil, err
-		}
-		sel.OrderBy[i].Expr = q
-	}
-	for i := range sel.GroupBy {
-		q, err := qualify(sel.GroupBy[i])
-		if err != nil {
-			return nil, err
-		}
-		sel.GroupBy[i] = q
-	}
-	if sel.Having != nil {
-		q, err := qualify(sel.Having)
-		if err != nil {
-			return nil, err
-		}
-		sel.Having = q
+	sel, err := bindSelect(sel, nodes, params)
+	if err != nil {
+		return nil, err
 	}
 
 	// Classify conjuncts.
 	var conjuncts []*conjunct
 	if sel.Where != nil {
 		for _, e := range splitConjuncts(sel.Where, nil) {
-			conjuncts = append(conjuncts, classify(e, params))
+			conjuncts = append(conjuncts, classify(e, nodes, params))
 		}
 	}
-	// Push single-alias filters into scans.
-	for _, c := range conjuncts {
-		if c.kind == conjFilter {
-			if len(c.aliases) == 1 {
-				n := byAlias[c.aliases[0]]
-				if n == nil {
-					return nil, fmt.Errorf("sqlx: unknown alias %q in predicate %s", c.aliases[0], c.expr.SQL())
-				}
-				n.filters = append(n.filters, c.expr)
-			}
-			// Zero-alias (constant) predicates are handled below.
-			c.applied = true
-		}
-	}
-	// Constant predicates: evaluate once; false → empty plan via filters.
+	// Push single-alias filters into scans; constant predicates are evaluated
+	// once, and a false one empties every scan.
 	constFalse := false
 	for _, c := range conjuncts {
-		if c.kind == conjFilter && len(c.aliases) == 0 {
-			ev := &env{params: params}
-			ok, err := ev.evalBool(c.expr)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				constFalse = true
-			}
-		}
-	}
-
-	// Materialize filtered scans — the "range query first" stage.
-	for _, n := range nodes {
-		if constFalse {
-			n.ids = nil
+		if c.kind != conjFilter {
 			continue
 		}
-		ids, err := filterScan(n, params)
+		c.applied = true
+		if len(c.aliases) == 1 {
+			n := byAlias[c.aliases[0]]
+			n.filters = append(n.filters, c.expr)
+			continue
+		}
+		ev := &env{params: params}
+		ok, err := ev.evalBool(c.expr)
 		if err != nil {
 			return nil, err
 		}
-		n.ids = ids
+		if !ok {
+			constFalse = true
+		}
+	}
+
+	// Materialize filtered scans — the "range query first" stage — then
+	// estimate every join edge on what they kept.
+	if !constFalse {
+		for _, n := range nodes {
+			ids, err := filterScan(n, len(nodes), params)
+			if err != nil {
+				return nil, err
+			}
+			n.ids = ids
+		}
+	}
+	for _, c := range conjuncts {
+		if len(c.aliases) == 2 {
+			for i, a := range c.aliases {
+				c.fanout[i] = byAlias[a].fanout(c)
+			}
+		}
 	}
 
 	// Greedy join order.
@@ -243,96 +259,150 @@ func buildPlan(db *storage.DB, sel *SelectStmt, params map[string]storage.Value)
 	delete(remaining, first.alias)
 	for len(remaining) > 0 {
 		next, via := pickNext(remaining, bound, conjuncts)
-		steps = append(steps, planStep{node: next, joinVia: via})
+		step := planStep{node: next, joinVia: via}
 		if via != nil {
 			via.applied = true
 		}
 		bound[next.alias] = true
 		delete(remaining, next.alias)
-		// Attach any now-evaluable residual predicates to this step.
+		// Every other conjunct evaluable now is a co-filter of this step.
 		for _, c := range conjuncts {
-			if c.applied {
-				continue
-			}
-			if aliasesBound(c.aliases, bound) {
-				steps[len(steps)-1].extra = append(steps[len(steps)-1].extra, c.expr)
+			if !c.applied && aliasesBound(c.aliases, bound) {
+				step.extra = append(step.extra, c)
 				c.applied = true
 			}
 		}
-	}
-	// Anything left (e.g. single-table query with a theta conjunct that
-	// references that table twice — impossible — or zero-alias handled
-	// above) is attached to the last step.
-	for _, c := range conjuncts {
-		if !c.applied && c.kind != conjFilter {
-			steps[len(steps)-1].extra = append(steps[len(steps)-1].extra, c.expr)
-			c.applied = true
-		}
+		steps = append(steps, step)
 	}
 	return &plan{steps: steps, sel: sel}, nil
 }
 
-func cloneSelectWithWhere(sel *SelectStmt, w Expr) *SelectStmt {
+// bindSelect returns a copy of sel (a parsed statement can be planned again)
+// with every expression bound by bindExpr.
+func bindSelect(sel *SelectStmt, nodes []*scanNode, params map[string]storage.Value) (*SelectStmt, error) {
 	out := *sel
-	out.Where = w
 	out.Items = append([]SelectItem(nil), sel.Items...)
 	out.OrderBy = append([]OrderItem(nil), sel.OrderBy...)
 	out.GroupBy = append([]Expr(nil), sel.GroupBy...)
-	out.Having = sel.Having
-	return &out
-}
-
-// qualifyExpr rewrites unqualified ColRefs to qualified ones; errors on
-// ambiguity.
-func qualifyExpr(e Expr, nodes []*scanNode) (Expr, error) {
-	switch v := e.(type) {
-	case ColRef:
-		if v.Table != "" {
-			return v, nil
+	bind := func(e *Expr) error {
+		if *e == nil {
+			return nil
 		}
-		var found *scanNode
-		for _, n := range nodes {
-			if n.tbl.Schema().ColIndex(v.Col) >= 0 {
-				if found != nil {
-					return nil, fmt.Errorf("sqlx: ambiguous column %q", v.Col)
-				}
-				found = n
+		b, err := bindExpr(*e, nodes, params)
+		if err != nil {
+			return err
+		}
+		*e = b
+		return nil
+	}
+	if err := bind(&out.Where); err != nil {
+		return nil, err
+	}
+	for i := range out.Items {
+		if err := bind(&out.Items[i].Expr); err != nil {
+			return nil, err
+		}
+	}
+	for i := range out.OrderBy {
+		// ORDER BY may name a SELECT-item alias; substitute its expression
+		// (already bound above).
+		if cr, ok := out.OrderBy[i].Expr.(ColRef); ok && cr.Table == "" {
+			if item := itemByAlias(out.Items, cr.Col); item != nil {
+				out.OrderBy[i].Expr = item.Expr
+				continue
 			}
 		}
-		if found == nil {
+		if err := bind(&out.OrderBy[i].Expr); err != nil {
+			return nil, err
+		}
+	}
+	for i := range out.GroupBy {
+		if err := bind(&out.GroupBy[i]); err != nil {
+			return nil, err
+		}
+	}
+	if err := bind(&out.Having); err != nil {
+		return nil, err
+	}
+	return &out, nil
+}
+
+func itemByAlias(items []SelectItem, name string) *SelectItem {
+	for i := range items {
+		if !items[i].Star && strings.EqualFold(items[i].Alias, name) {
+			return &items[i]
+		}
+	}
+	return nil
+}
+
+// bindExpr resolves every ColRef of e to its (binding slot, column index)
+// once, so evaluation never looks a name up per tuple: a qualified reference
+// must name a FROM alias and one of its columns, an unqualified one exactly
+// one column across the FROM tables. It also parses the constant metric
+// argument of ST_DISTANCE / ST_DWITHIN once per plan.
+func bindExpr(e Expr, nodes []*scanNode, params map[string]storage.Value) (Expr, error) {
+	switch v := e.(type) {
+	case ColRef:
+		var found *scanNode
+		col := -1
+		for _, n := range nodes {
+			if v.Table != "" && strings.ToLower(v.Table) != n.alias {
+				continue
+			}
+			ci := n.tbl.Schema().ColIndex(v.Col)
+			switch {
+			case ci >= 0 && found != nil:
+				return nil, fmt.Errorf("sqlx: ambiguous column %q", v.Col)
+			case ci >= 0:
+				found, col = n, ci
+			case v.Table != "":
+				return nil, fmt.Errorf("sqlx: %s has no column %q", v.Table, v.Col)
+			}
+		}
+		switch {
+		case found != nil:
+			return boundCol{ColRef: ColRef{Table: found.alias, Col: v.Col}, slot: found.slot, col: col}, nil
+		case v.Table != "":
+			return nil, fmt.Errorf("sqlx: unknown table alias %q", v.Table)
+		default:
 			return nil, fmt.Errorf("sqlx: unknown column %q", v.Col)
 		}
-		return ColRef{Table: found.alias, Col: v.Col}, nil
 	case Binary:
-		l, err := qualifyExpr(v.L, nodes)
+		l, err := bindExpr(v.L, nodes, params)
 		if err != nil {
 			return nil, err
 		}
-		r, err := qualifyExpr(v.R, nodes)
+		r, err := bindExpr(v.R, nodes, params)
 		if err != nil {
 			return nil, err
 		}
 		return Binary{Op: v.Op, L: l, R: r}, nil
 	case Not:
-		inner, err := qualifyExpr(v.E, nodes)
+		inner, err := bindExpr(v.E, nodes, params)
 		if err != nil {
 			return nil, err
 		}
 		return Not{E: inner}, nil
 	case Neg:
-		inner, err := qualifyExpr(v.E, nodes)
+		inner, err := bindExpr(v.E, nodes, params)
 		if err != nil {
 			return nil, err
 		}
 		return Neg{E: inner}, nil
 	case Call:
-		out := Call{Name: v.Name, Args: make([]Expr, len(v.Args))}
+		out := Call{Name: v.Name, Star: v.Star, Args: make([]Expr, len(v.Args))}
 		for i, a := range v.Args {
-			q, err := qualifyExpr(a, nodes)
+			b, err := bindExpr(a, nodes, params)
 			if err != nil {
 				return nil, err
 			}
-			out.Args[i] = q
+			out.Args[i] = b
+		}
+		if i := metricArgIndex[v.Name]; i > 0 && i < len(out.Args) {
+			if m, ok := constMetric(out.Args[i], params); ok {
+				out.Args[i] = m
+			}
 		}
 		return out, nil
 	default:
@@ -340,8 +410,8 @@ func qualifyExpr(e Expr, nodes []*scanNode) (Expr, error) {
 	}
 }
 
-// classify analyses one conjunct.
-func classify(e Expr, params map[string]storage.Value) *conjunct {
+// classify analyses one bound conjunct.
+func classify(e Expr, nodes []*scanNode, params map[string]storage.Value) *conjunct {
 	aliases := aliasesOf(e)
 	sort.Strings(aliases)
 	c := &conjunct{expr: e, aliases: aliases}
@@ -349,60 +419,62 @@ func classify(e Expr, params map[string]storage.Value) *conjunct {
 		c.kind = conjFilter
 		return c
 	}
+	c.kind = conjTheta
 	if len(aliases) != 2 {
-		c.kind = conjTheta
 		return c
 	}
 	// a.x = b.y ?
 	if b, ok := e.(Binary); ok && b.Op == OpEq {
-		lc, lok := b.L.(ColRef)
-		rc, rok := b.R.(ColRef)
-		if lok && rok && !strings.EqualFold(lc.Table, rc.Table) {
+		lc, lok := b.L.(boundCol)
+		rc, rok := b.R.(boundCol)
+		if lok && rok && lc.slot != rc.slot {
 			c.kind = conjEqui
-			c.leftCol, c.rightCol = lc, rc
+			c.left, c.right = lc, rc
 			return c
 		}
 	}
 	// ST_DWITHIN(a.g, b.g, d [, metric]) ?
-	if call, ok := e.(Call); ok && call.Name == "ST_DWITHIN" && len(call.Args) >= 3 {
-		if sc := spatialPair(call.Args[0], call.Args[1]); sc != nil {
+	if call, ok := e.(Call); ok && call.Name == "ST_DWITHIN" && (len(call.Args) == 3 || len(call.Args) == 4) {
+		if l, r, ok := spatialPair(call.Args[0], call.Args[1], nodes); ok {
 			if d, m, ok := constRadius(call.Args[2], call.Args[3:], params); ok {
 				c.kind = conjSpatial
-				c.leftGeom, c.rightGeom = sc[0], sc[1]
-				c.radius, c.metric = d, m
+				c.left, c.right = l, r
+				c.radius, c.metric, c.dwithin = d, m, true
 				return c
 			}
 		}
 	}
 	// ST_DISTANCE(a.g, b.g [, metric]) < d (or <=) ?
 	if b, ok := e.(Binary); ok && (b.Op == OpLt || b.Op == OpLe) {
-		if call, ok := b.L.(Call); ok && call.Name == "ST_DISTANCE" && len(call.Args) >= 2 {
-			if sc := spatialPair(call.Args[0], call.Args[1]); sc != nil {
+		if call, ok := b.L.(Call); ok && call.Name == "ST_DISTANCE" && (len(call.Args) == 2 || len(call.Args) == 3) {
+			if l, r, ok := spatialPair(call.Args[0], call.Args[1], nodes); ok {
 				if d, m, ok := constRadius(b.R, call.Args[2:], params); ok {
 					c.kind = conjSpatial
-					c.leftGeom, c.rightGeom = sc[0], sc[1]
-					c.radius, c.metric = d, m
+					c.left, c.right = l, r
+					c.radius, c.metric, c.op = d, m, b.Op
 					return c
 				}
 			}
 		}
 	}
-	c.kind = conjTheta
 	return c
 }
 
-// spatialPair extracts two geometry column refs on distinct aliases.
-func spatialPair(a, b Expr) []ColRef {
-	ca, aok := a.(ColRef)
-	cb, bok := b.(ColRef)
-	if aok && bok && !strings.EqualFold(ca.Table, cb.Table) {
-		return []ColRef{ca, cb}
+// spatialPair extracts two geometry columns of distinct tables. A column of
+// any other kind leaves the conjunct to the interpreter, whose builtins
+// report the type error.
+func spatialPair(a, b Expr, nodes []*scanNode) (l, r boundCol, ok bool) {
+	l, lok := a.(boundCol)
+	r, rok := b.(boundCol)
+	isGeom := func(c boundCol) bool {
+		return nodes[c.slot].tbl.Schema().Cols[c.col].Kind == storage.KindGeom
 	}
-	return nil
+	return l, r, lok && rok && l.slot != r.slot && isGeom(l) && isGeom(r)
 }
 
 // constRadius evaluates the radius expression (which must reference no
-// columns) and the optional metric argument.
+// columns) and the optional metric argument, which bindExpr has already
+// parsed when it is constant.
 func constRadius(radiusExpr Expr, metricArgs []Expr, params map[string]storage.Value) (float64, geom.Metric, bool) {
 	if as := aliasesOf(radiusExpr); len(as) != 0 {
 		return 0, 0, false
@@ -416,37 +488,43 @@ func constRadius(radiusExpr Expr, metricArgs []Expr, params map[string]storage.V
 	if err != nil {
 		return 0, 0, false
 	}
-	m := geom.Euclidean
-	if len(metricArgs) > 0 {
-		mv, err := ev.eval(metricArgs[0])
-		if err != nil || mv.Kind != storage.KindString {
-			return 0, 0, false
-		}
-		m, err = ParseMetric(mv.S)
-		if err != nil {
-			return 0, 0, false
-		}
+	if len(metricArgs) == 0 {
+		return d, geom.Euclidean, true
 	}
-	return d, m, true
+	m, ok := metricArgs[0].(metricLit)
+	return d, m.m, ok
+}
+
+// metricArgIndex is where ST_DISTANCE and ST_DWITHIN take their optional
+// metric name.
+var metricArgIndex = map[string]int{"ST_DISTANCE": 2, "ST_DWITHIN": 3}
+
+// constMetric parses a metric-name argument that references no columns.
+func constMetric(arg Expr, params map[string]storage.Value) (metricLit, bool) {
+	if len(aliasesOf(arg)) != 0 {
+		return metricLit{}, false
+	}
+	ev := &env{params: params}
+	v, err := ev.eval(arg)
+	if err != nil || v.Kind != storage.KindString {
+		return metricLit{}, false
+	}
+	m, err := ParseMetric(v.S)
+	return metricLit{src: arg, val: v, m: m}, err == nil
 }
 
 // filterScan materializes the row ids of a node passing its filters.
 // Single spatial window predicates (ST_WITHIN / ST_DWITHIN against a
 // constant geometry) use the table's R-tree when present.
-func filterScan(n *scanNode, params map[string]storage.Value) ([]int, error) {
+func filterScan(n *scanNode, slots int, params map[string]storage.Value) ([]int, error) {
 	candidates, prefiltered, err := spatialCandidates(n, params)
 	if err != nil {
 		return nil, err
 	}
-	ev := &env{
-		aliases: []string{n.alias},
-		schemas: []storage.Schema{n.tbl.Schema()},
-		rows:    make([]storage.Row, 1),
-		params:  params,
-	}
+	ev := &env{rows: make([]storage.Row, slots), params: params}
 	var ids []int
 	check := func(id int) error {
-		ev.rows[0] = n.tbl.Row(id)
+		ev.rows[n.slot] = n.rows[id]
 		for _, f := range n.filters {
 			ok, err := ev.evalBool(f)
 			if err != nil {
@@ -461,21 +539,21 @@ func filterScan(n *scanNode, params map[string]storage.Value) ([]int, error) {
 	}
 	if prefiltered {
 		for _, id := range candidates {
+			if id >= len(n.rows) {
+				break // appended after the plan captured the table
+			}
 			if err := check(id); err != nil {
 				return nil, err
 			}
 		}
 		return ids, nil
 	}
-	var scanErr error
-	n.tbl.Scan(func(id int, _ storage.Row) bool {
+	for id := range n.rows {
 		if err := check(id); err != nil {
-			scanErr = err
-			return false
+			return nil, err
 		}
-		return true
-	})
-	return ids, scanErr
+	}
+	return ids, nil
 }
 
 // spatialCandidates looks for a window-shaped filter (ST_WITHIN(col, const)
@@ -487,7 +565,7 @@ func spatialCandidates(n *scanNode, params map[string]storage.Value) ([]int, boo
 		if !ok {
 			continue
 		}
-		var colArg ColRef
+		var colArg boundCol
 		var window geom.Rect
 		ev := &env{params: params}
 		switch call.Name {
@@ -495,7 +573,7 @@ func spatialCandidates(n *scanNode, params map[string]storage.Value) ([]int, boo
 			if len(call.Args) != 2 {
 				continue
 			}
-			c, cok := call.Args[0].(ColRef)
+			c, cok := call.Args[0].(boundCol)
 			if !cok || len(aliasesOf(call.Args[1])) != 0 {
 				continue
 			}
@@ -512,7 +590,7 @@ func spatialCandidates(n *scanNode, params map[string]storage.Value) ([]int, boo
 			if len(call.Args) < 3 {
 				continue
 			}
-			c, cok := call.Args[0].(ColRef)
+			c, cok := call.Args[0].(boundCol)
 			if !cok || len(aliasesOf(call.Args[1])) != 0 {
 				continue
 			}
@@ -555,6 +633,51 @@ func expandWindow(r geom.Rect, d float64, m geom.Metric) geom.Rect {
 	return geom.ExpandWindow(r, d, m)
 }
 
+// fanout estimates how many of the node's filtered rows match one probe
+// tuple through c, from one pass over those rows: rows per distinct key for
+// an equi edge; for a distance edge, the share of the geometry column's
+// extent that one search window covers; every row for a theta edge.
+func (n *scanNode) fanout(c *conjunct) float64 {
+	rows := float64(len(n.ids))
+	switch c.kind {
+	case conjEqui:
+		_, build := c.sides(n)
+		distinct := map[hashKey]struct{}{}
+		for _, id := range n.ids {
+			if k, ok := hashKeyOf(n.rows[id][build.col]); ok {
+				distinct[k] = struct{}{}
+			}
+		}
+		if len(distinct) == 0 {
+			return 0
+		}
+		return rows / float64(len(distinct))
+	case conjSpatial:
+		_, build := c.sides(n)
+		var extent geom.Rect
+		any := false
+		for _, id := range n.ids {
+			if g := n.rows[id][build.col].G; g != nil {
+				if b := g.Bounds(); any {
+					extent = extent.Union(b)
+				} else {
+					extent, any = b, true
+				}
+			}
+		}
+		if !any || !(c.radius >= 0) {
+			return 0
+		}
+		window := expandWindow(extent.Center().Bounds(), c.radius, c.metric)
+		if area := extent.Area(); window.Area() < area {
+			return rows * window.Area() / area
+		}
+		return rows
+	default:
+		return rows
+	}
+}
+
 func smallestNode(m map[string]*scanNode) *scanNode {
 	var best *scanNode
 	for _, n := range m {
@@ -566,22 +689,49 @@ func smallestNode(m map[string]*scanNode) *scanNode {
 	return best
 }
 
-// pickNext chooses the next table to join: equi-join edges first, then
-// spatial, then theta, then cross; ties break on smaller filtered input
-// and then alias for determinism.
+// joinRank orders join kinds for tie-breaking: hash, R-tree, nested loop,
+// cross.
+func joinRank(c *conjunct) int {
+	switch {
+	case c == nil:
+		return 3
+	case c.kind == conjEqui:
+		return 0
+	case c.kind == conjSpatial:
+		return 1
+	default:
+		return 2
+	}
+}
+
+// pickNext chooses the next table to join and the conjunct to join it
+// through: the pair with the smallest estimated output per probe tuple (a
+// table no conjunct connects to the bound set is a cross join and costs all
+// its rows). Ties break on join kind, then smaller filtered input, then
+// alias, then WHERE order, so the choice is deterministic.
 func pickNext(remaining map[string]*scanNode, bound map[string]bool, conjuncts []*conjunct) (*scanNode, *conjunct) {
 	type option struct {
-		n    *scanNode
-		c    *conjunct
-		rank int
+		n   *scanNode
+		c   *conjunct
+		est float64
 	}
 	var best *option
 	consider := func(o option) {
-		if best == nil || o.rank < best.rank ||
-			(o.rank == best.rank && len(o.n.ids) < len(best.n.ids)) ||
-			(o.rank == best.rank && len(o.n.ids) == len(best.n.ids) && o.n.alias < best.n.alias) {
-			b := o
-			best = &b
+		better := best == nil
+		if !better {
+			switch or, br := joinRank(o.c), joinRank(best.c); {
+			case o.est != best.est:
+				better = o.est < best.est
+			case or != br:
+				better = or < br
+			case len(o.n.ids) != len(best.n.ids):
+				better = len(o.n.ids) < len(best.n.ids)
+			default:
+				better = o.n.alias < best.n.alias
+			}
+		}
+		if better {
+			best = &o
 		}
 	}
 	for _, n := range remaining {
@@ -590,30 +740,20 @@ func pickNext(remaining map[string]*scanNode, bound map[string]bool, conjuncts [
 			if c.applied || len(c.aliases) != 2 {
 				continue
 			}
-			other := ""
-			switch {
-			case c.aliases[0] == n.alias:
-				other = c.aliases[1]
-			case c.aliases[1] == n.alias:
-				other = c.aliases[0]
-			default:
+			side := 0
+			if c.aliases[1] == n.alias {
+				side = 1
+			} else if c.aliases[0] != n.alias {
 				continue
 			}
-			if !bound[other] {
+			if !bound[c.aliases[1-side]] {
 				continue
 			}
 			joined = true
-			switch c.kind {
-			case conjEqui:
-				consider(option{n: n, c: c, rank: 0})
-			case conjSpatial:
-				consider(option{n: n, c: c, rank: 1})
-			default:
-				consider(option{n: n, c: c, rank: 2})
-			}
+			consider(option{n: n, c: c, est: c.fanout[side]})
 		}
 		if !joined {
-			consider(option{n: n, rank: 3})
+			consider(option{n: n, est: float64(len(n.ids))})
 		}
 	}
 	return best.n, best.c
@@ -621,7 +761,7 @@ func pickNext(remaining map[string]*scanNode, bound map[string]bool, conjuncts [
 
 func aliasesBound(aliases []string, bound map[string]bool) bool {
 	for _, a := range aliases {
-		if a != "" && !bound[a] {
+		if !bound[a] {
 			return false
 		}
 	}
@@ -630,18 +770,12 @@ func aliasesBound(aliases []string, bound map[string]bool) bool {
 
 // spatialJoinIndex builds an R-tree over the filtered rows of a node's
 // geometry column for the probe side of a spatial join.
-func spatialJoinIndex(n *scanNode, col string) (*rtree.Tree, error) {
-	ci := n.tbl.Schema().ColIndex(col)
-	if ci < 0 {
-		return nil, fmt.Errorf("sqlx: %s has no column %q", n.ref.Table, col)
-	}
+func spatialJoinIndex(n *scanNode, col int) *rtree.Tree {
 	items := make([]rtree.Item, 0, len(n.ids))
 	for _, id := range n.ids {
-		g, err := n.tbl.Row(id)[ci].AsGeom()
-		if err != nil {
-			continue // NULL geometry never matches
+		if g := n.rows[id][col].G; g != nil { // NULL geometry never matches
+			items = append(items, rtree.Item{Rect: g.Bounds(), Data: int64(id)})
 		}
-		items = append(items, rtree.Item{Rect: g.Bounds(), Data: int64(id)})
 	}
-	return rtree.Bulk(items), nil
+	return rtree.Bulk(items)
 }

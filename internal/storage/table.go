@@ -93,12 +93,13 @@ func (t *Table) Len() int {
 	return len(t.rows)
 }
 
-// snapshot returns the current rows slice header under the read lock.
-// Rows are append-only and immutable once appended, so the returned
-// prefix stays consistent while concurrent Appends grow the table — this
-// is what lets readers (scans, lookups, the serving layer) run against a
-// table that an upsert is extending.
-func (t *Table) snapshot() []Row {
+// Rows returns the current rows slice header under the read lock; the index
+// is the row id. Rows are append-only and immutable once appended, so the
+// returned prefix stays consistent while concurrent Appends grow the table —
+// this is what lets readers (scans, lookups, query plans, the serving layer)
+// run against a table that an upsert is extending, paying for the lock once
+// rather than per row. Callers must not modify the slice.
+func (t *Table) Rows() []Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.rows
@@ -168,7 +169,7 @@ func (t *Table) Row(i int) Row {
 // The scan sees a consistent prefix: rows appended concurrently may or may
 // not be visited, but fn never observes a torn row.
 func (t *Table) Scan(fn func(id int, r Row) bool) {
-	for i, r := range t.snapshot() {
+	for i, r := range t.Rows() {
 		if !fn(i, r) {
 			return
 		}

@@ -133,10 +133,6 @@ func (v Value) String() string {
 	switch v.Kind {
 	case KindNull:
 		return "NULL"
-	case KindInt:
-		return strconv.FormatInt(v.I, 10)
-	case KindFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
 	case KindBool:
 		if v.I != 0 {
 			return "true"
@@ -144,10 +140,26 @@ func (v Value) String() string {
 		return "false"
 	case KindString:
 		return v.S
-	case KindGeom:
-		return geom.MarshalWKT(v.G)
+	case KindInt, KindFloat, KindGeom:
+		return string(v.AppendString(nil))
 	default:
 		return "?"
+	}
+}
+
+// AppendString appends exactly the bytes of String to dst without building
+// the intermediate string — for callers that render many values into one
+// reused buffer (ground-atom keys).
+func (v Value) AppendString(dst []byte) []byte {
+	switch v.Kind {
+	case KindInt:
+		return strconv.AppendInt(dst, v.I, 10)
+	case KindFloat:
+		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
+	case KindGeom:
+		return geom.AppendWKT(dst, v.G)
+	default:
+		return append(dst, v.String()...) // constants and text: no allocation
 	}
 }
 
