@@ -162,7 +162,8 @@ func (s *System) QueryLocal(ctx context.Context, key string, budget LocalBudget)
 	sampleStart := time.Now()
 	// A private hogwild sampler over the slab — the same engine at a
 	// different size: kernels compile lazily for just this subgraph inside
-	// the sampler's scorer, and its pool is subgraph-sized.
+	// the sampler's scorer (folding the frozen boundary into biases), and its
+	// pool is subgraph-sized.
 	smp := gibbs.NewHogwild(lg.Graph, s.cfg.Seed, s.cfg.Workers)
 	defer smp.Close()
 	smp.SetBurnIn(epochs / 10)
@@ -171,7 +172,8 @@ func (s *System) QueryLocal(ctx context.Context, key string, budget LocalBudget)
 	}
 	marg := smp.Marginals()
 	res.SampleTime = time.Since(sampleStart)
-	sampleSpan.Notef("epochs=%d", epochs)
+	ks := lg.Graph.Kernels().Stats()
+	sampleSpan.Notef("epochs=%d ops=%d folded=%d", epochs, ks.Ops-ks.FoldedOps, ks.FoldedOps)
 
 	res.Marginal = marg[lg.Root]
 	res.Score = scoreOf(res.Marginal)

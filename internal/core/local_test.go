@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/factorgraph"
 	"repro/internal/geom"
 	"repro/internal/gibbs/testutil"
+	"repro/internal/obs"
 )
 
 // localTol mirrors the serving-equivalence tolerance: two Monte-Carlo
@@ -194,9 +196,28 @@ func TestQueryLocalInterior(t *testing.T) {
 	}
 	sort.Strings(keys)
 	key := keys[0]
-	lr, err := s.QueryLocal(context.Background(), key, LocalBudget{MaxVars: 64, Epochs: 4000})
+	tracer := obs.NewTracer(obs.TracerOptions{RingSize: 1})
+	root := tracer.StartRequest("local", "")
+	lr, err := s.QueryLocal(obs.ContextWithSpan(context.Background(), root), key, LocalBudget{MaxVars: 64, Epochs: 4000})
 	if err != nil {
 		t.Fatal(err)
+	}
+	root.Finish("ok")
+	// The sampling stage says how much of the neighbourhood was live: the
+	// dynamic ops the per-query kernels kept, and the ops folded into biases
+	// because every other endpoint was frozen boundary.
+	var note string
+	for _, sp := range tracer.Recent(1)[0].Spans {
+		if sp.Name == "local_sample" {
+			note = sp.Note
+		}
+	}
+	var epochs, ops, folded int
+	if n, err := fmt.Sscanf(note, "epochs=%d ops=%d folded=%d", &epochs, &ops, &folded); n != 3 || err != nil {
+		t.Fatalf("local_sample note %q: %v", note, err)
+	}
+	if epochs != 4000 || folded == 0 || ops+folded < lr.Factors+lr.SpatialPairs {
+		t.Errorf("local_sample note %q for %d factors and %d pairs", note, lr.Factors, lr.SpatialPairs)
 	}
 	if got, ok := lr.Interior[key]; !ok || testutil.TV(got, lr.Marginal) != 0 {
 		t.Fatalf("Interior[%q] must echo the root marginal", key)

@@ -188,16 +188,21 @@ func (b *Builder) SetAllowedPairs(relation int32, h int32, mask []bool) error {
 
 // Finalize builds the immutable graph with adjacency indexes.
 func (b *Builder) Finalize() (*Graph, error) {
+	nf := len(b.factorWeight)
+	weights := make([]float64, nf+len(b.spatialW))
+	copy(weights, b.factorWeight)
+	copy(weights[nf:], b.spatialW)
 	g := &Graph{
 		vars:         b.vars,
+		weights:      weights,
 		factorKind:   b.factorKind,
-		factorWeight: b.factorWeight,
+		factorWeight: weights[:nf:nf],
 		factorOff:    b.factorOff,
 		factorVars:   b.factorVars,
 		factorNeg:    b.factorNeg,
 		spatialA:     b.spatialA,
 		spatialB:     b.spatialB,
-		spatialW:     b.spatialW,
+		spatialW:     weights[nf:],
 		allowedPairs: b.allowedPairs,
 		domainOf:     b.domainOf,
 	}

@@ -100,6 +100,18 @@ type Variable struct {
 type Graph struct {
 	vars []Variable
 
+	// weights is the one live weight table: the logical factor weights, then
+	// the spatial pair weights. factorWeight and spatialW are views of it, so
+	// a compiled op addresses either kind through one index.
+	weights []float64
+	// weightGen counts weight updates; compiled kernels compare it with the
+	// generation their folded biases were computed under.
+	weightGen atomic.Uint64
+
+	// live marks evidence variables whose assignment value is rewritten
+	// while sampling (see MarkLive); nil when there are none.
+	live []bool
+
 	// Logical factors in CSR form.
 	factorKind   []FactorKind
 	factorWeight []float64
@@ -200,12 +212,48 @@ func (g *Graph) FactorWeightOf(f int32) float64 { return g.factorWeight[f] }
 
 // SetFactorWeight updates a logical factor's weight. Weight learning
 // (internal/learn) adjusts weights between sampling sweeps; callers must
-// not race this with concurrent samplers.
-func (g *Graph) SetFactorWeight(f int32, w float64) { g.factorWeight[f] = w }
+// not race this with concurrent samplers. Compiled ops read the new weight
+// directly; the biases the kernels folded under the old one are recomputed
+// before the next binary score.
+func (g *Graph) SetFactorWeight(f int32, w float64) {
+	g.factorWeight[f] = w
+	g.weightGen.Add(1)
+}
 
 // SetSpatialWeight updates a spatial pair's weight (used when learning the
 // spatial scale). Same concurrency caveat as SetFactorWeight.
-func (g *Graph) SetSpatialWeight(s int32, w float64) { g.spatialW[s] = w }
+func (g *Graph) SetSpatialWeight(s int32, w float64) {
+	g.spatialW[s] = w
+	g.weightGen.Add(1)
+}
+
+// MarkLive declares evidence variables whose assignment value is rewritten
+// while sampling — a shard's halo copies of remote variables, refreshed at
+// every epoch barrier. The kernel compiler folds only frozen endpoints, so
+// this is part of building the graph: call it before anything compiles or
+// samples the graph. A call after the kernels were compiled panics, because
+// the programs already treat the variables as constants.
+func (g *Graph) MarkLive(ids []VarID) {
+	if g.kern != nil {
+		panic("factorgraph: MarkLive after the graph's kernels were compiled")
+	}
+	if g.live == nil {
+		g.live = make([]bool, len(g.vars))
+	}
+	for _, v := range ids {
+		g.live[v] = true
+	}
+}
+
+// Live reports whether v was marked live (see MarkLive).
+func (g *Graph) Live(v VarID) bool { return g.live != nil && g.live[v] }
+
+// Frozen reports whether v's value can never change while sampling: it is
+// evidence in the graph, and not live. Scores treat a frozen variable as the
+// constant Variable.Evidence, whatever an assignment holds for it.
+func (g *Graph) Frozen(v VarID) bool {
+	return g.vars[v].Evidence != NoEvidence && !g.Live(v)
+}
 
 // FactorSatisfied reports whether factor f is satisfied (n_f = 1) under
 // the assignment.

@@ -6,28 +6,176 @@ import (
 	"testing"
 
 	"repro/internal/factorgraph"
+	"repro/internal/geom"
 	"repro/internal/gibbs/testutil"
 )
 
-// equivSpecs is the golden-equivalence corpus: the four canonical harness
-// shapes plus denser/odder variants — larger categorical domains, heavy and
-// zero evidence, many factors (duplicate kinds, negations, self-referential
-// IsTrue), pruning masks — so every opcode and the generic fallback are hit.
-func equivSpecs() []testutil.Spec {
-	return []testutil.Spec{
-		{Domain: 2, Seed: 101},
-		{Domain: 2, Spatial: true, Seed: 102},
-		{Domain: 3, Seed: 103},
-		{Domain: 3, Spatial: true, PruneMask: true, Seed: 104},
-		{Domain: 4, Vars: 7, Spatial: true, PruneMask: true, LogicalFactors: 25, SpatialPairs: 20, Seed: 105},
-		{Domain: 2, Vars: 12, LogicalFactors: 40, EvidencePer1000: 500, Seed: 106},
-		{Domain: 5, Vars: 6, Spatial: true, LogicalFactors: 18, SpatialPairs: 12, EvidencePer1000: 1, Seed: 107},
-		{Domain: 2, Vars: 10, Spatial: true, LogicalFactors: 30, SpatialPairs: 25, EvidencePer1000: 350, Seed: 108},
+// equivCase is one graph of the equivalence corpus, run as subtest
+// spec<index>_d<domain>. prepare, when set, runs before the kernels compile
+// (live marks must precede compilation) and may change weights.
+type equivCase struct {
+	what    string // logged; subtest names stay positional
+	spec    testutil.Spec
+	build   func(t *testing.T) *factorgraph.Graph // overrides spec
+	prepare func(t *testing.T, g *factorgraph.Graph)
+}
+
+// equivCases is the golden-equivalence corpus: the four canonical harness
+// shapes plus denser/odder variants — larger categorical domains, heavy,
+// total and zero evidence, many factors (duplicate kinds, negations,
+// self-referential IsTrue), pruning masks on categorical and on binary
+// relations, live-marked evidence, arity-3 factors with frozen slots,
+// infinite weights — so the fold, the pair op, the fallback record and every
+// general-slab opcode are hit.
+func equivCases() []equivCase {
+	return []equivCase{
+		{what: "binary", spec: testutil.Spec{Domain: 2, Seed: 101}},
+		{what: "binary_spatial", spec: testutil.Spec{Domain: 2, Spatial: true, Seed: 102}},
+		{what: "categorical", spec: testutil.Spec{Domain: 3, Seed: 103}},
+		{what: "categorical_masked", spec: testutil.Spec{Domain: 3, Spatial: true, PruneMask: true, Seed: 104}},
+		{what: "d4_dense_masked", spec: testutil.Spec{Domain: 4, Vars: 7, Spatial: true, PruneMask: true, LogicalFactors: 25, SpatialPairs: 20, Seed: 105}},
+		{what: "half_evidence", spec: testutil.Spec{Domain: 2, Vars: 12, LogicalFactors: 40, EvidencePer1000: 500, Seed: 106}},
+		{what: "d5_sparse_evidence", spec: testutil.Spec{Domain: 5, Vars: 6, Spatial: true, LogicalFactors: 18, SpatialPairs: 12, EvidencePer1000: 1, Seed: 107}},
+		{what: "binary_spatial_dense", spec: testutil.Spec{Domain: 2, Vars: 10, Spatial: true, LogicalFactors: 30, SpatialPairs: 25, EvidencePer1000: 350, Seed: 108}},
+		{what: "no_evidence", spec: testutil.Spec{Domain: 2, Vars: 10, Spatial: true, LogicalFactors: 30, SpatialPairs: 20, EvidencePer1000: -1, Seed: 109}},
+		// Everything but the last variable is evidence: its program is empty
+		// and its score is the bias alone.
+		{what: "all_neighbours_evidence", spec: testutil.Spec{Domain: 2, Vars: 9, Spatial: true, LogicalFactors: 30, SpatialPairs: 20, EvidencePer1000: 1000, Seed: 110}},
+		{what: "binary_masked", spec: testutil.Spec{Domain: 2, Vars: 10, Spatial: true, PruneMask: true, LogicalFactors: 20, SpatialPairs: 25, EvidencePer1000: 300, Seed: 111}},
+		{
+			what: "live_evidence",
+			spec: testutil.Spec{Domain: 2, Vars: 12, Spatial: true, LogicalFactors: 40, SpatialPairs: 25, EvidencePer1000: 500, Seed: 112},
+			prepare: func(t *testing.T, g *factorgraph.Graph) {
+				// Every other evidence variable is a halo copy.
+				var live []factorgraph.VarID
+				n := 0
+				g.Vars(func(id factorgraph.VarID, v factorgraph.Variable) bool {
+					if v.Evidence != factorgraph.NoEvidence {
+						if n%2 == 0 {
+							live = append(live, id)
+						}
+						n++
+					}
+					return true
+				})
+				if len(live) == 0 {
+					t.Fatal("spec has no evidence to mark live")
+				}
+				g.MarkLive(live)
+			},
+		},
+		{what: "odd_shapes", build: oddShapesGraph},
+		{
+			what: "infinite_weights",
+			spec: testutil.Spec{Domain: 2, Vars: 10, LogicalFactors: 30, EvidencePer1000: 400, Seed: 113},
+			prepare: func(t *testing.T, g *factorgraph.Graph) {
+				// +Inf on one factor that folds somewhere and on one that
+				// stays dynamic somewhere (the same sign, so sums stay
+				// Inf, not NaN).
+				folded, dynamic := false, false
+				for f := int32(0); f < int32(g.NumFactors()) && !(folded && dynamic); f++ {
+					vars, _ := g.FactorVars(f)
+					if len(vars) != 2 || vars[0] == vars[1] {
+						continue
+					}
+					e0 := g.Var(vars[0]).Evidence != factorgraph.NoEvidence
+					e1 := g.Var(vars[1]).Evidence != factorgraph.NoEvidence
+					switch {
+					case e0 != e1 && !folded:
+						folded = true
+						g.SetFactorWeight(f, math.Inf(1))
+					case !e0 && !e1 && !dynamic:
+						dynamic = true
+						g.SetFactorWeight(f, math.Inf(1))
+					}
+				}
+				if !folded || !dynamic {
+					t.Fatal("spec has no folded and dynamic two-slot factor")
+				}
+			},
+		},
 	}
 }
 
-// randomAssignment fills every variable (evidence included — score evaluation
-// must agree on any state, and mid-sweep states do hold arbitrary values).
+// oddShapesGraph is a hand-built binary graph of the shapes the random
+// generator does not draw: arity-3 factors with two, one and no frozen slots,
+// a variable in both slots of a factor, a unary equal, an equal against
+// categorical evidence and against a categorical query variable, and a
+// binary relation under an asymmetric pruning mask.
+func oddShapesGraph(t *testing.T) *factorgraph.Graph {
+	t.Helper()
+	b := factorgraph.NewBuilder()
+	add := func(name string, domain, evidence int32, rel int32) factorgraph.VarID {
+		id, err := b.AddVariable(factorgraph.Variable{
+			Name: name, Domain: domain, Evidence: evidence, Relation: rel,
+			HasLoc: true, Loc: geom.Pt(float64(b.NumVars()), 1),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	const q = factorgraph.NoEvidence
+	q0, q1, q2, q3 := add("q0", 2, q, 0), add("q1", 2, q, 0), add("q2", 2, q, 0), add("q3", 2, q, 0)
+	e0, e1 := add("e0", 2, 1, 0), add("e1", 2, 0, 0)
+	c0, c1 := add("c0", 3, 2, 1), add("c1", 3, q, 1)
+	factor := func(kind factorgraph.FactorKind, w float64, vars []factorgraph.VarID, neg []bool) {
+		if err := b.AddFactor(kind, w, vars, neg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	factor(factorgraph.FactorImply, 0.7, []factorgraph.VarID{e0, e1, q0}, []bool{false, true, false})
+	factor(factorgraph.FactorImply, -0.6, []factorgraph.VarID{e0, q1, q0}, []bool{false, true, false})
+	factor(factorgraph.FactorOr, 0.45, []factorgraph.VarID{q0, q1, q2}, []bool{true, false, false})
+	factor(factorgraph.FactorAnd, 0.35, []factorgraph.VarID{q1, e0, q1}, []bool{false, false, true})
+	factor(factorgraph.FactorAnd, -0.4, []factorgraph.VarID{q1, q1}, []bool{false, true})
+	factor(factorgraph.FactorImply, 0.8, []factorgraph.VarID{q2, q2}, nil)
+	factor(factorgraph.FactorEqual, 0.2, []factorgraph.VarID{q3}, nil)
+	factor(factorgraph.FactorEqual, 0.9, []factorgraph.VarID{q2, q3, e1}, nil)
+	factor(factorgraph.FactorEqual, 0.3, []factorgraph.VarID{q3, c0}, nil)
+	factor(factorgraph.FactorEqual, -0.5, []factorgraph.VarID{c1, q3}, nil)
+	factor(factorgraph.FactorOr, 0.25, []factorgraph.VarID{q0, c1}, []bool{true, false})
+	factor(factorgraph.FactorAnd, 0.15, []factorgraph.VarID{c0, q1}, nil)
+	// (1, 0) and (1, 1) as (A's value, B's value) are pruned: which endpoint
+	// a variable is matters.
+	if err := b.SetAllowedPairs(0, 2, []bool{true, true, false, false}); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range [][2]factorgraph.VarID{{q0, q1}, {q2, q0}, {q1, e0}, {e1, q2}, {q3, q2}, {e0, q3}} {
+		if err := b.AddSpatialPair(p[0], p[1], 0.1+0.1*float64(p[0])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.AddSpatialPair(c0, c1, 0.3); err != nil {
+		t.Fatal(err)
+	}
+	g, err := b.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func (c equivCase) graph(t *testing.T) *factorgraph.Graph {
+	t.Helper()
+	var g *factorgraph.Graph
+	if c.build != nil {
+		g = c.build(t)
+	} else {
+		var err error
+		if g, err = testutil.RandomGraph(c.spec); err != nil {
+			t.Fatalf("RandomGraph: %v", err)
+		}
+	}
+	if c.prepare != nil {
+		c.prepare(t, g)
+	}
+	return g
+}
+
+// randomAssignment fills every variable, evidence included: the general path
+// must agree with the interpreted walk on any state (weight learning's model
+// chain frees evidence).
 func randomAssignment(g *factorgraph.Graph, rng *testutil.Rand) factorgraph.Assignment {
 	a := make(factorgraph.Assignment, g.NumVars())
 	for i := range a {
@@ -36,33 +184,137 @@ func randomAssignment(g *factorgraph.Graph, rng *testutil.Rand) factorgraph.Assi
 	return a
 }
 
+// reachableAssignment is a state a sampler can be in: frozen variables hold
+// their evidence value, query and live variables anything.
+func reachableAssignment(g *factorgraph.Graph, rng *testutil.Rand) factorgraph.Assignment {
+	a := randomAssignment(g, rng)
+	for i := range a {
+		if v := factorgraph.VarID(i); g.Frozen(v) {
+			a[i] = g.Var(v).Evidence
+		}
+	}
+	return a
+}
+
+// foldedReference is the specification of a binary score program, written
+// against the exported interpreted evaluators only: classify each incidence
+// of v as constant (no slot other than v can still change, going by
+// Variable.Evidence and the live marks alone) or dynamic; sum the constants
+// in score order (VarLogicalFactors, then VarSpatialPairs), then the
+// dynamics in score order. It also returns the incidence count and Σ|w|, the
+// terms of the regrouping error bound.
+func foldedReference(g *factorgraph.Graph, v factorgraph.VarID, assign factorgraph.Assignment) (s [2]float64, n int, sumAbs float64) {
+	canChange := func(u factorgraph.VarID) bool {
+		return u != v && (g.Var(u).Evidence == factorgraph.NoEvidence || g.Live(u))
+	}
+	constantFactor := func(f int32) bool {
+		vars, _ := g.FactorVars(f)
+		for _, u := range vars {
+			if canChange(u) {
+				return false
+			}
+		}
+		return true
+	}
+	constantPair := func(p int32) bool {
+		a, b, _ := g.SpatialPair(p)
+		return !canChange(a) && !canChange(b)
+	}
+	for _, f := range g.VarLogicalFactors(v) {
+		n++
+		sumAbs += math.Abs(g.FactorWeightOf(f))
+	}
+	for _, p := range g.VarSpatialPairs(v) {
+		_, _, w := g.SpatialPair(p)
+		n++
+		sumAbs += math.Abs(w)
+	}
+	ref := assign.Clone()
+	for x := int32(0); x < 2; x++ {
+		ref[v] = x
+		var acc float64
+		for _, constants := range []bool{true, false} {
+			for _, f := range g.VarLogicalFactors(v) {
+				if constantFactor(f) == constants && g.FactorSatisfied(f, ref) {
+					acc += g.FactorWeightOf(f)
+				}
+			}
+			for _, p := range g.VarSpatialPairs(v) {
+				if constantPair(p) != constants {
+					continue
+				}
+				_, _, w := g.SpatialPair(p)
+				switch g.SpatialAgreement(p, ref) {
+				case 1:
+					acc += w
+				case -1:
+					acc -= w
+				}
+			}
+		}
+		s[x] = acc
+	}
+	return s, n, sumAbs
+}
+
+// checkBinaryScores holds one binary score to both statements of the fold:
+// exactly the folded reference, and within the regrouping bound of the plain
+// interpreted walk.
+func checkBinaryScores(t *testing.T, g *factorgraph.Graph, k *factorgraph.Kernels, v factorgraph.VarID, assign factorgraph.Assignment) {
+	t.Helper()
+	got0, got1 := k.BinaryConditionalScores(v, assign)
+	ref, n, sumAbs := foldedReference(g, v, assign)
+	if math.Float64bits(got0) != math.Float64bits(ref[0]) || math.Float64bits(got1) != math.Float64bits(ref[1]) {
+		t.Fatalf("var %d: compiled (%v, %v) [%x %x] vs folded reference (%v, %v) [%x %x]", v,
+			got0, got1, math.Float64bits(got0), math.Float64bits(got1),
+			ref[0], ref[1], math.Float64bits(ref[0]), math.Float64bits(ref[1]))
+	}
+	want0, want1 := g.BinaryConditionalScores(v, assign)
+	bound := 8 * float64(n) * 0x1p-53 * sumAbs
+	for x, pair := range [][2]float64{{got0, want0}, {got1, want1}} {
+		got, want := pair[0], pair[1]
+		if math.IsInf(bound, 0) {
+			// An infinite weight: the two must agree as Inf or NaN.
+			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("var %d candidate %d: compiled %v vs interpreted %v", v, x, got, want)
+			}
+			continue
+		}
+		if math.Abs(got-want) > bound {
+			t.Fatalf("var %d candidate %d: compiled %v vs interpreted %v differ by %g, bound %g",
+				v, x, got, want, math.Abs(got-want), bound)
+		}
+	}
+}
+
 // TestKernelsMatchInterpretedBitForBit is the golden equivalence gate of the
-// compiled sampling kernels: over the harness graph shapes and random
-// assignments, ConditionalScores and BinaryConditionalScores must agree with
-// the interpreted evaluators exactly (==, not within epsilon). This is what
-// lets the compiled path inherit the TV-vs-exact statistical harness, the
+// compiled sampling kernels. The general path (ConditionalScores) must agree
+// with the interpreted evaluator exactly (==, not within epsilon) on
+// arbitrary assignments. The binary path folds frozen endpoints away, so it
+// is checked on reachable assignments, twice: exactly against the folded
+// reference, and closely against the plain interpreted walk. Together these
+// let the compiled path inherit the TV-vs-exact statistical harness, the
 // worker-invariance tests and old checkpoints without re-validation.
 func TestKernelsMatchInterpretedBitForBit(t *testing.T) {
-	for si, spec := range equivSpecs() {
-		spec := spec
-		t.Run(fmt.Sprintf("spec%d_d%d", si, spec.Domain), func(t *testing.T) {
-			g, err := testutil.RandomGraph(spec)
-			if err != nil {
-				t.Fatalf("RandomGraph: %v", err)
-			}
+	for i, c := range equivCases() {
+		c := c
+		t.Run(fmt.Sprintf("spec%d_d%d", i, max(c.spec.Domain, 2)), func(t *testing.T) {
+			g := c.graph(t)
 			k := g.Kernels()
 			if k != g.Kernels() {
 				t.Fatal("Kernels() is not cached")
 			}
 			st := k.Stats()
+			t.Logf("%s: %+v", c.what, st)
 			if st.Ops == 0 || st.Vars != g.NumVars() || st.SlabBytes <= 0 {
 				t.Fatalf("implausible kernel stats: %+v", st)
 			}
-			rng := testutil.NewRand(spec.Seed ^ 0xdead)
+			rng := testutil.NewRand(c.spec.Seed ^ 0xdead)
 			wantBuf := make([]float64, 8)
 			gotBuf := make([]float64, 8)
 			for trial := 0; trial < 200; trial++ {
 				assign := randomAssignment(g, rng)
+				reachable := reachableAssignment(g, rng)
 				for v := factorgraph.VarID(0); int(v) < g.NumVars(); v++ {
 					want := g.ConditionalScores(v, assign, wantBuf)
 					got := k.ConditionalScores(v, assign, gotBuf)
@@ -75,14 +327,11 @@ func TestKernelsMatchInterpretedBitForBit(t *testing.T) {
 								v, x, want[x], math.Float64bits(want[x]), got[x], math.Float64bits(got[x]))
 						}
 					}
-					if g.DomainOf(v) == 2 {
-						w0, w1 := g.BinaryConditionalScores(v, assign)
-						g0, g1 := k.BinaryConditionalScores(v, assign)
-						if math.Float64bits(w0) != math.Float64bits(g0) ||
-							math.Float64bits(w1) != math.Float64bits(g1) {
-							t.Fatalf("var %d binary: interpreted (%v, %v) vs compiled (%v, %v)",
-								v, w0, w1, g0, g1)
-						}
+					if k.Binary(v) != (g.DomainOf(v) == 2) {
+						t.Fatalf("var %d: Binary = %v with domain %d", v, k.Binary(v), g.DomainOf(v))
+					}
+					if k.Binary(v) {
+						checkBinaryScores(t, g, k, v, reachable)
 					}
 				}
 			}
@@ -92,88 +341,137 @@ func TestKernelsMatchInterpretedBitForBit(t *testing.T) {
 
 // TestKernelsWeightWriteThrough asserts that weight updates through
 // SetFactorWeight/SetSpatialWeight are visible to already-compiled kernels
-// without recompilation — the property weight learning relies on.
+// without recompilation — the property weight learning relies on — on both
+// paths: the general slab and the dynamic ops read weights by index, and the
+// biases, which bake folded weights in, are recomputed before the next
+// binary score.
 func TestKernelsWeightWriteThrough(t *testing.T) {
-	g, err := testutil.RandomGraph(testutil.Spec{Domain: 2, Spatial: true, Seed: 42})
+	g, err := testutil.RandomGraph(testutil.Spec{Domain: 2, Vars: 10, Spatial: true,
+		LogicalFactors: 30, SpatialPairs: 25, EvidencePer1000: 400, Seed: 42})
 	if err != nil {
 		t.Fatalf("RandomGraph: %v", err)
 	}
 	k := g.Kernels()
+	if st := k.Stats(); st.FoldedOps == 0 || st.FoldedOps == st.Ops {
+		t.Fatalf("want folded and dynamic ops in this graph, have %+v", st)
+	}
 	rng := testutil.NewRand(7)
 	assign := randomAssignment(g, rng)
-	for f := int32(0); f < int32(g.NumFactors()); f++ {
-		g.SetFactorWeight(f, g.FactorWeightOf(f)*1.7+0.3)
-	}
-	for s := int32(0); s < int32(g.NumSpatialFactors()); s++ {
-		_, _, w := g.SpatialPair(s)
-		g.SetSpatialWeight(s, w*2.1+0.1)
-	}
+	reachable := reachableAssignment(g, rng)
 	buf1 := make([]float64, 4)
 	buf2 := make([]float64, 4)
-	for v := factorgraph.VarID(0); int(v) < g.NumVars(); v++ {
-		want := g.ConditionalScores(v, assign, buf1)
-		got := k.ConditionalScores(v, assign, buf2)
-		for x := range want {
-			if math.Float64bits(want[x]) != math.Float64bits(got[x]) {
-				t.Fatalf("var %d candidate %d after weight update: interpreted %v vs compiled %v",
-					v, x, want[x], got[x])
-			}
-		}
-	}
-}
-
-// TestKernelsGenericFallback covers shapes the specialized opcodes cannot
-// express: arity-3 factors, a variable appearing on both sides of a factor,
-// and unary equal — all must route through the generic op and still match.
-func TestKernelsGenericFallback(t *testing.T) {
-	b := factorgraph.NewBuilder()
-	var ids []factorgraph.VarID
-	for i := 0; i < 4; i++ {
-		id, err := b.AddVariable(factorgraph.Variable{
-			Name: fmt.Sprintf("q%d", i), Domain: 3, Evidence: factorgraph.NoEvidence,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	if err := b.AddFactor(factorgraph.FactorImply, 0.7,
-		[]factorgraph.VarID{ids[0], ids[1], ids[2]}, []bool{false, true, false}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddFactor(factorgraph.FactorAnd, -0.4,
-		[]factorgraph.VarID{ids[1], ids[1]}, []bool{false, true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddFactor(factorgraph.FactorEqual, 0.9,
-		[]factorgraph.VarID{ids[2], ids[3], ids[0]}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddFactor(factorgraph.FactorEqual, 0.2,
-		[]factorgraph.VarID{ids[3]}, nil); err != nil {
-		t.Fatal(err)
-	}
-	g, err := b.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := g.Kernels()
-	if k.Stats().GenericOps == 0 {
-		t.Fatal("expected generic fallback ops in this graph")
-	}
-	rng := testutil.NewRand(99)
-	buf1 := make([]float64, 4)
-	buf2 := make([]float64, 4)
-	for trial := 0; trial < 100; trial++ {
-		assign := randomAssignment(g, rng)
-		for _, v := range ids {
+	for round := 0; round < 3; round++ {
+		// Score first, so every round's biases were folded under the
+		// previous round's weights.
+		for v := factorgraph.VarID(0); int(v) < g.NumVars(); v++ {
 			want := g.ConditionalScores(v, assign, buf1)
 			got := k.ConditionalScores(v, assign, buf2)
 			for x := range want {
 				if math.Float64bits(want[x]) != math.Float64bits(got[x]) {
-					t.Fatalf("var %d candidate %d: interpreted %v vs compiled %v", v, x, want[x], got[x])
+					t.Fatalf("round %d var %d candidate %d: interpreted %v vs compiled %v",
+						round, v, x, want[x], got[x])
 				}
 			}
+			checkBinaryScores(t, g, k, v, reachable)
+		}
+		for f := int32(0); f < int32(g.NumFactors()); f++ {
+			g.SetFactorWeight(f, g.FactorWeightOf(f)*1.7+0.3)
+		}
+		for s := int32(0); s < int32(g.NumSpatialFactors()); s++ {
+			_, _, w := g.SpatialPair(s)
+			g.SetSpatialWeight(s, w*2.1+0.1)
 		}
 	}
+}
+
+// TestKernelsGenericFallback covers shapes no specialized op expresses:
+// arity-3 factors, a variable in both slots of a factor, unary equal. At
+// categorical variables all of them route through the general slab's generic
+// op, as ever. At binary variables only the arity-3 factors with two
+// endpoints that can still change keep a run-time fallback record; the
+// self-pair and the unary equal are constants of the variable and fold. Both
+// must still match the interpreted walk.
+func TestKernelsGenericFallback(t *testing.T) {
+	for _, domain := range []int32{3, 2} {
+		domain := domain
+		t.Run(fmt.Sprintf("domain%d", domain), func(t *testing.T) {
+			b := factorgraph.NewBuilder()
+			var ids []factorgraph.VarID
+			for i := 0; i < 4; i++ {
+				id, err := b.AddVariable(factorgraph.Variable{
+					Name: fmt.Sprintf("q%d", i), Domain: domain, Evidence: factorgraph.NoEvidence,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, id)
+			}
+			if err := b.AddFactor(factorgraph.FactorImply, 0.7,
+				[]factorgraph.VarID{ids[0], ids[1], ids[2]}, []bool{false, true, false}); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.AddFactor(factorgraph.FactorAnd, -0.4,
+				[]factorgraph.VarID{ids[1], ids[1]}, []bool{false, true}); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.AddFactor(factorgraph.FactorEqual, 0.9,
+				[]factorgraph.VarID{ids[2], ids[3], ids[0]}, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.AddFactor(factorgraph.FactorEqual, 0.2,
+				[]factorgraph.VarID{ids[3]}, nil); err != nil {
+				t.Fatal(err)
+			}
+			g, err := b.Finalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := g.Kernels()
+			st := k.Stats()
+			if domain == 2 {
+				// Two arity-3 factors × three endpoints fall back; the
+				// self-pair at q1 and the unary equal at q3 fold.
+				if st.Ops != 8 || st.GenericOps != 6 || st.FoldedOps != 2 {
+					t.Fatalf("ops/generic/folded = %d/%d/%d, want 8/6/2", st.Ops, st.GenericOps, st.FoldedOps)
+				}
+			} else if st.GenericOps != 8 || st.FoldedOps != 0 {
+				t.Fatalf("generic/folded = %d/%d at categorical variables, want 8/0", st.GenericOps, st.FoldedOps)
+			}
+			rng := testutil.NewRand(99)
+			buf1 := make([]float64, 4)
+			buf2 := make([]float64, 4)
+			for trial := 0; trial < 100; trial++ {
+				assign := randomAssignment(g, rng)
+				for _, v := range ids {
+					want := g.ConditionalScores(v, assign, buf1)
+					got := k.ConditionalScores(v, assign, buf2)
+					for x := range want {
+						if math.Float64bits(want[x]) != math.Float64bits(got[x]) {
+							t.Fatalf("var %d candidate %d: interpreted %v vs compiled %v", v, x, want[x], got[x])
+						}
+					}
+					if domain == 2 {
+						checkBinaryScores(t, g, k, v, assign)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestMarkLiveAfterCompilePanics pins the one ordering rule of the live
+// mark: the programs fold whatever is frozen when they compile, so a mark
+// that arrives later must fail loudly rather than be ignored.
+func TestMarkLiveAfterCompilePanics(t *testing.T) {
+	g, err := testutil.RandomGraph(testutil.Spec{Domain: 2, EvidencePer1000: 500, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Kernels()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("MarkLive after Kernels() did not panic")
+		}
+	}()
+	g.MarkLive([]factorgraph.VarID{0})
 }

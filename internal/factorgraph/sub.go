@@ -17,6 +17,9 @@ type Subgraph struct {
 	// Boundary lists the frozen variables (parent ids, ascending): every
 	// non-interior endpoint of a kept factor, present as evidence.
 	Boundary []VarID
+	// Halo lists, as ids in Graph (ascending), the boundary variables that
+	// are not evidence in the parent and were frozen at freeze(v).
+	Halo []VarID
 	// LocalID maps parent ids (interior and boundary) to ids in Graph.
 	LocalID map[VarID]VarID
 	// Factors and Spatials are the kept logical factors and spatial pairs
@@ -28,6 +31,13 @@ type Subgraph struct {
 // their frozen boundary shell. A boundary variable keeps its evidence value
 // when g observes it; otherwise it freezes as evidence at freeze(v).
 // Per-relation allowed-pair masks carry over for every relation present.
+//
+// Every boundary variable is evidence in the subgraph, hence frozen: the
+// kernel compiler folds each factor whose other endpoints are all boundary
+// into a per-variable bias, which is what a local query wants. A caller that
+// will rewrite boundary values while sampling — a shard refreshing its halo
+// copies, which are exactly Subgraph.Halo — must say so with
+// Graph.MarkLive(sub.Halo) before the subgraph is first sampled.
 func Sub(g *Graph, interior []VarID, freeze func(VarID) int32) (*Subgraph, error) {
 	in := make(map[VarID]bool, len(interior))
 	for _, v := range interior {
@@ -94,10 +104,12 @@ func Sub(g *Graph, interior []VarID, freeze func(VarID) int32) (*Subgraph, error
 			return nil, err
 		}
 	}
+	var halo []VarID
 	for _, v := range boundary {
 		meta := g.Var(v)
 		if meta.Evidence == NoEvidence {
 			meta.Evidence = freeze(v)
+			halo = append(halo, VarID(b.NumVars()))
 		}
 		if err := add(v, meta); err != nil {
 			return nil, err
@@ -127,7 +139,7 @@ func Sub(g *Graph, interior []VarID, freeze func(VarID) int32) (*Subgraph, error
 		return nil, err
 	}
 	return &Subgraph{
-		Graph: sub, Interior: interior, Boundary: boundary,
+		Graph: sub, Interior: interior, Boundary: boundary, Halo: halo,
 		LocalID: localID, Factors: factors, Spatials: spatials,
 	}, nil
 }

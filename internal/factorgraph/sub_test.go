@@ -28,6 +28,9 @@ func TestSubCutsInteriorWithFrozenBoundary(t *testing.T) {
 	if want := []VarID{2, 4}; !reflect.DeepEqual(asked, want) {
 		t.Errorf("freeze asked about %v, want %v (v0 is graph evidence)", asked, want)
 	}
+	if want := []VarID{3, 4}; !reflect.DeepEqual(sub.Halo, want) {
+		t.Errorf("halo = %v, want %v (local ids of the variables freeze was asked about)", sub.Halo, want)
+	}
 	if want := map[VarID]VarID{3: 0, 1: 1, 0: 2, 2: 3, 4: 4}; !reflect.DeepEqual(sub.LocalID, want) {
 		t.Errorf("local ids = %v, want %v", sub.LocalID, want)
 	}
@@ -55,6 +58,18 @@ func TestSubCutsInteriorWithFrozenBoundary(t *testing.T) {
 		s0, s1 := sg.BinaryConditionalScores(sub.LocalID[v], subAssign)
 		if p0 != s0 || p1 != s1 {
 			t.Errorf("var %d: parent scores (%v, %v), subgraph (%v, %v)", v, p0, p1, s0, s1)
+		}
+	}
+	// The whole boundary is frozen and every neighbour of v1 and v3 is
+	// boundary, so the compiler folds all eight incidences at the interior
+	// into biases; the other eight sit in the boundary variables' programs.
+	k := sg.Kernels()
+	if st := k.Stats(); st.Ops != 16 || st.FoldedOps != 8 || st.GenericOps != 0 {
+		t.Errorf("subgraph kernel ops/folded/generic = %d/%d/%d, want 16/8/0", st.Ops, st.FoldedOps, st.GenericOps)
+	}
+	for _, lid := range []VarID{0, 1} {
+		if n := k.prog[lid+1]>>1 - k.prog[lid]>>1; n != 0 {
+			t.Errorf("interior var %d keeps %d dynamic ops behind a frozen boundary, want 0", lid, n)
 		}
 	}
 }

@@ -144,10 +144,11 @@ func newCounts(g *factorgraph.Graph) *counts {
 // stores it in the assignment. buf must have capacity ≥ the max domain; it
 // is untouched on the buffer-free binary fast path. Scores come from the
 // sampler's scorer: compiled kernels, or in tests the interpreted reference
-// walk — the two are bit-identical, so the chain is the same on either.
+// walk — the two agree to the last ulp (exactly, on the general path), so
+// the chain is the same on either.
 func sampleOne(sc *scorer, v factorgraph.VarID, assign factorgraph.Assignment,
 	rng *prng, buf []float64) int32 {
-	if sc.g.DomainOf(v) == 2 {
+	if sc.binary(v) {
 		s0, s1 := sc.binaryConditionalScores(v, assign)
 		// Max-subtracted softmax with the winner's exp folded away: the
 		// larger score exponentiates to exactly 1, so only one math.Exp is

@@ -2,6 +2,7 @@ package gibbs
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/factorgraph"
@@ -250,6 +251,131 @@ func TestSpatialUpdateEvidenceAndIncremental(t *testing.T) {
 	}
 	if err := s.UpdateEvidence(0, 5); err == nil {
 		t.Error("out-of-domain value should fail")
+	}
+}
+
+// TestUpdateEvidenceOnGraphEvidence: a variable that is evidence in the graph
+// keeps its value (first label wins). Readers answer from Variable.Evidence
+// and the compiled scores fold it, so a pin to the same value is a no-op and
+// a pin to another value is refused — never a chain value only some would see.
+func TestUpdateEvidenceOnGraphEvidence(t *testing.T) {
+	g := smallSpatialGraph(t) // the centre, variable 4, is evidence = 1
+	s, err := NewSpatial(g, SpatialOptions{Levels: 4, Instances: 2, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.RunEpochs(200)
+	before := s.Marginals()
+	b0, b1 := s.sc.binaryConditionalScores(1, s.instances[0].assign)
+
+	if err := s.UpdateEvidence(4, 1); err != nil {
+		t.Fatalf("same value: %v", err)
+	}
+	err = s.UpdateEvidence(4, 0)
+	if err == nil || !strings.Contains(err.Error(), "evidence") || !strings.Contains(err.Error(), g.Var(4).Name) {
+		t.Fatalf("different value: err = %v, want an error naming the evidence atom", err)
+	}
+	if s.PendingDirty() != 0 || s.pinned[4] {
+		t.Errorf("graph evidence was pinned: dirty=%d pinned=%v", s.PendingDirty(), s.pinned[4])
+	}
+	for k := 0; k < s.NumInstances(); k++ {
+		if x := s.ChainValue(k, 4); x != 1 {
+			t.Errorf("chain %d holds %d for the evidence variable, want 1", k, x)
+		}
+	}
+	if m := s.MarginalVar(4); m[1] != 1 {
+		t.Errorf("evidence marginal = %v", m)
+	}
+	if d := maxAbsDiff(t, s.Marginals(), before); d != 0 {
+		t.Errorf("marginals moved by %v", d)
+	}
+	if a0, a1 := s.sc.binaryConditionalScores(1, s.instances[0].assign); a0 != b0 || a1 != b1 {
+		t.Errorf("neighbour scores moved: (%v, %v) -> (%v, %v)", b0, b1, a0, a1)
+	}
+}
+
+// TestPinOnQueryVariableStaysDynamic: a pin made after construction lands on
+// a query variable, which the compiled programs read through the assignment.
+// Its neighbours' scores must follow the pinned value at once, and their
+// marginals on every sampling path: a full run, an incremental run, and an
+// incremental run over the cached restricted view.
+func TestPinOnQueryVariableStaysDynamic(t *testing.T) {
+	g := smallSpatialGraph(t)
+	opts := SpatialOptions{Levels: 4, Instances: 2, Seed: 23}
+	const minShift = 0.1 // pair weight 0.4: the neighbour's log-odds move by 1.6
+
+	// Scores of variable 1, whose spatial pair with corner 0 weighs 0.4.
+	s, err := NewSpatial(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	gap := func(val int32) float64 {
+		if err := s.UpdateEvidence(0, val); err != nil {
+			t.Fatal(err)
+		}
+		s0, s1 := s.sc.binaryConditionalScores(1, s.instances[0].assign)
+		return s1 - s0
+	}
+	if low, high := gap(0), gap(1); math.Abs(high-low-1.6) > 1e-12 {
+		t.Fatalf("neighbour score gap %v pinned false, %v pinned true: want a difference of 1.6", low, high)
+	}
+
+	// Full runs.
+	full := func(val int32) float64 {
+		fs, err := NewSpatial(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fs.Close()
+		if err := fs.UpdateEvidence(0, val); err != nil {
+			t.Fatal(err)
+		}
+		fs.RunEpochs(3000)
+		return fs.MarginalVar(1)[1]
+	}
+	if low, high := full(0), full(1); high-low < minShift {
+		t.Errorf("full run: P(v1) = %v pinned false, %v pinned true", low, high)
+	}
+
+	// Incremental runs on the sampler above: the second resample sweeps the
+	// restricted view the first one cached for the same dirty set.
+	s.RunEpochs(500)
+	incr := func(val int32) float64 {
+		if err := s.UpdateEvidence(0, val); err != nil {
+			t.Fatal(err)
+		}
+		s.RunIncremental(3000)
+		return s.MarginalVar(1)[1]
+	}
+	low, high := incr(0), incr(1)
+	if len(s.incCache) != 1 {
+		t.Fatalf("%d restricted views cached, want the one view reused", len(s.incCache))
+	}
+	if high-low < minShift {
+		t.Errorf("incremental: P(v1) = %v pinned false, %v pinned true over the cached view", low, high)
+	}
+}
+
+// TestSetChainValueOnFrozenVariableFails: a frozen variable's value is
+// compiled into its neighbours' biases, so writing its chain value must fail
+// loudly, naming the variable.
+func TestSetChainValueOnFrozenVariableFails(t *testing.T) {
+	g := smallSpatialGraph(t)
+	s, err := NewSpatial(g, SpatialOptions{Levels: 4, Instances: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.SetChainValue(0, 4, 0); err == nil || !strings.Contains(err.Error(), "variable 4") {
+		t.Fatalf("err = %v, want an error naming variable 4", err)
+	}
+	if x := s.ChainValue(0, 4); x != 1 {
+		t.Errorf("frozen chain value overwritten with %d", x)
+	}
+	if err := s.SetChainValue(0, 0, 1); err != nil {
+		t.Errorf("query variable: %v", err)
 	}
 }
 

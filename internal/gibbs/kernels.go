@@ -6,10 +6,11 @@ import (
 
 // scorer routes conditional-score evaluation through the graph's compiled
 // sampling kernels. The interpreted CSR walk behind a nil k is the reference
-// implementation the kernels are tested against: the two are bit-identical
-// (factorgraph's golden equivalence test), and only tests select it (see
-// export_test.go). The samplers hold one scorer each and pass it to
-// sampleOne; the single nil check per call is the entire dispatch cost.
+// implementation the kernels are tested against (factorgraph's equivalence
+// tests: bit-identical on the general path, the same terms regrouped on the
+// folded binary path), and only tests select it (see export_test.go). The
+// samplers hold one scorer each and pass it to sampleOne; the single nil
+// check per call is the entire dispatch cost.
 type scorer struct {
 	g *factorgraph.Graph
 	k *factorgraph.Kernels // nil → interpreted reference walk (tests only)
@@ -19,6 +20,15 @@ type scorer struct {
 // kernels.
 func newScorer(g *factorgraph.Graph) scorer {
 	return scorer{g: g, k: g.Kernels()}
+}
+
+// binary reports whether v takes the buffer-free binary path: read from the
+// compiled program offsets, not from the graph's variable records.
+func (sc *scorer) binary(v factorgraph.VarID) bool {
+	if sc.k != nil {
+		return sc.k.Binary(v)
+	}
+	return sc.g.DomainOf(v) == 2
 }
 
 // conditionalScores evaluates all candidate values of v (general path).
@@ -48,5 +58,6 @@ func publishKernelMetrics(m *Metrics, k *factorgraph.Kernels) {
 	m.KernelBuildSeconds.Set(st.BuildTime.Seconds())
 	m.KernelOps.Set(float64(st.Ops))
 	m.KernelGenericOps.Set(float64(st.GenericOps))
+	m.KernelFoldedOps.Set(float64(st.FoldedOps))
 	m.KernelSlabBytes.Set(float64(st.SlabBytes))
 }

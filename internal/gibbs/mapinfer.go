@@ -64,8 +64,9 @@ func MAPContext(ctx context.Context, g *factorgraph.Graph, opts MAPOptions) (fac
 	}
 	opts = opts.withDefaults()
 	query := queryVars(g)
-	// MAP always runs on the compiled kernels: they are bit-identical to the
-	// interpreted walk, and MAP has no user-facing escape hatch to plumb.
+	// MAP always runs on the compiled kernels: they score what the
+	// interpreted walk scores, and MAP has no user-facing escape hatch to
+	// plumb.
 	sc := newScorer(g)
 	var best factorgraph.Assignment
 	bestE := 0.0
@@ -147,7 +148,7 @@ func greedyCtx(ctx context.Context, sc *scorer, assign factorgraph.Assignment,
 		for _, v := range query {
 			cur := assign.Get(v)
 			best := cur
-			if sc.g.DomainOf(v) == 2 {
+			if sc.binary(v) {
 				// Ties keep the current value, matching the generic argmax.
 				if s0, s1 := sc.binaryConditionalScores(v, assign); s1 > s0 {
 					best = 1

@@ -38,10 +38,11 @@ type Metrics struct {
 	DiagSpread   *obs.Gauge
 	// Compiled-kernel build stats, published once when a sampler running on
 	// compiled kernels attaches metrics (see publishKernelMetrics): build
-	// wall time, total/generic op counts and the slab footprint in bytes.
+	// wall time, total/generic/folded op counts and the slab footprint in bytes.
 	KernelBuildSeconds *obs.Gauge
 	KernelOps          *obs.Gauge
 	KernelGenericOps   *obs.Gauge
+	KernelFoldedOps    *obs.Gauge
 	KernelSlabBytes    *obs.Gauge
 }
 
@@ -67,6 +68,7 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		KernelBuildSeconds: r.Gauge("sya_kernel_build_seconds"),
 		KernelOps:          r.Gauge("sya_kernel_ops"),
 		KernelGenericOps:   r.Gauge("sya_kernel_generic_ops"),
+		KernelFoldedOps:    r.Gauge("sya_kernel_folded_ops"),
 		KernelSlabBytes:    r.Gauge("sya_kernel_slab_bytes"),
 	}
 }

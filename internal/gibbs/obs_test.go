@@ -98,6 +98,20 @@ func TestSamplerObsWiring(t *testing.T) {
 				t.Errorf("sya_checkpoint_save_errors_total = %v, want 0", got)
 			}
 
+			// The compiled-kernel gauges carry the graph's build stats, the
+			// fold included.
+			ks := g.Kernels().Stats()
+			if ks.FoldedOps == 0 {
+				t.Fatal("test premise broken: the graph folds nothing")
+			}
+			for series, want := range map[string]int{
+				"sya_kernel_ops": ks.Ops, "sya_kernel_folded_ops": ks.FoldedOps, "sya_kernel_generic_ops": ks.GenericOps,
+			} {
+				if got := snap[series]; got != float64(want) {
+					t.Errorf("%s = %v, want %d", series, got, want)
+				}
+			}
+
 			// Diagnostics ran at epochs 2, 4 and 6; the run ends on a
 			// diagnostic epoch, so no extra closing reading is taken.
 			if len(progress) != 3 {

@@ -325,13 +325,25 @@ func (o SpatialOptions) sweepLevels() []int {
 
 // UpdateEvidence pins a variable to an observed value after construction
 // and marks it dirty for incremental inference. Its cells' concliques are
-// resampled by the next RunIncremental call.
+// resampled by the next RunIncremental call. A variable that is already
+// evidence in the graph keeps its value — the first label wins, as in the
+// batch grounder's dedup: the same value again is a no-op, a different one is
+// an error (readers answer from the graph's evidence and compiled scores fold
+// it, so overwriting the chain value would be visible to nobody or, worse,
+// only to some).
 func (s *Spatial) UpdateEvidence(v factorgraph.VarID, val int32) error {
 	if int(v) >= s.g.NumVars() || v < 0 {
 		return fmt.Errorf("gibbs: unknown variable %d", v)
 	}
-	if val < 0 || val >= s.g.Var(v).Domain {
+	meta := s.g.Var(v)
+	if val < 0 || val >= meta.Domain {
 		return fmt.Errorf("gibbs: value %d outside domain of variable %d", val, v)
+	}
+	if meta.Evidence != factorgraph.NoEvidence {
+		if meta.Evidence != val {
+			return fmt.Errorf("gibbs: %s is evidence with value %d in the graph; cannot pin it to %d", meta.Name, meta.Evidence, val)
+		}
+		return nil
 	}
 	s.pinned[v] = true
 	s.dirty[v] = true
@@ -535,13 +547,19 @@ func (s *Spatial) ChainValue(k int, v factorgraph.VarID) int32 {
 }
 
 // SetChainValue overwrites instance k's assignment of v without touching
-// counts or pins. Scoring reads neighbour values from the assignment, so
-// this is how the sharded runtime refreshes halo copies of remote
-// boundary variables (frozen as evidence in the shard's subgraph — never
-// swept, never counted) between epochs. Not safe concurrently with a
-// running sweep.
-func (s *Spatial) SetChainValue(k int, v factorgraph.VarID, x int32) {
+// counts or pins. Dynamic ops read neighbour values from the assignment, so
+// this is how the sharded runtime refreshes halo copies of remote boundary
+// variables (evidence in the shard's subgraph — never swept, never counted —
+// but marked live, so never folded) between epochs. A frozen variable's
+// value is compiled into its neighbours' biases and cannot be written: that
+// is an error naming the variable, not a silently ignored store. Not safe
+// concurrently with a running sweep.
+func (s *Spatial) SetChainValue(k int, v factorgraph.VarID, x int32) error {
+	if s.g.Frozen(v) {
+		return fmt.Errorf("gibbs: variable %d (%s) is frozen evidence; its chain value cannot be set (mark halo copies live before the sampler is built)", v, s.g.Var(v).Name)
+	}
 	s.instances[k].assign.Set(v, x)
+	return nil
 }
 
 // ScheduledCells returns the number of cells in the full sweep schedule.

@@ -24,7 +24,7 @@ import (
 // gwdbSystem loads the GWDB program and n generated wells at the benchmark's
 // constant density (extent, settlement clusters and field bumps all grow
 // with n; see benchmark/README.md "Load shape").
-func gwdbSystem(t *testing.T, n, workers int) *core.System {
+func gwdbSystem(t testing.TB, n, workers int) *core.System {
 	t.Helper()
 	extent := 600 * math.Sqrt(float64(n)/600)
 	scale := max(1, n/600)
@@ -48,7 +48,29 @@ func gwdbSystem(t *testing.T, n, workers int) *core.System {
 	}, datagen.GWDBProgram, "Well", wells, "WellEvidence", evidence)
 }
 
-func loadedSystem(t *testing.T, cfg core.Config, program, rel string, rows []storage.Row, evRel string, evidence []storage.Row) *core.System {
+// nyccasSystem loads the NYCCAS program and a side×side generated raster at
+// the benchmark's cell pitch.
+func nyccasSystem(t testing.TB, side, workers int) *core.System {
+	t.Helper()
+	extent := float64(side) * 30.0 / 22.0
+	cell := extent / float64(side)
+	data := datagen.Raster(datagen.RasterConfig{Side: side, Seed: 1, Extent: extent})
+	cells, evidence := data.Rows()
+	return loadedSystem(t, core.Config{
+		Engine:           core.EngineSya,
+		Metric:           geom.Euclidean,
+		Bandwidth:        2 * cell,
+		SpatialScale:     0.5,
+		SupportRadius:    4 * cell,
+		MaxNeighbors:     40,
+		PyramidLevels:    6,
+		GroundWorkers:    workers,
+		Seed:             1,
+		SkipFactorTables: true,
+	}, datagen.NYCCASProgram, "Cell", cells, "CellEvidence", evidence)
+}
+
+func loadedSystem(t testing.TB, cfg core.Config, program, rel string, rows []storage.Row, evRel string, evidence []storage.Row) *core.System {
 	t.Helper()
 	s := core.NewSystem(cfg)
 	if err := s.LoadProgram(program); err != nil {
@@ -119,24 +141,7 @@ func TestGroundGraphGoldens(t *testing.T) {
 		want  uint64
 	}{
 		{"gwdb-600", func(t *testing.T, w int) *core.System { return gwdbSystem(t, 600, w) }, 0x1b7045c6bbc3f3bf},
-		{"nyccas-16", func(t *testing.T, w int) *core.System {
-			extent := 16 * 30.0 / 22.0
-			cell := extent / 16
-			data := datagen.Raster(datagen.RasterConfig{Side: 16, Seed: 1, Extent: extent})
-			cells, evidence := data.Rows()
-			return loadedSystem(t, core.Config{
-				Engine:           core.EngineSya,
-				Metric:           geom.Euclidean,
-				Bandwidth:        2 * cell,
-				SpatialScale:     0.5,
-				SupportRadius:    4 * cell,
-				MaxNeighbors:     40,
-				PyramidLevels:    6,
-				GroundWorkers:    w,
-				Seed:             1,
-				SkipFactorTables: true,
-			}, datagen.NYCCASProgram, "Cell", cells, "CellEvidence", evidence)
-		}, 0x669fdfb3be5471f2},
+		{"nyccas-16", func(t *testing.T, w int) *core.System { return nyccasSystem(t, 16, w) }, 0x669fdfb3be5471f2},
 		{"ebola", func(t *testing.T, w int) *core.System {
 			county, evidence := datagen.EbolaRows(datagen.EbolaCounties())
 			return loadedSystem(t, core.Config{

@@ -341,7 +341,7 @@ func reasonFromCtx(ctx context.Context) gibbs.StopReason {
 
 // exchange is one epoch barrier: send this epoch's boundary deltas to
 // every neighbour, then block until every neighbour's frame for the same
-// epoch arrived and is applied to the frozen halo copies. Frames from the
+// epoch arrived and is applied to the halo copies. Frames from the
 // next epoch (a neighbour already past its barrier) are stashed; anything
 // else is a protocol error.
 func (n *node) exchange(ctx context.Context, epoch uint64, timeout time.Duration) error {
@@ -431,8 +431,8 @@ func (n *node) exchange(ctx context.Context, epoch uint64, timeout time.Duration
 	return nil
 }
 
-// applyHalo writes one neighbour's boundary delta into the frozen halo
-// copies of every instance.
+// applyHalo writes one neighbour's boundary delta into the halo copies of
+// every instance.
 func (n *node) applyHalo(m Message, k int) error {
 	vars, ok := n.recvVars[m.From]
 	if !ok {
@@ -445,7 +445,9 @@ func (n *node) applyHalo(m Message, k int) error {
 			if x < 0 || x >= dom {
 				return fmt.Errorf("epoch %d: halo frame from shard %d: value %d outside domain %d", m.Epoch, m.From, x, dom)
 			}
-			n.smp.SetChainValue(j, lid, x)
+			if err := n.smp.SetChainValue(j, lid, x); err != nil {
+				return fmt.Errorf("epoch %d: halo frame from shard %d: %w", m.Epoch, m.From, err)
+			}
 		}
 		return nil
 	})

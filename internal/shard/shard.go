@@ -3,10 +3,12 @@
 // shards, each owning its variables, its own subgraph with a private
 // compiled-kernel slab, and its own spatial sampler. Factors crossing a
 // shard boundary are kept on both sides; the remote endpoints join each
-// shard's subgraph as evidence-frozen *halo* variables whose assignment
-// values are refreshed at every epoch barrier by a halo exchange of sparse
-// deltas over a Transport — an in-process channel transport for N "nodes"
-// in one binary, or a length-prefixed CRC-framed TCP transport.
+// shard's subgraph as *halo* variables: evidence there (never swept, never
+// counted) but marked live, so the compiled kernels read them through the
+// assignment instead of folding them. Their assignment values are refreshed
+// at every epoch barrier by a halo exchange of sparse deltas over a Transport
+// — an in-process channel transport for N "nodes" in one binary, or a
+// length-prefixed CRC-framed TCP transport.
 //
 // Partition rule. Each located query atom already has a home pyramid cell
 // (gibbs.HomeCells); its *subtree* is the home cell's ancestor at
@@ -23,7 +25,7 @@
 // (the changed boundary-variable values of all K instances, as a sparse
 // index/value delta — the same touched-list idea the pool's count-delta
 // merge uses) and blocks until it has received the same epoch's frame from
-// every neighbour, then resumes sampling against the frozen halo copies.
+// every neighbour, then resumes sampling against the refreshed halo copies.
 // Because a shard cannot start epoch e+1 before finishing the epoch-e
 // barrier, at most two epochs' frames are ever in flight; early frames are
 // stashed and replayed.
@@ -161,12 +163,14 @@ func Partition(g *factorgraph.Graph, opts Options) (*Plan, error) {
 }
 
 // buildSubgraph materializes shard `id`'s share: its interior variables (in
-// ascending full-graph order), every factor touching them, and the frozen
-// boundary shell — evidence variables plus halo variables owned by other
-// shards. Halo variables freeze at init (the full graph's initial
-// assignment), so a fresh group starts from exactly the global initial chain
-// state; the halo exchange overwrites the halo copies' assignment values
-// from epoch 1 on.
+// ascending full-graph order), every factor touching them, and the boundary
+// shell — evidence variables plus halo variables owned by other shards. Halo
+// variables freeze at init (the full graph's initial assignment), so a fresh
+// group starts from exactly the global initial chain state. The halo exchange
+// overwrites the halo copies' assignment values from epoch 1 on, so they are
+// marked live here, before anything compiles the subgraph: true evidence
+// folds into the kernels' biases, halo copies stay read through the
+// assignment.
 func buildSubgraph(g *factorgraph.Graph, plan *Plan, id int, init factorgraph.Assignment) (*factorgraph.Subgraph, error) {
 	var interior []factorgraph.VarID
 	for v, owner := range plan.Owner {
@@ -174,5 +178,10 @@ func buildSubgraph(g *factorgraph.Graph, plan *Plan, id int, init factorgraph.As
 			interior = append(interior, factorgraph.VarID(v))
 		}
 	}
-	return factorgraph.Sub(g, interior, func(v factorgraph.VarID) int32 { return init[v] })
+	sub, err := factorgraph.Sub(g, interior, func(v factorgraph.VarID) int32 { return init[v] })
+	if err != nil {
+		return nil, err
+	}
+	sub.Graph.MarkLive(sub.Halo)
+	return sub, nil
 }

@@ -247,3 +247,77 @@ func TestShardedGroupNoGoroutineLeak(t *testing.T) {
 	gr.Close()
 	gr.Close() // idempotent
 }
+
+// TestHaloCopiesAreLive pins the frozen/live rule at the shard boundary: a
+// subgraph's halo copies are evidence that the exchange rewrites every epoch,
+// so they must be marked live before the first epoch — never folded into a
+// neighbour's bias — while true evidence stays frozen. One halo value flipped
+// by hand must move the score of the neighbour this shard owns.
+func TestHaloCopiesAreLive(t *testing.T) {
+	g := mustGraph(t, testutil.Spec{Domain: 2, Vars: 14, Spatial: true,
+		LogicalFactors: 24, SpatialPairs: 30, EvidencePer1000: 250, Seed: 4242})
+	gr, err := New(g, testOptions(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gr.Close()
+	halos := 0
+	for _, n := range gr.nodes {
+		sg := n.sub.Graph
+		recv := map[factorgraph.VarID]bool{}
+		for _, lids := range n.recvVars {
+			for _, lid := range lids {
+				recv[lid] = true
+			}
+		}
+		if len(recv) != len(n.sub.Halo) {
+			t.Errorf("shard %d: %d halo copies received, Sub reports %d", n.id, len(recv), len(n.sub.Halo))
+		}
+		for _, v := range n.sub.Boundary {
+			lid := n.sub.LocalID[v]
+			if sg.Var(lid).Evidence == factorgraph.NoEvidence {
+				t.Errorf("shard %d: boundary variable %d is not evidence in the subgraph", n.id, v)
+			}
+			if recv[lid] != sg.Live(lid) || recv[lid] == sg.Frozen(lid) {
+				t.Errorf("shard %d: variable %d halo=%v live=%v frozen=%v", n.id, v, recv[lid], sg.Live(lid), sg.Frozen(lid))
+			}
+		}
+		halos += len(recv)
+	}
+	if halos == 0 {
+		t.Fatal("test premise broken: the two shards share no boundary")
+	}
+
+	// Flip a halo copy by hand on the first shard that has one with a
+	// spatial neighbour it owns.
+	for _, n := range gr.nodes {
+		sg := n.sub.Graph
+		for _, h := range n.sub.Halo {
+			for _, p := range sg.VarSpatialPairs(h) {
+				a, b, w := sg.SpatialPair(p)
+				u := a
+				if u == h {
+					u = b
+				}
+				if int(u) >= len(n.sub.Interior) || w == 0 {
+					continue
+				}
+				assign := make(factorgraph.Assignment, sg.NumVars())
+				for i := range assign {
+					assign[i] = n.smp.ChainValue(0, factorgraph.VarID(i))
+				}
+				k := sg.Kernels()
+				s0, s1 := k.BinaryConditionalScores(u, assign)
+				if err := n.smp.SetChainValue(0, h, 1-assign[h]); err != nil {
+					t.Fatalf("shard %d: refreshing halo copy %d: %v", n.id, h, err)
+				}
+				assign[h] = n.smp.ChainValue(0, h)
+				if t0, t1 := k.BinaryConditionalScores(u, assign); t0 == s0 && t1 == s1 {
+					t.Errorf("shard %d: flipping halo copy %d left its neighbour %d at (%v, %v)", n.id, h, u, s0, s1)
+				}
+				return
+			}
+		}
+	}
+	t.Fatal("test premise broken: no halo copy has an owned spatial neighbour")
+}
