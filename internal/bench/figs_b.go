@@ -99,20 +99,18 @@ func Fig11(p Params) (*Table, error) {
 	data := datagen.Wells(datagen.WellsConfig{N: p.GWDBWells / 2, Seed: p.Seed, Extent: 600})
 	for _, T := range []float64{0.3, 0.5, 0.7, 0.9} {
 		s := core.NewSystem(core.Config{
-			Engine:           core.EngineSya,
-			Metric:           geom.Euclidean,
-			Bandwidth:        p.Bandwidth,
-			SupportRadius:    p.SupportRadius,
-			MaxNeighbors:     p.MaxNeighbors,
-			PyramidLevels:    p.PyramidLevels,
-			Instances:        p.Instances,
-			GroundWorkers:    p.GroundWorkers,
-			Epochs:           p.Epochs,
-			Seed:             p.Seed,
-			PruneThreshold:   T,
-			SkipFactorTables: true,
-			Metrics:          p.Metrics,
-			Trace:            p.Trace,
+			Engine:         core.EngineSya,
+			Metric:         geom.Euclidean,
+			Bandwidth:      p.Bandwidth,
+			SupportRadius:  p.SupportRadius,
+			MaxNeighbors:   p.MaxNeighbors,
+			PyramidLevels:  p.PyramidLevels,
+			Instances:      p.Instances,
+			GroundWorkers:  p.GroundWorkers,
+			Epochs:         p.Epochs,
+			Seed:           p.Seed,
+			PruneThreshold: T,
+			Metrics:        p.Metrics,
 		})
 		if err := s.LoadProgram(datagen.GWDBCategoricalProgram); err != nil {
 			return nil, err

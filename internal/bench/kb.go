@@ -64,22 +64,20 @@ func (k *gwdbKB) Name() string { return "GWDB" }
 
 func (k *gwdbKB) system(engine core.Engine, seed int64) *core.System {
 	return core.NewSystem(core.Config{
-		Engine:           engine,
-		Metric:           geom.Euclidean,
-		Bandwidth:        k.p.Bandwidth,
-		SpatialScale:     k.p.SpatialScale,
-		SupportRadius:    k.p.SupportRadius,
-		MaxNeighbors:     k.p.MaxNeighbors,
-		PyramidLevels:    k.p.PyramidLevels,
-		LocalityLevel:    localityFor(k.data.Config.Extent, k.p.SupportRadius, k.p.PyramidLevels),
-		Instances:        k.p.Instances,
-		Workers:          k.p.Workers,
-		GroundWorkers:    k.p.GroundWorkers,
-		Epochs:           k.p.Epochs,
-		Seed:             seed,
-		SkipFactorTables: true,
-		Metrics:          k.p.Metrics,
-		Trace:            k.p.Trace,
+		Engine:        engine,
+		Metric:        geom.Euclidean,
+		Bandwidth:     k.p.Bandwidth,
+		SpatialScale:  k.p.SpatialScale,
+		SupportRadius: k.p.SupportRadius,
+		MaxNeighbors:  k.p.MaxNeighbors,
+		PyramidLevels: k.p.PyramidLevels,
+		LocalityLevel: localityFor(k.data.Config.Extent, k.p.SupportRadius, k.p.PyramidLevels),
+		Instances:     k.p.Instances,
+		Workers:       k.p.Workers,
+		GroundWorkers: k.p.GroundWorkers,
+		Epochs:        k.p.Epochs,
+		Seed:          seed,
+		Metrics:       k.p.Metrics,
 	})
 }
 
@@ -162,22 +160,20 @@ func (k *nyccasKB) Build(engine core.Engine, seed int64) (*core.System, error) {
 	// The raster is km-scale: scale the spatial bandwidth accordingly.
 	cell := k.data.Config.Extent / float64(k.data.Config.Side)
 	s := core.NewSystem(core.Config{
-		Engine:           engine,
-		Metric:           geom.Euclidean,
-		Bandwidth:        2 * cell,
-		SpatialScale:     k.p.SpatialScale,
-		SupportRadius:    4 * cell,
-		MaxNeighbors:     k.p.MaxNeighbors,
-		PyramidLevels:    k.p.PyramidLevels,
-		LocalityLevel:    localityFor(k.data.Config.Extent, 4*cell, k.p.PyramidLevels),
-		Instances:        k.p.Instances,
-		Workers:          k.p.Workers,
-		GroundWorkers:    k.p.GroundWorkers,
-		Epochs:           k.p.Epochs,
-		Seed:             seed,
-		SkipFactorTables: true,
-		Metrics:          k.p.Metrics,
-		Trace:            k.p.Trace,
+		Engine:        engine,
+		Metric:        geom.Euclidean,
+		Bandwidth:     2 * cell,
+		SpatialScale:  k.p.SpatialScale,
+		SupportRadius: 4 * cell,
+		MaxNeighbors:  k.p.MaxNeighbors,
+		PyramidLevels: k.p.PyramidLevels,
+		LocalityLevel: localityFor(k.data.Config.Extent, 4*cell, k.p.PyramidLevels),
+		Instances:     k.p.Instances,
+		Workers:       k.p.Workers,
+		GroundWorkers: k.p.GroundWorkers,
+		Epochs:        k.p.Epochs,
+		Seed:          seed,
+		Metrics:       k.p.Metrics,
 	})
 	if err := s.LoadProgram(datagen.NYCCASProgram); err != nil {
 		return nil, err

@@ -76,7 +76,9 @@ type Config struct {
 	MaxNeighbors int
 	// UDFs for function implementations.
 	UDFs map[string]grounding.UDF
-	// SkipFactorTables disables materializing per-rule factor relations.
+	// SkipFactorTables is a no-op: the per-rule factor relations it used to
+	// switch off are no longer materialized at all. The field stays only
+	// because benchmark/workloads.go sets it; it goes when that stops.
 	SkipFactorTables bool
 	// GroundWorkers is the grounding worker-pool width: concurrent rule and
 	// derivation evaluation, batched join probes, and sharded spatial
@@ -138,14 +140,10 @@ type Config struct {
 	// so several live Systems — e.g. multiple KBs behind one syad — can
 	// share an exposition endpoint without clobbering each other's series.
 	MetricLabel string
-	// Trace, when non-nil, receives structured JSONL phase events covering
-	// grounding (per rule), learning (per iteration) and inference (per
-	// epoch, checkpoint, diagnostic). nil disables.
-	Trace *obs.Trace
 	// ProgressEvery enables sampler convergence diagnostics every that many
 	// epochs (0 disables): running marginal max-delta and cross-instance
-	// spread, surfaced through RunStats, the diag gauges, the trace, and —
-	// when non-nil — the Progress callback.
+	// spread, surfaced through RunStats, the diag gauges, diag events on the
+	// sweep's span, and — when non-nil — the Progress callback.
 	ProgressEvery int
 	Progress      func(gibbs.Progress)
 }
@@ -326,16 +324,22 @@ func (s *System) Ground() (*grounding.Result, error) {
 // GroundContext is Ground under a context: cancellation is honoured between
 // grounding phases and inside the row/atom loops. A cancelled grounding
 // returns the context error and leaves the previous grounding (if any)
-// untouched.
+// untouched. A span on ctx gets a core.ground stage with the grounding
+// module's phases under it.
 func (s *System) GroundContext(ctx context.Context) (*grounding.Result, error) {
 	if s.prog == nil {
 		return nil, fmt.Errorf("core: no program loaded")
 	}
 	start := time.Now()
-	res, err := grounding.New(s.prog, s.db, s.groundingOptions()).GroundContext(ctx)
+	span := obs.SpanFromContext(ctx).Child("core.ground")
+	defer span.End()
+	res, err := grounding.New(s.prog, s.db, s.groundingOptions()).GroundContext(obs.ContextWithSpan(ctx, span))
 	if err != nil {
 		return nil, err
 	}
+	span.Notef("vars=%d evidence=%d query=%d logical_factors=%d spatial_pairs=%d workers=%d",
+		res.Stats.Vars, res.Stats.EvidenceVars, res.Stats.QueryVars,
+		res.Stats.LogicalFactors, res.Stats.SpatialPairs, res.Stats.Workers)
 	s.ground = res
 	s.closeSampler() // the old sampler's graph is gone; release its pool
 	s.pinned = nil   // prior pins are baked into the fresh graph's evidence
@@ -357,15 +361,13 @@ func (s *System) GroundContext(ctx context.Context) (*grounding.Result, error) {
 // by the batch and delta grounding paths.
 func (s *System) groundingOptions() grounding.Options {
 	return grounding.Options{
-		Metric:           s.cfg.Metric,
-		Weighting:        s.cfg.Weighting,
-		PruneThreshold:   s.cfg.PruneThreshold,
-		SupportRadius:    s.cfg.SupportRadius,
-		MaxNeighbors:     s.cfg.MaxNeighbors,
-		UDFs:             s.cfg.UDFs,
-		SkipFactorTables: s.cfg.SkipFactorTables,
-		Workers:          s.cfg.GroundWorkers,
-		Trace:            s.cfg.Trace,
+		Metric:         s.cfg.Metric,
+		Weighting:      s.cfg.Weighting,
+		PruneThreshold: s.cfg.PruneThreshold,
+		SupportRadius:  s.cfg.SupportRadius,
+		MaxNeighbors:   s.cfg.MaxNeighbors,
+		UDFs:           s.cfg.UDFs,
+		Workers:        s.cfg.GroundWorkers,
 	}
 }
 
@@ -452,50 +454,60 @@ func (s *System) InferEpochs(epochs int) (*Scores, error) {
 // (its worker pool persists); Close releases it. When CheckpointPath is
 // configured, a freshly built sampler resumes from the checkpoint file if
 // one exists and snapshots periodically while running.
+//
+// A span on ctx gets a core.infer stage whose children are what the call
+// did: learn.weights (auto-learning), gibbs.build or shard.build (first call
+// per grounding), the sweep (gibbs.steady, or shard.run) and
+// gibbs.marginals.
 func (s *System) InferContext(ctx context.Context, epochs int) (*Scores, gibbs.RunStats, error) {
 	var stats gibbs.RunStats
 	if s.ground == nil {
 		return nil, stats, fmt.Errorf("core: Ground must run before Infer")
 	}
+	span := obs.SpanFromContext(ctx).Child("core.infer")
+	defer span.End()
+	ctx = obs.ContextWithSpan(ctx, span)
 	if !s.learned && s.hasLearnedRules() {
 		if _, err := s.LearnWeightsContext(ctx, learn.Options{Seed: s.cfg.Seed}); err != nil {
 			return nil, stats, fmt.Errorf("core: auto-learning @weight(?) rules: %w", err)
 		}
 	}
+	var run func(context.Context, int) (gibbs.RunStats, error)
 	if s.cfg.Shards > 1 {
 		if s.cfg.Engine == EngineDeepDive {
 			return nil, stats, fmt.Errorf("core: sharded inference needs the Sya engine")
 		}
-		if err := s.ensureShardGroup(); err != nil {
+		if err := s.ensureShardGroup(ctx); err != nil {
 			return nil, stats, err
 		}
-		start := time.Now()
-		stats, err := s.shardGroup.Run(ctx, epochs)
-		s.inferDur += time.Since(start)
-		if err != nil {
+		run = s.shardGroup.Run
+	} else {
+		if err := s.ensureSampler(ctx); err != nil {
 			return nil, stats, err
 		}
-		return s.scores(), stats, nil
-	}
-	if err := s.ensureSampler(); err != nil {
-		return nil, stats, err
+		run = s.sampler.RunTotal
 	}
 	start := time.Now()
-	stats, err := s.sampler.RunTotal(ctx, epochs)
+	stats, err := run(ctx, epochs)
 	s.inferDur += time.Since(start)
 	if err != nil {
 		return nil, stats, err
 	}
+	sp := span.Child("gibbs.marginals")
+	defer sp.End()
 	return s.scores(), stats, nil
 }
 
 // ensureShardGroup builds the sharded-inference group if none is live:
 // partition, per-shard subgraphs/samplers, transports (TCP when ShardAddrs
-// is set, in-process channels otherwise) and per-shard checkpoint resume.
-func (s *System) ensureShardGroup() error {
+// is set, in-process channels otherwise) and per-shard checkpoint resume —
+// a shard.build stage of the span on ctx.
+func (s *System) ensureShardGroup(ctx context.Context) error {
 	if s.shardGroup != nil {
 		return nil
 	}
+	span := obs.SpanFromContext(ctx).Child("shard.build")
+	defer span.End()
 	opts := shard.Options{
 		Shards:          s.cfg.Shards,
 		Levels:          s.cfg.PyramidLevels,
@@ -532,6 +544,7 @@ func (s *System) ensureShardGroup() error {
 		}
 		return fmt.Errorf("core: building shard group: %w", err)
 	}
+	span.Notef("shards=%d boundary_vars=%d", s.cfg.Shards, gr.ExchangeStats().BoundaryVars)
 	s.shardGroup = gr
 	return nil
 }
@@ -541,19 +554,22 @@ func (s *System) ensureShardGroup() error {
 func (s *System) ShardGroup() *shard.Group { return s.shardGroup }
 
 // ensureSampler builds (and possibly resumes) the engine sampler if none is
-// live, wiring the observability plane into it.
-func (s *System) ensureSampler() error {
+// live, wiring the observability plane into it — a gibbs.build stage of the
+// span on ctx, with the checkpoint resume as an event on it.
+func (s *System) ensureSampler(ctx context.Context) error {
 	if s.sampler != nil {
 		return nil
 	}
+	span := obs.SpanFromContext(ctx).Child("gibbs.build")
+	defer span.End()
 	sampler, err := s.newSampler()
 	if err != nil {
 		return err
 	}
 	sampler.SetMetrics(gibbs.NewMetrics(s.cfg.Metrics))
-	sampler.SetTrace(s.cfg.Trace)
 	sampler.SetProgress(s.cfg.ProgressEvery, s.cfg.Progress)
 	if s.cfg.CheckpointPath != "" {
+		resumeStart := time.Now()
 		from, resumeErr := gibbs.ResumeFrom(sampler, s.cfg.CheckpointPath)
 		switch {
 		case resumeErr == nil:
@@ -564,9 +580,8 @@ func (s *System) ensureSampler() error {
 					s.cfg.Metrics.Counter("sya_checkpoint_resume_fallbacks_total").Inc()
 				}
 			}
-			s.cfg.Trace.Emit("inference", "resume",
-				"sampler", sampler.Name(), "path", from, "fallback", fallback,
-				"epoch", sampler.TotalEpochs())
+			span.Event("resume", time.Since(resumeStart)).Notef("path=%s fallback=%v epoch=%d",
+				from, fallback, sampler.TotalEpochs())
 		case os.IsNotExist(resumeErr):
 			// No checkpoint of either generation: a fresh run.
 		default:
@@ -654,9 +669,6 @@ func (s *System) LearnWeights(opts learn.Options) (map[string]float64, error) {
 func (s *System) LearnWeightsContext(ctx context.Context, opts learn.Options) (map[string]float64, error) {
 	if s.ground == nil {
 		return nil, fmt.Errorf("core: Ground must run before LearnWeights")
-	}
-	if opts.Trace == nil {
-		opts.Trace = s.cfg.Trace
 	}
 	res, err := learn.Weights(ctx, s.ground.Graph, s.ground.FactorRule, len(s.ground.RuleNames), opts)
 	if err != nil {

@@ -167,7 +167,7 @@ func (s *System) QueryLocal(ctx context.Context, key string, budget LocalBudget)
 	smp := gibbs.NewHogwild(lg.Graph, s.cfg.Seed, s.cfg.Workers)
 	defer smp.Close()
 	smp.SetBurnIn(epochs / 10)
-	if _, err := smp.Run(ctx, epochs); err != nil {
+	if _, err := smp.Run(obs.ContextWithSpan(ctx, sampleSpan), epochs); err != nil {
 		return nil, err
 	}
 	marg := smp.Marginals()

@@ -1,16 +1,15 @@
 package core
 
-// System-level observability tests: a Config-supplied registry and trace
-// must see the whole pipeline (grounding gauges, sampler counters,
-// diagnostics, checkpoint resume counters), and the resume telemetry must
-// distinguish primary resumes from .prev fallbacks.
+// System-level observability tests: a Config-supplied registry and a span on
+// the context must see the whole pipeline (grounding gauges and stages,
+// sampler counters, diagnostics, checkpoint resume counters), and the resume
+// telemetry must distinguish primary resumes from .prev fallbacks.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/gibbs"
@@ -19,26 +18,24 @@ import (
 
 func TestObservabilityThroughConfig(t *testing.T) {
 	reg := obs.NewRegistry()
-	var buf bytes.Buffer
-	tr := obs.NewTrace(&buf)
+	tracer := obs.NewTracer(obs.TracerOptions{RingSize: 1})
+	root := tracer.StartRequest("batch", "")
+	ctx := obs.ContextWithSpan(context.Background(), root)
 	var progress []gibbs.Progress
 	s := newEbolaSystem(t, Config{
 		Engine: EngineSya, Seed: 5, BurnIn: -1,
 		Metrics:       reg,
-		Trace:         tr,
 		ProgressEvery: 10,
 		Progress:      func(p gibbs.Progress) { progress = append(progress, p) },
 	})
 	defer s.Close()
-	if _, err := s.Ground(); err != nil {
+	if _, err := s.GroundContext(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.InferContext(context.Background(), 60); err != nil {
+	if _, _, err := s.InferContext(ctx, 60); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
+	root.Finish("ok")
 
 	snap := reg.Snapshot()
 	for _, name := range []string{"sya_ground_vars", "sya_ground_logical_factors", "sya_epochs_total", "sya_chunks_total"} {
@@ -50,22 +47,19 @@ func TestObservabilityThroughConfig(t *testing.T) {
 		t.Error("Progress callback never fired")
 	}
 
-	phases := map[string]int{}
-	for _, line := range bytes.Split(buf.Bytes(), []byte("\n")) {
-		if len(line) == 0 {
-			continue
-		}
-		var ev map[string]any
-		if err := json.Unmarshal(line, &ev); err != nil {
-			t.Fatalf("trace line %q: %v", line, err)
-		}
-		phase, _ := ev["phase"].(string)
-		phases[phase]++
+	// The same run as a span tree: both phases, and one diag event per
+	// Progress reading on the sweep.
+	stages := map[string]int{}
+	for _, sp := range tracer.Recent(1)[0].Spans {
+		stages[sp.Name]++
 	}
-	for _, phase := range []string{"grounding", "inference"} {
-		if phases[phase] == 0 {
-			t.Errorf("trace has no %q events (got %v)", phase, phases)
+	for _, stage := range []string{"core.ground", "grounding.rules", "rule", "grounding.spatial", "core.infer", "gibbs.build", "gibbs.steady"} {
+		if stages[stage] == 0 {
+			t.Errorf("trace has no %q stage (got %v)", stage, stages)
 		}
+	}
+	if stages["diag"] != len(progress) {
+		t.Errorf("trace has %d diag events for %d Progress readings", stages["diag"], len(progress))
 	}
 }
 
@@ -117,12 +111,26 @@ func TestResumeCountersDistinguishFallback(t *testing.T) {
 	if _, err := s3.Ground(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s3.InferContext(context.Background(), 20); err != nil {
+	tracer := obs.NewTracer(obs.TracerOptions{RingSize: 1})
+	root := tracer.StartRequest("batch", "")
+	if _, _, err := s3.InferContext(obs.ContextWithSpan(context.Background(), root), 20); err != nil {
 		t.Fatal(err)
 	}
+	root.Finish("ok")
 	snap = cfg.Metrics.Snapshot()
 	if snap["sya_checkpoint_resumes_total"] != 1 || snap["sya_checkpoint_resume_fallbacks_total"] != 1 {
 		t.Errorf("fallback resume counters = (%v, %v), want (1, 1)",
 			snap["sya_checkpoint_resumes_total"], snap["sya_checkpoint_resume_fallbacks_total"])
+	}
+	// The trace says the same: a resume event on the sampler's build stage.
+	spans := tracer.Recent(1)[0].Spans
+	var resume obs.SpanRecord
+	for _, sp := range spans {
+		if sp.Name == "resume" {
+			resume = sp
+		}
+	}
+	if want := "path=" + gibbs.PrevPath(path) + " fallback=true epoch="; !strings.HasPrefix(resume.Note, want) || spans[resume.Parent].Name != "gibbs.build" {
+		t.Errorf("resume event = %+v, want note %q… under gibbs.build (%+v)", resume, want, spans)
 	}
 }

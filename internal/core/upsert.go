@@ -83,7 +83,7 @@ func (s *System) UpsertEvidence(ctx context.Context, relation string, rows []sto
 	// Apply the patch to the live sampler (building one if inference has
 	// not started yet — pins must land somewhere stateful).
 	pinSpan := obs.SpanFromContext(ctx).Child("pin_apply")
-	if err := s.ensureSampler(); err != nil {
+	if err := s.ensureSampler(obs.ContextWithSpan(ctx, pinSpan)); err != nil {
 		return stats, err
 	}
 	sp, ok := s.sampler.(*gibbs.Spatial)
@@ -123,7 +123,7 @@ func (s *System) upsertStructural(ctx context.Context, stats DeltaStats, reason 
 	span := obs.SpanFromContext(ctx).Child("reground")
 	span.Note(reason)
 	start := time.Now()
-	if _, err := s.GroundContext(ctx); err != nil {
+	if _, err := s.GroundContext(obs.ContextWithSpan(ctx, span)); err != nil {
 		return stats, err
 	}
 	stats.GroundTime = time.Since(start)

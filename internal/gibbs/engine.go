@@ -96,7 +96,7 @@ type engine struct {
 	hooks TestHooks     // fault-injection plane (zero in production)
 	ckpt  *Checkpointer // periodic snapshot writer (nil: disabled)
 
-	obsState // metrics/trace/diagnostics plane (zero: disabled)
+	obsState // metrics/diagnostics plane (zero: disabled)
 
 	// Instrumentation (nil unless a variant enables it): per-unit sweep
 	// counts and tail-variable visits, counted once per group dispatch.
@@ -237,7 +237,13 @@ func (s *engine) RunEpochs(n int) {
 // (the sampler is then poisoned; see WorkerPanicError). A checkpoint write
 // failure returns the write error. nil ctx means context.Background().
 func (s *engine) Run(ctx context.Context, n int) (RunStats, error) {
-	return s.sweepEpochs(ctx, n, s.sched.units, s.sched.groupOff, s.sched.tail)
+	span := obs.SpanFromContext(ctx).Child("gibbs.steady")
+	st, err := s.sweepEpochs(ctx, span, n, s.sched.units, s.sched.groupOff, s.sched.tail)
+	if span.Enabled() { // boxing the note's arguments would allocate on the disabled path
+		span.Notef("epochs=%d reason=%s sampler=%s", st.Epochs, st.Reason, s.name)
+		span.End()
+	}
+	return st, err
 }
 
 // RunTotalEpochs is RunTotal without a context; like RunEpochs, a worker
@@ -267,6 +273,13 @@ func (s *engine) RunTotal(ctx context.Context, total int) (RunStats, error) {
 // precomputed schedule; the spatial sampler's RunIncremental passes its
 // restricted view. Nothing in the per-epoch loop allocates.
 //
+// span is the caller's stage for this sweep — one span per call, opened,
+// noted (epochs, stop reason) and ended by the caller; a disabled span is
+// free. Checkpoint saves and errors and the SetProgress readings land on it
+// as events, from this goroutine. Per-epoch timing is deliberately not in
+// the tree: it lives in the sya_epoch_seconds / sya_merge_seconds /
+// sya_chunk_queue_depth series.
+//
 // Interruption points: ctx is checked before each epoch, between groups and
 // at the barrier, and workers skip parked chunks once ctx fires. An epoch
 // cut short by cancellation keeps its merged partial samples but is not
@@ -274,7 +287,7 @@ func (s *engine) RunTotal(ctx context.Context, total int) (RunStats, error) {
 // worker panic the pending worker deltas are discarded so no partial chunk
 // reaches the counters, and the pool's sticky *WorkerPanicError is returned.
 // An inline pool has no fault envelope: a panic propagates to the caller.
-func (s *engine) sweepEpochs(ctx context.Context, n int, units, groupOff []int32, tail []factorgraph.VarID) (RunStats, error) {
+func (s *engine) sweepEpochs(ctx context.Context, span obs.Span, n int, units, groupOff []int32, tail []factorgraph.VarID) (RunStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -360,13 +373,13 @@ func (s *engine) sweepEpochs(ctx context.Context, n int, units, groupOff []int32
 		}
 		st.Epochs++
 		if active {
-			finishEpochObs(s.met, s.trace, s.name, s.epochs, &eo)
+			finishEpochObs(s.met, &eo)
 		}
 		if s.diagDue(s.epochs) {
-			s.takeDiag(s.name, s.epochs, &st)
+			s.takeDiag(span, s.name, s.epochs, &st)
 		}
 		if s.ckpt != nil && s.ckpt.due(s.epochs) {
-			if err := saveCheckpointObs(s.met, s.trace, s.name, s.epochs, func() error {
+			if err := saveCheckpointObs(s.met, span, s.epochs, func() error {
 				return s.ckpt.Save(s.Snapshot())
 			}); err != nil {
 				return st, err
@@ -376,7 +389,7 @@ func (s *engine) sweepEpochs(ctx context.Context, n int, units, groupOff []int32
 			s.hooks.AfterEpoch(s.epochs)
 		}
 	}
-	s.finalDiag(s.name, s.epochs, &st)
+	s.finalDiag(span, s.name, s.epochs, &st)
 	return st, nil
 }
 

@@ -36,7 +36,6 @@ import (
 	"math/bits"
 
 	"repro/internal/factorgraph"
-	"repro/internal/obs"
 )
 
 // prng is a splitmix64 pseudo-random generator. The engine creates one PRNG
@@ -86,7 +85,8 @@ type Sampler interface {
 	// Run advances the chain by up to n epochs under ctx: cancellation
 	// returns partial marginals within one chunk boundary with a RunStats
 	// describing why and how far the run got, and a worker panic returns a
-	// *WorkerPanicError. nil ctx means context.Background().
+	// *WorkerPanicError. nil ctx means context.Background(). A span on ctx
+	// gets the sweep as one gibbs.steady stage (see engine.sweepEpochs).
 	Run(ctx context.Context, n int) (RunStats, error)
 	// RunTotal runs about total raw epochs of work split across the
 	// sampler's K chains (Run(ctx, ⌈total/K⌉)); with one chain it is Run.
@@ -113,9 +113,6 @@ type Sampler interface {
 	// the disabled path costs one nil check per epoch). Call with no run in
 	// flight.
 	SetMetrics(m *Metrics)
-	// SetTrace attaches a structured-trace sink for per-epoch and checkpoint
-	// spans (nil disables). Call with no run in flight.
-	SetTrace(tr *obs.Trace)
 	// SetProgress enables convergence diagnostics every `every` epochs
 	// (every ≤ 0 disables). fn, when non-nil, is called with each reading on
 	// the run's goroutine; with a nil fn the readings still feed RunStats

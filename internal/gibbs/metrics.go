@@ -10,9 +10,9 @@ import (
 // Metrics bundles the sampler-side observability handles, resolved once
 // from a registry at wiring time. All handles are nil-safe, and a nil
 // *Metrics disables epoch-level instrumentation entirely: the samplers
-// guard every measurement behind one `s.met != nil || s.trace != nil`
-// check per epoch (or per conclique group), so the uninstrumented path
-// costs a predictable branch — BenchmarkObsOverhead holds it to noise.
+// guard every measurement behind one `s.met != nil` check per epoch (or per
+// conclique group), so the uninstrumented path costs a predictable branch —
+// BenchmarkObsOverhead holds it to noise.
 //
 // Chunk-level counting rides the pool's existing setHook seam (the same
 // one the fault-injection harness uses) instead of touching the inner
@@ -117,62 +117,43 @@ func (eo *epochObs) noteQueue(depth int) {
 	}
 }
 
-// finishEpochObs publishes one epoch's measurements to the metrics registry
-// and the trace. Either sink may be nil.
-func finishEpochObs(m *Metrics, tr *obs.Trace, sampler string, epoch int, eo *epochObs) {
-	dur := time.Since(eo.start)
-	if m != nil {
-		m.Epochs.Inc()
-		m.EpochDur.Observe(dur.Seconds())
-		m.MergeDur.Observe(eo.merge.Seconds())
-		m.QueueDepth.Set(float64(eo.queue))
-	}
-	tr.Emit("inference", "epoch",
-		"sampler", sampler,
-		"epoch", epoch,
-		"dur_ms", durMs(dur),
-		"merge_ms", durMs(eo.merge),
-		"queue", eo.queue,
-	)
+// finishEpochObs publishes one epoch's measurements to the metrics
+// registry. Per-epoch timing lives there (sya_epoch_seconds,
+// sya_merge_seconds, sya_chunk_queue_depth), not in the span tree.
+func finishEpochObs(m *Metrics, eo *epochObs) {
+	m.Epochs.Inc()
+	m.EpochDur.Observe(time.Since(eo.start).Seconds())
+	m.MergeDur.Observe(eo.merge.Seconds())
+	m.QueueDepth.Set(float64(eo.queue))
 }
 
-// saveCheckpointObs wraps a checkpoint save with timing, counters and a
-// trace span. Either sink may be nil.
-func saveCheckpointObs(m *Metrics, tr *obs.Trace, sampler string, epoch int, save func() error) error {
-	active := m != nil || tr != nil
-	var t0 time.Time
-	if active {
-		t0 = time.Now()
-	}
+// saveCheckpointObs wraps a checkpoint save with timing and counters, and
+// records it as a checkpoint (or checkpoint_error) event on the sweep span.
+// m may be nil and span disabled.
+func saveCheckpointObs(m *Metrics, span obs.Span, epoch int, save func() error) error {
+	t0 := time.Now()
 	err := save()
-	if !active {
-		return err
-	}
 	dur := time.Since(t0)
 	if err != nil {
 		if m != nil {
 			m.CkptSaveErrors.Inc()
 		}
-		tr.Emit("inference", "checkpoint_error", "sampler", sampler, "epoch", epoch, "error", err.Error())
+		span.Event("checkpoint_error", dur).Notef("epoch=%d: %v", epoch, err)
 		return err
 	}
 	if m != nil {
 		m.CkptSaves.Inc()
 		m.CkptSaveDur.Observe(dur.Seconds())
 	}
-	tr.Emit("inference", "checkpoint", "sampler", sampler, "epoch", epoch, "dur_ms", durMs(dur))
+	span.Event("checkpoint", dur).Notef("epoch=%d", epoch)
 	return nil
 }
 
-// durMs renders a duration as fractional milliseconds for trace fields.
-func durMs(d time.Duration) float64 { return obs.Ms(d) }
-
-// obsState is the engine's instrumentation state: the metric handles, the
-// trace sink, and the convergence diagnostics enabled via SetProgress. The
-// zero value is fully disabled.
+// obsState is the engine's instrumentation state: the metric handles and the
+// convergence diagnostics enabled via SetProgress. The zero value is fully
+// disabled.
 type obsState struct {
 	met           *Metrics
-	trace         *obs.Trace
 	progressEvery int
 	progressFn    func(Progress)
 	diag          *diagTracker
@@ -181,10 +162,7 @@ type obsState struct {
 
 // obsActive reports whether per-epoch measurement should run at all — the
 // single branch the uninstrumented hot path pays.
-func (o *obsState) obsActive() bool { return o.met != nil || o.trace != nil }
-
-// SetTrace implements the Sampler method for every variant via embedding.
-func (o *obsState) SetTrace(tr *obs.Trace) { o.trace = tr }
+func (o *obsState) obsActive() bool { return o.met != nil }
 
 // enableProgress wires the diagnostics over the engine's graph and chain
 // counters.
@@ -202,16 +180,19 @@ func (o *obsState) diagDue(epoch int) bool {
 }
 
 // takeDiag takes a convergence reading at epoch, records it into st, and
-// publishes it to the gauges, the trace and the progress callback.
-func (o *obsState) takeDiag(sampler string, epoch int, st *RunStats) {
+// publishes it to the gauges, the sweep span (a diag event) and the progress
+// callback.
+func (o *obsState) takeDiag(span obs.Span, sampler string, epoch int, st *RunStats) {
+	t0 := time.Now()
 	d := o.diag.update(epoch, o.chains)
 	st.Diag, st.DiagValid = d, true
 	if o.met != nil {
 		o.met.DiagMaxDelta.Set(d.MaxDelta)
 		o.met.DiagSpread.Set(d.Spread)
 	}
-	o.trace.Emit("inference", "diag",
-		"sampler", sampler, "epoch", epoch, "max_delta", d.MaxDelta, "spread", d.Spread)
+	if span.Enabled() {
+		span.Event("diag", time.Since(t0)).Notef("epoch=%d max_delta=%.6f spread=%.6f", epoch, d.MaxDelta, d.Spread)
+	}
 	if o.progressFn != nil {
 		o.progressFn(Progress{Sampler: sampler, Epoch: epoch, Diag: d})
 	}
@@ -219,9 +200,9 @@ func (o *obsState) takeDiag(sampler string, epoch int, st *RunStats) {
 
 // finalDiag takes the run's closing reading unless the last diagnostic epoch
 // already covered the current one (avoiding a duplicate zero-delta reading).
-func (o *obsState) finalDiag(sampler string, epoch int, st *RunStats) {
+func (o *obsState) finalDiag(span obs.Span, sampler string, epoch int, st *RunStats) {
 	if o.progressEvery <= 0 || (st.DiagValid && st.Diag.Epoch == epoch) {
 		return
 	}
-	o.takeDiag(sampler, epoch, st)
+	o.takeDiag(span, sampler, epoch, st)
 }

@@ -1,16 +1,16 @@
 package gibbs_test
 
-// Observability wiring tests: metric counters, trace events, convergence
-// diagnostics and checkpoint rotation must behave identically across all
-// three sampler variants, and the whole layer must disappear when disabled
-// (nil registry, nil trace — see BenchmarkObsOverhead).
+// Observability wiring tests: metric counters, the sweep span and its
+// events, convergence diagnostics and checkpoint rotation must behave
+// identically across all three sampler variants, and the whole layer must
+// disappear when disabled (nil registry, no span on the context — see
+// BenchmarkObsOverhead and TestSteadyEpochAllocFreeWithoutSpan).
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/factorgraph"
@@ -43,45 +43,25 @@ func obsSamplers(t *testing.T, g *factorgraph.Graph) map[string]gibbs.Sampler {
 	}
 }
 
-// traceEvents parses a trace buffer back into event maps.
-func traceEvents(t *testing.T, buf *bytes.Buffer) []map[string]any {
-	t.Helper()
-	var out []map[string]any
-	for _, line := range bytes.Split(buf.Bytes(), []byte("\n")) {
-		if len(line) == 0 {
-			continue
-		}
-		var ev map[string]any
-		if err := json.Unmarshal(line, &ev); err != nil {
-			t.Fatalf("trace line %q: %v", line, err)
-		}
-		out = append(out, ev)
-	}
-	return out
-}
-
 func TestSamplerObsWiring(t *testing.T) {
 	g := obsGraph(t)
 	for name, s := range obsSamplers(t, g) {
 		t.Run(name, func(t *testing.T) {
 			defer s.Close()
 			reg := obs.NewRegistry()
-			var buf bytes.Buffer
-			tr := obs.NewTrace(&buf)
 			s.SetMetrics(gibbs.NewMetrics(reg))
-			s.SetTrace(tr)
+			tracer := obs.NewTracer(obs.TracerOptions{RingSize: 1})
+			root := tracer.StartRequest("run", "")
 			var progress []gibbs.Progress
 			s.SetProgress(2, func(p gibbs.Progress) { progress = append(progress, p) })
 			ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 			s.SetCheckpointer(&gibbs.Checkpointer{Path: ckpt, Every: 3})
 
-			st, err := s.Run(context.Background(), 6)
+			st, err := s.Run(obs.ContextWithSpan(context.Background(), root), 6)
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
-			if err := tr.Close(); err != nil {
-				t.Fatalf("trace: %v", err)
-			}
+			root.Finish("ok")
 
 			snap := reg.Snapshot()
 			if got := snap["sya_epochs_total"]; got != 6 {
@@ -138,18 +118,65 @@ func TestSamplerObsWiring(t *testing.T) {
 					snap["sya_diag_max_delta"], snap["sya_diag_spread"], st.Diag.MaxDelta, st.Diag.Spread)
 			}
 
-			events := map[string]int{}
-			for _, ev := range traceEvents(t, &buf) {
-				if ev["phase"] != "inference" {
-					t.Errorf("unexpected phase %v in sampler trace", ev["phase"])
-				}
-				evName, _ := ev["event"].(string)
-				events[evName]++
+			// The span tree: one sweep stage under the root, noted with the
+			// epoch count and stop reason, carrying the checkpoint and
+			// diagnostic events — and no per-epoch spans.
+			spans := tracer.Recent(1)[0].Spans
+			if len(spans) != 7 || spans[1].Name != "gibbs.steady" || spans[1].Parent != 0 ||
+				spans[1].Note != "epochs=6 reason=done sampler="+name {
+				t.Fatalf("span tree = %+v, want root, one gibbs.steady sweep and its 5 events", spans)
 			}
-			if events["epoch"] != 6 || events["checkpoint"] != 2 || events["diag"] != 3 {
-				t.Errorf("trace events = %v, want 6 epoch / 2 checkpoint / 3 diag", events)
+			events := map[string]int{}
+			for _, sp := range spans[2:] {
+				if sp.Parent != 1 {
+					t.Errorf("event %s hangs off span %d, want the sweep", sp.Name, sp.Parent)
+				}
+				events[sp.Name]++
+			}
+			if events["checkpoint"] != 2 || events["diag"] != 3 {
+				t.Errorf("sweep events = %v, want 2 checkpoint / 3 diag", events)
 			}
 		})
+	}
+}
+
+// TestCheckpointErrorIsASweepEvent: a failed save fails the run, bumps the
+// error counter and is named, with the cause, on the sweep span.
+func TestCheckpointErrorIsASweepEvent(t *testing.T) {
+	s := gibbs.NewSequential(obsGraph(t), 5)
+	reg := obs.NewRegistry()
+	s.SetMetrics(gibbs.NewMetrics(reg))
+	s.SetCheckpointer(&gibbs.Checkpointer{Path: filepath.Join(t.TempDir(), "no-such-dir", "run.ckpt"), Every: 1})
+	tracer := obs.NewTracer(obs.TracerOptions{RingSize: 1})
+	root := tracer.StartRequest("run", "")
+	if _, err := s.Run(obs.ContextWithSpan(context.Background(), root), 3); err == nil {
+		t.Fatal("a failing checkpoint save must fail the run")
+	}
+	root.Finish("error")
+	if got := reg.Snapshot()["sya_checkpoint_save_errors_total"]; got != 1 {
+		t.Errorf("sya_checkpoint_save_errors_total = %v, want 1", got)
+	}
+	spans := tracer.Recent(1)[0].Spans
+	last := spans[len(spans)-1]
+	if last.Name != "checkpoint_error" || !strings.HasPrefix(last.Note, "epoch=1: ") || spans[last.Parent].Name != "gibbs.steady" {
+		t.Errorf("span tree = %+v, want a checkpoint_error event under the sweep", spans)
+	}
+}
+
+// TestSteadyEpochAllocFreeWithoutSpan pins the disabled path on all three
+// schedules: with no span on the context (and no registry) a steady epoch
+// through the context-aware entry point allocates nothing.
+func TestSteadyEpochAllocFreeWithoutSpan(t *testing.T) {
+	g := obsGraph(t)
+	ctx := context.Background()
+	for name, s := range obsSamplers(t, g) {
+		if _, err := s.Run(ctx, 3); err != nil { // warm the pool and scratch
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(5, func() { s.Run(ctx, 1) }); allocs > 0 {
+			t.Errorf("%s: steady epoch without a span allocated %.1f times", name, allocs)
+		}
+		s.Close()
 	}
 }
 
@@ -292,8 +319,8 @@ func TestResumeFallbackSkipsRestoreErrors(t *testing.T) {
 
 // BenchmarkObsOverhead compares the fully-instrumented epoch path against
 // the disabled one on the mid-size harness graph. The two sub-benchmarks
-// must stay within noise of each other: with a nil registry and nil trace
-// the instrumentation is one branch per epoch.
+// must stay within noise of each other: with a nil registry and no span on
+// the context the instrumentation is one branch per epoch.
 func BenchmarkObsOverhead(b *testing.B) {
 	run := func(b *testing.B, instrument bool) {
 		g := benchSamplerGraph(b)

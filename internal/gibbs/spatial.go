@@ -383,12 +383,10 @@ func (s *Spatial) RunIncrementalContext(ctx context.Context, n int) (RunStats, e
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// A request span on the context (serving upsert path) gets the dirty
-	// sweep recorded as a stage of its trace.
+	// A span on the context (the serving upsert path's resample stage) gets
+	// the dirty sweep recorded as one stage: this sweep's span.
 	span := obs.SpanFromContext(ctx).Child("conclique_sweep")
 	view := s.restrictedFor(s.dirty)
-	span.Notef("dirty=%d cells=%d tail=%d epochs=%d", len(s.dirty), len(view.cells), len(view.extra), n)
-	defer span.End()
 	for _, ci := range view.cells {
 		for _, v := range s.sched.unitVars(ci) {
 			if !s.pinned[v] {
@@ -401,7 +399,11 @@ func (s *Spatial) RunIncrementalContext(ctx context.Context, n int) (RunStats, e
 			s.resetVarCounts(v)
 		}
 	}
-	st, err := s.sweepEpochs(ctx, n, view.cells, view.groupOff, view.extra)
+	st, err := s.sweepEpochs(ctx, span, n, view.cells, view.groupOff, view.extra)
+	if span.Enabled() {
+		span.Notef("dirty=%d cells=%d tail=%d epochs=%d reason=%s", len(s.dirty), len(view.cells), len(view.extra), st.Epochs, st.Reason)
+		span.End()
+	}
 	for v := range s.dirty {
 		delete(s.dirty, v)
 	}

@@ -196,9 +196,9 @@ func (gr *Grounder) DeltaContext(ctx context.Context, prev *Result, changed []st
 			keyBuf = AppendAtomKey(keyBuf[:0], relKey, row[:width])
 			vid, found := prev.VarID[string(keyBuf)]
 			if !found {
-				gr.opts.Trace.Emit("grounding", "delta_structural",
-					"derivation", derLabel(d), "atom", string(keyBuf))
-				return structuralPatch(fmt.Sprintf("derivation %s produced new ground atom %s", derLabel(d), keyBuf), start), nil
+				reason := fmt.Sprintf("derivation %s produced new ground atom %s", derLabel(d), keyBuf)
+				span.Note("structural: " + reason)
+				return structuralPatch(reason, start), nil
 			}
 			ev, err := labelToEvidence(rel, row[width])
 			if err != nil {
@@ -220,9 +220,6 @@ func (gr *Grounder) DeltaContext(ctx context.Context, prev *Result, changed []st
 	}
 	p.Elapsed = time.Since(start)
 	span.Notef("derivations=%d rows=%d pins=%d", p.Derivations, p.Rows, len(p.Pins))
-	gr.opts.Trace.Emit("grounding", "delta",
-		"derivations", p.Derivations, "rows", p.Rows, "pins", len(p.Pins),
-		"dur_ms", obs.Ms(p.Elapsed))
 	return p, nil
 }
 

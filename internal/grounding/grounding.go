@@ -63,20 +63,11 @@ type Options struct {
 	MaxNeighbors int
 	// UDFs resolves function implementation keys.
 	UDFs map[string]UDF
-	// SkipFactorTables disables materializing per-rule factor relations
-	// (sya_factors_<label>) in the database. The paper stores the ground
-	// factor graph in the RDBMS; keeping the tables is faithful but costs
-	// memory on large runs.
-	SkipFactorTables bool
 	// Workers is the grounding worker-pool width: concurrent rule/derivation
 	// query evaluation, sharded spatial sweeps and co-occurrence counting
 	// (0 → GOMAXPROCS, 1 → fully sequential). The grounded factor graph is
 	// identical for any worker count (see DESIGN.md §9).
 	Workers int
-	// Trace, when non-nil, receives structured phase events: one per UDF
-	// application, derivation and inference rule (row and factor counts with
-	// wall time), one per @spatial relation, and a closing summary.
-	Trace *obs.Trace
 }
 
 func (o Options) withDefaults() Options {
@@ -143,6 +134,11 @@ type Grounder struct {
 	// ctx is the active grounding context, polled between phases and
 	// periodically inside the row/atom loops (set by GroundContext).
 	ctx context.Context
+	// span is the open phase stage (grounding.rules, grounding.spatial) the
+	// per-UDF, per-derivation, per-rule and per-relation stages nest under;
+	// a no-op unless ctx carried a span. An error return leaves it open for
+	// the trace's Finish to close.
+	span obs.Span
 	// spatial collects the located ground atoms of each @spatial relation
 	// (keyed by lower-cased relation name) during derivation, for the
 	// spatial-factor phase.
@@ -216,7 +212,10 @@ func (gr *Grounder) Ground() (*Result, error) {
 // GroundContext is Ground under a context: cancellation is honoured between
 // phases and periodically inside the per-row and per-atom loops, returning
 // the context error. A cancelled grounding leaves no usable Result — unlike
-// sampling there is no meaningful partial factor graph.
+// sampling there is no meaningful partial factor graph. A span on ctx gets
+// the two phases as stages (grounding.rules, grounding.spatial) with one
+// child per UDF application, derivation, rule and @spatial relation, all
+// recorded from this goroutine.
 func (gr *Grounder) GroundContext(ctx context.Context) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -244,6 +243,7 @@ func (gr *Grounder) GroundContext(ctx context.Context) (*Result, error) {
 	builder := factorgraph.NewBuilder()
 
 	rulesStart := time.Now()
+	gr.span = obs.SpanFromContext(ctx).Child("grounding.rules")
 	if err := gr.runApps(); err != nil {
 		return nil, err
 	}
@@ -260,12 +260,15 @@ func (gr *Grounder) GroundContext(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	res.Stats.RulesTime = time.Since(rulesStart)
+	gr.span.End()
 
 	spatialStart := time.Now()
+	gr.span = obs.SpanFromContext(ctx).Child("grounding.spatial")
 	if err := gr.groundSpatialFactors(builder, res); err != nil {
 		return nil, err
 	}
 	res.Stats.SpatialTime = time.Since(spatialStart)
+	gr.span.End()
 
 	g, err := builder.Finalize()
 	if err != nil {
@@ -286,24 +289,13 @@ func (gr *Grounder) GroundContext(ctx context.Context) (*Result, error) {
 	})
 	res.Stats.Workers = workers
 	res.Stats.TotalTime = time.Since(start)
-	gr.opts.Trace.Emit("grounding", "done",
-		"vars", res.Stats.Vars,
-		"evidence_vars", res.Stats.EvidenceVars,
-		"query_vars", res.Stats.QueryVars,
-		"logical_factors", res.Stats.LogicalFactors,
-		"spatial_pairs", res.Stats.SpatialPairs,
-		"workers", workers,
-		"rules_ms", obs.Ms(res.Stats.RulesTime),
-		"spatial_ms", obs.Ms(res.Stats.SpatialTime),
-		"dur_ms", obs.Ms(res.Stats.TotalTime),
-	)
 	return res, nil
 }
 
 // runApps executes UDF applications.
 func (gr *Grounder) runApps() error {
 	for _, app := range gr.prog.Apps {
-		appStart := time.Now()
+		sp := gr.span.Child("udf")
 		var impl UDF
 		var implKey string
 		for _, fn := range gr.prog.Functions {
@@ -339,8 +331,8 @@ func (gr *Grounder) runApps() error {
 				}
 			}
 		}
-		gr.opts.Trace.Emit("grounding", "udf",
-			"fn", app.Fn, "rows", len(rows.Rows), "dur_ms", obs.Ms(time.Since(appStart)))
+		sp.Notef("fn=%s rows=%d", app.Fn, len(rows.Rows))
+		sp.End()
 	}
 	return nil
 }
@@ -378,11 +370,10 @@ func drainJobs(jobs []*queryJob) {
 // execAhead evaluates the translated queries concurrently, at most
 // Options.Workers in flight, and returns per-query jobs. The caller awaits
 // job i before job i+1, so downstream emission (factor creation, atom
-// accumulation, factor-table appends) runs in exactly the sequential order.
-// Rule and derivation bodies only read relations that are fully
-// materialized before this phase — never the factor tables the consumer
-// appends to — so concurrent evaluation is safe (storage.Table guards its
-// lazily built indexes internally).
+// accumulation) runs in exactly the sequential order. Rule and derivation
+// bodies only read relations that are fully materialized before this phase,
+// so concurrent evaluation is safe (storage.Table guards its lazily built
+// indexes internally).
 func (gr *Grounder) execAhead(queries []translate.Query) []*queryJob {
 	jobs := make([]*queryJob, len(queries))
 	sem := make(chan struct{}, parallel.Resolve(gr.opts.Workers))
@@ -425,7 +416,7 @@ func (gr *Grounder) runDerivations(b *factorgraph.Builder, res *Result) error {
 	defer drainJobs(jobs)
 	var keyBuf []byte // atom-key scratch, reused across rows
 	for di, d := range gr.prog.Derivations {
-		derStart := time.Now()
+		sp := gr.span.Child("derivation")
 		rows, err := jobs[di].wait()
 		if err != nil {
 			return fmt.Errorf("grounding: derivation %s: %w", d.Label, err)
@@ -459,8 +450,8 @@ func (gr *Grounder) runDerivations(b *factorgraph.Builder, res *Result) error {
 			}
 			order++
 		}
-		gr.opts.Trace.Emit("grounding", "derivation",
-			"label", derLabel(d), "rows", len(rows.Rows), "dur_ms", obs.Ms(time.Since(derStart)))
+		sp.Notef("label=%s rows=%d", derLabel(d), len(rows.Rows))
+		sp.End()
 	}
 	// Deterministic creation order: derivation order.
 	sorted := make([]*derivedAtom, 0, len(atoms))
@@ -562,9 +553,8 @@ func labelToEvidence(rel *ddlog.RelationDecl, v storage.Value) (int32, error) {
 }
 
 // runInferenceRules grounds logical factors. Rule queries evaluate
-// concurrently (execAhead); factor emission and factor-table appends
-// consume results in rule order, preserving FactorRule numbering and the
-// sequential factor layout.
+// concurrently (execAhead); factor emission consumes results in rule order,
+// preserving FactorRule numbering and the sequential factor layout.
 func (gr *Grounder) runInferenceRules(b *factorgraph.Builder, res *Result) error {
 	queries := make([]translate.Query, len(gr.prog.Rules))
 	for ri, rule := range gr.prog.Rules {
@@ -581,7 +571,7 @@ func (gr *Grounder) runInferenceRules(b *factorgraph.Builder, res *Result) error
 	defer drainJobs(jobs)
 	var keyBuf []byte // atom-key scratch, reused across rows and head atoms
 	for ri, rule := range gr.prog.Rules {
-		ruleStart := time.Now()
+		sp := gr.span.Child("rule")
 		q := queries[ri]
 		name := res.RuleNames[ri]
 		ruleIdx := int32(ri)
@@ -592,13 +582,6 @@ func (gr *Grounder) runInferenceRules(b *factorgraph.Builder, res *Result) error
 		kind, err := factorKindFor(rule)
 		if err != nil {
 			return fmt.Errorf("grounding: rule %s: %w", name, err)
-		}
-		var factorTable *storage.Table
-		if !gr.opts.SkipFactorTables {
-			factorTable, err = gr.ensureFactorTable(name, len(rule.Head))
-			if err != nil {
-				return err
-			}
 		}
 		headRels := make([]string, len(rule.Head))
 		for hi, h := range rule.Head {
@@ -635,41 +618,11 @@ func (gr *Grounder) runInferenceRules(b *factorgraph.Builder, res *Result) error
 			}
 			res.FactorRule = append(res.FactorRule, ruleIdx)
 			res.Stats.RuleFactors[name]++
-			if factorTable != nil {
-				frow := make(storage.Row, len(rule.Head)+2)
-				for i, v := range vars {
-					frow[i] = storage.Int(int64(v))
-				}
-				frow[len(rule.Head)] = storage.Str(kind.String())
-				frow[len(rule.Head)+1] = storage.Float(rule.Weight)
-				if err := factorTable.Append(frow); err != nil {
-					return err
-				}
-			}
 		}
-		gr.opts.Trace.Emit("grounding", "rule",
-			"rule", name, "rows", len(rows.Rows), "factors", res.Stats.RuleFactors[name],
-			"dur_ms", obs.Ms(time.Since(ruleStart)))
+		sp.Notef("rule=%s rows=%d factors=%d", name, len(rows.Rows), res.Stats.RuleFactors[name])
+		sp.End()
 	}
 	return nil
-}
-
-// ensureFactorTable creates the per-rule factor relation the paper's Fig. 5
-// inserts into (INSERT INTO R1_Factors ...).
-func (gr *Grounder) ensureFactorTable(rule string, heads int) (*storage.Table, error) {
-	name := "sya_factors_" + rule
-	if t, err := gr.db.Table(name); err == nil {
-		return t, nil
-	}
-	schema := storage.Schema{Name: name}
-	for i := 0; i < heads; i++ {
-		schema.Cols = append(schema.Cols, storage.Column{Name: fmt.Sprintf("v%d", i+1), Kind: storage.KindInt})
-	}
-	schema.Cols = append(schema.Cols,
-		storage.Column{Name: "type", Kind: storage.KindString},
-		storage.Column{Name: "weight", Kind: storage.KindFloat},
-	)
-	return gr.db.Create(schema)
 }
 
 // factorKindFor maps head connectives to factor kinds.
@@ -719,7 +672,6 @@ func (gr *Grounder) groundSpatialFactors(b *factorgraph.Builder, res *Result) er
 		if rel.Spatial == "" {
 			continue
 		}
-		relStart := time.Now()
 		fn, err := gr.opts.Weighting.Lookup(rel.Spatial)
 		if err != nil {
 			return fmt.Errorf("grounding: relation %s: %w", rel.Name, err)
@@ -732,6 +684,7 @@ func (gr *Grounder) groundSpatialFactors(b *factorgraph.Builder, res *Result) er
 		if len(atoms) == 0 {
 			continue
 		}
+		sp := gr.span.Child("spatial")
 		// Categorical pruning mask (Section IV-C).
 		if rel.Categorical > 0 {
 			mask, pruned, allowed, err := gr.cooccurrenceMask(rel, atoms, radius)
@@ -765,9 +718,8 @@ func (gr *Grounder) groundSpatialFactors(b *factorgraph.Builder, res *Result) er
 		if err := b.AddSpatialPairs(pairs); err != nil {
 			return fmt.Errorf("grounding: relation %s: %w", rel.Name, err)
 		}
-		gr.opts.Trace.Emit("grounding", "spatial",
-			"relation", rel.Name, "atoms", len(atoms), "pairs", len(pairs),
-			"workers", workers, "dur_ms", obs.Ms(time.Since(relStart)))
+		sp.Notef("relation=%s atoms=%d pairs=%d workers=%d", rel.Name, len(atoms), len(pairs), workers)
+		sp.End()
 	}
 	return nil
 }

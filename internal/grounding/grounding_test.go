@@ -156,42 +156,20 @@ func TestEbolaFactualScoresOrdering(t *testing.T) {
 	}
 }
 
-func TestFactorTablesMaterialized(t *testing.T) {
-	res, _ := groundEbola(t, Options{})
-	_ = res
-	// Reground with direct access to the DB to inspect tables.
+// TestVariableRelationMaterialized checks that grounding writes every ground
+// atom back into its variable relation's table with its __vid.
+func TestVariableRelationMaterialized(t *testing.T) {
 	prog, _ := ddlog.ParseAndValidate(ebolaSrc)
 	db := ebolaDB(t, prog)
-	gr := New(prog, db, Options{Metric: geom.HaversineMiles})
-	if _, err := gr.Ground(); err != nil {
+	if _, err := New(prog, db, Options{Metric: geom.HaversineMiles}).Ground(); err != nil {
 		t.Fatal(err)
 	}
-	ft, err := db.Table("sya_factors_R1")
-	if err != nil {
-		t.Fatalf("factor table missing: %v", err)
-	}
-	if ft.Len() != 11 {
-		t.Errorf("factor table rows = %d, want 11", ft.Len())
-	}
-	// Variable relation materialized with __vid.
 	he, err := db.Table("HasEbola")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if he.Len() != 4 || he.Schema().ColIndex("__vid") < 0 {
 		t.Errorf("HasEbola rows = %d", he.Len())
-	}
-}
-
-func TestSkipFactorTables(t *testing.T) {
-	prog, _ := ddlog.ParseAndValidate(ebolaSrc)
-	db := ebolaDB(t, prog)
-	gr := New(prog, db, Options{Metric: geom.HaversineMiles, SkipFactorTables: true})
-	if _, err := gr.Ground(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Table("sya_factors_R1"); err == nil {
-		t.Error("factor table should not exist")
 	}
 }
 

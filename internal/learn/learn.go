@@ -48,9 +48,6 @@ type Options struct {
 	MaxWeight float64
 	// Seed drives the chains.
 	Seed int64
-	// Trace, when non-nil, receives one "learning" phase event per gradient
-	// iteration (gradient norm and wall time) plus a closing summary.
-	Trace *obs.Trace
 }
 
 func (o Options) withDefaults() Options {
@@ -135,7 +132,8 @@ func (c *chain) sweep(n int) {
 // ctx is checked between gradient iterations: on cancellation the weights
 // learned so far (already pushed into the graph) are returned together with
 // the context error, so callers can distinguish a converged result from a
-// truncated one.
+// truncated one. A span on ctx gets a learn.weights stage with one
+// iteration event per gradient step (gradient norm and wall time).
 func Weights(ctx context.Context, g *factorgraph.Graph, factorRule []int32, numRules int, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -209,7 +207,8 @@ func Weights(ctx context.Context, g *factorgraph.Graph, factorRule []int32, numR
 
 	nData := make([]float64, numRules)
 	nModel := make([]float64, numRules)
-	learnStart := time.Now()
+	span := obs.SpanFromContext(ctx).Child("learn.weights")
+	defer span.End()
 	for iter := 0; iter < opts.Iterations; iter++ {
 		if err := ctx.Err(); err != nil {
 			return res, fmt.Errorf("learn: interrupted after %d/%d iterations: %w", iter, opts.Iterations, err)
@@ -253,8 +252,7 @@ func Weights(ctx context.Context, g *factorgraph.Graph, factorRule []int32, numR
 			norm += grad * grad
 		}
 		res.GradNorms = append(res.GradNorms, math.Sqrt(norm))
-		opts.Trace.Emit("learning", "iteration",
-			"iter", iter, "grad_norm", math.Sqrt(norm), "dur_ms", obs.Ms(time.Since(iterStart)))
+		span.Event("iteration", time.Since(iterStart)).Notef("iter=%d grad_norm=%.6g", iter, math.Sqrt(norm))
 		// Push the updated tied weights into the graph so the next sweeps
 		// sample under them.
 		for f := int32(0); int(f) < g.NumFactors(); f++ {
@@ -270,9 +268,7 @@ func Weights(ctx context.Context, g *factorgraph.Graph, factorRule []int32, numR
 	if len(res.GradNorms) > 0 {
 		finalNorm = res.GradNorms[len(res.GradNorms)-1]
 	}
-	opts.Trace.Emit("learning", "done",
-		"iterations", opts.Iterations, "final_grad_norm", finalNorm,
-		"spatial_scale", res.SpatialScale, "dur_ms", obs.Ms(time.Since(learnStart)))
+	span.Notef("iterations=%d final_grad_norm=%.6g spatial_scale=%.6g", opts.Iterations, finalNorm, res.SpatialScale)
 	return res, nil
 }
 

@@ -1,7 +1,7 @@
 // Package obs is the pipeline's observability layer: a zero-dependency,
-// stdlib-only metrics registry (counters, gauges, histograms), a structured
-// JSONL phase trace, and an HTTP exposition endpoint (Prometheus text,
-// expvar, pprof).
+// stdlib-only metrics registry (counters, gauges, histograms), a span-tree
+// tracer for batch runs, boots and requests alike (span.go), and an HTTP
+// exposition endpoint (Prometheus text, expvar, pprof).
 //
 // The design optimizes for a disabled-by-default hot path: every metric
 // handle is nil-safe — a nil *Registry hands out nil *Counter/*Gauge/

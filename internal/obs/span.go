@@ -12,12 +12,13 @@ import (
 	"time"
 )
 
-// This file implements request-scoped tracing for the serving path: a
-// Tracer hands out one Span tree per request, stage timings nest under the
-// root, and completed traces land in a lock-cheap ring buffer served at
-// /debug/traces. Requests slower than a threshold are additionally written
-// to a structured slog logger, so "why was that one query slow?" is
-// answerable from the log alone.
+// This file implements the one trace vocabulary of the system: a Tracer
+// hands out one Span tree per unit of work — a served request, syad's boot,
+// a whole batch run — stage timings nest under the root, and completed
+// traces land in a lock-cheap ring buffer served at /debug/traces (sya
+// -trace-out writes the same record to a file). Traces slower than a
+// threshold are additionally written to a structured slog logger, so "why
+// was that one query slow?" is answerable from the log alone.
 //
 // The design follows the registry's disabled-by-default discipline: a nil
 // *Tracer hands out zero-value Spans whose methods are single-branch no-ops
@@ -98,17 +99,27 @@ type TraceRecord struct {
 	Start        time.Time    `json:"start"`
 	DurUs        int64        `json:"dur_us"`
 	Spans        []SpanRecord `json:"spans"`
+	// Dropped counts the stages refused because the trace already held
+	// maxSpans (stages under a refused stage are not opened at all).
+	Dropped int `json:"dropped,omitempty"`
 
 	flags string // traceparent trace-flags, echoed verbatim
 	seq   uint64 // ring eviction order, assigned at Finish
 	start time.Time
 }
 
+// maxSpans bounds one trace's span tree, so a long run with per-iteration
+// stages (learning, -progress readings, checkpoints) holds a bounded record;
+// what does not fit is counted in TraceRecord.Dropped.
+const maxSpans = 1024
+
 // Span is a handle into one trace's span tree. The zero value (and any Span
 // from a nil Tracer) is a no-op whose methods allocate nothing — the
-// disabled fast path. Spans of one request must be used from one goroutine
-// at a time, matching an HTTP handler's sequential execution; distinct
-// requests are fully isolated (each owns its TraceRecord).
+// disabled fast path. Spans of one trace must be used from one goroutine
+// at a time, matching an HTTP handler's sequential execution and a batch
+// run's coordinating goroutine (code that fans out hands its goroutines a
+// context with the span masked; see ContextWithSpan); distinct traces are
+// fully isolated (each owns its TraceRecord).
 type Span struct {
 	t   *Tracer
 	rec *TraceRecord
@@ -234,13 +245,23 @@ func (s Span) Child(name string) Span {
 	if s.rec == nil {
 		return Span{}
 	}
-	rec := s.rec
-	rec.Spans = append(rec.Spans, SpanRecord{
+	return s.add(SpanRecord{
 		Name:    name,
 		Parent:  s.idx,
-		StartUs: time.Since(rec.start).Microseconds(),
+		StartUs: time.Since(s.rec.start).Microseconds(),
 		DurUs:   -1, // open; End overwrites
 	})
+}
+
+// add appends one child record and returns its handle — or, once the trace
+// holds maxSpans, counts the stage as dropped and returns a no-op Span.
+func (s Span) add(sp SpanRecord) Span {
+	rec := s.rec
+	if len(rec.Spans) >= maxSpans {
+		rec.Dropped++
+		return Span{}
+	}
+	rec.Spans = append(rec.Spans, sp)
 	return Span{t: s.t, rec: rec, idx: len(rec.Spans) - 1}
 }
 
@@ -272,21 +293,19 @@ func (s Span) Notef(format string, args ...any) {
 
 // Event records an already-measured stage as a completed child span —
 // used when the duration was measured elsewhere (e.g. the WAL's fsync
-// timer) and there is no open/close seam to wrap.
-func (s Span) Event(name string, d time.Duration) {
+// timer) and there is no open/close seam to wrap. The returned handle takes
+// a Note.
+func (s Span) Event(name string, d time.Duration) Span {
 	if s.rec == nil {
-		return
+		return Span{}
 	}
-	rec := s.rec
-	end := time.Since(rec.start).Microseconds()
+	end := time.Since(s.rec.start).Microseconds()
 	dur := d.Microseconds()
 	start := end - dur
 	if start < 0 {
 		start = 0
 	}
-	rec.Spans = append(rec.Spans, SpanRecord{
-		Name: name, Parent: s.idx, StartUs: start, DurUs: dur,
-	})
+	return s.add(SpanRecord{Name: name, Parent: s.idx, StartUs: start, DurUs: dur})
 }
 
 // Finish completes the trace: closes the root span, stamps the outcome,
@@ -313,7 +332,7 @@ func (s Span) Finish(outcome string) time.Duration {
 	rec.seq = t.seq.Add(1)
 	t.slots[(rec.seq-1)%uint64(len(t.slots))].Store(rec)
 	if t.slow > 0 && d >= t.slow {
-		attrs := make([]slog.Attr, 0, 6+len(rec.Spans))
+		attrs := make([]slog.Attr, 0, 6)
 		attrs = append(attrs,
 			slog.String("trace_id", rec.TraceID),
 			slog.String("span_id", rec.SpanID),
@@ -321,11 +340,20 @@ func (s Span) Finish(outcome string) time.Duration {
 			slog.String("outcome", outcome),
 			slog.Duration("duration", d),
 		)
-		stageAttrs := make([]any, 0, len(rec.Spans)-1)
-		for i := 1; i < len(rec.Spans); i++ {
-			sp := rec.Spans[i]
-			stageAttrs = append(stageAttrs,
-				slog.Float64(sp.Name, float64(sp.DurUs)/1e3))
+		// One key per stage name, in first-seen order: a name that repeats
+		// (N rule stages under a boot trace) sums instead of emitting
+		// duplicate JSON keys.
+		var stages []string
+		sumUs := map[string]int64{}
+		for _, sp := range rec.Spans[1:] {
+			if _, seen := sumUs[sp.Name]; !seen {
+				stages = append(stages, sp.Name)
+			}
+			sumUs[sp.Name] += sp.DurUs
+		}
+		stageAttrs := make([]any, len(stages))
+		for i, name := range stages {
+			stageAttrs[i] = slog.Float64(name, float64(sumUs[name])/1e3)
 		}
 		attrs = append(attrs, slog.Group("stages_ms", stageAttrs...))
 		t.logger.LogAttrs(context.Background(), slog.LevelWarn, "slow request", attrs...)
@@ -384,17 +412,19 @@ func (t *Tracer) TracesHandler() http.Handler {
 type spanCtxKey struct{}
 
 // ContextWithSpan returns ctx carrying the span, so lower layers (core,
-// grounding, gibbs, wal) can nest their own stage timings under the
-// request. Callers should skip the call (and its context allocation) when
-// the span is disabled.
+// grounding, learn, gibbs, shard, wal) nest their own stage timings under
+// it: a layer that opens a stage hands down a context carrying that stage.
+// A disabled span masks an enabled one on ctx — what a layer hands to
+// goroutines it starts, since a span tree is single-goroutine — and is
+// otherwise free: with no span on either side ctx is returned as is.
 func ContextWithSpan(ctx context.Context, s Span) context.Context {
-	if !s.Enabled() {
+	if !s.Enabled() && !SpanFromContext(ctx).Enabled() {
 		return ctx
 	}
 	return context.WithValue(ctx, spanCtxKey{}, s)
 }
 
-// SpanFromContext extracts the request span, or a disabled zero Span.
+// SpanFromContext extracts the span on ctx, or a disabled zero Span.
 func SpanFromContext(ctx context.Context) Span {
 	if ctx == nil {
 		return Span{}

@@ -193,6 +193,10 @@ func TestFinishClosesOpenSpansAndSlowLog(t *testing.T) {
 	tr := NewTracer(TracerOptions{RingSize: 4, SlowThreshold: time.Nanosecond, Logger: logger})
 	s := tr.StartRequest("evidence", "")
 	s.Child("left_open") // handler early-returned without End
+	// Two stages of one name (N rule stages under a boot trace) must sum
+	// into one key, not repeat it.
+	s.Event("rule", 2*time.Millisecond)
+	s.Event("rule", 3*time.Millisecond)
 	time.Sleep(time.Millisecond)
 	s.Finish("error")
 
@@ -207,8 +211,57 @@ func TestFinishClosesOpenSpansAndSlowLog(t *testing.T) {
 	if line["msg"] != "slow request" || line["endpoint"] != "evidence" || line["outcome"] != "error" {
 		t.Errorf("slow log line = %v", line)
 	}
-	if _, ok := line["stages_ms"].(map[string]any); !ok {
-		t.Errorf("slow log missing stages_ms group: %v", line)
+	stages, ok := line["stages_ms"].(map[string]any)
+	if !ok {
+		t.Fatalf("slow log missing stages_ms group: %v", line)
+	}
+	if stages["rule"] != 5.0 || strings.Count(buf.String(), `"rule":`) != 1 {
+		t.Errorf("same-named stages must sum under one key (want rule=5): %s", buf.String())
+	}
+	if i, j := strings.Index(buf.String(), `"left_open"`), strings.Index(buf.String(), `"rule"`); i < 0 || j < i {
+		t.Errorf("stages_ms keys are not in first-seen order: %s", buf.String())
+	}
+}
+
+// TestSpanCapCountsDropped pins the bound on one trace's size: past maxSpans
+// stages are counted, not recorded, and their handles are inert.
+func TestSpanCapCountsDropped(t *testing.T) {
+	tr := NewTracer(TracerOptions{RingSize: 1})
+	root := tr.StartRequest("batch", "")
+	for i := 0; i < maxSpans+9; i++ { // the root holds one slot: 10 too many
+		root.Event("iteration", time.Microsecond).Note("n")
+	}
+	root.Child("refused").Child("never_opened").End() // one more drop, not two
+	root.Finish("ok")
+	rec := tr.Recent(1)[0]
+	if len(rec.Spans) != maxSpans {
+		t.Errorf("trace holds %d spans, want the cap %d", len(rec.Spans), maxSpans)
+	}
+	if rec.Dropped != 11 {
+		t.Errorf("dropped = %d, want 11", rec.Dropped)
+	}
+}
+
+// TestContextWithSpanMasks covers the fan-out rule: a disabled span masks
+// an enabled one, so goroutines handed the masked context record nothing.
+func TestContextWithSpanMasks(t *testing.T) {
+	tr := NewTracer(TracerOptions{RingSize: 1})
+	root := tr.StartRequest("batch", "")
+	ctx := ContextWithSpan(context.Background(), root)
+	if !SpanFromContext(ctx).Enabled() {
+		t.Fatal("span not carried")
+	}
+	masked := ContextWithSpan(ctx, Span{})
+	if SpanFromContext(masked).Enabled() {
+		t.Error("a disabled span must mask the enabled one on ctx")
+	}
+	SpanFromContext(masked).Child("from_a_worker").End()
+	root.Finish("ok")
+	if n := len(tr.Recent(1)[0].Spans); n != 1 {
+		t.Errorf("masked context recorded %d spans beside the root", n-1)
+	}
+	if bg := context.Background(); ContextWithSpan(bg, Span{}) != bg {
+		t.Error("no span on either side must return ctx unchanged")
 	}
 }
 

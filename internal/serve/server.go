@@ -263,8 +263,11 @@ var latencyBuckets = []float64{.0001, .0005, .001, .005, .01, .05, .1, .5, 1, 5}
 var stalenessBuckets = []float64{.001, .005, .01, .05, .1, .5, 1, 5, 10, 30}
 
 // Warmup runs the initial inference pass so queries have converged scores.
-// Reads arriving while it runs are served degraded rather than blocked.
+// Reads arriving while it runs are served degraded rather than blocked. A
+// span on ctx (syad's boot trace) gets it as a serve.warmup stage.
 func (s *Server) Warmup(ctx context.Context, epochs int) error {
+	span := obs.SpanFromContext(ctx).Child("serve.warmup")
+	defer span.End()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.publishStale()
@@ -272,7 +275,7 @@ func (s *Server) Warmup(ctx context.Context, epochs int) error {
 	if epochs == 0 {
 		epochs = s.opts.Epochs
 	}
-	_, _, err := s.sys.InferContext(ctx, epochs)
+	_, _, err := s.sys.InferContext(obs.ContextWithSpan(ctx, span), epochs)
 	if err == nil {
 		s.bumpGeneration()
 	}

@@ -258,6 +258,11 @@ func (gr *Group) Epochs() int { return gr.nodes[0].smp.TotalEpochs() }
 // chunk boundary and is not an error — partial marginals remain readable.
 // A transport failure, barrier timeout or worker panic aborts the run with
 // an error naming the failing shard.
+//
+// A span on ctx gets one shard.run stage, recorded on the caller's goroutine
+// only and noted from ExchangeStats once the nodes have joined: a span tree
+// is single-goroutine, so the node goroutines run under a context with the
+// span masked.
 func (gr *Group) Run(ctx context.Context, total int) (gibbs.RunStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -266,7 +271,9 @@ func (gr *Group) Run(ctx context.Context, total int) (gibbs.RunStats, error) {
 	if per < 1 {
 		per = 1
 	}
-	runCtx, cancel := context.WithCancel(ctx)
+	span := obs.SpanFromContext(ctx).Child("shard.run")
+	defer span.End()
+	runCtx, cancel := context.WithCancel(obs.ContextWithSpan(ctx, obs.Span{}))
 	defer cancel()
 	stats := make([]gibbs.RunStats, len(gr.nodes))
 	errs := make([]error, len(gr.nodes))
@@ -290,6 +297,11 @@ func (gr *Group) Run(ctx context.Context, total int) (gibbs.RunStats, error) {
 		if st.Reason == gibbs.ReasonDone && s.Reason != gibbs.ReasonDone {
 			st.Reason = s.Reason
 		}
+	}
+	if span.Enabled() {
+		ex := gr.ExchangeStats() // cumulative since New
+		span.Notef("epochs=%d reason=%s shards=%d exchange_bytes=%d exchange_s=%.6f",
+			st.Epochs, st.Reason, len(gr.nodes), ex.Bytes, ex.Seconds)
 	}
 	for _, err := range errs {
 		if err != nil {
