@@ -93,7 +93,6 @@ type runOpts struct {
 	seed       int64
 	stats      bool
 	learnIters int
-	saveGraph  string
 
 	timeout   time.Duration
 	ckptPath  string
@@ -128,7 +127,6 @@ func parseArgs(args []string, stderr io.Writer) (runOpts, error) {
 	fs.Int64Var(&o.seed, "seed", 1, "sampler seed")
 	fs.BoolVar(&o.stats, "stats", false, "print grounding statistics")
 	fs.IntVar(&o.learnIters, "learn", 0, "learn rule weights from evidence for N iterations before inference")
-	fs.StringVar(&o.saveGraph, "save-graph", "", "write the ground factor graph snapshot to this file")
 	fs.DurationVar(&o.timeout, "timeout", 0, "bound the whole run; partial scores are still printed (0 = none)")
 	fs.StringVar(&o.ckptPath, "checkpoint", "", "snapshot sampler state to this file and resume from it if it exists")
 	fs.IntVar(&o.ckptEvery, "checkpoint-every", 100, "epochs between checkpoint snapshots (≥ 1)")
@@ -261,20 +259,6 @@ func run(o runOpts) (err error) {
 		for _, r := range rules {
 			fmt.Printf("# rule %s: %d factors\n", r, st.RuleFactors[r])
 		}
-	}
-	if o.saveGraph != "" {
-		f, err := os.Create(o.saveGraph)
-		if err != nil {
-			return err
-		}
-		if err := s.SaveGraph(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("# ground factor graph saved to %s\n", o.saveGraph)
 	}
 	if o.learnIters > 0 {
 		weights, err := s.LearnWeightsContext(ctx, learn.Options{Iterations: o.learnIters, Seed: o.seed})

@@ -54,16 +54,12 @@ func opts(program string, loads [][2]string) runOpts {
 func TestRunEndToEnd(t *testing.T) {
 	program, county, evidence := writeFixtures(t)
 	loads := [][2]string{{"County", county}, {"CountyEvidence", evidence}}
-	graphPath := filepath.Join(t.TempDir(), "graph.bin")
 
 	o := opts(program, loads)
 	o.epochs, o.bandwidth, o.seed = 300, 60, 7
-	o.stats, o.learnIters, o.saveGraph = true, 10, graphPath
+	o.stats, o.learnIters = true, 10
 	if err := run(o); err != nil {
 		t.Fatal(err)
-	}
-	if fi, err := os.Stat(graphPath); err != nil || fi.Size() == 0 {
-		t.Errorf("graph snapshot not written: %v", err)
 	}
 
 	// DeepDive engine too.
@@ -225,6 +221,7 @@ func TestCommandLine(t *testing.T) {
 		{name: "-checkpoint-every 0", args: []string{"-program", "kb.ddlog", "-checkpoint-every", "0"}, wantErr: true},
 		{name: "-shard-addrs shorter than -shards", args: []string{"-program", "kb.ddlog", "-shards", "3", "-shard-addrs", "a:1,b:2"}, wantErr: true},
 		{name: "removed trace rotation", args: []string{"-program", "kb.ddlog", removedRotationFlag, "4"}, wantErr: true},
+		{name: "removed graph snapshot", args: []string{"-program", "kb.ddlog", "-save-graph", "graph.bin"}, wantErr: true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -13,7 +13,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"sync/atomic"
@@ -681,17 +680,6 @@ func (s *System) LearnWeightsContext(ctx context.Context, opts learn.Options) (m
 		out[s.ground.RuleNames[i]] = w
 	}
 	return out, nil
-}
-
-// SaveGraph writes the ground factor graph to w (the paper persists its
-// ground factor graph in the database so grounding can be reused; this is
-// the file equivalent). Ground must have run.
-func (s *System) SaveGraph(w io.Writer) error {
-	if s.ground == nil {
-		return fmt.Errorf("core: Ground must run before SaveGraph")
-	}
-	_, err := s.ground.Graph.WriteTo(w)
-	return err
 }
 
 // World is a single joint assignment of all ground atoms — the output of

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"bytes"
-	"io"
 	"testing"
 
 	"repro/internal/datagen"
-	"repro/internal/factorgraph"
 	"repro/internal/geom"
 	"repro/internal/gibbs"
 	"repro/internal/learn"
@@ -408,30 +405,13 @@ func TestConfigAccessorsAndEngineString(t *testing.T) {
 	}
 }
 
-func TestSaveGraphAndSamplerAccessors(t *testing.T) {
+func TestSamplerAccessor(t *testing.T) {
 	s := newEbolaSystem(t, Config{Engine: EngineSya, Seed: 1, Epochs: 100})
-	if err := s.SaveGraph(io.Discard); err == nil {
-		t.Error("SaveGraph before Ground should fail")
-	}
 	if s.Sampler() != nil {
 		t.Error("sampler should be nil before Infer")
 	}
 	if _, err := s.Ground(); err != nil {
 		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := s.SaveGraph(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
-		t.Error("empty snapshot")
-	}
-	g, err := factorgraph.ReadGraph(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVars() != s.Grounding().Graph.NumVars() {
-		t.Error("snapshot round-trip lost variables")
 	}
 	if _, err := s.Infer(); err != nil {
 		t.Fatal(err)

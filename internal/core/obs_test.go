@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/gibbs"
 	"repro/internal/obs"
 )
@@ -77,7 +78,7 @@ func TestResumeCountersDistinguishFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1.Close()
-	if _, err := os.Stat(gibbs.PrevPath(path)); err != nil {
+	if _, err := os.Stat(frame.PrevPath(path)); err != nil {
 		t.Fatalf("no rotated generation after the first run: %v", err)
 	}
 
@@ -130,7 +131,7 @@ func TestResumeCountersDistinguishFallback(t *testing.T) {
 			resume = sp
 		}
 	}
-	if want := "path=" + gibbs.PrevPath(path) + " fallback=true epoch="; !strings.HasPrefix(resume.Note, want) || spans[resume.Parent].Name != "gibbs.build" {
+	if want := "path=" + frame.PrevPath(path) + " fallback=true epoch="; !strings.HasPrefix(resume.Note, want) || spans[resume.Parent].Name != "gibbs.build" {
 		t.Errorf("resume event = %+v, want note %q… under gibbs.build (%+v)", resume, want, spans)
 	}
 }

@@ -1,14 +1,15 @@
 package gibbs
 
 import (
-	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/factorgraph"
+	"repro/internal/frame"
 )
 
 // Checkpoint is a versioned snapshot of a sampler's full chain state:
@@ -25,8 +26,8 @@ import (
 // spatial sampler up to its conclique independence heuristic, hogwild up to
 // its benign races on concurrently swept dependent variables.
 //
-// The serialized form is little-endian binary: a magic/version header, the
-// payload, and a CRC-32 trailer that detects torn or corrupted files.
+// The serialized form is an internal/frame container holding exactly one
+// frame, whose little-endian payload appendBody lays out.
 type Checkpoint struct {
 	// Sampler is the variant name ("spatial", "hogwild", "sequential").
 	Sampler string
@@ -62,207 +63,142 @@ type InstanceState struct {
 	Totals []int64
 }
 
-// Checkpoint file format constants.
-const (
-	checkpointMagic = 0x53594143 // "SYAC"
-	// CheckpointVersion is the current serialization version. Readers
-	// reject other versions.
-	CheckpointVersion = 1
-)
+// checkpointFormat is the container of a checkpoint file ("SYAC"). Version
+// 1 was header | body | CRC-32 trailer; version 2 carries the same body as
+// the one frame of the common layout. The frame has no limit of its own: a
+// checkpoint is read whole from a file, so the file bounds it.
+var checkpointFormat = frame.Format{Magic: 0x53594143, Version: 2, MaxPayload: math.MaxUint32, Name: "checkpoint"}
 
-// WriteTo serializes the checkpoint (magic, version, payload, CRC-32
-// trailer) to w. It implements io.WriterTo.
+// WriteTo serializes the checkpoint to w. It implements io.WriterTo.
 func (cp *Checkpoint) WriteTo(w io.Writer) (int64, error) {
-	var buf bytes.Buffer
-	le := binary.LittleEndian
-	put32 := func(v uint32) {
-		var b [4]byte
-		le.PutUint32(b[:], v)
-		buf.Write(b[:])
-	}
-	put64 := func(v uint64) {
-		var b [8]byte
-		le.PutUint64(b[:], v)
-		buf.Write(b[:])
-	}
-	put32(checkpointMagic)
-	put32(CheckpointVersion)
-	put32(uint32(len(cp.Sampler)))
-	buf.WriteString(cp.Sampler)
-	put64(uint64(cp.Seed))
-	put64(uint64(cp.Epochs))
-	put64(uint64(cp.Workers))
-	put64(cp.RNG)
-	put32(uint32(len(cp.Pinned)))
-	for _, p := range cp.Pinned {
-		if p {
-			buf.WriteByte(1)
-		} else {
-			buf.WriteByte(0)
-		}
-	}
-	put32(uint32(len(cp.Instances)))
-	for _, inst := range cp.Instances {
-		put64(uint64(inst.Epochs))
-		put32(uint32(len(inst.Assign)))
-		for _, x := range inst.Assign {
-			put32(uint32(x))
-		}
-		put32(uint32(len(inst.Counts)))
-		for _, row := range inst.Counts {
-			put32(uint32(len(row)))
-			for _, c := range row {
-				put64(uint64(c))
-			}
-		}
-	}
-	crc := crc32.ChecksumIEEE(buf.Bytes())
-	put32(crc)
-	n, err := w.Write(buf.Bytes())
+	n, err := w.Write(cp.encode())
 	return int64(n), err
 }
 
-// ReadCheckpoint deserializes a checkpoint, verifying the magic, version
-// and CRC-32 trailer — a torn or corrupted file fails loudly rather than
-// resuming from garbage.
+// encode returns the checkpoint's file image: header plus one frame.
+func (cp *Checkpoint) encode() []byte {
+	return frame.Append(checkpointFormat.AppendHeader(nil), cp.appendBody(nil))
+}
+
+// appendBody appends the frame payload: sampler name, seed, epochs, workers,
+// PRNG state, pins (u32 count + one byte each), then per instance its epoch
+// index, assignment (u32 count + i32 each) and count rows (u32 variables,
+// per variable u32 domain + i64 each). Strings and counts are u32-prefixed.
+func (cp *Checkpoint) appendBody(b []byte) []byte {
+	le := binary.LittleEndian
+	b = append(le.AppendUint32(b, uint32(len(cp.Sampler))), cp.Sampler...)
+	b = le.AppendUint64(b, uint64(cp.Seed))
+	b = le.AppendUint64(b, uint64(cp.Epochs))
+	b = le.AppendUint64(b, uint64(cp.Workers))
+	b = le.AppendUint64(b, cp.RNG)
+	b = le.AppendUint32(b, uint32(len(cp.Pinned)))
+	for _, p := range cp.Pinned {
+		if p {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
+	}
+	b = le.AppendUint32(b, uint32(len(cp.Instances)))
+	for _, inst := range cp.Instances {
+		b = le.AppendUint64(b, uint64(inst.Epochs))
+		b = le.AppendUint32(b, uint32(len(inst.Assign)))
+		for _, x := range inst.Assign {
+			b = le.AppendUint32(b, uint32(x))
+		}
+		b = le.AppendUint32(b, uint32(len(inst.Counts)))
+		for _, row := range inst.Counts {
+			b = le.AppendUint32(b, uint32(len(row)))
+			for _, c := range row {
+				b = le.AppendUint64(b, uint64(c))
+			}
+		}
+	}
+	return b
+}
+
+// ReadCheckpoint deserializes a checkpoint from r; see decodeCheckpoint.
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("gibbs: reading checkpoint: %w", err)
 	}
-	if len(raw) < 12 {
-		return nil, fmt.Errorf("gibbs: checkpoint truncated (%d bytes)", len(raw))
-	}
-	le := binary.LittleEndian
-	body, trailer := raw[:len(raw)-4], raw[len(raw)-4:]
-	if got, want := crc32.ChecksumIEEE(body), le.Uint32(trailer); got != want {
-		return nil, fmt.Errorf("gibbs: checkpoint checksum mismatch (got %08x, want %08x): torn or corrupted file", got, want)
-	}
-	d := &decoder{buf: body}
-	if m := d.u32(); m != checkpointMagic {
-		return nil, fmt.Errorf("gibbs: not a checkpoint file (magic %08x)", m)
-	}
-	if v := d.u32(); v != CheckpointVersion {
-		return nil, fmt.Errorf("gibbs: unsupported checkpoint version %d (want %d)", v, CheckpointVersion)
-	}
-	cp := &Checkpoint{}
-	cp.Sampler = d.str()
-	cp.Seed = int64(d.u64())
-	cp.Epochs = int64(d.u64())
-	cp.Workers = int64(d.u64())
-	cp.RNG = d.u64()
-	if n := d.u32(); n > 0 {
-		cp.Pinned = make([]bool, n)
-		for i := range cp.Pinned {
-			cp.Pinned[i] = d.byte() != 0
+	return decodeCheckpoint(raw)
+}
+
+// decodeCheckpoint parses a checkpoint file image strictly: the header must
+// match and exactly one frame must follow, CRC-clean and fully consumed — a
+// torn or corrupted file fails loudly rather than resuming from garbage.
+func decodeCheckpoint(raw []byte) (cp *Checkpoint, err error) {
+	_, err = checkpointFormat.Scan(raw, func(payload []byte) (err error) {
+		if cp != nil {
+			return errors.New("unexpected second frame")
 		}
+		cp, err = decodeBody(payload)
+		return err
+	})
+	if err == nil && cp == nil {
+		err = errors.New("checkpoint holds no frame")
 	}
-	ninst := d.u32()
-	for i := uint32(0); i < ninst && d.err == nil; i++ {
-		var inst InstanceState
-		inst.Epochs = int64(d.u64())
-		na := d.u32()
-		inst.Assign = make([]int32, 0, na)
-		for j := uint32(0); j < na && d.err == nil; j++ {
-			inst.Assign = append(inst.Assign, int32(d.u32()))
-		}
-		nv := d.u32()
-		inst.Counts = make([][]int64, 0, nv)
-		inst.Totals = make([]int64, 0, nv)
-		for j := uint32(0); j < nv && d.err == nil; j++ {
-			dom := d.u32()
-			row := make([]int64, 0, dom)
-			var total int64
-			for x := uint32(0); x < dom && d.err == nil; x++ {
-				c := int64(d.u64())
-				row = append(row, c)
-				total += c
-			}
-			inst.Counts = append(inst.Counts, row)
-			inst.Totals = append(inst.Totals, total)
-		}
-		cp.Instances = append(cp.Instances, inst)
-	}
-	if d.err != nil {
-		return nil, fmt.Errorf("gibbs: decoding checkpoint: %w", d.err)
-	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("gibbs: checkpoint has %d trailing bytes", len(d.buf))
+	if err != nil {
+		return nil, fmt.Errorf("gibbs: %w", err)
 	}
 	return cp, nil
 }
 
-// decoder is a cursor over the checkpoint payload; the first short read
-// latches err and zero-values every later read.
-type decoder struct {
-	buf []byte
-	err error
+// decodeBody parses the frame payload appendBody wrote. Every count is
+// checked against the bytes that remain before anything is allocated for it.
+func decodeBody(payload []byte) (*Checkpoint, error) {
+	c := frame.Cursor{Buf: payload}
+	cp := &Checkpoint{}
+	cp.Sampler = c.Str()
+	cp.Seed = int64(c.U64())
+	cp.Epochs = int64(c.U64())
+	cp.Workers = int64(c.U64())
+	cp.RNG = c.U64()
+	if n := c.Count(1); n > 0 {
+		cp.Pinned = make([]bool, n)
+		for i := range cp.Pinned {
+			cp.Pinned[i] = c.U8() != 0
+		}
+	}
+	// An instance is at least its epoch index and two counts.
+	for i, n := 0, c.Count(16); i < n && c.Err == nil; i++ {
+		inst := InstanceState{Epochs: int64(c.U64())}
+		inst.Assign = make([]int32, c.Count(4))
+		for j := range inst.Assign {
+			inst.Assign[j] = int32(c.U32())
+		}
+		nv := c.Count(4) // a count row is at least its domain prefix
+		inst.Counts = make([][]int64, nv)
+		inst.Totals = make([]int64, nv)
+		for v := range inst.Counts {
+			row := make([]int64, c.Count(8))
+			for x := range row {
+				row[x] = int64(c.U64())
+				inst.Totals[v] += row[x]
+			}
+			inst.Counts[v] = row
+		}
+		cp.Instances = append(cp.Instances, inst)
+	}
+	if err := c.Done(); err != nil {
+		return nil, fmt.Errorf("decoding checkpoint: %w", err)
+	}
+	return cp, nil
 }
 
-func (d *decoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if len(d.buf) < n {
-		d.err = io.ErrUnexpectedEOF
-		return nil
-	}
-	out := d.buf[:n]
-	d.buf = d.buf[n:]
-	return out
-}
-
-func (d *decoder) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *decoder) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *decoder) byte() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *decoder) str() string {
-	n := d.u32()
-	if n > 1<<16 {
-		d.err = fmt.Errorf("implausible string length %d", n)
-		return ""
-	}
-	return string(d.take(int(n)))
-}
-
-// Checkpointer periodically persists sampler snapshots with atomic
-// temp-file+rename writes: a crash mid-write leaves the previous checkpoint
-// intact, and a torn rename target is caught by the CRC trailer on load.
-// Saves rotate a checkpoint pair: before the new snapshot lands on Path the
-// previous one is moved to Path+".prev", so even a save whose rename target
-// is later found corrupted (e.g. a disk hiccup after the rename) leaves a
-// verified older generation for ResumeFrom to fall back to.
+// Checkpointer periodically persists sampler snapshots through
+// frame.WriteFile: a crash mid-write leaves the previous checkpoint intact,
+// and each save rotates the checkpoint it replaces to frame.PrevPath(Path), so
+// even a save later found corrupted (e.g. a disk hiccup after the rename)
+// leaves a verified older generation for ResumeFrom to fall back to.
 type Checkpointer struct {
-	// Path is the checkpoint file. Writes go to Path+".tmp" first; the
-	// previous generation is kept at Path+".prev".
+	// Path is the checkpoint file.
 	Path string
 	// Every is the epoch interval between snapshots (≤0 → 100).
 	Every int
 }
-
-// PrevPath returns the rotation target holding the previous checkpoint
-// generation for a given checkpoint path.
-func PrevPath(path string) string { return path + ".prev" }
 
 // interval resolves the snapshot cadence.
 func (c *Checkpointer) interval() int {
@@ -275,36 +211,9 @@ func (c *Checkpointer) interval() int {
 // due reports whether a snapshot should be written after the given epoch.
 func (c *Checkpointer) due(epoch int) bool { return epoch%c.interval() == 0 }
 
-// Save writes the snapshot atomically: serialize to Path+".tmp", fsync,
-// rotate the current checkpoint to Path+".prev", then rename the temp file
-// over Path. A crash between the two renames leaves only the .prev file,
-// which ResumeFrom loads via its fallback.
+// Save publishes the snapshot at Path atomically and durably.
 func (c *Checkpointer) Save(cp *Checkpoint) error {
-	tmp := c.Path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("gibbs: checkpoint: %w", err)
-	}
-	if _, err := cp.WriteTo(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("gibbs: checkpoint: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("gibbs: checkpoint: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("gibbs: checkpoint: %w", err)
-	}
-	if err := os.Rename(c.Path, PrevPath(c.Path)); err != nil && !os.IsNotExist(err) {
-		os.Remove(tmp)
-		return fmt.Errorf("gibbs: checkpoint: rotating previous: %w", err)
-	}
-	if err := os.Rename(tmp, c.Path); err != nil {
-		os.Remove(tmp)
+	if err := frame.WriteFile(c.Path, cp.encode()); err != nil {
 		return fmt.Errorf("gibbs: checkpoint: %w", err)
 	}
 	return nil
@@ -312,42 +221,40 @@ func (c *Checkpointer) Save(cp *Checkpoint) error {
 
 // LoadCheckpoint reads and verifies a checkpoint file.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return ReadCheckpoint(f)
+	return decodeCheckpoint(raw)
 }
 
 // ResumeFrom loads the checkpoint at path and restores it into s, falling
-// back to the rotated previous generation (PrevPath(path)) when the primary
-// is missing, torn or corrupted. It returns the path actually restored from,
-// so callers can tell a fallback resume apart from a primary one. The
-// sampler must be freshly constructed over the same graph with the same kind
-// and seed as the snapshotting run.
+// back to the rotated previous generation (frame.PrevPath(path)) when the
+// primary is missing, torn or corrupted. It returns the path actually
+// restored from, so callers can tell a fallback resume apart from a primary
+// one. The sampler must be freshly constructed over the same graph with the
+// same kind and seed as the snapshotting run.
 //
 // The fallback covers load failures only (missing file, bad magic, CRC
 // mismatch, truncation): a checkpoint that reads cleanly but fails Restore
 // validation — wrong sampler kind, seed or graph shape — is a configuration
 // error, not corruption, and is returned as-is. When both generations are
-// unreadable the primary's error is returned (os.IsNotExist when neither
-// file exists).
+// unreadable the primary's error is returned (os.IsNotExist when the primary
+// does not exist).
 func ResumeFrom(s Sampler, path string) (string, error) {
-	cp, err := LoadCheckpoint(path)
-	if err != nil {
-		prev := PrevPath(path)
-		pcp, perr := LoadCheckpoint(prev)
-		if perr != nil {
-			return "", err
-		}
-		if rerr := s.Restore(pcp); rerr != nil {
-			return "", rerr
-		}
-		return prev, nil
+	var cp *Checkpoint
+	fallback, err, _ := frame.LoadPair(path, func(raw []byte) (err error) {
+		cp, err = decodeCheckpoint(raw)
+		return err
+	})
+	if err == nil {
+		err = s.Restore(cp)
 	}
-	if err := s.Restore(cp); err != nil {
+	if err != nil {
 		return "", err
+	}
+	if fallback {
+		path = frame.PrevPath(path)
 	}
 	return path, nil
 }

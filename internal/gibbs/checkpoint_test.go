@@ -3,7 +3,7 @@ package gibbs_test
 // Checkpoint/resume tests: snapshots must round-trip through the versioned
 // binary format, a run interrupted at a snapshot and resumed into a fresh
 // sampler must be bit-identical to an uninterrupted run, and torn or
-// corrupted checkpoint files must be rejected by the CRC trailer instead of
+// corrupted checkpoint files must be rejected by the frame CRC instead of
 // resuming from garbage.
 
 import (

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/factorgraph"
+	"repro/internal/frame"
 	"repro/internal/gibbs"
 	"repro/internal/gibbs/testutil"
 	"repro/internal/obs"
@@ -214,7 +215,7 @@ func TestCheckpointSaveRotatesPreviousGeneration(t *testing.T) {
 	if err := ck.Save(s.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(gibbs.PrevPath(path)); !os.IsNotExist(err) {
+	if _, err := os.Stat(frame.PrevPath(path)); !os.IsNotExist(err) {
 		t.Fatalf("first save should not create a .prev file (err %v)", err)
 	}
 	s.RunEpochs(3)
@@ -226,7 +227,7 @@ func TestCheckpointSaveRotatesPreviousGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev, err := gibbs.LoadCheckpoint(gibbs.PrevPath(path))
+	prev, err := gibbs.LoadCheckpoint(frame.PrevPath(path))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,15 +269,15 @@ func TestResumeFromFallsBackToPrev(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fallback resume: %v", err)
 	}
-	if from != gibbs.PrevPath(path) {
-		t.Errorf("fallback resumed from %q, want %q", from, gibbs.PrevPath(path))
+	if from != frame.PrevPath(path) {
+		t.Errorf("fallback resumed from %q, want %q", from, frame.PrevPath(path))
 	}
 	if r.TotalEpochs() != 2 {
 		t.Errorf("fallback epochs = %d, want 2", r.TotalEpochs())
 	}
 
 	// Both generations unreadable: the primary's error surfaces.
-	if err := os.WriteFile(gibbs.PrevPath(path), []byte("junk"), 0o644); err != nil {
+	if err := os.WriteFile(frame.PrevPath(path), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := gibbs.ResumeFrom(gibbs.NewSequential(g, 5), path); err == nil {

@@ -36,7 +36,7 @@ func CancelAtEpoch(cancel func(), e int) func(int) {
 
 // TearFile truncates the file to half its size, simulating a crash mid-write
 // on a filesystem that exposed the partial content (the torn-checkpoint
-// case the CRC trailer exists to catch).
+// case the frame CRC exists to catch).
 func TearFile(path string) error {
 	fi, err := os.Stat(path)
 	if err != nil {

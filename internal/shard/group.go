@@ -487,24 +487,35 @@ func (n *node) encodeCountsFrame() []byte {
 
 // gather merges every shard's marginal counts into the coordinator's
 // full-graph view: shards 1..N-1 frame their counts over the transport to
-// shard 0; shard 0's own counts take the same encode/decode path. Uses a
-// fresh timeout context so a cancelled run can still read partial
-// marginals.
+// shard 0; shard 0's own counts take the same encode/decode path. A frame is
+// merged only if it comes from a shard of the group, once, and every row is a
+// variable that shard owns at that variable's domain size — anything else
+// fails the run with an error naming the shard. Uses a fresh timeout context
+// so a cancelled run can still read partial marginals.
 func (gr *Group) gather() error {
 	nv := gr.g.NumVars()
 	counts := make([][]float64, nv)
 	totals := make([]float64, nv)
-	apply := func(vid int, row []int64) error {
-		if vid < 0 || vid >= nv {
-			return fmt.Errorf("counts row for unknown variable %d", vid)
+	merge := func(from int, frame []byte) error {
+		err := decodeCounts(frame, func(vid int, row []int64) error {
+			if vid < 0 || vid >= nv || gr.plan.Owner[vid] != from {
+				return fmt.Errorf("row for variable %d, which the shard does not own", vid)
+			}
+			if dom := int(gr.g.Var(factorgraph.VarID(vid)).Domain); len(row) != dom {
+				return fmt.Errorf("row for variable %d has %d values, domain is %d", vid, len(row), dom)
+			}
+			m := make([]float64, len(row))
+			var tot float64
+			for i, c := range row {
+				m[i] = float64(c)
+				tot += float64(c)
+			}
+			counts[vid], totals[vid] = m, tot
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("shard %d counts: %w", from, err)
 		}
-		m := make([]float64, len(row))
-		var tot float64
-		for i, c := range row {
-			m[i] = float64(c)
-			tot += float64(c)
-		}
-		counts[vid], totals[vid] = m, tot
 		return nil
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), gr.opts.ExchangeTimeout)
@@ -513,8 +524,8 @@ func (gr *Group) gather() error {
 	for _, n := range gr.nodes {
 		frame := n.encodeCountsFrame()
 		if n.id == 0 {
-			if err := decodeCounts(frame, apply); err != nil {
-				return fmt.Errorf("shard 0 counts: %w", err)
+			if err := merge(0, frame); err != nil {
+				return err
 			}
 			continue
 		}
@@ -531,8 +542,11 @@ func (gr *Group) gather() error {
 		if m.Kind != MsgCounts || got[m.From] {
 			continue // stray halo frame from an unwound barrier
 		}
-		if err := decodeCounts(m.Payload, apply); err != nil {
-			return fmt.Errorf("shard %d counts: %w", m.From, err)
+		if m.From < 1 || m.From >= len(gr.nodes) {
+			return fmt.Errorf("shard 0: counts frame from shard %d, outside the group's 1..%d", m.From, len(gr.nodes)-1)
+		}
+		if err := merge(m.From, m.Payload); err != nil {
+			return err
 		}
 		got[m.From] = true
 	}

@@ -4,25 +4,26 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"sync"
 	"time"
+
+	"repro/internal/frame"
 )
 
-// TCP wire format, following the WAL/checkpoint idiom: a little-endian
-// magic/version stream header once per connection, then length-prefixed
-// frames with a CRC-32 (IEEE) over the payload. The payload is a
+// The TCP stream is an internal/frame container: the header once per
+// connection, then one frame per message. A frame payload is a
 // self-contained message: kind (u8), from (u32), epoch (u64), body.
 const (
 	tcpMagic   = 0x53594148 // "SYAH"
 	tcpVersion = 1
-	// tcpMaxFrame bounds one frame (halo deltas and counts of bench-scale
-	// graphs sit far below this); oversized lengths are treated as stream
-	// corruption rather than allocation requests.
-	tcpMaxFrame = 64 << 20
 )
+
+// wireFormat bounds one frame at 64 MiB (halo deltas and counts of
+// bench-scale graphs sit far below it); a longer length prefix is stream
+// corruption.
+var wireFormat = frame.Format{Magic: tcpMagic, Version: tcpVersion, MaxPayload: 64 << 20, Name: "shard stream"}
 
 // Dial retry/backoff: a peer's listener may come up after ours (process
 // start order is not coordinated), so connection attempts back off
@@ -107,29 +108,13 @@ func (t *TCPTransport) acceptLoop() {
 func (t *TCPTransport) readLoop(c net.Conn) {
 	defer t.readers.Done()
 	defer c.Close()
-	var hdr [8]byte
-	if _, err := io.ReadFull(c, hdr[:]); err != nil {
-		return
-	}
-	if binary.LittleEndian.Uint32(hdr[0:4]) != tcpMagic ||
-		binary.LittleEndian.Uint32(hdr[4:8]) != tcpVersion {
+	hdr := make([]byte, frame.HeaderSize)
+	if _, err := io.ReadFull(c, hdr); err != nil || wireFormat.CheckHeader(hdr) != nil {
 		return
 	}
 	for {
-		var fh [8]byte
-		if _, err := io.ReadFull(c, fh[:]); err != nil {
-			return
-		}
-		n := binary.LittleEndian.Uint32(fh[0:4])
-		sum := binary.LittleEndian.Uint32(fh[4:8])
-		if n > tcpMaxFrame {
-			return
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(c, payload); err != nil {
-			return
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
+		payload, err := wireFormat.Read(c)
+		if err != nil {
 			return
 		}
 		m, ok := decodeMessage(payload)
@@ -182,10 +167,7 @@ func (t *TCPTransport) conn(ctx context.Context, to int) (net.Conn, error) {
 			backoff = tcpDialBackoffMax
 		}
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], tcpMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], tcpVersion)
-	if _, err := c.Write(hdr[:]); err != nil {
+	if _, err := c.Write(wireFormat.AppendHeader(nil)); err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -218,13 +200,9 @@ func (t *TCPTransport) Send(ctx context.Context, to int, m Message) error {
 	if err != nil {
 		return fmt.Errorf("shard %d unreachable: %w", to, err)
 	}
-	payload := encodeMessage(m)
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[8:], payload)
+	frm := frame.Append(nil, encodeMessage(m))
 	t.mu.Lock()
-	_, err = c.Write(frame)
+	_, err = c.Write(frm)
 	if err != nil {
 		// A torn connection is not retried: drop it so a later Send redials,
 		// and surface the failure to the exchange.
@@ -288,13 +266,11 @@ func encodeMessage(m Message) []byte {
 
 // decodeMessage parses a frame payload; ok=false on truncation.
 func decodeMessage(p []byte) (Message, bool) {
-	if len(p) < 13 {
-		return Message{}, false
-	}
-	return Message{
-		Kind:    MsgKind(p[0]),
-		From:    int(binary.LittleEndian.Uint32(p[1:5])),
-		Epoch:   binary.LittleEndian.Uint64(p[5:13]),
-		Payload: p[13:],
-	}, true
+	c := frame.Cursor{Buf: p}
+	var m Message
+	m.Kind = MsgKind(c.U8())
+	m.From = int(c.U32())
+	m.Epoch = c.U64()
+	m.Payload = c.Bytes(len(c.Buf))
+	return m, c.Err == nil
 }

@@ -3,6 +3,8 @@ package shard
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/frame"
 )
 
 // Halo payload: u32 entry count, then per changed boundary variable its
@@ -41,26 +43,25 @@ func encodeHalo(cur, last []int32, k int) []byte {
 }
 
 // decodeHalo parses a halo delta, calling apply for each entry with the
-// K values scratch slice (reused across calls).
+// K values scratch slice (reused across calls). The frame's size is checked
+// against its entry count before the first entry is applied.
 func decodeHalo(p []byte, k, nvars int, apply func(idx int, vals []int32) error) error {
-	if len(p) < 4 {
-		return fmt.Errorf("halo frame truncated (%d bytes)", len(p))
+	c := frame.Cursor{Buf: p}
+	n := c.Count(4 + 4*k)
+	if c.Err != nil {
+		return fmt.Errorf("halo frame: %w", c.Err)
 	}
-	n := int(binary.LittleEndian.Uint32(p[0:4]))
-	p = p[4:]
-	if want := n * (4 + 4*k); len(p) != want {
-		return fmt.Errorf("halo frame size %d does not match %d entries × %d chains", len(p)+4, n, k)
+	if len(c.Buf) != n*(4+4*k) {
+		return fmt.Errorf("halo frame size %d does not match %d entries × %d chains", len(p), n, k)
 	}
 	vals := make([]int32, k)
 	for e := 0; e < n; e++ {
-		idx := int(binary.LittleEndian.Uint32(p[0:4]))
-		p = p[4:]
+		idx := int(c.U32())
 		if idx < 0 || idx >= nvars {
 			return fmt.Errorf("halo frame entry %d: index %d outside boundary list (%d vars)", e, idx, nvars)
 		}
-		for j := 0; j < k; j++ {
-			vals[j] = int32(binary.LittleEndian.Uint32(p[0:4]))
-			p = p[4:]
+		for j := range vals {
+			vals[j] = int32(c.U32())
 		}
 		if err := apply(idx, vals); err != nil {
 			return err
@@ -99,34 +100,25 @@ func encodeCounts(vids []int64, rows [][]int64) []byte {
 	return out
 }
 
-// decodeCounts parses a counts payload, calling apply per row.
+// decodeCounts parses a counts payload, calling apply per row. A row is
+// allocated only once its values are known to be in the frame.
 func decodeCounts(p []byte, apply func(vid int, row []int64) error) error {
-	if len(p) < 4 {
-		return fmt.Errorf("counts frame truncated (%d bytes)", len(p))
-	}
-	n := int(binary.LittleEndian.Uint32(p[0:4]))
-	p = p[4:]
-	for e := 0; e < n; e++ {
-		if len(p) < 6 {
-			return fmt.Errorf("counts frame truncated at row %d", e)
+	c := frame.Cursor{Buf: p}
+	for e, n := 0, c.Count(6); e < n; e++ {
+		vid := int(c.U32())
+		row := make([]int64, c.Count16(8))
+		for j := range row {
+			row[j] = int64(c.U64())
 		}
-		vid := int(binary.LittleEndian.Uint32(p[0:4]))
-		dom := int(binary.LittleEndian.Uint16(p[4:6]))
-		p = p[6:]
-		if len(p) < 8*dom {
-			return fmt.Errorf("counts frame truncated at row %d values", e)
-		}
-		row := make([]int64, dom)
-		for j := 0; j < dom; j++ {
-			row[j] = int64(binary.LittleEndian.Uint64(p[0:8]))
-			p = p[8:]
+		if c.Err != nil {
+			return fmt.Errorf("counts frame row %d: %w", e, c.Err)
 		}
 		if err := apply(vid, row); err != nil {
 			return err
 		}
 	}
-	if len(p) != 0 {
-		return fmt.Errorf("counts frame has %d trailing bytes", len(p))
+	if err := c.Done(); err != nil {
+		return fmt.Errorf("counts frame: %w", err)
 	}
 	return nil
 }

@@ -1,52 +1,39 @@
 // Package wal is the serving stack's evidence write-ahead log: every
-// accepted evidence batch is appended as a length-prefixed, CRC-32-framed
-// record — and fsynced — *before* it is applied to the live system, so a
-// crash between the ack and the apply loses nothing. On boot the log is
-// replayed over the freshly loaded program (restart = load + replay, not
-// re-derive); a torn or corrupted tail — the signature of a crash mid-append
-// — is detected by the per-record CRC and truncated away, recovering the
-// longest clean prefix.
+// accepted evidence batch is appended as one frame — and fsynced — *before*
+// it is applied to the live system, so a crash between the ack and the apply
+// loses nothing. On boot the log is replayed over the freshly loaded program
+// (restart = load + replay, not re-derive); a torn or corrupted tail — the
+// signature of a crash mid-append — is truncated away, recovering the longest
+// clean prefix.
 //
-// The log is compacted through a periodic snapshot that reuses the rotating
-// checkpoint-pair idiom of the SYAC sampler checkpoints: the full record
-// history is rewritten atomically (temp file + fsync + rename) to
-// Path+".snap", the previous snapshot generation is kept at ".snap.prev" as
-// a fallback against a snapshot that is later found corrupted, and the live
-// log is truncated back to its header. Replay loads snapshot + log tail.
+// The log is compacted through a periodic snapshot: the full record history
+// is published atomically at Path+".snap" with the previous generation kept
+// at ".snap.prev" as a fallback against a snapshot later found corrupted, and
+// the live log is truncated back to its header. Replay loads snapshot + log
+// tail. Unlike the log, a snapshot is read strictly: it was written
+// atomically, so a bad frame in it is corruption, not a tear.
 //
-// The file format follows the same versioned little-endian binary idiom as
-// the SYAC checkpoint format: a magic/version header ("SYAW", version 1),
-// then frames of [u32 payload length | u32 CRC-32(payload) | payload]. A
-// record payload is the evidence batch exactly as the API accepted it:
-// relation name plus rows of text cells (parsing against the schema is the
-// applier's job, so a schema change surfaces at replay, loudly).
+// Log and snapshot are both internal/frame containers ("SYAW", version 1),
+// one frame per record. A record payload is the evidence batch exactly as the
+// API accepted it: relation name plus rows of text cells (parsing against the
+// schema is the applier's job, so a schema change surfaces at replay, loudly).
 package wal
 
 import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/obs"
 )
 
-// File format constants.
-const (
-	walMagic = 0x53594157 // "SYAW"
-	// Version is the current serialization version; readers reject others.
-	Version = 1
-	// headerSize is magic + version.
-	headerSize = 8
-	// frameHeaderSize is payload length + CRC.
-	frameHeaderSize = 8
-	// maxPayload bounds a single record frame; a length prefix beyond it is
-	// treated as tail corruption, not an allocation request.
-	maxPayload = 1 << 28
-)
+// logFormat is the container of the live log and of its snapshots. A frame
+// longer than MaxPayload is treated as tail corruption.
+var logFormat = frame.Format{Magic: 0x53594157 /* "SYAW" */, Version: 1, MaxPayload: 1 << 28, Name: "WAL"}
 
 // Record is one durable evidence batch: the upsert exactly as accepted by
 // the API, before parsing.
@@ -106,23 +93,20 @@ type Log struct {
 	// (the Log is single-writer, so a plain field is race-free).
 	span obs.Span
 
-	mAppends   *obs.Counter
-	mBytes     *obs.Counter
-	mFsyncs    *obs.Counter
-	mReplayed  *obs.Counter
-	mTruncated *obs.Counter
-	mSnapshots *obs.Counter
-	mFallbacks *obs.Counter
+	mAppends    *obs.Counter
+	mBytes      *obs.Counter
+	mFsyncs     *obs.Counter
+	mReplayed   *obs.Counter
+	mTruncated  *obs.Counter
+	mSnapshots  *obs.Counter
+	mFallbacks  *obs.Counter
 	mCompactErr *obs.Counter
-	mRecords   *obs.Gauge
-	mSyncTime  *obs.Histogram
+	mRecords    *obs.Gauge
+	mSyncTime   *obs.Histogram
 }
 
 // SnapPath returns the snapshot path for a log path.
 func SnapPath(path string) string { return path + ".snap" }
-
-// prevSnapPath is the rotated previous snapshot generation.
-func prevSnapPath(path string) string { return SnapPath(path) + ".prev" }
 
 // Open opens (creating if absent) the log at path, loads the snapshot pair,
 // and replays the log, truncating any torn tail. The recovered records are
@@ -145,28 +129,26 @@ func Open(path string, opts Options) (*Log, ReplayStats, error) {
 	}
 	var stats ReplayStats
 
-	// Snapshot first: the compacted prefix of the history. A snapshot is
-	// written atomically, so any read failure means corruption (or a crash
-	// landed between the two rotation renames) — fall back to the previous
-	// generation, mirroring checkpoint ResumeFrom.
-	snapRecs, err := readRecordFile(SnapPath(path))
+	// Snapshot first: the compacted prefix of the history, from the primary
+	// or — when that is unreadable, or a crash landed between the two
+	// rotation renames — the previous generation. Neither existing means the
+	// log was never compacted.
+	snap := SnapPath(path)
+	var snapRecs []Record
+	fallback, err, prevErr := frame.LoadPair(snap, func(raw []byte) (err error) {
+		snapRecs, _, err = scanRecords(raw)
+		return err
+	})
 	switch {
 	case err == nil:
+	case os.IsNotExist(err) && os.IsNotExist(prevErr):
 	case os.IsNotExist(err):
-		snapRecs, err = readRecordFile(prevSnapPath(path))
-		if err != nil && !os.IsNotExist(err) {
-			return nil, stats, fmt.Errorf("wal: previous snapshot %s: %w", prevSnapPath(path), err)
-		}
-		stats.SnapshotFallback = err == nil
+		return nil, stats, fmt.Errorf("wal: previous snapshot %s: %w", frame.PrevPath(snap), prevErr)
 	default:
-		primaryErr := err
-		snapRecs, err = readRecordFile(prevSnapPath(path))
-		if err != nil {
-			return nil, stats, fmt.Errorf("wal: snapshot %s: %w (previous generation also unreadable)", SnapPath(path), primaryErr)
-		}
-		stats.SnapshotFallback = true
+		return nil, stats, fmt.Errorf("wal: snapshot %s: %w (previous generation also unreadable)", snap, err)
 	}
-	if stats.SnapshotFallback {
+	stats.SnapshotFallback = fallback
+	if fallback {
 		l.mFallbacks.Inc()
 	}
 	stats.SnapshotRecords = len(snapRecs)
@@ -182,41 +164,32 @@ func Open(path string, opts Options) (*Log, ReplayStats, error) {
 		f.Close()
 		return nil, stats, fmt.Errorf("wal: reading %s: %w", path, err)
 	}
-	logRecs, good, torn, err := scanFrames(raw)
+	logRecs, good, err := scanRecords(raw)
+	switch {
+	case len(raw) < frame.HeaderSize:
+		// New (or header-torn) log: start it fresh.
+		err = l.reset()
+	case good == 0:
+		// A whole header with the wrong magic or version is the wrong file,
+		// not a tear: truncating it would destroy someone's data.
+		err = fmt.Errorf("wal: %s: %w", path, err)
+	case err != nil:
+		// Crash mid-append: cut the torn tail, keeping the clean prefix.
+		if err = l.truncate(int64(good)); err == nil {
+			err = l.f.Sync()
+		}
+		if err != nil {
+			err = fmt.Errorf("wal: truncating torn tail of %s: %w", path, err)
+		}
+		stats.Truncated = true
+		stats.TruncatedAt = int64(good)
+		l.mTruncated.Inc()
+	default:
+		l.size = int64(good) // io.ReadAll left the offset here
+	}
 	if err != nil {
 		f.Close()
-		return nil, stats, fmt.Errorf("wal: %s: %w", path, err)
-	}
-	if len(raw) < headerSize {
-		// New (or header-torn) log: start it fresh.
-		if err := l.reset(); err != nil {
-			f.Close()
-			return nil, stats, err
-		}
-	} else if torn {
-		// Crash mid-append: cut the torn tail, keeping the clean prefix.
-		if err := f.Truncate(good); err != nil {
-			f.Close()
-			return nil, stats, fmt.Errorf("wal: truncating torn tail of %s: %w", path, err)
-		}
-		if _, err := f.Seek(good, io.SeekStart); err != nil {
-			f.Close()
-			return nil, stats, fmt.Errorf("wal: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, stats, fmt.Errorf("wal: %w", err)
-		}
-		l.size = good
-		stats.Truncated = true
-		stats.TruncatedAt = good
-		l.mTruncated.Inc()
-	} else {
-		if _, err := f.Seek(good, io.SeekStart); err != nil {
-			f.Close()
-			return nil, stats, fmt.Errorf("wal: %w", err)
-		}
-		l.size = good
+		return nil, stats, err
 	}
 	stats.LogRecords = len(logRecs)
 	l.records = append(l.records, logRecs...)
@@ -226,24 +199,29 @@ func Open(path string, opts Options) (*Log, ReplayStats, error) {
 	return l, stats, nil
 }
 
+// truncate cuts the log file to size bytes and moves the write offset there.
+func (l *Log) truncate(size int64) error {
+	if err := l.f.Truncate(size); err != nil {
+		return err
+	}
+	l.size = size
+	_, err := l.f.Seek(size, io.SeekStart)
+	return err
+}
+
 // reset rewrites the log as an empty headered file.
 func (l *Log) reset() error {
-	if err := l.f.Truncate(0); err != nil {
+	err := l.truncate(0)
+	if err == nil {
+		_, err = l.f.Write(logFormat.AppendHeader(nil))
+	}
+	if err == nil {
+		err = l.f.Sync()
+	}
+	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], walMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], Version)
-	if _, err := l.f.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	l.size = headerSize
+	l.size = frame.HeaderSize
 	return nil
 }
 
@@ -255,18 +233,12 @@ func (l *Log) Records() []Record { return l.records }
 // write error the log is truncated back to the last good frame so a partial
 // frame cannot corrupt the middle of the file once later appends succeed.
 func (l *Log) Append(rec Record) error {
-	payload := encodeRecord(rec)
-	frame := make([]byte, frameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[frameHeaderSize:], payload)
-	if _, err := l.f.Write(frame); err != nil {
-		// Best effort: cut whatever partial frame landed.
-		_ = l.f.Truncate(l.size)
-		_, _ = l.f.Seek(l.size, io.SeekStart)
+	frm := frame.Append(nil, encodeRecord(rec))
+	if _, err := l.f.Write(frm); err != nil {
+		_ = l.truncate(l.size) // best effort: cut whatever partial frame landed
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	l.size += int64(len(frame))
+	l.size += int64(len(frm))
 	l.unsynced++
 	if l.opts.SyncEvery <= 1 || l.unsynced >= l.opts.SyncEvery {
 		if err := l.Sync(); err != nil {
@@ -276,7 +248,7 @@ func (l *Log) Append(rec Record) error {
 	l.records = append(l.records, rec)
 	l.logRecords++
 	l.mAppends.Inc()
-	l.mBytes.Add(uint64(len(frame)))
+	l.mBytes.Add(uint64(len(frm)))
 	l.mRecords.Set(float64(len(l.records)))
 	if l.opts.SnapshotEvery > 0 && l.logRecords >= l.opts.SnapshotEvery {
 		// Compaction failure is not an append failure: the record above is
@@ -316,41 +288,20 @@ func (l *Log) Sync() error {
 	return nil
 }
 
-// Compact rewrites the full record history into the snapshot (atomic temp
-// file + fsync + rename, previous generation rotated to ".snap.prev") and
-// truncates the live log back to its header. Consecutive records for the
-// same relation are merged into one, so the snapshot is both the durable
-// history and its compaction.
+// Compact publishes the full record history as the snapshot (atomically,
+// the previous generation rotated to ".snap.prev") and truncates the live log
+// back to its header — only once the snapshot is durable under its name.
+// Consecutive records for the same relation are merged into one, so the
+// snapshot is both the durable history and its compaction.
 func (l *Log) Compact() error {
 	if err := l.Sync(); err != nil {
 		return err
 	}
-	snap := SnapPath(l.path)
-	tmp := snap + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("wal: compact: %w", err)
+	buf := logFormat.AppendHeader(nil)
+	for _, rec := range mergeRecords(l.records) {
+		buf = frame.Append(buf, encodeRecord(rec))
 	}
-	if err := writeRecordFile(f, mergeRecords(l.records)); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("wal: compact: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("wal: compact: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: compact: %w", err)
-	}
-	if err := os.Rename(snap, prevSnapPath(l.path)); err != nil && !os.IsNotExist(err) {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: compact: rotating previous snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, snap); err != nil {
-		os.Remove(tmp)
+	if err := frame.WriteFile(SnapPath(l.path), buf); err != nil {
 		return fmt.Errorf("wal: compact: %w", err)
 	}
 	if err := l.reset(); err != nil {
@@ -403,132 +354,40 @@ func FrameOffsets(path string) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(raw) < headerSize {
+	if len(raw) < frame.HeaderSize {
 		return []int64{int64(len(raw))}, nil
 	}
-	if err := checkHeader(raw); err != nil {
-		return nil, err
+	offs := []int64{frame.HeaderSize}
+	good, err := logFormat.Scan(raw, func(payload []byte) error {
+		offs = append(offs, offs[len(offs)-1]+int64(frame.FrameHeaderSize+len(payload)))
+		return nil
+	})
+	if good == 0 {
+		return nil, fmt.Errorf("wal: %w", err)
 	}
-	offs := []int64{headerSize}
-	off := int64(headerSize)
-	for {
-		n, ok := frameAt(raw, off)
-		if !ok {
-			return offs, nil
+	return offs, nil
+}
+
+// scanRecords decodes the records of a log or snapshot image up to the first
+// bad frame. good and err are frame.Scan's: err is nil exactly when the whole
+// image was clean (what a snapshot must be), good == 0 means the header was
+// rejected, anything else is the end of the clean prefix (where a live log is
+// cut). A CRC-clean frame that does not decode as a record ends the prefix
+// like any other bad frame.
+func scanRecords(raw []byte) (recs []Record, good int, err error) {
+	good, err = logFormat.Scan(raw, func(payload []byte) error {
+		rec, err := decodeRecord(payload)
+		if err == nil {
+			recs = append(recs, rec)
 		}
-		off += n
-		offs = append(offs, off)
-	}
-}
-
-// checkHeader validates the magic/version prefix of a headered file.
-func checkHeader(raw []byte) error {
-	if m := binary.LittleEndian.Uint32(raw[0:4]); m != walMagic {
-		return fmt.Errorf("wal: not a WAL file (magic %08x)", m)
-	}
-	if v := binary.LittleEndian.Uint32(raw[4:8]); v != Version {
-		return fmt.Errorf("wal: unsupported WAL version %d (want %d)", v, Version)
-	}
-	return nil
-}
-
-// frameAt reports the total size of the valid frame at off, or ok=false if
-// the bytes there are short, implausible, or fail the CRC.
-func frameAt(raw []byte, off int64) (int64, bool) {
-	if off+frameHeaderSize > int64(len(raw)) {
-		return 0, false
-	}
-	le := binary.LittleEndian
-	plen := le.Uint32(raw[off : off+4])
-	if plen > maxPayload || off+frameHeaderSize+int64(plen) > int64(len(raw)) {
-		return 0, false
-	}
-	payload := raw[off+frameHeaderSize : off+frameHeaderSize+int64(plen)]
-	if crc32.ChecksumIEEE(payload) != le.Uint32(raw[off+4:off+8]) {
-		return 0, false
-	}
-	return frameHeaderSize + int64(plen), true
-}
-
-// scanFrames walks a headered file's frames, decoding every record up to
-// the first invalid frame. It returns the decoded records, the offset of
-// the end of the clean prefix, and whether trailing bytes were left beyond
-// it (a torn tail). A file shorter than the header is reported as zero
-// records with good=0 (the caller rewrites the header); a well-formed
-// header with the wrong magic or version is an error, not a tear — that is
-// the wrong file, and truncating it would destroy someone's data.
-func scanFrames(raw []byte) (recs []Record, good int64, torn bool, err error) {
-	if len(raw) < headerSize {
-		return nil, 0, len(raw) > 0, nil
-	}
-	if err := checkHeader(raw); err != nil {
-		return nil, 0, false, err
-	}
-	off := int64(headerSize)
-	for {
-		n, ok := frameAt(raw, off)
-		if !ok {
-			return recs, off, off < int64(len(raw)), nil
-		}
-		payload := raw[off+frameHeaderSize : off+n]
-		rec, derr := decodeRecord(payload)
-		if derr != nil {
-			// CRC-clean but undecodable: same-version corruption the frame
-			// layer missed; treat as a tear at this record.
-			return recs, off, true, nil
-		}
-		recs = append(recs, rec)
-		off += n
-	}
-}
-
-// readRecordFile loads a whole snapshot file strictly: any torn tail or
-// invalid frame is an error (snapshots are written atomically, so a partial
-// one is corruption, unlike the live log's expected torn tail).
-func readRecordFile(path string) ([]Record, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(raw) < headerSize {
-		return nil, fmt.Errorf("wal: snapshot truncated (%d bytes)", len(raw))
-	}
-	recs, good, torn, err := scanFrames(raw)
-	if err != nil {
-		return nil, err
-	}
-	if torn || good != int64(len(raw)) {
-		return nil, fmt.Errorf("wal: snapshot has invalid frame at offset %d", good)
-	}
-	return recs, nil
-}
-
-// writeRecordFile writes a header plus one frame per record.
-func writeRecordFile(w io.Writer, recs []Record) error {
-	var hdr [headerSize]byte
-	le := binary.LittleEndian
-	le.PutUint32(hdr[0:4], walMagic)
-	le.PutUint32(hdr[4:8], Version)
-	if _, err := w.Write(hdr[:]); err != nil {
 		return err
-	}
-	for _, rec := range recs {
-		payload := encodeRecord(rec)
-		var fh [frameHeaderSize]byte
-		le.PutUint32(fh[0:4], uint32(len(payload)))
-		le.PutUint32(fh[4:8], crc32.ChecksumIEEE(payload))
-		if _, err := w.Write(fh[:]); err != nil {
-			return err
-		}
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
+	return recs, good, err
 }
 
 // encodeRecord serializes one record payload (little-endian: relation,
-// row count, then per-row cell counts and cells).
+// row count, then per-row cell counts and cells; every string u32
+// length-prefixed).
 func encodeRecord(rec Record) []byte {
 	size := 4 + len(rec.Relation) + 4
 	for _, row := range rec.Rows {
@@ -537,87 +396,30 @@ func encodeRecord(rec Record) []byte {
 			size += 4 + len(cell)
 		}
 	}
-	buf := make([]byte, 0, size)
 	le := binary.LittleEndian
-	putU32 := func(v uint32) {
-		var b [4]byte
-		le.PutUint32(b[:], v)
-		buf = append(buf, b[:]...)
-	}
-	putU32(uint32(len(rec.Relation)))
-	buf = append(buf, rec.Relation...)
-	putU32(uint32(len(rec.Rows)))
+	buf := le.AppendUint32(make([]byte, 0, size), uint32(len(rec.Relation)))
+	buf = le.AppendUint32(append(buf, rec.Relation...), uint32(len(rec.Rows)))
 	for _, row := range rec.Rows {
-		putU32(uint32(len(row)))
+		buf = le.AppendUint32(buf, uint32(len(row)))
 		for _, cell := range row {
-			putU32(uint32(len(cell)))
-			buf = append(buf, cell...)
+			buf = append(le.AppendUint32(buf, uint32(len(cell))), cell...)
 		}
 	}
 	return buf
 }
 
-// decodeRecord parses a record payload, rejecting implausible lengths.
+// decodeRecord parses a record payload. Every count is checked against the
+// bytes that remain before anything is allocated for it (a row is at least
+// its 4-byte cell count, a cell its 4-byte length).
 func decodeRecord(payload []byte) (Record, error) {
-	var rec Record
-	d := recDecoder{buf: payload}
-	rec.Relation = d.str(1 << 16)
-	nrows := d.u32()
-	if nrows > 1<<24 {
-		return rec, fmt.Errorf("implausible row count %d", nrows)
-	}
-	for i := uint32(0); i < nrows && d.err == nil; i++ {
-		ncells := d.u32()
-		if ncells > 1<<16 {
-			return rec, fmt.Errorf("implausible cell count %d", ncells)
-		}
-		row := make([]string, 0, ncells)
-		for c := uint32(0); c < ncells && d.err == nil; c++ {
-			row = append(row, d.str(1<<24))
+	c := frame.Cursor{Buf: payload}
+	rec := Record{Relation: c.Str()}
+	for i, nrows := 0, c.Count(4); i < nrows && c.Err == nil; i++ {
+		row := make([]string, c.Count(4))
+		for j := range row {
+			row[j] = c.Str()
 		}
 		rec.Rows = append(rec.Rows, row)
 	}
-	if d.err != nil {
-		return rec, d.err
-	}
-	if len(d.buf) != 0 {
-		return rec, fmt.Errorf("record has %d trailing bytes", len(d.buf))
-	}
-	return rec, nil
-}
-
-// recDecoder is a latching cursor over a record payload.
-type recDecoder struct {
-	buf []byte
-	err error
-}
-
-func (d *recDecoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if len(d.buf) < n {
-		d.err = io.ErrUnexpectedEOF
-		return nil
-	}
-	out := d.buf[:n]
-	d.buf = d.buf[n:]
-	return out
-}
-
-func (d *recDecoder) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *recDecoder) str(max int) string {
-	n := d.u32()
-	if d.err == nil && int(n) > max {
-		d.err = fmt.Errorf("implausible string length %d", n)
-		return ""
-	}
-	return string(d.take(int(n)))
+	return rec, c.Done()
 }

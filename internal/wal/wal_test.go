@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/gibbs/testutil"
 	"repro/internal/obs"
 )
@@ -81,7 +82,7 @@ func TestTornTailTruncatedAtEveryOffset(t *testing.T) {
 		t.Fatalf("FrameOffsets = %v, want %d boundaries", offs, len(recs)+1)
 	}
 	size := offs[len(offs)-1]
-	for cut := int64(headerSize); cut < size; cut++ {
+	for cut := int64(frame.HeaderSize); cut < size; cut++ {
 		torn := filepath.Join(dir, "torn.wal")
 		if err := testutil.CopyFile(torn, path); err != nil {
 			t.Fatal(err)
@@ -139,7 +140,7 @@ func TestCorruptMiddleKeepsPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[offs[1]+frameHeaderSize+2] ^= 0x40
+	raw[offs[1]+frame.FrameHeaderSize+2] ^= 0x40
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
