@@ -107,8 +107,8 @@ type Config struct {
 
 	// Shards enables sharded share-nothing inference (Sya engine, batch
 	// inference only): the ground graph is partitioned by pyramid subtree
-	// into this many shards, each with its own subgraph, compiled-kernel
-	// slab and sampler, synchronized by a halo exchange at every epoch
+	// into this many shards, each with its own subgraph, compiled score
+	// programs and sampler, synchronized by a halo exchange at every epoch
 	// barrier (see internal/shard). 0 or 1 keeps the single-process sampler.
 	// The incremental and QueryLocal paths stay single-process.
 	Shards int

@@ -14,7 +14,7 @@ import (
 // This file is the system face of query-driven lazy grounding (ROADMAP item
 // 1): QueryLocal answers a point query by extracting a bounded subgraph
 // around the queried atom (grounding.ExtractLocal), compiling sampling
-// kernels for just that slab, and running a private sampler over it — so
+// kernels for just that subgraph, and running a private sampler over it — so
 // per-query work scales with the local neighbourhood, not the KB.
 
 // LocalBudget bounds one lazy query.

@@ -291,6 +291,74 @@ func (g *Graph) VarSpatialPairs(v VarID) []int32 {
 	return g.varSpatial[g.varSpatialOff[v]:g.varSpatialOff[v+1]]
 }
 
+// OpInfo is the human-readable decode of one incidence of a variable's score
+// program — the score provenance a serving /v1/explain response reports,
+// with the live weight (learned weights included).
+type OpInfo struct {
+	// Kind names the incidence: "istrue", "imply", "and", "or", "equal" or
+	// "generic" (arity ≥ 3, v in more than one slot, unary equal) for a
+	// logical factor, "spatial" or "spatial_masked" for a spatial pair.
+	Kind   string
+	Weight float64
+	// Other is the other endpoint of a two-slot factor or spatial pair, the
+	// one other distinct variable of a generic factor, or NoVar.
+	Other VarID
+	// ID is the factor id, or the spatial pair id when Spatial — the index
+	// grounding's FactorRule maps back to a rule name.
+	ID              int32
+	Spatial, Masked bool
+}
+
+// NoVar is the OpInfo.Other sentinel for ops with no second endpoint.
+const NoVar VarID = -1
+
+// VarProgram decodes one variable's score program from the graph's incidence
+// lists: every factor and spatial pair contributing to its conditional, in
+// the order the samplers accumulate them, folded or not. It compiles nothing,
+// so it costs O(degree of v); the result is freshly allocated.
+func (g *Graph) VarProgram(v VarID) []OpInfo {
+	logical, spatial := g.VarLogicalFactors(v), g.VarSpatialPairs(v)
+	out := make([]OpInfo, 0, len(logical)+len(spatial))
+	for _, f := range logical {
+		out = append(out, g.factorInfo(v, f))
+	}
+	for _, s := range spatial {
+		info := OpInfo{Kind: "spatial", Weight: g.spatialW[s], Other: g.spatialOther(s, v), ID: s, Spatial: true}
+		if g.allowedPairs[g.vars[v].Relation] != nil {
+			info.Kind, info.Masked = "spatial_masked", true
+		}
+		out = append(out, info)
+	}
+	return out
+}
+
+// factorInfo names logical factor f at v by kind, arity and v's slots.
+func (g *Graph) factorInfo(v VarID, f int32) OpInfo {
+	info := OpInfo{Kind: "generic", Weight: g.factorWeight[f], Other: NoVar, ID: f}
+	vars, _ := g.FactorVars(f)
+	occ, pos := 0, -1
+	for i, u := range vars {
+		if u == v {
+			occ++
+			pos = i
+		}
+	}
+	switch kind := g.factorKind[f]; {
+	case occ != 1:
+	case len(vars) == 1 && (kind == FactorIsTrue || kind == FactorAnd || kind == FactorOr):
+		info.Kind = "istrue"
+		return info
+	case len(vars) == 2 && kind <= FactorEqual:
+		info.Kind, info.Other = kind.String(), vars[1-pos]
+		return info
+	}
+	// Report the one other distinct endpoint, if there is exactly one.
+	if a, n := liveOther(vars, v, nil); n == 1 {
+		info.Other = a
+	}
+	return info
+}
+
 // InitialAssignment returns an assignment with evidence fixed and query
 // variables at value 0.
 func (g *Graph) InitialAssignment() Assignment {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/geom"
 )
@@ -377,5 +378,13 @@ func TestDuplicateVarInFactorAdjacency(t *testing.T) {
 	}
 	if got := len(g.VarLogicalFactors(v)); got != 2 {
 		t.Errorf("v adjacency = %d, want 2 (self-factor listed once)", got)
+	}
+}
+
+// TestPairOpSize pins the one op record at 12 bytes: the categorical table
+// index lives in the padding after the inline binary codes.
+func TestPairOpSize(t *testing.T) {
+	if got := unsafe.Sizeof(pairOp{}); got != 12 {
+		t.Fatalf("pairOp is %d bytes, want 12", got)
 	}
 }

@@ -2,6 +2,7 @@ package factorgraph_test
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -16,17 +17,17 @@ import (
 type equivCase struct {
 	what    string // logged; subtest names stay positional
 	spec    testutil.Spec
-	build   func(t *testing.T) *factorgraph.Graph // overrides spec
-	prepare func(t *testing.T, g *factorgraph.Graph)
+	build   func(t testing.TB) *factorgraph.Graph // overrides spec
+	prepare func(t testing.TB, g *factorgraph.Graph)
 }
 
 // equivCases is the golden-equivalence corpus: the four canonical harness
-// shapes plus denser/odder variants — larger categorical domains, heavy,
-// total and zero evidence, many factors (duplicate kinds, negations,
-// self-referential IsTrue), pruning masks on categorical and on binary
-// relations, live-marked evidence, arity-3 factors with frozen slots,
-// infinite weights — so the fold, the pair op, the fallback record and every
-// general-slab opcode are hit.
+// shapes plus denser/odder variants — larger categorical domains (up to
+// h = 10, with and without a pruning mask), heavy, total and zero evidence,
+// many factors (duplicate kinds, negations, self-referential IsTrue), pruning
+// masks on categorical and on binary relations, live-marked evidence, arity-3
+// factors with frozen slots, infinite weights — so the fold, the inline and
+// the table pair op and the fallback record are all hit.
 func equivCases() []equivCase {
 	return []equivCase{
 		{what: "binary", spec: testutil.Spec{Domain: 2, Seed: 101}},
@@ -45,7 +46,7 @@ func equivCases() []equivCase {
 		{
 			what: "live_evidence",
 			spec: testutil.Spec{Domain: 2, Vars: 12, Spatial: true, LogicalFactors: 40, SpatialPairs: 25, EvidencePer1000: 500, Seed: 112},
-			prepare: func(t *testing.T, g *factorgraph.Graph) {
+			prepare: func(t testing.TB, g *factorgraph.Graph) {
 				// Every other evidence variable is a halo copy.
 				var live []factorgraph.VarID
 				n := 0
@@ -68,7 +69,7 @@ func equivCases() []equivCase {
 		{
 			what: "infinite_weights",
 			spec: testutil.Spec{Domain: 2, Vars: 10, LogicalFactors: 30, EvidencePer1000: 400, Seed: 113},
-			prepare: func(t *testing.T, g *factorgraph.Graph) {
+			prepare: func(t testing.TB, g *factorgraph.Graph) {
 				// +Inf on one factor that folds somewhere and on one that
 				// stays dynamic somewhere (the same sign, so sums stay
 				// Inf, not NaN).
@@ -94,6 +95,9 @@ func equivCases() []equivCase {
 				}
 			},
 		},
+		{what: "d10_spatial", spec: testutil.Spec{Domain: 10, Vars: 8, Spatial: true, LogicalFactors: 20, SpatialPairs: 16, EvidencePer1000: 250, Seed: 114}},
+		{what: "d10_masked", spec: testutil.Spec{Domain: 10, Vars: 8, Spatial: true, PruneMask: true, LogicalFactors: 20, SpatialPairs: 16, EvidencePer1000: 250, Seed: 115}},
+		{what: "d3_spatial", spec: testutil.Spec{Domain: 3, Vars: 8, Spatial: true, LogicalFactors: 14, SpatialPairs: 12, EvidencePer1000: 300, Seed: 116}},
 	}
 }
 
@@ -101,8 +105,8 @@ func equivCases() []equivCase {
 // generator does not draw: arity-3 factors with two, one and no frozen slots,
 // a variable in both slots of a factor, a unary equal, an equal against
 // categorical evidence and against a categorical query variable, and a
-// binary relation under an asymmetric pruning mask.
-func oddShapesGraph(t *testing.T) *factorgraph.Graph {
+// binary and a categorical relation under asymmetric pruning masks.
+func oddShapesGraph(t testing.TB) *factorgraph.Graph {
 	t.Helper()
 	b := factorgraph.NewBuilder()
 	add := func(name string, domain, evidence int32, rel int32) factorgraph.VarID {
@@ -141,6 +145,9 @@ func oddShapesGraph(t *testing.T) *factorgraph.Graph {
 	if err := b.SetAllowedPairs(0, 2, []bool{true, true, false, false}); err != nil {
 		t.Fatal(err)
 	}
+	if err := b.SetAllowedPairs(1, 3, []bool{true, false, true, true, true, false, false, true, true}); err != nil {
+		t.Fatal(err)
+	}
 	for _, p := range [][2]factorgraph.VarID{{q0, q1}, {q2, q0}, {q1, e0}, {e1, q2}, {q3, q2}, {e0, q3}} {
 		if err := b.AddSpatialPair(p[0], p[1], 0.1+0.1*float64(p[0])); err != nil {
 			t.Fatal(err)
@@ -156,7 +163,7 @@ func oddShapesGraph(t *testing.T) *factorgraph.Graph {
 	return g
 }
 
-func (c equivCase) graph(t *testing.T) *factorgraph.Graph {
+func (c equivCase) graph(t testing.TB) *factorgraph.Graph {
 	t.Helper()
 	var g *factorgraph.Graph
 	if c.build != nil {
@@ -173,9 +180,9 @@ func (c equivCase) graph(t *testing.T) *factorgraph.Graph {
 	return g
 }
 
-// randomAssignment fills every variable, evidence included: the general path
-// must agree with the interpreted walk on any state (weight learning's model
-// chain frees evidence).
+// randomAssignment fills every variable, evidence included: the programs that
+// fold nothing must agree with the interpreted walk on any state (weight
+// learning's model chain frees evidence).
 func randomAssignment(g *factorgraph.Graph, rng *testutil.Rand) factorgraph.Assignment {
 	a := make(factorgraph.Assignment, g.NumVars())
 	for i := range a {
@@ -260,7 +267,7 @@ func foldedReference(g *factorgraph.Graph, v factorgraph.VarID, assign factorgra
 // checkBinaryScores holds one binary score to both statements of the fold:
 // exactly the folded reference, and within the regrouping bound of the plain
 // interpreted walk.
-func checkBinaryScores(t *testing.T, g *factorgraph.Graph, k *factorgraph.Kernels, v factorgraph.VarID, assign factorgraph.Assignment) {
+func checkBinaryScores(t testing.TB, g *factorgraph.Graph, k *factorgraph.Kernels, v factorgraph.VarID, assign factorgraph.Assignment) {
 	t.Helper()
 	got0, got1 := k.BinaryConditionalScores(v, assign)
 	ref, n, sumAbs := foldedReference(g, v, assign)
@@ -287,13 +294,53 @@ func checkBinaryScores(t *testing.T, g *factorgraph.Graph, k *factorgraph.Kernel
 	}
 }
 
+// checkExactScores holds one variable's scores under a program set that
+// folds nothing at v to ==, not within epsilon, with the interpreted walk.
+func checkExactScores(t testing.TB, g *factorgraph.Graph, k *factorgraph.Kernels, v factorgraph.VarID, assign factorgraph.Assignment) {
+	t.Helper()
+	var wantBuf, gotBuf [16]float64
+	want := g.ConditionalScores(v, assign, wantBuf[:])
+	got := k.ConditionalScores(v, assign, gotBuf[:])
+	if len(want) != len(got) {
+		t.Fatalf("var %d: domain mismatch %d vs %d", v, len(want), len(got))
+	}
+	for x := range want {
+		if math.Float64bits(want[x]) != math.Float64bits(got[x]) {
+			t.Fatalf("var %d candidate %d: interpreted %v (bits %x) vs compiled %v (bits %x)",
+				v, x, want[x], math.Float64bits(want[x]), got[x], math.Float64bits(got[x]))
+		}
+	}
+}
+
+// checkKernels holds both program sets of g to their contracts at every
+// variable: the nothing-frozen set, and the categorical variables of the
+// folded set, to == with the interpreted walk on an arbitrary assignment;
+// the folded binary programs to the folded reference and the regrouping
+// bound on a reachable one.
+func checkKernels(t testing.TB, g *factorgraph.Graph, k, exact *factorgraph.Kernels, assign, reachable factorgraph.Assignment) {
+	t.Helper()
+	for v := factorgraph.VarID(0); int(v) < g.NumVars(); v++ {
+		if k.Binary(v) != (g.DomainOf(v) == 2) || exact.Binary(v) != k.Binary(v) {
+			t.Fatalf("var %d: Binary = %v / %v with domain %d", v, k.Binary(v), exact.Binary(v), g.DomainOf(v))
+		}
+		checkExactScores(t, g, exact, v, assign)
+		if k.Binary(v) {
+			checkBinaryScores(t, g, k, v, reachable)
+		} else {
+			checkExactScores(t, g, k, v, assign)
+		}
+	}
+}
+
 // TestKernelsMatchInterpretedBitForBit is the golden equivalence gate of the
-// compiled sampling kernels. The general path (ConditionalScores) must agree
-// with the interpreted evaluator exactly (==, not within epsilon) on
-// arbitrary assignments. The binary path folds frozen endpoints away, so it
-// is checked on reachable assignments, twice: exactly against the folded
-// reference, and closely against the plain interpreted walk. Together these
-// let the compiled path inherit the TV-vs-exact statistical harness, the
+// compiled sampling kernels. Every program that folds nothing — the whole
+// nothing-frozen set weight learning compiles, and the categorical variables
+// of the samplers' folded set — must agree with the interpreted evaluator
+// exactly (==, not within epsilon) on arbitrary assignments. The folded
+// binary programs fold frozen endpoints away, so they are checked on
+// reachable assignments, twice: exactly against the folded reference, and
+// closely against the plain interpreted walk. Together these let the
+// compiled path inherit the TV-vs-exact statistical harness, the
 // worker-invariance tests and old checkpoints without re-validation.
 func TestKernelsMatchInterpretedBitForBit(t *testing.T) {
 	for i, c := range equivCases() {
@@ -304,36 +351,18 @@ func TestKernelsMatchInterpretedBitForBit(t *testing.T) {
 			if k != g.Kernels() {
 				t.Fatal("Kernels() is not cached")
 			}
+			exact := factorgraph.CompileKernels(g, false)
 			st := k.Stats()
-			t.Logf("%s: %+v", c.what, st)
+			t.Logf("%s: %+v; nothing frozen: %+v", c.what, st, exact.Stats())
 			if st.Ops == 0 || st.Vars != g.NumVars() || st.SlabBytes <= 0 {
 				t.Fatalf("implausible kernel stats: %+v", st)
 			}
+			if est := exact.Stats(); est.FoldedOps != 0 || est.Ops != st.Ops {
+				t.Fatalf("nothing-frozen set folded %d of %d ops", est.FoldedOps, est.Ops)
+			}
 			rng := testutil.NewRand(c.spec.Seed ^ 0xdead)
-			wantBuf := make([]float64, 8)
-			gotBuf := make([]float64, 8)
 			for trial := 0; trial < 200; trial++ {
-				assign := randomAssignment(g, rng)
-				reachable := reachableAssignment(g, rng)
-				for v := factorgraph.VarID(0); int(v) < g.NumVars(); v++ {
-					want := g.ConditionalScores(v, assign, wantBuf)
-					got := k.ConditionalScores(v, assign, gotBuf)
-					if len(want) != len(got) {
-						t.Fatalf("var %d: domain mismatch %d vs %d", v, len(want), len(got))
-					}
-					for x := range want {
-						if math.Float64bits(want[x]) != math.Float64bits(got[x]) {
-							t.Fatalf("var %d candidate %d: interpreted %v (bits %x) vs compiled %v (bits %x)",
-								v, x, want[x], math.Float64bits(want[x]), got[x], math.Float64bits(got[x]))
-						}
-					}
-					if k.Binary(v) != (g.DomainOf(v) == 2) {
-						t.Fatalf("var %d: Binary = %v with domain %d", v, k.Binary(v), g.DomainOf(v))
-					}
-					if k.Binary(v) {
-						checkBinaryScores(t, g, k, v, reachable)
-					}
-				}
+				checkKernels(t, g, k, exact, randomAssignment(g, rng), reachableAssignment(g, rng))
 			}
 		})
 	}
@@ -341,56 +370,48 @@ func TestKernelsMatchInterpretedBitForBit(t *testing.T) {
 
 // TestKernelsWeightWriteThrough asserts that weight updates through
 // SetFactorWeight/SetSpatialWeight are visible to already-compiled kernels
-// without recompilation — the property weight learning relies on — on both
-// paths: the general slab and the dynamic ops read weights by index, and the
-// biases, which bake folded weights in, are recomputed before the next
-// binary score.
+// without recompilation — the property weight learning relies on — in both
+// program sets: every op reads its weight by index, and the folded biases,
+// which bake weights in, are recomputed before the next binary score. A
+// binary and a categorical graph.
 func TestKernelsWeightWriteThrough(t *testing.T) {
-	g, err := testutil.RandomGraph(testutil.Spec{Domain: 2, Vars: 10, Spatial: true,
-		LogicalFactors: 30, SpatialPairs: 25, EvidencePer1000: 400, Seed: 42})
-	if err != nil {
-		t.Fatalf("RandomGraph: %v", err)
-	}
-	k := g.Kernels()
-	if st := k.Stats(); st.FoldedOps == 0 || st.FoldedOps == st.Ops {
-		t.Fatalf("want folded and dynamic ops in this graph, have %+v", st)
-	}
-	rng := testutil.NewRand(7)
-	assign := randomAssignment(g, rng)
-	reachable := reachableAssignment(g, rng)
-	buf1 := make([]float64, 4)
-	buf2 := make([]float64, 4)
-	for round := 0; round < 3; round++ {
-		// Score first, so every round's biases were folded under the
-		// previous round's weights.
-		for v := factorgraph.VarID(0); int(v) < g.NumVars(); v++ {
-			want := g.ConditionalScores(v, assign, buf1)
-			got := k.ConditionalScores(v, assign, buf2)
-			for x := range want {
-				if math.Float64bits(want[x]) != math.Float64bits(got[x]) {
-					t.Fatalf("round %d var %d candidate %d: interpreted %v vs compiled %v",
-						round, v, x, want[x], got[x])
-				}
+	for _, spec := range []testutil.Spec{
+		{Domain: 2, Vars: 10, Spatial: true, LogicalFactors: 30, SpatialPairs: 25, EvidencePer1000: 400, Seed: 42},
+		{Domain: 3, Vars: 8, Spatial: true, PruneMask: true, LogicalFactors: 20, SpatialPairs: 16, EvidencePer1000: 400, Seed: 43},
+	} {
+		g, err := testutil.RandomGraph(spec)
+		if err != nil {
+			t.Fatalf("RandomGraph: %v", err)
+		}
+		k, exact := g.Kernels(), factorgraph.CompileKernels(g, false)
+		if st := k.Stats(); spec.Domain == 2 && (st.FoldedOps == 0 || st.FoldedOps == st.Ops) {
+			t.Fatalf("want folded and dynamic ops in this graph, have %+v", st)
+		}
+		rng := testutil.NewRand(7)
+		assign := randomAssignment(g, rng)
+		reachable := reachableAssignment(g, rng)
+		for round := 0; round < 3; round++ {
+			// Score first, so every round's biases were folded under the
+			// previous round's weights.
+			checkKernels(t, g, k, exact, assign, reachable)
+			for f := int32(0); f < int32(g.NumFactors()); f++ {
+				g.SetFactorWeight(f, g.FactorWeightOf(f)*1.7+0.3)
 			}
-			checkBinaryScores(t, g, k, v, reachable)
-		}
-		for f := int32(0); f < int32(g.NumFactors()); f++ {
-			g.SetFactorWeight(f, g.FactorWeightOf(f)*1.7+0.3)
-		}
-		for s := int32(0); s < int32(g.NumSpatialFactors()); s++ {
-			_, _, w := g.SpatialPair(s)
-			g.SetSpatialWeight(s, w*2.1+0.1)
+			for s := int32(0); s < int32(g.NumSpatialFactors()); s++ {
+				_, _, w := g.SpatialPair(s)
+				g.SetSpatialWeight(s, w*2.1+0.1)
+			}
 		}
 	}
 }
 
-// TestKernelsGenericFallback covers shapes no specialized op expresses:
-// arity-3 factors, a variable in both slots of a factor, unary equal. At
-// categorical variables all of them route through the general slab's generic
-// op, as ever. At binary variables only the arity-3 factors with two
-// endpoints that can still change keep a run-time fallback record; the
-// self-pair and the unary equal are constants of the variable and fold. Both
-// must still match the interpreted walk.
+// TestKernelsGenericFallback covers the shapes with no named op: arity-3
+// factors, a variable in both slots of a factor, unary equal. At every
+// variable only the arity-3 factors with two endpoints that can still change
+// keep a run-time fallback record; the self-pair and the unary equal are
+// constants of the variable — folded at binary variables, ops whose table
+// ignores the other endpoint at categorical ones. All must still match the
+// interpreted walk.
 func TestKernelsGenericFallback(t *testing.T) {
 	for _, domain := range []int32{3, 2} {
 		domain := domain
@@ -434,26 +455,15 @@ func TestKernelsGenericFallback(t *testing.T) {
 				if st.Ops != 8 || st.GenericOps != 6 || st.FoldedOps != 2 {
 					t.Fatalf("ops/generic/folded = %d/%d/%d, want 8/6/2", st.Ops, st.GenericOps, st.FoldedOps)
 				}
-			} else if st.GenericOps != 8 || st.FoldedOps != 0 {
-				t.Fatalf("generic/folded = %d/%d at categorical variables, want 8/0", st.GenericOps, st.FoldedOps)
+			} else if st.GenericOps != 6 || st.FoldedOps != 0 {
+				// The same six arity-3 fallbacks; nothing folds.
+				t.Fatalf("generic/folded = %d/%d at categorical variables, want 6/0", st.GenericOps, st.FoldedOps)
 			}
+			exact := factorgraph.CompileKernels(g, false)
 			rng := testutil.NewRand(99)
-			buf1 := make([]float64, 4)
-			buf2 := make([]float64, 4)
 			for trial := 0; trial < 100; trial++ {
 				assign := randomAssignment(g, rng)
-				for _, v := range ids {
-					want := g.ConditionalScores(v, assign, buf1)
-					got := k.ConditionalScores(v, assign, buf2)
-					for x := range want {
-						if math.Float64bits(want[x]) != math.Float64bits(got[x]) {
-							t.Fatalf("var %d candidate %d: interpreted %v vs compiled %v", v, x, want[x], got[x])
-						}
-					}
-					if domain == 2 {
-						checkBinaryScores(t, g, k, v, assign)
-					}
-				}
+				checkKernels(t, g, k, exact, assign, assign)
 			}
 		})
 	}
@@ -474,4 +484,196 @@ func TestMarkLiveAfterCompilePanics(t *testing.T) {
 		}
 	}()
 	g.MarkLive([]factorgraph.VarID{0})
+}
+
+// fuzzGraph decodes bytes into a small graph for FuzzKernels; every input
+// decodes to one. Layout, one byte each unless stated: the variable count
+// (1 + b%12); per variable, its domain (2 + (b&3)%3; one relation per domain, so
+// spatial pairs join equal domains), an evidence flag (0x10) and value
+// (b>>5), and a live mark on evidence (0x08); a bit per domain 2–4 for a
+// pruning mask, then that mask's h² bits; the factor count (b%25) and per
+// factor its kind ((b&7)%5) and arity (1 + (b>>3)%3), its slots, a negation
+// byte and a weight (int8/32); the spatial pair count (b%25) and per pair
+// two endpoints and a weight (b/128). Slots may repeat a variable.
+func fuzzGraph(data []byte) (*factorgraph.Graph, error) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	b := factorgraph.NewBuilder()
+	n := 1 + int(next())%12
+	var live []factorgraph.VarID
+	for i := 0; i < n; i++ {
+		d := next()
+		v := factorgraph.Variable{Domain: 2 + int32(d&3)%3, Evidence: factorgraph.NoEvidence,
+			HasLoc: true, Loc: geom.Pt(float64(i), 0)}
+		v.Relation = v.Domain
+		if d&0x10 != 0 {
+			v.Evidence = int32(d>>5) % v.Domain
+			if d&0x08 != 0 {
+				live = append(live, factorgraph.VarID(i))
+			}
+		}
+		if _, err := b.AddVariable(v); err != nil {
+			return nil, err
+		}
+	}
+	masks := next()
+	for h := int32(2); h <= 4; h++ {
+		if masks>>(h-2)&1 == 0 {
+			continue
+		}
+		mask := make([]bool, h*h)
+		var bits byte
+		for i := range mask {
+			if i%8 == 0 {
+				bits = next()
+			}
+			mask[i] = bits>>(i%8)&1 == 1
+		}
+		if err := b.SetAllowedPairs(h, h, mask); err != nil {
+			return nil, err
+		}
+	}
+	for f := int(next()) % 25; f > 0; f-- {
+		k := next()
+		kind, arity := factorgraph.FactorKind((k&7)%5), 1+int(k>>3)%3
+		switch {
+		case kind == factorgraph.FactorIsTrue:
+			arity = 1
+		case kind == factorgraph.FactorImply && arity == 1:
+			arity = 2
+		}
+		vars, neg := make([]factorgraph.VarID, arity), make([]bool, arity)
+		for i := range vars {
+			vars[i] = factorgraph.VarID(int(next()) % n)
+		}
+		negs := next()
+		for i := range neg {
+			neg[i] = negs>>i&1 == 1
+		}
+		if err := b.AddFactor(kind, float64(int8(next()))/32, vars, neg); err != nil {
+			return nil, err
+		}
+	}
+	for s := int(next()) % 25; s > 0; s-- {
+		a, c := factorgraph.VarID(int(next())%n), factorgraph.VarID(int(next())%n)
+		w := float64(next()) / 128
+		// Self, cross-relation and duplicate pairs are rejected: skip them.
+		_ = b.AddSpatialPair(a, c, w)
+	}
+	g, err := b.Finalize()
+	if err != nil {
+		return nil, err
+	}
+	g.MarkLive(live)
+	return g, nil
+}
+
+// fuzzEncode is fuzzGraph's inverse up to its limits (12 variables, domains
+// folded into 2–4, 24 factors and pairs, quantized weights), for seeding the
+// corpus from equivCases.
+func fuzzEncode(g *factorgraph.Graph) []byte {
+	n := min(g.NumVars(), 12)
+	dom := func(v factorgraph.VarID) int32 { return 2 + (g.DomainOf(v)-2)%3 }
+	out := []byte{byte(n - 1)}
+	for i := 0; i < n; i++ {
+		v := factorgraph.VarID(i)
+		d := byte(dom(v) - 2)
+		if ev := g.Var(v).Evidence; ev != factorgraph.NoEvidence {
+			d |= 0x10 | byte(ev%dom(v))<<5
+			if g.Live(v) {
+				d |= 0x08
+			}
+		}
+		out = append(out, d)
+	}
+	var masks [5][]bool
+	var maskBits byte
+	g.Vars(func(id factorgraph.VarID, v factorgraph.Variable) bool {
+		if mask, h := g.AllowedPairMask(v.Relation); mask != nil && h == dom(id) && int(id) < n {
+			masks[h], maskBits = mask, maskBits|1<<(h-2)
+		}
+		return true
+	})
+	out = append(out, maskBits)
+	for h := 2; h <= 4; h++ {
+		for i, ok := range masks[h] {
+			if i%8 == 0 {
+				out = append(out, 0)
+			}
+			if ok {
+				out[len(out)-1] |= 1 << (i % 8)
+			}
+		}
+	}
+	inRange := func(vars ...factorgraph.VarID) bool {
+		for _, v := range vars {
+			if int(v) >= n {
+				return false
+			}
+		}
+		return true
+	}
+	weight := func(w float64) byte { return byte(int8(math.Max(-128, math.Min(127, math.Round(w*32))))) }
+	var factors []byte
+	count := 0
+	for f := int32(0); f < int32(g.NumFactors()) && count < 24; f++ {
+		vars, neg := g.FactorVars(f)
+		if len(vars) > 3 || !inRange(vars...) {
+			continue
+		}
+		var negs byte
+		for i, ng := range neg {
+			if ng {
+				negs |= 1 << i
+			}
+		}
+		factors = append(factors, byte(g.FactorKindOf(f))|byte(len(vars)-1)<<3)
+		for _, v := range vars {
+			factors = append(factors, byte(v))
+		}
+		factors = append(factors, negs, weight(g.FactorWeightOf(f)))
+		count++
+	}
+	out = append(append(out, byte(count)), factors...)
+	var pairs []byte
+	count = 0
+	for s := int32(0); s < int32(g.NumSpatialFactors()) && count < 24; s++ {
+		a, c, w := g.SpatialPair(s)
+		if inRange(a, c) {
+			pairs = append(pairs, byte(a), byte(c), byte(math.Min(255, w*128)))
+			count++
+		}
+	}
+	return append(append(out, byte(count)), pairs...)
+}
+
+// FuzzKernels compiles decoded graphs — domains 2–4, arities 1–3, negations,
+// repeated slots, pruning masks, evidence and live marks — and holds both
+// program sets to their contracts (checkKernels) on arbitrary and reachable
+// assignments drawn from the input: no panic, == with the interpreted walk
+// wherever nothing folds, the folded reference and the regrouping bound on
+// the folded binary programs.
+func FuzzKernels(f *testing.F) {
+	for _, c := range equivCases() {
+		f.Add(fuzzEncode(c.graph(f)))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h := fnv.New64a()
+		h.Write(data)
+		g, err := fuzzGraph(data)
+		if err != nil {
+			t.Fatalf("decoded graph does not build: %v", err)
+		}
+		k, exact := g.Kernels(), factorgraph.CompileKernels(g, false)
+		rng := testutil.NewRand(h.Sum64())
+		for trial := 0; trial < 4; trial++ {
+			checkKernels(t, g, k, exact, randomAssignment(g, rng), reachableAssignment(g, rng))
+		}
+	})
 }

@@ -141,8 +141,8 @@ func newCounts(g *factorgraph.Graph) *counts {
 // stores it in the assignment. buf must have capacity ≥ the max domain; it
 // is untouched on the buffer-free binary fast path. Scores come from the
 // sampler's scorer: compiled kernels, or in tests the interpreted reference
-// walk — the two agree to the last ulp (exactly, on the general path), so
-// the chain is the same on either.
+// walk — the two agree to the last ulp (exactly at categorical variables),
+// so the chain is the same on either.
 func sampleOne(sc *scorer, v factorgraph.VarID, assign factorgraph.Assignment,
 	rng *prng, buf []float64) int32 {
 	if sc.binary(v) {
@@ -163,8 +163,17 @@ func sampleOne(sc *scorer, v factorgraph.VarID, assign factorgraph.Assignment,
 		assign.Set(v, x)
 		return x
 	}
-	scores := sc.conditionalScores(v, assign, buf)
-	// Softmax sampling with max subtraction for stability.
+	// Temperature 1: dividing by 1.0 is exact, so this is the plain softmax.
+	x := sampleSoftmax(sc.conditionalScores(v, assign, buf), 1, rng)
+	assign.Set(v, x)
+	return x
+}
+
+// sampleSoftmax draws a value from softmax(scores / temp) by a
+// max-subtracted inverse-CDF walk, overwriting scores with the unnormalized
+// probabilities. The Gibbs draw passes temp 1; MAP's anneal passes its
+// current temperature.
+func sampleSoftmax(scores []float64, temp float64, rng *prng) int32 {
 	maxS := scores[0]
 	for _, s := range scores[1:] {
 		if s > maxS {
@@ -173,23 +182,16 @@ func sampleOne(sc *scorer, v factorgraph.VarID, assign factorgraph.Assignment,
 	}
 	var z float64
 	for i, s := range scores {
-		scores[i] = math.Exp(s - maxS)
+		scores[i] = math.Exp((s - maxS) / temp)
 		z += scores[i]
 	}
 	u := rng.Float64() * z
-	var x int32
 	for i, p := range scores {
-		u -= p
-		if u <= 0 {
-			x = int32(i)
-			break
-		}
-		if i == len(scores)-1 {
-			x = int32(i)
+		if u -= p; u <= 0 {
+			return int32(i)
 		}
 	}
-	assign.Set(v, x)
-	return x
+	return int32(len(scores) - 1)
 }
 
 // queryVars lists the variables that need sampling.

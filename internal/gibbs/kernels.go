@@ -4,13 +4,13 @@ import (
 	"repro/internal/factorgraph"
 )
 
-// scorer routes conditional-score evaluation through the graph's compiled
-// sampling kernels. The interpreted CSR walk behind a nil k is the reference
-// implementation the kernels are tested against (factorgraph's equivalence
-// tests: bit-identical on the general path, the same terms regrouped on the
-// folded binary path), and only tests select it (see export_test.go). The
-// samplers hold one scorer each and pass it to sampleOne; the single nil
-// check per call is the entire dispatch cost.
+// scorer routes conditional-score evaluation through the graph's folded
+// program set (Graph.Kernels). The interpreted CSR walk behind a nil k is the
+// reference implementation the kernels are tested against (factorgraph's
+// equivalence tests: bit-identical at categorical variables, the same terms
+// regrouped in the folded binary programs), and only tests select it (see
+// export_test.go). The samplers hold one scorer each and pass it to
+// sampleOne; the single nil check per call is the entire dispatch cost.
 type scorer struct {
 	g *factorgraph.Graph
 	k *factorgraph.Kernels // nil → interpreted reference walk (tests only)
@@ -31,7 +31,8 @@ func (sc *scorer) binary(v factorgraph.VarID) bool {
 	return sc.g.DomainOf(v) == 2
 }
 
-// conditionalScores evaluates all candidate values of v (general path).
+// conditionalScores evaluates all candidate values of v: the categorical
+// draw, and MAP's anneal at every variable.
 func (sc *scorer) conditionalScores(v factorgraph.VarID, assign factorgraph.Assignment, buf []float64) []float64 {
 	if sc.k != nil {
 		return sc.k.ConditionalScores(v, assign, buf)

@@ -64,9 +64,7 @@ func MAPContext(ctx context.Context, g *factorgraph.Graph, opts MAPOptions) (fac
 	}
 	opts = opts.withDefaults()
 	query := queryVars(g)
-	// MAP always runs on the compiled kernels: they score what the
-	// interpreted walk scores, and MAP has no user-facing escape hatch to
-	// plumb.
+	// MAP runs on the samplers' folded programs; nothing selects another.
 	sc := newScorer(g)
 	var best factorgraph.Assignment
 	bestE := 0.0
@@ -90,8 +88,7 @@ func MAPContext(ctx context.Context, g *factorgraph.Graph, opts MAPOptions) (fac
 				break
 			}
 			for _, v := range query {
-				scores := sc.conditionalScores(v, assign, buf)
-				sampleTempered(assign, v, scores, temp, rng)
+				assign.Set(v, sampleSoftmax(sc.conditionalScores(v, assign, buf), temp, rng))
 			}
 			temp *= decay
 		}
@@ -108,35 +105,6 @@ func MAPContext(ctx context.Context, g *factorgraph.Graph, opts MAPOptions) (fac
 		}
 	}
 	return best, bestE, ctx.Err()
-}
-
-// sampleTempered draws from softmax(scores / temp).
-func sampleTempered(assign factorgraph.Assignment, v factorgraph.VarID,
-	scores []float64, temp float64, rng *prng) {
-	maxS := scores[0]
-	for _, s := range scores[1:] {
-		if s > maxS {
-			maxS = s
-		}
-	}
-	var z float64
-	for i, s := range scores {
-		scores[i] = math.Exp((s - maxS) / temp)
-		z += scores[i]
-	}
-	u := rng.Float64() * z
-	var x int32
-	for i, p := range scores {
-		u -= p
-		if u <= 0 {
-			x = int32(i)
-			break
-		}
-		if i == len(scores)-1 {
-			x = int32(i)
-		}
-	}
-	assign.Set(v, x)
 }
 
 // greedyCtx applies best-single-flip moves until a local optimum, stopping

@@ -38,7 +38,7 @@ type Metrics struct {
 	DiagSpread   *obs.Gauge
 	// Compiled-kernel build stats, published once when a sampler running on
 	// compiled kernels attaches metrics (see publishKernelMetrics): build
-	// wall time, total/generic/folded op counts and the slab footprint in bytes.
+	// wall time, total/generic/folded op counts and the program footprint in bytes.
 	KernelBuildSeconds *obs.Gauge
 	KernelOps          *obs.Gauge
 	KernelGenericOps   *obs.Gauge

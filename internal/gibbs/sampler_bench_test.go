@@ -9,6 +9,7 @@ package gibbs_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/factorgraph"
@@ -43,6 +44,35 @@ func BenchmarkSpatialEpoch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.RunEpochs(1)
+	}
+}
+
+// BenchmarkCategoricalEpoch is BenchmarkSpatialEpoch at categorical domains
+// under a pruning mask (the paper's Fig. 11 path, Eq. 4 factors): every draw
+// scores h candidates through the table ops, which fold nothing.
+func BenchmarkCategoricalEpoch(b *testing.B) {
+	for _, h := range []int32{3, 10} {
+		b.Run(fmt.Sprintf("h=%d", h), func(b *testing.B) {
+			g, err := testutil.RandomGraph(testutil.Spec{
+				Vars: 2000, Domain: h, Spatial: true, PruneMask: true,
+				LogicalFactors: 1500, SpatialPairs: 3500,
+				EvidencePer1000: 150, Seed: 424242,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			s, err := gibbs.NewSpatial(g, gibbs.SpatialOptions{Levels: 6, Instances: 2, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			s.RunEpochs(3)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.RunEpochs(1)
+			}
+		})
 	}
 }
 

@@ -13,22 +13,16 @@ import (
 // constant (every other endpoint frozen evidence, or no other endpoint),
 // nothing falls back to the interpreted evaluators at run time, the program
 // is no larger than 12 bytes per dynamic op plus 16 per variable plus the
-// offsets, and the general slab does not exist until something asks for it —
-// after which it still lists every factor, folded ones included, with live
-// weights.
+// offsets, and explain compiles nothing: scoring and decoding leave the
+// footprint as compiled, and the decode still lists every factor, folded
+// ones included, with live weights.
 func TestFoldCounts(t *testing.T) {
 	cases := []struct {
 		name  string
 		build func() *core.System
-		// slab triggers the general slab's compilation.
-		slab func(k *factorgraph.Kernels, g *factorgraph.Graph)
 	}{
-		{"nyccas-16", func() *core.System { return nyccasSystem(t, 16, 1) },
-			func(k *factorgraph.Kernels, g *factorgraph.Graph) { k.VarProgram(0) }},
-		{"gwdb-600", func() *core.System { return gwdbSystem(t, 600, 1) },
-			func(k *factorgraph.Kernels, g *factorgraph.Graph) {
-				k.ConditionalScores(0, g.InitialAssignment(), make([]float64, 2))
-			}},
+		{"nyccas-16", func() *core.System { return nyccasSystem(t, 16, 1) }},
+		{"gwdb-600", func() *core.System { return gwdbSystem(t, 600, 1) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -94,18 +88,15 @@ func TestFoldCounts(t *testing.T) {
 				t.Errorf("SlabBytes = %d, want ≤ %d", st.SlabBytes, bound)
 			}
 
-			// Sampling-path calls leave the general slab unbuilt; the first
-			// general-path call builds it, 16 bytes an incidence.
+			// Scoring either way and explaining compile nothing.
 			assign := g.InitialAssignment()
 			for i := 0; i < g.NumVars(); i++ {
 				k.BinaryConditionalScores(factorgraph.VarID(i), assign)
 			}
+			k.ConditionalScores(0, assign, make([]float64, 2))
+			g.VarProgram(0)
 			if got := k.Stats().SlabBytes; got != st.SlabBytes {
-				t.Errorf("binary scoring grew the slab from %d to %d bytes", st.SlabBytes, got)
-			}
-			tc.slab(k, g)
-			if got, want := k.Stats().SlabBytes-st.SlabBytes, int64(16*incidences); got < want {
-				t.Errorf("the general slab added %d bytes, want ≥ %d", got, want)
+				t.Errorf("scoring and explaining grew the programs from %d to %d bytes", st.SlabBytes, got)
 			}
 
 			// VarProgram decodes every incidence in score order, with the
@@ -115,7 +106,7 @@ func TestFoldCounts(t *testing.T) {
 				if len(logical) > 0 {
 					g.SetFactorWeight(logical[0], g.FactorWeightOf(logical[0])+0.125)
 				}
-				prog := k.VarProgram(v)
+				prog := g.VarProgram(v)
 				if len(prog) != len(logical)+len(spatial) {
 					t.Fatalf("var %d: program lists %d ops, the graph has %d incidences", v, len(prog), len(logical)+len(spatial))
 				}

@@ -85,9 +85,8 @@ type chain struct {
 	vars   []factorgraph.VarID // variables this chain resamples
 	rng    *prng
 	buf    []float64
-	// score is the conditional-score backend: the graph's compiled kernels.
-	// Learned weights flow through it because kernels read the live weight
-	// tables (they store indices, not copies).
+	// score is the graph's nothing-frozen programs (see newChains), which
+	// read the live weight table, so learned weights flow through them.
 	score func(factorgraph.VarID, factorgraph.Assignment, []float64) []float64
 }
 
@@ -152,39 +151,10 @@ func Weights(ctx context.Context, g *factorgraph.Graph, factorRule []int32, numR
 	for _, r := range factorRule {
 		ruleCount[r]++
 	}
-	var evidenceVars int
-	g.Vars(func(_ factorgraph.VarID, v factorgraph.Variable) bool {
-		if v.Evidence != factorgraph.NoEvidence {
-			evidenceVars++
-		}
-		return true
-	})
-	if evidenceVars == 0 {
+	data, model := newChains(g, opts.Seed)
+	if len(data.vars) == len(model.vars) {
 		return nil, fmt.Errorf("learn: the graph has no evidence to train on")
 	}
-
-	// Data chain: evidence clamped (sample query vars only).
-	// Model chain: everything free.
-	var queryVars, allVars []factorgraph.VarID
-	g.Vars(func(id factorgraph.VarID, v factorgraph.Variable) bool {
-		allVars = append(allVars, id)
-		if v.Evidence == factorgraph.NoEvidence {
-			queryVars = append(queryVars, id)
-		}
-		return true
-	})
-	maxDom := 2
-	g.Vars(func(_ factorgraph.VarID, v factorgraph.Variable) bool {
-		if int(v.Domain) > maxDom {
-			maxDom = int(v.Domain)
-		}
-		return true
-	})
-	score := g.Kernels().ConditionalScores
-	data := &chain{assign: g.InitialAssignment(), vars: queryVars,
-		rng: newPrng(opts.Seed, 1), buf: make([]float64, maxDom), score: score}
-	model := &chain{assign: g.InitialAssignment(), vars: allVars,
-		rng: newPrng(opts.Seed, 2), buf: make([]float64, maxDom), score: score}
 
 	res := &Result{Weights: make([]float64, numRules), SpatialScale: 1}
 	for r := int32(0); int(r) < numRules; r++ {
@@ -216,18 +186,8 @@ func Weights(ctx context.Context, g *factorgraph.Graph, factorRule []int32, numR
 		iterStart := time.Now()
 		data.sweep(opts.SweepsPerIteration)
 		model.sweep(opts.SweepsPerIteration)
-		for r := range nData {
-			nData[r], nModel[r] = 0, 0
-		}
-		for f := int32(0); int(f) < g.NumFactors(); f++ {
-			r := factorRule[f]
-			if g.FactorSatisfied(f, data.assign) {
-				nData[r]++
-			}
-			if g.FactorSatisfied(f, model.assign) {
-				nModel[r]++
-			}
-		}
+		countSatisfied(g, factorRule, data.assign, nData)
+		countSatisfied(g, factorRule, model.assign, nModel)
 		var norm float64
 		for r := 0; r < numRules; r++ {
 			grad := (nData[r] - nModel[r]) / math.Max(1, ruleCount[r])
@@ -236,11 +196,8 @@ func Weights(ctx context.Context, g *factorgraph.Graph, factorRule []int32, numR
 			norm += grad * grad
 		}
 		if opts.LearnSpatialScale && totalSpatialBase > 0 {
-			var agreeData, agreeModel float64
-			for s := int32(0); int(s) < g.NumSpatialFactors(); s++ {
-				agreeData += baseSpatial[s] * g.SpatialAgreement(s, data.assign)
-				agreeModel += baseSpatial[s] * g.SpatialAgreement(s, model.assign)
-			}
+			agreeData := spatialAgreement(g, baseSpatial, data.assign)
+			agreeModel := spatialAgreement(g, baseSpatial, model.assign)
 			grad := (agreeData - agreeModel) / totalSpatialBase
 			res.SpatialScale += opts.LearningRate * grad
 			if res.SpatialScale < 0 {
@@ -270,6 +227,50 @@ func Weights(ctx context.Context, g *factorgraph.Graph, factorRule []int32, numR
 	}
 	span.Notef("iterations=%d final_grad_norm=%.6g spatial_scale=%.6g", opts.Iterations, finalNorm, res.SpatialScale)
 	return res, nil
+}
+
+// newChains builds the two persistent chains: the data chain resamples the
+// query variables with evidence clamped, the model chain every variable.
+// Both score through one private program set compiled with nothing frozen:
+// the model chain moves evidence, so nothing may be folded against it.
+func newChains(g *factorgraph.Graph, seed int64) (data, model *chain) {
+	var queryVars, allVars []factorgraph.VarID
+	maxDom := 2
+	g.Vars(func(id factorgraph.VarID, v factorgraph.Variable) bool {
+		allVars = append(allVars, id)
+		if v.Evidence == factorgraph.NoEvidence {
+			queryVars = append(queryVars, id)
+		}
+		maxDom = max(maxDom, int(v.Domain))
+		return true
+	})
+	score := factorgraph.CompileKernels(g, false).ConditionalScores
+	data = &chain{assign: g.InitialAssignment(), vars: queryVars,
+		rng: newPrng(seed, 1), buf: make([]float64, maxDom), score: score}
+	model = &chain{assign: g.InitialAssignment(), vars: allVars,
+		rng: newPrng(seed, 2), buf: make([]float64, maxDom), score: score}
+	return data, model
+}
+
+// countSatisfied overwrites n with the per-rule counts of satisfied factors
+// under assign: the n_r of the gradient.
+func countSatisfied(g *factorgraph.Graph, factorRule []int32, assign factorgraph.Assignment, n []float64) {
+	clear(n)
+	for f := int32(0); int(f) < g.NumFactors(); f++ {
+		if g.FactorSatisfied(f, assign) {
+			n[factorRule[f]]++
+		}
+	}
+}
+
+// spatialAgreement is Σ_s base_s · agreement_s under assign: the statistic
+// of the spatial-scale gradient.
+func spatialAgreement(g *factorgraph.Graph, base []float64, assign factorgraph.Assignment) float64 {
+	var agree float64
+	for s := int32(0); int(s) < g.NumSpatialFactors(); s++ {
+		agree += base[s] * g.SpatialAgreement(s, assign)
+	}
+	return agree
 }
 
 func clampWeight(w, maxW float64) float64 {

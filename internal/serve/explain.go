@@ -12,16 +12,15 @@ import (
 
 // This file implements GET /v1/explain — score provenance for one grounded
 // atom. Where the score endpoints answer "what is P(true)?", explain answers
-// "why": which factors (and at what live weights) touch the atom in the
-// compiled sampling kernel, which inference rule each came from, which
-// conclique the atom sweeps in, and whether its current value is grounded
-// evidence, a live evidence pin from an upsert, or a sampled marginal.
+// "why": which factors (and at what live weights) the samplers score the
+// atom against, which inference rule each came from, which conclique the
+// atom sweeps in, and whether its current value is grounded evidence, a live
+// evidence pin from an upsert, or a sampled marginal.
 
-// explainFactor is one entry of an atom's compiled score program.
+// explainFactor is one entry of an atom's score program.
 type explainFactor struct {
-	// Kind is the kernel opcode family: istrue, imply, and, or, equal,
-	// generic for logical factors; spatial, spatial_masked, spatial_generic
-	// for spatial-prior pairs.
+	// Kind is the factor shape: istrue, imply, and, or, equal, generic for
+	// logical factors; spatial, spatial_masked for spatial-prior pairs.
 	Kind   string  `json:"kind"`
 	Weight float64 `json:"weight"`
 	// Other is the atom key of the factor's other endpoint ("" when the
@@ -65,16 +64,17 @@ type explainResponse struct {
 	// marginal for the serving generation.
 	Cached    bool              `json:"cached"`
 	Conclique *explainConclique `json:"conclique,omitempty"`
-	// Factors is the atom's compiled score program, in kernel evaluation
+	// Factors is the atom's score program, in the samplers' accumulation
 	// order.
 	Factors []explainFactor `json:"factors"`
 }
 
-// explainFactors decodes one variable's compiled kernel program against a
-// grounding Result, resolving endpoints to atom keys and factor ids to rule
-// names.
+// explainFactors decodes one variable's score program from the graph's
+// incidence lists against a grounding Result, resolving endpoints to atom
+// keys and factor ids to rule names. It compiles nothing: its cost is the
+// atom's degree, on the live and the stale graph alike.
 func explainFactors(ground *grounding.Result, keys []string, vid factorgraph.VarID) []explainFactor {
-	prog := ground.Graph.Kernels().VarProgram(vid)
+	prog := ground.Graph.VarProgram(vid)
 	out := make([]explainFactor, len(prog))
 	for i, op := range prog {
 		f := explainFactor{

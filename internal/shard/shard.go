@@ -1,7 +1,7 @@
 // Package shard implements sharded share-nothing inference (ROADMAP item
 // 3): the ground factor graph is partitioned by pyramid subtree into N
-// shards, each owning its variables, its own subgraph with a private
-// compiled-kernel slab, and its own spatial sampler. Factors crossing a
+// shards, each owning its variables, its own subgraph with private
+// compiled score programs, and its own spatial sampler. Factors crossing a
 // shard boundary are kept on both sides; the remote endpoints join each
 // shard's subgraph as *halo* variables: evidence there (never swept, never
 // counted) but marked live, so the compiled kernels read them through the
