@@ -105,7 +105,7 @@ type Graph struct {
 	// a compiled op addresses either kind through one index.
 	weights []float64
 	// weightGen counts weight updates; compiled kernels compare it with the
-	// generation their folded biases were computed under.
+	// generation their biases and log-odds entries were baked under.
 	weightGen atomic.Uint64
 
 	// live marks evidence variables whose assignment value is rewritten
@@ -137,7 +137,7 @@ type Graph struct {
 
 	// Compiled sampling kernels, built lazily on first (*Graph).Kernels call
 	// (see kernel.go). The graph structure is immutable after Finalize, so
-	// one compilation serves every sampler; weight updates write through.
+	// one compilation serves every sampler; weight updates are refolded in.
 	kernOnce sync.Once
 	kern     *Kernels
 }
@@ -212,9 +212,9 @@ func (g *Graph) FactorWeightOf(f int32) float64 { return g.factorWeight[f] }
 
 // SetFactorWeight updates a logical factor's weight. Weight learning
 // (internal/learn) adjusts weights between sampling sweeps; callers must
-// not race this with concurrent samplers. Compiled ops read the new weight
-// directly; the biases the kernels folded under the old one are recomputed
-// before the next binary score.
+// not race this with concurrent samplers. Compiled table ops read the new
+// weight directly; the biases and log-odds entries the kernels baked under
+// the old one are recomputed before the next binary score.
 func (g *Graph) SetFactorWeight(f int32, w float64) {
 	g.factorWeight[f] = w
 	g.weightGen.Add(1)

@@ -381,10 +381,13 @@ func TestDuplicateVarInFactorAdjacency(t *testing.T) {
 	}
 }
 
-// TestPairOpSize pins the one op record at 12 bytes: the categorical table
-// index lives in the padding after the inline binary codes.
+// TestPairOpSize pins the two program records: a categorical table op at 12
+// bytes and a log-odds entry, one neighbour's two cells, at 24.
 func TestPairOpSize(t *testing.T) {
 	if got := unsafe.Sizeof(pairOp{}); got != 12 {
 		t.Fatalf("pairOp is %d bytes, want 12", got)
+	}
+	if got := unsafe.Sizeof(entry{}); got != 24 {
+		t.Fatalf("entry is %d bytes, want 24", got)
 	}
 }

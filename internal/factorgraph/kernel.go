@@ -2,6 +2,7 @@ package factorgraph
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,65 +13,97 @@ import (
 // that flattens the graph's CSR adjacency into per-variable score programs,
 // so a Gibbs step no longer re-walks the factor var-lists, re-dispatches on
 // FactorKind and re-hashes into the allowedPairs map for every incident
-// factor and candidate value. One compiler, one program form: a bias plus a
-// run of 12-byte pair ops, each an incidence's weight index, its one other
-// endpoint that can still change, and coefficient codes {0, +w, −w} indexed
-// by (other's value, candidate). The caller picks one of two program sets:
+// factor and candidate value. One compiler, two program forms:
+//
+//   - A binary variable compiles to a log-odds program: a bias, then one
+//     24-byte entry per distinct neighbour that can still change, holding
+//     what that neighbour adds to log P(v=0)/P(v=1) at each of its two
+//     values. Every incidence on the same neighbour — a rule's imply both
+//     ways, the spatial pair — is summed into that one entry, so a draw is
+//     one accumulator and one add per neighbour.
+//   - A categorical variable compiles to a run of 12-byte table ops, one per
+//     incidence: its weight index, its one other endpoint that can still
+//     change, and an interned table of coefficient codes {0, +w, −w} indexed
+//     by (other's value, candidate).
+//
+// The caller picks one of two program sets:
 //
 //   - The folded set ((*Graph).Kernels(): every sampler schedule, the
 //     incremental resample, every shard, every lazy query). At a binary
 //     variable, every incidence none of whose other endpoints can change —
 //     unary factors, factors with the variable in every slot, factors and
-//     pairs whose other slots are all frozen — is evaluated once, here, and
-//     summed into the bias.
+//     pairs whose other slots are all frozen — is evaluated under the
+//     evidence and summed into the bias.
 //   - The nothing-frozen set (CompileKernels(g, false): weight learning, whose
-//     model chain frees evidence).
+//     model chain frees evidence). Only incidences with no other endpoint at
+//     all reach a bias.
 //
-// Categorical variables, and every variable of the nothing-frozen set, fold
-// nothing: a constant incidence is an op over the variable itself whose table
-// ignores the other endpoint, and the program adds what the interpreted walk
-// adds, in its order — bit-identical to Graph.ConditionalScores on any
-// assignment. A folded binary program adds the bias, the in-order sum of the
-// constant contributions, then the dynamic ops in order: the same terms
-// regrouped, so a score can differ from the interpreted one in the last ulp
-// and not otherwise (kernel_test.go pins both statements).
+// A categorical program folds nothing: a constant incidence is an op over the
+// variable itself whose table ignores the other endpoint, and the program
+// adds what the interpreted walk adds, in its order — bit-identical to
+// Graph.ConditionalScores on any assignment. A log-odds program adds the
+// terms of the interpreted s0 − s1 regrouped: each incidence's term is what
+// it adds to candidate 0 minus what it adds to candidate 1; the bias sums the
+// constant terms in score order, each entry cell its neighbour's terms in
+// score order, and the evaluator adds the bias, then the entries in order of
+// first appearance. A log-odds can therefore differ from the interpreted one
+// in the last ulps and not otherwise (kernel_test.go pins both statements).
 //
 // Frozen means evidence in the graph and not marked live (Graph.Frozen): a
 // variable pinned after construction is a query variable, and a shard's halo
 // copies, the one evidence that changes, are marked live (Graph.MarkLive).
 //
-// Ops store indices into the graph's live weight table, so the weight setters
-// reach them with no recompilation; the biases bake weights in, so the
-// setters bump the graph's weight generation and the next binary score
-// recomputes the biases from the graph.
+// Table ops read their weight from the graph's live weight table by index.
+// Biases and entries bake weights in: the weight setters bump the graph's
+// weight generation, and the next binary score recomputes every bias and
+// entry in one allocation-free pass over the recipe the compiler kept.
 
-// Coefficient codes of a pairOp: what one (other's value, candidate) cell
-// adds to the candidate's score.
+// Coefficient codes: what one (other's value, candidate) cell adds to the
+// candidate's score.
 const (
 	coefZero  uint8 = 0 // +0.0 (unsatisfied factor, pruned value pair)
 	coefPlus  uint8 = 1 // +w
 	coefMinus uint8 = 2 // −w (disagreeing spatial pair)
 
-	// opFallback in pairOp.codes marks an incidence no coefficient table can
-	// express; it is evaluated by the interpreted evaluators.
-	opFallback uint8 = 0xff
+	// noCodes marks a binary shape whose codes are not derived yet (no table
+	// holds the unused code 3 in every cell).
+	noCodes uint8 = 0xff
+	// noTable in pairOp.tab marks an incidence no table expresses; it is
+	// evaluated by the interpreted evaluators.
+	noTable = math.MaxUint16
 )
 
-// pairOp is one op of a score program (12 bytes): an incidence whose only
-// endpoint that can still change, besides the variable itself, is a (v
-// itself for a constant op). At a binary variable over a binary endpoint,
-// codes holds four 2-bit coefficient codes, the cell for (other's value o,
-// candidate x) at bit 2·(2o+x); at a categorical variable, tab indexes the
-// interned table Kernels.tables[tab], cell (o, x) at o·h_v + x. A fallback
-// record (codes == opFallback) keeps only w.
+// pairOp is one op of a categorical program (12 bytes): an incidence whose
+// only endpoint that can still change, besides v, is a (v itself for a
+// constant op), under the interned table Kernels.tables[tab], cell (o, x) at
+// o·h_v + x. A fallback record (tab == noTable) keeps only w.
 type pairOp struct {
-	a     VarID // the other endpoint, read through the assignment
-	w     int32 // index into Graph.weights: factor f, or NumFactors + pair s
-	codes uint8
-	tab   uint16
+	a   VarID // the other endpoint, read through the assignment
+	w   int32 // index into Graph.weights: factor f, or NumFactors + pair s
+	tab uint16
 }
 
-// cell returns the shift of the (o, x) coefficient code inside pairOp.codes.
+// entry is one neighbour of a log-odds program (24 bytes): while a holds o it
+// adds d[o] to v's log-odds. a < 0 marks a fallback record of factor ^a (arity
+// ≥ 3 with two or more endpoints that can still change, or a categorical other
+// endpoint), evaluated through the interpreted evaluators.
+type entry struct {
+	a VarID
+	d [2]float64
+}
+
+// step is one record of the refold recipe (12 bytes): an incidence of a binary
+// variable, its weight index, its coefficient codes — the cell for (other's
+// value o, candidate x) at bit 2·(2o+x); a constant incidence keeps its one row
+// in the low nibble — and its destination dst: the variable whose bias, or
+// the entry whose cells, its term goes to (which half of the recipe it is in
+// says which).
+type step struct {
+	w, dst int32
+	codes  uint8
+}
+
+// cell returns the shift of the (o, x) coefficient code inside step.codes.
 func cell(o, x int32) uint { return uint(o<<1|x) << 1 }
 
 // KernelStats describes a compiled program set (for observability).
@@ -82,37 +115,45 @@ type KernelStats struct {
 	// Ops is the number of (variable, factor) and (variable, spatial pair)
 	// incidences compiled, folded or not.
 	Ops int
-	// FoldedOps counts the incidences at binary variables that were
-	// evaluated at compile time and summed into the variable's bias.
+	// FoldedOps counts the incidences at binary variables of the folded set
+	// that no other changing endpoint reaches, summed into the variable's
+	// bias. The nothing-frozen set folds nothing against evidence: 0.
 	FoldedOps int
 	// GenericOps counts the fallback records: incidences a sampler evaluates
 	// through the interpreted evaluators at run time.
 	GenericOps int
-	// SlabBytes is the compiled footprint: ops, biases, offsets and
-	// coefficient tables.
+	// SlabBytes is the compiled footprint: entries, recipe, table ops,
+	// biases, offsets and coefficient tables.
 	SlabBytes int64
 }
 
 // Kernels holds the compiled per-variable score programs of one graph.
 // Programs are immutable after compilation and safe for concurrent use, like
-// the graph itself; biases are recomputed (under the same no-concurrent-
-// samplers rule as the weight setters) after a weight update.
+// the graph itself; biases and entries are refolded (under the same
+// no-concurrent-samplers rule as the weight setters) after a weight update.
 type Kernels struct {
 	g *Graph
-	// fold says whether binary variables fold their constant incidences into
-	// the biases (the samplers' set) or not (the nothing-frozen set).
+	// fold says whether binary variables fold their frozen endpoints into the
+	// biases (the samplers' set) or not (the nothing-frozen set).
 	fold bool
 
-	// prog[v]>>1 is where v's ops start in pairOps (and the previous
-	// variable's end); the low bit marks a categorical variable.
+	// prog[v]>>1 is where v's entries start in entries (and the previous
+	// variable's end); the low bit marks a categorical variable, whose entry
+	// run is empty and whose table ops are ops[opOff[v]:opOff[v+1]].
 	prog    []int32
-	bias    [][2]float64
-	pairOps []pairOp
+	bias    []float64
+	entries []entry
+	// The recipe refold rebuilds bias and entries from: every binary
+	// incidence but the fallback records, in score order per variable, split
+	// by destination.
+	biasRecipe, entryRecipe []step
+	opOff                   []int32
+	ops                     []pairOp
 	// tables holds the interned coefficient tables of categorical ops.
 	tables [][]uint8
-	// biasGen is the graph weight generation the biases were folded under.
-	biasGen atomic.Uint64
-	foldMu  sync.Mutex
+	// gen is the graph weight generation bias and entries were baked under.
+	gen    atomic.Uint64
+	foldMu sync.Mutex
 
 	stats KernelStats
 }
@@ -124,54 +165,58 @@ func (g *Graph) Kernels() *Kernels {
 	return g.kern
 }
 
-// CompileKernels compiles the graph's score programs: a counting pass sizes
-// the op array exactly, then each variable's incidences are lowered in score
-// order. With fold, binary variables sum their constant incidences into a
-// bias (the set (*Graph).Kernels caches, which is what samplers want); without
-// it nothing is frozen and every program equals the interpreted walk on any
-// assignment (what weight learning's free model chain needs).
+// CompileKernels compiles the graph's score programs: each variable's
+// incidences are lowered in score order, then the weights baked in. With
+// fold, binary variables sum the incidences their frozen endpoints make
+// constant into a bias (the set (*Graph).Kernels caches, which is what
+// samplers want); without it nothing is frozen and every program holds on
+// any assignment (what weight learning's free model chain needs).
 func CompileKernels(g *Graph, fold bool) *Kernels {
 	start := time.Now()
 	k := &Kernels{g: g, fold: fold}
-	k.biasGen.Store(g.weightGen.Load())
 	n := g.NumVars()
 	st := KernelStats{Vars: n, Ops: len(g.varFactors) + len(g.varSpatial)}
 	lw := newLowering(k)
-	k.prog = make([]int32, n+1)
-	nops := 0
+	k.prog, k.opOff = make([]int32, n+1), make([]int32, n+1)
+	// The binary incidences bound the recipe and the entries (equal but for
+	// fallback records and shared neighbours); the categorical ones are the
+	// table ops.
+	nrec, nops := 0, 0
 	for v := VarID(0); int(v) < n; v++ {
-		k.prog[v] = int32(nops) << 1
-		if g.vars[v].Domain != 2 {
+		if d := len(g.VarLogicalFactors(v)) + len(g.VarSpatialPairs(v)); g.vars[v].Domain == 2 {
+			nrec += d
+		} else {
+			nops += d
+		}
+	}
+	lw.recipe, k.ops, lw.nbr = make([]step, nrec), make([]pairOp, 0, nops), make([]VarID, 0, nrec)
+	for v := VarID(0); int(v) < n; v++ {
+		k.prog[v], k.opOff[v] = int32(len(lw.nbr))<<1, int32(len(k.ops))
+		if g.vars[v].Domain == 2 {
+			lw.lowerBinary(v)
+		} else {
 			k.prog[v] |= 1
-		}
-		logical, spatial := g.VarLogicalFactors(v), g.VarSpatialPairs(v)
-		if !fold || !k.Binary(v) {
-			nops += len(logical) + len(spatial)
-			continue
-		}
-		for _, f := range logical {
-			vars, _ := g.FactorVars(f)
-			if _, live := liveOther(vars, v, lw.fz); live > 0 {
-				nops++
-			}
-		}
-		for _, s := range spatial {
-			if lw.fz[g.spatialOther(s, v)] < 0 {
-				nops++
-			}
+			lw.lowerTables(v)
 		}
 	}
-	k.prog[n] = int32(nops) << 1
-	k.pairOps = make([]pairOp, nops)
-	k.bias = make([][2]float64, n)
-	for v := VarID(0); int(v) < n; v++ {
-		k.bias[v] = lw.lower(v, k.pairOps[k.prog[v]>>1:k.prog[v+1]>>1])
+	k.prog[n], k.opOff[n] = int32(len(lw.nbr))<<1, int32(len(k.ops))
+	k.bias, k.entries = make([]float64, n), make([]entry, len(lw.nbr))
+	for i, a := range lw.nbr {
+		k.entries[i].a = a
 	}
-	st.FoldedOps = st.Ops - nops
+	// Bias steps filled the recipe from the front, entry steps from the back.
+	k.biasRecipe, k.entryRecipe = lw.recipe[:lw.nb:lw.nb], lw.recipe[nrec-lw.ne:]
+	slices.Reverse(k.entryRecipe)
+	k.gen.Store(g.weightGen.Load())
+	k.bake()
+	if fold {
+		st.FoldedOps = lw.nb
+	}
 	st.GenericOps = lw.fallback
-	st.SlabBytes = int64(len(k.pairOps))*int64(unsafe.Sizeof(pairOp{})) +
-		int64(len(k.bias))*int64(unsafe.Sizeof([2]float64{})) +
-		int64(len(k.prog))*int64(unsafe.Sizeof(int32(0)))
+	st.SlabBytes = int64(len(k.entries))*int64(unsafe.Sizeof(entry{})) +
+		int64(lw.nb+lw.ne)*int64(unsafe.Sizeof(step{})) +
+		int64(len(k.ops))*int64(unsafe.Sizeof(pairOp{})) +
+		int64(len(k.bias))*8 + int64(len(k.prog)+len(k.opOff))*4
 	for _, t := range k.tables {
 		st.SlabBytes += int64(len(t))
 	}
@@ -183,20 +228,28 @@ func CompileKernels(g *Graph, fold bool) *Kernels {
 // Stats returns the compilation statistics.
 func (k *Kernels) Stats() KernelStats { return k.stats }
 
-// Binary reports whether v has a binary score program (its domain is 2) —
-// the samplers' per-draw dispatch, read from the program offsets.
+// Binary reports whether v has a log-odds program (its domain is 2) — the
+// samplers' per-draw dispatch, read from the program offsets.
 func (k *Kernels) Binary(v VarID) bool { return k.prog[v]&1 == 0 }
 
-// lowering is the state of one pass over the graph's variables: the compile,
-// or a bias recomputation after a weight update.
+// lowering is the state of one compilation pass over the graph's variables.
 type lowering struct {
 	k *Kernels
 	// fz holds, per variable, its evidence value when it is frozen and the
 	// set folds, and −1 otherwise: the assignment constant incidences are
 	// evaluated under, and scratch for the tabulations.
 	fz Assignment
+	// slot holds, per neighbour, the index of the last entry numbered for it:
+	// an index below the current program's first entry is another program's.
+	// nbr lists the entries' neighbours in order.
+	slot []int32
+	nbr  []VarID
+	// recipe is the whole recipe while it fills: nb bias steps from the
+	// front, ne entry steps from the back.
+	recipe []step
+	nb, ne int
 	// codes memoizes the coefficient codes of a two-slot factor between two
-	// binary variables, which depend only on its shape (shapeKey; opFallback:
+	// binary variables, which depend only on its shape (shapeKey; noCodes:
 	// not derived yet).
 	codes [64]uint8
 	// memo maps a categorical table's key to its index in Kernels.tables —
@@ -212,15 +265,15 @@ type lowering struct {
 
 func newLowering(k *Kernels) *lowering {
 	g := k.g
-	lw := &lowering{k: k, fz: make(Assignment, len(g.vars))}
+	lw := &lowering{k: k, fz: make(Assignment, len(g.vars)), slot: make([]int32, len(g.vars))}
 	for i := range lw.fz {
-		lw.fz[i] = -1
+		lw.fz[i], lw.slot[i] = -1, -1
 		if k.fold && g.Frozen(VarID(i)) {
 			lw.fz[i] = g.vars[i].Evidence
 		}
 	}
 	for i := range lw.codes {
-		lw.codes[i] = opFallback
+		lw.codes[i] = noCodes
 	}
 	return lw
 }
@@ -296,22 +349,34 @@ func (lw *lowering) tabulate(f int32, v, a VarID) []uint8 {
 }
 
 // binaryCodes packs factor f's 2×2 table at binary v over binary a into
-// inline codes, memoized per shape for two-slot factors between two
-// variables.
+// step codes (a == v: the constant row under fz), memoized per shape for
+// two-slot factors between two binary variables — a constant one is the row
+// its frozen other slot selects.
 func (lw *lowering) binaryCodes(f int32, v, a VarID) uint8 {
 	g := lw.k.g
-	var memo *uint8
-	if vars, _ := g.FactorVars(f); len(vars) == 2 && a != v {
-		if memo = &lw.codes[g.shapeKey(f, v)]; *memo != opFallback {
-			return *memo
-		}
+	vars, _ := g.FactorVars(f)
+	u := a // the other slot the shape's table runs over
+	if len(vars) == 2 && a == v {
+		u = vars[0] ^ vars[1] ^ v
 	}
-	var codes uint8
-	for i, c := range lw.tabulate(f, v, a) {
+	if len(vars) != 2 || u == v || g.vars[u].Domain != 2 {
+		return pack(lw.tabulate(f, v, a))
+	}
+	memo := &lw.codes[g.shapeKey(f, v)]
+	if *memo == noCodes {
+		*memo = pack(lw.tabulate(f, v, u))
+	}
+	if a == v {
+		return *memo >> cell(lw.fz[u], 0)
+	}
+	return *memo
+}
+
+// pack packs up to four 2-bit coefficient codes into step codes, the first
+// in the low bits.
+func pack(cells []uint8) (codes uint8) {
+	for i, c := range cells {
 		codes |= c << (2 * i)
-	}
-	if memo != nil {
-		*memo = codes
 	}
 	return codes
 }
@@ -368,7 +433,7 @@ func (lw *lowering) intern(cells []uint8) int {
 		return t
 	}
 	k := lw.k
-	if len(k.tables) > math.MaxUint16 {
+	if len(k.tables) >= noTable {
 		return -1
 	}
 	if lw.interned == nil {
@@ -400,199 +465,215 @@ func pairCoef(mask []bool, h int32, vIsA bool, x, o int32) uint8 {
 	return coefMinus
 }
 
-// addCoef applies one coefficient code at compile time.
-func addCoef(acc, w float64, code uint8) float64 {
-	switch code & 3 {
-	case coefPlus:
-		return acc + w
-	case coefMinus:
-		return acc - w
-	}
-	return acc
-}
-
-// lower walks v's incidences in score order and writes its ops, which is
-// exactly their count long, or skips them when ops is nil (a bias
-// recomputation). Where v folds, the constant incidences — no other endpoint
-// can still change — are evaluated under fz and summed into the returned
-// bias instead.
-func (lw *lowering) lower(v VarID, ops []pairOp) (bias [2]float64) {
-	k, g := lw.k, lw.k.g
-	binary := k.Binary(v)
-	fold := k.fold && binary
-	var fz Assignment // the frozen view: nil where nothing folds
-	if fold {
-		fz = lw.fz
-	}
-	n := 0
+// lowerBinary appends binary v's entries (their neighbours, to lw.nbr) and
+// recipe steps, walking its incidences in score order. A logical factor with
+// no other endpoint that can change is a constant of v; one with two or more,
+// or a categorical one, is a fallback record.
+func (lw *lowering) lowerBinary(v VarID) {
+	g := lw.k.g
+	first := int32(len(lw.nbr))
 	for _, f := range g.VarLogicalFactors(v) {
 		vars, _ := g.FactorVars(f)
-		a, live := liveOther(vars, v, fz)
-		if live == 0 {
-			a = v
-		}
-		var op pairOp
-		switch {
-		case live == 0 && fold:
-			for x := int32(0); x < 2; x++ {
-				if g.satisfied(f, lw.fz, v, x) {
-					bias[x] += g.factorWeight[f]
-				}
-			}
-			continue
-		case ops == nil:
-			continue // a bias recomputation: the ops stand as compiled
-		case live == 2 || binary && !k.Binary(a):
-			op = lw.fallbackOp(f)
-		case binary:
-			op = pairOp{a: a, w: f, codes: lw.binaryCodes(f, v, a)}
+		switch a, live := liveOther(vars, v, lw.fz); {
+		case live == 2 || live == 1 && g.vars[a].Domain != 2:
+			lw.fallback++
+			lw.nbr = append(lw.nbr, ^f)
+		case live == 0:
+			lw.emit(v, v, first, f, lw.binaryCodes(f, v, v))
 		default:
-			op = lw.tableOp(a, f, lw.factorTable(f, v, a))
+			lw.emit(v, a, first, f, lw.binaryCodes(f, v, a))
 		}
-		ops[n] = op
-		n++
 	}
 	spatial := g.VarSpatialPairs(v)
 	if len(spatial) == 0 {
-		return bias
+		return
 	}
 	// Finalize guarantees a pair joins two distinct atoms of one relation and
 	// one domain, so every pair lowers under one of two coefficient tables: v
 	// as endpoint B, v as endpoint A.
-	rel, h := g.vars[v].Relation, g.vars[v].Domain
-	var asB, asA uint8 // binary v: inline codes
-	tabB, tabA := -1, -1
-	if binary {
-		mask, mh := g.allowedPairs[rel], g.domainOf[rel]
-		for o := int32(0); o < 2; o++ {
-			for x := int32(0); x < 2; x++ {
-				asB |= pairCoef(mask, mh, false, x, o) << cell(o, x)
-				asA |= pairCoef(mask, mh, true, x, o) << cell(o, x)
-			}
+	rel := g.vars[v].Relation
+	mask, mh := g.allowedPairs[rel], g.domainOf[rel]
+	var asB, asA uint8
+	for o := int32(0); o < 2; o++ {
+		for x := int32(0); x < 2; x++ {
+			asB |= pairCoef(mask, mh, false, x, o) << cell(o, x)
+			asA |= pairCoef(mask, mh, true, x, o) << cell(o, x)
 		}
-	} else if ops != nil {
-		tabB, tabA = lw.spatialTable(rel, h, false), lw.spatialTable(rel, h, true)
 	}
 	nf := int32(len(g.factorWeight))
 	for _, s := range spatial {
-		codes, tab := asB, tabB
+		codes := asB
 		if g.spatialA[s] == v {
-			codes, tab = asA, tabA
+			codes = asA
 		}
-		other := g.spatialOther(s, v)
-		switch o := lw.fz[other]; {
-		case fold && o >= 0:
-			bias[0] = addCoef(bias[0], g.spatialW[s], codes>>cell(o, 0))
-			bias[1] = addCoef(bias[1], g.spatialW[s], codes>>cell(o, 1))
-		case ops == nil:
-		case binary:
-			ops[n] = pairOp{a: other, w: nf + s, codes: codes}
-			n++
-		default:
-			ops[n] = lw.tableOp(other, nf+s, tab)
-			n++
+		if other := g.spatialOther(s, v); lw.fz[other] >= 0 {
+			// A constant: the frozen endpoint selects the row.
+			lw.emit(v, v, first, nf+s, codes>>cell(lw.fz[other], 0))
+		} else {
+			lw.emit(v, other, first, nf+s, codes)
 		}
 	}
-	return bias
 }
 
-// fallbackOp returns a fallback record of weight index w.
-func (lw *lowering) fallbackOp(w int32) pairOp {
-	lw.fallback++
-	return pairOp{w: w, codes: opFallback}
+// emit records the recipe step of an incidence of v with weight index w that
+// varies with a (v itself: a constant), numbering a's entry in the program
+// whose entries start at first.
+func (lw *lowering) emit(v, a VarID, first, w int32, codes uint8) {
+	if a == v {
+		lw.recipe[lw.nb] = step{w: w, dst: v, codes: codes}
+		lw.nb++
+		return
+	}
+	dst := lw.entryOf(a, first, int32(len(lw.nbr)))
+	if int(dst) == len(lw.nbr) {
+		lw.nbr = append(lw.nbr, a)
+	}
+	lw.ne++
+	lw.recipe[len(lw.recipe)-lw.ne] = step{w: w, dst: dst, codes: codes}
+}
+
+// entryOf returns the entry of neighbour a in the program whose entries start
+// at first, or numbers next for it on its first appearance there.
+func (lw *lowering) entryOf(a VarID, first, next int32) int32 {
+	if s := lw.slot[a]; s >= first {
+		return s
+	}
+	lw.slot[a] = next
+	return next
+}
+
+// lowerTables appends categorical v's table ops in score order.
+func (lw *lowering) lowerTables(v VarID) {
+	k, g := lw.k, lw.k.g
+	for _, f := range g.VarLogicalFactors(v) {
+		vars, _ := g.FactorVars(f)
+		a, live := liveOther(vars, v, nil)
+		if live == 0 {
+			a = v
+		}
+		t := -1
+		if live < 2 {
+			t = lw.factorTable(f, v, a)
+		}
+		k.ops = append(k.ops, lw.tableOp(a, f, t))
+	}
+	spatial := g.VarSpatialPairs(v)
+	if len(spatial) == 0 {
+		return
+	}
+	rel, h := g.vars[v].Relation, g.vars[v].Domain
+	tabB, tabA := lw.spatialTable(rel, h, false), lw.spatialTable(rel, h, true)
+	nf := int32(len(g.factorWeight))
+	for _, s := range spatial {
+		t := tabB
+		if g.spatialA[s] == v {
+			t = tabA
+		}
+		k.ops = append(k.ops, lw.tableOp(g.spatialOther(s, v), nf+s, t))
+	}
 }
 
 // tableOp returns the categorical op over a under table t, or a fallback
-// record when the table did not fit the index space (t < 0).
+// record of weight index w when there is no table (t < 0).
 func (lw *lowering) tableOp(a VarID, w int32, t int) pairOp {
 	if t < 0 {
-		return lw.fallbackOp(w)
+		lw.fallback++
+		return pairOp{w: w, tab: noTable}
 	}
 	return pairOp{a: a, w: w, tab: uint16(t)}
 }
 
-// refold recomputes every bias from the graph after a weight update. The
-// folded ops are not retained, so this re-classifies each incidence; only the
-// first caller after an update does the work, and a set that folds nothing
-// has no bias to recompute.
+// bake recomputes every bias and entry from the recipe under the graph's
+// current weights: one linear pass, no allocation, no tabulation. A term is
+// the difference of two selected coefficients, never a product (Inf·0 is
+// NaN); a bias or an entry cell starts at +0.0 and sums its terms in score
+// order.
+func (k *Kernels) bake() {
+	weights := k.g.weights
+	var sel [4]float64
+	clear(k.bias)
+	for _, r := range k.biasRecipe {
+		sel[coefPlus], sel[coefMinus] = weights[r.w], -weights[r.w]
+		k.bias[r.dst] += sel[r.codes&3] - sel[r.codes>>2&3]
+	}
+	for i := range k.entries {
+		k.entries[i].d = [2]float64{}
+	}
+	for _, r := range k.entryRecipe {
+		sel[coefPlus], sel[coefMinus] = weights[r.w], -weights[r.w]
+		e := &k.entries[r.dst]
+		e.d[0] += sel[r.codes&3] - sel[r.codes>>2&3]
+		e.d[1] += sel[r.codes>>4&3] - sel[r.codes>>6&3]
+	}
+}
+
+// refold rebakes the biases and entries after a weight update; only the first
+// caller after an update does the work.
 func (k *Kernels) refold() {
 	k.foldMu.Lock()
 	defer k.foldMu.Unlock()
-	gen := k.g.weightGen.Load()
-	if k.biasGen.Load() == gen {
-		return
+	if gen := k.g.weightGen.Load(); k.gen.Load() != gen {
+		k.bake()
+		k.gen.Store(gen)
 	}
-	if k.fold {
-		lw := newLowering(k)
-		for v := range k.bias {
-			if k.Binary(VarID(v)) {
-				k.bias[v] = lw.lower(VarID(v), nil)
-			}
-		}
-	}
-	k.biasGen.Store(gen)
 }
 
-// BinaryConditionalScores returns the unnormalized log-probabilities of
-// v = 0 and v = 1 given the rest of the assignment: v's bias, then its
-// dynamic ops in order. Folded ops never read a frozen variable from assign —
-// it holds its evidence value by definition. Every op is the same load, shift,
-// two table selects and two adds, with no branch on the neighbour's value;
-// a coefficient is selected, never multiplied (Inf·0 is NaN), and adding the
-// +0.0 of an unsatisfied cell is exact because an accumulator that starts at
-// +0.0 and is only added to is never −0.0. For a categorical variable the
+// BinaryLogOdds returns the log-odds of v = 0 against v = 1 given the rest of
+// the assignment: s0 − s1 of the unnormalized log-probabilities, regrouped.
+// It is v's bias, then one add per entry in order — the entry's cell at the
+// neighbour's value, or a fallback record's f0 − f1 through the interpreted
+// evaluators. Folded incidences never read a frozen variable from assign — it
+// holds its evidence value by definition. For a categorical variable the
 // result is meaningless; use ConditionalScores.
-func (k *Kernels) BinaryConditionalScores(v VarID, assign Assignment) (s0, s1 float64) {
-	g := k.g
-	if k.biasGen.Load() != g.weightGen.Load() {
+func (k *Kernels) BinaryLogOdds(v VarID, assign Assignment) float64 {
+	if k.gen.Load() != k.g.weightGen.Load() {
 		k.refold()
 	}
-	s0, s1 = k.bias[v][0], k.bias[v][1]
-	weights := g.weights
-	var sel [4]float64
-	ops := k.pairOps[k.prog[v]>>1 : k.prog[v+1]>>1]
-	for i := range ops {
-		op := &ops[i]
-		if op.codes == opFallback {
-			f0, f1 := k.fallbackScores(v, op.w, assign)
-			s0 += f0
-			s1 += f1
+	d := k.bias[v]
+	es := k.entries[k.prog[v]>>1 : k.prog[v+1]>>1]
+	for i := range es {
+		e := &es[i]
+		if e.a < 0 {
+			d += k.fallbackLogOdds(v, ^e.a, assign)
 			continue
 		}
-		w := weights[op.w]
-		sel[coefPlus], sel[coefMinus] = w, -w
-		c := op.codes >> (uint(assign.Get(op.a)&1) << 2)
-		s0 += sel[c&3]
-		s1 += sel[c>>2&3]
+		d += e.d[assign.Get(e.a)&1]
 	}
-	return s0, s1
+	return d
 }
 
-// fallbackScores evaluates one fallback record of v through the interpreted
-// evaluators. Only logical factors fall back (arity ≥ 3 with two or more
-// endpoints that can still change, or a categorical other endpoint).
-func (k *Kernels) fallbackScores(v VarID, f int32, assign Assignment) (s0, s1 float64) {
+// BinaryConditionalScores returns (BinaryLogOdds(v, assign), 0): scores
+// that differ from the unnormalized log-probabilities of v = 0 and v = 1 by
+// one shared constant, which is all a draw reads.
+func (k *Kernels) BinaryConditionalScores(v VarID, assign Assignment) (s0, s1 float64) {
+	return k.BinaryLogOdds(v, assign), 0
+}
+
+// fallbackLogOdds evaluates one fallback record of binary v, logical factor
+// f, through the interpreted evaluators: f0 − f1.
+func (k *Kernels) fallbackLogOdds(v VarID, f int32, assign Assignment) float64 {
 	g := k.g
+	var f0, f1 float64
 	if g.satisfied(f, assign, v, 0) {
-		s0 = g.factorWeight[f]
+		f0 = g.factorWeight[f]
 	}
 	if g.satisfied(f, assign, v, 1) {
-		s1 = g.factorWeight[f]
+		f1 = g.factorWeight[f]
 	}
-	return s0, s1
+	return f0 - f1
 }
 
 // ConditionalScores fills buf (length ≥ v's domain) with the unnormalized
-// log-probabilities of each candidate value of v and returns buf[:domain]:
-// the binary program for a binary v, otherwise each op's other endpoint read
-// once and its table row added to all h candidates, fallback records through
-// the interpreted evaluators. A categorical variable's program folds nothing,
-// so its scores equal Graph.ConditionalScores bit-for-bit: each candidate
-// receives the same additions in the same order.
+// log-probabilities of each candidate value of v, up to one shared constant,
+// and returns buf[:domain]: {BinaryLogOdds, 0} for a binary v; otherwise each
+// op's other endpoint read once and its table row added to all h candidates,
+// fallback records through the interpreted evaluators. A categorical
+// program folds nothing, so its scores equal Graph.ConditionalScores
+// bit-for-bit: each candidate receives the same additions in the same order.
 func (k *Kernels) ConditionalScores(v VarID, assign Assignment, buf []float64) []float64 {
 	if k.Binary(v) {
 		buf = buf[:2]
-		buf[0], buf[1] = k.BinaryConditionalScores(v, assign)
+		buf[0], buf[1] = k.BinaryLogOdds(v, assign), 0
 		return buf
 	}
 	g := k.g
@@ -601,10 +682,8 @@ func (k *Kernels) ConditionalScores(v VarID, assign Assignment, buf []float64) [
 	clear(buf)
 	weights, nf := g.weights, int32(len(g.factorWeight))
 	var sel [4]float64
-	ops := k.pairOps[k.prog[v]>>1 : k.prog[v+1]>>1]
-	for i := range ops {
-		op := &ops[i]
-		if op.codes == opFallback {
+	for _, op := range k.ops[k.opOff[v]:k.opOff[v+1]] {
+		if op.tab == noTable {
 			for x := range buf {
 				if op.w >= nf {
 					buf[x] += g.spatialEnergy(op.w-nf, assign, v, int32(x))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/factorgraph"
@@ -26,8 +27,8 @@ type equivCase struct {
 // h = 10, with and without a pruning mask), heavy, total and zero evidence,
 // many factors (duplicate kinds, negations, self-referential IsTrue), pruning
 // masks on categorical and on binary relations, live-marked evidence, arity-3
-// factors with frozen slots, infinite weights — so the fold, the inline and
-// the table pair op and the fallback record are all hit.
+// factors with frozen slots, infinite weights — so the fold, the log-odds
+// entry, the table op and the fallback record are all hit.
 func equivCases() []equivCase {
 	return []equivCase{
 		{what: "binary", spec: testutil.Spec{Domain: 2, Seed: 101}},
@@ -203,99 +204,133 @@ func reachableAssignment(g *factorgraph.Graph, rng *testutil.Rand) factorgraph.A
 	return a
 }
 
-// foldedReference is the specification of a binary score program, written
-// against the exported interpreted evaluators only: classify each incidence
-// of v as constant (no slot other than v can still change, going by
-// Variable.Evidence and the live marks alone) or dynamic; sum the constants
-// in score order (VarLogicalFactors, then VarSpatialPairs), then the
-// dynamics in score order. It also returns the incidence count and Σ|w|, the
-// terms of the regrouping error bound.
-func foldedReference(g *factorgraph.Graph, v factorgraph.VarID, assign factorgraph.Assignment) (s [2]float64, n int, sumAbs float64) {
+// regroupedReference is the specification of a binary log-odds program,
+// written against the exported interpreted evaluators only. An incidence's
+// term is what it adds to candidate 0 minus what it adds to candidate 1. The
+// incidence is constant when no slot other than v can change — going by
+// Variable.Evidence and the live marks alone under fold, and only when there
+// is no other slot at all without it — a fallback when a logical factor has
+// two or more slots that can change or a categorical one, and otherwise
+// belongs to its one neighbour. The bias sums the constant terms in score
+// order (VarLogicalFactors, then VarSpatialPairs) from +0; a neighbour's cell
+// at o sums its terms, with the neighbour at o, in score order; the log-odds
+// is the bias plus, in order of first appearance, each neighbour's cell at its
+// value and each fallback's term. It also returns the incidence count and
+// Σ|w|, the terms of the regrouping error bound.
+func regroupedReference(g *factorgraph.Graph, v factorgraph.VarID, assign factorgraph.Assignment, fold bool) (d float64, n int, sumAbs float64) {
 	canChange := func(u factorgraph.VarID) bool {
-		return u != v && (g.Var(u).Evidence == factorgraph.NoEvidence || g.Live(u))
-	}
-	constantFactor := func(f int32) bool {
-		vars, _ := g.FactorVars(f)
-		for _, u := range vars {
-			if canChange(u) {
-				return false
-			}
-		}
-		return true
-	}
-	constantPair := func(p int32) bool {
-		a, b, _ := g.SpatialPair(p)
-		return !canChange(a) && !canChange(b)
-	}
-	for _, f := range g.VarLogicalFactors(v) {
-		n++
-		sumAbs += math.Abs(g.FactorWeightOf(f))
-	}
-	for _, p := range g.VarSpatialPairs(v) {
-		_, _, w := g.SpatialPair(p)
-		n++
-		sumAbs += math.Abs(w)
+		return u != v && (!fold || g.Var(u).Evidence == factorgraph.NoEvidence || g.Live(u))
 	}
 	ref := assign.Clone()
-	for x := int32(0); x < 2; x++ {
-		ref[v] = x
-		var acc float64
-		for _, constants := range []bool{true, false} {
-			for _, f := range g.VarLogicalFactors(v) {
-				if constantFactor(f) == constants && g.FactorSatisfied(f, ref) {
-					acc += g.FactorWeightOf(f)
-				}
-			}
-			for _, p := range g.VarSpatialPairs(v) {
-				if constantPair(p) != constants {
-					continue
-				}
-				_, _, w := g.SpatialPair(p)
-				switch g.SpatialAgreement(p, ref) {
+	// term evaluates factor id, or spatial pair id, under ref.
+	term := func(id int32, spatial bool) float64 {
+		var a [2]float64
+		for x := int32(0); x < 2; x++ {
+			ref[v] = x
+			if spatial {
+				_, _, w := g.SpatialPair(id)
+				switch g.SpatialAgreement(id, ref) {
 				case 1:
-					acc += w
+					a[x] = w
 				case -1:
-					acc -= w
+					a[x] = -w
 				}
+			} else if g.FactorSatisfied(id, ref) {
+				a[x] = g.FactorWeightOf(id)
 			}
 		}
-		s[x] = acc
+		return a[0] - a[1]
 	}
-	return s, n, sumAbs
+	type item struct {
+		fallback bool
+		id       int32             // a fallback's factor
+		nbr      factorgraph.VarID // otherwise the neighbour
+		cell     [2]float64
+	}
+	var bias float64
+	var items []item
+	slot := map[factorgraph.VarID]int{}
+	visit := func(id int32, spatial bool, slots []factorgraph.VarID, w float64) {
+		n++
+		sumAbs += math.Abs(w)
+		var live []factorgraph.VarID
+		for _, u := range slots {
+			if canChange(u) && !slices.Contains(live, u) {
+				live = append(live, u)
+			}
+		}
+		switch {
+		case len(live) == 0:
+			bias += term(id, spatial)
+		case len(live) > 1 || g.DomainOf(live[0]) != 2:
+			items = append(items, item{id: id, fallback: true})
+		default:
+			a := live[0]
+			i, ok := slot[a]
+			if !ok {
+				i, slot[a] = len(items), len(items)
+				items = append(items, item{nbr: a})
+			}
+			for o := int32(0); o < 2; o++ {
+				ref[a] = o
+				items[i].cell[o] += term(id, spatial)
+			}
+			ref[a] = assign[a]
+		}
+	}
+	for _, f := range g.VarLogicalFactors(v) {
+		vars, _ := g.FactorVars(f)
+		visit(f, false, vars, g.FactorWeightOf(f))
+	}
+	for _, p := range g.VarSpatialPairs(v) {
+		a, b, w := g.SpatialPair(p)
+		visit(p, true, []factorgraph.VarID{a, b}, w)
+	}
+	d = bias
+	for _, it := range items {
+		if it.fallback {
+			d += term(it.id, false)
+		} else {
+			d += it.cell[assign[it.nbr]&1]
+		}
+	}
+	return d, n, sumAbs
 }
 
-// checkBinaryScores holds one binary score to both statements of the fold:
-// exactly the folded reference, and within the regrouping bound of the plain
-// interpreted walk.
-func checkBinaryScores(t testing.TB, g *factorgraph.Graph, k *factorgraph.Kernels, v factorgraph.VarID, assign factorgraph.Assignment) {
+// checkBinaryScores holds one binary log-odds to both statements of the
+// program form: exactly the regrouped reference, and within the regrouping
+// bound 16·n·2⁻⁵³·Σ|wᵢ| of the plain interpreted s0 − s1. ConditionalScores
+// must return {log-odds, 0}.
+func checkBinaryScores(t testing.TB, g *factorgraph.Graph, k *factorgraph.Kernels, v factorgraph.VarID, assign factorgraph.Assignment, fold bool) {
 	t.Helper()
-	got0, got1 := k.BinaryConditionalScores(v, assign)
-	ref, n, sumAbs := foldedReference(g, v, assign)
-	if math.Float64bits(got0) != math.Float64bits(ref[0]) || math.Float64bits(got1) != math.Float64bits(ref[1]) {
-		t.Fatalf("var %d: compiled (%v, %v) [%x %x] vs folded reference (%v, %v) [%x %x]", v,
-			got0, got1, math.Float64bits(got0), math.Float64bits(got1),
-			ref[0], ref[1], math.Float64bits(ref[0]), math.Float64bits(ref[1]))
+	got := k.BinaryLogOdds(v, assign)
+	ref, n, sumAbs := regroupedReference(g, v, assign, fold)
+	if math.Float64bits(got) != math.Float64bits(ref) {
+		t.Fatalf("var %d (fold %v): compiled log-odds %v [%x] vs regrouped reference %v [%x]", v, fold,
+			got, math.Float64bits(got), ref, math.Float64bits(ref))
 	}
-	want0, want1 := g.BinaryConditionalScores(v, assign)
-	bound := 8 * float64(n) * 0x1p-53 * sumAbs
-	for x, pair := range [][2]float64{{got0, want0}, {got1, want1}} {
-		got, want := pair[0], pair[1]
-		if math.IsInf(bound, 0) {
-			// An infinite weight: the two must agree as Inf or NaN.
-			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
-				t.Fatalf("var %d candidate %d: compiled %v vs interpreted %v", v, x, got, want)
-			}
-			continue
+	var buf [2]float64
+	if sc := k.ConditionalScores(v, assign, buf[:]); math.Float64bits(sc[0]) != math.Float64bits(got) || sc[1] != 0 {
+		t.Fatalf("var %d: ConditionalScores = %v, want {%v, 0}", v, sc, got)
+	}
+	s0, s1 := g.BinaryConditionalScores(v, assign)
+	want := s0 - s1
+	bound := 16 * float64(n) * 0x1p-53 * sumAbs
+	if math.IsInf(bound, 0) {
+		// An infinite weight: the two must agree as Inf or NaN.
+		if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("var %d: compiled log-odds %v vs interpreted %v", v, got, want)
 		}
-		if math.Abs(got-want) > bound {
-			t.Fatalf("var %d candidate %d: compiled %v vs interpreted %v differ by %g, bound %g",
-				v, x, got, want, math.Abs(got-want), bound)
-		}
+		return
+	}
+	if math.Abs(got-want) > bound {
+		t.Fatalf("var %d: compiled log-odds %v vs interpreted %v differ by %g, bound %g",
+			v, got, want, math.Abs(got-want), bound)
 	}
 }
 
-// checkExactScores holds one variable's scores under a program set that
-// folds nothing at v to ==, not within epsilon, with the interpreted walk.
+// checkExactScores holds one categorical variable's scores to ==, not within
+// epsilon, with the interpreted walk.
 func checkExactScores(t testing.TB, g *factorgraph.Graph, k *factorgraph.Kernels, v factorgraph.VarID, assign factorgraph.Assignment) {
 	t.Helper()
 	var wantBuf, gotBuf [16]float64
@@ -313,35 +348,36 @@ func checkExactScores(t testing.TB, g *factorgraph.Graph, k *factorgraph.Kernels
 }
 
 // checkKernels holds both program sets of g to their contracts at every
-// variable: the nothing-frozen set, and the categorical variables of the
-// folded set, to == with the interpreted walk on an arbitrary assignment;
-// the folded binary programs to the folded reference and the regrouping
-// bound on a reachable one.
+// variable: categorical variables of either set to == with the interpreted
+// walk on an arbitrary assignment; binary variables to the regrouped
+// reference and the regrouping bound — the nothing-frozen set's on the
+// arbitrary assignment, the folded set's on a reachable one.
 func checkKernels(t testing.TB, g *factorgraph.Graph, k, exact *factorgraph.Kernels, assign, reachable factorgraph.Assignment) {
 	t.Helper()
 	for v := factorgraph.VarID(0); int(v) < g.NumVars(); v++ {
 		if k.Binary(v) != (g.DomainOf(v) == 2) || exact.Binary(v) != k.Binary(v) {
 			t.Fatalf("var %d: Binary = %v / %v with domain %d", v, k.Binary(v), exact.Binary(v), g.DomainOf(v))
 		}
-		checkExactScores(t, g, exact, v, assign)
 		if k.Binary(v) {
-			checkBinaryScores(t, g, k, v, reachable)
+			checkBinaryScores(t, g, exact, v, assign, false)
+			checkBinaryScores(t, g, k, v, reachable, true)
 		} else {
+			checkExactScores(t, g, exact, v, assign)
 			checkExactScores(t, g, k, v, assign)
 		}
 	}
 }
 
 // TestKernelsMatchInterpretedBitForBit is the golden equivalence gate of the
-// compiled sampling kernels. Every program that folds nothing — the whole
-// nothing-frozen set weight learning compiles, and the categorical variables
-// of the samplers' folded set — must agree with the interpreted evaluator
-// exactly (==, not within epsilon) on arbitrary assignments. The folded
-// binary programs fold frozen endpoints away, so they are checked on
-// reachable assignments, twice: exactly against the folded reference, and
-// closely against the plain interpreted walk. Together these let the
-// compiled path inherit the TV-vs-exact statistical harness, the
-// worker-invariance tests and old checkpoints without re-validation.
+// compiled sampling kernels. Every categorical program, in either set, must
+// agree with the interpreted evaluator exactly (==, not within epsilon) on
+// arbitrary assignments. The binary log-odds programs regroup the
+// interpreted s0 − s1, so they are checked twice: exactly against the
+// regrouped reference, and closely against the plain interpreted walk — the
+// nothing-frozen set's on arbitrary assignments, the folded set's, which fold
+// frozen endpoints away, on reachable ones. Together these let the compiled
+// path inherit the TV-vs-exact statistical harness, the worker-invariance
+// tests and old checkpoints without re-validation.
 func TestKernelsMatchInterpretedBitForBit(t *testing.T) {
 	for i, c := range equivCases() {
 		c := c
@@ -368,20 +404,39 @@ func TestKernelsMatchInterpretedBitForBit(t *testing.T) {
 	}
 }
 
-// TestKernelsWeightWriteThrough asserts that weight updates through
-// SetFactorWeight/SetSpatialWeight are visible to already-compiled kernels
-// without recompilation — the property weight learning relies on — in both
-// program sets: every op reads its weight by index, and the folded biases,
-// which bake weights in, are recomputed before the next binary score. A
-// binary and a categorical graph.
-func TestKernelsWeightWriteThrough(t *testing.T) {
+// TestKernelsFollowWeightUpdates asserts that weight updates through
+// SetFactorWeight/SetSpatialWeight reach already-compiled kernels without
+// recompilation — the property weight learning relies on — in both program
+// sets: table ops read their weight by index, and the baked biases and
+// log-odds entries are refolded before the next binary score, in a pass that
+// allocates nothing. A binary graph, a categorical one, and a subgraph whose
+// halo copies are live.
+func TestKernelsFollowWeightUpdates(t *testing.T) {
 	for _, spec := range []testutil.Spec{
 		{Domain: 2, Vars: 10, Spatial: true, LogicalFactors: 30, SpatialPairs: 25, EvidencePer1000: 400, Seed: 42},
 		{Domain: 3, Vars: 8, Spatial: true, PruneMask: true, LogicalFactors: 20, SpatialPairs: 16, EvidencePer1000: 400, Seed: 43},
+		{Domain: 2, Vars: 16, Spatial: true, LogicalFactors: 40, SpatialPairs: 40, EvidencePer1000: 250, Seed: 44},
 	} {
 		g, err := testutil.RandomGraph(spec)
 		if err != nil {
 			t.Fatalf("RandomGraph: %v", err)
+		}
+		if spec.Seed == 44 {
+			// Half the variables as interior, the other half's neighbours
+			// as live halo copies, as a shard builds them.
+			var interior []factorgraph.VarID
+			for v := factorgraph.VarID(0); int(v) < g.NumVars(); v += 2 {
+				interior = append(interior, v)
+			}
+			sub, err := factorgraph.Sub(g, interior, func(factorgraph.VarID) int32 { return 1 })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(sub.Halo) == 0 {
+				t.Fatal("test premise broken: the subgraph has no halo")
+			}
+			g = sub.Graph
+			g.MarkLive(sub.Halo)
 		}
 		k, exact := g.Kernels(), factorgraph.CompileKernels(g, false)
 		if st := k.Stats(); spec.Domain == 2 && (st.FoldedOps == 0 || st.FoldedOps == st.Ops) {
@@ -391,8 +446,8 @@ func TestKernelsWeightWriteThrough(t *testing.T) {
 		assign := randomAssignment(g, rng)
 		reachable := reachableAssignment(g, rng)
 		for round := 0; round < 3; round++ {
-			// Score first, so every round's biases were folded under the
-			// previous round's weights.
+			// Score first, so every round's biases and entries were baked
+			// under the previous round's weights.
 			checkKernels(t, g, k, exact, assign, reachable)
 			for f := int32(0); f < int32(g.NumFactors()); f++ {
 				g.SetFactorWeight(f, g.FactorWeightOf(f)*1.7+0.3)
@@ -401,6 +456,14 @@ func TestKernelsWeightWriteThrough(t *testing.T) {
 				_, _, w := g.SpatialPair(s)
 				g.SetSpatialWeight(s, w*2.1+0.1)
 			}
+		}
+		checkKernels(t, g, k, exact, assign, reachable)
+		if allocs := testing.AllocsPerRun(20, func() {
+			g.SetFactorWeight(0, -g.FactorWeightOf(0))
+			k.BinaryLogOdds(0, reachable)
+			exact.BinaryLogOdds(0, assign)
+		}); allocs != 0 {
+			t.Errorf("seed %d: a refold allocates %v times", spec.Seed, allocs)
 		}
 	}
 }
@@ -653,16 +716,57 @@ func fuzzEncode(g *factorgraph.Graph) []byte {
 	return append(append(out, byte(count)), pairs...)
 }
 
+// r3ShapeGraph is the neighbourhood NYCCAS's R3 grounds: around a ring of
+// query cells with one evidence cell, each pair of neighbours carries an
+// imply each way plus a spatial pair, so one log-odds entry sums three
+// incidences, and a unary prior adds a constant.
+func r3ShapeGraph(t testing.TB) *factorgraph.Graph {
+	t.Helper()
+	b := factorgraph.NewBuilder()
+	const n = 5
+	for i := 0; i < n; i++ {
+		ev := factorgraph.NoEvidence
+		if i == n-1 {
+			ev = 1
+		}
+		if _, err := b.AddVariable(factorgraph.Variable{Domain: 2, Evidence: ev, HasLoc: true, Loc: geom.Pt(float64(i), 0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := factorgraph.VarID(0); i < n; i++ {
+		j := (i + 1) % n
+		for _, p := range [][2]factorgraph.VarID{{i, j}, {j, i}} {
+			if err := b.AddFactor(factorgraph.FactorImply, 0.5, p[:], nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b.AddSpatialPair(i, j, 0.375); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.AddFactor(factorgraph.FactorIsTrue, 0.75, []factorgraph.VarID{i}, []bool{i%2 == 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := b.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // FuzzKernels compiles decoded graphs — domains 2–4, arities 1–3, negations,
 // repeated slots, pruning masks, evidence and live marks — and holds both
 // program sets to their contracts (checkKernels) on arbitrary and reachable
-// assignments drawn from the input: no panic, == with the interpreted walk
-// wherever nothing folds, the folded reference and the regrouping bound on
-// the folded binary programs.
+// assignments drawn from the input: no panic, == with the interpreted walk at
+// categorical variables, the regrouped reference under Float64bits and the
+// regrouping bound at binary ones. Then every weight moves by an amount drawn
+// from the input, and the same assignments are checked again: the refolded
+// log-odds must follow.
 func FuzzKernels(f *testing.F) {
 	for _, c := range equivCases() {
 		f.Add(fuzzEncode(c.graph(f)))
 	}
+	f.Add(fuzzEncode(r3ShapeGraph(f)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h := fnv.New64a()
 		h.Write(data)
@@ -672,8 +776,21 @@ func FuzzKernels(f *testing.F) {
 		}
 		k, exact := g.Kernels(), factorgraph.CompileKernels(g, false)
 		rng := testutil.NewRand(h.Sum64())
+		var trials [][2]factorgraph.Assignment
 		for trial := 0; trial < 4; trial++ {
-			checkKernels(t, g, k, exact, randomAssignment(g, rng), reachableAssignment(g, rng))
+			assign, reachable := randomAssignment(g, rng), reachableAssignment(g, rng)
+			checkKernels(t, g, k, exact, assign, reachable)
+			trials = append(trials, [2]factorgraph.Assignment{assign, reachable})
+		}
+		for fi := int32(0); fi < int32(g.NumFactors()); fi++ {
+			g.SetFactorWeight(fi, g.FactorWeightOf(fi)*float64(rng.Intn(7)-3)/2+float64(rng.Intn(9)-4)/8)
+		}
+		for s := int32(0); s < int32(g.NumSpatialFactors()); s++ {
+			_, _, w := g.SpatialPair(s)
+			g.SetSpatialWeight(s, w*float64(rng.Intn(7)-3)/2+float64(rng.Intn(9)-4)/8)
+		}
+		for _, tr := range trials {
+			checkKernels(t, g, k, exact, tr[0], tr[1])
 		}
 	})
 }

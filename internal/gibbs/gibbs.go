@@ -141,18 +141,19 @@ func newCounts(g *factorgraph.Graph) *counts {
 // stores it in the assignment. buf must have capacity ≥ the max domain; it
 // is untouched on the buffer-free binary fast path. Scores come from the
 // sampler's scorer: compiled kernels, or in tests the interpreted reference
-// walk — the two agree to the last ulp (exactly at categorical variables),
-// so the chain is the same on either.
+// walk. They agree exactly at categorical variables; at a binary one the
+// compiled log-odds regroups the interpreted s0 − s1 and can differ in the
+// last ulps, which moves a draw only when the uniform lands within those
+// ulps of the threshold.
 func sampleOne(sc *scorer, v factorgraph.VarID, assign factorgraph.Assignment,
 	rng *prng, buf []float64) int32 {
 	if sc.binary(v) {
-		s0, s1 := sc.binaryConditionalScores(v, assign)
-		// Max-subtracted softmax with the winner's exp folded away: the
-		// larger score exponentiates to exactly 1, so only one math.Exp is
-		// needed. Bit-identical to the two-exp form because IEEE negation is
-		// exact: exp(s1-s0) == exp(-(s0-s1)).
+		// Max-subtracted softmax over (s0, s1) with the winner's exp folded
+		// away: the larger score exponentiates to exactly 1, so only one
+		// math.Exp of the log-odds d = s0 − s1 is needed (IEEE negation is
+		// exact: exp(s1-s0) == exp(-d)).
 		var x int32
-		if d := s0 - s1; d < 0 {
+		if d := sc.logOdds(v, assign); d < 0 {
 			e0 := math.Exp(d)
 			if rng.Float64()*(e0+1) > e0 {
 				x = 1

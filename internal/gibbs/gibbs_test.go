@@ -267,7 +267,7 @@ func TestUpdateEvidenceOnGraphEvidence(t *testing.T) {
 	defer s.Close()
 	s.RunEpochs(200)
 	before := s.Marginals()
-	b0, b1 := s.sc.binaryConditionalScores(1, s.instances[0].assign)
+	before1 := s.sc.logOdds(1, s.instances[0].assign)
 
 	if err := s.UpdateEvidence(4, 1); err != nil {
 		t.Fatalf("same value: %v", err)
@@ -290,8 +290,8 @@ func TestUpdateEvidenceOnGraphEvidence(t *testing.T) {
 	if d := maxAbsDiff(t, s.Marginals(), before); d != 0 {
 		t.Errorf("marginals moved by %v", d)
 	}
-	if a0, a1 := s.sc.binaryConditionalScores(1, s.instances[0].assign); a0 != b0 || a1 != b1 {
-		t.Errorf("neighbour scores moved: (%v, %v) -> (%v, %v)", b0, b1, a0, a1)
+	if after1 := s.sc.logOdds(1, s.instances[0].assign); after1 != before1 {
+		t.Errorf("neighbour log-odds moved: %v -> %v", before1, after1)
 	}
 }
 
@@ -315,8 +315,7 @@ func TestPinOnQueryVariableStaysDynamic(t *testing.T) {
 		if err := s.UpdateEvidence(0, val); err != nil {
 			t.Fatal(err)
 		}
-		s0, s1 := s.sc.binaryConditionalScores(1, s.instances[0].assign)
-		return s1 - s0
+		return -s.sc.logOdds(1, s.instances[0].assign)
 	}
 	if low, high := gap(0), gap(1); math.Abs(high-low-1.6) > 1e-12 {
 		t.Fatalf("neighbour score gap %v pinned false, %v pinned true: want a difference of 1.6", low, high)

@@ -8,7 +8,7 @@ import (
 // program set (Graph.Kernels). The interpreted CSR walk behind a nil k is the
 // reference implementation the kernels are tested against (factorgraph's
 // equivalence tests: bit-identical at categorical variables, the same terms
-// regrouped in the folded binary programs), and only tests select it (see
+// regrouped in the binary log-odds programs), and only tests select it (see
 // export_test.go). The samplers hold one scorer each and pass it to
 // sampleOne; the single nil check per call is the entire dispatch cost.
 type scorer struct {
@@ -31,8 +31,8 @@ func (sc *scorer) binary(v factorgraph.VarID) bool {
 	return sc.g.DomainOf(v) == 2
 }
 
-// conditionalScores evaluates all candidate values of v: the categorical
-// draw, and MAP's anneal at every variable.
+// conditionalScores evaluates all candidate values of v, up to one shared
+// constant: the categorical draw, and MAP's anneal at every variable.
 func (sc *scorer) conditionalScores(v factorgraph.VarID, assign factorgraph.Assignment, buf []float64) []float64 {
 	if sc.k != nil {
 		return sc.k.ConditionalScores(v, assign, buf)
@@ -40,12 +40,14 @@ func (sc *scorer) conditionalScores(v factorgraph.VarID, assign factorgraph.Assi
 	return sc.g.ConditionalScores(v, assign, buf)
 }
 
-// binaryConditionalScores evaluates both candidates of a binary v.
-func (sc *scorer) binaryConditionalScores(v factorgraph.VarID, assign factorgraph.Assignment) (float64, float64) {
+// logOdds evaluates s0 − s1 at a binary v: the one number a binary draw and
+// the greedy MAP step read.
+func (sc *scorer) logOdds(v factorgraph.VarID, assign factorgraph.Assignment) float64 {
 	if sc.k != nil {
-		return sc.k.BinaryConditionalScores(v, assign)
+		return sc.k.BinaryLogOdds(v, assign)
 	}
-	return sc.g.BinaryConditionalScores(v, assign)
+	s0, s1 := sc.g.BinaryConditionalScores(v, assign)
+	return s0 - s1
 }
 
 // publishKernelMetrics exposes the compiled-kernel build stats on the

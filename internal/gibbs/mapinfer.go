@@ -117,10 +117,11 @@ func greedyCtx(ctx context.Context, sc *scorer, assign factorgraph.Assignment,
 			cur := assign.Get(v)
 			best := cur
 			if sc.binary(v) {
-				// Ties keep the current value, matching the generic argmax.
-				if s0, s1 := sc.binaryConditionalScores(v, assign); s1 > s0 {
+				// The log-odds' sign decides; d == 0 (or NaN) keeps the
+				// current value, matching the generic argmax.
+				if d := sc.logOdds(v, assign); d < 0 {
 					best = 1
-				} else if s0 > s1 {
+				} else if d > 0 {
 					best = 0
 				}
 			} else {

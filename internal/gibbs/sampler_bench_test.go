@@ -12,9 +12,13 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/datagen"
 	"repro/internal/factorgraph"
+	"repro/internal/geom"
 	"repro/internal/gibbs"
 	"repro/internal/gibbs/testutil"
+	"repro/internal/storage"
 )
 
 // benchSamplerGraph is a mid-size spatial graph (~2000 vars) comparable to
@@ -32,8 +36,67 @@ func benchSamplerGraph(tb testing.TB) *factorgraph.Graph {
 	return g
 }
 
+// BenchmarkSpatialEpoch times a steady spatial epoch on the random harness
+// graph. Its random factors and pairs rarely join the same two variables
+// (1.001 incidences per neighbour), so it is the control for the binary
+// log-odds programs' per-neighbour merge: what it gains comes from the
+// one-accumulator form alone, what BenchmarkKBEpoch gains beyond that from
+// the merge.
 func BenchmarkSpatialEpoch(b *testing.B) {
-	g := benchSamplerGraph(b)
+	benchEpoch(b, benchSamplerGraph(b))
+}
+
+// BenchmarkKBEpoch is BenchmarkSpatialEpoch on the two datagen knowledge
+// bases, grounded the way BenchmarkLearnIteration and the grounding goldens
+// build them: GWDB at 600 wells and NYCCAS on a 32×32 raster. A KB's rules
+// are distance joins over the neighbourhood its spatial factors cover, so a
+// neighbour carries several incidences (1.61 on GWDB-600, 1.58 on
+// NYCCAS-32), which one log-odds entry sums.
+func BenchmarkKBEpoch(b *testing.B) {
+	wells, wellEvidence := datagen.Wells(datagen.WellsConfig{
+		N: 600, Seed: 1, Extent: 600, Clusters: 12, Bumps: 15, CorrelationLength: 100,
+	}).Rows()
+	const side = 32
+	extent := side * 30.0 / 22.0
+	cell := extent / side
+	cells, cellEvidence := datagen.Raster(datagen.RasterConfig{Side: side, Seed: 1, Extent: extent}).Rows()
+	for _, kb := range []struct {
+		name, program, rel, evRel string
+		cfg                       core.Config
+		rows, evidence            []storage.Row
+	}{
+		{"gwdb600", datagen.GWDBProgram, "Well", "WellEvidence", core.Config{
+			Engine: core.EngineSya, Metric: geom.Euclidean, Bandwidth: 30, SpatialScale: 0.5,
+			SupportRadius: 75, MaxNeighbors: 40, PyramidLevels: 6, Seed: 1,
+		}, wells, wellEvidence},
+		{"nyccas32", datagen.NYCCASProgram, "Cell", "CellEvidence", core.Config{
+			Engine: core.EngineSya, Metric: geom.Euclidean, Bandwidth: 2 * cell, SpatialScale: 0.5,
+			SupportRadius: 4 * cell, MaxNeighbors: 40, PyramidLevels: 6, Seed: 1,
+		}, cells, cellEvidence},
+	} {
+		b.Run(kb.name, func(b *testing.B) {
+			sys := core.NewSystem(kb.cfg)
+			defer sys.Close()
+			if err := sys.LoadProgram(kb.program); err != nil {
+				b.Fatal(err)
+			}
+			if err := sys.LoadRows(kb.rel, kb.rows); err != nil {
+				b.Fatal(err)
+			}
+			if err := sys.LoadRows(kb.evRel, kb.evidence); err != nil {
+				b.Fatal(err)
+			}
+			res, err := sys.Ground()
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchEpoch(b, res.Graph)
+		})
+	}
+}
+
+// benchEpoch times one steady spatial epoch on g after three warm-up ones.
+func benchEpoch(b *testing.B, g *factorgraph.Graph) {
 	s, err := gibbs.NewSpatial(g, gibbs.SpatialOptions{Levels: 6, Instances: 2, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -61,17 +124,7 @@ func BenchmarkCategoricalEpoch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			s, err := gibbs.NewSpatial(g, gibbs.SpatialOptions{Levels: 6, Instances: 2, Seed: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			s.RunEpochs(3)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.RunEpochs(1)
-			}
+			benchEpoch(b, g)
 		})
 	}
 }

@@ -12,8 +12,9 @@ import (
 // folded ones are exactly those an independent walk of the graph finds
 // constant (every other endpoint frozen evidence, or no other endpoint),
 // nothing falls back to the interpreted evaluators at run time, the program
-// is no larger than 12 bytes per dynamic op plus 16 per variable plus the
-// offsets, and explain compiles nothing: scoring and decoding leave the
+// is no larger than a 24-byte entry per dynamic incidence, a 12-byte recipe
+// step per incidence, an 8-byte bias per variable and the two offset tables,
+// and explain compiles nothing: scoring and decoding leave the
 // footprint as compiled, and the decode still lists every factor, folded
 // ones included, with live weights.
 func TestFoldCounts(t *testing.T) {
@@ -83,7 +84,7 @@ func TestFoldCounts(t *testing.T) {
 			if st.GenericOps != 0 {
 				t.Errorf("GenericOps = %d, want 0", st.GenericOps)
 			}
-			bound := int64(12*(st.Ops-st.FoldedOps) + 16*st.Vars + 4*(st.Vars+1))
+			bound := int64(24*(st.Ops-st.FoldedOps) + 12*st.Ops + 8*st.Vars + 8*(st.Vars+1))
 			if st.SlabBytes > bound {
 				t.Errorf("SlabBytes = %d, want ≤ %d", st.SlabBytes, bound)
 			}
