@@ -7,7 +7,7 @@
 //
 //	syad -program kb.ddlog -load County=counties.csv -load CountyEvidence=ev.csv \
 //	    [-addr host:port] [-engine sya|deepdive] [-metric euclidean|miles|km] \
-//	    [-epochs N] [-warmup-epochs N] [-upsert-epochs N] [-cache-ttl D] \
+//	    [-epochs N] [-warmup-epochs N] [-upsert-epochs N] \
 //	    [-local-budget N] [-local-epochs N] \
 //	    [-bandwidth B] [-scale S] [-seed N] [-ground-workers N] [-label NAME] \
 //	    [-trace-ring N] [-slow-ms D] \
@@ -107,7 +107,6 @@ type runOpts struct {
 	epochs       int
 	warmupEpochs int
 	upsertEpochs int
-	cacheTTL     time.Duration
 	localBudget  int
 	localEpochs  int
 
@@ -151,7 +150,6 @@ func parseArgs(args []string, stderr io.Writer) (runOpts, error) {
 	fs.IntVar(&o.epochs, "epochs", 1000, "default inference epoch budget")
 	fs.IntVar(&o.warmupEpochs, "warmup-epochs", 0, "initial sampling epochs before serving (0 = -epochs)")
 	fs.IntVar(&o.upsertEpochs, "upsert-epochs", 0, "incremental epochs after each evidence upsert (0 = -epochs)")
-	fs.DurationVar(&o.cacheTTL, "cache-ttl", 0, "score-cache entry lifetime (0 = entries live until the next resample)")
 	fs.IntVar(&o.localBudget, "local-budget", 0, "default lazy-grounding variable budget for point queries: answer from a bounded subgraph of at most N sampled variables (0 = full-graph path; ?budget= overrides per request)")
 	fs.IntVar(&o.localEpochs, "local-epochs", 0, "sampling epochs per lazy point query (0 = -epochs)")
 	fs.Float64Var(&o.bandwidth, "bandwidth", 50, "spatial weighing bandwidth")
@@ -290,7 +288,6 @@ func boot(ctx context.Context, o runOpts, tracer *obs.Tracer) (*serve.Server, er
 	sp := obs.SpanFromContext(ctx).Child("serve.boot")
 	srv, err := serve.New(sys, serve.Options{
 		Epochs:           o.upsertEpochs,
-		CacheTTL:         o.cacheTTL,
 		Metrics:          serveMetrics,
 		WALPath:          o.walPath,
 		WALSyncEvery:     o.walSyncEvery,

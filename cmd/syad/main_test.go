@@ -106,7 +106,6 @@ func TestDaemonEndToEnd(t *testing.T) {
 	program, county, evidence := writeFixtures(t)
 	o := baseOpts(program, [][2]string{{"County", county}, {"CountyEvidence", evidence}})
 	o.label = "ebola"
-	o.cacheTTL = time.Minute
 	base, stop := startDaemon(t, o)
 
 	var health struct {
@@ -295,7 +294,7 @@ func TestCommandLine(t *testing.T) {
 	}
 	given := defaults
 	given.loads = cliutil.LoadFlag{Pairs: [][2]string{{"County", "c.csv"}}}
-	given.upsertEpochs, given.slowMS, given.walPath, given.cacheTTL = 500, 250, "ev.wal", time.Second
+	given.upsertEpochs, given.slowMS, given.walPath = 500, 250, "ev.wal"
 	cases := []struct {
 		name    string
 		args    []string
@@ -304,12 +303,13 @@ func TestCommandLine(t *testing.T) {
 	}{
 		{name: "defaults", args: []string{"-program", "kb.ddlog"}, want: defaults},
 		{name: "given values land in the field run reads", want: given, args: []string{"-program", "kb.ddlog",
-			"-load", "County=c.csv", "-upsert-epochs", "500", "-slow-ms", "250", "-wal", "ev.wal", "-cache-ttl", "1s"}},
+			"-load", "County=c.csv", "-upsert-epochs", "500", "-slow-ms", "250", "-wal", "ev.wal"}},
 
 		{name: "no program", args: nil, wantErr: true},
 		{name: "malformed -load", args: []string{"-program", "kb.ddlog", "-load", "County"}, wantErr: true},
 		{name: "removed -trace-out", args: []string{"-program", "kb.ddlog", "-trace-out", "boot.jsonl"}, wantErr: true},
 		{name: "removed trace rotation", args: []string{"-program", "kb.ddlog", removedRotationFlag, "4"}, wantErr: true},
+		{name: "removed -cache-ttl", args: []string{"-program", "kb.ddlog", "-cache-ttl", "1s"}, wantErr: true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

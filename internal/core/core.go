@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/ddlog"
@@ -185,11 +184,6 @@ type System struct {
 	shardGroup *shard.Group
 	learned    bool
 
-	// local is the lazily built per-grounding state of the QueryLocal path:
-	// the VarID→atom-key reverse index and the deterministic freeze
-	// assignment for uncertain boundary atoms. Rebuilt by the first
-	// QueryLocal after each grounding; safe under concurrent readers.
-	local atomic.Pointer[localState]
 	// pinned tracks the evidence pins applied to the live sampler since
 	// the last full grounding (UpdateEvidence and UpsertEvidence patches).
 	// The first pin per atom wins — matching the batch dedup rule — and
@@ -342,7 +336,6 @@ func (s *System) GroundContext(ctx context.Context) (*grounding.Result, error) {
 	s.ground = res
 	s.closeSampler() // the old sampler's graph is gone; release its pool
 	s.pinned = nil   // prior pins are baked into the fresh graph's evidence
-	s.local.Store(nil)
 	s.groundDur = time.Since(start)
 	if r := s.cfg.Metrics; r != nil {
 		r.Gauge("sya_ground_vars").Set(float64(res.Stats.Vars))

@@ -58,28 +58,6 @@ type LocalResult struct {
 	Interior map[string][]float64
 }
 
-// localState is per-grounding lazily built lookup state shared by every
-// QueryLocal call: the VarID → atom-key reverse index.
-type localState struct {
-	keys []string
-}
-
-// localLookup returns (building once per grounding) the reverse key index.
-// Safe under concurrent readers: the first writer wins and concurrent
-// builds produce identical state.
-func (s *System) localLookup() *localState {
-	if st := s.local.Load(); st != nil {
-		return st
-	}
-	keys := make([]string, s.ground.Graph.NumVars())
-	for k, v := range s.ground.VarID {
-		keys[v] = k
-	}
-	st := &localState{keys: keys}
-	s.local.CompareAndSwap(nil, st)
-	return s.local.Load()
-}
-
 // QueryLocal answers a point query over the queried atom's bounded local
 // neighbourhood instead of the full ground graph. Grounding must have run;
 // inference need not have. The call is read-only on the System (safe under
@@ -102,7 +80,6 @@ func (s *System) QueryLocal(ctx context.Context, key string, budget LocalBudget)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown atom %q", key)
 	}
-	st := s.localLookup()
 
 	// Boundary freezing policy. The live sampler (when inference has run)
 	// informs the frozen state: upsert pins are evidence-grade (their
@@ -176,18 +153,18 @@ func (s *System) QueryLocal(ctx context.Context, key string, budget LocalBudget)
 	sampleSpan.Notef("epochs=%d ops=%d folded=%d", epochs, ks.Ops-ks.FoldedOps, ks.FoldedOps)
 
 	res.Marginal = marg[lg.Root]
-	res.Score = scoreOf(res.Marginal)
+	res.Score = ScoreOf(res.Marginal)
 	res.Interior = make(map[string][]float64, len(lg.Interior))
 	for i, fullID := range lg.Interior {
 		// Interior ids precede boundary ids in the subgraph, in order.
-		res.Interior[st.keys[fullID]] = marg[i]
+		res.Interior[s.ground.Keys[fullID]] = marg[i]
 	}
 	return res, nil
 }
 
-// scoreOf reduces a marginal to the factual score: P(true) for binary
-// domains, the modal probability otherwise.
-func scoreOf(m []float64) float64 {
+// ScoreOf reduces a marginal to the factual score: P(true) for binary
+// domains, the modal probability otherwise. Every served score is this one.
+func ScoreOf(m []float64) float64 {
 	if len(m) == 2 {
 		return m[1]
 	}

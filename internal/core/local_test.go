@@ -123,7 +123,7 @@ func TestQueryLocalBudgetSweep(t *testing.T) {
 			// convergence signal.
 			var uncertain, certain []string
 			for k, m := range full {
-				if mode := scoreOf(m); mode > 0.99 || mode < 0.01 {
+				if mode := ScoreOf(m); mode > 0.99 || mode < 0.01 {
 					certain = append(certain, k)
 				} else {
 					uncertain = append(uncertain, k)
@@ -186,7 +186,7 @@ func TestQueryLocalInterior(t *testing.T) {
 	// this test exercises.
 	var keys []string
 	scores.Each("HasEbola", func(k string, _ factorgraph.VarID, m []float64) bool {
-		if p := scoreOf(m); p > 0.01 && p < 0.99 {
+		if p := ScoreOf(m); p > 0.01 && p < 0.99 {
 			keys = append(keys, k)
 		}
 		return true

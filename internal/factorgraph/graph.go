@@ -371,6 +371,21 @@ func (g *Graph) InitialAssignment() Assignment {
 	return a
 }
 
+// PriorMarginal is a variable's marginal before any sample counts it: a
+// point mass on its evidence value, uniform over its domain otherwise.
+func (g *Graph) PriorMarginal(id VarID) []float64 {
+	v := g.vars[id]
+	m := make([]float64, v.Domain)
+	if v.Evidence != NoEvidence {
+		m[v.Evidence] = 1
+		return m
+	}
+	for x := range m {
+		m[x] = 1 / float64(v.Domain)
+	}
+	return m
+}
+
 // valueOf reads a variable's value, applying the candidate override used by
 // ConditionalScores so that score evaluation never mutates the shared
 // assignment.

@@ -55,15 +55,7 @@ func newDiagTracker(g *factorgraph.Graph) *diagTracker {
 	}
 	t.prev = make([]float64, t.off[n])
 	for i := 0; i < n; i++ {
-		v := g.Var(factorgraph.VarID(i))
-		row := t.prev[t.off[i]:t.off[i+1]]
-		if v.Evidence != factorgraph.NoEvidence {
-			row[v.Evidence] = 1
-			continue
-		}
-		for x := range row {
-			row[x] = 1 / float64(v.Domain)
-		}
+		copy(t.prev[t.off[i]:t.off[i+1]], g.PriorMarginal(factorgraph.VarID(i)))
 	}
 	return t
 }

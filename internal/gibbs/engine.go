@@ -426,30 +426,28 @@ func (s *engine) Marginals() [][]float64 {
 // read lock for queries and its write lock around resamples).
 func (s *engine) MarginalVar(v factorgraph.VarID) []float64 {
 	meta := s.g.Var(v)
-	m := make([]float64, meta.Domain)
-	if meta.Evidence != factorgraph.NoEvidence {
-		m[meta.Evidence] = 1
-		return m
-	}
-	if s.pinned[v] {
-		m[s.instances[0].assign.Get(v)] = 1
-		return m
-	}
 	var total float64
+	if meta.Evidence == factorgraph.NoEvidence {
+		if s.pinned[v] {
+			m := make([]float64, meta.Domain)
+			m[s.instances[0].assign.Get(v)] = 1
+			return m
+		}
+		for _, inst := range s.instances {
+			total += float64(inst.counts.totals[v])
+		}
+	}
+	if total == 0 {
+		return s.g.PriorMarginal(v)
+	}
+	m := make([]float64, meta.Domain)
 	for _, inst := range s.instances {
 		for x, c := range inst.counts.c[v] {
 			m[x] += float64(c)
 		}
-		total += float64(inst.counts.totals[v])
 	}
-	if total == 0 {
-		for x := range m {
-			m[x] = 1 / float64(meta.Domain)
-		}
-	} else {
-		for x := range m {
-			m[x] /= total
-		}
+	for x := range m {
+		m[x] /= total
 	}
 	return m
 }

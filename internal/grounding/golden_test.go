@@ -118,7 +118,13 @@ func hashGround(t *testing.T, res *grounding.Result) uint64 {
 	for k, vid := range res.VarID {
 		keys[vid] = k
 	}
+	if len(res.Keys) != len(keys) {
+		t.Fatalf("Keys has %d entries for %d variables", len(res.Keys), len(keys))
+	}
 	for vid, k := range keys {
+		if res.Keys[vid] != k {
+			t.Fatalf("Keys[%d] = %q, VarID maps %q to it", vid, res.Keys[vid], k)
+		}
 		if k == "" {
 			t.Fatalf("variable %d has no VarID key", vid)
 		}

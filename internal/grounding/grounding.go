@@ -110,8 +110,10 @@ type Stats struct {
 type Result struct {
 	Graph *factorgraph.Graph
 	Stats Stats
-	// VarID resolves "Relation|k1|k2|..." ground-atom keys.
+	// VarID resolves "Relation|k1|k2|..." ground-atom keys; Keys is its
+	// inverse, Keys[vid] the key of variable vid.
 	VarID map[string]factorgraph.VarID
+	Keys  []string
 	// RelationIndex maps variable relation names (lower-cased) to the
 	// Relation field used in factorgraph variables.
 	RelationIndex map[string]int32
@@ -453,7 +455,8 @@ func (gr *Grounder) runDerivations(b *factorgraph.Builder, res *Result) error {
 		sp.Notef("label=%s rows=%d", derLabel(d), len(rows.Rows))
 		sp.End()
 	}
-	// Deterministic creation order: derivation order.
+	// Deterministic creation order: derivation order. Variables are created
+	// in keys order, so keys is the VarID → key index.
 	sorted := make([]*derivedAtom, 0, len(atoms))
 	keys := make([]string, 0, len(atoms))
 	for k := range atoms {
@@ -463,6 +466,7 @@ func (gr *Grounder) runDerivations(b *factorgraph.Builder, res *Result) error {
 	for _, k := range keys {
 		sorted = append(sorted, atoms[k])
 	}
+	res.Keys = keys
 	for i, a := range sorted {
 		domain := int32(2)
 		if a.rel.Categorical > 0 {

@@ -66,7 +66,7 @@ func unlabeledWells(data *datagen.WellsData, n int) []datagen.Well {
 func TestConcurrentReadsAndUpserts(t *testing.T) {
 	check := testutil.GoroutineLeakCheck(t)
 	sys, data := newGWDBSystem(t, 300)
-	srv, err := New(sys, Options{Epochs: 200, CacheTTL: 50 * time.Millisecond})
+	srv, err := New(sys, Options{Epochs: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,12 +181,12 @@ func postUpsertQuiet(base, relation string, rows [][]string) (evidenceResponse, 
 	return out, resp.StatusCode
 }
 
-// TestNoStaleScoreAfterUpsert is the cache-coherence guard: a score read
-// before an upsert (and therefore cached) must not be served once the upsert
-// resamples — the generation bump invalidates it.
+// TestNoStaleScoreAfterUpsert is the freshness guard: a score read before an
+// upsert must not be served once the upsert resamples — the read after it
+// sees the pin at the next generation.
 func TestNoStaleScoreAfterUpsert(t *testing.T) {
 	sys := newEbolaSystem(t, core.Config{Engine: core.EngineSya, Seed: 7, Epochs: 2000})
-	srv, ts := startServer(t, sys, Options{CacheTTL: time.Hour})
+	srv, ts := startServer(t, sys, Options{})
 
 	bong := datagen.EbolaCounties()[2]
 	url := fmt.Sprintf("%s/v1/score/point?relation=HasEbola&x=%g&y=%g", ts.URL, bong.Loc.X, bong.Loc.Y)
@@ -197,8 +197,6 @@ func TestNoStaleScoreAfterUpsert(t *testing.T) {
 	if before.Atoms[0].Score == 1 {
 		t.Fatal("Bong already saturated; staleness would be unobservable")
 	}
-	// The hour-long TTL would happily keep serving the old score; only the
-	// resample's generation bump may invalidate it.
 	if _, code := postUpsert(t, ts.URL, "CountyEvidence", [][]string{
 		{"3", storage.Geom(bong.Loc).String(), "true"},
 	}); code != http.StatusOK {
@@ -209,7 +207,7 @@ func TestNoStaleScoreAfterUpsert(t *testing.T) {
 		t.Fatal("post-upsert query failed")
 	}
 	if after.Atoms[0].Score != 1 {
-		t.Errorf("post-upsert score = %f, want exactly 1 — stale cache served", after.Atoms[0].Score)
+		t.Errorf("post-upsert score = %f, want exactly 1 — stale score served", after.Atoms[0].Score)
 	}
 	if after.Generation != before.Generation+1 {
 		t.Errorf("generation %d → %d, want +1", before.Generation, after.Generation)

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/conclique"
+	"repro/internal/core"
 	"repro/internal/factorgraph"
 	"repro/internal/gibbs"
 	"repro/internal/grounding"
@@ -49,9 +50,9 @@ type explainResponse struct {
 	Relation   string `json:"relation"`
 	VarID      int32  `json:"var_id"`
 	Generation uint64 `json:"generation"`
-	// Stale marks provenance served from the degraded-read snapshot while
-	// an upsert holds the write lock; live-sampler fields (pinned, cached,
-	// conclique) are unavailable there.
+	// Stale marks provenance served from the degraded-read view while an
+	// upsert holds the write lock; live-sampler fields (pinned, conclique)
+	// are unavailable there.
 	Stale    bool      `json:"stale,omitempty"`
 	Score    float64   `json:"score"`
 	Marginal []float64 `json:"marginal"`
@@ -59,10 +60,7 @@ type explainResponse struct {
 	Evidence *int32 `json:"evidence,omitempty"`
 	// Pinned reports a live evidence pin applied by an upsert since the
 	// last full ground (the graph still shows no evidence for the atom).
-	Pinned bool `json:"pinned"`
-	// Cached reports whether the score cache currently holds this atom's
-	// marginal for the serving generation.
-	Cached    bool              `json:"cached"`
+	Pinned    bool              `json:"pinned"`
 	Conclique *explainConclique `json:"conclique,omitempty"`
 	// Factors is the atom's score program, in the samplers' accumulation
 	// order.
@@ -73,7 +71,7 @@ type explainResponse struct {
 // incidence lists against a grounding Result, resolving endpoints to atom
 // keys and factor ids to rule names. It compiles nothing: its cost is the
 // atom's degree, on the live and the stale graph alike.
-func explainFactors(ground *grounding.Result, keys []string, vid factorgraph.VarID) []explainFactor {
+func explainFactors(ground *grounding.Result, vid factorgraph.VarID) []explainFactor {
 	prog := ground.Graph.VarProgram(vid)
 	out := make([]explainFactor, len(prog))
 	for i, op := range prog {
@@ -83,8 +81,8 @@ func explainFactors(ground *grounding.Result, keys []string, vid factorgraph.Var
 			Spatial: op.Spatial,
 			Masked:  op.Masked,
 		}
-		if op.Other != factorgraph.NoVar && int(op.Other) < len(keys) {
-			f.Other = keys[op.Other]
+		if op.Other != factorgraph.NoVar && int(op.Other) < len(ground.Keys) {
+			f.Other = ground.Keys[op.Other]
 		}
 		if !op.Spatial && int(op.ID) < len(ground.FactorRule) {
 			if ri := ground.FactorRule[op.ID]; ri >= 0 && int(ri) < len(ground.RuleNames) {
@@ -102,83 +100,47 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, rq *reqSc
 		s.fail(w, rq, http.StatusBadRequest, "explain needs key=relation|term,... (a grounded atom key)")
 		return
 	}
-
-	sp := rq.span.Child("acquire_read")
-	sv := s.acquireRead()
-	sp.End()
-	if sv != nil {
-		rq.stale = true
-		s.explainStale(w, rq, sv, key)
-		return
-	}
-	defer s.mu.RUnlock()
-
-	ground := s.sys.Grounding()
-	vid, ok := ground.VarID[key]
+	v, release := s.beginRead(rq)
+	defer release()
+	vid, ok := v.ground.VarID[key]
 	if !ok {
 		s.fail(w, rq, http.StatusNotFound, "unknown atom %q", key)
 		return
 	}
 
-	sp = rq.span.Child("provenance")
+	sp := rq.span.Child("provenance")
+	m := v.marginal(vid)
 	resp := explainResponse{
 		Key:        key,
 		Relation:   relationOf(key),
 		VarID:      int32(vid),
-		Generation: s.gen,
-		Pinned:     s.sys.Pinned(vid),
-		Cached:     s.cache.peek(vid, s.gen),
-		Factors:    explainFactors(ground, s.keys, vid),
+		Generation: v.gen,
+		Stale:      v.stale,
+		Score:      core.ScoreOf(m),
+		Marginal:   m,
+		Factors:    explainFactors(v.ground, vid),
 	}
-	if v := ground.Graph.Var(vid); v.Evidence != factorgraph.NoEvidence {
-		ev := v.Evidence
+	if gv := v.ground.Graph.Var(vid); gv.Evidence != factorgraph.NoEvidence {
+		ev := gv.Evidence
 		resp.Evidence = &ev
 	}
-	if spl, ok := s.sys.Sampler().(*gibbs.Spatial); ok {
-		if cell, ok := spl.HomeCell(vid); ok {
-			resp.Conclique = &explainConclique{
-				ID:    int(conclique.Of(cell)),
-				Level: cell.Level,
-				X:     cell.X,
-				Y:     cell.Y,
+	// Pin state and conclique membership live in the sampler, which a stale
+	// view's writer is mutating; only the live view reports them.
+	if !v.stale {
+		resp.Pinned = s.sys.Pinned(vid)
+		if spl, ok := v.sampler.(*gibbs.Spatial); ok {
+			if cell, ok := spl.HomeCell(vid); ok {
+				resp.Conclique = &explainConclique{
+					ID:    int(conclique.Of(cell)),
+					Level: cell.Level,
+					X:     cell.X,
+					Y:     cell.Y,
+				}
 			}
 		}
 	}
-	m := s.marginalFor(vid)
-	resp.Marginal = m
-	if len(m) > 1 {
-		resp.Score = m[1]
-	}
 	sp.Notef("factors=%d", len(resp.Factors))
 	sp.End()
-	writeJSON(w, resp)
-}
-
-// explainStale serves provenance from the degraded snapshot: factors, rule
-// names and the snapshot marginal are all derivable from the immutable
-// grounding Result, but the live-sampler fields (pin state, cache state,
-// conclique membership) are not readable while the writer mutates them.
-func (s *Server) explainStale(w http.ResponseWriter, rq *reqScope, sv *staleView, key string) {
-	vid, ok := sv.ground.VarID[key]
-	if !ok {
-		s.fail(w, rq, http.StatusNotFound, "unknown atom %q", key)
-		return
-	}
-	atom := sv.atom(vid)
-	resp := explainResponse{
-		Key:        key,
-		Relation:   relationOf(key),
-		VarID:      int32(vid),
-		Generation: sv.gen,
-		Stale:      true,
-		Score:      atom.Score,
-		Marginal:   atom.Marginal,
-		Factors:    explainFactors(sv.ground, sv.keys, vid),
-	}
-	if v := sv.graph.Var(vid); v.Evidence != factorgraph.NoEvidence {
-		ev := v.Evidence
-		resp.Evidence = &ev
-	}
 	writeJSON(w, resp)
 }
 

@@ -107,18 +107,14 @@ func TestExplainCompilesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := make([]string, fresh.Graph.NumVars())
-	for k, v := range fresh.VarID {
-		keys[v] = k
-	}
 	for _, vid := range []factorgraph.VarID{0, factorgraph.VarID(fresh.Graph.NumVars() - 1)} {
 		degree := len(fresh.Graph.VarLogicalFactors(vid)) + len(fresh.Graph.VarSpatialPairs(vid))
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		explainFactors(fresh, keys, vid)
+		explainFactors(fresh, vid)
 		runtime.ReadMemStats(&m1)
 		first, firstBytes := m1.Mallocs-m0.Mallocs, m1.TotalAlloc-m0.TotalAlloc
-		steady := testing.AllocsPerRun(20, func() { explainFactors(fresh, keys, vid) })
+		steady := testing.AllocsPerRun(20, func() { explainFactors(fresh, vid) })
 		t.Logf("var %d: degree %d, first call %d allocs / %d bytes, steady %.0f allocs; graph %d vars",
 			vid, degree, first, firstBytes, steady, fresh.Graph.NumVars())
 		if bound := uint64(2 + degree); first > bound || steady > float64(bound) {

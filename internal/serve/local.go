@@ -19,7 +19,7 @@ import (
 // subgraph around the matched atom instead of the full-graph marginal read.
 // Answers are memoized in a small LRU keyed by (atom, generation, budget) —
 // every upsert bumps the generation, invalidating all cached subgraphs at
-// once, the same stamp discipline the score cache uses.
+// once.
 
 // localKey identifies one cached lazy answer. The generation stamp makes
 // invalidation free: entries from an older generation simply never match and
@@ -106,7 +106,7 @@ func (c *localCache) get(k localKey, key string) (*core.LocalResult, bool) {
 			derived := *base // shallow copy: shares the immutable marginals
 			derived.Key = key
 			derived.Marginal = m
-			derived.Score = localScoreOf(m)
+			derived.Score = core.ScoreOf(m)
 			derived.GroundTime, derived.SampleTime = 0, 0
 			// Memoize under the primary key; the base entry's reverse index
 			// stays authoritative, so no rev registrations here.
@@ -148,22 +148,6 @@ func (c *localCache) putLocked(k localKey, res *core.LocalResult, revKeys []loca
 	}
 }
 
-// localScoreOf reduces a marginal to the factual score — P(true) for binary
-// atoms, the modal probability otherwise (core's scoreOf, replicated for
-// derived cache answers).
-func localScoreOf(m []float64) float64 {
-	if len(m) == 2 {
-		return m[1]
-	}
-	var best float64
-	for _, p := range m {
-		if p > best {
-			best = p
-		}
-	}
-	return best
-}
-
 // len reports the live entry count (tests).
 func (c *localCache) len() int {
 	c.mu.Lock()
@@ -183,13 +167,14 @@ func (s *Server) localBudget(r *http.Request) (int, error) {
 
 // localScore answers one matched atom through the lazy path: LRU first, then
 // a fresh QueryLocal (which nests local_ground / local_sample stages under
-// the request span on ctx). Caller holds the read lock.
-func (s *Server) localScore(ctx context.Context, vid factorgraph.VarID, gen uint64, budget int) (*core.LocalResult, error) {
-	k := localKey{vid: vid, gen: gen, budget: budget}
-	if res, ok := s.locals.get(k, s.keys[vid]); ok {
+// the request span on ctx). Caller holds the read lock; v is the live view.
+func (s *Server) localScore(ctx context.Context, v *view, vid factorgraph.VarID, budget int) (*core.LocalResult, error) {
+	k := localKey{vid: vid, gen: v.gen, budget: budget}
+	key := v.ground.Keys[vid]
+	if res, ok := s.locals.get(k, key); ok {
 		return res, nil
 	}
-	res, err := s.sys.QueryLocal(ctx, s.keys[vid], core.LocalBudget{
+	res, err := s.sys.QueryLocal(ctx, key, core.LocalBudget{
 		MaxVars: budget,
 		Epochs:  s.opts.LocalEpochs,
 	})
@@ -202,10 +187,9 @@ func (s *Server) localScore(ctx context.Context, vid factorgraph.VarID, gen uint
 	// Register the subgraph's other interior atoms in the reverse index, so
 	// overlapping point queries reuse this result instead of regrounding.
 	revKeys := make([]localKey, 0, len(res.Interior))
-	varID := s.sys.Grounding().VarID
 	for key := range res.Interior {
-		if vid2, ok := varID[key]; ok && vid2 != vid {
-			revKeys = append(revKeys, localKey{vid: vid2, gen: gen, budget: budget})
+		if vid2, ok := v.ground.VarID[key]; ok && vid2 != vid {
+			revKeys = append(revKeys, localKey{vid: vid2, gen: v.gen, budget: budget})
 		}
 	}
 	s.locals.put(k, res, revKeys)
@@ -216,20 +200,20 @@ func (s *Server) localScore(ctx context.Context, vid factorgraph.VarID, gen uint
 // over its bounded subgraph. Runs only on the live path — a degraded read
 // cannot touch the (mutating) system, so stale point queries fall back to
 // snapshot marginals.
-func (s *Server) servePointLocal(w http.ResponseWriter, r *http.Request, rq *reqScope, rs readState, items []rtree.Item, rel string, budget int) {
-	resp := queryResponse{Relation: rel, Generation: rs.gen, Budget: budget}
+func (s *Server) servePointLocal(w http.ResponseWriter, r *http.Request, rq *reqScope, v *view, items []rtree.Item, rel string, budget int) {
+	resp := queryResponse{Relation: rel, Generation: v.gen, Budget: budget}
 	resp.Atoms = make([]ScoredAtom, 0, len(items))
 	for _, it := range items {
 		vid := factorgraph.VarID(it.Data)
-		res, err := s.localScore(r.Context(), vid, rs.gen, budget)
+		res, err := s.localScore(r.Context(), v, vid, budget)
 		if err != nil {
 			s.fail(w, rq, http.StatusInternalServerError, "local query: %v", err)
 			return
 		}
-		v := s.sys.Grounding().Graph.Var(vid)
+		loc := v.ground.Graph.Var(vid).Loc
 		resp.Atoms = append(resp.Atoms, ScoredAtom{
-			Key:        s.keys[vid],
-			Location:   [2]float64{v.Loc.X, v.Loc.Y},
+			Key:        v.ground.Keys[vid],
+			Location:   [2]float64{loc.X, loc.Y},
 			Score:      res.Score,
 			Marginal:   res.Marginal,
 			LocalVars:  res.Vars,

@@ -85,11 +85,6 @@ func TestExplainProvenance(t *testing.T) {
 		t.Fatal("explain returned no factors")
 	}
 
-	// The score endpoints cache the marginal they serve; explain reports it.
-	if !ex.Cached {
-		t.Error("explain after a point query must see the cached score")
-	}
-
 	// Independent verification: ground the same scenario as a batch System
 	// and decode the same atom's compiled program. Kind, weight, rule and
 	// endpoint keys must all agree with what the server reported.
@@ -103,11 +98,7 @@ func TestExplainProvenance(t *testing.T) {
 	if !ok {
 		t.Fatalf("batch grounding lacks atom %q", key)
 	}
-	keys := make([]string, ground.Graph.NumVars())
-	for k, v := range ground.VarID {
-		keys[v] = k
-	}
-	want := explainFactors(ground, keys, vid)
+	want := explainFactors(ground, vid)
 	if len(want) != len(ex.Factors) {
 		t.Fatalf("explain reports %d factors, batch graph has %d", len(ex.Factors), len(want))
 	}
@@ -397,7 +388,7 @@ func TestExplainDegradedPath(t *testing.T) {
 	if len(ex.Factors) == 0 || len(ex.Marginal) != 2 {
 		t.Errorf("degraded explain dropped provenance: %+v", ex)
 	}
-	if ex.Conclique != nil || ex.Cached {
+	if ex.Conclique != nil {
 		t.Errorf("degraded explain must omit live-sampler fields: %+v", ex)
 	}
 }
@@ -417,7 +408,7 @@ func TestExplainJSONShape(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{"key", "relation", "var_id", "generation", "score", "marginal", "evidence", "pinned", "cached", "factors"} {
+	for _, field := range []string{"key", "relation", "var_id", "generation", "score", "marginal", "evidence", "pinned", "factors"} {
 		if _, ok := raw[field]; !ok {
 			t.Errorf("explain body missing %q: %v", field, raw)
 		}

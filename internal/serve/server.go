@@ -3,12 +3,12 @@
 // over the grounded atoms, and evidence upserts folded in live through delta
 // grounding plus dirty-conclique incremental resampling.
 //
-// Concurrency model: one RWMutex guards the system. Queries hold the read
-// lock (the sampler is quiescent between upserts, so reading marginals is
-// safe); upserts hold the write lock across append → delta-ground → resample
-// → cache flush, so readers never observe a half-applied update. Scores are
-// memoized in a TTL'd read-through cache keyed by (variable, generation);
-// every resample bumps the generation, invalidating the whole cache at once.
+// Concurrency model: one RWMutex guards the system. Every read answers from
+// one view — a generation's grounding, R-trees and marginal source. Queries
+// hold the read lock and read the live view, whose marginals come straight
+// off the sampler's counters (the sampler is quiescent between upserts);
+// upserts hold the write lock across append → delta-ground → resample →
+// generation bump, so readers never observe a half-applied update.
 //
 // Durability: with Options.WALPath set, every accepted evidence batch is
 // appended to a CRC-framed write-ahead log *before* it is applied, so an
@@ -17,16 +17,17 @@
 // re-derive-from-scratch. Replay is at-least-once — safe because evidence
 // pins are first-pin-wins, so re-applying a batch is idempotent.
 //
-// Degradation: upserts publish a generation-stamped immutable snapshot of
-// the serving state (keys, R-trees, graph, marginals) before they start
-// mutating; readers that would block on the write lock serve from that
-// snapshot with stale: true instead. A bounded in-flight upsert queue sheds
-// excess writers with 429 rather than letting them pile up on the lock.
+// Degradation: upserts publish a stale copy of the live view, with its
+// marginals snapshotted, before they start mutating; readers that would
+// block on the write lock answer from that copy with stale: true instead. A
+// bounded in-flight upsert queue sheds excess writers with 429 rather than
+// letting them pile up on the lock.
 package serve
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -40,6 +41,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/factorgraph"
 	"repro/internal/geom"
+	"repro/internal/gibbs"
 	"repro/internal/grounding"
 	"repro/internal/index/rtree"
 	"repro/internal/obs"
@@ -52,10 +54,6 @@ type Options struct {
 	// delta path, full epochs after a structural re-ground (0 → the
 	// system's configured epoch budget).
 	Epochs int
-	// CacheTTL bounds how long a cached score may serve reads without being
-	// recomputed from the sampler's counters (0 → cache entries live until
-	// the next resample invalidates them).
-	CacheTTL time.Duration
 	// Metrics receives the sya_serve_* series (nil disables).
 	Metrics *obs.Registry
 
@@ -104,14 +102,10 @@ type Server struct {
 	// makes lock-free marginal reads under RLock sound.
 	mu  sync.RWMutex
 	sys *core.System
-	// trees indexes each variable relation's grounded atoms by location;
-	// Item.Data is the factor-graph VarID.
-	trees map[string]*rtree.Tree
-	// keys resolves a VarID back to its "relation|terms..." atom key.
-	keys []string
-	gen  uint64
+	// live is the view reads answer from under the read lock. Every write
+	// re-points it at the system before releasing the lock (publishLive).
+	live view
 
-	cache *scoreCache
 	// locals caches lazy point-query answers; generation-stamped keys make
 	// upsert invalidation implicit.
 	locals *localCache
@@ -121,10 +115,10 @@ type Server struct {
 	wal    *wal.Log
 	replay wal.ReplayStats
 
-	// degraded holds the immutable read snapshot published by an in-flight
-	// upsert; nil when no writer is active. Readers that cannot take the
-	// read lock serve from it instead of blocking.
-	degraded atomic.Pointer[staleView]
+	// degraded holds the stale view published by an in-flight upsert; nil
+	// when no writer is active. Readers that cannot take the read lock
+	// answer from it instead of blocking.
+	degraded atomic.Pointer[view]
 
 	// upsertSlots is the bounded admission queue for evidence requests; a
 	// full channel sheds the upsert with 429.
@@ -167,12 +161,20 @@ const (
 var endpoints = []string{"point", "range", "knn", "evidence", "explain"}
 var outcomes = []string{outcomeOK, outcomeStale, outcomeShed, outcomeError}
 
+// ErrSharded is New's refusal of a System configured with Shards > 1.
+// Sharded inference is batch-only: it never builds the live sampler that
+// reads come from and upserts pin evidence into.
+var ErrSharded = errors.New("serve: a sharded system (Shards > 1) cannot be served")
+
 // New wraps an already-constructed system. With a WALPath the evidence log
 // is replayed into the storage tables first, so grounding (run here if the
 // caller has not) derives a KB that already contains every acked upsert.
 // Inference is left to Warmup so callers control the initial sampling
 // budget. The server takes ownership: Close releases the system and the WAL.
 func New(sys *core.System, opts Options) (*Server, error) {
+	if sys.Config().Shards > 1 {
+		return nil, ErrSharded
+	}
 	if opts.Epochs == 0 {
 		opts.Epochs = sys.Config().Epochs
 	}
@@ -224,7 +226,6 @@ func New(sys *core.System, opts Options) (*Server, error) {
 	s := &Server{
 		opts:        opts,
 		sys:         sys,
-		cache:       newScoreCache(opts.CacheTTL, m),
 		locals:      newLocalCache(opts.LocalCacheSize, m),
 		wal:         wlog,
 		replay:      replay,
@@ -248,7 +249,7 @@ func New(sys *core.System, opts Options) (*Server, error) {
 				m.With("endpoint", ep, "outcome", oc).Histogram("sya_serve_request_seconds", latencyBuckets)
 		}
 	}
-	s.rebuildIndex()
+	s.syncLive()
 	return s, nil
 }
 
@@ -271,7 +272,7 @@ func (s *Server) Warmup(ctx context.Context, epochs int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.publishStale()
-	defer s.degraded.Store(nil)
+	defer s.publishLive()
 	if epochs == 0 {
 		epochs = s.opts.Epochs
 	}
@@ -288,6 +289,7 @@ func (s *Server) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sys.Close()
+	s.syncLive() // drop the closed sampler from the live view
 	if s.wal != nil {
 		w := s.wal
 		s.wal = nil
@@ -304,80 +306,23 @@ func (s *Server) System() *core.System { return s.sys }
 func (s *Server) Generation() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.gen
+	return s.live.gen
 }
 
-// rebuildIndex rebuilds the per-relation R-trees and the key table from the
-// current grounding. Caller holds the write lock (or is in New).
-func (s *Server) rebuildIndex() {
-	ground := s.sys.Grounding()
-	relNames := make(map[int32]string, len(ground.RelationIndex))
-	for name, idx := range ground.RelationIndex {
-		relNames[idx] = name
-	}
-	items := make(map[string][]rtree.Item)
-	g := ground.Graph
-	s.keys = make([]string, g.NumVars())
-	for key, vid := range ground.VarID {
-		s.keys[vid] = key
-	}
-	atoms := 0
-	g.Vars(func(id factorgraph.VarID, v factorgraph.Variable) bool {
-		if !v.HasLoc {
-			return true
-		}
-		rel := relNames[v.Relation]
-		items[rel] = append(items[rel], rtree.Item{Rect: v.Loc.Bounds(), Data: int64(id)})
-		atoms++
-		return true
-	})
-	s.trees = make(map[string]*rtree.Tree, len(items))
-	for rel, its := range items {
-		s.trees[rel] = rtree.Bulk(its)
-	}
-	s.mAtoms.Set(float64(atoms))
-}
-
-// bumpGeneration invalidates every cached score. Caller holds the write lock.
+// bumpGeneration publishes a resample: reads carry the new generation, and
+// lazy answers stamped with the old one stop matching. Caller holds the
+// write lock.
 func (s *Server) bumpGeneration() {
-	s.gen++
-	s.cache.reset()
-	s.mGen.Set(float64(s.gen))
-}
-
-// marginalFor reads the current marginal of one variable. Caller holds at
-// least the read lock; the sampler is quiescent (sweeps run only under the
-// write lock), so per-variable counter reads are stable.
-func (s *Server) marginalFor(vid factorgraph.VarID) []float64 {
-	if m, ok := s.cache.get(vid, s.gen); ok {
-		return m
-	}
-	var m []float64
-	if smp := s.sys.Sampler(); smp != nil {
-		m = smp.MarginalVar(vid)
-	} else {
-		// No sampler yet (Warmup not run): evidence is known, queries are
-		// uniform.
-		g := s.sys.Grounding().Graph
-		v := g.Var(vid)
-		m = make([]float64, v.Domain)
-		if v.Evidence != factorgraph.NoEvidence {
-			m[v.Evidence] = 1
-		} else {
-			for i := range m {
-				m[i] = 1 / float64(len(m))
-			}
-		}
-	}
-	s.cache.put(vid, s.gen, m)
-	return m
+	s.live.gen++
+	s.mGen.Set(float64(s.live.gen))
 }
 
 // ScoredAtom is one query result: a grounded atom with its factual score.
 type ScoredAtom struct {
 	Key      string     `json:"key"`
 	Location [2]float64 `json:"location"`
-	// Score is P(true) for binary atoms (marginal[1]).
+	// Score is core.ScoreOf(Marginal): P(true) for binary atoms, the modal
+	// probability for categorical ones.
 	Score    float64   `json:"score"`
 	Marginal []float64 `json:"marginal"`
 
@@ -389,129 +334,131 @@ type ScoredAtom struct {
 	Truncated  bool    `json:"truncated,omitempty"`
 }
 
-func (s *Server) scoredAtom(vid factorgraph.VarID) ScoredAtom {
-	v := s.sys.Grounding().Graph.Var(vid)
-	m := s.marginalFor(vid)
-	score := 0.0
-	if len(m) > 1 {
-		score = m[1]
-	}
-	return ScoredAtom{
-		Key:      s.keys[vid],
-		Location: [2]float64{v.Loc.X, v.Loc.Y},
-		Score:    score,
-		Marginal: m,
-	}
-}
-
-// staleView is the immutable snapshot an upsert publishes before mutating
-// the system: the previous generation's keys, R-trees, ground graph and
-// marginals. Everything in it stays valid while the writer works — the
-// trees are immutable after Bulk, a structural re-ground *replaces* the
-// graph rather than mutating it, and the marginals are copied out of the
-// sampler's counters before any resample starts.
-type staleView struct {
-	gen       uint64
-	keys      []string
-	trees     map[string]*rtree.Tree
-	graph     *factorgraph.Graph
-	marginals [][]float64
-	vars      int
-	// ground is the grounding Result the snapshot was taken from. A
-	// structural re-ground replaces the Result wholesale (its VarID map,
-	// rule tables and graph are never mutated in place), so the degraded
-	// explain path can keep resolving atoms against it.
+// view is one generation's read state: the grounding that atoms, keys and
+// provenance resolve against, the R-trees over its located atoms, and the
+// source of its marginals. The live view reads marginals off the sampler's
+// counters; the stale copy an upsert publishes carries a snapshot taken
+// before the writer started. Everything a view points at stays valid while
+// a writer works: the trees are immutable after Bulk, and a structural
+// re-ground replaces the grounding Result rather than mutating it.
+type view struct {
+	gen    uint64
 	ground *grounding.Result
+	// trees indexes each variable relation's grounded atoms by location;
+	// Item.Data is the factor-graph VarID.
+	trees map[string]*rtree.Tree
+	// sampler is the live view's marginal source (nil before inference);
+	// marginals is the stale view's (nil when no sampler had run).
+	sampler   gibbs.Sampler
+	marginals [][]float64
+	stale     bool
 }
 
-func (v *staleView) atom(vid factorgraph.VarID) ScoredAtom {
-	gv := v.graph.Var(vid)
-	var m []float64
-	if int(vid) < len(v.marginals) {
-		m = v.marginals[vid]
+// marginal reads one variable's marginal: the snapshot, the sampler, or —
+// before any inference — the graph's prior.
+func (v *view) marginal(vid factorgraph.VarID) []float64 {
+	switch {
+	case v.marginals != nil:
+		return v.marginals[vid]
+	case v.sampler != nil:
+		return v.sampler.MarginalVar(vid)
 	}
-	if m == nil {
-		m = make([]float64, gv.Domain)
-		if gv.Evidence != factorgraph.NoEvidence {
-			m[gv.Evidence] = 1
-		} else {
-			for i := range m {
-				m[i] = 1 / float64(len(m))
-			}
-		}
-	}
-	score := 0.0
-	if len(m) > 1 {
-		score = m[1]
-	}
+	return v.ground.Graph.PriorMarginal(vid)
+}
+
+func (v *view) atom(vid factorgraph.VarID) ScoredAtom {
+	m := v.marginal(vid)
+	loc := v.ground.Graph.Var(vid).Loc
 	return ScoredAtom{
-		Key:      v.keys[vid],
-		Location: [2]float64{gv.Loc.X, gv.Loc.Y},
-		Score:    score,
+		Key:      v.ground.Keys[vid],
+		Location: [2]float64{loc.X, loc.Y},
+		Score:    core.ScoreOf(m),
 		Marginal: m,
 	}
 }
 
-// publishStale snapshots the current serving state into s.degraded so reads
-// arriving during the upsert can be answered without the lock. Caller holds
-// the write lock and must Store(nil) before releasing it.
-func (s *Server) publishStale() {
+// tree resolves a relation's spatial index.
+func (v *view) tree(relation string) (*rtree.Tree, bool) {
+	t, ok := v.trees[strings.ToLower(relation)]
+	return t, ok
+}
+
+// syncLive re-points the live view at the system: its current sampler, and
+// fresh R-trees when the grounding was replaced. Caller holds the write lock
+// (or is in New).
+func (s *Server) syncLive() {
+	s.live.sampler = s.sys.Sampler()
 	ground := s.sys.Grounding()
-	sv := &staleView{
-		gen:    s.gen,
-		keys:   s.keys,
-		trees:  s.trees,
-		graph:  ground.Graph,
-		vars:   ground.Stats.Vars,
-		ground: ground,
+	if ground == s.live.ground {
+		return
 	}
-	if smp := s.sys.Sampler(); smp != nil {
+	relNames := make(map[int32]string, len(ground.RelationIndex))
+	for name, idx := range ground.RelationIndex {
+		relNames[idx] = name
+	}
+	items := make(map[string][]rtree.Item)
+	atoms := 0
+	ground.Graph.Vars(func(id factorgraph.VarID, v factorgraph.Variable) bool {
+		if !v.HasLoc {
+			return true
+		}
+		rel := relNames[v.Relation]
+		items[rel] = append(items[rel], rtree.Item{Rect: v.Loc.Bounds(), Data: int64(id)})
+		atoms++
+		return true
+	})
+	s.live.ground = ground
+	s.live.trees = make(map[string]*rtree.Tree, len(items))
+	for rel, its := range items {
+		s.live.trees[rel] = rtree.Bulk(its)
+	}
+	s.mAtoms.Set(float64(atoms))
+}
+
+// publishStale publishes a stale copy of the live view into s.degraded so
+// reads arriving during a write can be answered without the lock. Caller
+// holds the write lock and must publishLive before releasing it.
+func (s *Server) publishStale() {
+	sv := s.live
+	sv.stale, sv.sampler = true, nil
+	if smp := s.live.sampler; smp != nil {
 		// Marginals() allocates fresh slices, so the snapshot is decoupled
 		// from the counters the resample is about to advance.
 		sv.marginals = smp.Marginals()
 	}
-	s.degraded.Store(sv)
+	s.degraded.Store(&sv)
 }
 
-// acquireRead is the read-side admission point. It returns nil after taking
-// the read lock (caller must RUnlock — the live path), or a stale snapshot
-// when an upsert holds the write lock (caller must not touch s.sys).
-func (s *Server) acquireRead() *staleView {
+// publishLive ends a write: it re-points the live view at the system and
+// retires the stale copy. Caller still holds the write lock.
+func (s *Server) publishLive() {
+	s.syncLive()
+	s.degraded.Store(nil)
+}
+
+// acquireRead is the read-side admission point. It returns the view a read
+// answers from and the release the caller must defer: the live view under
+// the read lock, or — while a writer holds the lock — its stale copy, which
+// takes no lock and must not touch s.sys.
+func (s *Server) acquireRead() (*view, func()) {
 	for {
 		v := s.degraded.Load()
 		if v == nil {
 			s.mu.RLock()
-			return nil
+			return &s.live, s.mu.RUnlock
 		}
 		if !s.mu.TryRLock() {
 			s.mStaleReads.Inc()
-			return v
+			return v, func() {}
 		}
 		// The writer retired between the load and the try. If no new writer
 		// published in the meantime we hold a clean read lock; otherwise
 		// release and re-decide.
 		if s.degraded.Load() == nil {
-			return nil
+			return &s.live, s.mu.RUnlock
 		}
 		s.mu.RUnlock()
 	}
-}
-
-// readState is what a score handler needs from either path: the live state
-// under RLock, or a stale snapshot.
-type readState struct {
-	gen     uint64
-	stale   bool
-	trees   map[string]*rtree.Tree
-	atom    func(vid factorgraph.VarID) ScoredAtom
-	release func()
-}
-
-func (s *Server) beginRead() readState {
-	if sv := s.acquireRead(); sv != nil {
-		return readState{gen: sv.gen, stale: true, trees: sv.trees, atom: sv.atom, release: func() {}}
-	}
-	return readState{gen: s.gen, trees: s.trees, atom: s.scoredAtom, release: s.mu.RUnlock}
 }
 
 // Handler returns the server's HTTP API:
@@ -597,13 +544,6 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// lookupTree resolves a relation's spatial index in a tree map (the live
-// one under the read lock, or a stale snapshot's).
-func lookupTree(trees map[string]*rtree.Tree, relation string) (*rtree.Tree, bool) {
-	t, ok := trees[strings.ToLower(relation)]
-	return t, ok
-}
-
 func queryFloat(r *http.Request, name string) (float64, error) {
 	raw := r.URL.Query().Get(name)
 	if raw == "" {
@@ -616,29 +556,29 @@ func queryFloat(r *http.Request, name string) (float64, error) {
 // served from the degraded-read snapshot (the generation they belong to)
 // while an upsert or re-ground is in flight.
 type queryResponse struct {
-	Relation   string       `json:"relation"`
-	Generation uint64       `json:"generation"`
-	Stale      bool         `json:"stale,omitempty"`
+	Relation   string `json:"relation"`
+	Generation uint64 `json:"generation"`
+	Stale      bool   `json:"stale,omitempty"`
 	// Budget is the lazy-path variable budget the atoms were answered
 	// under; 0 means the full-graph path.
 	Budget int          `json:"budget,omitempty"`
 	Atoms  []ScoredAtom `json:"atoms"`
 }
 
-// beginReadTraced is beginRead with the lock acquisition recorded as an
-// "acquire_read" stage and the stale outcome propagated to the scope.
-func (s *Server) beginReadTraced(rq *reqScope) readState {
+// beginRead is acquireRead recorded as the request's "acquire_read" stage,
+// with a stale view propagated to the request's outcome.
+func (s *Server) beginRead(rq *reqScope) (*view, func()) {
 	sp := rq.span.Child("acquire_read")
-	rs := s.beginRead()
+	v, release := s.acquireRead()
 	sp.End()
-	rq.stale = rs.stale
-	return rs
+	rq.stale = v.stale
+	return v, release
 }
 
 // probeAndScore runs the common tail of a score query: time the R-tree probe
-// ("rtree_probe") and the cache/marginal reads ("score") as stages of the
-// request trace.
-func probeAndScore(rq *reqScope, rs readState, probe func() []rtree.Item) []ScoredAtom {
+// ("rtree_probe") and the marginal reads ("score") as stages of the request
+// trace.
+func probeAndScore(rq *reqScope, v *view, probe func() []rtree.Item) []ScoredAtom {
 	sp := rq.span.Child("rtree_probe")
 	items := probe()
 	sp.Notef("hits=%d", len(items))
@@ -646,7 +586,7 @@ func probeAndScore(rq *reqScope, rs readState, probe func() []rtree.Item) []Scor
 	sp = rq.span.Child("score")
 	atoms := make([]ScoredAtom, 0, len(items))
 	for _, it := range items {
-		atoms = append(atoms, rs.atom(factorgraph.VarID(it.Data)))
+		atoms = append(atoms, v.atom(factorgraph.VarID(it.Data)))
 	}
 	sp.End()
 	return atoms
@@ -661,14 +601,14 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request, rq *reqScop
 		s.fail(w, rq, http.StatusBadRequest, "point query needs relation, x, y (and budget ≥ 0)")
 		return
 	}
-	rs := s.beginReadTraced(rq)
-	defer rs.release()
-	tree, ok := lookupTree(rs.trees, rel)
+	v, release := s.beginRead(rq)
+	defer release()
+	tree, ok := v.tree(rel)
 	if !ok {
 		s.fail(w, rq, http.StatusNotFound, "unknown variable relation %q", rel)
 		return
 	}
-	if budget > 0 && !rs.stale {
+	if budget > 0 && !v.stale {
 		// Lazy path: answer from a bounded subgraph around each matched
 		// atom. Degraded reads fall through to the snapshot marginals —
 		// the system is mutating under the writer and cannot be sampled.
@@ -676,11 +616,11 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request, rq *reqScop
 		items := tree.SearchAll(geom.Pt(x, y).Bounds())
 		sp.Notef("hits=%d", len(items))
 		sp.End()
-		s.servePointLocal(w, r, rq, rs, items, rel, budget)
+		s.servePointLocal(w, r, rq, v, items, rel, budget)
 		return
 	}
-	resp := queryResponse{Relation: rel, Generation: rs.gen, Stale: rs.stale}
-	resp.Atoms = probeAndScore(rq, rs, func() []rtree.Item {
+	resp := queryResponse{Relation: rel, Generation: v.gen, Stale: v.stale}
+	resp.Atoms = probeAndScore(rq, v, func() []rtree.Item {
 		return tree.SearchAll(geom.Pt(x, y).Bounds())
 	})
 	writeJSON(w, resp)
@@ -696,16 +636,16 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request, rq *reqScop
 		s.fail(w, rq, http.StatusBadRequest, "range query needs relation, minx, miny, maxx, maxy")
 		return
 	}
-	rs := s.beginReadTraced(rq)
-	defer rs.release()
-	tree, ok := lookupTree(rs.trees, rel)
+	v, release := s.beginRead(rq)
+	defer release()
+	tree, ok := v.tree(rel)
 	if !ok {
 		s.fail(w, rq, http.StatusNotFound, "unknown variable relation %q", rel)
 		return
 	}
 	window := geom.NewRect(geom.Pt(minx, miny), geom.Pt(maxx, maxy))
-	resp := queryResponse{Relation: rel, Generation: rs.gen, Stale: rs.stale}
-	resp.Atoms = probeAndScore(rq, rs, func() []rtree.Item {
+	resp := queryResponse{Relation: rel, Generation: v.gen, Stale: v.stale}
+	resp.Atoms = probeAndScore(rq, v, func() []rtree.Item {
 		return tree.SearchAll(window)
 	})
 	// Window search order is tree order; sort for a stable API.
@@ -722,15 +662,15 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request, rq *reqScope)
 		s.fail(w, rq, http.StatusBadRequest, "knn query needs relation, x, y, k>0")
 		return
 	}
-	rs := s.beginReadTraced(rq)
-	defer rs.release()
-	tree, ok := lookupTree(rs.trees, rel)
+	v, release := s.beginRead(rq)
+	defer release()
+	tree, ok := v.tree(rel)
 	if !ok {
 		s.fail(w, rq, http.StatusNotFound, "unknown variable relation %q", rel)
 		return
 	}
-	resp := queryResponse{Relation: rel, Generation: rs.gen, Stale: rs.stale}
-	resp.Atoms = probeAndScore(rq, rs, func() []rtree.Item {
+	resp := queryResponse{Relation: rel, Generation: v.gen, Stale: v.stale}
+	resp.Atoms = probeAndScore(rq, v, func() []rtree.Item {
 		return tree.NearestK(geom.Pt(x, y), k)
 	})
 	writeJSON(w, resp)
@@ -793,11 +733,11 @@ func (s *Server) handleEvidence(w http.ResponseWriter, r *http.Request, rq *reqS
 	s.mu.Lock()
 	sp.End()
 	defer s.mu.Unlock()
-	// From here reads are served degraded from the pre-upsert snapshot
-	// instead of blocking on the lock. LIFO defers: the snapshot is cleared
-	// before the lock is released.
+	// From here reads are served degraded from the pre-upsert view instead
+	// of blocking on the lock. LIFO defers: the live view is re-pointed at
+	// the system and the stale copy retired before the lock is released.
 	s.publishStale()
-	defer s.degraded.Store(nil)
+	defer s.publishLive()
 
 	sp = rq.span.Child("validate")
 	if _, err := s.sys.DB().Table(req.Relation); err != nil {
@@ -856,10 +796,9 @@ func (s *Server) handleEvidence(w http.ResponseWriter, r *http.Request, rq *reqS
 		inferCtx = obs.ContextWithSpan(inferCtx, rsp)
 		epochs = s.opts.Epochs
 		if stats.Structural {
-			// The grounding (and its VarIDs) changed wholesale: rebuild the
-			// serving indexes and re-infer from scratch.
+			// The grounding (and its VarIDs) changed wholesale: re-infer
+			// from scratch (publishLive rebuilds the R-trees).
 			s.mStructural.Inc()
-			s.rebuildIndex()
 			_, _, err = s.sys.InferContext(inferCtx, epochs)
 		} else {
 			_, _, err = s.sys.InferIncrementalContext(inferCtx, epochs)
@@ -875,7 +814,7 @@ func (s *Server) handleEvidence(w http.ResponseWriter, r *http.Request, rq *reqS
 		s.mStaleness.Observe(time.Since(rq.start).Seconds())
 	}
 	writeJSON(w, evidenceResponse{
-		Generation:  s.gen,
+		Generation:  s.live.gen,
 		Rows:        stats.Rows,
 		Pins:        stats.Pins,
 		SkippedPins: stats.SkippedPins,
@@ -896,23 +835,18 @@ type healthResponse struct {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	// Config is immutable, so the engine name needs no lock either way.
-	engine := s.sys.Config().Engine.String()
-	if sv := s.acquireRead(); sv != nil {
-		writeJSON(w, healthResponse{
-			Status:     "degraded",
-			Engine:     engine,
-			Vars:       sv.vars,
-			Generation: sv.gen,
-			Degraded:   true,
-		})
-		return
+	v, release := s.acquireRead()
+	defer release()
+	resp := healthResponse{
+		Status: "ok",
+		// Config is immutable, so the engine name needs no lock either way.
+		Engine:     s.sys.Config().Engine.String(),
+		Vars:       v.ground.Stats.Vars,
+		Generation: v.gen,
+		Degraded:   v.stale,
 	}
-	defer s.mu.RUnlock()
-	writeJSON(w, healthResponse{
-		Status:     "ok",
-		Engine:     engine,
-		Vars:       s.sys.Grounding().Stats.Vars,
-		Generation: s.gen,
-	})
+	if v.stale {
+		resp.Status = "degraded"
+	}
+	writeJSON(w, resp)
 }

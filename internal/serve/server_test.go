@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -200,6 +201,21 @@ func TestServeEndpoints(t *testing.T) {
 		if !strings.Contains(string(text), want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestNewRefusesShardedSystem: sharded inference never builds the live
+// sampler reads come from, so serving one would answer uniform marginals
+// after Warmup and grow a second, unsharded sampler on the first pin.
+func TestNewRefusesShardedSystem(t *testing.T) {
+	sys := newEbolaSystem(t, core.Config{Engine: core.EngineSya, Seed: 7, Shards: 2})
+	defer sys.Close()
+	srv, err := New(sys, Options{})
+	if !errors.Is(err, ErrSharded) {
+		if srv != nil {
+			srv.Close()
+		}
+		t.Fatalf("New over a 2-shard system: err = %v, want ErrSharded", err)
 	}
 }
 

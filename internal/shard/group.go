@@ -562,19 +562,15 @@ func (gr *Group) Marginals() [][]float64 {
 	nv := gr.g.NumVars()
 	out := make([][]float64, nv)
 	for i := 0; i < nv; i++ {
-		meta := gr.g.Var(factorgraph.VarID(i))
+		vid := factorgraph.VarID(i)
+		meta := gr.g.Var(vid)
+		if meta.Evidence != factorgraph.NoEvidence || gr.counts == nil || gr.counts[i] == nil || gr.totals[i] <= 0 {
+			out[i] = gr.g.PriorMarginal(vid)
+			continue
+		}
 		m := make([]float64, meta.Domain)
-		switch {
-		case meta.Evidence != factorgraph.NoEvidence:
-			m[meta.Evidence] = 1
-		case gr.counts != nil && gr.counts[i] != nil && gr.totals[i] > 0:
-			for x, c := range gr.counts[i] {
-				m[x] = c / gr.totals[i]
-			}
-		default:
-			for x := range m {
-				m[x] = 1 / float64(meta.Domain)
-			}
+		for x, c := range gr.counts[i] {
+			m[x] = c / gr.totals[i]
 		}
 		out[i] = m
 	}
