@@ -656,8 +656,9 @@ func (s *System) LearnWeights(opts learn.Options) (map[string]float64, error) {
 	return s.LearnWeightsContext(context.Background(), opts)
 }
 
-// LearnWeightsContext is LearnWeights under a context, checked between
-// gradient iterations; a cancelled run returns the context error.
+// LearnWeightsContext is LearnWeights under a context, checked every chain
+// sweep; a cancelled run takes no step for the iteration it cut and returns
+// the context error.
 func (s *System) LearnWeightsContext(ctx context.Context, opts learn.Options) (map[string]float64, error) {
 	if s.ground == nil {
 		return nil, fmt.Errorf("core: Ground must run before LearnWeights")

@@ -105,12 +105,16 @@ type engine struct {
 }
 
 // start builds the chain state and the pool once the constructor has set the
-// identity fields: K instances and a pool of the given goroutine count (0:
-// chunks run inline on the caller).
+// identity fields and the schedule: K instances and a pool of the given
+// goroutine count (0: chunks run inline on the caller). A constructor that
+// brings its own programs has set sc; every other one scores through the
+// graph's folded set.
 func (s *engine) start(instances, goroutines int) {
-	s.sc = newScorer(s.g)
+	if s.sc.k == nil {
+		s.sc = newScorer(s.g)
+	}
 	s.pinned = make([]bool, s.g.NumVars())
-	s.pool = newPool(goroutines, instances, s.g)
+	s.pool = newPool(goroutines, instances, len(s.sched.vars)+len(s.sched.tail), s.g)
 	for k := 0; k < instances; k++ {
 		inst := &instance{assign: s.g.InitialAssignment(), counts: newCounts(s.g)}
 		s.instances = append(s.instances, inst)

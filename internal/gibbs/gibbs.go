@@ -128,11 +128,19 @@ type counts struct {
 	totals []int64   // [var]
 }
 
+// newCounts allocates zeroed counters for every variable of g: one row per
+// variable, all cut from one backing array.
 func newCounts(g *factorgraph.Graph) *counts {
 	n := g.NumVars()
 	cs := &counts{c: make([][]int64, n), totals: make([]int64, n)}
+	cells := 0
 	for i := 0; i < n; i++ {
-		cs.c[i] = make([]int64, g.Var(factorgraph.VarID(i)).Domain)
+		cells += int(g.DomainOf(factorgraph.VarID(i)))
+	}
+	flat := make([]int64, cells)
+	for i := 0; i < n; i++ {
+		d := int(g.DomainOf(factorgraph.VarID(i)))
+		cs.c[i], flat = flat[:d:d], flat[d:]
 	}
 	return cs
 }
@@ -147,27 +155,31 @@ func newCounts(g *factorgraph.Graph) *counts {
 // ulps of the threshold.
 func sampleOne(sc *scorer, v factorgraph.VarID, assign factorgraph.Assignment,
 	rng *prng, buf []float64) int32 {
+	var x int32
 	if sc.binary(v) {
-		// Max-subtracted softmax over (s0, s1) with the winner's exp folded
-		// away: the larger score exponentiates to exactly 1, so only one
-		// math.Exp of the log-odds d = s0 − s1 is needed (IEEE negation is
-		// exact: exp(s1-s0) == exp(-d)).
-		var x int32
-		if d := sc.logOdds(v, assign); d < 0 {
-			e0 := math.Exp(d)
-			if rng.Float64()*(e0+1) > e0 {
-				x = 1
-			}
-		} else if rng.Float64()*(1+math.Exp(-d)) > 1 {
-			x = 1
-		}
-		assign.Set(v, x)
-		return x
+		x = sampleBinary(sc.logOdds(v, assign), rng)
+	} else {
+		// Temperature 1: dividing by 1.0 is exact, so this is the plain softmax.
+		x = sampleSoftmax(sc.conditionalScores(v, assign, buf), 1, rng)
 	}
-	// Temperature 1: dividing by 1.0 is exact, so this is the plain softmax.
-	x := sampleSoftmax(sc.conditionalScores(v, assign, buf), 1, rng)
 	assign.Set(v, x)
 	return x
+}
+
+// sampleBinary is sampleOne's binary fast path: the draw of sampleSoftmax
+// over {d, 0} at temperature 1, from the log-odds d = s0 − s1 alone. The
+// larger score exponentiates to exactly 1, so only one math.Exp of ±d is
+// needed (IEEE negation is exact: exp(0−d) == exp(−d)), and the draw consumes
+// the same uniform and picks the same value for every finite d.
+func sampleBinary(d float64, rng *prng) int32 {
+	if d < 0 {
+		if e0 := math.Exp(d); rng.Float64()*(e0+1) > e0 {
+			return 1
+		}
+	} else if rng.Float64()*(1+math.Exp(-d)) > 1 {
+		return 1
+	}
+	return 0
 }
 
 // sampleSoftmax draws a value from softmax(scores / temp) by a

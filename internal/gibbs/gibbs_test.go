@@ -559,6 +559,105 @@ func TestSampleOneDistribution(t *testing.T) {
 	}
 }
 
+// TestBinaryDrawIsSoftmaxDraw: sampleOne's binary fast path is the softmax
+// draw over {d, 0} at temperature 1. From equal PRNG states both consume one
+// uniform and pick the same value for every finite d — ±0, subnormals, and
+// |d| past exp's overflow (≈ 709.78) and underflow (≈ −745.13) points
+// included — so a chain drawing binary variables through either makes the
+// same moves (weight learning's chains drew through a softmax copy, and MAP's
+// anneal at T = 1 still does). At d = ±Inf, where the softmax walk reads
+// NaN, the fast path gives the limiting value. Besides a random state, each
+// d is drawn from the five states whose uniforms straddle P(0) = 1/(1+e^−d),
+// where a draw that rounds differently would pick the other value.
+func TestBinaryDrawIsSoftmaxDraw(t *testing.T) {
+	src := taskRNG(28, 0xd8a3)
+	draw := func(d float64, state uint64) int32 {
+		t.Helper()
+		fast := prng{state: state}
+		soft := fast
+		x, y := sampleBinary(d, &fast), sampleSoftmax([]float64{d, 0}, 1, &soft)
+		if x != y || fast != soft {
+			t.Fatalf("d = %v (%#016x): fast path drew %d, softmax %d (states %#x, %#x)",
+				d, math.Float64bits(d), x, y, fast.state, soft.state)
+		}
+		return x
+	}
+	for i := 0; i < 1000; i++ {
+		m := src.next() >> 11
+		if u := (&prng{state: stateBefore(m)}).Float64(); u != float64(m)/(1<<53) {
+			t.Fatalf("stateBefore(%d) draws %v", m, u)
+		}
+	}
+	same := func(d float64) int32 {
+		t.Helper()
+		m0 := uint64(1 / (1 + math.Exp(-d)) * (1 << 53))
+		for m := max(m0, 2) - 2; m <= min(m0+2, 1<<53-1); m++ {
+			draw(d, stateBefore(m))
+		}
+		return draw(d, src.next())
+	}
+	edges := []float64{
+		0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1030, -0x1p-1030,
+		0x1p-1022, -0x1p-1022, 1e-17, -1e-17,
+		709.78, -709.78, 709.79, -709.79, 745.13, -745.13, 745.14, -745.14,
+		1e6, -1e6, math.MaxFloat64, -math.MaxFloat64,
+	}
+	for _, d := range edges {
+		for i := 0; i < 1000; i++ {
+			same(d)
+		}
+	}
+	var ones int32
+	n := 0
+	for n < 120000 {
+		var d float64
+		switch n % 3 {
+		case 0: // where both values are likely
+			d = 80*src.Float64() - 40
+		case 1: // any finite float64, subnormals included
+			if d = math.Float64frombits(src.next()); math.IsNaN(d) || math.IsInf(d, 0) {
+				continue
+			}
+		default: // around exp's overflow and underflow points
+			d = []float64{709.78, -709.78, 745.13, -745.13}[src.Intn(4)] + 0.02*src.Float64() - 0.01
+		}
+		ones += same(d)
+		n++
+	}
+	if ones == 0 || int(ones) == n {
+		t.Errorf("%d of %d draws were 1: the comparison never saw both values", ones, n)
+	}
+	for i := 0; i < 1000; i++ {
+		rng := prng{state: src.next()}
+		if x := sampleBinary(math.Inf(1), &rng); x != 0 {
+			t.Fatalf("d = +Inf drew %d, want 0", x)
+		}
+		if x := sampleBinary(math.Inf(-1), &rng); x != 1 {
+			t.Fatalf("d = −Inf drew %d, want 1", x)
+		}
+	}
+}
+
+// stateBefore returns the PRNG state whose next Float64 is m/2⁵³: it inverts
+// one step of next (the splitmix64 finalizer is a bijection).
+func stateBefore(m uint64) uint64 {
+	inv := func(c uint64) uint64 { // c⁻¹ mod 2⁶⁴ by Newton's iteration
+		x := c
+		for i := 0; i < 6; i++ {
+			x *= 2 - c*x
+		}
+		return x
+	}
+	z := m << 11
+	z ^= z>>31 ^ z>>62
+	z *= inv(0x94d049bb133111eb)
+	z ^= z>>27 ^ z>>54
+	z *= inv(0xbf58476d1ce4e5b9)
+	z ^= z>>30 ^ z>>60
+	return z - 0x9e3779b97f4a7c15
+}
+
 func TestSplitmixDecorrelation(t *testing.T) {
 	seen := map[uint64]bool{}
 	for i := uint64(0); i < 1000; i++ {

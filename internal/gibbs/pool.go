@@ -144,10 +144,10 @@ func (w *workerState) record(k int, v factorgraph.VarID, x int32) {
 }
 
 // newPool sizes a pool for a sampler over g with the given worker count and
-// number of sampler instances. workers = 0 builds an inline pool: one
-// scratch state, no goroutines.
-func newPool(workers, instances int, g *factorgraph.Graph) *Pool {
-	nq := len(queryVars(g))
+// number of sampler instances; nvars, the schedule's variable count, bounds
+// each touched list. workers = 0 builds an inline pool: one scratch state,
+// no goroutines.
+func newPool(workers, instances, nvars int, g *factorgraph.Graph) *Pool {
 	p := &Pool{
 		wg: new(sync.WaitGroup),
 		sh: new(poolShared),
@@ -163,7 +163,7 @@ func newPool(workers, instances int, g *factorgraph.Graph) *Pool {
 		}
 		for k := 0; k < instances; k++ {
 			w.dc[k] = newCounts(g)
-			w.touched[k] = make([]factorgraph.VarID, 0, nq)
+			w.touched[k] = make([]factorgraph.VarID, 0, nvars)
 		}
 		p.ws = append(p.ws, w)
 	}

@@ -12,10 +12,12 @@ import (
 )
 
 // BenchmarkLearnIteration times one Weights iteration — two sweeps of the
-// data chain and of the free model chain on the nothing-frozen programs, the
-// gradient counts and the weight write-back — on the 600-well GWDB graph the
-// grounding goldens use. One call runs b.N iterations, so the chains' set-up
-// (program compile, assignments) is amortized away.
+// data chain and of the free model chain (the sampler engine's sequential
+// schedule, both on one nothing-frozen program set, refolded once per
+// iteration), the gradient counts and the weight write-back — on the
+// 600-well GWDB graph the grounding goldens use. One call runs b.N
+// iterations, so the chains' set-up (program compile, assignments, counters)
+// is amortized away; the sweeps themselves allocate nothing.
 func BenchmarkLearnIteration(b *testing.B) {
 	data := datagen.Wells(datagen.WellsConfig{
 		N: 600, Seed: 1, Extent: 600, Clusters: 12, Bumps: 15, CorrelationLength: 100,

@@ -14,7 +14,11 @@
 // where n_r is the number of satisfied ground factors of rule r. Both
 // expectations are estimated with persistent Gibbs chains (contrastive
 // divergence): the data chain keeps the training labels (the graph's
-// evidence) clamped, the model chain samples every variable freely.
+// evidence) clamped, the model chain samples every variable freely. Both
+// chains are the sampler engine's sequential schedule (gibbs.NewSequentialOver)
+// over one nothing-frozen program set, so a learning draw is an inference
+// draw; this package keeps only the gradient, its normalisation, the
+// clamping and the spatial-scale term.
 package learn
 
 import (
@@ -24,6 +28,7 @@ import (
 	"time"
 
 	"repro/internal/factorgraph"
+	"repro/internal/gibbs"
 	"repro/internal/obs"
 )
 
@@ -31,40 +36,33 @@ import (
 type Options struct {
 	// Iterations of stochastic gradient ascent. Default 100.
 	Iterations int
-	// SweepsPerIteration advances each persistent chain this many Gibbs
-	// sweeps before the gradient estimate. Default 2.
-	SweepsPerIteration int
 	// LearningRate scales gradient steps; it is normalized internally by
 	// the per-rule factor counts so rules with many groundings do not
 	// dominate. Default 0.5.
 	LearningRate float64
-	// L2 is the weight-decay regularizer. Default 0.01.
-	L2 float64
 	// LearnSpatialScale also learns one multiplier applied to every
 	// spatial factor weight (preserving the distance-decay shape).
 	LearnSpatialScale bool
-	// MaxWeight clamps learned weights into [-MaxWeight, MaxWeight].
-	// Default 5.
-	MaxWeight float64
 	// Seed drives the chains.
 	Seed int64
 }
+
+// The fixed parts of every gradient step: each persistent chain advances
+// sweepsPerIteration Gibbs sweeps before the gradient estimate, the weight
+// decay is l2, and learned weights are clamped into [-maxWeight, maxWeight]
+// (the spatial scale into [0, maxWeight]).
+const (
+	sweepsPerIteration = 2
+	l2                 = 0.01
+	maxWeight          = 5
+)
 
 func (o Options) withDefaults() Options {
 	if o.Iterations <= 0 {
 		o.Iterations = 100
 	}
-	if o.SweepsPerIteration <= 0 {
-		o.SweepsPerIteration = 2
-	}
 	if o.LearningRate == 0 {
 		o.LearningRate = 0.5
-	}
-	if o.L2 == 0 {
-		o.L2 = 0.01
-	}
-	if o.MaxWeight == 0 {
-		o.MaxWeight = 5
 	}
 	return o
 }
@@ -79,60 +77,18 @@ type Result struct {
 	GradNorms []float64
 }
 
-// chain is one persistent Gibbs chain used for expectation estimates.
-type chain struct {
-	assign factorgraph.Assignment
-	vars   []factorgraph.VarID // variables this chain resamples
-	rng    *prng
-	buf    []float64
-	// score is the graph's nothing-frozen programs (see newChains), which
-	// read the live weight table, so learned weights flow through them.
-	score func(factorgraph.VarID, factorgraph.Assignment, []float64) []float64
-}
-
-func (c *chain) sweep(n int) {
-	for i := 0; i < n; i++ {
-		for _, v := range c.vars {
-			scores := c.score(v, c.assign, c.buf)
-			maxS := scores[0]
-			for _, s := range scores[1:] {
-				if s > maxS {
-					maxS = s
-				}
-			}
-			var z float64
-			for j, s := range scores {
-				scores[j] = math.Exp(s - maxS)
-				z += scores[j]
-			}
-			u := c.rng.Float64() * z
-			var x int32
-			for j, p := range scores {
-				u -= p
-				if u <= 0 {
-					x = int32(j)
-					break
-				}
-				if j == len(scores)-1 {
-					x = int32(j)
-				}
-			}
-			c.assign.Set(v, x)
-		}
-	}
-}
-
 // Weights learns tied rule weights on a ground graph. factorRule maps every
 // logical factor to its rule index (as produced by grounding.Result); the
 // graph's factor weights are updated in place and the learned values
 // returned. The graph's evidence is the training signal: variables with
 // evidence are clamped in the data chain and free in the model chain.
 //
-// ctx is checked between gradient iterations: on cancellation the weights
-// learned so far (already pushed into the graph) are returned together with
-// the context error, so callers can distinguish a converged result from a
-// truncated one. A span on ctx gets a learn.weights stage with one
-// iteration event per gradient step (gradient norm and wall time).
+// ctx is checked by every chain sweep: on cancellation the iteration in
+// flight takes no step, and the weights of the last full iteration (already
+// pushed into the graph) are returned together with the context error, so
+// callers can distinguish a converged result from a truncated one. A span on
+// ctx gets a learn.weights stage with one iteration event per gradient step
+// (gradient norm and wall time); the sweeps add no stages of their own.
 func Weights(ctx context.Context, g *factorgraph.Graph, factorRule []int32, numRules int, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -146,25 +102,20 @@ func Weights(ctx context.Context, g *factorgraph.Graph, factorRule []int32, numR
 			return nil, fmt.Errorf("learn: factor %d maps to rule %d outside [0,%d)", f, r, numRules)
 		}
 	}
-	// Per-rule grounding counts, for gradient normalization.
-	ruleCount := make([]float64, numRules)
-	for _, r := range factorRule {
-		ruleCount[r]++
-	}
-	data, model := newChains(g, opts.Seed)
-	if len(data.vars) == len(model.vars) {
+	data, model, clamped := newChains(g, factorgraph.CompileKernels(g, false), opts.Seed)
+	defer data.Close()
+	defer model.Close()
+	if clamped == 0 {
 		return nil, fmt.Errorf("learn: the graph has no evidence to train on")
 	}
 
+	// Per-rule grounding counts, for gradient normalization, and the start
+	// weights: the program's, read off each rule's first factor.
+	ruleCount := make([]float64, numRules)
 	res := &Result{Weights: make([]float64, numRules), SpatialScale: 1}
-	for r := int32(0); int(r) < numRules; r++ {
-		// Start from the program's weights (first factor of each rule).
-		for f, fr := range factorRule {
-			if fr == r {
-				res.Weights[r] = g.FactorWeightOf(int32(f))
-				break
-			}
-		}
+	for f := len(factorRule) - 1; f >= 0; f-- {
+		ruleCount[factorRule[f]]++
+		res.Weights[factorRule[f]] = g.FactorWeightOf(int32(f))
 	}
 	// Base spatial weights, so the scale multiplier preserves decay shape.
 	baseSpatial := make([]float64, g.NumSpatialFactors())
@@ -179,37 +130,40 @@ func Weights(ctx context.Context, g *factorgraph.Graph, factorRule []int32, numR
 	nModel := make([]float64, numRules)
 	span := obs.SpanFromContext(ctx).Child("learn.weights")
 	defer span.End()
+	sweepCtx := obs.ContextWithSpan(ctx, obs.Span{})
 	for iter := 0; iter < opts.Iterations; iter++ {
+		iterStart := time.Now()
+		_, err := data.Run(sweepCtx, sweepsPerIteration)
+		if err == nil {
+			_, err = model.Run(sweepCtx, sweepsPerIteration)
+		}
+		if err != nil {
+			return res, fmt.Errorf("learn: iteration %d: %w", iter, err)
+		}
+		// A sweep cut by ctx returns no error; its iteration takes no step.
 		if err := ctx.Err(); err != nil {
 			return res, fmt.Errorf("learn: interrupted after %d/%d iterations: %w", iter, opts.Iterations, err)
 		}
-		iterStart := time.Now()
-		data.sweep(opts.SweepsPerIteration)
-		model.sweep(opts.SweepsPerIteration)
-		countSatisfied(g, factorRule, data.assign, nData)
-		countSatisfied(g, factorRule, model.assign, nModel)
+		countSatisfied(g, factorRule, data.Assignment(), nData)
+		countSatisfied(g, factorRule, model.Assignment(), nModel)
 		var norm float64
 		for r := 0; r < numRules; r++ {
 			grad := (nData[r] - nModel[r]) / math.Max(1, ruleCount[r])
-			res.Weights[r] += opts.LearningRate*grad - opts.L2*res.Weights[r]
-			res.Weights[r] = clampWeight(res.Weights[r], opts.MaxWeight)
+			res.Weights[r] += opts.LearningRate*grad - l2*res.Weights[r]
+			res.Weights[r] = max(-maxWeight, min(res.Weights[r], maxWeight))
 			norm += grad * grad
 		}
 		if opts.LearnSpatialScale && totalSpatialBase > 0 {
-			agreeData := spatialAgreement(g, baseSpatial, data.assign)
-			agreeModel := spatialAgreement(g, baseSpatial, model.assign)
+			agreeData := spatialAgreement(g, baseSpatial, data.Assignment())
+			agreeModel := spatialAgreement(g, baseSpatial, model.Assignment())
 			grad := (agreeData - agreeModel) / totalSpatialBase
-			res.SpatialScale += opts.LearningRate * grad
-			if res.SpatialScale < 0 {
-				res.SpatialScale = 0
-			}
-			if res.SpatialScale > opts.MaxWeight {
-				res.SpatialScale = opts.MaxWeight
-			}
+			res.SpatialScale = max(0, min(res.SpatialScale+opts.LearningRate*grad, maxWeight))
 			norm += grad * grad
 		}
 		res.GradNorms = append(res.GradNorms, math.Sqrt(norm))
-		span.Event("iteration", time.Since(iterStart)).Notef("iter=%d grad_norm=%.6g", iter, math.Sqrt(norm))
+		if span.Enabled() { // boxing the note's arguments would allocate on the disabled path
+			span.Event("iteration", time.Since(iterStart)).Notef("iter=%d grad_norm=%.6g", iter, math.Sqrt(norm))
+		}
 		// Push the updated tied weights into the graph so the next sweeps
 		// sample under them.
 		for f := int32(0); int(f) < g.NumFactors(); f++ {
@@ -221,35 +175,26 @@ func Weights(ctx context.Context, g *factorgraph.Graph, factorRule []int32, numR
 			}
 		}
 	}
-	finalNorm := 0.0
-	if len(res.GradNorms) > 0 {
-		finalNorm = res.GradNorms[len(res.GradNorms)-1]
-	}
-	span.Notef("iterations=%d final_grad_norm=%.6g spatial_scale=%.6g", opts.Iterations, finalNorm, res.SpatialScale)
+	span.Notef("iterations=%d final_grad_norm=%.6g spatial_scale=%.6g", opts.Iterations, res.GradNorms[len(res.GradNorms)-1], res.SpatialScale)
 	return res, nil
 }
 
-// newChains builds the two persistent chains: the data chain resamples the
-// query variables with evidence clamped, the model chain every variable.
-// Both score through one private program set compiled with nothing frozen:
-// the model chain moves evidence, so nothing may be folded against it.
-func newChains(g *factorgraph.Graph, seed int64) (data, model *chain) {
-	var queryVars, allVars []factorgraph.VarID
-	maxDom := 2
+// newChains builds the two persistent chains on the sampler engine's
+// sequential schedule over the program set k: the data chain resamples the
+// query variables with evidence clamped, the model chain every variable, and
+// clamped counts the evidence variables. Weights passes one set compiled with
+// nothing frozen, which both chains share: the model chain moves evidence,
+// so nothing may be folded against it.
+func newChains(g *factorgraph.Graph, k *factorgraph.Kernels, seed int64) (data, model *gibbs.Sequential, clamped int) {
+	var query, all []factorgraph.VarID
 	g.Vars(func(id factorgraph.VarID, v factorgraph.Variable) bool {
-		allVars = append(allVars, id)
+		all = append(all, id)
 		if v.Evidence == factorgraph.NoEvidence {
-			queryVars = append(queryVars, id)
+			query = append(query, id)
 		}
-		maxDom = max(maxDom, int(v.Domain))
 		return true
 	})
-	score := factorgraph.CompileKernels(g, false).ConditionalScores
-	data = &chain{assign: g.InitialAssignment(), vars: queryVars,
-		rng: newPrng(seed, 1), buf: make([]float64, maxDom), score: score}
-	model = &chain{assign: g.InitialAssignment(), vars: allVars,
-		rng: newPrng(seed, 2), buf: make([]float64, maxDom), score: score}
-	return data, model
+	return gibbs.NewSequentialOver(g, k, query, seed), gibbs.NewSequentialOver(g, k, all, seed+1), len(all) - len(query)
 }
 
 // countSatisfied overwrites n with the per-rule counts of satisfied factors
@@ -272,34 +217,3 @@ func spatialAgreement(g *factorgraph.Graph, base []float64, assign factorgraph.A
 	}
 	return agree
 }
-
-func clampWeight(w, maxW float64) float64 {
-	if w > maxW {
-		return maxW
-	}
-	if w < -maxW {
-		return -maxW
-	}
-	return w
-}
-
-// prng is a splitmix64 generator (a local copy of the one in
-// internal/gibbs; both packages need cheap per-chain streams).
-type prng struct{ state uint64 }
-
-func newPrng(seed int64, stream uint64) *prng {
-	x := uint64(seed) ^ (stream * 0x9e3779b97f4a7c15)
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return &prng{state: x ^ (x >> 31)}
-}
-
-func (p *prng) next() uint64 {
-	p.state += 0x9e3779b97f4a7c15
-	z := p.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (p *prng) Float64() float64 { return float64(p.next()>>11) / (1 << 53) }

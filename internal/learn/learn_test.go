@@ -2,13 +2,16 @@ package learn
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/factorgraph"
 	"repro/internal/geom"
 	"repro/internal/gibbs"
+	"repro/internal/obs"
 )
 
 // plantedGraph builds a chain of binary variables whose labels were drawn
@@ -72,7 +75,7 @@ func plantedGraph(t *testing.T, n int, agreeW, priorW float64, seed int64) (*fac
 func TestWeightsRecoverAgreement(t *testing.T) {
 	g, factorRule, nRules := plantedGraph(t, 120, 1.5, 0, 3)
 	res, err := Weights(context.Background(), g, factorRule, nRules, Options{
-		Iterations: 300, SweepsPerIteration: 2, LearningRate: 0.4, Seed: 9,
+		Iterations: 300, LearningRate: 0.4, Seed: 9,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -190,5 +193,106 @@ func TestWeightsValidation(t *testing.T) {
 	}
 	if _, err := Weights(context.Background(), g2, []int32{0}, 1, Options{}); err == nil {
 		t.Error("no-evidence graph should fail")
+	}
+}
+
+// countdownCtx is a context whose Err and Done fire on the n-th Err call, so
+// a cancellation lands at a chosen check whatever the wall clock does.
+type countdownCtx struct {
+	context.Context
+	calls, n int
+	done     chan struct{}
+}
+
+func newCountdown(n int) *countdownCtx {
+	return &countdownCtx{Context: context.Background(), n: n, done: make(chan struct{})}
+}
+
+func (c *countdownCtx) Done() <-chan struct{} { return c.done }
+
+func (c *countdownCtx) Err() error {
+	if c.calls < c.n {
+		if c.calls++; c.calls == c.n {
+			close(c.done)
+		}
+	}
+	if c.calls == c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCutIterationTakesNoStep: a cancellation that lands inside the model
+// chain's sweeps of an iteration applies no gradient step. Weights returns the
+// wrapped context error, and the graph holds exactly the weights of an uncut
+// run of the same seed stopped after the iterations completed before the cut.
+func TestCutIterationTakesNoStep(t *testing.T) {
+	const done = 3
+	opts := Options{Iterations: 10, LearningRate: 0.4, Seed: 9}
+	// Each iteration checks ctx nine times: each chain's Run twice per sweep
+	// (before the epoch and at its barrier), then Weights once after the
+	// sweeps. The sixth check of an iteration is the model chain's first
+	// barrier, after its first sweep.
+	const perIteration = 2*2*sweepsPerIteration + 1
+	g, factorRule, nRules := plantedGraph(t, 60, 1.5, 0, 3)
+	ctx := newCountdown(perIteration*done + 2*sweepsPerIteration + 2)
+	cut, err := Weights(ctx, g, factorRule, nRules, opts)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cut run returned %v, want a wrapped context.Canceled", err)
+	}
+
+	ref, factorRule, nRules := plantedGraph(t, 60, 1.5, 0, 3)
+	count := newCountdown(math.MaxInt)
+	opts.Iterations = done
+	want, err := Weights(count, ref, factorRule, nRules, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if count.calls != perIteration*done {
+		t.Fatalf("%d iterations checked ctx %d times, want %d: the cut no longer lands in the model chain",
+			done, count.calls, perIteration*done)
+	}
+	if len(cut.GradNorms) != done {
+		t.Errorf("cut run took %d steps, want %d", len(cut.GradNorms), done)
+	}
+	for r := range want.Weights {
+		if math.Float64bits(cut.Weights[r]) != math.Float64bits(want.Weights[r]) {
+			t.Errorf("rule %d: cut run returned %v, uncut run %v", r, cut.Weights[r], want.Weights[r])
+		}
+	}
+	for f := int32(0); int(f) < g.NumFactors(); f++ {
+		if a, b := g.FactorWeightOf(f), ref.FactorWeightOf(f); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("factor %d: cut graph holds %v, uncut graph %v", f, a, b)
+		}
+	}
+}
+
+// TestIterationSweepsAllocateNothing: once the chains are built, an
+// iteration's sweeps allocate nothing, the first one included. The model
+// chain sweeps evidence too, so the pool's touched lists must be sized from
+// its schedule, not from the query variables.
+func TestIterationSweepsAllocateNothing(t *testing.T) {
+	g, _, _ := plantedGraph(t, 120, 1.5, 0, 3)
+	data, model, _ := newChains(g, factorgraph.CompileKernels(g, false), 1)
+	defer data.Close()
+	defer model.Close()
+	ctx := obs.ContextWithSpan(context.Background(), obs.Span{})
+	sweeps := func() {
+		if _, err := data.Run(ctx, sweepsPerIteration); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := model.Run(ctx, sweepsPerIteration); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sweeps()
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("the first iteration's sweeps allocated %d objects", n)
+	}
+	if n := testing.AllocsPerRun(20, sweeps); n != 0 {
+		t.Errorf("an iteration's sweeps allocate %v objects", n)
 	}
 }

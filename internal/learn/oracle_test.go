@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/factorgraph"
 	"repro/internal/geom"
+	"repro/internal/gibbs"
 	"repro/internal/gibbs/testutil"
 )
 
@@ -151,16 +152,16 @@ func exactGradientStats(c oracleCase, base []float64, clamp bool) (mean, sd []fl
 // chainGradientStats runs one persistent chain at fixed weights and returns
 // the running average of each gradient statistic and its batch-means
 // standard error σ/√N_eff.
-func chainGradientStats(c oracleCase, base []float64, ch *chain) (mean, se []float64) {
-	ch.sweep(oracleBurnIn)
+func chainGradientStats(t *testing.T, c oracleCase, base []float64, ch *gibbs.Sequential) (mean, se []float64) {
+	sweep(t, ch, oracleBurnIn)
 	stats := make([]float64, oracleRules+1)
 	batch := make([][]float64, oracleBatches)
 	per := oracleSweeps / oracleBatches
 	for b := range batch {
 		batch[b] = make([]float64, len(stats))
 		for i := 0; i < per; i++ {
-			ch.sweep(1)
-			gradientStats(c, base, ch.assign, stats)
+			sweep(t, ch, 1)
+			gradientStats(c, base, ch.Assignment(), stats)
 			for j, s := range stats {
 				batch[b][j] += s / float64(per)
 			}
@@ -180,26 +181,34 @@ func chainGradientStats(c oracleCase, base []float64, ch *chain) (mean, se []flo
 	return mean, se
 }
 
+// sweep advances one chain n sweeps.
+func sweep(t *testing.T, ch *gibbs.Sequential, n int) {
+	t.Helper()
+	if _, err := ch.Run(context.Background(), n); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // gradientErrors checks both chains of one case against enumeration and
 // returns a description of every statistic outside the tolerance. model
-// optionally replaces the model chain's scorer (the mutation check).
-func gradientErrors(t *testing.T, c oracleCase, model func(factorgraph.VarID, factorgraph.Assignment, []float64) []float64) []string {
+// optionally replaces the model chain's programs (the mutation check).
+func gradientErrors(t *testing.T, c oracleCase, model *factorgraph.Kernels) []string {
 	base := make([]float64, c.g.NumSpatialFactors())
 	for s := range base {
 		_, _, base[s] = c.g.SpatialPair(int32(s))
 	}
-	data, free := newChains(c.g, 17)
+	data, free, _ := newChains(c.g, factorgraph.CompileKernels(c.g, false), 17)
 	if model != nil {
-		free.score = model
+		_, free, _ = newChains(c.g, model, 17)
 	}
 	var bad []string
 	for _, side := range []struct {
 		name  string
-		ch    *chain
+		ch    *gibbs.Sequential
 		clamp bool
 	}{{"data", data, true}, {"model", free, false}} {
 		want, sd := exactGradientStats(c, base, side.clamp)
-		got, se := chainGradientStats(c, base, side.ch)
+		got, se := chainGradientStats(t, c, base, side.ch)
 		for j := range want {
 			name := "spatial agreement"
 			if j < oracleRules {
@@ -238,7 +247,7 @@ func TestChainsMatchExactGradient(t *testing.T) {
 	}
 	caught := 0
 	for _, c := range cases {
-		caught += len(gradientErrors(t, c, c.g.Kernels().ConditionalScores))
+		caught += len(gradientErrors(t, c, c.g.Kernels()))
 	}
 	if caught == 0 {
 		t.Error("scoring the model chain with the folded programs passed the oracle")
