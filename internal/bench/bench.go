@@ -43,8 +43,8 @@ type Params struct {
 	PyramidLevels int
 	// Instances is the spatial sampler's K.
 	Instances int
-	// Workers is the sampler worker-pool width (0 → GOMAXPROCS): parallel
-	// workers per instance for the spatial sampler, total workers for the
+	// Workers is the sampler worker-pool width (0 → GOMAXPROCS) of the
+	// spatial sampler, whose chunks sweep all K instances, and of the
 	// hogwild baseline.
 	Workers int
 	// GroundWorkers is the grounding worker-pool width (0 → GOMAXPROCS,

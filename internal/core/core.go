@@ -89,9 +89,9 @@ type Config struct {
 	Epochs int
 	// Instances is K for the spatial sampler (0 → 2).
 	Instances int
-	// Workers is the sampler worker-pool width: per-instance parallel
-	// workers for the spatial sampler and total workers for the hogwild
-	// baseline (0 → GOMAXPROCS).
+	// Workers is the sampler worker-pool width: the spatial sampler's
+	// workers, each chunk sweeping all K instances, and the hogwild
+	// baseline's (0 → GOMAXPROCS).
 	Workers int
 	// Seed drives all sampling randomness.
 	Seed int64

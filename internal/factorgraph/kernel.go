@@ -642,6 +642,30 @@ func (k *Kernels) BinaryLogOdds(v VarID, assign Assignment) float64 {
 	return d
 }
 
+// BinaryLogOddsPair is BinaryLogOdds of v on two assignments in one walk of
+// v's program: two accumulators, each summed in BinaryLogOdds' order, so each
+// result is bit-identical to it. The two add chains are independent and
+// overlap: the lockstep sampler scores a pair of instances with one call.
+func (k *Kernels) BinaryLogOddsPair(v VarID, a, b Assignment) (da, db float64) {
+	if k.gen.Load() != k.g.weightGen.Load() {
+		k.refold()
+	}
+	da = k.bias[v]
+	db = da
+	es := k.entries[k.prog[v]>>1 : k.prog[v+1]>>1]
+	for i := range es {
+		e := &es[i]
+		if e.a < 0 {
+			da += k.fallbackLogOdds(v, ^e.a, a)
+			db += k.fallbackLogOdds(v, ^e.a, b)
+			continue
+		}
+		da += e.d[a.Get(e.a)&1]
+		db += e.d[b.Get(e.a)&1]
+	}
+	return da, db
+}
+
 // BinaryConditionalScores returns (BinaryLogOdds(v, assign), 0): scores
 // that differ from the unnormalized log-probabilities of v = 0 and v = 1 by
 // one shared constant, which is all a draw reads.

@@ -329,6 +329,19 @@ func checkBinaryScores(t testing.TB, g *factorgraph.Graph, k *factorgraph.Kernel
 	}
 }
 
+// checkPair holds the pair walk to the single one: BinaryLogOddsPair(v, a, b)
+// must be (BinaryLogOdds(v, a), BinaryLogOdds(v, b)) under Float64bits. It
+// scores the pair first, so after a weight update the pair's own refold is
+// what the singles are compared against.
+func checkPair(t testing.TB, k *factorgraph.Kernels, v factorgraph.VarID, a, b factorgraph.Assignment) {
+	t.Helper()
+	da, db := k.BinaryLogOddsPair(v, a, b)
+	wa, wb := k.BinaryLogOdds(v, a), k.BinaryLogOdds(v, b)
+	if math.Float64bits(da) != math.Float64bits(wa) || math.Float64bits(db) != math.Float64bits(wb) {
+		t.Fatalf("var %d: BinaryLogOddsPair = (%v, %v), BinaryLogOdds twice = (%v, %v)", v, da, db, wa, wb)
+	}
+}
+
 // checkExactScores holds one categorical variable's scores to ==, not within
 // epsilon, with the interpreted walk.
 func checkExactScores(t testing.TB, g *factorgraph.Graph, k *factorgraph.Kernels, v factorgraph.VarID, assign factorgraph.Assignment) {
@@ -351,7 +364,8 @@ func checkExactScores(t testing.TB, g *factorgraph.Graph, k *factorgraph.Kernels
 // variable: categorical variables of either set to == with the interpreted
 // walk on an arbitrary assignment; binary variables to the regrouped
 // reference and the regrouping bound — the nothing-frozen set's on the
-// arbitrary assignment, the folded set's on a reachable one.
+// arbitrary assignment, the folded set's on a reachable one — and, in either
+// set, the pair walk over both assignments to the single walk twice.
 func checkKernels(t testing.TB, g *factorgraph.Graph, k, exact *factorgraph.Kernels, assign, reachable factorgraph.Assignment) {
 	t.Helper()
 	for v := factorgraph.VarID(0); int(v) < g.NumVars(); v++ {
@@ -359,6 +373,8 @@ func checkKernels(t testing.TB, g *factorgraph.Graph, k, exact *factorgraph.Kern
 			t.Fatalf("var %d: Binary = %v / %v with domain %d", v, k.Binary(v), exact.Binary(v), g.DomainOf(v))
 		}
 		if k.Binary(v) {
+			checkPair(t, exact, v, assign, reachable)
+			checkPair(t, k, v, reachable, assign)
 			checkBinaryScores(t, g, exact, v, assign, false)
 			checkBinaryScores(t, g, k, v, reachable, true)
 		} else {
@@ -464,6 +480,38 @@ func TestKernelsFollowWeightUpdates(t *testing.T) {
 			exact.BinaryLogOdds(0, assign)
 		}); allocs != 0 {
 			t.Errorf("seed %d: a refold allocates %v times", spec.Seed, allocs)
+		}
+	}
+}
+
+// TestBinaryLogOddsPairRefoldAllocatesNothing: after a weight update the pair
+// walk refolds the stale biases and entries itself, in either program set,
+// without allocating, on a graph with live halo copies.
+func TestBinaryLogOddsPairRefoldAllocatesNothing(t *testing.T) {
+	var g *factorgraph.Graph
+	for _, c := range equivCases() {
+		if c.what == "live_evidence" {
+			g = c.graph(t)
+		}
+	}
+	k, exact := g.Kernels(), factorgraph.CompileKernels(g, false)
+	rng := testutil.NewRand(3)
+	a, b := reachableAssignment(g, rng), reachableAssignment(g, rng)
+	vars, _ := g.FactorVars(0)
+	if allocs := testing.AllocsPerRun(20, func() {
+		g.SetFactorWeight(0, -g.FactorWeightOf(0))
+		k.BinaryLogOddsPair(vars[0], a, b)
+		exact.BinaryLogOddsPair(vars[0], a, b)
+	}); allocs != 0 {
+		t.Errorf("a refold through the pair walk allocates %v times", allocs)
+	}
+	for f := int32(0); f < int32(g.NumFactors()); f++ {
+		g.SetFactorWeight(f, g.FactorWeightOf(f)*1.5+0.25)
+	}
+	for v := factorgraph.VarID(0); int(v) < g.NumVars(); v++ {
+		if k.Binary(v) {
+			checkPair(t, k, v, a, b)
+			checkPair(t, exact, v, b, a)
 		}
 	}
 }

@@ -51,7 +51,8 @@ func (sc *schedule) oneGroup() {
 type instance struct {
 	assign factorgraph.Assignment
 	counts *counts
-	epochs int // chain epochs run (burn-in accounting, PRNG lineage)
+	epochs int  // chain epochs run (burn-in accounting, PRNG lineage)
+	count  bool // the epoch in flight is past burn-in: its draws are counted
 }
 
 // tailUnit is the unit index under which the serial tail draws its stream
@@ -72,7 +73,8 @@ type engine struct {
 	// (both 0 for the sequential sampler, whose chain PRNG state carries it).
 	seed    int64
 	workers int
-	// split is the most chunks one instance's share of a group is cut into.
+	// split is the most chunks a group is cut into; each covers all K
+	// instances.
 	split int32
 	// Stream identity, resolved once per unit: chain, when non-nil, is the
 	// one persistent PRNG every draw comes from; otherwise stream derives the
@@ -82,12 +84,15 @@ type engine struct {
 	stream func(k int, epoch uint64, unit int32) uint64
 
 	instances []*instance
-	runs      []*unitRun // per instance, reused every batch
 	sched     schedule
 	pinned    []bool // evidence added after construction (never swept)
 	burnIn    int
 	epochs    int
 	pool      *Pool
+	// The batch in flight, set between batches: the unit list the chunk
+	// ranges [lo, hi) refer to, and the serial tail.
+	batchUnits []int32
+	batchTail  []factorgraph.VarID
 
 	// restored, when non-nil, runs after a successful Restore so a variant
 	// can drop state derived from the replaced chain.
@@ -105,20 +110,18 @@ type engine struct {
 }
 
 // start builds the chain state and the pool once the constructor has set the
-// identity fields and the schedule: K instances and a pool of the given
-// goroutine count (0: chunks run inline on the caller). A constructor that
+// identity fields and the schedule: K instances and a pool of s.workers
+// goroutines (0: chunks run inline on the caller). A constructor that
 // brings its own programs has set sc; every other one scores through the
 // graph's folded set.
-func (s *engine) start(instances, goroutines int) {
+func (s *engine) start(instances int) {
 	if s.sc.k == nil {
 		s.sc = newScorer(s.g)
 	}
 	s.pinned = make([]bool, s.g.NumVars())
-	s.pool = newPool(goroutines, instances, len(s.sched.vars)+len(s.sched.tail), s.g)
+	s.pool = newPool(s.workers, instances, len(s.sched.vars)+len(s.sched.tail), s.g)
 	for k := 0; k < instances; k++ {
-		inst := &instance{assign: s.g.InitialAssignment(), counts: newCounts(s.g)}
-		s.instances = append(s.instances, inst)
-		s.runs = append(s.runs, &unitRun{s: s, inst: inst, k: k})
+		s.instances = append(s.instances, &instance{assign: s.g.InitialAssignment(), counts: newCounts(s.g)})
 	}
 }
 
@@ -178,53 +181,56 @@ func (s *engine) SetProgress(every int, fn func(Progress)) {
 // checkpoint is written at every epoch multiple of cp.Every. nil disables.
 func (s *engine) SetCheckpointer(cp *Checkpointer) { s.ckpt = cp }
 
-// unitRun is one instance's share of the batch currently in flight — the
-// pool's chunk runner: which units to sweep, under which epoch identity. One
-// descriptor per instance is allocated at construction and mutated only
-// between batches, so dispatching is allocation-free.
-type unitRun struct {
-	s     *engine
-	inst  *instance
-	k     int
-	epoch uint64
-	count bool
-	units []int32 // unit-index list the chunk [lo, hi) ranges refer to
-	tail  []factorgraph.VarID
-}
-
-func (r *unitRun) runChunk(w *workerState, lo, hi int32) {
+// runChunk is the pool's chunk runner: units [lo, hi) of the batch in
+// flight, or its serial tail, swept for every instance in lockstep.
+func (s *engine) runChunk(w *workerState, lo, hi int32) {
 	if lo == tailUnit {
-		r.sweep(w, tailUnit, r.tail)
+		s.sweep(w, tailUnit, s.batchTail)
 		return
 	}
-	for _, u := range r.units[lo:hi] {
-		r.sweep(w, u, r.s.sched.unitVars(u))
+	for _, u := range s.batchUnits[lo:hi] {
+		s.sweep(w, u, s.sched.unitVars(u))
 	}
 }
 
-// sweep samples one unit's variables sequentially with standard Gibbs steps
-// under the unit's stream.
-func (r *unitRun) sweep(w *workerState, u int32, vars []factorgraph.VarID) {
-	s := r.s
-	rng := s.chain
-	var derived prng
-	if rng == nil {
-		derived.state = s.stream(r.k, r.epoch, u)
-		rng = &derived
+// sweep samples one unit's variables with standard Gibbs steps, all K
+// instances at a variable before the next. A binary program is walked once
+// per pair of instances (an odd last one, or the interpreted walk, goes
+// alone). Each instance has its own stream, burn-in flag and worker deltas,
+// so its chain is the one it would run alone, at any K.
+func (s *engine) sweep(w *workerState, u int32, vars []factorgraph.VarID) {
+	insts, rngs := s.instances, w.rngs
+	if s.chain != nil {
+		rngs[0] = *s.chain
+	} else {
+		for k, inst := range insts {
+			rngs[k].state = s.stream(k, uint64(inst.epochs), u)
+		}
 	}
 	for _, v := range vars {
 		if s.pinned[v] {
 			continue
 		}
-		x := sampleOne(&s.sc, v, r.inst.assign, rng, w.buf)
-		if r.count {
-			w.record(r.k, v, x)
+		k := 0
+		if s.sc.k != nil && s.sc.k.Binary(v) {
+			for ; k+1 < len(insts); k += 2 {
+				a, b := insts[k], insts[k+1]
+				da, db := s.sc.k.BinaryLogOddsPair(v, a.assign, b.assign)
+				w.keep(k, a, v, sampleBinary(da, &rngs[k]))
+				w.keep(k+1, b, v, sampleBinary(db, &rngs[k+1]))
+			}
 		}
+		for ; k < len(insts); k++ {
+			w.keep(k, insts[k], v, sampleOne(&s.sc, v, insts[k].assign, &rngs[k], w.buf))
+		}
+	}
+	if s.chain != nil {
+		*s.chain = rngs[0]
 	}
 }
 
 // RunEpochs implements Sampler: each call runs n epochs on every instance,
-// instances in parallel (so one call does the work of n·K raw epochs in n
+// instances in lockstep (so one call does the work of n·K raw epochs in n
 // rounds, matching Algorithm 1's e = E/K). It is the uninterruptible legacy
 // entry point: a worker panic (impossible unless sampler internals or an
 // injected fault panic) is re-raised on the caller.
@@ -271,11 +277,12 @@ func (s *engine) RunTotal(ctx context.Context, total int) (RunStats, error) {
 }
 
 // sweepEpochs runs up to n epochs over the given unit batch: groups
-// serially, each group's units chunked across the pool for all K instances
-// at once, then the serial tail, then the epoch barrier where worker count
-// deltas merge into the instances' counters. The full sweep passes the
-// precomputed schedule; the spatial sampler's RunIncremental passes its
-// restricted view. Nothing in the per-epoch loop allocates.
+// serially, each group's units chunked across the pool, every chunk sweeping
+// all K instances (see sweep), then the serial tail as one chunk, then the
+// epoch barrier where worker count deltas merge into the instances'
+// counters. The full sweep passes the precomputed schedule; the spatial
+// sampler's RunIncremental passes its restricted view. Nothing in the
+// per-epoch loop allocates.
 //
 // span is the caller's stage for this sweep — one span per call, opened,
 // noted (epochs, stop reason) and ended by the caller; a disabled span is
@@ -304,12 +311,12 @@ func (s *engine) sweepEpochs(ctx context.Context, span obs.Span, n int, units, g
 			break
 		}
 		eo := beginEpochObs(active)
-		for _, r := range s.runs {
+		for _, inst := range s.instances {
 			// Burn-in is decided before the chain epoch increments.
-			r.count = r.inst.epochs >= s.burnIn
-			r.inst.epochs++
-			r.epoch, r.units, r.tail = uint64(r.inst.epochs), units, tail
+			inst.count = inst.epochs >= s.burnIn
+			inst.epochs++
 		}
+		s.batchUnits, s.batchTail = units, tail
 		s.epochs++
 		interrupted := false
 		for gi := 0; gi+1 < len(groupOff); gi++ {
@@ -333,10 +340,8 @@ func (s *engine) sweepEpochs(ctx context.Context, span obs.Span, n int, units, g
 				}
 			}
 			per := (hi - lo + s.split - 1) / s.split
-			for _, r := range s.runs {
-				for off := lo; off < hi; off += per {
-					s.pool.dispatch(r, off, min(off+per, hi), done)
-				}
+			for off := lo; off < hi; off += per {
+				s.pool.dispatch(s, off, min(off+per, hi), done)
 			}
 			if active {
 				eo.noteQueue(s.pool.queued())
@@ -350,9 +355,7 @@ func (s *engine) sweepEpochs(ctx context.Context, span obs.Span, n int, units, g
 			if s.swept != nil {
 				s.sweptTail += len(tail)
 			}
-			for _, r := range s.runs {
-				s.pool.dispatch(r, tailUnit, tailUnit, done)
-			}
+			s.pool.dispatch(s, tailUnit, tailUnit, done)
 			if err := s.barrier(); err != nil {
 				st.Reason = ReasonPanic
 				return st, err

@@ -145,41 +145,88 @@ func newCounts(g *factorgraph.Graph) *counts {
 	return cs
 }
 
-// sampleOne draws a new value for v from its conditional distribution and
-// stores it in the assignment. buf must have capacity ≥ the max domain; it
-// is untouched on the buffer-free binary fast path. Scores come from the
-// sampler's scorer: compiled kernels, or in tests the interpreted reference
-// walk. They agree exactly at categorical variables; at a binary one the
-// compiled log-odds regroups the interpreted s0 − s1 and can differ in the
-// last ulps, which moves a draw only when the uniform lands within those
-// ulps of the threshold.
+// sampleOne draws a new value for v from its conditional distribution; the
+// caller stores it. buf must have capacity ≥ the max domain; it is untouched
+// on the buffer-free binary fast path. Scores come from the sampler's scorer:
+// compiled kernels, or in tests the interpreted reference walk. They agree
+// exactly at categorical variables; at a binary one the compiled log-odds
+// regroups the interpreted s0 − s1 and can differ in the last ulps, which
+// moves a draw only when the uniform lands within those ulps of the
+// threshold.
 func sampleOne(sc *scorer, v factorgraph.VarID, assign factorgraph.Assignment,
 	rng *prng, buf []float64) int32 {
-	var x int32
 	if sc.binary(v) {
-		x = sampleBinary(sc.logOdds(v, assign), rng)
-	} else {
-		// Temperature 1: dividing by 1.0 is exact, so this is the plain softmax.
-		x = sampleSoftmax(sc.conditionalScores(v, assign, buf), 1, rng)
+		return sampleBinary(sc.logOdds(v, assign), rng)
 	}
-	assign.Set(v, x)
-	return x
+	// Temperature 1: dividing by 1.0 is exact, so this is the plain softmax.
+	return sampleSoftmax(sc.conditionalScores(v, assign, buf), 1, rng)
 }
 
 // sampleBinary is sampleOne's binary fast path: the draw of sampleSoftmax
-// over {d, 0} at temperature 1, from the log-odds d = s0 − s1 alone. The
-// larger score exponentiates to exactly 1, so only one math.Exp of ±d is
-// needed (IEEE negation is exact: exp(0−d) == exp(−d)), and the draw consumes
-// the same uniform and picks the same value for every finite d.
+// over {d, 0} at temperature 1, from the log-odds d = s0 − s1 alone. It draws
+// one uniform u, and guardedBinary decides unless u is within its margin of
+// the threshold, or |d| ≥ 30, ±Inf or NaN. Otherwise the exact comparison
+// decides: the larger score exponentiates to exactly 1, so one math.Exp of ±d
+// is needed (IEEE negation is exact: exp(0−d) == exp(−d)), and it picks what
+// the softmax walk picks for every finite d.
 func sampleBinary(d float64, rng *prng) int32 {
+	u := rng.Float64()
+	if x := guardedBinary(d, u); x >= 0 {
+		return x
+	}
 	if d < 0 {
-		if e0 := math.Exp(d); rng.Float64()*(e0+1) > e0 {
+		if e0 := math.Exp(d); u*(e0+1) > e0 {
 			return 1
 		}
-	} else if rng.Float64()*(1+math.Exp(-d)) > 1 {
+	} else if u*(1+math.Exp(-d)) > 1 {
 		return 1
 	}
 	return 0
+}
+
+// exp2Neg64 holds 2^(−i/64) for i in [0, 64): guardedBinary's table.
+var exp2Neg64 = func() (t [64]float64) {
+	for i := range t {
+		t[i] = math.Exp2(-float64(i) / 64)
+	}
+	return t
+}()
+
+// expNeg is t̃ ≈ exp(−a) for a in [0, 30): 2^(−q)·2^(−i/64)·p(r), with
+// 64q + i = ⌊64a/ln2⌋, r = a − (64q + i)·ln2/64 in [0, ln2/64] up to rounding,
+// p the cubic Taylor polynomial of e^(−r) and 2^(−q) an exponent add on the
+// bits. Its relative error is ≤ 6e−10: the Taylor remainder r⁴/24·e^|r| ≤
+// 5.8e−10, plus table and rounding errors near 1e−15.
+func expNeg(a float64) float64 {
+	n := int(a * (64 / math.Ln2))
+	r := a - float64(n)*(math.Ln2/64)
+	t := exp2Neg64[n&63] * (1 - r*(1-r*(0.5-r*(1.0/6))))
+	return math.Float64frombits(math.Float64bits(t) - uint64(n>>6)<<52)
+}
+
+// guardedBinary decides sampleBinary's exact comparison on u without exp for
+// |d| < 30, or returns −1. With t = exp(−|d|), the comparison returns 1 when
+// g > 0 — g = u − t(1−u) for d < 0, u(1+t) − 1 otherwise — up to its own
+// rounding (math.Exp's ulp, the add, the product), < 2e−15. From t̃ = expNeg
+// (u and 1−u are exact), g̃ is within 6e−10·t + 1e−15 of g, and the margin
+// m = 4e−9·t̃ + 1e−14 exceeds twice that plus 2e−15: |g̃| > m puts g on g̃'s
+// side of 0, far enough for the comparison to see it there.
+func guardedBinary(d, u float64) int32 {
+	a := math.Abs(d)
+	if !(a < 30) {
+		return -1
+	}
+	t := expNeg(a)
+	g := u*(1+t) - 1
+	if d < 0 {
+		g = u - t*(1-u)
+	}
+	if m := 4e-9*t + 1e-14; g > m {
+		return 1
+	} else if g < -m {
+		return 0
+	}
+	return -1
 }
 
 // sampleSoftmax draws a value from softmax(scores / temp) by a

@@ -79,6 +79,6 @@ func NewHogwild(g *factorgraph.Graph, seed int64, workers int) *Hogwild {
 		sc.varOff = append(sc.varOff, int32(len(sc.vars)))
 	}
 	sc.oneGroup()
-	h.start(1, workers)
+	h.start(1)
 	return h
 }

@@ -9,8 +9,8 @@ import (
 // reference implementation the kernels are tested against (factorgraph's
 // equivalence tests: bit-identical at categorical variables, the same terms
 // regrouped in the binary log-odds programs), and only tests select it (see
-// export_test.go). The samplers hold one scorer each and pass it to
-// sampleOne; the single nil check per call is the entire dispatch cost.
+// export_test.go). The samplers hold one scorer each; the pair walk reads k
+// itself and a nil k sends every draw to sampleOne: one nil check per draw.
 type scorer struct {
 	g *factorgraph.Graph
 	k *factorgraph.Kernels // nil → interpreted reference walk (tests only)

@@ -19,6 +19,7 @@ import (
 //     binary fast path),
 //   - per-instance count deltas plus a touched-variable list, merged into
 //     the owning instance's counters at epoch barriers,
+//   - per-instance PRNG streams of the unit being swept (a chunk sweeps all),
 //
 // so a steady-state epoch performs no allocations: issuers send chunk
 // values over the channel, workers run them against pre-flattened
@@ -103,21 +104,14 @@ func (sh *poolShared) beforeChunk() {
 	}
 }
 
-// chunk is one unit of dispatched work. The meaning of [lo, hi) belongs to
-// the runner: a range of the batch's unit list, or the serial tail. done,
-// when non-nil, is the issuing run's cancellation channel: a worker that
-// pulls a chunk whose done has fired acknowledges it without executing.
+// chunk is one unit of dispatched work for e.runChunk: [lo, hi) is a range of
+// the batch's unit list, or the serial tail. done, when non-nil, is the
+// issuing run's cancellation channel: a worker that pulls a chunk whose done
+// has fired acknowledges it without executing.
 type chunk struct {
-	cr     chunkRunner
+	e      *engine
 	lo, hi int32
 	done   <-chan struct{}
-}
-
-// chunkRunner is implemented by the engine's per-instance batch descriptor
-// (unitRun). Implementations must only touch the worker's own state and
-// data owned by their chunk.
-type chunkRunner interface {
-	runChunk(w *workerState, lo, hi int32)
 }
 
 // workerState is one worker's private, reusable scratch. Each state is a
@@ -131,6 +125,16 @@ type workerState struct {
 	// never reallocate in steady state.
 	dc      []*counts
 	touched [][]factorgraph.VarID
+	// rngs holds each instance's stream of the unit being swept.
+	rngs []prng
+}
+
+// keep stores instance k's draw x of v and, past burn-in, records it.
+func (w *workerState) keep(k int, inst *instance, v factorgraph.VarID, x int32) {
+	inst.assign.Set(v, x)
+	if inst.count {
+		w.record(k, v, x)
+	}
 }
 
 // record accumulates one sample into the worker-local delta for instance k.
@@ -144,9 +148,10 @@ func (w *workerState) record(k int, v factorgraph.VarID, x int32) {
 }
 
 // newPool sizes a pool for a sampler over g with the given worker count and
-// number of sampler instances; nvars, the schedule's variable count, bounds
-// each touched list. workers = 0 builds an inline pool: one scratch state,
-// no goroutines.
+// number of sampler instances: every worker runs chunks that cover all
+// instances, so it holds deltas and a stream per instance. nvars, the
+// schedule's variable count, bounds each touched list. workers = 0 builds an
+// inline pool: one scratch state, no goroutines.
 func newPool(workers, instances, nvars int, g *factorgraph.Graph) *Pool {
 	p := &Pool{
 		wg: new(sync.WaitGroup),
@@ -160,6 +165,7 @@ func newPool(workers, instances, nvars int, g *factorgraph.Graph) *Pool {
 			buf:     make([]float64, maxDomain(g)),
 			dc:      make([]*counts, instances),
 			touched: make([][]factorgraph.VarID, instances),
+			rngs:    make([]prng, instances),
 		}
 		for k := 0; k < instances; k++ {
 			w.dc[k] = newCounts(g)
@@ -175,10 +181,10 @@ func newPool(workers, instances, nvars int, g *factorgraph.Graph) *Pool {
 // first use. done, when non-nil, lets parked chunks be skipped once the
 // issuing run is canceled. The issuer must follow a sequence of dispatches
 // with wait.
-func (p *Pool) dispatch(cr chunkRunner, lo, hi int32, done <-chan struct{}) {
+func (p *Pool) dispatch(e *engine, lo, hi int32, done <-chan struct{}) {
 	if p.work == nil {
 		p.sh.beforeChunk()
-		cr.runChunk(p.ws[0], lo, hi)
+		e.runChunk(p.ws[0], lo, hi)
 		return
 	}
 	p.start.Do(func() {
@@ -190,7 +196,7 @@ func (p *Pool) dispatch(cr chunkRunner, lo, hi int32, done <-chan struct{}) {
 		}
 	})
 	p.wg.Add(1)
-	p.work <- chunk{cr: cr, lo: lo, hi: hi, done: done}
+	p.work <- chunk{e: e, lo: lo, hi: hi, done: done}
 }
 
 // wait blocks until every dispatched chunk of the current batch completed
@@ -292,5 +298,5 @@ func runPoolChunk(sh *poolShared, w *workerState, c chunk) {
 		}
 	}
 	sh.beforeChunk()
-	c.cr.runChunk(w, c.lo, c.hi)
+	c.e.runChunk(w, c.lo, c.hi)
 }

@@ -33,7 +33,7 @@ func NewSequentialOver(g *factorgraph.Graph, k *factorgraph.Kernels, vars []fact
 	s.sched.vars = vars
 	s.sched.varOff = []int32{0, int32(len(vars))}
 	s.sched.oneGroup()
-	s.start(1, 0)
+	s.start(1)
 	return s
 }
 

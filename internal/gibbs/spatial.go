@@ -30,9 +30,9 @@ type SpatialOptions struct {
 	// BurnIn discards the first BurnIn epochs of each instance's chain from
 	// the marginal counters (they are still sampled, moving the chain).
 	BurnIn int
-	// Workers caps the parallelism used per instance per conclique sweep;
-	// the pool holds Workers × Instances persistent goroutines. Default
-	// GOMAXPROCS.
+	// Workers caps the parallelism of a conclique sweep: its cells are cut
+	// into at most Workers chunks, each sweeping all K instances, and the
+	// pool holds Workers persistent goroutines. Default GOMAXPROCS.
 	Workers int
 	// Space overrides the pyramid bounding space (derived from atom
 	// locations when zero).
@@ -85,13 +85,13 @@ func (rv *restrictedView) matches(dirty map[factorgraph.VarID]bool) bool {
 // every epoch sweeps the pyramid levels; within a level it processes the
 // minimum conclique cover of the non-empty cells — concliques serially, the
 // cells of one conclique in parallel, the variables inside a cell
-// sequentially with standard Gibbs steps. K instances run concurrently and
+// sequentially with standard Gibbs steps. K instances run in lockstep and
 // their counters are averaged (line 16); marginals come from the averaged
 // counters.
 //
 // It is the engine's general schedule: one unit per home cell, one group per
-// non-empty (level, conclique), each instance's share of a group cut into
-// at most Workers chunks, and a PRNG stream per (instance, epoch, cell).
+// non-empty (level, conclique) cut into at most Workers chunks that sweep
+// all K instances in lockstep, and a PRNG stream per (instance, epoch, cell).
 //
 // Each atom is sampled exactly once per epoch, at its *home* cell (its
 // lowest maintained pyramid cell, clamped to LocalityLevel) — the Figure 6
@@ -149,7 +149,7 @@ func NewSpatial(g *factorgraph.Graph, opts SpatialOptions) (*Spatial, error) {
 	s.buildSchedule()
 	sort.Slice(residual, func(i, j int) bool { return residual[i] < residual[j] })
 	s.sched.tail = append(residual, nonSpatial...)
-	s.start(opts.Instances, opts.Workers*opts.Instances)
+	s.start(opts.Instances)
 	return s, nil
 }
 
