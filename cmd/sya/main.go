@@ -80,17 +80,11 @@ func main() {
 	}
 }
 
-// runOpts carries the resolved command-line configuration into run.
+// runOpts carries the resolved command-line configuration into run: the
+// shared pipeline flags, then sya's own.
 type runOpts struct {
-	program string
-	loads   cliutil.LoadFlag
-	engine  string
-	metric  string
+	cliutil.Pipeline
 
-	epochs     int
-	bandwidth  float64
-	scale      float64
-	seed       int64
 	stats      bool
 	learnIters int
 
@@ -98,33 +92,25 @@ type runOpts struct {
 	ckptPath  string
 	ckptEvery int
 
-	metricsAddr   string
-	traceOut      string
-	progress      int
-	groundWorkers int
-	shards        int
-	shardAddrs    string
+	metricsAddr string
+	traceOut    string
+	progress    int
+	shards      int
+	shardAddrs  string
 
 	localAtom   string
 	localBudget int
 }
 
-// parseArgs resolves a command line into runOpts: every flag is declared
-// here, once, straight into the field run reads. Parse errors and usage go
-// to stderr the way the flag package writes them; the returned error repeats
-// the reason.
+// parseArgs resolves a command line into runOpts: the shared pipeline flags
+// are bound by cliutil, sya's own are declared here, each straight into the
+// field run reads. Parse errors and usage go to stderr the way the flag
+// package writes them; the returned error repeats the reason.
 func parseArgs(args []string, stderr io.Writer) (runOpts, error) {
 	var o runOpts
 	fs := flag.NewFlagSet("sya", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fs.StringVar(&o.program, "program", "", "DDlog program file (required)")
-	fs.Var(&o.loads, "load", "Relation=file.csv (repeatable)")
-	fs.StringVar(&o.engine, "engine", "sya", "engine: sya | deepdive")
-	fs.StringVar(&o.metric, "metric", "euclidean", "distance metric: euclidean | miles | km")
-	fs.IntVar(&o.epochs, "epochs", 1000, "inference epochs")
-	fs.Float64Var(&o.bandwidth, "bandwidth", 50, "spatial weighing bandwidth")
-	fs.Float64Var(&o.scale, "scale", 1, "spatial weighing zero-distance scale")
-	fs.Int64Var(&o.seed, "seed", 1, "sampler seed")
+	o.Bind(fs)
 	fs.BoolVar(&o.stats, "stats", false, "print grounding statistics")
 	fs.IntVar(&o.learnIters, "learn", 0, "learn rule weights from evidence for N iterations before inference")
 	fs.DurationVar(&o.timeout, "timeout", 0, "bound the whole run; partial scores are still printed (0 = none)")
@@ -133,7 +119,6 @@ func parseArgs(args []string, stderr io.Writer) (runOpts, error) {
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while running")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write the run's span tree (one JSON trace record, the /debug/traces schema) to this file")
 	fs.IntVar(&o.progress, "progress", 0, "print a convergence diagnostic to stderr every N epochs (0 = off)")
-	fs.IntVar(&o.groundWorkers, "ground-workers", 0, "grounding worker-pool width (0 = GOMAXPROCS, 1 = sequential; output graph is identical)")
 	fs.StringVar(&o.localAtom, "local-atom", "", "answer one atom key (relation|term,...) by lazy local grounding instead of full inference")
 	fs.IntVar(&o.localBudget, "local-budget", 0, "variable budget for -local-atom: sample a bounded subgraph of at most N variables (0 = 256)")
 	fs.IntVar(&o.shards, "shards", 0, "partition the ground graph into N share-nothing shards with halo exchange (sya engine, batch inference; 0/1 = single-process)")
@@ -141,10 +126,9 @@ func parseArgs(args []string, stderr io.Writer) (runOpts, error) {
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
-	var err error
+	err := o.Validate()
 	switch {
-	case o.program == "":
-		err = errors.New("-program is required")
+	case err != nil:
 	case o.ckptEvery < 1:
 		err = fmt.Errorf("-checkpoint-every must be ≥ 1 (got %d)", o.ckptEvery)
 	case o.shardAddrs != "" && strings.Count(o.shardAddrs, ",")+1 != o.shards:
@@ -169,18 +153,9 @@ func run(o runOpts) (err error) {
 		ctx, cancel = context.WithTimeout(ctx, o.timeout)
 		defer cancel()
 	}
-	src, err := os.ReadFile(o.program)
-	if err != nil {
-		return err
-	}
-	cfg := core.Config{
-		Epochs:    o.epochs,
-		Bandwidth: o.bandwidth, SpatialScale: o.scale,
-		Seed:           o.seed,
-		GroundWorkers:  o.groundWorkers,
-		Shards:         o.shards,
-		CheckpointPath: o.ckptPath, CheckpointEvery: o.ckptEvery,
-	}
+	cfg := &o.Config
+	cfg.Shards = o.shards
+	cfg.CheckpointPath, cfg.CheckpointEvery = o.ckptPath, o.ckptEvery
 	if o.shardAddrs != "" {
 		cfg.ShardAddrs = strings.Split(o.shardAddrs, ",")
 	}
@@ -226,28 +201,13 @@ func run(o runOpts) (err error) {
 				p.Sampler, p.Epoch, p.Diag.MaxDelta, p.Diag.Spread)
 		}
 	}
-	if cfg.Engine, err = cliutil.ParseEngine(o.engine); err != nil {
-		return err
-	}
-	if cfg.Metric, err = cliutil.ParseMetric(o.metric); err != nil {
-		return err
-	}
-	s := core.NewSystem(cfg)
-	defer s.Close()
-	if err := s.LoadProgram(string(src)); err != nil {
-		return err
-	}
-	for _, pair := range o.loads.Pairs {
-		if err := cliutil.LoadCSV(s, pair[0], pair[1]); err != nil {
-			return fmt.Errorf("loading %s from %s: %w", pair[0], pair[1], err)
-		}
-	}
-	gres, err := s.GroundContext(ctx)
+	s, err := o.Build(ctx)
 	if err != nil {
 		return err
 	}
+	defer s.Close()
 	if o.stats {
-		st := gres.Stats
+		st := s.Grounding().Stats
 		fmt.Printf("# grounding: %d vars (%d evidence, %d query), %d logical factors, %d spatial pairs (%d ground spatial factors) in %v\n",
 			st.Vars, st.EvidenceVars, st.QueryVars, st.LogicalFactors,
 			st.SpatialPairs, st.GroundSpatialFactors, st.TotalTime.Round(1e6))
@@ -261,7 +221,7 @@ func run(o runOpts) (err error) {
 		}
 	}
 	if o.learnIters > 0 {
-		weights, err := s.LearnWeightsContext(ctx, learn.Options{Iterations: o.learnIters, Seed: o.seed})
+		weights, err := s.LearnWeightsContext(ctx, learn.Options{Iterations: o.learnIters, Seed: cfg.Seed})
 		if err != nil {
 			return err
 		}
@@ -277,7 +237,7 @@ func run(o runOpts) (err error) {
 	if o.localAtom != "" {
 		return runLocal(ctx, s, o)
 	}
-	scores, stats, err := s.InferContext(ctx, o.epochs)
+	scores, stats, err := s.InferContext(ctx, cfg.Epochs)
 	if err != nil {
 		var wp *gibbs.WorkerPanicError
 		if errors.As(err, &wp) {
@@ -285,7 +245,7 @@ func run(o runOpts) (err error) {
 		}
 		return err
 	}
-	fmt.Printf("# inference: %d epochs in %v (%s engine)\n", o.epochs, s.InferenceTime().Round(1e6), cfg.Engine)
+	fmt.Printf("# inference: %d epochs in %v (%s engine)\n", cfg.Epochs, s.InferenceTime().Round(1e6), cfg.Engine)
 	if stats.DiagValid {
 		fmt.Printf("# convergence: max-delta %.6f, spread %.6f at epoch %d\n",
 			stats.Diag.MaxDelta, stats.Diag.Spread, stats.Diag.Epoch)
@@ -325,7 +285,7 @@ func run(o runOpts) (err error) {
 // subgraph around the atom is extracted, compiled and sampled — the rest of
 // the KB is never touched by inference.
 func runLocal(ctx context.Context, s *core.System, o runOpts) error {
-	res, err := s.QueryLocal(ctx, o.localAtom, core.LocalBudget{MaxVars: o.localBudget, Epochs: o.epochs})
+	res, err := s.QueryLocal(ctx, o.localAtom, core.LocalBudget{MaxVars: o.localBudget, Epochs: o.Config.Epochs})
 	if err != nil {
 		return err
 	}

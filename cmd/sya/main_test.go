@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -13,7 +14,9 @@ import (
 	"time"
 
 	"repro/internal/cliutil"
+	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/geom"
 	"repro/internal/obs"
 )
 
@@ -44,11 +47,10 @@ func writeFixtures(t *testing.T) (program, countyCSV, evidenceCSV string) {
 
 // opts builds the baseline runOpts for the fixtures; tests tweak the result.
 func opts(program string, loads [][2]string) runOpts {
-	return runOpts{
-		program: program, loads: cliutil.LoadFlag{Pairs: loads},
-		engine: "sya", metric: "miles",
-		epochs: 10, bandwidth: 50, scale: 1, seed: 1,
-	}
+	return runOpts{Pipeline: cliutil.Pipeline{
+		Program: program, Loads: cliutil.LoadFlag{Pairs: loads},
+		Config: core.Config{Metric: geom.HaversineMiles, Epochs: 10, Bandwidth: 50, SpatialScale: 1, Seed: 1},
+	}}
 }
 
 func TestRunEndToEnd(t *testing.T) {
@@ -56,7 +58,7 @@ func TestRunEndToEnd(t *testing.T) {
 	loads := [][2]string{{"County", county}, {"CountyEvidence", evidence}}
 
 	o := opts(program, loads)
-	o.epochs, o.bandwidth, o.seed = 300, 60, 7
+	o.Config.Epochs, o.Config.Bandwidth, o.Config.Seed = 300, 60, 7
 	o.stats, o.learnIters = true, 10
 	if err := run(o); err != nil {
 		t.Fatal(err)
@@ -64,7 +66,7 @@ func TestRunEndToEnd(t *testing.T) {
 
 	// DeepDive engine too.
 	o = opts(program, loads)
-	o.engine, o.epochs, o.bandwidth, o.seed = "deepdive", 100, 60, 7
+	o.Config.Engine, o.Config.Epochs, o.Config.Bandwidth, o.Config.Seed = core.EngineDeepDive, 100, 60, 7
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +79,7 @@ func TestRunCheckpointAndTimeout(t *testing.T) {
 	// A checkpointed run leaves a resumable snapshot behind.
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 	o := opts(program, loads)
-	o.epochs, o.bandwidth, o.seed = 300, 60, 7
+	o.Config.Epochs, o.Config.Bandwidth, o.Config.Seed = 300, 60, 7
 	o.ckptPath, o.ckptEvery = ckpt, 50
 	if err := run(o); err != nil {
 		t.Fatal(err)
@@ -93,7 +95,7 @@ func TestRunCheckpointAndTimeout(t *testing.T) {
 	// An immediate -timeout interrupts the pipeline during grounding; the
 	// error is the context's, not a crash.
 	o = opts(program, loads)
-	o.epochs, o.bandwidth, o.seed = 300, 60, 7
+	o.Config.Epochs, o.Config.Bandwidth, o.Config.Seed = 300, 60, 7
 	o.timeout = time.Nanosecond
 	err := run(o)
 	if err == nil || !strings.Contains(err.Error(), "deadline") {
@@ -107,7 +109,7 @@ func TestRunObservability(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "run.json")
 
 	o := opts(program, loads)
-	o.epochs, o.seed = 40, 7
+	o.Config.Epochs, o.Config.Seed = 40, 7
 	o.learnIters = 5
 	o.metricsAddr = "127.0.0.1:0" // bound inside run; we only check it starts
 	o.traceOut = tracePath
@@ -187,6 +189,33 @@ func TestRunObservability(t *testing.T) {
 	}
 }
 
+// TestSharedPipelineFlags: the nine shared arguments parse through
+// parseArgs to exactly the Pipeline cliutil's Bind alone gives them, and a
+// bad -engine or -metric is a parse error.
+func TestSharedPipelineFlags(t *testing.T) {
+	args := []string{"-program", "kb.ddlog", "-load", "County=c.csv", "-engine", "DeepDive",
+		"-metric", "haversine_km", "-epochs", "50", "-bandwidth", "60", "-scale", "0.5",
+		"-seed", "7", "-ground-workers", "1"}
+	var want cliutil.Pipeline
+	fs := flag.NewFlagSet("bind", flag.ContinueOnError)
+	want.Bind(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	o, err := parseArgs(args, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(o.Pipeline, want) {
+		t.Errorf("parseArgs gave\n%+v, Bind alone\n%+v", o.Pipeline, want)
+	}
+	for _, flag := range []string{"-engine", "-metric"} {
+		if _, err := parseArgs([]string{"-program", "kb.ddlog", flag, "bogus"}, io.Discard); err == nil {
+			t.Errorf("bad %s should fail to parse", flag)
+		}
+	}
+}
+
 // removedRotationFlag is the trace-file rotation flag all three binaries
 // lost, spelled in halves so a tree-wide grep for it stays empty.
 const removedRotationFlag = "-trace-max" + "-mb"
@@ -196,14 +225,15 @@ const removedRotationFlag = "-trace-max" + "-mb"
 // binary no longer has.
 func TestCommandLine(t *testing.T) {
 	defaults := runOpts{
-		program: "kb.ddlog",
-		engine:  "sya", metric: "euclidean",
-		epochs: 1000, bandwidth: 50, scale: 1, seed: 1,
+		Pipeline: cliutil.Pipeline{Program: "kb.ddlog", Config: core.Config{
+			Engine: core.EngineSya, Metric: geom.Euclidean,
+			Epochs: 1000, Bandwidth: 50, SpatialScale: 1, Seed: 1,
+		}},
 		ckptEvery: 100,
 	}
 	given := defaults
-	given.loads = cliutil.LoadFlag{Pairs: [][2]string{{"County", "c.csv"}, {"Ev", "e.csv"}}}
-	given.epochs, given.shards, given.shardAddrs = 50, 2, "127.0.0.1:1,127.0.0.1:2"
+	given.Loads = cliutil.LoadFlag{Pairs: [][2]string{{"County", "c.csv"}, {"Ev", "e.csv"}}}
+	given.Config.Epochs, given.shards, given.shardAddrs = 50, 2, "127.0.0.1:1,127.0.0.1:2"
 	given.traceOut, given.stats, given.timeout = "run.json", true, time.Minute
 	cases := []struct {
 		name    string
@@ -256,15 +286,11 @@ func TestRunErrors(t *testing.T) {
 	if err := run(opts("missing.ddlog", nil)); err == nil {
 		t.Error("missing program should fail")
 	}
-	o := opts(program, nil)
-	o.engine = "bogus"
-	if err := run(o); err == nil {
-		t.Error("bad engine should fail")
-	}
-	o = opts(program, nil)
-	o.metric = "bogus"
-	if err := run(o); err == nil {
-		t.Error("bad metric should fail")
+	// A bad -engine or -metric is a usage error at parse time, before run.
+	for _, flag := range []string{"-engine", "-metric"} {
+		if _, err := parseArgs([]string{"-program", program, flag, "bogus"}, io.Discard); err == nil {
+			t.Errorf("bad %s should fail to parse", flag)
+		}
 	}
 	if err := run(opts(program, [][2]string{{"Nope", county}})); err == nil {
 		t.Error("unknown relation should fail")

@@ -50,10 +50,12 @@
 // flight (429 beyond that), and reads during an upsert or re-ground are
 // served from the previous generation's snapshot with "stale": true.
 //
-// The -load pairs, engine and metric spellings are shared with the sya CLI,
-// so a batch invocation can be lifted into a resident server by swapping the
-// binary name. ^C / SIGTERM drains in-flight requests for -drain-timeout,
-// fsyncs and closes the WAL, and exits cleanly.
+// The pipeline flags (-program, -load, -engine, -metric, -epochs,
+// -bandwidth, -scale, -seed, -ground-workers) are bound once in cliutil and
+// shared with the sya CLI, so a batch invocation can be lifted into a
+// resident server by swapping the binary name. ^C / SIGTERM drains
+// in-flight requests for -drain-timeout, fsyncs and closes the WAL, and
+// exits cleanly.
 package main
 
 import (
@@ -71,7 +73,6 @@ import (
 	"time"
 
 	"repro/internal/cliutil"
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -96,27 +97,20 @@ func main() {
 	}
 }
 
-// runOpts carries the resolved command-line configuration into run.
+// runOpts carries the resolved command-line configuration into run: the
+// shared pipeline flags, then syad's own.
 type runOpts struct {
-	program string
-	loads   cliutil.LoadFlag
-	addr    string
-	engine  string
-	metric  string
+	cliutil.Pipeline
+	addr string
 
-	epochs       int
 	warmupEpochs int
 	upsertEpochs int
 	localBudget  int
 	localEpochs  int
 
-	bandwidth     float64
-	scale         float64
-	seed          int64
-	groundWorkers int
-	label         string
-	traceRing     int
-	slowMS        int
+	label     string
+	traceRing int
+	slowMS    int
 
 	walPath          string
 	walSyncEvery     int
@@ -134,28 +128,20 @@ type runOpts struct {
 	ready func(addr string)
 }
 
-// parseArgs resolves a command line into runOpts: every flag is declared
-// here, once, straight into the field run reads. Parse errors and usage go
-// to stderr the way the flag package writes them; the returned error repeats
-// the reason.
+// parseArgs resolves a command line into runOpts: the shared pipeline flags
+// are bound by cliutil, syad's own are declared here, each straight into the
+// field run reads. Parse errors and usage go to stderr the way the flag
+// package writes them; the returned error repeats the reason.
 func parseArgs(args []string, stderr io.Writer) (runOpts, error) {
 	var o runOpts
 	fs := flag.NewFlagSet("syad", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fs.StringVar(&o.program, "program", "", "DDlog program file (required)")
-	fs.Var(&o.loads, "load", "Relation=file.csv (repeatable)")
+	o.Bind(fs)
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:8090", "HTTP listen address")
-	fs.StringVar(&o.engine, "engine", "sya", "engine: sya | deepdive")
-	fs.StringVar(&o.metric, "metric", "euclidean", "distance metric: euclidean | miles | km")
-	fs.IntVar(&o.epochs, "epochs", 1000, "default inference epoch budget")
 	fs.IntVar(&o.warmupEpochs, "warmup-epochs", 0, "initial sampling epochs before serving (0 = -epochs)")
 	fs.IntVar(&o.upsertEpochs, "upsert-epochs", 0, "incremental epochs after each evidence upsert (0 = -epochs)")
 	fs.IntVar(&o.localBudget, "local-budget", 0, "default lazy-grounding variable budget for point queries: answer from a bounded subgraph of at most N sampled variables (0 = full-graph path; ?budget= overrides per request)")
 	fs.IntVar(&o.localEpochs, "local-epochs", 0, "sampling epochs per lazy point query (0 = -epochs)")
-	fs.Float64Var(&o.bandwidth, "bandwidth", 50, "spatial weighing bandwidth")
-	fs.Float64Var(&o.scale, "scale", 1, "spatial weighing zero-distance scale")
-	fs.Int64Var(&o.seed, "seed", 1, "sampler seed")
-	fs.IntVar(&o.groundWorkers, "ground-workers", 0, "grounding worker-pool width (0 = GOMAXPROCS)")
 	fs.StringVar(&o.label, "label", "", "metrics label: scope all series with {system=NAME}")
 	fs.IntVar(&o.traceRing, "trace-ring", 64, "completed traces (requests and the boot) retained for /debug/traces (0 = tracing off)")
 	fs.IntVar(&o.slowMS, "slow-ms", 0, "log requests (and a boot) slower than this many milliseconds as structured JSON (0 = off)")
@@ -172,9 +158,9 @@ func parseArgs(args []string, stderr io.Writer) (runOpts, error) {
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
-	if o.program == "" {
+	if err := o.Validate(); err != nil {
 		fs.Usage()
-		return o, errors.New("-program is required")
+		return o, err
 	}
 	return o, nil
 }
@@ -246,38 +232,10 @@ func run(ctx context.Context, o runOpts) (err error) {
 // serving indexes) and serve.warmup are its stages. The returned server
 // owns the system.
 func boot(ctx context.Context, o runOpts, tracer *obs.Tracer) (*serve.Server, error) {
-	src, err := os.ReadFile(o.program)
-	if err != nil {
-		return nil, err
-	}
 	reg := obs.NewRegistry()
-	cfg := core.Config{
-		Epochs:    o.epochs,
-		Bandwidth: o.bandwidth, SpatialScale: o.scale,
-		Seed:          o.seed,
-		GroundWorkers: o.groundWorkers,
-		Metrics:       reg,
-		MetricLabel:   o.label,
-	}
-	if cfg.Engine, err = cliutil.ParseEngine(o.engine); err != nil {
-		return nil, err
-	}
-	if cfg.Metric, err = cliutil.ParseMetric(o.metric); err != nil {
-		return nil, err
-	}
-	sys := core.NewSystem(cfg)
-	if err := sys.LoadProgram(string(src)); err != nil {
-		sys.Close()
-		return nil, err
-	}
-	for _, pair := range o.loads.Pairs {
-		if err := cliutil.LoadCSV(sys, pair[0], pair[1]); err != nil {
-			sys.Close()
-			return nil, fmt.Errorf("loading %s from %s: %w", pair[0], pair[1], err)
-		}
-	}
-	if _, err := sys.GroundContext(ctx); err != nil {
-		sys.Close()
+	o.Config.Metrics, o.Config.MetricLabel = reg, o.label
+	sys, err := o.Build(ctx)
+	if err != nil {
 		return nil, err
 	}
 

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,7 +15,9 @@ import (
 	"time"
 
 	"repro/internal/cliutil"
+	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/geom"
 	"repro/internal/obs"
 )
 
@@ -45,9 +48,11 @@ func writeFixtures(t *testing.T) (program, countyCSV, evidenceCSV string) {
 
 func baseOpts(program string, loads [][2]string) runOpts {
 	return runOpts{
-		program: program, loads: cliutil.LoadFlag{Pairs: loads},
-		addr: "127.0.0.1:0", engine: "sya", metric: "miles",
-		epochs: 500, bandwidth: 60, scale: 1, seed: 7,
+		Pipeline: cliutil.Pipeline{
+			Program: program, Loads: cliutil.LoadFlag{Pairs: loads},
+			Config: core.Config{Metric: geom.HaversineMiles, Epochs: 500, Bandwidth: 60, SpatialScale: 1, Seed: 7},
+		},
+		addr:        "127.0.0.1:0",
 		readTimeout: time.Minute, readHeaderTimeout: 10 * time.Second,
 		writeTimeout: time.Minute, drainTimeout: 5 * time.Second,
 	}
@@ -275,6 +280,33 @@ func TestDaemonWALRestart(t *testing.T) {
 	}
 }
 
+// TestSharedPipelineFlags: the nine shared arguments parse through
+// parseArgs to exactly the Pipeline cliutil's Bind alone gives them, and a
+// bad -engine or -metric is a parse error.
+func TestSharedPipelineFlags(t *testing.T) {
+	args := []string{"-program", "kb.ddlog", "-load", "County=c.csv", "-engine", "DeepDive",
+		"-metric", "haversine_km", "-epochs", "50", "-bandwidth", "60", "-scale", "0.5",
+		"-seed", "7", "-ground-workers", "1"}
+	var want cliutil.Pipeline
+	fs := flag.NewFlagSet("bind", flag.ContinueOnError)
+	want.Bind(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	o, err := parseArgs(args, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(o.Pipeline, want) {
+		t.Errorf("parseArgs gave\n%+v, Bind alone\n%+v", o.Pipeline, want)
+	}
+	for _, flag := range []string{"-engine", "-metric"} {
+		if _, err := parseArgs([]string{"-program", "kb.ddlog", flag, "bogus"}, io.Discard); err == nil {
+			t.Errorf("bad %s should fail to parse", flag)
+		}
+	}
+}
+
 // removedRotationFlag is the trace-file rotation flag all three binaries
 // lost, spelled in halves so a tree-wide grep for it stays empty.
 const removedRotationFlag = "-trace-max" + "-mb"
@@ -284,16 +316,18 @@ const removedRotationFlag = "-trace-max" + "-mb"
 // flags this binary no longer has.
 func TestCommandLine(t *testing.T) {
 	defaults := runOpts{
-		program: "kb.ddlog", addr: "127.0.0.1:8090",
-		engine: "sya", metric: "euclidean",
-		epochs: 1000, bandwidth: 50, scale: 1, seed: 1,
+		Pipeline: cliutil.Pipeline{Program: "kb.ddlog", Config: core.Config{
+			Engine: core.EngineSya, Metric: geom.Euclidean,
+			Epochs: 1000, Bandwidth: 50, SpatialScale: 1, Seed: 1,
+		}},
+		addr:         "127.0.0.1:8090",
 		traceRing:    64,
 		walSyncEvery: 1, walSnapshotEvery: 64, maxQueuedUpserts: 32,
 		readTimeout: time.Minute, readHeaderTimeout: 10 * time.Second,
 		writeTimeout: 5 * time.Minute, drainTimeout: 5 * time.Second,
 	}
 	given := defaults
-	given.loads = cliutil.LoadFlag{Pairs: [][2]string{{"County", "c.csv"}}}
+	given.Loads = cliutil.LoadFlag{Pairs: [][2]string{{"County", "c.csv"}}}
 	given.upsertEpochs, given.slowMS, given.walPath = 500, 250, "ev.wal"
 	cases := []struct {
 		name    string
@@ -336,20 +370,10 @@ func TestDaemonErrors(t *testing.T) {
 	if err := run(ctx, baseOpts("missing.ddlog", nil)); err == nil {
 		t.Error("missing program should fail")
 	}
-	o := baseOpts(program, nil)
-	o.engine = "bogus"
-	if err := run(ctx, o); err == nil {
-		t.Error("bad engine should fail")
-	}
-	o = baseOpts(program, nil)
-	o.metric = "bogus"
-	if err := run(ctx, o); err == nil {
-		t.Error("bad metric should fail")
-	}
 	if err := run(ctx, baseOpts(program, [][2]string{{"County", "missing.csv"}})); err == nil {
 		t.Error("missing csv should fail")
 	}
-	o = baseOpts(program, [][2]string{{"County", county}})
+	o := baseOpts(program, [][2]string{{"County", county}})
 	o.addr = "256.0.0.1:-1"
 	if err := run(ctx, o); err == nil {
 		t.Error("bad listen address should fail")

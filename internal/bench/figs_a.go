@@ -18,17 +18,8 @@ func Table1(p Params) (*Table, error) {
 		Title:  "Table I: statistics of KBs used in experiments",
 		Header: []string{"System", "No. Rels", "No. Rules", "No. Vars", "No. Factors"},
 	}
-	type kbSpec struct {
-		kb      KB
-		rels    int // input (non-evidence) relations, as Table I counts them
-		program string
-	}
-	specs := []kbSpec{
-		{NewGWDB(p), 1, datagen.GWDBProgram},
-		{NewNYCCAS(p), 1, datagen.NYCCASProgram},
-	}
-	for _, spec := range specs {
-		s, err := spec.kb.Build(core.EngineSya, p.Seed)
+	for _, k := range []*KB{NewGWDB(p), NewNYCCAS(p)} {
+		s, err := k.Build(core.EngineSya, p.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -38,8 +29,8 @@ func Table1(p Params) (*Table, error) {
 		}
 		rules := len(s.Program().Rules)
 		factors := int64(res.Stats.LogicalFactors) + res.Stats.GroundSpatialFactors
-		t.Add(spec.kb.Name(),
-			fmt.Sprint(spec.rels),
+		t.Add(k.name,
+			"1", // input (non-evidence) relations, as Table I counts them
 			fmt.Sprint(rules),
 			fmt.Sprint(res.Stats.Vars),
 			fmt.Sprint(factors))

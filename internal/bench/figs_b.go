@@ -37,7 +37,7 @@ func Fig10(p Params) (*Table, error) {
 		if err != nil {
 			return 0, err
 		}
-		return stats.Evaluate(k.Examples(scores), stats.DefaultOptions()).F1, nil
+		return k.f1(s, scores), nil
 	}
 	sya, err := k.Build(core.EngineSya, p.Seed)
 	if err != nil {
@@ -214,7 +214,7 @@ func Fig12(p Params) (*Table, error) {
 				return nil, err
 			}
 			prev = cp
-			tr.f1 = append(tr.f1, stats.Evaluate(k.Examples(scores), stats.DefaultOptions()).F1)
+			tr.f1 = append(tr.f1, k.f1(s, scores))
 			tr.time = append(tr.time, s.InferenceTime())
 		}
 		return tr, nil
@@ -284,7 +284,6 @@ func Fig13(p Params) (*Table, error) {
 	if _, err := dd.Infer(); err != nil {
 		return nil, err
 	}
-	atoms := k.QueryAtoms()
 	rng := rand.New(rand.NewSource(p.Seed + 99))
 	incEpochs := p.Epochs / 2
 	if incEpochs < 20 {
@@ -294,10 +293,10 @@ func Fig13(p Params) (*Table, error) {
 	for _, n := range []int{1, 5, 10, 20} {
 		// Pin n fresh atoms on the Sya system and time the incremental
 		// resample of their concliques.
-		for i := 0; i < n && next < len(atoms); i++ {
-			qa := atoms[next]
+		for i := 0; i < n && next < len(k.atoms); i++ {
+			qa := k.atoms[next]
 			next++
-			if err := s.UpdateEvidence(qa.Relation, qa.Vals, int32(rng.Intn(2))); err != nil {
+			if err := s.UpdateEvidence(k.relation, qa.vals, int32(rng.Intn(2))); err != nil {
 				return nil, err
 			}
 		}
@@ -331,29 +330,24 @@ func Fig13(p Params) (*Table, error) {
 		Title:  "Fig 13b: F1 vs locality level",
 		Header: []string{"Locality level", "GWDB F1", "NYCCAS F1"},
 	}
-	gk := NewGWDB(p)
-	nk := NewNYCCAS(p)
+	kbs := []*KB{NewGWDB(p), NewNYCCAS(p)}
 	for l := 1; l <= p.PyramidLevels-1; l++ {
 		row := []string{fmt.Sprint(l)}
-		for _, kb := range []KB{gk, nk} {
-			s, err := kb.Build(core.EngineSya, p.Seed)
+		for _, kb := range kbs {
+			at := *kb
+			at.cfg.LocalityLevel = l
+			s, err := at.Build(core.EngineSya, p.Seed)
 			if err != nil {
 				return nil, err
 			}
-			cfg := s.Config()
-			cfg.LocalityLevel = l
-			s2 := core.NewSystem(cfg)
-			if err := rebuildInto(s2, kb); err != nil {
+			if _, err := s.Ground(); err != nil {
 				return nil, err
 			}
-			if _, err := s2.Ground(); err != nil {
-				return nil, err
-			}
-			scores, err := s2.Infer()
+			scores, err := s.Infer()
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, f3(stats.Evaluate(kb.Examples(scores), stats.DefaultOptions()).F1))
+			row = append(row, f3(kb.f1(s, scores)))
 		}
 		t2.Add(row...)
 	}
@@ -362,33 +356,6 @@ func Fig13(p Params) (*Table, error) {
 	t.Rows = append(t.Rows, []string{"", "", ""})
 	mergeTables(t, t2)
 	return t, nil
-}
-
-// rebuildInto loads a KB's program and data into a fresh system (Build
-// always creates its own system, so locality-level overrides re-load).
-func rebuildInto(s *core.System, kb KB) error {
-	switch k := kb.(type) {
-	case *gwdbKB:
-		if err := s.LoadProgram(datagen.GWDBProgram); err != nil {
-			return err
-		}
-		wells, evidence := k.data.Rows()
-		if err := s.LoadRows("Well", wells); err != nil {
-			return err
-		}
-		return s.LoadRows("WellEvidence", evidence)
-	case *nyccasKB:
-		if err := s.LoadProgram(datagen.NYCCASProgram); err != nil {
-			return err
-		}
-		cells, evidence := k.data.Rows()
-		if err := s.LoadRows("Cell", cells); err != nil {
-			return err
-		}
-		return s.LoadRows("CellEvidence", evidence)
-	default:
-		return fmt.Errorf("bench: unknown KB type %T", kb)
-	}
 }
 
 func mergeTables(dst, src *Table) {
@@ -420,7 +387,7 @@ func Fig14(p Params) (*Table, error) {
 	pGW.Bandwidth = 18
 	pGW.SupportRadius = 40
 	pGW.MaxNeighbors = 24
-	for _, kb := range []KB{NewGWDB(pGW), NewNYCCAS(p)} {
+	for _, kb := range []*KB{NewGWDB(pGW), NewNYCCAS(p)} {
 		s, err := kb.Build(core.EngineSya, p.Seed)
 		if err != nil {
 			return nil, err
@@ -468,7 +435,7 @@ func Fig14(p Params) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.Add(kb.Name(), fmt.Sprint(cp),
+			t.Add(kb.name, fmt.Sprint(cp),
 				ms(float64(spTime.Microseconds())/1000), f3(spKL),
 				ms(float64(stTime.Microseconds())/1000), f3(stKL))
 		}
@@ -524,8 +491,7 @@ func Ablation(p Params) (*Table, error) {
 				return nil, err
 			}
 			dur := time.Since(t0)
-			exs := examplesFromMarginals(k, gres, sampler.Marginals())
-			f1 := stats.Evaluate(exs, stats.DefaultOptions()).F1
+			f1 := stats.Evaluate(k.examples(gres, sampler.Marginals()), stats.DefaultOptions()).F1
 			factors := "on"
 			if engine == core.EngineDeepDive {
 				factors = "off"
@@ -536,21 +502,4 @@ func Ablation(p Params) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"expected: spatial factors drive the quality gain; the sampler choice mainly moves latency/convergence")
 	return t, nil
-}
-
-// examplesFromMarginals scores raw sampler marginals against a KB's truth.
-func examplesFromMarginals(k KB, gres *grounding.Result, marg [][]float64) []stats.Example {
-	var out []stats.Example
-	for _, qa := range k.QueryAtoms() {
-		vid, ok := gres.VarID[grounding.AtomKey(qa.Relation, qa.Vals)]
-		if !ok {
-			continue
-		}
-		m := marg[vid]
-		if len(m) < 2 {
-			continue
-		}
-		out = append(out, stats.Example{Score: m[1], Truth: qa.Truth, HasTruth: qa.Predictable})
-	}
-	return out
 }

@@ -8,40 +8,83 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/geom"
+	"repro/internal/grounding"
 	"repro/internal/stats"
 	"repro/internal/storage"
 )
 
-// KB abstracts one of the two evaluation knowledge bases (GWDB, NYCCAS):
-// it can build a configured System for an engine and score its output
-// against the generated ground truth.
-type KB interface {
-	Name() string
-	// Build creates, loads, and returns a system for the engine with the
-	// given sampling seed (data generation uses the params seed so all
-	// engines see identical data).
-	Build(engine core.Engine, seed int64) (*core.System, error)
-	// Examples scores the system output against ground truth.
-	Examples(scores *core.Scores) []stats.Example
-	// QueryAtoms lists (relation, vals, truth) of scoreable atoms.
-	QueryAtoms() []QueryAtom
+// KB is one of the two evaluation knowledge bases (GWDB, NYCCAS): its
+// program, generated input tables and tuned configuration, and the query
+// atoms its output is scored on against the generated ground truth. The data
+// are generated once, from the params seed, so every System built from a KB
+// sees identical data.
+type KB struct {
+	name     string
+	program  string
+	tables   []table
+	relation string      // the variable relation of the query atoms
+	atoms    []queryAtom // its non-evidence atoms, in generation order
+	cfg      core.Config // Build sets Engine and Seed
 }
 
-// QueryAtom identifies one scoreable ground atom with its ground truth.
-type QueryAtom struct {
-	Relation string
-	Vals     []storage.Value
-	Truth    stats.TruthRange
-	// Predictable is false for atoms whose evidence neighbourhood was
-	// randomized (they count in recall denominators but can rarely be
-	// inferred correctly).
-	Predictable bool
+// table is one input relation's generated rows.
+type table struct {
+	name string
+	rows []storage.Row
 }
 
-// gwdbKB is the Texas water-well knowledge base.
-type gwdbKB struct {
-	p    Params
-	data *datagen.WellsData
+// queryAtom is one scoreable ground atom: its term values and ground truth.
+// The truth is the actual binary fact (the paper's GWDB has "ground truth
+// information available for all extracted relations"), so a factual score
+// is correct when it is decisively on the right side — within the
+// evaluation tolerance of 0 or 1.
+type queryAtom struct {
+	vals  []storage.Value
+	truth stats.TruthRange
+}
+
+func newQueryAtom(id int64, loc geom.Point, fact bool) queryAtom {
+	truth := 0.0
+	if fact {
+		truth = 1.0
+	}
+	return queryAtom{vals: []storage.Value{storage.Int(id), storage.Geom(loc)}, truth: stats.Point(truth)}
+}
+
+// Build creates a System for the engine with the given sampling seed and
+// loads the program and tables into it.
+func (k *KB) Build(engine core.Engine, seed int64) (*core.System, error) {
+	cfg := k.cfg
+	cfg.Engine, cfg.Seed = engine, seed
+	s := core.NewSystem(cfg)
+	if err := s.LoadProgram(k.program); err != nil {
+		return nil, err
+	}
+	for _, t := range k.tables {
+		if err := s.LoadRows(t.name, t.rows); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+// examples scores marginals over a grounding against the query atoms' truth;
+// an atom the grounding lacks, or a non-binary one, is skipped.
+func (k *KB) examples(gres *grounding.Result, marginals [][]float64) []stats.Example {
+	var out []stats.Example
+	for _, qa := range k.atoms {
+		vid, ok := gres.VarID[grounding.AtomKey(k.relation, qa.vals)]
+		if !ok || len(marginals[vid]) < 2 {
+			continue
+		}
+		out = append(out, stats.Example{Score: marginals[vid][1], Truth: qa.truth, HasTruth: true})
+	}
+	return out
+}
+
+// f1 is the F1-score of a System's inferred scores.
+func (k *KB) f1(s *core.System, scores *core.Scores) float64 {
+	return stats.Evaluate(k.examples(s.Grounding(), scores.Marginals), stats.DefaultOptions()).F1
 }
 
 // gwdbExtent keeps well density constant as the workload scales (the real
@@ -50,35 +93,81 @@ func gwdbExtent(wells int) float64 {
 	return 600 * math.Sqrt(float64(wells)/600)
 }
 
-// NewGWDB generates the dataset once and returns the KB.
-func NewGWDB(p Params) KB {
+// NewGWDB generates the Texas water-well dataset and returns its KB.
+func NewGWDB(p Params) *KB {
 	data := datagen.Wells(datagen.WellsConfig{
 		N:      p.GWDBWells,
 		Seed:   p.Seed,
 		Extent: gwdbExtent(p.GWDBWells),
 	})
-	return &gwdbKB{p: p, data: data}
+	wells, evidence := data.Rows()
+	k := &KB{
+		name:     "GWDB",
+		program:  datagen.GWDBProgram,
+		tables:   []table{{"Well", wells}, {"WellEvidence", evidence}},
+		relation: "IsSafe",
+		cfg: core.Config{
+			Metric:        geom.Euclidean,
+			Bandwidth:     p.Bandwidth,
+			SpatialScale:  p.SpatialScale,
+			SupportRadius: p.SupportRadius,
+			MaxNeighbors:  p.MaxNeighbors,
+			PyramidLevels: p.PyramidLevels,
+			LocalityLevel: localityFor(data.Config.Extent, p.SupportRadius, p.PyramidLevels),
+			Instances:     p.Instances,
+			Workers:       p.Workers,
+			GroundWorkers: p.GroundWorkers,
+			Epochs:        p.Epochs,
+			Metrics:       p.Metrics,
+		},
+	}
+	for _, w := range data.Wells {
+		if !w.IsEvidence {
+			k.atoms = append(k.atoms, newQueryAtom(w.ID, w.Loc, w.Safe))
+		}
+	}
+	return k
 }
 
-func (k *gwdbKB) Name() string { return "GWDB" }
-
-func (k *gwdbKB) system(engine core.Engine, seed int64) *core.System {
-	return core.NewSystem(core.Config{
-		Engine:        engine,
-		Metric:        geom.Euclidean,
-		Bandwidth:     k.p.Bandwidth,
-		SpatialScale:  k.p.SpatialScale,
-		SupportRadius: k.p.SupportRadius,
-		MaxNeighbors:  k.p.MaxNeighbors,
-		PyramidLevels: k.p.PyramidLevels,
-		LocalityLevel: localityFor(k.data.Config.Extent, k.p.SupportRadius, k.p.PyramidLevels),
-		Instances:     k.p.Instances,
-		Workers:       k.p.Workers,
-		GroundWorkers: k.p.GroundWorkers,
-		Epochs:        k.p.Epochs,
-		Seed:          seed,
-		Metrics:       k.p.Metrics,
+// NewNYCCAS generates the NYC air-pollution raster and returns its KB. The
+// extent grows with the side length so the cell size (and thus the spatial
+// neighbourhood structure) stays constant as the workload scales; the
+// spatial bandwidth and support are in cell units, since the raster is
+// km-scale.
+func NewNYCCAS(p Params) *KB {
+	data := datagen.Raster(datagen.RasterConfig{
+		Side:   p.NYCCASSide,
+		Seed:   p.Seed + 1,
+		Extent: float64(p.NYCCASSide) * 30.0 / 22.0,
 	})
+	cells, evidence := data.Rows()
+	cell := data.Config.Extent / float64(data.Config.Side)
+	k := &KB{
+		name:     "NYCCAS",
+		program:  datagen.NYCCASProgram,
+		tables:   []table{{"Cell", cells}, {"CellEvidence", evidence}},
+		relation: "Polluted",
+		cfg: core.Config{
+			Metric:        geom.Euclidean,
+			Bandwidth:     2 * cell,
+			SpatialScale:  p.SpatialScale,
+			SupportRadius: 4 * cell,
+			MaxNeighbors:  p.MaxNeighbors,
+			PyramidLevels: p.PyramidLevels,
+			LocalityLevel: localityFor(data.Config.Extent, 4*cell, p.PyramidLevels),
+			Instances:     p.Instances,
+			Workers:       p.Workers,
+			GroundWorkers: p.GroundWorkers,
+			Epochs:        p.Epochs,
+			Metrics:       p.Metrics,
+		},
+	}
+	for _, c := range data.Cells {
+		if !c.IsEvidence {
+			k.atoms = append(k.atoms, newQueryAtom(c.ID, c.Loc, c.Polluted))
+		}
+	}
+	return k
 }
 
 // localityFor picks the deepest pyramid level whose cell width still covers
@@ -91,137 +180,6 @@ func localityFor(extent, radius float64, levels int) int {
 		l++
 	}
 	return l
-}
-
-func (k *gwdbKB) Build(engine core.Engine, seed int64) (*core.System, error) {
-	s := k.system(engine, seed)
-	if err := s.LoadProgram(datagen.GWDBProgram); err != nil {
-		return nil, err
-	}
-	wells, evidence := k.data.Rows()
-	if err := s.LoadRows("Well", wells); err != nil {
-		return nil, err
-	}
-	if err := s.LoadRows("WellEvidence", evidence); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-func (k *gwdbKB) QueryAtoms() []QueryAtom {
-	var out []QueryAtom
-	for _, w := range k.data.Wells {
-		if w.IsEvidence {
-			continue
-		}
-		// Ground truth is the actual binary fact (the paper's GWDB has
-		// "ground truth information available for all extracted relations"),
-		// so a factual score is correct when it is decisively on the right
-		// side — within the evaluation tolerance of 0 or 1.
-		truth := 0.0
-		if w.Safe {
-			truth = 1.0
-		}
-		out = append(out, QueryAtom{
-			Relation:    "IsSafe",
-			Vals:        []storage.Value{storage.Int(w.ID), storage.Geom(w.Loc)},
-			Truth:       stats.Point(truth),
-			Predictable: true,
-		})
-	}
-	return out
-}
-
-func (k *gwdbKB) Examples(scores *core.Scores) []stats.Example {
-	return examplesOf(k, scores)
-}
-
-// nyccasKB is the NYC air-pollution knowledge base.
-type nyccasKB struct {
-	p    Params
-	data *datagen.RasterData
-}
-
-// NewNYCCAS generates the raster once and returns the KB. The extent grows
-// with the side length so the cell size (and thus the spatial neighbourhood
-// structure) stays constant as the workload scales.
-func NewNYCCAS(p Params) KB {
-	data := datagen.Raster(datagen.RasterConfig{
-		Side:   p.NYCCASSide,
-		Seed:   p.Seed + 1,
-		Extent: float64(p.NYCCASSide) * 30.0 / 22.0,
-	})
-	return &nyccasKB{p: p, data: data}
-}
-
-func (k *nyccasKB) Name() string { return "NYCCAS" }
-
-func (k *nyccasKB) Build(engine core.Engine, seed int64) (*core.System, error) {
-	// The raster is km-scale: scale the spatial bandwidth accordingly.
-	cell := k.data.Config.Extent / float64(k.data.Config.Side)
-	s := core.NewSystem(core.Config{
-		Engine:        engine,
-		Metric:        geom.Euclidean,
-		Bandwidth:     2 * cell,
-		SpatialScale:  k.p.SpatialScale,
-		SupportRadius: 4 * cell,
-		MaxNeighbors:  k.p.MaxNeighbors,
-		PyramidLevels: k.p.PyramidLevels,
-		LocalityLevel: localityFor(k.data.Config.Extent, 4*cell, k.p.PyramidLevels),
-		Instances:     k.p.Instances,
-		Workers:       k.p.Workers,
-		GroundWorkers: k.p.GroundWorkers,
-		Epochs:        k.p.Epochs,
-		Seed:          seed,
-		Metrics:       k.p.Metrics,
-	})
-	if err := s.LoadProgram(datagen.NYCCASProgram); err != nil {
-		return nil, err
-	}
-	cells, evidence := k.data.Rows()
-	if err := s.LoadRows("Cell", cells); err != nil {
-		return nil, err
-	}
-	if err := s.LoadRows("CellEvidence", evidence); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-func (k *nyccasKB) QueryAtoms() []QueryAtom {
-	var out []QueryAtom
-	for _, c := range k.data.Cells {
-		if c.IsEvidence {
-			continue
-		}
-		truth := 0.0
-		if c.Polluted {
-			truth = 1.0
-		}
-		out = append(out, QueryAtom{
-			Relation:    "Polluted",
-			Vals:        []storage.Value{storage.Int(c.ID), storage.Geom(c.Loc)},
-			Truth:       stats.Point(truth),
-			Predictable: true,
-		})
-	}
-	return out
-}
-
-func (k *nyccasKB) Examples(scores *core.Scores) []stats.Example {
-	return examplesOf(k, scores)
-}
-
-func examplesOf(k KB, scores *core.Scores) []stats.Example {
-	var out []stats.Example
-	for _, qa := range k.QueryAtoms() {
-		p, ok := scores.TrueProb(qa.Relation, qa.Vals)
-		if !ok {
-			continue
-		}
-		out = append(out, stats.Example{Score: p, Truth: qa.Truth, HasTruth: qa.Predictable})
-	}
-	return out
 }
 
 // RunResult aggregates one (KB, engine) evaluation averaged over runs.
@@ -240,8 +198,8 @@ type RunResult struct {
 // averages the metrics; grounding runs once per seed (the data is fixed, so
 // its time is averaged too). With p.GroundOnly, inference is skipped and the
 // quality metrics come back NaN (rendered as "-").
-func evaluateKB(k KB, engine core.Engine, p Params) (RunResult, error) {
-	agg := RunResult{KB: k.Name(), Engine: engine.String()}
+func evaluateKB(k *KB, engine core.Engine, p Params) (RunResult, error) {
+	agg := RunResult{KB: k.name, Engine: engine.String()}
 	for r := 0; r < p.Runs; r++ {
 		s, err := k.Build(engine, p.Seed+int64(100*r+7))
 		if err != nil {
@@ -256,7 +214,7 @@ func evaluateKB(k KB, engine core.Engine, p Params) (RunResult, error) {
 			if err != nil {
 				return agg, err
 			}
-			rep := stats.Evaluate(k.Examples(scores), stats.DefaultOptions())
+			rep := stats.Evaluate(k.examples(gres, scores.Marginals), stats.DefaultOptions())
 			agg.Precision += rep.Precision
 			agg.Recall += rep.Recall
 			agg.F1 += rep.F1
@@ -283,14 +241,14 @@ func evaluateKB(k KB, engine core.Engine, p Params) (RunResult, error) {
 // compareKBs evaluates both KBs under both engines (the Fig. 8 / Fig. 9
 // workload).
 func compareKBs(p Params) ([]RunResult, error) {
-	kbs := []KB{NewGWDB(p), NewNYCCAS(p)}
+	kbs := []*KB{NewGWDB(p), NewNYCCAS(p)}
 	engines := []core.Engine{core.EngineSya, core.EngineDeepDive}
 	var out []RunResult
 	for _, k := range kbs {
 		for _, e := range engines {
 			res, err := evaluateKB(k, e, p)
 			if err != nil {
-				return nil, fmt.Errorf("bench: %s/%s: %w", k.Name(), e, err)
+				return nil, fmt.Errorf("bench: %s/%s: %w", k.name, e, err)
 			}
 			out = append(out, res)
 		}

@@ -1,12 +1,16 @@
-// Package cliutil holds the plumbing shared by the sya and syad commands:
-// the repeatable -load Relation=file.csv flag, CSV ingestion into relation
-// tables, and the engine/metric flag-value parsers. Both binaries accept
-// identical spellings for these flags so a batch invocation can be lifted
-// into a resident server (and back) without editing its arguments.
+// Package cliutil holds the pipeline both the sya and syad commands run
+// (paper Fig. 2: program → grounding → inference): Pipeline binds the shared
+// command-line flags once and builds the grounded System, and LoadCSV
+// ingests a -load file into its relation table. Both binaries therefore
+// accept identical spellings for these flags, so a batch invocation can be
+// lifted into a resident server (and back) without editing its arguments.
 package cliutil
 
 import (
+	"context"
 	"encoding/csv"
+	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"strings"
@@ -15,6 +19,66 @@ import (
 	"repro/internal/geom"
 	"repro/internal/storage"
 )
+
+// Pipeline is what the shared flags configure: the program file, the CSV
+// inputs and the System's configuration.
+type Pipeline struct {
+	Program string
+	Loads   LoadFlag
+	Config  core.Config
+}
+
+// Bind declares the shared pipeline flags on fs, each straight into the
+// field it sets. -engine and -metric parse through the types' UnmarshalText,
+// so a bad spelling is a usage error at parse time.
+func (p *Pipeline) Bind(fs *flag.FlagSet) {
+	fs.StringVar(&p.Program, "program", "", "DDlog program file (required)")
+	fs.Var(&p.Loads, "load", "Relation=file.csv (repeatable)")
+	fs.TextVar(&p.Config.Engine, "engine", core.EngineSya, "engine: sya | deepdive")
+	fs.TextVar(&p.Config.Metric, "metric", geom.Euclidean, "distance metric: euclidean | miles | km")
+	fs.IntVar(&p.Config.Epochs, "epochs", 1000, "inference epochs")
+	fs.Float64Var(&p.Config.Bandwidth, "bandwidth", 50, "spatial weighing bandwidth")
+	fs.Float64Var(&p.Config.SpatialScale, "scale", 1, "spatial weighing zero-distance scale")
+	fs.Int64Var(&p.Config.Seed, "seed", 1, "sampler seed")
+	fs.IntVar(&p.Config.GroundWorkers, "ground-workers", 0, "grounding worker-pool width (0 = GOMAXPROCS, 1 = sequential; output graph is identical)")
+}
+
+// Validate reports what the parsed flags lack: a -program.
+func (p *Pipeline) Validate() error {
+	if p.Program == "" {
+		return errors.New("-program is required")
+	}
+	return nil
+}
+
+// Build runs the pipeline up to a grounded System: it reads the program,
+// creates the System from Config, loads the program and every -load CSV,
+// and grounds under ctx. The System is closed on any error.
+func (p *Pipeline) Build(ctx context.Context) (*core.System, error) {
+	src, err := os.ReadFile(p.Program)
+	if err != nil {
+		return nil, err
+	}
+	s := core.NewSystem(p.Config)
+	if err := p.load(ctx, s, string(src)); err != nil {
+		s.Close()
+		return nil, err
+	}
+	return s, nil
+}
+
+func (p *Pipeline) load(ctx context.Context, s *core.System, src string) error {
+	if err := s.LoadProgram(src); err != nil {
+		return err
+	}
+	for _, pair := range p.Loads.Pairs {
+		if err := LoadCSV(s, pair[0], pair[1]); err != nil {
+			return fmt.Errorf("loading %s from %s: %w", pair[0], pair[1], err)
+		}
+	}
+	_, err := s.GroundContext(ctx)
+	return err
+}
 
 // LoadFlag accumulates -load Relation=file.csv pairs.
 type LoadFlag struct {
@@ -31,32 +95,6 @@ func (l *LoadFlag) Set(v string) error {
 	}
 	l.Pairs = append(l.Pairs, [2]string{parts[0], parts[1]})
 	return nil
-}
-
-// ParseEngine maps the -engine flag value onto a core engine.
-func ParseEngine(name string) (core.Engine, error) {
-	switch strings.ToLower(name) {
-	case "", "sya":
-		return core.EngineSya, nil
-	case "deepdive":
-		return core.EngineDeepDive, nil
-	default:
-		return 0, fmt.Errorf("unknown engine %q", name)
-	}
-}
-
-// ParseMetric maps the -metric flag value onto a distance metric.
-func ParseMetric(name string) (geom.Metric, error) {
-	switch strings.ToLower(name) {
-	case "", "euclidean":
-		return geom.Euclidean, nil
-	case "miles":
-		return geom.HaversineMiles, nil
-	case "km":
-		return geom.HaversineKm, nil
-	default:
-		return 0, fmt.Errorf("unknown metric %q", name)
-	}
 }
 
 // LoadCSV appends a CSV file's rows to a relation table, mapping columns by

@@ -1,8 +1,12 @@
 package cliutil
 
 import (
+	"context"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -29,35 +33,77 @@ func TestLoadFlag(t *testing.T) {
 	}
 }
 
-func TestParseEngine(t *testing.T) {
-	for name, want := range map[string]core.Engine{
-		"": core.EngineSya, "sya": core.EngineSya, "SYA": core.EngineSya,
-		"deepdive": core.EngineDeepDive,
-	} {
-		got, err := ParseEngine(name)
-		if err != nil || got != want {
-			t.Errorf("ParseEngine(%q) = %v, %v", name, got, err)
+// TestSharedPipelineFlags: the nine shared arguments, each away from its
+// default and in a spelling other than the canonical one where there is
+// one, land in the Pipeline through Bind alone, and a bad -engine or -metric
+// is a parse error. The sya and syad tests of the same name parse the same
+// arguments through each command's parseArgs.
+func TestSharedPipelineFlags(t *testing.T) {
+	args := []string{"-program", "kb.ddlog", "-load", "County=c.csv", "-engine", "DeepDive",
+		"-metric", "haversine_km", "-epochs", "50", "-bandwidth", "60", "-scale", "0.5",
+		"-seed", "7", "-ground-workers", "1"}
+	want := Pipeline{
+		Program: "kb.ddlog", Loads: LoadFlag{Pairs: [][2]string{{"County", "c.csv"}}},
+		Config: core.Config{
+			Engine: core.EngineDeepDive, Metric: geom.HaversineKm,
+			Epochs: 50, Bandwidth: 60, SpatialScale: 0.5, Seed: 7, GroundWorkers: 1,
+		},
+	}
+	parse := func(args []string) (Pipeline, error) {
+		var p Pipeline
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		p.Bind(fs)
+		return p, fs.Parse(args)
+	}
+	got, err := parse(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Bind parsed\n%+v, want\n%+v", got, want)
+	}
+	for _, flag := range []string{"-engine", "-metric"} {
+		if _, err := parse([]string{"-program", "kb.ddlog", flag, "bogus"}); err == nil {
+			t.Errorf("bad %s should fail to parse", flag)
 		}
 	}
-	if _, err := ParseEngine("bogus"); err == nil {
-		t.Error("bad engine should fail")
+	if err := (&Pipeline{}).Validate(); err == nil {
+		t.Error("a Pipeline without a program should not validate")
 	}
 }
 
-func TestParseMetric(t *testing.T) {
-	for name, want := range map[string]geom.Metric{
-		"":          geom.Euclidean,
-		"euclidean": geom.Euclidean,
-		"Miles":     geom.HaversineMiles,
-		"km":        geom.HaversineKm,
-	} {
-		got, err := ParseMetric(name)
-		if err != nil || got != want {
-			t.Errorf("ParseMetric(%q) = %v, %v", name, got, err)
-		}
+// TestBuild: Build grounds a loadable pipeline and reports every
+// failing stage — reading the program, compiling it, loading a CSV.
+func TestBuild(t *testing.T) {
+	dir := t.TempDir()
+	program := filepath.Join(dir, "kb.ddlog")
+	if err := os.WriteFile(program, []byte(datagen.EbolaProgram), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ParseMetric("bogus"); err == nil {
-		t.Error("bad metric should fail")
+	county := writeCSV(t, "county.csv", "id,location,hasLowSanitation\n1,POINT (-10.80 6.32),true\n")
+	p := Pipeline{Program: program, Loads: LoadFlag{Pairs: [][2]string{{"County", county}}}}
+	s, err := p.Build(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Grounding() == nil || s.Grounding().Stats.Vars != 1 {
+		t.Errorf("Build did not ground the loaded county")
+	}
+	broken := filepath.Join(dir, "broken.ddlog")
+	if err := os.WriteFile(broken, []byte("not ddlog"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string]Pipeline{
+		"missing program":  {Program: filepath.Join(dir, "missing.ddlog")},
+		"broken program":   {Program: broken},
+		"missing csv":      {Program: program, Loads: LoadFlag{Pairs: [][2]string{{"County", "missing.csv"}}}},
+		"unknown relation": {Program: program, Loads: LoadFlag{Pairs: [][2]string{{"Nope", county}}}},
+	} {
+		if _, err := bad.Build(context.Background()); err == nil {
+			t.Errorf("%s should fail", name)
+		}
 	}
 }
 

@@ -51,6 +51,23 @@ func (e Engine) String() string {
 	return "sya"
 }
 
+// MarshalText writes the engine's name.
+func (e Engine) MarshalText() ([]byte, error) { return []byte(e.String()), nil }
+
+// UnmarshalText reads an engine name, case-insensitively: "" or "sya",
+// "deepdive".
+func (e *Engine) UnmarshalText(text []byte) error {
+	switch strings.ToLower(string(text)) {
+	case "", "sya":
+		*e = EngineSya
+	case "deepdive":
+		*e = EngineDeepDive
+	default:
+		return fmt.Errorf("unknown engine %q", text)
+	}
+	return nil
+}
+
 // Config parameterizes a System. Zero values select the paper's defaults.
 type Config struct {
 	Engine Engine
@@ -184,11 +201,12 @@ type System struct {
 	shardGroup *shard.Group
 	learned    bool
 
-	// pinned tracks the evidence pins applied to the live sampler since
-	// the last full grounding (UpdateEvidence and UpsertEvidence patches).
-	// The first pin per atom wins — matching the batch dedup rule — and
-	// the set resets when a re-ground bakes the evidence into the graph.
-	pinned map[factorgraph.VarID]bool
+	// pinned holds the value of every evidence pin since the last full
+	// grounding (UpdateEvidence and UpsertEvidence patches). The first pin
+	// per atom wins — matching the batch dedup rule. Every sampler built
+	// within the grounding gets the pins re-applied, and the record resets
+	// when a re-ground bakes the evidence into the graph.
+	pinned map[factorgraph.VarID]int32
 
 	groundDur time.Duration
 	inferDur  time.Duration
@@ -547,7 +565,8 @@ func (s *System) ShardGroup() *shard.Group { return s.shardGroup }
 
 // ensureSampler builds (and possibly resumes) the engine sampler if none is
 // live, wiring the observability plane into it — a gibbs.build stage of the
-// span on ctx, with the checkpoint resume as an event on it.
+// span on ctx, with the checkpoint resume as an event on it — and re-applies
+// the grounding's evidence pins to it.
 func (s *System) ensureSampler(ctx context.Context) error {
 	if s.sampler != nil {
 		return nil
@@ -582,6 +601,16 @@ func (s *System) ensureSampler(ctx context.Context) error {
 		}
 		sampler.SetCheckpointer(&gibbs.Checkpointer{Path: s.cfg.CheckpointPath, Every: s.cfg.CheckpointEvery})
 	}
+	// Pins exist only where UpdateEvidence / UpsertEvidence found the
+	// incremental sampler, so a rebuilt one within the grounding is one too.
+	if sp, ok := sampler.(*gibbs.Spatial); ok {
+		for v, val := range s.pinned {
+			if err := sp.UpdateEvidence(v, val); err != nil {
+				sampler.Close()
+				return err
+			}
+		}
+	}
 	s.sampler = sampler
 	return nil
 }
@@ -604,6 +633,8 @@ func (s *System) incremental() (*gibbs.Spatial, error) {
 
 // UpdateEvidence pins a ground atom to a value (incremental inference; Sya
 // engine only) — the atom is identified by its relation and term values.
+// The first pin of an atom wins, as in UpsertEvidence: pinning the same
+// value again does nothing, a different value is an error.
 func (s *System) UpdateEvidence(relation string, vals []storage.Value, value int32) error {
 	sp, err := s.incremental()
 	if err != nil {
@@ -613,13 +644,24 @@ func (s *System) UpdateEvidence(relation string, vals []storage.Value, value int
 	if !ok {
 		return fmt.Errorf("core: no ground atom %s(%v)", relation, vals)
 	}
-	if err := sp.UpdateEvidence(vid, value); err != nil {
+	if old, ok := s.pinned[vid]; ok {
+		if old != value {
+			return fmt.Errorf("core: %s is pinned to %d; cannot pin it to %d", s.ground.Graph.Var(vid).Name, old, value)
+		}
+		return nil
+	}
+	return s.pin(sp, vid, value)
+}
+
+// pin applies one new evidence pin to the live sampler and records it.
+func (s *System) pin(sp *gibbs.Spatial, v factorgraph.VarID, value int32) error {
+	if err := sp.UpdateEvidence(v, value); err != nil {
 		return err
 	}
 	if s.pinned == nil {
-		s.pinned = map[factorgraph.VarID]bool{}
+		s.pinned = map[factorgraph.VarID]int32{}
 	}
-	s.pinned[vid] = true
+	s.pinned[v] = value
 	return nil
 }
 

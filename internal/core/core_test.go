@@ -130,6 +130,35 @@ func TestSyaBeatsDeepDiveOnEbolaF1(t *testing.T) {
 	}
 }
 
+// TestEngineUnmarshalText: every accepted spelling reads case-insensitively
+// into its engine, an unknown one is an error, and each engine's own name
+// reads back to it.
+func TestEngineUnmarshalText(t *testing.T) {
+	for name, want := range map[string]Engine{
+		"": EngineSya, "sya": EngineSya, "SYA": EngineSya,
+		"deepdive": EngineDeepDive, "DeepDive": EngineDeepDive,
+	} {
+		var got Engine
+		if err := got.UnmarshalText([]byte(name)); err != nil || got != want {
+			t.Errorf("UnmarshalText(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	var e Engine
+	if err := e.UnmarshalText([]byte("bogus")); err == nil {
+		t.Error("bad engine should fail")
+	}
+	for _, e := range []Engine{EngineSya, EngineDeepDive} {
+		text, err := e.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Engine
+		if err := back.UnmarshalText(text); err != nil || back != e {
+			t.Errorf("%v: name %q reads back as %v, %v", e, text, back, err)
+		}
+	}
+}
+
 func TestInferBeforeGroundFails(t *testing.T) {
 	s := NewSystem(Config{})
 	if _, err := s.Infer(); err == nil {

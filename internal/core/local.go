@@ -65,10 +65,9 @@ type LocalResult struct {
 // sampler + worker pool sized to the subgraph, and releases them before
 // returning.
 //
-// Boundary atoms freeze at their evidence value, their upsert-pinned state
-// (evidence-grade, from the live sampler), or — uncertain atoms — the
-// deterministic initial chain state, with the distortion that last class
-// can introduce reported in ErrorBound.
+// Boundary atoms freeze at their evidence value, their pinned value
+// (evidence-grade), or — uncertain atoms — a guess, with the distortion that
+// last class can introduce reported in ErrorBound.
 func (s *System) QueryLocal(ctx context.Context, key string, budget LocalBudget) (*LocalResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -81,12 +80,11 @@ func (s *System) QueryLocal(ctx context.Context, key string, budget LocalBudget)
 		return nil, fmt.Errorf("core: unknown atom %q", key)
 	}
 
-	// Boundary freezing policy. The live sampler (when inference has run)
-	// informs the frozen state: upsert pins are evidence-grade (their
-	// point-mass marginal recovers the pinned value), and any other sampled
-	// variable freezes at its current modal state as a warm guess — still
-	// counted toward the truncation bound, but far closer to the posterior
-	// than the cold initial chain state.
+	// Boundary freezing policy. Pins are evidence-grade and freeze at their
+	// recorded value. Any other variable freezes at the live sampler's modal
+	// state (when inference has run) as a warm guess — still counted toward
+	// the truncation bound, but far closer to the posterior than the cold
+	// initial chain state.
 	argmaxOf := func(m []float64) int32 {
 		arg, best := int32(0), -1.0
 		for i, p := range m {
@@ -97,10 +95,13 @@ func (s *System) QueryLocal(ctx context.Context, key string, budget LocalBudget)
 		return arg
 	}
 	freeze := func(v factorgraph.VarID) (int32, bool) {
+		if val, ok := s.pinned[v]; ok {
+			return val, true
+		}
 		if s.sampler == nil {
 			return 0, false // cold: deterministic initial chain state
 		}
-		return argmaxOf(s.sampler.MarginalVar(v)), s.pinned[v]
+		return argmaxOf(s.sampler.MarginalVar(v)), false
 	}
 
 	groundSpan := obs.SpanFromContext(ctx).Child("local_ground")

@@ -90,18 +90,14 @@ func (s *System) UpsertEvidence(ctx context.Context, relation string, rows []sto
 	if !ok {
 		return s.upsertStructural(ctx, stats, "sampler is not incremental")
 	}
-	if s.pinned == nil {
-		s.pinned = map[factorgraph.VarID]bool{}
-	}
 	for _, pin := range patch.Pins {
-		if s.pinned[pin.Var] {
+		if _, ok := s.pinned[pin.Var]; ok {
 			stats.SkippedPins++
 			continue
 		}
-		if err := sp.UpdateEvidence(pin.Var, pin.Value); err != nil {
+		if err := s.pin(sp, pin.Var, pin.Value); err != nil {
 			return stats, err
 		}
-		s.pinned[pin.Var] = true
 		stats.Pins++
 	}
 	pinSpan.Notef("pins=%d skipped=%d", stats.Pins, stats.SkippedPins)
@@ -113,7 +109,10 @@ func (s *System) UpsertEvidence(ctx context.Context, relation string, rows []sto
 // Pinned reports whether v has been pinned by an evidence upsert since the
 // last full ground (pins baked into the graph at grounding time show as
 // Variable.Evidence instead).
-func (s *System) Pinned(v factorgraph.VarID) bool { return s.pinned[v] }
+func (s *System) Pinned(v factorgraph.VarID) bool {
+	_, ok := s.pinned[v]
+	return ok
+}
 
 // upsertStructural is the fallback: re-ground the whole program. The sampler
 // and pin set are reset by GroundContext; inference restarts fresh.

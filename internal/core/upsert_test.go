@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/datagen"
@@ -85,6 +86,78 @@ func TestUpsertEvidenceConflictSkipsPin(t *testing.T) {
 	}
 	if got, _ := scores.TrueProb("HasEbola", countyVals(bong)); got != 1 {
 		t.Errorf("Bong score = %f, want 1 (first pin kept)", got)
+	}
+}
+
+// TestPinsSurviveSamplerRebuild: a pin outlives the sampler it was applied
+// to. Upserting before the first Infer builds a sampler for the pin; the
+// Infer then learns the @weight(?) rule, which rebuilds the sampler, and so
+// does Close followed by Infer. Each time the pinned atom must read as the
+// exact point mass.
+func TestPinsSurviveSamplerRebuild(t *testing.T) {
+	s := NewSystem(Config{Metric: geom.HaversineMiles, Bandwidth: 60, PyramidLevels: 4, Epochs: 400, Seed: 11})
+	defer s.Close()
+	if err := s.LoadProgram(strings.Replace(datagen.EbolaProgram, "R1: @weight(0.5)", "R1: @weight(?)", 1)); err != nil {
+		t.Fatal(err)
+	}
+	county, evidence := datagen.EbolaRows(datagen.EbolaCounties())
+	if err := s.LoadRows("County", county); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LoadRows("CountyEvidence", evidence); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Ground(); err != nil {
+		t.Fatal(err)
+	}
+	bong := datagen.EbolaCounties()[2]
+	stats, err := s.UpsertEvidence(context.Background(), "CountyEvidence", []storage.Row{evidenceRow(bong, true)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Structural || stats.Pins != 1 {
+		t.Fatalf("upsert stats = %+v, want one pin on the delta path", stats)
+	}
+	for _, step := range []string{"infer after learning", "infer after Close"} {
+		scores, err := s.Infer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, _ := scores.Marginal("HasEbola", countyVals(bong)); len(m) != 2 || m[0] != 0 || m[1] != 1 {
+			t.Errorf("%s: pinned Bong marginal = %v, want exactly [0 1]", step, m)
+		}
+		s.Close()
+	}
+}
+
+// TestUpdateEvidenceFirstPinWins: UpdateEvidence keeps the first pin of an
+// atom, like UpsertEvidence. The same value again does nothing; a different
+// value is an error naming the atom.
+func TestUpdateEvidenceFirstPinWins(t *testing.T) {
+	s := newEbolaSystem(t, Config{Engine: EngineSya, Seed: 3, Epochs: 200})
+	defer s.Close()
+	if _, err := s.Ground(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Infer(); err != nil {
+		t.Fatal(err)
+	}
+	bong := countyVals(datagen.EbolaCounties()[2])
+	for i := 0; i < 2; i++ {
+		if err := s.UpdateEvidence("HasEbola", bong, 1); err != nil {
+			t.Fatalf("pin %d: %v", i, err)
+		}
+	}
+	err := s.UpdateEvidence("HasEbola", bong, 0)
+	if err == nil || !strings.Contains(err.Error(), "hasebola|3|") {
+		t.Fatalf("re-pin to another value: error %v, want one naming the atom", err)
+	}
+	scores, err := s.InferIncremental(200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, _ := scores.TrueProb("HasEbola", bong); p != 1 {
+		t.Errorf("Bong = %v, want 1 (first pin kept)", p)
 	}
 }
 

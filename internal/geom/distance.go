@@ -1,6 +1,10 @@
 package geom
 
-import "math"
+import (
+	"fmt"
+	"math"
+	"strings"
+)
 
 // Metric selects how distances between points are measured.
 type Metric uint8
@@ -15,6 +19,48 @@ const (
 	// HaversineKm is great-circle distance in kilometres.
 	HaversineKm
 )
+
+// ParseMetric reads a metric name, case-insensitively: "" or "euclidean",
+// "miles" or "haversine_miles", "km" or "haversine_km". With String it is
+// the one spelling table: the -metric flag, the metric name translate writes
+// into SQL and the metric argument sqlx reads all go through it.
+func ParseMetric(name string) (Metric, error) {
+	switch strings.ToLower(name) {
+	case "", "euclidean":
+		return Euclidean, nil
+	case "miles", "haversine_miles":
+		return HaversineMiles, nil
+	case "km", "haversine_km":
+		return HaversineKm, nil
+	default:
+		return 0, fmt.Errorf("unknown metric %q", name)
+	}
+}
+
+// String names the metric the way ParseMetric reads it.
+func (m Metric) String() string {
+	switch m {
+	case HaversineMiles:
+		return "miles"
+	case HaversineKm:
+		return "km"
+	default:
+		return "euclidean"
+	}
+}
+
+// MarshalText writes the metric's name.
+func (m Metric) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+// UnmarshalText reads a metric name through ParseMetric.
+func (m *Metric) UnmarshalText(text []byte) error {
+	v, err := ParseMetric(string(text))
+	if err != nil {
+		return err
+	}
+	*m = v
+	return nil
+}
 
 // Earth radii used by the haversine metrics.
 const (

@@ -146,6 +146,38 @@ func TestMetricEuclideanDefault(t *testing.T) {
 	}
 }
 
+// TestMetricUnmarshalText: every accepted spelling reads case-insensitively
+// into its metric, an unknown one is an error, and each metric's own name
+// reads back to it.
+func TestMetricUnmarshalText(t *testing.T) {
+	for name, want := range map[string]Metric{
+		"":                Euclidean,
+		"euclidean":       Euclidean,
+		"Miles":           HaversineMiles,
+		"haversine_miles": HaversineMiles,
+		"km":              HaversineKm,
+		"HAVERSINE_KM":    HaversineKm,
+	} {
+		var got Metric
+		if err := got.UnmarshalText([]byte(name)); err != nil || got != want {
+			t.Errorf("UnmarshalText(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	var m Metric
+	if err := m.UnmarshalText([]byte("bogus")); err == nil {
+		t.Error("bad metric should fail")
+	}
+	for _, m := range []Metric{Euclidean, HaversineMiles, HaversineKm} {
+		text, err := m.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back, err := ParseMetric(string(text)); err != nil || back != m {
+			t.Errorf("%v: name %q reads back as %v, %v", uint8(m), text, back, err)
+		}
+	}
+}
+
 func TestDistancePointRect(t *testing.T) {
 	r := NewRect(Pt(0, 0), Pt(2, 2))
 	if d := DistancePointRect(Pt(1, 1), r); d != 0 {

@@ -55,29 +55,13 @@ func (o SpatialOptions) withDefaults() SpatialOptions {
 	return o
 }
 
-// restrictedView is one cached restricted schedule of RunIncremental, keyed
-// by the dirty-variable set that produced it: the dirty cells (with group
-// boundaries preserved) plus the affected tail variables. Views stay valid
-// across later evidence pins because pinned variables are filtered at
-// execution time, never from the view (a view can only over-include).
+// restrictedView is the restricted schedule of one RunIncremental call: the
+// cells of the dirty variables and their factor neighbours (with group
+// boundaries preserved) plus the affected tail variables.
 type restrictedView struct {
-	dirty    []factorgraph.VarID // sorted member list, for exact key checks
-	cells    []int32             // dirty unit indices, group-major
+	cells    []int32 // dirty unit indices, group-major
 	groupOff []int32
 	extra    []factorgraph.VarID
-}
-
-// matches reports whether the view was built for exactly this dirty set.
-func (rv *restrictedView) matches(dirty map[factorgraph.VarID]bool) bool {
-	if len(rv.dirty) != len(dirty) {
-		return false
-	}
-	for _, v := range rv.dirty {
-		if !dirty[v] {
-			return false
-		}
-	}
-	return true
 }
 
 // Spatial implements the paper's Spatial Gibbs Sampling (Algorithm 1). It
@@ -114,11 +98,6 @@ type Spatial struct {
 	homeCell   map[factorgraph.VarID]pyramid.CellKey
 	cellIndex  map[pyramid.CellKey]int32 // cell key → schedule unit index
 	dirty      map[factorgraph.VarID]bool
-
-	// incCache caches restricted schedule views keyed by an
-	// order-independent hash of the dirty set, so repeated incremental
-	// updates of the same cells sweep allocation-free.
-	incCache map[uint64]*restrictedView
 }
 
 // NewSpatial builds the sampler, including the pyramid index over the
@@ -164,13 +143,11 @@ func (s *Spatial) cellStream(k int, epoch uint64, unit int32) uint64 {
 		uint64(key.Level)<<40, uint64(uint32(key.X))<<16|uint64(uint32(key.Y)))
 }
 
-// resetIncremental drops the dirty set and the cached restricted views (at
-// construction, and after a Restore: pins travel with the checkpoint,
-// pending incremental work does not, and a view built under the replaced
-// pins may miss a tail variable that is no longer pinned).
+// resetIncremental drops the dirty set (at construction, and after a
+// Restore: pins travel with the checkpoint, pending incremental work does
+// not).
 func (s *Spatial) resetIncremental() {
 	s.dirty = map[factorgraph.VarID]bool{}
-	s.incCache = map[uint64]*restrictedView{}
 }
 
 // HomeCells computes the home pyramid cell of every located query atom of g
@@ -357,10 +334,7 @@ func (s *Spatial) UpdateEvidence(v factorgraph.VarID, val int32) error {
 // RunIncremental resamples, for n epochs, only the cells containing dirty
 // variables and their factor neighbourhoods — the paper's incremental
 // inference ("the sampler is invoked on the concliques of the updated
-// variables only"). The dirty set is cleared afterwards. The restricted
-// schedule is cached keyed by the dirty set, so repeated updates of the
-// same cells (the dominant incremental pattern: fresh evidence arriving at
-// one location) run allocation-free end to end.
+// variables only"). The dirty set is cleared afterwards.
 func (s *Spatial) RunIncremental(n int) {
 	if _, err := s.RunIncrementalContext(context.Background(), n); err != nil {
 		panic(err)
@@ -426,22 +400,8 @@ func (s *Spatial) resetVarCounts(v factorgraph.VarID) {
 // the next RunIncremental call.
 func (s *Spatial) PendingDirty() int { return len(s.dirty) }
 
-// dirtyKey folds the dirty set into an order-independent cache key.
-func dirtyKey(dirty map[factorgraph.VarID]bool) uint64 {
-	var key uint64
-	for v := range dirty {
-		key ^= splitmix64(uint64(v) + 0x9e3779b97f4a7c15)
-	}
-	return key
-}
-
-// restrictedFor returns the restricted schedule view for the dirty set,
-// reusing the cached view when the exact same set was restricted before.
+// restrictedFor builds the restricted schedule view for the dirty set.
 func (s *Spatial) restrictedFor(dirty map[factorgraph.VarID]bool) *restrictedView {
-	key := dirtyKey(dirty)
-	if view, ok := s.incCache[key]; ok && view.matches(dirty) {
-		return view
-	}
 	restrict := map[int32]bool{}
 	extraSet := map[factorgraph.VarID]bool{}
 	touch := func(v factorgraph.VarID) {
@@ -477,15 +437,10 @@ func (s *Spatial) restrictedFor(dirty map[factorgraph.VarID]bool) *restrictedVie
 	// Restrict the flat schedule: keep dirty cells, preserving group
 	// boundaries (and hence the serial-conclique sweep order).
 	view := &restrictedView{
-		dirty:    make([]factorgraph.VarID, 0, len(dirty)),
 		cells:    make([]int32, 0, len(restrict)),
 		groupOff: make([]int32, 1, len(s.sched.groupOff)),
 		extra:    make([]factorgraph.VarID, 0, len(extraSet)),
 	}
-	for v := range dirty {
-		view.dirty = append(view.dirty, v)
-	}
-	sort.Slice(view.dirty, func(i, j int) bool { return view.dirty[i] < view.dirty[j] })
 	for gi := 0; gi+1 < len(s.sched.groupOff); gi++ {
 		for ci := s.sched.groupOff[gi]; ci < s.sched.groupOff[gi+1]; ci++ {
 			if restrict[ci] {
@@ -498,11 +453,6 @@ func (s *Spatial) restrictedFor(dirty map[factorgraph.VarID]bool) *restrictedVie
 		view.extra = append(view.extra, v)
 	}
 	sort.Slice(view.extra, func(i, j int) bool { return view.extra[i] < view.extra[j] })
-	if len(s.incCache) >= 64 {
-		// Crude bound: drop the whole cache rather than track recency.
-		s.incCache = map[uint64]*restrictedView{}
-	}
-	s.incCache[key] = view
 	return view
 }
 

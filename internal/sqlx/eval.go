@@ -477,8 +477,8 @@ func stDistance(a, b geom.Geometry, m geom.Metric) float64 {
 	return geom.DistanceGeometries(a, b)
 }
 
-// metricArg reads the optional trailing metric name argument
-// ('euclidean' | 'miles' | 'km'); Euclidean when absent. A constant one was
+// metricArg reads the optional trailing metric name argument (a
+// geom.ParseMetric spelling); Euclidean when absent. A constant one was
 // parsed when the plan was bound.
 func metricArg(c Call, args []storage.Value, idx int) (geom.Metric, error) {
 	if len(args) <= idx {
@@ -490,19 +490,9 @@ func metricArg(c Call, args []storage.Value, idx int) (geom.Metric, error) {
 	if args[idx].Kind != storage.KindString {
 		return 0, fmt.Errorf("sqlx: %s metric argument must be a string", c.Name)
 	}
-	return ParseMetric(args[idx].S)
-}
-
-// ParseMetric maps a metric name to a geom.Metric.
-func ParseMetric(s string) (geom.Metric, error) {
-	switch strings.ToLower(s) {
-	case "", "euclidean":
-		return geom.Euclidean, nil
-	case "miles", "haversine_miles":
-		return geom.HaversineMiles, nil
-	case "km", "haversine_km":
-		return geom.HaversineKm, nil
-	default:
-		return 0, fmt.Errorf("sqlx: unknown metric %q", s)
+	m, err := geom.ParseMetric(args[idx].S)
+	if err != nil {
+		return 0, fmt.Errorf("sqlx: %w", err)
 	}
+	return m, nil
 }

@@ -509,7 +509,7 @@ func constMetric(arg Expr, params map[string]storage.Value) (metricLit, bool) {
 	if err != nil || v.Kind != storage.KindString {
 		return metricLit{}, false
 	}
-	m, err := ParseMetric(v.S)
+	m, err := geom.ParseMetric(v.S)
 	return metricLit{src: arg, val: v, m: m}, err == nil
 }
 

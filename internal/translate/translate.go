@@ -27,19 +27,8 @@ import (
 // Options configures translation.
 type Options struct {
 	// Metric is the distance metric for the distance predicate when a rule
-	// does not name one explicitly ('euclidean', 'miles', 'km').
+	// does not name one explicitly; it is written into the SQL by its name.
 	Metric geom.Metric
-}
-
-func metricName(m geom.Metric) string {
-	switch m {
-	case geom.HaversineMiles:
-		return "miles"
-	case geom.HaversineKm:
-		return "km"
-	default:
-		return "euclidean"
-	}
 }
 
 // Query is a translated rule body.
@@ -157,7 +146,7 @@ func (t *translator) condExprSQL(e ddlog.CondExpr) (string, error) {
 			// Explicit metric: distance(a, b, 'miles').
 			return fmt.Sprintf("ST_DISTANCE(%s, %s, %s)", args[0], args[1], args[2]), nil
 		}
-		return fmt.Sprintf("ST_DISTANCE(%s, %s, '%s')", args[0], args[1], metricName(t.opts.Metric)), nil
+		return fmt.Sprintf("ST_DISTANCE(%s, %s, '%s')", args[0], args[1], t.opts.Metric), nil
 	case "within":
 		// DDlog follows the paper's argument order within(container, x)
 		// (Fig. 3: within(liberia_geom, L1) checks L1 is in Liberia); SQL

@@ -1,6 +1,7 @@
 package translate
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -200,6 +201,64 @@ R: @weight(1) V(I1, L1) => V(I2, L2) :- A(I1, L1), A(I2, L2) [distance(L1, L2, '
 	}
 	if !strings.Contains(q.SQL, "'km'") {
 		t.Errorf("explicit metric lost: %s", q.SQL)
+	}
+}
+
+// TestMetricNamesRoundTripThroughSQL: for every metric, the name translate
+// writes into ST_DISTANCE reads back in sqlx as the same metric, and so does
+// every SQL alias of it, so no program's distance predicates change meaning.
+// The threshold sits just above, then just below, the pair's distance under
+// the metric, which no other metric's distance falls between.
+func TestMetricNamesRoundTripThroughSQL(t *testing.T) {
+	a, b := geom.Pt(-10.80, 6.32), geom.Pt(-9.45, 7.05)
+	aliases := map[geom.Metric][]string{
+		geom.Euclidean:      {"", "euclidean", "EUCLIDEAN"},
+		geom.HaversineMiles: {"miles", "Miles", "haversine_miles"},
+		geom.HaversineKm:    {"km", "haversine_km", "HAVERSINE_KM"},
+	}
+	for m, names := range aliases {
+		for _, scale := range []float64{1 + 1e-6, 1 - 1e-6} {
+			p := compile(t, fmt.Sprintf(`
+A (id bigint, location point).
+V? (id bigint, location point).
+D: V(I, L) = NULL :- A(I, L).
+R: @weight(1) V(I1, L1) => V(I2, L2) :- A(I1, L1), A(I2, L2) [distance(L1, L2) < %g].
+`, m.Dist(a, b)*scale))
+			q, err := Inference(p, p.Rules[0], Options{Metric: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			emitted := "'" + m.String() + "'"
+			if !strings.Contains(q.SQL, emitted) {
+				t.Fatalf("%s: SQL does not name the metric %s: %s", m, emitted, q.SQL)
+			}
+			db := storage.NewDB()
+			tbl, err := db.Create(SchemaFor(mustRel(t, p, "A")))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tbl.AppendAll([]storage.Row{
+				{storage.Int(1), storage.Geom(a)}, {storage.Int(2), storage.Geom(b)},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			// Each atom pairs with itself at distance 0; the two cross pairs
+			// pass exactly when the threshold is above their distance.
+			want := 2
+			if scale > 1 {
+				want = 4
+			}
+			for _, name := range append([]string{m.String()}, names...) {
+				sql := strings.Replace(q.SQL, emitted, "'"+name+"'", 1)
+				res, err := sqlx.NewEngine(db).Exec(sql, q.Params)
+				if err != nil {
+					t.Fatalf("%s as %q: %v", m, name, err)
+				}
+				if len(res.Rows) != want {
+					t.Errorf("%s as %q, threshold ×%v: %d rows, want %d", m, name, scale, len(res.Rows), want)
+				}
+			}
+		}
 	}
 }
 
