@@ -3,6 +3,8 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -133,6 +135,38 @@ func TestFig11(t *testing.T) {
 			t.Errorf("allowed pairs increased with T:\n%s", render(t, tbl))
 		}
 		prev = allowed
+	}
+}
+
+// TestFig11QualityIndependentOfWorkers holds Fig. 11 to the spatial
+// sampler's worker-invariance contract: the quality columns (T, precision,
+// recall, allowed pairs) are identical at sampler Workers 1 and 4. The
+// contract needs the swept pyramid cells at least as wide as the longest
+// factor edge; at the pyramid's deepest level (600/32 = 18.75 units against
+// R1's 40 and the 75-unit spatial radius) factor-adjacent wells share a
+// conclique, and the columns move with the worker count. GOMAXPROCS is
+// raised so four workers really do sample at once.
+func TestFig11QualityIndependentOfWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	p := tinyParams()
+	p.GWDBWells = 600 // Fig. 11 grounds half of them
+	quality := func(workers int) [][]string {
+		p.Workers = workers
+		tbl, err := Fig11(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cols [][]string
+		for _, r := range tbl.Rows {
+			cols = append(cols, []string{r[0], r[1], r[2], r[5]})
+		}
+		return cols
+	}
+	one := quality(1)
+	for run := 0; run < 2; run++ {
+		if four := quality(4); !reflect.DeepEqual(one, four) {
+			t.Fatalf("run %d: Fig. 11 quality at Workers 4 = %v, at Workers 1 = %v", run, four, one)
+		}
 	}
 }
 

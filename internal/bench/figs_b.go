@@ -99,13 +99,18 @@ func Fig11(p Params) (*Table, error) {
 	data := datagen.Wells(datagen.WellsConfig{N: p.GWDBWells / 2, Seed: p.Seed, Extent: 600})
 	for _, T := range []float64{0.3, 0.5, 0.7, 0.9} {
 		s := core.NewSystem(core.Config{
-			Engine:         core.EngineSya,
-			Metric:         geom.Euclidean,
-			Bandwidth:      p.Bandwidth,
-			SupportRadius:  p.SupportRadius,
-			MaxNeighbors:   p.MaxNeighbors,
-			PyramidLevels:  p.PyramidLevels,
+			Engine:        core.EngineSya,
+			Metric:        geom.Euclidean,
+			Bandwidth:     p.Bandwidth,
+			SupportRadius: p.SupportRadius,
+			MaxNeighbors:  p.MaxNeighbors,
+			PyramidLevels: p.PyramidLevels,
+			// Swept cells as wide as the spatial radius, as NewGWDB does: at
+			// the deepest level factor-adjacent wells would share a conclique
+			// and the chains would depend on the worker count.
+			LocalityLevel:  localityFor(data.Config.Extent, p.SupportRadius, p.PyramidLevels),
 			Instances:      p.Instances,
+			Workers:        p.Workers,
 			GroundWorkers:  p.GroundWorkers,
 			Epochs:         p.Epochs,
 			Seed:           p.Seed,

@@ -2,7 +2,7 @@ package factorgraph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Builder accumulates variables and factors, then Finalize produces an
@@ -208,10 +208,11 @@ func (b *Builder) Finalize() (*Graph, error) {
 	}
 	n := len(g.vars)
 	// CSR adjacency for logical factors.
+	var scratch []VarID
 	counts := make([]int64, n+1)
 	for f := int32(0); f < int32(len(g.factorKind)); f++ {
 		vars, _ := g.FactorVars(f)
-		for _, v := range dedupVars(vars) {
+		for _, v := range dedupVars(vars, &scratch) {
 			counts[v+1]++
 		}
 	}
@@ -223,7 +224,7 @@ func (b *Builder) Finalize() (*Graph, error) {
 	cursor := make([]int64, n)
 	for f := int32(0); f < int32(len(g.factorKind)); f++ {
 		vars, _ := g.FactorVars(f)
-		for _, v := range dedupVars(vars) {
+		for _, v := range dedupVars(vars, &scratch) {
 			g.varFactors[g.varFactorOff[v]+cursor[v]] = f
 			cursor[v]++
 		}
@@ -253,18 +254,22 @@ func (b *Builder) Finalize() (*Graph, error) {
 }
 
 // dedupVars returns the distinct variables of a factor edge list (a factor
-// may mention a variable twice, e.g. X => X; adjacency should list it once).
-func dedupVars(vars []VarID) []VarID {
-	if len(vars) <= 1 {
+// may mention a variable twice, e.g. X => X; adjacency should list it once),
+// in no particular order: the CSR build only counts membership. An edge list
+// of one or two variables (every rule of the datagen KBs) is answered from
+// vars itself; a longer one is sorted and compacted in *scratch, which the
+// caller reuses across factors, so the build allocates nothing per factor.
+func dedupVars(vars []VarID, scratch *[]VarID) []VarID {
+	switch {
+	case len(vars) <= 1:
+		return vars
+	case len(vars) == 2:
+		if vars[0] == vars[1] {
+			return vars[:1]
+		}
 		return vars
 	}
-	sorted := append([]VarID(nil), vars...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	out := sorted[:1]
-	for _, v := range sorted[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
+	*scratch = append((*scratch)[:0], vars...)
+	slices.Sort(*scratch)
+	return slices.Compact(*scratch)
 }

@@ -124,7 +124,7 @@ func (gr *Grounder) DeltaContext(ctx context.Context, prev *Result, changed []st
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if prev == nil || prev.Graph == nil {
+	if prev == nil || prev.Graph == nil || prev.ids == nil {
 		return nil, fmt.Errorf("grounding: delta requires a prior full grounding")
 	}
 	gr.ctx = ctx
@@ -178,7 +178,7 @@ func (gr *Grounder) DeltaContext(ctx context.Context, prev *Result, changed []st
 
 	p := &Patch{Derivations: len(affected)}
 	resolved := map[factorgraph.VarID]bool{}
-	var keyBuf []byte // atom-key scratch, reused across rows
+	var idBuf []byte // identity scratch, reused across rows
 	for qi, di := range affected {
 		d := gr.prog.Derivations[di]
 		rows, err := jobs[qi].wait()
@@ -193,10 +193,10 @@ func (gr *Grounder) DeltaContext(ctx context.Context, prev *Result, changed []st
 				return nil, err
 			}
 			p.Rows++
-			keyBuf = AppendAtomKey(keyBuf[:0], relKey, row[:width])
-			vid, found := prev.VarID[string(keyBuf)]
+			idBuf = appendAtomIdent(idBuf[:0], relKey, row[:width])
+			vid, found := prev.ids[string(idBuf)]
 			if !found {
-				reason := fmt.Sprintf("derivation %s produced new ground atom %s", derLabel(d), keyBuf)
+				reason := fmt.Sprintf("derivation %s produced new ground atom %s", derLabel(d), AtomKey(relKey, row[:width]))
 				span.Note("structural: " + reason)
 				return structuralPatch(reason, start), nil
 			}
@@ -215,7 +215,7 @@ func (gr *Grounder) DeltaContext(ctx context.Context, prev *Result, changed []st
 				// keep the first label, so the patch leaves it alone.
 				continue
 			}
-			p.Pins = append(p.Pins, EvidencePin{Var: vid, Key: string(keyBuf), Value: ev})
+			p.Pins = append(p.Pins, EvidencePin{Var: vid, Key: prev.Keys[vid], Value: ev})
 		}
 	}
 	p.Elapsed = time.Since(start)

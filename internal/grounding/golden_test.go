@@ -4,7 +4,9 @@ package grounding_test
 // inside one build, so nothing else pins the grounded graph across commits.
 // The hashes below were recorded on the commit before the planner learned to
 // order joins by estimated output (PR 19); a planner, executor or emission
-// change that claims "bit-equal" must pass them untouched.
+// change that claims "bit-equal" must pass them untouched. The categorical
+// row (Fig. 11's program, pruning mask included) was recorded later, on the
+// last commit whose emission rendered every head atom's key per row.
 
 import (
 	"encoding/binary"
@@ -70,6 +72,25 @@ func nyccasSystem(t testing.TB, side, workers int) *core.System {
 	}, datagen.NYCCASProgram, "Cell", cells, "CellEvidence", evidence)
 }
 
+// gwdbCategoricalSystem loads Fig. 11's program: n generated wells on
+// Fig. 11's 600-unit extent, h = 10 risk levels, pruned at T = 0.5.
+func gwdbCategoricalSystem(t testing.TB, n, workers int) *core.System {
+	t.Helper()
+	data := datagen.Wells(datagen.WellsConfig{N: n, Seed: 1, Extent: 600})
+	wells, _ := data.Rows()
+	return loadedSystem(t, core.Config{
+		Engine:         core.EngineSya,
+		Metric:         geom.Euclidean,
+		Bandwidth:      30,
+		SupportRadius:  75,
+		MaxNeighbors:   40,
+		PyramidLevels:  6,
+		GroundWorkers:  workers,
+		Seed:           1,
+		PruneThreshold: 0.5,
+	}, datagen.GWDBCategoricalProgram, "Well", wells, "LevelEvidence", data.LevelRows(10))
+}
+
 func loadedSystem(t testing.TB, cfg core.Config, program, rel string, rows []storage.Row, evRel string, evidence []storage.Row) *core.System {
 	t.Helper()
 	s := core.NewSystem(cfg)
@@ -86,8 +107,9 @@ func loadedSystem(t testing.TB, cfg core.Config, program, rel string, rows []sto
 }
 
 // hashGround is FNV-64a over the ordered factor list (kind, weight bits,
-// vars, negations), the ordered spatial pairs and the VarID keys in variable
-// order.
+// vars, negations), the ordered spatial pairs, the VarID keys in variable
+// order and, for a categorical relation, its pruning mask (binary graphs
+// have none, so their hashes predate the mask term).
 func hashGround(t *testing.T, res *grounding.Result) uint64 {
 	t.Helper()
 	h := fnv.New64a()
@@ -131,6 +153,19 @@ func hashGround(t *testing.T, res *grounding.Result) uint64 {
 		h.Write([]byte(k))
 		h.Write([]byte{0})
 	}
+	for rel := int32(0); rel < int32(len(res.RelationIndex)); rel++ {
+		if mask, dom := g.AllowedPairMask(rel); mask != nil {
+			putU64(h, uint64(rel))
+			putU64(h, uint64(dom))
+			for _, ok := range mask {
+				if ok {
+					h.Write([]byte{1})
+				} else {
+					h.Write([]byte{0})
+				}
+			}
+		}
+	}
 	return h.Sum64()
 }
 
@@ -159,6 +194,7 @@ func TestGroundGraphGoldens(t *testing.T) {
 				Seed:          1,
 			}, datagen.EbolaProgram, "County", county, "CountyEvidence", evidence)
 		}, 0xe168e5ef38f6be16},
+		{"gwdb-categorical-300", func(t *testing.T, w int) *core.System { return gwdbCategoricalSystem(t, 300, w) }, 0x0e3d50d7f03c0c6a},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -200,5 +236,27 @@ func TestGroundAllocScalesLinearly(t *testing.T) {
 		float64(small)/(1<<20), float64(large)/(1<<20), ratio)
 	if ratio > 6 {
 		t.Errorf("Ground allocation grew %.2f× for 4× the wells, want ≤ 6×", ratio)
+	}
+}
+
+// TestGroundAllocations guards grounding's per-row emission: one sequential
+// Ground of GWDB-600 makes at most 20 K heap allocations, a count that
+// repeats from run to run. Emission that renders each head atom's key, or a
+// SQL stage that allocates each joined tuple or projected row on its own,
+// makes several allocations per result row, ≈ 72 K here; identity-keyed
+// probes and slab-carved rows make ≈ 5 K.
+func TestGroundAllocations(t *testing.T) {
+	s := gwdbSystem(t, 600, 1)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := s.Ground(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	mallocs := after.Mallocs - before.Mallocs
+	t.Logf("one Ground of GWDB-600: %d allocations", mallocs)
+	if mallocs > 20000 {
+		t.Errorf("one Ground of GWDB-600 made %d allocations, want ≤ 20,000", mallocs)
 	}
 }

@@ -21,10 +21,11 @@ package grounding
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -125,6 +126,10 @@ type Result struct {
 	// Deps is the program's rule→relation dependency index, used by
 	// DeltaContext to bound what an evidence upsert invalidates.
 	Deps *Deps
+
+	// ids is VarID keyed by appendAtomIdent instead of the rendered key: the
+	// index every per-row probe of grounding and DeltaContext goes through.
+	ids map[string]factorgraph.VarID
 }
 
 // Grounder drives grounding of one program over one database.
@@ -191,12 +196,10 @@ func AtomKey(rel string, vals []storage.Value) string {
 	return string(AppendAtomKey(nil, rel, vals))
 }
 
-// AppendAtomKey appends the bytes of AtomKey(rel, vals) to dst. The emission
-// loops render every head atom of every result row only to probe VarID, so
-// they reuse one scratch buffer and look up m[string(buf)], which Go
-// compiles without building the string. strings.ToLower returns its argument
-// unchanged when there is nothing to lower, so a caller that lower-cases rel
-// once per rule pays nothing per row.
+// AppendAtomKey appends the bytes of AtomKey(rel, vals) to dst, so a caller
+// can render many keys into one reused buffer. strings.ToLower returns its
+// argument unchanged when there is nothing to lower, so a caller that
+// lower-cases rel once pays nothing per key.
 func AppendAtomKey(dst []byte, rel string, vals []storage.Value) []byte {
 	dst = append(dst, strings.ToLower(rel)...)
 	for _, v := range vals {
@@ -205,6 +208,63 @@ func AppendAtomKey(dst []byte, rel string, vals []storage.Value) []byte {
 	}
 	return dst
 }
+
+const (
+	// identPoint opens a point's 16 bytes in an identity key. No other
+	// value's rendering starts with it (text that does takes the rendered
+	// form), so an identity splits into its values one way only.
+	identPoint = 0x00
+	// identRendered opens an identity that is the whole AtomKey. No relation
+	// name starts with it.
+	identRendered = 0x01
+)
+
+// appendAtomIdent appends the identity of a ground atom: the key the
+// per-row probes (derivation dedup, rule-head lookup, DeltaContext) use in
+// place of AtomKey, which would format both coordinates of every point of
+// every row. It is AppendAtomKey except that a geom.Point is written as
+// identPoint plus the Float64bits of X and Y, every NaN as one bit pattern
+// because WKT spells every NaN "NaN". Shortest-form float formatting is
+// injective on the other floats, so two points have equal identities
+// exactly when their WKTs are equal.
+//
+// For the values of one relation's atoms, two identities are equal exactly
+// when the AtomKeys are, provided no position holds a point in one atom and
+// text spelling that point's WKT in the other. Text holding '|' makes
+// AtomKey's value boundaries ambiguous, and text starting with identPoint
+// would read as a point, so an atom with either is identified by its whole
+// AtomKey behind identRendered. Such an AtomKey has more '|' than the
+// relation has values, or a value no other kind renders, so it never equals
+// the AtomKey of an atom identified the short way.
+func appendAtomIdent(dst []byte, rel string, vals []storage.Value) []byte {
+	for _, v := range vals {
+		if v.Kind == storage.KindString && (strings.IndexByte(v.S, '|') >= 0 || (v.S != "" && v.S[0] == identPoint)) {
+			return AppendAtomKey(append(dst, identRendered), rel, vals)
+		}
+	}
+	dst = append(dst, strings.ToLower(rel)...)
+	for _, v := range vals {
+		dst = append(dst, '|')
+		if p, ok := v.G.(geom.Point); ok && v.Kind == storage.KindGeom {
+			dst = append(dst, identPoint)
+			dst = binary.LittleEndian.AppendUint64(dst, identBits(p.X))
+			dst = binary.LittleEndian.AppendUint64(dst, identBits(p.Y))
+			continue
+		}
+		dst = v.AppendString(dst)
+	}
+	return dst
+}
+
+// identBits is f's bit pattern with every NaN made one.
+func identBits(f float64) uint64 {
+	if f != f {
+		return identNaN
+	}
+	return math.Float64bits(f)
+}
+
+var identNaN = math.Float64bits(math.NaN())
 
 // Ground runs all phases and returns the spatial factor graph.
 func (gr *Grounder) Ground() (*Result, error) {
@@ -232,7 +292,6 @@ func (gr *Grounder) GroundContext(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{
-		VarID:         map[string]factorgraph.VarID{},
 		RelationIndex: map[string]int32{},
 		Deps:          ComputeDeps(gr.prog),
 	}
@@ -342,9 +401,9 @@ func (gr *Grounder) runApps() error {
 // derivedAtom accumulates one ground atom before variable creation.
 type derivedAtom struct {
 	rel      *ddlog.RelationDecl
+	relKey   string // lower-cased rel.Name
 	vals     []storage.Value
 	evidence int32
-	order    int
 }
 
 // queryJob is one dispatched SQL evaluation in execAhead's look-ahead
@@ -355,10 +414,14 @@ type queryJob struct {
 	done chan struct{}
 }
 
-// wait blocks until the job completes and returns its result.
+// wait blocks until the job completes and returns its result. The job drops
+// its own reference, so a result's rows become garbage once the consumer
+// has emitted them instead of living until the last query is consumed.
 func (j *queryJob) wait() (*sqlx.Result, error) {
 	<-j.done
-	return j.res, j.err
+	res := j.res
+	j.res = nil
+	return res, j.err
 }
 
 // drainJobs awaits every outstanding job — called on early error returns so
@@ -403,8 +466,10 @@ func (gr *Grounder) execAhead(queries []translate.Query) []*queryJob {
 // where duplicate resolution is order-sensitive — consumes the results in
 // derivation order.
 func (gr *Grounder) runDerivations(b *factorgraph.Builder, res *Result) error {
-	atoms := map[string]*derivedAtom{}
-	order := 0
+	// atoms is in first-derivation order, which is variable creation order,
+	// so ids maps an atom's identity to its index in atoms and to its VarID.
+	var atoms []derivedAtom
+	ids := map[string]factorgraph.VarID{}
 	queries := make([]translate.Query, len(gr.prog.Derivations))
 	for i, d := range gr.prog.Derivations {
 		q, err := translate.Derivation(gr.prog, d, translate.Options{Metric: gr.opts.Metric})
@@ -416,7 +481,8 @@ func (gr *Grounder) runDerivations(b *factorgraph.Builder, res *Result) error {
 	}
 	jobs := gr.execAhead(queries)
 	defer drainJobs(jobs)
-	var keyBuf []byte // atom-key scratch, reused across rows
+	var idBuf, keyBuf []byte // identity and atom-key scratch, reused across rows
+	cells := 0               // table cells the atoms will materialize
 	for di, d := range gr.prog.Derivations {
 		sp := gr.span.Child("derivation")
 		rows, err := jobs[di].wait()
@@ -426,57 +492,51 @@ func (gr *Grounder) runDerivations(b *factorgraph.Builder, res *Result) error {
 		rel, _ := gr.prog.Relation(d.Head.Rel)
 		relKey := strings.ToLower(rel.Name)
 		width := len(d.Head.Terms)
+		if len(rows.Rows) > 0 {
+			res.Stats.DerivationRows[derLabel(d)] += len(rows.Rows)
+		}
 		for ri, row := range rows.Rows {
 			if err := gr.checkCtx(ri); err != nil {
 				return err
 			}
-			keyBuf = AppendAtomKey(keyBuf[:0], relKey, row[:width])
 			ev, err := labelToEvidence(rel, row[width])
 			if err != nil {
 				return fmt.Errorf("grounding: derivation %s: %w", d.Label, err)
 			}
-			res.Stats.DerivationRows[derLabel(d)]++
-			if existing, dup := atoms[string(keyBuf)]; dup {
+			idBuf = appendAtomIdent(idBuf[:0], relKey, row[:width])
+			if i, dup := ids[string(idBuf)]; dup {
 				res.Stats.DuplicateDerivations++
 				// Evidence beats NULL; conflicting evidence keeps the first.
-				if existing.evidence == factorgraph.NoEvidence && ev != factorgraph.NoEvidence {
+				if existing := &atoms[i]; existing.evidence == factorgraph.NoEvidence && ev != factorgraph.NoEvidence {
 					existing.evidence = ev
 				}
 				continue
 			}
-			atoms[string(keyBuf)] = &derivedAtom{
-				rel:      rel,
-				vals:     append([]storage.Value(nil), row[:width]...),
-				evidence: ev,
-				order:    order,
-			}
-			order++
+			ids[string(idBuf)] = factorgraph.VarID(len(atoms))
+			// The public key is rendered once per atom, not once per row.
+			keyBuf = AppendAtomKey(keyBuf[:0], relKey, row[:width])
+			res.Keys = append(res.Keys, string(keyBuf))
+			atoms = append(atoms, derivedAtom{rel: rel, relKey: relKey, vals: row[:width:width], evidence: ev})
+			cells += width + 1
 		}
 		sp.Notef("label=%s rows=%d", derLabel(d), len(rows.Rows))
 		sp.End()
 	}
-	// Deterministic creation order: derivation order. Variables are created
-	// in keys order, so keys is the VarID → key index.
-	sorted := make([]*derivedAtom, 0, len(atoms))
-	keys := make([]string, 0, len(atoms))
-	for k := range atoms {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return atoms[keys[i]].order < atoms[keys[j]].order })
-	for _, k := range keys {
-		sorted = append(sorted, atoms[k])
-	}
-	res.Keys = keys
-	for i, a := range sorted {
+	res.ids = ids
+	res.VarID = make(map[string]factorgraph.VarID, len(atoms))
+	// Every variable relation row is carved from one slab: the tables keep
+	// all of them for the database's lifetime anyway.
+	slab := make([]storage.Value, 0, cells)
+	for i, a := range atoms {
 		domain := int32(2)
 		if a.rel.Categorical > 0 {
 			domain = int32(a.rel.Categorical)
 		}
 		v := factorgraph.Variable{
-			Name:     a.rel.Name + "(" + keys[i] + ")",
+			Name:     a.rel.Name + "(" + res.Keys[i] + ")",
 			Domain:   domain,
 			Evidence: a.evidence,
-			Relation: res.RelationIndex[strings.ToLower(a.rel.Name)],
+			Relation: res.RelationIndex[a.relKey],
 		}
 		if sc := a.rel.SpatialCol(); sc >= 0 && !a.vals[sc].IsNull() {
 			if g, err := a.vals[sc].AsGeom(); err == nil {
@@ -484,26 +544,25 @@ func (gr *Grounder) runDerivations(b *factorgraph.Builder, res *Result) error {
 				v.HasLoc = true
 			}
 		}
+		// The builder is fresh, so vid == i: ids holds VarIDs already.
 		vid, err := b.AddVariable(v)
 		if err != nil {
 			return err
 		}
-		res.VarID[keys[i]] = vid
+		res.VarID[res.Keys[i]] = vid
 		if a.rel.Spatial != "" && v.HasLoc {
-			relKey := strings.ToLower(a.rel.Name)
-			gr.spatial[relKey] = append(gr.spatial[relKey], spatialAtom{
+			gr.spatial[a.relKey] = append(gr.spatial[a.relKey], spatialAtom{
 				vid: vid, loc: v.Loc, evidence: a.evidence,
 			})
 		}
 		// Materialize the atom into the variable relation table.
-		tbl, err := gr.db.Table(a.rel.Name)
+		tbl, err := gr.db.Table(a.relKey)
 		if err != nil {
 			return err
 		}
-		row := make(storage.Row, len(a.vals)+1)
-		copy(row, a.vals)
-		row[len(a.vals)] = storage.Int(int64(vid))
-		if err := tbl.Append(row); err != nil {
+		n := len(slab)
+		slab = append(append(slab, a.vals...), storage.Int(int64(vid)))
+		if err := tbl.Append(slab[n:len(slab):len(slab)]); err != nil {
 			return err
 		}
 	}
@@ -573,7 +632,7 @@ func (gr *Grounder) runInferenceRules(b *factorgraph.Builder, res *Result) error
 	}
 	jobs := gr.execAhead(queries)
 	defer drainJobs(jobs)
-	var keyBuf []byte // atom-key scratch, reused across rows and head atoms
+	var idBuf []byte // identity scratch, reused across rows and head atoms
 	for ri, rule := range gr.prog.Rules {
 		sp := gr.span.Child("rule")
 		q := queries[ri]
@@ -603,9 +662,9 @@ func (gr *Grounder) runInferenceRules(b *factorgraph.Builder, res *Result) error
 			ok := true
 			for hi, h := range rule.Head {
 				w := q.HeadWidths[hi]
-				keyBuf = AppendAtomKey(keyBuf[:0], headRels[hi], row[off:off+w])
+				idBuf = appendAtomIdent(idBuf[:0], headRels[hi], row[off:off+w])
 				off += w
-				vid, found := res.VarID[string(keyBuf)]
+				vid, found := res.ids[string(idBuf)]
 				if !found {
 					res.Stats.SkippedHeadLookups++
 					ok = false

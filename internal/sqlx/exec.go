@@ -13,7 +13,9 @@ import (
 	"repro/internal/storage"
 )
 
-// Result is the output of a query: column names plus rows.
+// Result is the output of a query: column names plus rows. A SELECT's rows
+// are carved from shared slabs of up to slabRows rows, so a caller that keeps
+// a few rows of a large result past its use keeps their slabs too.
 type Result struct {
 	Cols []string
 	Rows []storage.Row
@@ -246,6 +248,7 @@ func (e *Engine) joinStep(ts *tupleSet, step planStep, params map[string]storage
 		ev := ts.newEnv(params)
 		var buf []int
 		var out [][]int
+		var slab []int
 		for _, tuple := range ts.tuples[lo:hi] {
 			ts.bind(ev, tuple)
 		candidate:
@@ -260,7 +263,10 @@ func (e *Engine) joinStep(ts *tupleSet, step planStep, params map[string]storage
 						continue candidate
 					}
 				}
-				nt := make([]int, width)
+				// The output count is unknown up front, so each slab holds
+				// as many tuples as the batch has emitted so far: a batch that
+				// emits a handful of tuples reserves a handful.
+				nt := carve(&slab, width, min(max(len(out), 16), slabRows))
 				copy(nt, tuple)
 				nt[width-1] = rid
 				out = append(out, nt)
@@ -274,6 +280,24 @@ func (e *Engine) joinStep(ts *tupleSet, step planStep, params map[string]storage
 	ts.nodes = append(ts.nodes, right)
 	ts.tuples = out
 	return nil
+}
+
+// slabRows bounds the rows one slab backs. Joined tuples and projected rows
+// are carved from slabs, so a stage makes one allocation per slabRows rows
+// instead of one per row, and no backing array grows with the whole output.
+const slabRows = 4096
+
+// carve returns the next width-cell row of *slab, first replacing an
+// exhausted slab with a fresh one of rows·width cells. The row's capacity is
+// its length, so an append to it reallocates instead of overwriting the next
+// row.
+func carve[T any](slab *[]T, width, rows int) []T {
+	if len(*slab) < width {
+		*slab = make([]T, rows*width)
+	}
+	row := (*slab)[:width:width]
+	*slab = (*slab)[width:]
+	return row
 }
 
 // hashKey is a comparable hash-join key. Two non-NULL values have equal keys
@@ -636,9 +660,11 @@ func (e *Engine) project(ts *tupleSet, sel *SelectStmt, params map[string]storag
 	rows, err := shardAll(e, len(ts.tuples), func(lo, hi int) ([]ordered, error) {
 		ev := ts.newEnv(params)
 		out := make([]ordered, 0, hi-lo)
-		for _, tuple := range ts.tuples[lo:hi] {
+		var slab []storage.Value
+		for ti, tuple := range ts.tuples[lo:hi] {
 			ts.bind(ev, tuple)
-			row := make(storage.Row, len(projs))
+			// Every tuple projects to one row, so slabs are sized exactly.
+			row := storage.Row(carve(&slab, len(projs), min(hi-lo-ti, slabRows)))
 			for i, pj := range projs {
 				v, err := ev.eval(pj.expr)
 				if err != nil {
