@@ -1,6 +1,7 @@
 package sqlx
 
 import (
+	"strconv"
 	"strings"
 
 	"repro/internal/storage"
@@ -26,18 +27,23 @@ func (c ColRef) SQL() string {
 	return c.Table + "." + c.Col
 }
 
-// Lit is a literal value.
+// Lit is a literal value: a number, a string, a boolean or NULL.
 type Lit struct {
 	Val storage.Value
 }
 
-// SQL implements Expr.
+// SQL implements Expr. A float renders with a decimal point or an exponent,
+// so that it parses back as a float.
 func (l Lit) SQL() string {
 	switch l.Val.Kind {
 	case storage.KindString:
 		return "'" + strings.ReplaceAll(l.Val.S, "'", "''") + "'"
-	case storage.KindGeom:
-		return "ST_GEOMFROMTEXT('" + l.Val.String() + "')"
+	case storage.KindFloat:
+		s := strconv.FormatFloat(l.Val.F, 'g', -1, 64)
+		if !strings.ContainsAny(s, ".e") {
+			s += ".0"
+		}
+		return s
 	default:
 		return l.Val.String()
 	}
@@ -51,11 +57,10 @@ type Param struct {
 // SQL implements Expr.
 func (p Param) SQL() string { return ":" + p.Name }
 
-// BinOp enumerates binary operators.
+// BinOp enumerates the comparison operators.
 type BinOp uint8
 
-// Binary operators, in no particular precedence order (precedence is a
-// parsing concern).
+// Comparison operators.
 const (
 	OpEq BinOp = iota
 	OpNe
@@ -63,20 +68,13 @@ const (
 	OpLe
 	OpGt
 	OpGe
-	OpAnd
-	OpOr
-	OpAdd
-	OpSub
-	OpMul
-	OpDiv
 )
 
 var binOpNames = map[BinOp]string{
 	OpEq: "=", OpNe: "<>", OpLt: "<", OpLe: "<=", OpGt: ">", OpGe: ">=",
-	OpAnd: "AND", OpOr: "OR", OpAdd: "+", OpSub: "-", OpMul: "*", OpDiv: "/",
 }
 
-// Binary is a binary operation.
+// Binary is a comparison.
 type Binary struct {
 	Op   BinOp
 	L, R Expr
@@ -87,59 +85,19 @@ func (b Binary) SQL() string {
 	return "(" + b.L.SQL() + " " + binOpNames[b.Op] + " " + b.R.SQL() + ")"
 }
 
-// Not negates a boolean expression.
-type Not struct {
-	E Expr
-}
-
-// SQL implements Expr.
-func (n Not) SQL() string { return "(NOT " + n.E.SQL() + ")" }
-
-// Neg is unary minus.
-type Neg struct {
-	E Expr
-}
-
-// SQL implements Expr.
-func (n Neg) SQL() string { return "(-" + n.E.SQL() + ")" }
-
-// Call is a function invocation, e.g. ST_DWITHIN(a.loc, b.loc, 150).
+// Call is a builtin invocation, e.g. ST_DISTANCE(a.loc, b.loc, 'miles').
 type Call struct {
 	Name string // upper-cased at parse time
 	Args []Expr
-	// Star marks COUNT(*).
-	Star bool
 }
 
 // SQL implements Expr.
 func (c Call) SQL() string {
-	if c.Star {
-		return c.Name + "(*)"
-	}
 	parts := make([]string, len(c.Args))
 	for i, a := range c.Args {
 		parts[i] = a.SQL()
 	}
 	return c.Name + "(" + strings.Join(parts, ", ") + ")"
-}
-
-// SelectItem is one projection: an expression and an optional output alias.
-type SelectItem struct {
-	Expr  Expr
-	Alias string // empty: derived from the expression
-	Star  bool   // SELECT * (Expr nil)
-}
-
-// name is the item's output column name: its alias, else the bare column
-// name of a plain reference, else the expression's SQL text.
-func (it SelectItem) name() string {
-	if it.Alias != "" {
-		return it.Alias
-	}
-	if c, ok := it.Expr.(boundCol); ok {
-		return c.Col
-	}
-	return it.Expr.SQL()
 }
 
 // TableRef names a FROM table with an optional alias.
@@ -156,73 +114,22 @@ func (t TableRef) EffectiveAlias() string {
 	return t.Table
 }
 
-// OrderItem is one ORDER BY key.
-type OrderItem struct {
-	Expr Expr
-	Desc bool
-}
-
-// SelectStmt is a parsed SELECT.
-type SelectStmt struct {
-	Distinct bool
-	Items    []SelectItem
-	From     []TableRef
-	Where    Expr // nil when absent; JOIN ... ON conditions are folded in
-	GroupBy  []Expr
-	Having   Expr // nil when absent; evaluated per group after aggregation
-	OrderBy  []OrderItem
-	Limit    int // -1 when absent
-}
-
-// InsertStmt is INSERT INTO table [(cols)] SELECT ... .
-type InsertStmt struct {
-	Table  string
-	Cols   []string // empty: positional
-	Select *SelectStmt
-}
-
-// Stmt is a parsed statement: exactly one of the fields is set.
+// Stmt is a parsed [EXPLAIN] SELECT items FROM tables [WHERE c1 AND c2 ...].
 type Stmt struct {
-	Select  *SelectStmt
-	Insert  *InsertStmt
-	Explain bool // EXPLAIN prefix: plan only, do not execute
+	Explain bool // plan only, do not execute
+	Items   []Expr
+	From    []TableRef
+	Where   []Expr // the AND-ed conjuncts; empty when absent
 }
 
-// splitConjuncts flattens nested ANDs into a conjunct list.
-func splitConjuncts(e Expr, acc []Expr) []Expr {
-	if b, ok := e.(Binary); ok && b.Op == OpAnd {
-		acc = splitConjuncts(b.L, acc)
-		return splitConjuncts(b.R, acc)
-	}
-	return append(acc, e)
-}
-
-// conjoin rebuilds an AND chain from conjuncts; nil for an empty list.
-func conjoin(es []Expr) Expr {
-	if len(es) == 0 {
-		return nil
-	}
-	out := es[0]
-	for _, e := range es[1:] {
-		out = Binary{Op: OpAnd, L: out, R: e}
-	}
-	return out
-}
-
-// exprAliases collects the table aliases referenced by an expression.
+// exprAliases collects the table aliases referenced by a bound expression.
 func exprAliases(e Expr, acc map[string]bool) {
 	switch v := e.(type) {
-	case ColRef:
-		acc[strings.ToLower(v.Table)] = true
 	case boundCol:
 		acc[v.Table] = true // bindExpr stored the lower-cased alias
 	case Binary:
 		exprAliases(v.L, acc)
 		exprAliases(v.R, acc)
-	case Not:
-		exprAliases(v.E, acc)
-	case Neg:
-		exprAliases(v.E, acc)
 	case Call:
 		for _, a := range v.Args {
 			exprAliases(a, acc)
@@ -230,8 +137,7 @@ func exprAliases(e Expr, acc map[string]bool) {
 	}
 }
 
-// aliasesOf returns the distinct aliases referenced by e. Unqualified column
-// references contribute the empty string, which planners treat as "unknown".
+// aliasesOf returns the distinct aliases referenced by a bound expression.
 func aliasesOf(e Expr) []string {
 	acc := map[string]bool{}
 	exprAliases(e, acc)

@@ -2,10 +2,8 @@ package sqlx
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"repro/internal/geom"
 	"repro/internal/index/rtree"
@@ -35,9 +33,6 @@ type Engine struct {
 
 // NewEngine wraps a database.
 func NewEngine(db *storage.DB) *Engine { return &Engine{db: db} }
-
-// DB exposes the underlying database.
-func (e *Engine) DB() *storage.DB { return e.db }
 
 // SetParallelism configures batched tuple evaluation inside SELECT
 // execution: the probe side of hash, spatial and nested-loop joins (with the
@@ -100,48 +95,24 @@ func shardAll[T any](e *Engine, n int, rangeFn func(lo, hi int) ([]T, error)) ([
 }
 
 // Exec parses and runs one statement. params binds :name placeholders.
-// For EXPLAIN, the result is one text row per plan step. INSERT returns a
-// single row holding the inserted-row count.
+// For EXPLAIN, the result is one text row per plan step.
 func (e *Engine) Exec(sql string, params map[string]storage.Value) (*Result, error) {
 	stmt, err := Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	return e.ExecStmt(stmt, params)
-}
-
-// ExecStmt runs a parsed statement.
-func (e *Engine) ExecStmt(stmt *Stmt, params map[string]storage.Value) (*Result, error) {
-	switch {
-	case stmt.Select != nil:
-		p, err := buildPlan(e.db, stmt.Select, params)
-		if err != nil {
-			return nil, err
-		}
-		if stmt.Explain {
-			res := &Result{Cols: []string{"plan"}}
-			for _, line := range p.Explain() {
-				res.Rows = append(res.Rows, storage.Row{storage.Str(line)})
-			}
-			return res, nil
-		}
-		return e.runSelect(p, params)
-	case stmt.Insert != nil:
-		if stmt.Explain {
-			p, err := buildPlan(e.db, stmt.Insert.Select, params)
-			if err != nil {
-				return nil, err
-			}
-			res := &Result{Cols: []string{"plan"}}
-			for _, line := range p.Explain() {
-				res.Rows = append(res.Rows, storage.Row{storage.Str(line)})
-			}
-			return res, nil
-		}
-		return e.runInsert(stmt.Insert, params)
-	default:
-		return nil, fmt.Errorf("sqlx: empty statement")
+	p, err := buildPlan(e.db, stmt, params)
+	if err != nil {
+		return nil, err
 	}
+	if stmt.Explain {
+		res := &Result{Cols: []string{"plan"}}
+		for _, line := range p.Explain() {
+			res.Rows = append(res.Rows, storage.Row{storage.Str(line)})
+		}
+		return res, nil
+	}
+	return e.runSelect(p, params)
 }
 
 // tupleSet is the intermediate join state: for each result tuple, one row id
@@ -164,7 +135,8 @@ func (ts *tupleSet) bind(ev *env, tuple []int) {
 
 func (e *Engine) runSelect(p *plan, params map[string]storage.Value) (*Result, error) {
 	first := p.steps[0].node
-	ts := &tupleSet{nodes: []*scanNode{first}, slots: len(p.sel.From)}
+	// Every FROM table is the node of exactly one step.
+	ts := &tupleSet{nodes: []*scanNode{first}, slots: len(p.steps)}
 	ts.tuples = make([][]int, len(first.ids))
 	for i := range first.ids {
 		ts.tuples[i] = first.ids[i : i+1 : i+1]
@@ -174,7 +146,7 @@ func (e *Engine) runSelect(p *plan, params map[string]storage.Value) (*Result, e
 			return nil, err
 		}
 	}
-	return e.project(ts, p.sel, params)
+	return e.project(ts, p.items, params)
 }
 
 // joinStep extends every tuple with the matching rows of the step's node, in
@@ -227,7 +199,7 @@ func (e *Engine) joinStep(ts *tupleSet, step planStep, params map[string]storage
 				return nil
 			}
 			cands := (*buf)[:0]
-			tree.Search(expandWindow(g.Bounds(), via.radius, via.metric), func(it rtree.Item) bool {
+			tree.Search(geom.ExpandWindow(g.Bounds(), via.radius, via.metric), func(it rtree.Item) bool {
 				cands = append(cands, int(it.Data))
 				return true
 			})
@@ -337,481 +309,40 @@ func hashKeyOf(v storage.Value) (k hashKey, ok bool) {
 	}
 }
 
-// anyAggregateItem reports whether any SELECT item contains an aggregate.
-func anyAggregateItem(sel *SelectStmt) bool {
-	for _, item := range sel.Items {
-		if !item.Star && hasAggregate(item.Expr) {
-			return true
+// project evaluates the SELECT list on every tuple, sharded across the
+// engine's workers (each batch with its own env, outputs merged in input
+// order). A plain column is named by its column, any other item by its SQL.
+func (e *Engine) project(ts *tupleSet, items []Expr, params map[string]storage.Value) (*Result, error) {
+	res := &Result{Cols: make([]string, len(items))}
+	for i, it := range items {
+		if c, ok := it.(boundCol); ok {
+			res.Cols[i] = c.Col
+		} else {
+			res.Cols[i] = it.SQL()
 		}
 	}
-	return false
-}
-
-// aggregateFns lists the aggregate function names.
-var aggregateFns = map[string]bool{
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-}
-
-// hasAggregate reports whether e contains an aggregate call.
-func hasAggregate(e Expr) bool {
-	switch v := e.(type) {
-	case Call:
-		if aggregateFns[v.Name] {
-			return true
-		}
-		for _, a := range v.Args {
-			if hasAggregate(a) {
-				return true
-			}
-		}
-	case Binary:
-		return hasAggregate(v.L) || hasAggregate(v.R)
-	case Not:
-		return hasAggregate(v.E)
-	case Neg:
-		return hasAggregate(v.E)
-	}
-	return false
-}
-
-// rewriteAggregates replaces aggregate sub-calls in e with literal values
-// computed over the group's tuples, so the remaining expression evaluates
-// on any single tuple of the group.
-func rewriteAggregates(e Expr, ts *tupleSet, tuples [][]int, ev *env) (Expr, error) {
-	switch v := e.(type) {
-	case Call:
-		if aggregateFns[v.Name] {
-			val, err := computeAggregate(v, ts, tuples, ev)
-			if err != nil {
-				return nil, err
-			}
-			return Lit{Val: val}, nil
-		}
-		out := Call{Name: v.Name, Star: v.Star, Args: make([]Expr, len(v.Args))}
-		for i, a := range v.Args {
-			ra, err := rewriteAggregates(a, ts, tuples, ev)
-			if err != nil {
-				return nil, err
-			}
-			out.Args[i] = ra
-		}
-		return out, nil
-	case Binary:
-		l, err := rewriteAggregates(v.L, ts, tuples, ev)
-		if err != nil {
-			return nil, err
-		}
-		r, err := rewriteAggregates(v.R, ts, tuples, ev)
-		if err != nil {
-			return nil, err
-		}
-		return Binary{Op: v.Op, L: l, R: r}, nil
-	case Not:
-		inner, err := rewriteAggregates(v.E, ts, tuples, ev)
-		if err != nil {
-			return nil, err
-		}
-		return Not{E: inner}, nil
-	case Neg:
-		inner, err := rewriteAggregates(v.E, ts, tuples, ev)
-		if err != nil {
-			return nil, err
-		}
-		return Neg{E: inner}, nil
-	default:
-		return e, nil
-	}
-}
-
-// computeAggregate evaluates one aggregate call over a group.
-func computeAggregate(c Call, ts *tupleSet, tuples [][]int, ev *env) (storage.Value, error) {
-	if c.Name == "COUNT" && (c.Star || len(c.Args) == 0) {
-		return storage.Int(int64(len(tuples))), nil
-	}
-	if len(c.Args) != 1 {
-		return storage.Null, fmt.Errorf("sqlx: %s takes one argument", c.Name)
-	}
-	var count int64
-	var sum float64
-	var best storage.Value
-	haveBest := false
-	for _, tuple := range tuples {
-		ts.bind(ev, tuple)
-		v, err := ev.eval(c.Args[0])
-		if err != nil {
-			return storage.Null, err
-		}
-		if v.IsNull() {
-			continue
-		}
-		count++
-		switch c.Name {
-		case "SUM", "AVG":
-			f, err := v.AsFloat()
-			if err != nil {
-				return storage.Null, err
-			}
-			sum += f
-		case "MIN", "MAX":
-			if !haveBest {
-				best, haveBest = v, true
-				continue
-			}
-			cmp, err := v.Compare(best)
-			if err != nil {
-				return storage.Null, err
-			}
-			if (c.Name == "MIN" && cmp < 0) || (c.Name == "MAX" && cmp > 0) {
-				best = v
-			}
-		}
-	}
-	switch c.Name {
-	case "COUNT":
-		return storage.Int(count), nil
-	case "SUM":
-		if count == 0 {
-			return storage.Null, nil
-		}
-		return storage.Float(sum), nil
-	case "AVG":
-		if count == 0 {
-			return storage.Null, nil
-		}
-		return storage.Float(sum / float64(count)), nil
-	default: // MIN, MAX
-		if !haveBest {
-			return storage.Null, nil
-		}
-		return best, nil
-	}
-}
-
-// projectAggregated handles SELECT lists containing aggregates and/or a
-// GROUP BY clause: tuples are grouped by the GROUP BY keys (one global
-// group when absent), each output row evaluating aggregates over its group
-// and plain expressions on the group's first tuple.
-func projectAggregated(ts *tupleSet, sel *SelectStmt, params map[string]storage.Value) (*Result, error) {
-	for _, item := range sel.Items {
-		if item.Star {
-			return nil, fmt.Errorf("sqlx: SELECT * cannot be combined with aggregation")
-		}
-	}
-	ev := ts.newEnv(params)
-	type group struct {
-		first  []int
-		tuples [][]int
-	}
-	var order []string
-	groups := map[string]*group{}
-	for _, tuple := range ts.tuples {
-		ts.bind(ev, tuple)
-		var key strings.Builder
-		for _, ge := range sel.GroupBy {
-			v, err := ev.eval(ge)
-			if err != nil {
-				return nil, err
-			}
-			key.WriteString(v.Kind.String())
-			key.WriteByte(':')
-			key.WriteString(v.String())
-			key.WriteByte('\x00')
-		}
-		k := key.String()
-		g, ok := groups[k]
-		if !ok {
-			g = &group{first: tuple}
-			groups[k] = g
-			order = append(order, k)
-		}
-		g.tuples = append(g.tuples, tuple)
-	}
-	// A global aggregate over zero tuples still yields one row.
-	if len(groups) == 0 && len(sel.GroupBy) == 0 {
-		groups[""] = &group{}
-		order = append(order, "")
-	}
-	res := &Result{}
-	for _, item := range sel.Items {
-		res.Cols = append(res.Cols, item.name())
-	}
-	type ordered struct {
-		row  storage.Row
-		keys []storage.Value
-	}
-	var rows []ordered
-	for _, k := range order {
-		g := groups[k]
-		evalOn := func(e Expr) (storage.Value, error) {
-			re, err := rewriteAggregates(e, ts, g.tuples, ev)
-			if err != nil {
-				return storage.Null, err
-			}
-			if g.first == nil {
-				// Zero-tuple global group: only aggregate-derived literals
-				// are meaningful; evaluate with no row bound.
-				return ts.newEnv(params).eval(re)
-			}
-			ts.bind(ev, g.first)
-			return ev.eval(re)
-		}
-		if sel.Having != nil {
-			hv, err := evalOn(sel.Having)
-			if err != nil {
-				return nil, err
-			}
-			if hv.IsNull() {
-				continue
-			}
-			keep, err := hv.AsBool()
-			if err != nil {
-				return nil, err
-			}
-			if !keep {
-				continue
-			}
-		}
-		row := make(storage.Row, len(sel.Items))
-		for i, item := range sel.Items {
-			v, err := evalOn(item.Expr)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = v
-		}
-		var keys []storage.Value
-		for _, ob := range sel.OrderBy {
-			v, err := evalOn(ob.Expr)
-			if err != nil {
-				return nil, err
-			}
-			keys = append(keys, v)
-		}
-		rows = append(rows, ordered{row: row, keys: keys})
-	}
-	if len(sel.OrderBy) > 0 {
-		var sortErr error
-		sort.SliceStable(rows, func(i, j int) bool {
-			for k2, ob := range sel.OrderBy {
-				c, err := compareForSort(rows[i].keys[k2], rows[j].keys[k2])
-				if err != nil {
-					sortErr = err
-					return false
-				}
-				if c != 0 {
-					if ob.Desc {
-						return c > 0
-					}
-					return c < 0
-				}
-			}
-			return false
-		})
-		if sortErr != nil {
-			return nil, sortErr
-		}
-	}
-	if sel.Limit >= 0 && len(rows) > sel.Limit {
-		rows = rows[:sel.Limit]
-	}
-	for _, r := range rows {
-		res.Rows = append(res.Rows, r.row)
-	}
-	return res, nil
-}
-
-// project applies the SELECT list, DISTINCT, ORDER BY and LIMIT. The
-// per-tuple expression evaluation is sharded across the engine's workers
-// (each batch with its own env, outputs merged in input order); DISTINCT,
-// the sort and LIMIT run sequentially on the merged rows. Aggregated
-// projection groups tuples globally and stays sequential.
-func (e *Engine) project(ts *tupleSet, sel *SelectStmt, params map[string]storage.Value) (*Result, error) {
-	if len(sel.GroupBy) > 0 || anyAggregateItem(sel) {
-		return projectAggregated(ts, sel, params)
-	}
-	// Expand projection columns.
-	type proj struct {
-		name string
-		expr Expr
-	}
-	var projs []proj
-	for _, item := range sel.Items {
-		if item.Star {
-			for _, n := range ts.nodes {
-				for ci, c := range n.tbl.Schema().Cols {
-					projs = append(projs, proj{
-						name: n.ref.EffectiveAlias() + "." + c.Name,
-						expr: boundCol{ColRef: ColRef{Table: n.alias, Col: c.Name}, slot: n.slot, col: ci},
-					})
-				}
-			}
-			continue
-		}
-		projs = append(projs, proj{name: item.name(), expr: item.Expr})
-	}
-	res := &Result{}
-	for _, pj := range projs {
-		res.Cols = append(res.Cols, pj.name)
-	}
-	type ordered struct {
-		row  storage.Row
-		keys []storage.Value
-	}
-	rows, err := shardAll(e, len(ts.tuples), func(lo, hi int) ([]ordered, error) {
+	rows, err := shardAll(e, len(ts.tuples), func(lo, hi int) ([]storage.Row, error) {
 		ev := ts.newEnv(params)
-		out := make([]ordered, 0, hi-lo)
+		out := make([]storage.Row, 0, hi-lo)
 		var slab []storage.Value
 		for ti, tuple := range ts.tuples[lo:hi] {
 			ts.bind(ev, tuple)
 			// Every tuple projects to one row, so slabs are sized exactly.
-			row := storage.Row(carve(&slab, len(projs), min(hi-lo-ti, slabRows)))
-			for i, pj := range projs {
-				v, err := ev.eval(pj.expr)
+			row := storage.Row(carve(&slab, len(items), min(hi-lo-ti, slabRows)))
+			for i, it := range items {
+				v, err := ev.eval(it)
 				if err != nil {
 					return nil, err
 				}
 				row[i] = v
 			}
-			var keys []storage.Value
-			for _, ob := range sel.OrderBy {
-				v, err := ev.eval(ob.Expr)
-				if err != nil {
-					return nil, err
-				}
-				keys = append(keys, v)
-			}
-			out = append(out, ordered{row: row, keys: keys})
+			out = append(out, row)
 		}
 		return out, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	if sel.Distinct {
-		seen := map[string]bool{}
-		var dedup []ordered
-		for _, r := range rows {
-			parts := make([]string, len(r.row))
-			for i, v := range r.row {
-				parts[i] = v.Kind.String() + ":" + v.String()
-			}
-			k := strings.Join(parts, "\x00")
-			if !seen[k] {
-				seen[k] = true
-				dedup = append(dedup, r)
-			}
-		}
-		rows = dedup
-	}
-	if len(sel.OrderBy) > 0 {
-		var sortErr error
-		sort.SliceStable(rows, func(i, j int) bool {
-			for k, ob := range sel.OrderBy {
-				c, err := compareForSort(rows[i].keys[k], rows[j].keys[k])
-				if err != nil {
-					sortErr = err
-					return false
-				}
-				if c != 0 {
-					if ob.Desc {
-						return c > 0
-					}
-					return c < 0
-				}
-			}
-			return false
-		})
-		if sortErr != nil {
-			return nil, sortErr
-		}
-	}
-	if sel.Limit >= 0 && len(rows) > sel.Limit {
-		rows = rows[:sel.Limit]
-	}
-	res.Rows = make([]storage.Row, len(rows))
-	for i, r := range rows {
-		res.Rows[i] = r.row
-	}
+	res.Rows = rows
 	return res, nil
-}
-
-// compareForSort orders values with NULLs first and booleans false<true,
-// falling back to Value.Compare.
-func compareForSort(a, b storage.Value) (int, error) {
-	if a.IsNull() || b.IsNull() {
-		switch {
-		case a.IsNull() && b.IsNull():
-			return 0, nil
-		case a.IsNull():
-			return -1, nil
-		default:
-			return 1, nil
-		}
-	}
-	if a.Kind == storage.KindBool && b.Kind == storage.KindBool {
-		av, _ := a.AsBool()
-		bv, _ := b.AsBool()
-		switch {
-		case av == bv:
-			return 0, nil
-		case !av:
-			return -1, nil
-		default:
-			return 1, nil
-		}
-	}
-	return a.Compare(b)
-}
-
-func (e *Engine) runInsert(ins *InsertStmt, params map[string]storage.Value) (*Result, error) {
-	tbl, err := e.db.Table(ins.Table)
-	if err != nil {
-		return nil, err
-	}
-	p, err := buildPlan(e.db, ins.Select, params)
-	if err != nil {
-		return nil, err
-	}
-	sel, err := e.runSelect(p, params)
-	if err != nil {
-		return nil, err
-	}
-	schema := tbl.Schema()
-	// Column mapping: named columns or positional.
-	var colIdx []int
-	if len(ins.Cols) > 0 {
-		if len(ins.Cols) != len(sel.Cols) {
-			return nil, fmt.Errorf("sqlx: INSERT names %d columns but SELECT yields %d", len(ins.Cols), len(sel.Cols))
-		}
-		for _, c := range ins.Cols {
-			ci := schema.ColIndex(c)
-			if ci < 0 {
-				return nil, fmt.Errorf("sqlx: %s has no column %q", ins.Table, c)
-			}
-			colIdx = append(colIdx, ci)
-		}
-	} else {
-		if len(sel.Cols) != len(schema.Cols) {
-			return nil, fmt.Errorf("sqlx: INSERT into %s needs %d columns, SELECT yields %d",
-				ins.Table, len(schema.Cols), len(sel.Cols))
-		}
-		for i := range schema.Cols {
-			colIdx = append(colIdx, i)
-		}
-	}
-	count := 0
-	for _, r := range sel.Rows {
-		row := make(storage.Row, len(schema.Cols))
-		for i := range row {
-			row[i] = storage.Null
-		}
-		for si, ci := range colIdx {
-			row[ci] = r[si]
-		}
-		if err := tbl.Append(row); err != nil {
-			return nil, err
-		}
-		count++
-	}
-	return &Result{Cols: []string{"inserted"}, Rows: []storage.Row{{storage.Int(int64(count))}}}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -74,7 +75,7 @@ func exec(t *testing.T, e *Engine, sql string) *Result {
 
 func TestSelectFilterProjection(t *testing.T) {
 	e := NewEngine(testDB(t))
-	res := exec(t, e, "SELECT id, arsenic_ratio FROM Well WHERE arsenic_ratio < 0.2 ORDER BY id")
+	res := exec(t, e, "SELECT id, arsenic_ratio FROM Well WHERE arsenic_ratio < 0.2")
 	if len(res.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(res.Rows))
 	}
@@ -86,38 +87,35 @@ func TestSelectFilterProjection(t *testing.T) {
 	}
 }
 
-func TestSelectStar(t *testing.T) {
-	e := NewEngine(testDB(t))
-	res := exec(t, e, "SELECT * FROM County ORDER BY id")
-	if len(res.Cols) != 4 || len(res.Rows) != 4 {
-		t.Fatalf("cols=%v rows=%d", res.Cols, len(res.Rows))
-	}
-	if res.Cols[0] != "County.id" {
-		t.Errorf("col 0 = %q", res.Cols[0])
-	}
-	if res.Rows[0][1].S != "Montserrado" {
-		t.Errorf("row 0 name = %v", res.Rows[0][1])
-	}
-}
-
+// TestExpressionsInProjection: a SELECT item is a column, a literal, a
+// parameter or a builtin call; a column is named by its column, anything
+// else by its SQL.
 func TestExpressionsInProjection(t *testing.T) {
 	e := NewEngine(testDB(t))
-	res := exec(t, e, "SELECT id * 2 + 1 AS x FROM Well WHERE id = 3")
+	res, err := e.Exec("SELECT w.id, -2, 'x', :p, ST_DISTANCE(w.location, :p) FROM Well w WHERE w.id = 3",
+		map[string]storage.Value{"p": storage.Geom(geom.Pt(103, 104))})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	if v, _ := res.Rows[0][0].AsInt(); v != 7 {
-		t.Errorf("x = %v", res.Rows[0][0])
+	got := make([]string, len(res.Rows[0]))
+	for i, v := range res.Rows[0] {
+		got[i] = v.String()
 	}
-	if res.Cols[0] != "x" {
-		t.Errorf("col = %q", res.Cols[0])
+	if want := "3 -2 x POINT (103 104) 5"; strings.Join(got, " ") != want {
+		t.Errorf("row = %q, want %q", strings.Join(got, " "), want)
+	}
+	if want := "id -2 'x' :p ST_DISTANCE(w.location, :p)"; strings.Join(res.Cols, " ") != want {
+		t.Errorf("cols = %q, want %q", strings.Join(res.Cols, " "), want)
 	}
 }
 
 func TestEquiJoin(t *testing.T) {
 	e := NewEngine(testDB(t))
 	res := exec(t, e, `SELECT w1.id, w2.id FROM Well w1, Well w2
-		WHERE w1.arsenic_ratio = w2.arsenic_ratio AND w1.id < w2.id ORDER BY w1.id`)
+		WHERE w1.arsenic_ratio = w2.arsenic_ratio AND w1.id < w2.id`)
 	// arsenic 0.1 shared by wells 1 and 5.
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows = %d, want 1", len(res.Rows))
@@ -158,21 +156,23 @@ func TestEquiJoin(t *testing.T) {
 		for _, r := range exec(t, NewEngine(db), q).Rows {
 			out = append(out, r[0].String()+"-"+r[1].String())
 		}
+		sort.Strings(out)
 		return strings.Join(out, " ")
 	}
-	if got, want := pairs("SELECT a.id, b.id FROM F a, F b WHERE a.x = b.x ORDER BY a.id, b.id"), "1-1 1-2 2-1 2-2 3-3"; got != want {
+	if got, want := pairs("SELECT a.id, b.id FROM F a, F b WHERE a.x = b.x"), "1-1 1-2 2-1 2-2 3-3"; got != want {
 		t.Errorf("double self-join = %q, want %q", got, want)
 	}
-	if got, want := pairs("SELECT f.id, n.id FROM F f, N n WHERE f.x = n.x ORDER BY f.id, n.id"), "1-1 2-1 3-2"; got != want {
+	if got, want := pairs("SELECT f.id, n.id FROM F f, N n WHERE f.x = n.x"), "1-1 2-1 3-2"; got != want {
 		t.Errorf("double-bigint join = %q, want %q", got, want)
 	}
 }
 
+// TestSpatialJoinDWithin: the within-distance join, ST_DISTANCE(a, b) <= d,
+// returns exactly the pairs at most d apart.
 func TestSpatialJoinDWithin(t *testing.T) {
 	e := NewEngine(testDB(t))
 	res := exec(t, e, `SELECT w1.id, w2.id FROM Well w1, Well w2
-		WHERE ST_DWITHIN(w1.location, w2.location, 15) AND w1.id < w2.id
-		ORDER BY w1.id, w2.id`)
+		WHERE ST_DISTANCE(w1.location, w2.location) <= 15 AND w1.id < w2.id`)
 	// Pairs within distance 15: (1,2) d=10, (2,4) d=sqrt(4+25)=5.39, (1,4) d=13.
 	want := [][2]int64{{1, 2}, {1, 4}, {2, 4}}
 	if len(res.Rows) != len(want) {
@@ -188,18 +188,28 @@ func TestSpatialJoinDWithin(t *testing.T) {
 }
 
 func TestSpatialJoinDistanceComparison(t *testing.T) {
-	// ST_DISTANCE(a,b) < d must plan as a spatial join and agree with the
-	// ST_DWITHIN formulation.
+	// ST_DISTANCE(a, b) < d and <= d plan as spatial joins; < is strict, <=
+	// inclusive, which the pair (1,2) at distance exactly 10 tells apart.
 	e := NewEngine(testDB(t))
-	r1 := exec(t, e, `SELECT w1.id, w2.id FROM Well w1, Well w2
-		WHERE ST_DISTANCE(w1.location, w2.location) < 15 AND w1.id < w2.id
-		ORDER BY w1.id, w2.id`)
-	r2 := exec(t, e, `SELECT w1.id, w2.id FROM Well w1, Well w2
-		WHERE ST_DWITHIN(w1.location, w2.location, 15) AND w1.id < w2.id
-		ORDER BY w1.id, w2.id`)
-	// DWithin is inclusive, < is strict; no pair sits exactly at 15 here.
-	if len(r1.Rows) != len(r2.Rows) {
-		t.Fatalf("distance %d vs dwithin %d", len(r1.Rows), len(r2.Rows))
+	for _, c := range []struct {
+		cond string
+		want string
+	}{
+		{"<= 10", "1-2 2-4"},
+		{"< 10", "2-4"},
+	} {
+		q := `SELECT w1.id, w2.id FROM Well w1, Well w2
+			WHERE ST_DISTANCE(w1.location, w2.location) ` + c.cond + ` AND w1.id < w2.id`
+		var got []string
+		for _, r := range exec(t, e, q).Rows {
+			got = append(got, r[0].String()+"-"+r[1].String())
+		}
+		if strings.Join(got, " ") != c.want {
+			t.Errorf("distance %s: pairs %v, want %s", c.cond, got, c.want)
+		}
+		if plan := exec(t, e, "EXPLAIN "+q); !strings.HasPrefix(plan.Rows[1][0].S, "spatial-join") {
+			t.Errorf("distance %s: second step %q, want a spatial join", c.cond, plan.Rows[1][0].S)
+		}
 	}
 }
 
@@ -209,8 +219,7 @@ func TestSpatialJoinHaversineMetric(t *testing.T) {
 	// (~110 mi); Gbarpolu ~155 mi is out.
 	res := exec(t, e, `SELECT c2.name FROM County c1, County c2
 		WHERE c1.name = 'Montserrado' AND c2.id <> c1.id
-		AND ST_DWITHIN(c1.location, c2.location, 150, 'miles')
-		ORDER BY c2.id`)
+		AND ST_DISTANCE(c1.location, c2.location, 'miles') <= 150`)
 	var names []string
 	for _, r := range res.Rows {
 		names = append(names, r[0].S)
@@ -225,7 +234,7 @@ func TestWithinPolygonParam(t *testing.T) {
 	region := geom.Polygon{Ring: []geom.Point{
 		geom.Pt(-5, -5), geom.Pt(15, -5), geom.Pt(15, 10), geom.Pt(-5, 10),
 	}}
-	res, err := e.Exec(`SELECT id FROM Well WHERE ST_WITHIN(location, :region) ORDER BY id`,
+	res, err := e.Exec(`SELECT id FROM Well WHERE ST_WITHIN(location, :region)`,
 		map[string]storage.Value{"region": storage.Geom(region)})
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +259,7 @@ func TestExplainReordersRangeBeforeSpatialJoin(t *testing.T) {
 	e := NewEngine(testDB(t))
 	region := geom.NewRect(geom.Pt(-20, -20), geom.Pt(50, 50))
 	res, err := e.Exec(`EXPLAIN SELECT w1.id, w2.id FROM Well w1, Well w2
-		WHERE ST_DWITHIN(w1.location, w2.location, 15)
+		WHERE ST_DISTANCE(w1.location, w2.location) <= 15
 		AND ST_WITHIN(w1.location, :region)`,
 		map[string]storage.Value{"region": storage.Geom(region)})
 	if err != nil {
@@ -272,7 +281,7 @@ func TestExplainReordersRangeBeforeSpatialJoin(t *testing.T) {
 func TestJoinOrderSmallestFirst(t *testing.T) {
 	// The filtered smaller table seeds the join order.
 	e := NewEngine(testDB(t))
-	res := exec(t, e, `EXPLAIN SELECT * FROM Well w, County c WHERE w.id = c.id AND c.sanitation = true`)
+	res := exec(t, e, `EXPLAIN SELECT w.id, c.id FROM Well w, County c WHERE w.id = c.id AND c.sanitation = true`)
 	first := res.Rows[0][0].S
 	if !strings.Contains(first, "County") {
 		t.Errorf("expected County (3 filtered rows) first, got %q", first)
@@ -325,62 +334,12 @@ func TestAccessPathFollowsSelectivity(t *testing.T) {
 	}
 }
 
-func TestDistinctAndLimit(t *testing.T) {
-	e := NewEngine(testDB(t))
-	res := exec(t, e, "SELECT DISTINCT arsenic_ratio FROM Well ORDER BY arsenic_ratio")
-	if len(res.Rows) != 4 { // 0.05 0.1 0.15 0.4
-		t.Fatalf("distinct rows = %d", len(res.Rows))
-	}
-	res2 := exec(t, e, "SELECT id FROM Well ORDER BY id DESC LIMIT 2")
-	if len(res2.Rows) != 2 {
-		t.Fatalf("limit rows = %d", len(res2.Rows))
-	}
-	if v, _ := res2.Rows[0][0].AsInt(); v != 5 {
-		t.Errorf("desc first = %v", v)
-	}
-}
-
-func TestInsertSelect(t *testing.T) {
-	db := testDB(t)
-	if _, err := db.Create(storage.Schema{
-		Name: "Pairs",
-		Cols: []storage.Column{
-			{Name: "a", Kind: storage.KindInt},
-			{Name: "b", Kind: storage.KindInt},
-			{Name: "w", Kind: storage.KindFloat},
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(db)
-	res := exec(t, e, `INSERT INTO Pairs (a, b, w) SELECT w1.id, w2.id, 0.7 FROM Well w1, Well w2
-		WHERE ST_DWITHIN(w1.location, w2.location, 15) AND w1.id < w2.id`)
-	if n, _ := res.Rows[0][0].AsInt(); n != 3 {
-		t.Fatalf("inserted = %d, want 3", n)
-	}
-	check := exec(t, e, "SELECT a, b, w FROM Pairs ORDER BY a, b")
-	if len(check.Rows) != 3 {
-		t.Fatalf("pairs rows = %d", len(check.Rows))
-	}
-	if w, _ := check.Rows[0][2].AsFloat(); w != 0.7 {
-		t.Errorf("weight = %v", w)
-	}
-	// Positional insert with mismatched arity fails.
-	if _, err := e.Exec("INSERT INTO Pairs SELECT id FROM Well", nil); err == nil {
-		t.Error("arity mismatch should fail")
-	}
-	// Unknown column fails.
-	if _, err := e.Exec("INSERT INTO Pairs (nope) SELECT id FROM Well", nil); err == nil {
-		t.Error("unknown column should fail")
-	}
-}
-
 func TestThreeWayJoin(t *testing.T) {
 	e := NewEngine(testDB(t))
 	res := exec(t, e, `SELECT w1.id, w2.id, w3.id FROM Well w1, Well w2, Well w3
-		WHERE ST_DWITHIN(w1.location, w2.location, 15)
-		AND ST_DWITHIN(w2.location, w3.location, 15)
-		AND w1.id < w2.id AND w2.id < w3.id ORDER BY w1.id, w2.id, w3.id`)
+		WHERE ST_DISTANCE(w1.location, w2.location) <= 15
+		AND ST_DISTANCE(w2.location, w3.location) <= 15
+		AND w1.id < w2.id AND w2.id < w3.id`)
 	// Chains: 1-2-4 (1~2 d10, 2~4 d5.4); 1-4-? none beyond; so expect (1,2,4).
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows = %d: %v", len(res.Rows), res.Rows)
@@ -416,12 +375,18 @@ func TestNullSemantics(t *testing.T) {
 		{storage.Int(2), storage.Null},
 	})
 	e := NewEngine(db)
-	// NULL comparisons are not true: only row 1 passes either way.
-	if res := exec(t, e, "SELECT id FROM T WHERE v < 10"); len(res.Rows) != 1 {
-		t.Errorf("v < 10 rows = %d", len(res.Rows))
-	}
-	if res := exec(t, e, "SELECT id FROM T WHERE NOT v < 10"); len(res.Rows) != 0 {
-		t.Errorf("NOT v < 10 rows = %d", len(res.Rows))
+	// NULL comparisons are not true: row 2 passes none of them, not even a
+	// comparison with NULL itself.
+	for q, want := range map[string]int{
+		"SELECT id FROM T WHERE v < 10":    1,
+		"SELECT id FROM T WHERE v >= 10":   0,
+		"SELECT id FROM T WHERE v = NULL":  0,
+		"SELECT id FROM T WHERE v <> NULL": 0,
+		"SELECT id FROM T WHERE v <> 1":    0,
+	} {
+		if res := exec(t, e, q); len(res.Rows) != want {
+			t.Errorf("%s: rows = %d, want %d", q, len(res.Rows), want)
+		}
 	}
 	// NULLs never equi-join.
 	if res := exec(t, e, "SELECT a.id FROM T a, T b WHERE a.v = b.v AND a.id <> b.id"); len(res.Rows) != 0 {
@@ -445,33 +410,39 @@ func TestAmbiguousAndUnknownColumns(t *testing.T) {
 	}
 }
 
-func TestScalarFunctions(t *testing.T) {
-	e := NewEngine(testDB(t))
-	res := exec(t, e, "SELECT ABS(-3), LEAST(2, 1, 3), GREATEST(2.5, 1.0) FROM Well WHERE id = 1")
-	if v, _ := res.Rows[0][0].AsInt(); v != 3 {
-		t.Errorf("ABS = %v", v)
-	}
-	if v, _ := res.Rows[0][1].AsInt(); v != 1 {
-		t.Errorf("LEAST = %v", v)
-	}
-	if v, _ := res.Rows[0][2].AsFloat(); v != 2.5 {
-		t.Errorf("GREATEST = %v", v)
-	}
-}
-
+// TestGeomFunctions evaluates every builtin, nested, on well 1 at (0, 0)
+// against p = (3, 4).
 func TestGeomFunctions(t *testing.T) {
 	e := NewEngine(testDB(t))
-	res := exec(t, e, `SELECT ST_X(location), ST_Y(location),
-		ST_DISTANCE(location, ST_POINT(3, 4)) FROM Well WHERE id = 1`)
-	if x, _ := res.Rows[0][0].AsFloat(); x != 0 {
-		t.Errorf("ST_X = %v", x)
+	params := map[string]storage.Value{"p": storage.Geom(geom.Pt(3, 4)), "none": storage.Null}
+	res, err := e.Exec(`SELECT ST_DISTANCE(location, :p),
+		ST_CONTAINS(ST_BUFFER(location, 1), :p), ST_CONTAINS(ST_BUFFER(location, 5), :p),
+		ST_INTERSECTS(ST_UNION(location, :p), :p), ST_WITHIN(:p, ST_UNION(location, ST_BUFFER(:p, 1))),
+		ST_OVERLAPS(ST_BUFFER(location, 2), ST_BUFFER(:p, 3)), ST_DISTANCE(location, :none)
+		FROM Well WHERE id = 1`, params)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d, _ := res.Rows[0][2].AsFloat(); d != 5 {
-		t.Errorf("distance = %v", d)
+	got := make([]string, len(res.Rows[0]))
+	for i, v := range res.Rows[0] {
+		got[i] = v.String()
 	}
-	res2 := exec(t, e, `SELECT id FROM Well WHERE ST_WITHIN(location, ST_GEOMFROMTEXT('POLYGON((-1 -1, 11 -1, 11 1, -1 1))')) ORDER BY id`)
-	if len(res2.Rows) != 2 { // wells 1 and 2
-		t.Errorf("WKT region rows = %d", len(res2.Rows))
+	if want := "5 false true true true true NULL"; strings.Join(got, " ") != want {
+		t.Errorf("row = %q, want %q", strings.Join(got, " "), want)
+	}
+	// A buffered point as the range window: [-1, 11] × [-6, 6] holds wells
+	// 1 and 2.
+	res2, err := e.Exec(`SELECT id FROM Well WHERE ST_WITHIN(location, ST_BUFFER(:c, 6))`,
+		map[string]storage.Value{"c": storage.Geom(geom.Pt(5, 0))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res2.Rows) != 2 {
+		t.Errorf("buffer window rows = %d, want 2", len(res2.Rows))
+	}
+	// A type error surfaces as an error, not a panic.
+	if _, err := e.Exec(`SELECT ST_WITHIN(id, location) FROM Well`, nil); err == nil {
+		t.Error("ST_WITHIN over an integer should fail")
 	}
 }
 
@@ -493,7 +464,7 @@ func TestSpatialJoinMatchesNestedLoopProperty(t *testing.T) {
 	}
 	e := NewEngine(db)
 	res := exec(t, e, `SELECT a.id, b.id FROM P a, P b
-		WHERE ST_DWITHIN(a.loc, b.loc, 7) AND a.id < b.id ORDER BY a.id, b.id`)
+		WHERE ST_DISTANCE(a.loc, b.loc) <= 7 AND a.id < b.id`)
 	// Brute force.
 	var want [][2]int64
 	for i := 0; i < n; i++ {
@@ -515,133 +486,11 @@ func TestSpatialJoinMatchesNestedLoopProperty(t *testing.T) {
 	}
 }
 
-func TestAggregatesGlobal(t *testing.T) {
-	e := NewEngine(testDB(t))
-	res := exec(t, e, "SELECT COUNT(*), SUM(arsenic_ratio), AVG(arsenic_ratio), MIN(id), MAX(id) FROM Well")
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	r := res.Rows[0]
-	if n, _ := r[0].AsInt(); n != 5 {
-		t.Errorf("COUNT = %v", r[0])
-	}
-	if s, _ := r[1].AsFloat(); math.Abs(s-0.8) > 1e-12 {
-		t.Errorf("SUM = %v", r[1])
-	}
-	if a, _ := r[2].AsFloat(); math.Abs(a-0.16) > 1e-12 {
-		t.Errorf("AVG = %v", r[2])
-	}
-	if mn, _ := r[3].AsInt(); mn != 1 {
-		t.Errorf("MIN = %v", r[3])
-	}
-	if mx, _ := r[4].AsInt(); mx != 5 {
-		t.Errorf("MAX = %v", r[4])
-	}
-}
-
-func TestAggregatesGroupBy(t *testing.T) {
-	e := NewEngine(testDB(t))
-	res := exec(t, e, `SELECT sanitation, COUNT(*) AS n FROM County GROUP BY sanitation ORDER BY n DESC`)
-	if len(res.Rows) != 2 {
-		t.Fatalf("groups = %d", len(res.Rows))
-	}
-	if n, _ := res.Rows[0][1].AsInt(); n != 3 {
-		t.Errorf("majority group = %v", res.Rows[0][1])
-	}
-	if n, _ := res.Rows[1][1].AsInt(); n != 1 {
-		t.Errorf("minority group = %v", res.Rows[1][1])
-	}
-}
-
-func TestAggregatesEmptyAndNulls(t *testing.T) {
-	db := storage.NewDB()
-	tb, _ := db.Create(storage.Schema{Name: "T", Cols: []storage.Column{
-		{Name: "k", Kind: storage.KindInt},
-		{Name: "v", Kind: storage.KindFloat},
-	}})
-	_ = tb.AppendAll([]storage.Row{
-		{storage.Int(1), storage.Float(2)},
-		{storage.Int(1), storage.Null},
-		{storage.Int(2), storage.Float(4)},
-	})
-	e := NewEngine(db)
-	// NULLs are skipped by COUNT(expr)/SUM/AVG.
-	res := exec(t, e, "SELECT COUNT(v), SUM(v), AVG(v) FROM T WHERE k = 1")
-	if n, _ := res.Rows[0][0].AsInt(); n != 1 {
-		t.Errorf("COUNT(v) = %v", res.Rows[0][0])
-	}
-	if s, _ := res.Rows[0][1].AsFloat(); s != 2 {
-		t.Errorf("SUM(v) = %v", res.Rows[0][1])
-	}
-	// Zero matching tuples: COUNT(*) = 0, SUM NULL.
-	res2 := exec(t, e, "SELECT COUNT(*), SUM(v) FROM T WHERE k = 9")
-	if n, _ := res2.Rows[0][0].AsInt(); n != 0 {
-		t.Errorf("empty COUNT = %v", res2.Rows[0][0])
-	}
-	if !res2.Rows[0][1].IsNull() {
-		t.Errorf("empty SUM = %v", res2.Rows[0][1])
-	}
-}
-
-func TestAggregateInExpression(t *testing.T) {
-	e := NewEngine(testDB(t))
-	res := exec(t, e, "SELECT SUM(arsenic_ratio) / COUNT(*) AS mean FROM Well")
-	if v, _ := res.Rows[0][0].AsFloat(); math.Abs(v-0.16) > 1e-12 {
-		t.Errorf("mean = %v", res.Rows[0][0])
-	}
-	if res.Cols[0] != "mean" {
-		t.Errorf("col = %q", res.Cols[0])
-	}
-}
-
-func TestAggregateWithJoin(t *testing.T) {
-	e := NewEngine(testDB(t))
-	res := exec(t, e, `SELECT w1.id, COUNT(*) AS neighbors FROM Well w1, Well w2
-		WHERE ST_DWITHIN(w1.location, w2.location, 15) AND w1.id <> w2.id
-		GROUP BY w1.id ORDER BY w1.id`)
-	// Wells 1, 2, 4 form a near-cluster: 1-(2,4), 2-(1,4), 4-(1,2).
-	if len(res.Rows) != 3 {
-		t.Fatalf("groups = %d: %v", len(res.Rows), res.Rows)
-	}
-	for _, r := range res.Rows {
-		if n, _ := r[1].AsInt(); n != 2 {
-			t.Errorf("row %v", r)
-		}
-	}
-}
-
-func TestAggregateStarError(t *testing.T) {
-	e := NewEngine(testDB(t))
-	if _, err := e.Exec("SELECT *, COUNT(*) FROM Well", nil); err == nil {
-		t.Error("star + aggregate should fail")
-	}
-	if _, err := e.Exec("SELECT SUM(id, id) FROM Well", nil); err == nil {
-		t.Error("two-arg SUM should fail")
-	}
-}
-
-func TestHaving(t *testing.T) {
-	e := NewEngine(testDB(t))
-	res := exec(t, e, `SELECT sanitation, COUNT(*) AS n FROM County
-		GROUP BY sanitation HAVING COUNT(*) > 1`)
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %d: %v", len(res.Rows), res.Rows)
-	}
-	if n, _ := res.Rows[0][1].AsInt(); n != 3 {
-		t.Errorf("n = %v", res.Rows[0][1])
-	}
-	// HAVING with non-boolean expression fails.
-	if _, err := e.Exec("SELECT k FROM Well w GROUP BY k HAVING COUNT(*)", nil); err == nil {
-		t.Error("non-boolean HAVING should fail")
-	}
-}
-
 // TestWorkerInvariance pins the determinism contract of every sharded stage
 // — join probing, the residual filter after a join step, and projection: the
 // same query returns identical columns and identically-ordered rows for any
-// worker count, on inputs large enough to cross the parallel threshold. The
-// first query deliberately has no ORDER BY, so its row order comes purely
-// from the chunk-ordered batch merge.
+// worker count, on inputs large enough to cross the parallel threshold. Row
+// order comes purely from the chunk-ordered batch merge.
 func TestWorkerInvariance(t *testing.T) {
 	db := storage.NewDB()
 	tbl, err := db.Create(storage.Schema{
@@ -654,19 +503,17 @@ func TestWorkerInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 48; i++ {
+	for i := 0; i < 64; i++ {
 		row := storage.Row{storage.Int(int64(i)), storage.Float(float64(i%17) / 16.0)}
 		if err := tbl.Append(row); err != nil {
 			t.Fatal(err)
 		}
 	}
 	queries := []string{
-		// Theta join + residual predicate + expression projection, no ORDER BY.
-		`SELECT a.id * 100 + b.id AS x, a.v + b.v AS s FROM P a, P b
-			WHERE a.id < b.id AND a.v + b.v < 1.2`,
-		// DISTINCT + ORDER BY + LIMIT on top of the sharded projection.
-		`SELECT DISTINCT a.v + b.v AS s FROM P a, P b
-			WHERE a.id < b.id AND a.v * b.v > 0.1 ORDER BY s DESC LIMIT 50`,
+		// Theta join + residual predicate.
+		`SELECT a.id, b.id, a.v, 0.5 FROM P a, P b WHERE a.id < b.id AND a.v < b.v`,
+		// Hash join + residual predicate.
+		`SELECT a.id, b.id, b.v FROM P a, P b WHERE a.v = b.v AND a.id <> b.id`,
 	}
 	render := func(res *Result) string {
 		var b strings.Builder
@@ -696,9 +543,7 @@ func TestWorkerInvariance(t *testing.T) {
 			t.Fatalf("query %d plans no residual filter:\n%v", qi, plan.Rows)
 		}
 		ref := exec(t, seq, q)
-		// DISTINCT/LIMIT collapse the output; the sharded stages still see
-		// the full join result, so only the plain query checks its own size.
-		if qi == 0 && len(ref.Rows) < probeParallelMin {
+		if len(ref.Rows) < probeParallelMin {
 			t.Fatalf("query %d yields %d rows — below the parallel threshold %d",
 				qi, len(ref.Rows), probeParallelMin)
 		}
@@ -716,8 +561,8 @@ func TestWorkerInvariance(t *testing.T) {
 
 // BenchmarkSelectResidualProjection measures the sharded residual-filter +
 // projection pipeline on a giant-rule-shaped query: a theta self-join whose
-// output passes through a residual predicate and an expression projection —
-// the sqlx hot path of a single large grounding rule.
+// output passes through a residual predicate and the projection — the sqlx
+// hot path of a single large grounding rule.
 func BenchmarkSelectResidualProjection(b *testing.B) {
 	db := storage.NewDB()
 	tbl, err := db.Create(storage.Schema{
@@ -736,8 +581,7 @@ func BenchmarkSelectResidualProjection(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	const q = `SELECT a.id * 100 + b.id AS x, a.v + b.v AS s FROM P a, P b
-		WHERE a.id < b.id AND a.v + b.v < 1.2`
+	const q = `SELECT a.id, b.id, a.v, b.v FROM P a, P b WHERE a.id < b.id AND a.v < b.v`
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			e := NewEngine(db)

@@ -3,25 +3,32 @@ package sqlx
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/datagen"
+	"repro/internal/ddlog"
+	"repro/internal/deepdive"
 	"repro/internal/geom"
 	"repro/internal/storage"
+	"repro/internal/translate"
 )
 
 // This file cross-checks the planner/executor against a naive reference
-// evaluator (cross product + full-WHERE filter + projection) on hundreds of
+// evaluator (cross product + every conjunct + projection) on hundreds of
 // randomly generated queries. Any divergence between the heuristic join
 // ordering, index-assisted spatial joins, or predicate pushdown and the
-// obvious semantics fails the test.
+// obvious semantics fails the test. FuzzParse holds the parser to its
+// round trip on the SQL translate writes and on anything a fuzzer mutates
+// from it.
 
 // fuzzDB builds random tables A, B, C of minRows..maxRows rows with ints,
 // floats and points. Keys, values and locations are each occasionally NULL,
 // and every other table sits on a grid of pitch 5, so that distances often
-// land exactly on the radii randomSpatial draws (multiples of 5) and <, <=
-// and ST_DWITHIN tell apart.
+// land exactly on the radii randomSpatial draws (multiples of 5) and < and
+// <= tell apart.
 func fuzzDB(t *testing.T, rng *rand.Rand, minRows, maxRows int) *storage.DB {
 	t.Helper()
 	db := storage.NewDB()
@@ -65,9 +72,9 @@ func fuzzDB(t *testing.T, rng *rand.Rand, minRows, maxRows int) *storage.DB {
 }
 
 // randomSpatial renders a distance conjunct between two aliases in one of
-// the shapes the planner classifies: ST_DISTANCE <, ST_DISTANCE <= or
-// ST_DWITHIN, with no metric argument, the Euclidean one, or miles (the
-// coordinates then read as degrees, a degree being some 69 miles).
+// the shapes the planner classifies, ST_DISTANCE < or <=, with no metric
+// argument, the Euclidean one, or miles (the coordinates then read as
+// degrees, a degree being some 69 miles).
 func randomSpatial(rng *rand.Rand, a, b string) string {
 	r := 5 * (1 + rng.Intn(7))
 	metric := ""
@@ -78,18 +85,16 @@ func randomSpatial(rng *rand.Rand, a, b string) string {
 		metric = ", 'miles'"
 		r *= 69
 	}
-	switch rng.Intn(3) {
-	case 0:
-		return fmt.Sprintf("ST_DISTANCE(%s.loc, %s.loc%s) < %d", a, b, metric, r)
-	case 1:
-		return fmt.Sprintf("ST_DISTANCE(%s.loc, %s.loc%s) <= %d", a, b, metric, r)
-	default:
-		return fmt.Sprintf("ST_DWITHIN(%s.loc, %s.loc, %d%s)", a, b, r, metric)
+	op := "<"
+	if rng.Intn(2) == 0 {
+		op = "<="
 	}
+	return fmt.Sprintf("ST_DISTANCE(%s.loc, %s.loc%s) %s %d", a, b, metric, op, r)
 }
 
-// randomQuery builds a random SELECT over nt tables with mixed predicates.
-func randomQuery(rng *rand.Rand, nt int) string {
+// randomQuery builds a random SELECT over nt tables with mixed predicates,
+// and the parameters it binds (the ST_WITHIN windows).
+func randomQuery(rng *rand.Rand, nt int) (string, map[string]storage.Value) {
 	tables := []string{"A", "B", "C"}
 	var from, aliases []string
 	for i := 0; i < nt; i++ {
@@ -98,6 +103,7 @@ func randomQuery(rng *rand.Rand, nt int) string {
 		aliases = append(aliases, alias)
 	}
 	var conds []string
+	params := map[string]storage.Value{}
 	pick := func() string { return aliases[rng.Intn(len(aliases))] }
 	// pair draws two distinct aliases, when the query has them.
 	pair := func() (string, string, bool) {
@@ -117,11 +123,17 @@ func randomQuery(rng *rand.Rand, nt int) string {
 			}
 		case 3:
 			if a, b, ok := pair(); ok {
-				conds = append(conds, fmt.Sprintf("ST_DWITHIN(%s.loc, %s.loc, %d)", a, b, 5+rng.Intn(30)))
+				conds = append(conds, fmt.Sprintf("ST_DISTANCE(%s.loc, %s.loc) <= %d", a, b, 5+rng.Intn(30)))
 			}
 		case 4:
-			conds = append(conds, fmt.Sprintf("ST_WITHIN(%s.loc, ST_GEOMFROMTEXT('POLYGON((0 0, %d 0, %d %d, 0 %d))'))",
-				pick(), 10+rng.Intn(40), 10+rng.Intn(40), 10+rng.Intn(40), 10+rng.Intn(40)))
+			name := fmt.Sprintf("w%d", len(params))
+			conds = append(conds, fmt.Sprintf("ST_WITHIN(%s.loc, :%s)", pick(), name))
+			window, err := geom.ParseWKT(fmt.Sprintf("POLYGON((0 0, %d 0, %d %d, 0 %d))",
+				10+rng.Intn(40), 10+rng.Intn(40), 10+rng.Intn(40), 10+rng.Intn(40)))
+			if err != nil {
+				panic(err)
+			}
+			params[name] = storage.Geom(window)
 		case 5:
 			if a, b, ok := pair(); ok {
 				conds = append(conds, fmt.Sprintf("ST_DISTANCE(%s.loc, %s.loc) < %d", a, b, 5+rng.Intn(30)))
@@ -152,33 +164,36 @@ func randomQuery(rng *rand.Rand, nt int) string {
 	if len(conds) > 0 {
 		q += " WHERE " + strings.Join(conds, " AND ")
 	}
-	return q
+	return q, params
 }
 
-// naiveEval evaluates a parsed SELECT by brute force.
-func naiveEval(t *testing.T, db *storage.DB, sel *SelectStmt) []string {
+// naiveEval evaluates a parsed SELECT by brute force: every tuple of the
+// cross product, bound by bindExpr, that passes every conjunct.
+func naiveEval(t *testing.T, db *storage.DB, stmt *Stmt, params map[string]storage.Value) []string {
 	t.Helper()
-	// Build bindings for the cross product.
-	var tbls []*storage.Table
-	var aliases []string
-	for _, ref := range sel.From {
+	nodes := make([]*scanNode, len(stmt.From))
+	for i, ref := range stmt.From {
 		tbl, err := db.Table(ref.Table)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tbls = append(tbls, tbl)
-		aliases = append(aliases, strings.ToLower(ref.EffectiveAlias()))
+		nodes[i] = &scanNode{ref: ref, alias: strings.ToLower(ref.EffectiveAlias()), slot: i, tbl: tbl}
 	}
-	ev := &env{aliases: aliases, rows: make([]storage.Row, len(tbls))}
-	for _, tbl := range tbls {
-		ev.schemas = append(ev.schemas, tbl.Schema())
+	where, err := bindAll(stmt.Where, nodes, params)
+	if err != nil {
+		t.Fatalf("naive bind: %v", err)
 	}
+	items, err := bindAll(stmt.Items, nodes, params)
+	if err != nil {
+		t.Fatalf("naive bind: %v", err)
+	}
+	ev := &env{rows: make([]storage.Row, len(nodes)), params: params}
 	var out []string
 	var walk func(i int)
 	walk = func(i int) {
-		if i == len(tbls) {
-			if sel.Where != nil {
-				ok, err := ev.evalBool(sel.Where)
+		if i == len(nodes) {
+			for _, c := range where {
+				ok, err := ev.evalBool(c)
 				if err != nil {
 					t.Fatalf("naive where: %v", err)
 				}
@@ -187,8 +202,8 @@ func naiveEval(t *testing.T, db *storage.DB, sel *SelectStmt) []string {
 				}
 			}
 			var cells []string
-			for _, item := range sel.Items {
-				v, err := ev.eval(item.Expr)
+			for _, item := range items {
+				v, err := ev.eval(item)
 				if err != nil {
 					t.Fatalf("naive projection: %v", err)
 				}
@@ -197,7 +212,7 @@ func naiveEval(t *testing.T, db *storage.DB, sel *SelectStmt) []string {
 			out = append(out, strings.Join(cells, "|"))
 			return
 		}
-		tbls[i].Scan(func(_ int, r storage.Row) bool {
+		nodes[i].tbl.Scan(func(_ int, r storage.Row) bool {
 			ev.rows[i] = r
 			walk(i + 1)
 			return true
@@ -210,11 +225,11 @@ func naiveEval(t *testing.T, db *storage.DB, sel *SelectStmt) []string {
 
 // engineRows runs q at the given worker count and renders the rows in the
 // order the engine returned them.
-func engineRows(t *testing.T, db *storage.DB, q string, workers int) []string {
+func engineRows(t *testing.T, db *storage.DB, q string, params map[string]storage.Value, workers int) []string {
 	t.Helper()
 	e := NewEngine(db)
 	e.SetParallelism(workers, nil)
-	res, err := e.Exec(q, nil)
+	res, err := e.Exec(q, params)
 	if err != nil {
 		t.Fatalf("engine %q: %v", q, err)
 	}
@@ -246,13 +261,13 @@ func TestPlannerMatchesNaiveEvaluator(t *testing.T) {
 	rng := rand.New(rand.NewSource(12345))
 	for trial := 0; trial < 400; trial++ {
 		db := fuzzDB(t, rng, 5, 24)
-		q := randomQuery(rng, 1+rng.Intn(3))
+		q, params := randomQuery(rng, 1+rng.Intn(3))
 		stmt, err := Parse(q)
 		if err != nil {
 			t.Fatalf("trial %d: Parse(%q): %v", trial, q, err)
 		}
-		want := naiveEval(t, db, stmt.Select)
-		got := engineRows(t, db, q, 1)
+		want := naiveEval(t, db, stmt, params)
+		got := engineRows(t, db, q, params, 1)
 		sort.Strings(got)
 		diffRows(t, trial, q, "engine", got, "naive", want)
 	}
@@ -267,40 +282,119 @@ func TestShardedProbeMatchesNaiveEvaluator(t *testing.T) {
 	rng := rand.New(rand.NewSource(2718))
 	for trial := 0; trial < 16; trial++ {
 		db := fuzzDB(t, rng, 150, 300)
-		q := randomQuery(rng, 2)
+		q, params := randomQuery(rng, 2)
 		stmt, err := Parse(q)
 		if err != nil {
 			t.Fatalf("trial %d: Parse(%q): %v", trial, q, err)
 		}
-		seq := engineRows(t, db, q, 1)
-		diffRows(t, trial, q, "workers=3", engineRows(t, db, q, 3), "workers=1", seq)
+		seq := engineRows(t, db, q, params, 1)
+		diffRows(t, trial, q, "workers=3", engineRows(t, db, q, params, 3), "workers=1", seq)
 		sort.Strings(seq)
-		diffRows(t, trial, q, "engine", seq, "naive", naiveEval(t, db, stmt.Select))
+		diffRows(t, trial, q, "engine", seq, "naive", naiveEval(t, db, stmt, params))
 	}
 }
 
-func TestAggregateMatchesNaiveEvaluator(t *testing.T) {
-	// Aggregation cross-check: grouped counts computed by the engine equal
-	// counts over the naive row multiset.
-	rng := rand.New(rand.NewSource(777))
-	for trial := 0; trial < 50; trial++ {
-		db := fuzzDB(t, rng, 5, 24)
-		base := randomQuery(rng, 1+rng.Intn(3))
-		stmt, err := Parse(base)
+// FuzzParse holds the parser to two properties on any input: it returns
+// instead of panicking, and a statement it accepts renders back, through
+// Expr.SQL, to text that parses to an equal AST. The seeds are the SQL
+// translate writes for every rule of the GWDB, GWDB-categorical, NYCCAS and
+// EbolaKB programs and of Fig. 10's step rules, plus randomQuery's shapes.
+func FuzzParse(f *testing.F) {
+	for _, q := range translatedRules(f) {
+		f.Add(q)
+		f.Add("EXPLAIN " + q)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 32; i++ {
+		q, _ := randomQuery(rng, 1+rng.Intn(3))
+		f.Add(q)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		stmt, err := Parse(src)
 		if err != nil {
-			t.Fatal(err)
+			return
 		}
-		naiveRows := naiveEval(t, db, stmt.Select)
-		// Engine-side: COUNT(*) with the same FROM/WHERE.
-		fromIdx := strings.Index(base, " FROM ")
-		countQ := "SELECT COUNT(*) FROM " + base[fromIdx+len(" FROM "):]
-		res, err := NewEngine(db).Exec(countQ, nil)
+		text := renderStmt(stmt)
+		again, err := Parse(text)
 		if err != nil {
-			t.Fatalf("trial %d: %q: %v", trial, countQ, err)
+			t.Fatalf("Parse(%q) accepted, its rendering %q fails: %v", src, text, err)
 		}
-		n, _ := res.Rows[0][0].AsInt()
-		if int(n) != len(naiveRows) {
-			t.Fatalf("trial %d: COUNT(*) = %d, naive = %d (%q)", trial, n, len(naiveRows), base)
+		if !reflect.DeepEqual(stmt, again) {
+			t.Fatalf("Parse(%q) = %#v\nrendered %q parses to %#v", src, stmt, text, again)
+		}
+	})
+}
+
+// renderStmt writes a statement back as SQL from its parts' Expr.SQL.
+func renderStmt(s *Stmt) string {
+	var b strings.Builder
+	if s.Explain {
+		b.WriteString("EXPLAIN ")
+	}
+	b.WriteString("SELECT ")
+	for i, it := range s.Items {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(it.SQL())
+	}
+	b.WriteString(" FROM ")
+	for i, ref := range s.From {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(strings.TrimSpace(ref.Table + " " + ref.Alias))
+	}
+	for i, w := range s.Where {
+		if i == 0 {
+			b.WriteString(" WHERE ")
+		} else {
+			b.WriteString(" AND ")
+		}
+		b.WriteString(w.SQL())
+	}
+	return b.String()
+}
+
+// translatedRules returns the SQL translate writes for every derivation,
+// inference rule and function application of the benchmark programs, and of
+// GWDB with its proximity rule R11 expanded into Fig. 10's step rules.
+func translatedRules(tb testing.TB) []string {
+	tb.Helper()
+	parse := func(src string) *ddlog.Program {
+		p, err := ddlog.ParseAndValidate(src)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return p
+	}
+	progs := []*ddlog.Program{
+		parse(datagen.GWDBProgram), parse(datagen.GWDBCategoricalProgram),
+		parse(datagen.NYCCASProgram), parse(datagen.EbolaProgram),
+	}
+	steps, err := deepdive.ExpandStepRules(progs[0], "R11", 10, 300, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	progs = append(progs, steps)
+	var out []string
+	add := func(q translate.Query, err error) {
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, q.SQL)
+	}
+	opts := translate.Options{Metric: geom.Euclidean}
+	for _, p := range progs {
+		for _, d := range p.Derivations {
+			add(translate.Derivation(p, d, opts))
+		}
+		for _, r := range p.Rules {
+			add(translate.Inference(p, r, opts))
+		}
+		for _, a := range p.Apps {
+			add(translate.App(p, a, opts))
 		}
 	}
+	return out
 }

@@ -64,403 +64,124 @@ func (p *parser) expect(k tokenKind, what string) (token, error) {
 	return p.advance(), nil
 }
 
-// reserved keywords cannot be used as implicit aliases.
+// reserved keywords are neither table aliases nor unqualified column names,
+// so SQL this package does not implement (JOIN, ORDER BY, DISTINCT, ...)
+// fails at its keyword.
 var reserved = map[string]bool{
 	"select": true, "from": true, "where": true, "and": true, "or": true,
 	"not": true, "join": true, "inner": true, "on": true, "insert": true,
-	"into": true, "as": true, "order": true, "by": true, "asc": true, "group": true, "having": true,
-	"desc": true, "limit": true, "true": true, "false": true, "null": true,
-	"explain": true, "distinct": true, "values": true,
+	"as": true, "order": true, "group": true, "having": true, "limit": true,
+	"distinct": true, "explain": true, "true": true, "false": true, "null": true,
+}
+
+func (p *parser) reservedNext() bool {
+	return p.at(tokIdent) && reserved[strings.ToLower(p.peek().text)]
 }
 
 func (p *parser) parseStmt() (*Stmt, error) {
-	explain := false
+	stmt := &Stmt{}
 	if p.atKeyword("explain") {
 		p.advance()
-		explain = true
+		stmt.Explain = true
 	}
-	switch {
-	case p.atKeyword("select"):
-		sel, err := p.parseSelect()
+	if err := p.expectKeyword("select"); err != nil {
+		return nil, err
+	}
+	for {
+		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		return &Stmt{Select: sel, Explain: explain}, nil
-	case p.atKeyword("insert"):
-		ins, err := p.parseInsert()
-		if err != nil {
-			return nil, err
-		}
-		return &Stmt{Insert: ins, Explain: explain}, nil
-	default:
-		return nil, fmt.Errorf("sqlx: expected SELECT or INSERT, got %s", p.peek())
-	}
-}
-
-func (p *parser) parseInsert() (*InsertStmt, error) {
-	p.advance() // INSERT
-	if err := p.expectKeyword("into"); err != nil {
-		return nil, err
-	}
-	name, err := p.expect(tokIdent, "table name")
-	if err != nil {
-		return nil, err
-	}
-	ins := &InsertStmt{Table: name.text}
-	if p.at(tokLParen) {
-		p.advance()
-		for {
-			col, err := p.expect(tokIdent, "column name")
-			if err != nil {
-				return nil, err
-			}
-			ins.Cols = append(ins.Cols, col.text)
-			if p.at(tokComma) {
-				p.advance()
-				continue
-			}
+		stmt.Items = append(stmt.Items, e)
+		if !p.at(tokComma) {
 			break
 		}
-		if _, err := p.expect(tokRParen, ")"); err != nil {
-			return nil, err
-		}
-	}
-	if !p.atKeyword("select") {
-		return nil, fmt.Errorf("sqlx: INSERT supports only INSERT ... SELECT, got %s", p.peek())
-	}
-	sel, err := p.parseSelect()
-	if err != nil {
-		return nil, err
-	}
-	ins.Select = sel
-	return ins, nil
-}
-
-func (p *parser) parseSelect() (*SelectStmt, error) {
-	p.advance() // SELECT
-	sel := &SelectStmt{Limit: -1}
-	if p.atKeyword("distinct") {
 		p.advance()
-		sel.Distinct = true
-	}
-	// Projections.
-	for {
-		if p.at(tokStar) {
-			p.advance()
-			sel.Items = append(sel.Items, SelectItem{Star: true})
-		} else {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			item := SelectItem{Expr: e}
-			if p.atKeyword("as") {
-				p.advance()
-				alias, err := p.expect(tokIdent, "alias")
-				if err != nil {
-					return nil, err
-				}
-				item.Alias = alias.text
-			} else if p.at(tokIdent) && !p.reservedNext() {
-				item.Alias = p.advance().text
-			}
-			sel.Items = append(sel.Items, item)
-		}
-		if p.at(tokComma) {
-			p.advance()
-			continue
-		}
-		break
 	}
 	if err := p.expectKeyword("from"); err != nil {
 		return nil, err
 	}
-	// FROM list with optional JOIN ... ON sugar.
-	var onConds []Expr
-	ref, err := p.parseTableRef()
-	if err != nil {
-		return nil, err
-	}
-	sel.From = append(sel.From, ref)
 	for {
-		isJoin := false
-		switch {
-		case p.at(tokComma):
-			p.advance()
-		case p.atKeyword("inner"):
-			p.advance()
-			if err := p.expectKeyword("join"); err != nil {
-				return nil, err
-			}
-			isJoin = true
-		case p.atKeyword("join"):
-			p.advance()
-			isJoin = true
-		default:
-			goto fromDone
-		}
-		ref, err = p.parseTableRef()
+		name, err := p.expect(tokIdent, "table name")
 		if err != nil {
 			return nil, err
 		}
-		sel.From = append(sel.From, ref)
-		if isJoin && p.atKeyword("on") {
-			p.advance()
-			cond, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			onConds = append(onConds, cond)
+		ref := TableRef{Table: name.text}
+		if p.at(tokIdent) && !p.reservedNext() {
+			ref.Alias = p.advance().text
 		}
+		stmt.From = append(stmt.From, ref)
+		if !p.at(tokComma) {
+			break
+		}
+		p.advance()
 	}
-fromDone:
 	if p.atKeyword("where") {
 		p.advance()
-		w, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		onConds = append(onConds, w)
-	}
-	sel.Where = conjoin(onConds)
-	if p.atKeyword("group") {
-		p.advance()
-		if err := p.expectKeyword("by"); err != nil {
-			return nil, err
-		}
 		for {
 			e, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
-			sel.GroupBy = append(sel.GroupBy, e)
-			if p.at(tokComma) {
-				p.advance()
-				continue
+			stmt.Where = append(stmt.Where, e)
+			if !p.atKeyword("and") {
+				break
 			}
-			break
-		}
-		if p.atKeyword("having") {
 			p.advance()
-			h, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			sel.Having = h
 		}
 	}
-	if p.atKeyword("order") {
-		p.advance()
-		if err := p.expectKeyword("by"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			item := OrderItem{Expr: e}
-			if p.atKeyword("asc") {
-				p.advance()
-			} else if p.atKeyword("desc") {
-				p.advance()
-				item.Desc = true
-			}
-			sel.OrderBy = append(sel.OrderBy, item)
-			if p.at(tokComma) {
-				p.advance()
-				continue
-			}
-			break
-		}
-	}
-	if p.atKeyword("limit") {
-		p.advance()
-		n, err := p.expect(tokNumber, "limit count")
-		if err != nil {
-			return nil, err
-		}
-		lim, err := strconv.Atoi(n.text)
-		if err != nil || lim < 0 {
-			return nil, fmt.Errorf("sqlx: bad LIMIT %q", n.text)
-		}
-		sel.Limit = lim
-	}
-	return sel, nil
-}
-
-func (p *parser) reservedNext() bool {
-	return reserved[strings.ToLower(p.peek().text)]
-}
-
-func (p *parser) parseTableRef() (TableRef, error) {
-	name, err := p.expect(tokIdent, "table name")
-	if err != nil {
-		return TableRef{}, err
-	}
-	ref := TableRef{Table: name.text}
-	if p.atKeyword("as") {
-		p.advance()
-		alias, err := p.expect(tokIdent, "alias")
-		if err != nil {
-			return TableRef{}, err
-		}
-		ref.Alias = alias.text
-	} else if p.at(tokIdent) && !p.reservedNext() {
-		ref.Alias = p.advance().text
-	}
-	return ref, nil
-}
-
-// Expression parsing, by descending precedence:
-// OR < AND < NOT < comparison < additive < multiplicative < unary < primary.
-
-func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
-
-func (p *parser) parseOr() (Expr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.atKeyword("or") {
-		p.advance()
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = Binary{Op: OpOr, L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *parser) parseAnd() (Expr, error) {
-	l, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	for p.atKeyword("and") {
-		p.advance()
-		r, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		l = Binary{Op: OpAnd, L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *parser) parseNot() (Expr, error) {
-	if p.atKeyword("not") {
-		p.advance()
-		e, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return Not{E: e}, nil
-	}
-	return p.parseComparison()
+	return stmt, nil
 }
 
 var compOps = map[string]BinOp{
 	"=": OpEq, "<>": OpNe, "!=": OpNe, "<": OpLt, "<=": OpLe, ">": OpGt, ">=": OpGe,
 }
 
-func (p *parser) parseComparison() (Expr, error) {
-	l, err := p.parseAdditive()
+// parseExpr parses an operand, optionally compared with a second one.
+func (p *parser) parseExpr() (Expr, error) {
+	l, err := p.parsePrimary()
 	if err != nil {
 		return nil, err
 	}
-	if p.at(tokOp) {
-		if op, ok := compOps[p.peek().text]; ok {
-			p.advance()
-			r, err := p.parseAdditive()
-			if err != nil {
-				return nil, err
-			}
-			return Binary{Op: op, L: l, R: r}, nil
-		}
-	}
-	return l, nil
-}
-
-func (p *parser) parseAdditive() (Expr, error) {
-	l, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for p.at(tokOp) && (p.peek().text == "+" || p.peek().text == "-") {
-		op := OpAdd
-		if p.advance().text == "-" {
-			op = OpSub
-		}
-		r, err := p.parseMultiplicative()
-		if err != nil {
-			return nil, err
-		}
-		l = Binary{Op: op, L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *parser) parseMultiplicative() (Expr, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for (p.at(tokOp) && p.peek().text == "/") || p.at(tokStar) {
-		op := OpMul
-		if p.advance().text == "/" {
-			op = OpDiv
-		}
-		r, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		l = Binary{Op: op, L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *parser) parseUnary() (Expr, error) {
-	if p.at(tokOp) && p.peek().text == "-" {
+	if op, ok := compOps[p.peek().text]; ok && p.at(tokOp) {
 		p.advance()
-		e, err := p.parseUnary()
+		r, err := p.parsePrimary()
 		if err != nil {
 			return nil, err
 		}
-		return Neg{E: e}, nil
+		return Binary{Op: op, L: l, R: r}, nil
 	}
-	return p.parsePrimary()
+	return l, nil
+}
+
+// builtinArity is each builtin's [min, max] argument count.
+var builtinArity = map[string][2]int{
+	"ST_DISTANCE": {2, 3}, "ST_WITHIN": {2, 2}, "ST_CONTAINS": {2, 2},
+	"ST_OVERLAPS": {2, 2}, "ST_INTERSECTS": {2, 2}, "ST_BUFFER": {2, 2},
+	"ST_UNION": {2, 2},
 }
 
 func (p *parser) parsePrimary() (Expr, error) {
 	t := p.peek()
-	switch t.kind {
-	case tokNumber:
+	switch {
+	case t.kind == tokNumber:
 		p.advance()
-		if strings.ContainsAny(t.text, ".eE") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, fmt.Errorf("sqlx: bad number %q: %w", t.text, err)
-			}
-			return Lit{Val: storage.Float(f)}, nil
-		}
-		i, err := strconv.ParseInt(t.text, 10, 64)
+		return parseNumber(t.text)
+	case t.kind == tokOp && t.text == "-":
+		// A negative number: the sign folds into the literal.
+		p.advance()
+		n, err := p.expect(tokNumber, "number after '-'")
 		if err != nil {
-			f, ferr := strconv.ParseFloat(t.text, 64)
-			if ferr != nil {
-				return nil, fmt.Errorf("sqlx: bad number %q: %w", t.text, err)
-			}
-			return Lit{Val: storage.Float(f)}, nil
+			return nil, err
 		}
-		return Lit{Val: storage.Int(i)}, nil
-	case tokString:
+		return parseNumber("-" + n.text)
+	case t.kind == tokString:
 		p.advance()
 		return Lit{Val: storage.Str(t.text)}, nil
-	case tokParam:
+	case t.kind == tokParam:
 		p.advance()
 		return Param{Name: t.text}, nil
-	case tokLParen:
+	case t.kind == tokLParen:
 		p.advance()
 		e, err := p.parseExpr()
 		if err != nil {
@@ -470,58 +191,75 @@ func (p *parser) parsePrimary() (Expr, error) {
 			return nil, err
 		}
 		return e, nil
-	case tokIdent:
-		switch strings.ToLower(t.text) {
-		case "true":
-			p.advance()
-			return Lit{Val: storage.Bool(true)}, nil
-		case "false":
-			p.advance()
-			return Lit{Val: storage.Bool(false)}, nil
-		case "null":
-			p.advance()
-			return Lit{Val: storage.Null}, nil
-		}
+	case p.atKeyword("true"):
 		p.advance()
-		// Function call?
-		if p.at(tokLParen) {
-			p.advance()
-			call := Call{Name: strings.ToUpper(t.text)}
-			// COUNT(*) — a bare star argument.
-			if p.at(tokStar) && call.Name == "COUNT" {
-				p.advance()
-				call.Star = true
-			}
-			if !p.at(tokRParen) && !call.Star {
-				for {
-					arg, err := p.parseExpr()
-					if err != nil {
-						return nil, err
-					}
-					call.Args = append(call.Args, arg)
-					if p.at(tokComma) {
-						p.advance()
-						continue
-					}
-					break
-				}
-			}
-			if _, err := p.expect(tokRParen, ")"); err != nil {
-				return nil, err
-			}
-			return call, nil
-		}
-		// Qualified column?
-		if p.at(tokDot) {
-			p.advance()
-			col, err := p.expect(tokIdent, "column name")
-			if err != nil {
-				return nil, err
-			}
-			return ColRef{Table: t.text, Col: col.text}, nil
-		}
-		return ColRef{Col: t.text}, nil
-	default:
+		return Lit{Val: storage.Bool(true)}, nil
+	case p.atKeyword("false"):
+		p.advance()
+		return Lit{Val: storage.Bool(false)}, nil
+	case p.atKeyword("null"):
+		p.advance()
+		return Lit{Val: storage.Null}, nil
+	case t.kind != tokIdent || p.reservedNext():
 		return nil, fmt.Errorf("sqlx: unexpected %s in expression", t)
 	}
+	p.advance()
+	switch {
+	case p.at(tokLParen):
+		return p.parseCall(t)
+	case p.at(tokDot):
+		p.advance()
+		col, err := p.expect(tokIdent, "column name")
+		if err != nil {
+			return nil, err
+		}
+		return ColRef{Table: t.text, Col: col.text}, nil
+	default:
+		return ColRef{Col: t.text}, nil
+	}
+}
+
+// parseCall parses a builtin's argument list; name is the token before "(".
+func (p *parser) parseCall(name token) (Expr, error) {
+	call := Call{Name: strings.ToUpper(name.text)}
+	arity, ok := builtinArity[call.Name]
+	if !ok {
+		return nil, fmt.Errorf("sqlx: unknown function %s", name)
+	}
+	p.advance() // (
+	for !p.at(tokRParen) {
+		arg, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		call.Args = append(call.Args, arg)
+		if !p.at(tokComma) {
+			break
+		}
+		if p.advance(); p.at(tokRParen) { // f(a,)
+			return nil, fmt.Errorf("sqlx: unexpected %s in expression", p.peek())
+		}
+	}
+	if _, err := p.expect(tokRParen, ")"); err != nil {
+		return nil, err
+	}
+	if n := len(call.Args); n < arity[0] || n > arity[1] {
+		return nil, fmt.Errorf("sqlx: %s takes %d..%d arguments, got %d", call.Name, arity[0], arity[1], n)
+	}
+	return call, nil
+}
+
+// parseNumber reads an integer literal as an Int unless it overflows int64,
+// anything else as a Float.
+func parseNumber(text string) (Expr, error) {
+	if !strings.ContainsAny(text, ".eE") {
+		if i, err := strconv.ParseInt(text, 10, 64); err == nil {
+			return Lit{Val: storage.Int(i)}, nil
+		}
+	}
+	f, err := strconv.ParseFloat(text, 64)
+	if err != nil {
+		return nil, fmt.Errorf("sqlx: bad number %q: %w", text, err)
+	}
+	return Lit{Val: storage.Float(f)}, nil
 }

@@ -27,7 +27,7 @@ import (
 //  3. every other conjunct that becomes evaluable at a step rides along as
 //     a co-filter: the executor tests it on each candidate inside the probe
 //     loop, before a joined tuple exists (EXPLAIN prints it as then-filter);
-//  4. projection, DISTINCT, ORDER BY, LIMIT.
+//  4. projection.
 //
 // Because tables are in memory, the planner materializes filtered row-id
 // lists eagerly and uses their true sizes as cardinalities.
@@ -47,7 +47,7 @@ type conjunctKind uint8
 const (
 	conjFilter  conjunctKind = iota // references ≤ 1 alias
 	conjEqui                        // a.x = b.y
-	conjSpatial                     // ST_DWITHIN(a.g, b.g, d) or ST_DISTANCE(a.g,b.g) < d
+	conjSpatial                     // ST_DISTANCE(a.g, b.g) < d (or <=)
 	conjTheta                       // anything else across aliases
 )
 
@@ -63,12 +63,11 @@ type conjunct struct {
 	// left and right are the two columns of an equi conjunct (a.x = b.y) or
 	// the geometry arguments of a spatial one, in the order written.
 	left, right boundCol
-	// spatial-join detail: ST_DWITHIN(l, r, radius) when dwithin is set,
-	// else ST_DISTANCE(l, r) op radius with op one of OpLt, OpLe.
-	radius  float64
-	metric  geom.Metric
-	op      BinOp
-	dwithin bool
+	// spatial-join detail: ST_DISTANCE(l, r) op radius with op one of OpLt,
+	// OpLe.
+	radius float64
+	metric geom.Metric
+	op     BinOp
 }
 
 // sides returns the conjunct's column on the joined node and the one on the
@@ -95,16 +94,12 @@ func (c *conjunct) holds(ev *env) (bool, error) {
 		if l.G == nil || r.G == nil {
 			return false, nil // NULL geometry never matches
 		}
-		switch {
-		case c.dwithin:
-			return geom.DWithin(l.G, r.G, c.radius, c.metric), nil
-		case c.op == OpLt:
+		if c.op == OpLt {
 			return stDistance(l.G, r.G, c.metric) < c.radius, nil
-		default:
-			// Value.Compare orders an unordered pair (NaN) as equal, so
-			// "<=" is "not greater".
-			return !(stDistance(l.G, r.G, c.metric) > c.radius), nil
 		}
+		// Value.Compare orders an unordered pair (NaN) as equal, so "<=" is
+		// "not greater".
+		return !(stDistance(l.G, r.G, c.metric) > c.radius), nil
 	default:
 		return ev.evalBool(c.expr)
 	}
@@ -128,7 +123,7 @@ type planStep struct {
 
 type plan struct {
 	steps []planStep
-	sel   *SelectStmt // every column reference resolved to a boundCol
+	items []Expr // the SELECT list, every column reference a boundCol
 }
 
 // Explain renders the plan as human-readable lines, one per pipeline step.
@@ -168,14 +163,11 @@ func (p *plan) Explain() []string {
 }
 
 // buildPlan analyses a SELECT against the database.
-func buildPlan(db *storage.DB, sel *SelectStmt, params map[string]storage.Value) (*plan, error) {
-	if len(sel.From) == 0 {
-		return nil, fmt.Errorf("sqlx: SELECT requires FROM")
-	}
+func buildPlan(db *storage.DB, stmt *Stmt, params map[string]storage.Value) (*plan, error) {
 	// Resolve tables and aliases.
-	nodes := make([]*scanNode, len(sel.From))
+	nodes := make([]*scanNode, len(stmt.From))
 	byAlias := map[string]*scanNode{}
-	for i, ref := range sel.From {
+	for i, ref := range stmt.From {
 		tbl, err := db.Table(ref.Table)
 		if err != nil {
 			return nil, err
@@ -191,17 +183,19 @@ func buildPlan(db *storage.DB, sel *SelectStmt, params map[string]storage.Value)
 		nodes[i] = n
 		byAlias[alias] = n
 	}
-	sel, err := bindSelect(sel, nodes, params)
+	items, err := bindAll(stmt.Items, nodes, params)
+	if err != nil {
+		return nil, err
+	}
+	where, err := bindAll(stmt.Where, nodes, params)
 	if err != nil {
 		return nil, err
 	}
 
 	// Classify conjuncts.
-	var conjuncts []*conjunct
-	if sel.Where != nil {
-		for _, e := range splitConjuncts(sel.Where, nil) {
-			conjuncts = append(conjuncts, classify(e, nodes, params))
-		}
+	conjuncts := make([]*conjunct, len(where))
+	for i, e := range where {
+		conjuncts[i] = classify(e, nodes, params)
 	}
 	// Push single-alias filters into scans; constant predicates are evaluated
 	// once, and a false one empties every scan.
@@ -274,73 +268,28 @@ func buildPlan(db *storage.DB, sel *SelectStmt, params map[string]storage.Value)
 		}
 		steps = append(steps, step)
 	}
-	return &plan{steps: steps, sel: sel}, nil
+	return &plan{steps: steps, items: items}, nil
 }
 
-// bindSelect returns a copy of sel (a parsed statement can be planned again)
-// with every expression bound by bindExpr.
-func bindSelect(sel *SelectStmt, nodes []*scanNode, params map[string]storage.Value) (*SelectStmt, error) {
-	out := *sel
-	out.Items = append([]SelectItem(nil), sel.Items...)
-	out.OrderBy = append([]OrderItem(nil), sel.OrderBy...)
-	out.GroupBy = append([]Expr(nil), sel.GroupBy...)
-	bind := func(e *Expr) error {
-		if *e == nil {
-			return nil
-		}
-		b, err := bindExpr(*e, nodes, params)
+// bindAll binds each expression of es by bindExpr into a new slice, so a
+// parsed statement can be planned again.
+func bindAll(es []Expr, nodes []*scanNode, params map[string]storage.Value) ([]Expr, error) {
+	out := make([]Expr, len(es))
+	for i, e := range es {
+		b, err := bindExpr(e, nodes, params)
 		if err != nil {
-			return err
-		}
-		*e = b
-		return nil
-	}
-	if err := bind(&out.Where); err != nil {
-		return nil, err
-	}
-	for i := range out.Items {
-		if err := bind(&out.Items[i].Expr); err != nil {
 			return nil, err
 		}
+		out[i] = b
 	}
-	for i := range out.OrderBy {
-		// ORDER BY may name a SELECT-item alias; substitute its expression
-		// (already bound above).
-		if cr, ok := out.OrderBy[i].Expr.(ColRef); ok && cr.Table == "" {
-			if item := itemByAlias(out.Items, cr.Col); item != nil {
-				out.OrderBy[i].Expr = item.Expr
-				continue
-			}
-		}
-		if err := bind(&out.OrderBy[i].Expr); err != nil {
-			return nil, err
-		}
-	}
-	for i := range out.GroupBy {
-		if err := bind(&out.GroupBy[i]); err != nil {
-			return nil, err
-		}
-	}
-	if err := bind(&out.Having); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-func itemByAlias(items []SelectItem, name string) *SelectItem {
-	for i := range items {
-		if !items[i].Star && strings.EqualFold(items[i].Alias, name) {
-			return &items[i]
-		}
-	}
-	return nil
+	return out, nil
 }
 
 // bindExpr resolves every ColRef of e to its (binding slot, column index)
 // once, so evaluation never looks a name up per tuple: a qualified reference
 // must name a FROM alias and one of its columns, an unqualified one exactly
 // one column across the FROM tables. It also parses the constant metric
-// argument of ST_DISTANCE / ST_DWITHIN once per plan.
+// argument of ST_DISTANCE once per plan.
 func bindExpr(e Expr, nodes []*scanNode, params map[string]storage.Value) (Expr, error) {
 	switch v := e.(type) {
 	case ColRef:
@@ -378,33 +327,17 @@ func bindExpr(e Expr, nodes []*scanNode, params map[string]storage.Value) (Expr,
 			return nil, err
 		}
 		return Binary{Op: v.Op, L: l, R: r}, nil
-	case Not:
-		inner, err := bindExpr(v.E, nodes, params)
-		if err != nil {
-			return nil, err
-		}
-		return Not{E: inner}, nil
-	case Neg:
-		inner, err := bindExpr(v.E, nodes, params)
-		if err != nil {
-			return nil, err
-		}
-		return Neg{E: inner}, nil
 	case Call:
-		out := Call{Name: v.Name, Star: v.Star, Args: make([]Expr, len(v.Args))}
-		for i, a := range v.Args {
-			b, err := bindExpr(a, nodes, params)
-			if err != nil {
-				return nil, err
-			}
-			out.Args[i] = b
+		args, err := bindAll(v.Args, nodes, params)
+		if err != nil {
+			return nil, err
 		}
-		if i := metricArgIndex[v.Name]; i > 0 && i < len(out.Args) {
-			if m, ok := constMetric(out.Args[i], params); ok {
-				out.Args[i] = m
+		if v.Name == "ST_DISTANCE" && len(args) == 3 {
+			if m, ok := constMetric(args[2], params); ok {
+				args[2] = m
 			}
 		}
-		return out, nil
+		return Call{Name: v.Name, Args: args}, nil
 	default:
 		return e, nil
 	}
@@ -433,20 +366,9 @@ func classify(e Expr, nodes []*scanNode, params map[string]storage.Value) *conju
 			return c
 		}
 	}
-	// ST_DWITHIN(a.g, b.g, d [, metric]) ?
-	if call, ok := e.(Call); ok && call.Name == "ST_DWITHIN" && (len(call.Args) == 3 || len(call.Args) == 4) {
-		if l, r, ok := spatialPair(call.Args[0], call.Args[1], nodes); ok {
-			if d, m, ok := constRadius(call.Args[2], call.Args[3:], params); ok {
-				c.kind = conjSpatial
-				c.left, c.right = l, r
-				c.radius, c.metric, c.dwithin = d, m, true
-				return c
-			}
-		}
-	}
 	// ST_DISTANCE(a.g, b.g [, metric]) < d (or <=) ?
 	if b, ok := e.(Binary); ok && (b.Op == OpLt || b.Op == OpLe) {
-		if call, ok := b.L.(Call); ok && call.Name == "ST_DISTANCE" && (len(call.Args) == 2 || len(call.Args) == 3) {
+		if call, ok := b.L.(Call); ok && call.Name == "ST_DISTANCE" {
 			if l, r, ok := spatialPair(call.Args[0], call.Args[1], nodes); ok {
 				if d, m, ok := constRadius(b.R, call.Args[2:], params); ok {
 					c.kind = conjSpatial
@@ -495,10 +417,6 @@ func constRadius(radiusExpr Expr, metricArgs []Expr, params map[string]storage.V
 	return d, m.m, ok
 }
 
-// metricArgIndex is where ST_DISTANCE and ST_DWITHIN take their optional
-// metric name.
-var metricArgIndex = map[string]int{"ST_DISTANCE": 2, "ST_DWITHIN": 3}
-
 // constMetric parses a metric-name argument that references no columns.
 func constMetric(arg Expr, params map[string]storage.Value) (metricLit, bool) {
 	if len(aliasesOf(arg)) != 0 {
@@ -513,9 +431,9 @@ func constMetric(arg Expr, params map[string]storage.Value) (metricLit, bool) {
 	return metricLit{src: arg, val: v, m: m}, err == nil
 }
 
-// filterScan materializes the row ids of a node passing its filters.
-// Single spatial window predicates (ST_WITHIN / ST_DWITHIN against a
-// constant geometry) use the table's R-tree when present.
+// filterScan materializes the row ids of a node passing its filters. A
+// spatial window predicate (ST_WITHIN against a constant geometry) uses the
+// table's R-tree.
 func filterScan(n *scanNode, slots int, params map[string]storage.Value) ([]int, error) {
 	candidates, prefiltered, err := spatialCandidates(n, params)
 	if err != nil {
@@ -556,81 +474,41 @@ func filterScan(n *scanNode, slots int, params map[string]storage.Value) ([]int,
 	return ids, nil
 }
 
-// spatialCandidates looks for a window-shaped filter (ST_WITHIN(col, const)
-// or ST_DWITHIN(col, const, d)) and uses the R-tree to pre-filter; the exact
-// predicate is still applied afterwards by filterScan.
+// spatialCandidates looks for a window-shaped filter, ST_WITHIN(col, const),
+// and uses the R-tree to pre-filter; the exact predicate is still applied
+// afterwards by filterScan.
 func spatialCandidates(n *scanNode, params map[string]storage.Value) ([]int, bool, error) {
 	for _, f := range n.filters {
 		call, ok := f.(Call)
-		if !ok {
+		if !ok || call.Name != "ST_WITHIN" {
 			continue
 		}
-		var colArg boundCol
-		var window geom.Rect
-		ev := &env{params: params}
-		switch call.Name {
-		case "ST_WITHIN":
-			if len(call.Args) != 2 {
-				continue
-			}
-			c, cok := call.Args[0].(boundCol)
-			if !cok || len(aliasesOf(call.Args[1])) != 0 {
-				continue
-			}
-			v, err := ev.eval(call.Args[1])
-			if err != nil {
-				continue
-			}
-			g, err := v.AsGeom()
-			if err != nil {
-				continue
-			}
-			colArg, window = c, g.Bounds()
-		case "ST_DWITHIN":
-			if len(call.Args) < 3 {
-				continue
-			}
-			c, cok := call.Args[0].(boundCol)
-			if !cok || len(aliasesOf(call.Args[1])) != 0 {
-				continue
-			}
-			v, err := ev.eval(call.Args[1])
-			if err != nil {
-				continue
-			}
-			g, err := v.AsGeom()
-			if err != nil {
-				continue
-			}
-			d, m, ok := constRadius(call.Args[2], call.Args[3:], params)
-			if !ok {
-				continue
-			}
-			window = expandWindow(g.Bounds(), d, m)
-			colArg = c
-		default:
+		c, cok := call.Args[0].(boundCol)
+		if !cok || len(aliasesOf(call.Args[1])) != 0 {
 			continue
 		}
-		if !n.tbl.HasSpatialIndex(colArg.Col) {
+		v, err := (&env{params: params}).eval(call.Args[1])
+		if err != nil {
+			continue
+		}
+		g, err := v.AsGeom()
+		if err != nil {
+			continue
+		}
+		if !n.tbl.HasSpatialIndex(c.Col) {
 			// Build the on-the-fly index the paper describes; worthwhile
 			// for repeated rule evaluation over the same relation.
-			if err := n.tbl.BuildSpatialIndex(colArg.Col); err != nil {
+			if err := n.tbl.BuildSpatialIndex(c.Col); err != nil {
 				continue
 			}
 		}
-		ids, err := n.tbl.SearchSpatial(colArg.Col, window)
+		ids, err := n.tbl.SearchSpatial(c.Col, g.Bounds())
 		if err != nil {
 			return nil, false, err
 		}
 		return ids, true, nil
 	}
 	return nil, false, nil
-}
-
-// expandWindow delegates to geom.ExpandWindow (metric-aware bounding-box
-// growth for filter windows).
-func expandWindow(r geom.Rect, d float64, m geom.Metric) geom.Rect {
-	return geom.ExpandWindow(r, d, m)
 }
 
 // fanout estimates how many of the node's filtered rows match one probe
@@ -668,7 +546,7 @@ func (n *scanNode) fanout(c *conjunct) float64 {
 		if !any || !(c.radius >= 0) {
 			return 0
 		}
-		window := expandWindow(extent.Center().Bounds(), c.radius, c.metric)
+		window := geom.ExpandWindow(extent.Center().Bounds(), c.radius, c.metric)
 		if area := extent.Area(); window.Area() < area {
 			return rows * window.Area() / area
 		}

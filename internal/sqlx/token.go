@@ -1,10 +1,21 @@
-// Package sqlx implements the SQL subset that Sya's spatial rules–queries
-// translator emits (paper Section IV-B, Fig. 5): SELECT with joins, filters,
-// spatial functions, DISTINCT, ORDER BY and LIMIT, plus INSERT INTO ...
-// SELECT. Queries execute against an internal/storage database; a heuristic
-// planner pushes single-table predicates below joins and re-orders spatial
-// range queries before spatial joins, reproducing the paper's grounding
-// optimizer.
+// Package sqlx implements exactly the SQL that Sya's spatial rules–queries
+// translator (internal/translate; paper Section IV-B, Fig. 5) writes: one
+// conjunctive select–project–join query per rule body,
+//
+//	[EXPLAIN] SELECT item, ... FROM Table [alias], ... [WHERE c1 AND c2 ...]
+//
+// where each item and each conjunct is an expression: a column reference
+// (alias.col or col), a literal (a number, optionally negative; a 'string',
+// doubling a quote inside it; TRUE, FALSE, NULL), a :param, a builtin call,
+// or a comparison of two expressions (= <> != < <= > >=, NULL comparing as
+// SQL's unknown). The builtins, nested freely, are ST_DISTANCE(a, b
+// [, metric]), ST_WITHIN, ST_CONTAINS, ST_OVERLAPS, ST_INTERSECTS,
+// ST_BUFFER and ST_UNION. Anything else is a parse error naming the
+// offending token.
+//
+// Queries execute against an internal/storage database; a heuristic planner
+// pushes single-table predicates below joins and re-orders spatial range
+// queries before spatial joins, reproducing the paper's grounding optimizer.
 package sqlx
 
 import "fmt"
@@ -18,12 +29,11 @@ const (
 	tokNumber
 	tokString
 	tokParam // :name
-	tokOp    // = < <= > >= <> != + - * /
+	tokOp    // = < <= > >= <> != and the sign of a negative number
 	tokComma
 	tokLParen
 	tokRParen
 	tokDot
-	tokStar
 )
 
 type token struct {
@@ -126,10 +136,7 @@ func (l *lexer) next() (token, error) {
 	case c == '.':
 		l.pos++
 		return token{kind: tokDot, text: ".", pos: start}, nil
-	case c == '*':
-		l.pos++
-		return token{kind: tokStar, text: "*", pos: start}, nil
-	case c == '=' || c == '+' || c == '-' || c == '/':
+	case c == '=' || c == '-':
 		l.pos++
 		return token{kind: tokOp, text: string(c), pos: start}, nil
 	case c == '<':

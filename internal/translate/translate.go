@@ -2,7 +2,7 @@
 // (paper Section IV-B, Fig. 5): it compiles the body of a DDlog derivation
 // or inference rule into a SQL query over the storage database, mapping
 // spatial predicates to their PostGIS-style function forms (distance →
-// ST_DISTANCE / ST_DWITHIN, within → ST_WITHIN, ...). The heuristic
+// ST_DISTANCE, within → ST_WITHIN, ...). The heuristic
 // re-ordering the paper describes — run range predicates before spatial
 // joins — happens downstream in the sqlx planner, which pushes single-table
 // predicates into scans and orders joins by filtered cardinality.

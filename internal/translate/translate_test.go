@@ -313,3 +313,49 @@ V? (id bigint, location point).
 		t.Errorf("variable schema = %+v", v)
 	}
 }
+
+// TestNegativeConstantsExecute: a negative constant, as a body term and in a
+// comparison, renders as -N and the SQL engine reads it back as the same
+// number, so exactly the matching rows come out.
+func TestNegativeConstantsExecute(t *testing.T) {
+	p := compile(t, `
+A (id bigint, k bigint, v double).
+V? (id bigint).
+D: V(I) = NULL :- A(I, -3, X) [X > -2.5].
+`)
+	q, err := Derivation(p, p.Derivations[0], Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"b0.k = -3", "b0.v > -2.5"} {
+		if !strings.Contains(q.SQL, want) {
+			t.Errorf("SQL missing %q: %s", want, q.SQL)
+		}
+	}
+	db := storage.NewDB()
+	a, err := db.Create(SchemaFor(mustRel(t, p, "A")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.AppendAll([]storage.Row{
+		{storage.Int(1), storage.Int(-3), storage.Float(-2)},   // passes
+		{storage.Int(2), storage.Int(-3), storage.Float(-3)},   // v too small
+		{storage.Int(3), storage.Int(3), storage.Float(0)},     // k is +3
+		{storage.Int(4), storage.Int(-3), storage.Float(-2.5)}, // > is strict
+		{storage.Int(5), storage.Int(-3), storage.Null},        // NULL v
+		{storage.Int(6), storage.Int(-3), storage.Float(7)},    // passes
+	}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := sqlx.NewEngine(db).Exec(q.SQL, q.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, r := range res.Rows {
+		ids = append(ids, r[0].String())
+	}
+	if got := strings.Join(ids, " "); got != "1 6" {
+		t.Errorf("ids = %q, want \"1 6\" (SQL %s)", got, q.SQL)
+	}
+}

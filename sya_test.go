@@ -1,6 +1,7 @@
 package sya_test
 
 import (
+	"os/exec"
 	"testing"
 
 	sya "repro"
@@ -92,5 +93,21 @@ func TestPublicAPIValueHelpers(t *testing.T) {
 	}
 	if vals[5].Kind != sya.Null.Kind {
 		t.Error("Null mismatch")
+	}
+}
+
+// TestBenchmarkModuleBuilds vets benchmark/, a Go module of its own that
+// `go build ./...` and `go test ./...` never compile: a repo identifier it
+// uses, deleted or renamed, fails here instead of at the first benchmark
+// run.
+func TestBenchmarkModuleBuilds(t *testing.T) {
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go toolchain on PATH")
+	}
+	cmd := exec.Command(goBin, "vet", "./...")
+	cmd.Dir = "benchmark"
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet ./... in benchmark/: %v\n%s", err, out)
 	}
 }
