@@ -6,7 +6,7 @@
 //
 //	sya -program kb.ddlog -load County=counties.csv -load CountyEvidence=ev.csv \
 //	    [-engine sya|deepdive] [-metric euclidean|miles|km] [-epochs N] \
-//	    [-bandwidth B] [-scale S] [-seed N] [-stats] [-ground-workers N] \
+//	    [-bandwidth B] [-scale S] [-seed N] [-stats] [-workers N] \
 //	    [-timeout D] [-checkpoint file] [-checkpoint-every N] \
 //	    [-metrics-addr host:port] [-trace-out run.json] \
 //	    [-progress N] [-local-atom relation|terms -local-budget N]
@@ -33,7 +33,7 @@
 // checkpoint and -progress readings as events; -progress N prints a
 // convergence diagnostic line to stderr every N epochs.
 //
-// Grounding runs on a worker pool sized by -ground-workers (default
+// Grounding and sampling run on worker pools sized by -workers (default
 // GOMAXPROCS); the grounded factor graph is bit-identical for any width.
 //
 // Sharded batch inference: -shards N partitions the ground graph by pyramid

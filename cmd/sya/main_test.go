@@ -195,7 +195,7 @@ func TestRunObservability(t *testing.T) {
 func TestSharedPipelineFlags(t *testing.T) {
 	args := []string{"-program", "kb.ddlog", "-load", "County=c.csv", "-engine", "DeepDive",
 		"-metric", "haversine_km", "-epochs", "50", "-bandwidth", "60", "-scale", "0.5",
-		"-seed", "7", "-ground-workers", "1"}
+		"-seed", "7", "-workers", "1"}
 	var want cliutil.Pipeline
 	fs := flag.NewFlagSet("bind", flag.ContinueOnError)
 	want.Bind(fs)
@@ -252,6 +252,7 @@ func TestCommandLine(t *testing.T) {
 		{name: "-shard-addrs shorter than -shards", args: []string{"-program", "kb.ddlog", "-shards", "3", "-shard-addrs", "a:1,b:2"}, wantErr: true},
 		{name: "removed trace rotation", args: []string{"-program", "kb.ddlog", removedRotationFlag, "4"}, wantErr: true},
 		{name: "removed graph snapshot", args: []string{"-program", "kb.ddlog", "-save-graph", "graph.bin"}, wantErr: true},
+		{name: "removed -ground-workers", args: []string{"-program", "kb.ddlog", "-ground-workers", "2"}, wantErr: true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

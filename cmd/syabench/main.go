@@ -17,7 +17,7 @@
 // duration of the suite (where an experiment's time went is `bash
 // benchmark/run.sh --trace 1`). -phase=grounding restricts the suite to
 // grounding-only comparisons (table1, fig9, fig10 with inference skipped);
-// -ground-workers sizes the grounding worker pool.
+// -workers sizes the grounding and sampler worker pools.
 package main
 
 import (
@@ -83,8 +83,7 @@ func parseArgs(args []string, stderr io.Writer) (bench.Params, []string, runOpti
 	fs.IntVar(&p.Epochs, "epochs", p.Epochs, "inference epoch budget E")
 	fs.IntVar(&p.Runs, "runs", p.Runs, "averaging runs for quality metrics")
 	fs.Int64Var(&p.Seed, "seed", p.Seed, "base RNG seed")
-	fs.IntVar(&p.Workers, "workers", p.Workers, "sampler worker-pool width (0 = GOMAXPROCS)")
-	fs.IntVar(&p.GroundWorkers, "ground-workers", p.GroundWorkers, "grounding worker-pool width (0 = GOMAXPROCS, 1 = sequential; output graph is identical)")
+	fs.IntVar(&p.Workers, "workers", p.Workers, "grounding and sampler worker-pool width (0 = GOMAXPROCS, 1 = sequential; the ground graph is identical)")
 	phase := fs.String("phase", "", "restrict to one pipeline phase: grounding (skip inference, blank quality columns)")
 	fs.DurationVar(&o.timeout, "timeout", 0, "stop starting new experiments after this long (0 = none)")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve live /metrics, /debug/vars and pprof on this address while experiments run")

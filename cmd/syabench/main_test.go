@@ -61,6 +61,7 @@ func TestCommandLine(t *testing.T) {
 		{name: "removed -shard-json", args: []string{"-shard-json", "x.json", "fig9"}, wantErr: true},
 		{name: "removed -trace-out", args: []string{"-trace-out", "suite.jsonl", "fig9"}, wantErr: true},
 		{name: "removed trace rotation", args: []string{removedRotationFlag, "4", "fig9"}, wantErr: true},
+		{name: "removed -ground-workers", args: []string{"-ground-workers", "2", "fig9"}, wantErr: true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -9,7 +9,7 @@
 //	    [-addr host:port] [-engine sya|deepdive] [-metric euclidean|miles|km] \
 //	    [-epochs N] [-warmup-epochs N] [-upsert-epochs N] \
 //	    [-local-budget N] [-local-epochs N] \
-//	    [-bandwidth B] [-scale S] [-seed N] [-ground-workers N] [-label NAME] \
+//	    [-bandwidth B] [-scale S] [-seed N] [-workers N] [-label NAME] \
 //	    [-trace-ring N] [-slow-ms D] \
 //	    [-wal file.wal] [-wal-sync-every N] [-wal-snapshot-every N] \
 //	    [-max-queued-upserts N] [-upsert-timeout D] \
@@ -51,7 +51,7 @@
 // served from the previous generation's snapshot with "stale": true.
 //
 // The pipeline flags (-program, -load, -engine, -metric, -epochs,
-// -bandwidth, -scale, -seed, -ground-workers) are bound once in cliutil and
+// -bandwidth, -scale, -seed, -workers) are bound once in cliutil and
 // shared with the sya CLI, so a batch invocation can be lifted into a
 // resident server by swapping the binary name. ^C / SIGTERM drains
 // in-flight requests for -drain-timeout, fsyncs and closes the WAL, and

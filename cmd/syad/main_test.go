@@ -286,7 +286,7 @@ func TestDaemonWALRestart(t *testing.T) {
 func TestSharedPipelineFlags(t *testing.T) {
 	args := []string{"-program", "kb.ddlog", "-load", "County=c.csv", "-engine", "DeepDive",
 		"-metric", "haversine_km", "-epochs", "50", "-bandwidth", "60", "-scale", "0.5",
-		"-seed", "7", "-ground-workers", "1"}
+		"-seed", "7", "-workers", "1"}
 	var want cliutil.Pipeline
 	fs := flag.NewFlagSet("bind", flag.ContinueOnError)
 	want.Bind(fs)
@@ -344,6 +344,7 @@ func TestCommandLine(t *testing.T) {
 		{name: "removed -trace-out", args: []string{"-program", "kb.ddlog", "-trace-out", "boot.jsonl"}, wantErr: true},
 		{name: "removed trace rotation", args: []string{"-program", "kb.ddlog", removedRotationFlag, "4"}, wantErr: true},
 		{name: "removed -cache-ttl", args: []string{"-program", "kb.ddlog", "-cache-ttl", "1s"}, wantErr: true},
+		{name: "removed -ground-workers", args: []string{"-program", "kb.ddlog", "-ground-workers", "2"}, wantErr: true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

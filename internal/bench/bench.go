@@ -43,14 +43,11 @@ type Params struct {
 	PyramidLevels int
 	// Instances is the spatial sampler's K.
 	Instances int
-	// Workers is the sampler worker-pool width (0 → GOMAXPROCS) of the
-	// spatial sampler, whose chunks sweep all K instances, and of the
-	// hogwild baseline.
+	// Workers is the worker-pool width (0 → GOMAXPROCS, 1 → sequential) of
+	// grounding, of the spatial sampler, whose chunks sweep all K instances,
+	// and of the hogwild baseline. The grounded factor graph is identical for
+	// any setting.
 	Workers int
-	// GroundWorkers is the grounding worker-pool width (0 → GOMAXPROCS,
-	// 1 → fully sequential). The grounded factor graph is identical for any
-	// setting; only wall-clock time changes.
-	GroundWorkers int
 	// GroundOnly restricts experiments to the grounding phase: systems are
 	// built and grounded but inference is skipped, so quality columns are
 	// blank. Used by syabench -phase=grounding for grounding-only

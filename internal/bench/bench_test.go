@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // tinyParams keeps every experiment in the sub-second-to-seconds range for
@@ -65,6 +67,31 @@ func TestFig1ShapeReproduces(t *testing.T) {
 	}
 	if sya < dd {
 		t.Errorf("Sya F1 %v < DeepDive %v:\n%s", sya, dd, out)
+	}
+}
+
+// TestFig1DeterministicAtOneWorker holds Fig. 1 to its Workers setting:
+// with GOMAXPROCS raised to 4 and Workers 1, both engines' Systems run one
+// worker (the grounder reports its width; the sampler reads the same field),
+// and two runs print the same table.
+func TestFig1DeterministicAtOneWorker(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	var tables [2]string
+	for i := range tables {
+		p := tinyParams()
+		p.Workers = 1
+		p.Metrics = obs.NewRegistry()
+		tbl, err := Fig1(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables[i] = render(t, tbl)
+		if w := p.Metrics.Gauge("sya_ground_workers").Value(); w != 1 {
+			t.Errorf("run %d: Fig. 1 ran %v workers at Workers 1", i, w)
+		}
+	}
+	if tables[0] != tables[1] {
+		t.Errorf("Fig. 1 at Workers 1 printed\n%s\nthen\n%s", tables[0], tables[1])
 	}
 }
 

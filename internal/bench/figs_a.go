@@ -58,7 +58,7 @@ func Fig1(p Params) (*Table, error) {
 			PyramidLevels: 4,
 			Epochs:        6000,
 			Seed:          p.Seed,
-			GroundWorkers: p.GroundWorkers,
+			Workers:       p.Workers,
 			Metrics:       p.Metrics,
 		})
 		if err := s.LoadProgram(datagen.EbolaProgram); err != nil {

@@ -111,7 +111,6 @@ func Fig11(p Params) (*Table, error) {
 			LocalityLevel:  localityFor(data.Config.Extent, p.SupportRadius, p.PyramidLevels),
 			Instances:      p.Instances,
 			Workers:        p.Workers,
-			GroundWorkers:  p.GroundWorkers,
 			Epochs:         p.Epochs,
 			Seed:           p.Seed,
 			PruneThreshold: T,

@@ -116,7 +116,6 @@ func NewGWDB(p Params) *KB {
 			LocalityLevel: localityFor(data.Config.Extent, p.SupportRadius, p.PyramidLevels),
 			Instances:     p.Instances,
 			Workers:       p.Workers,
-			GroundWorkers: p.GroundWorkers,
 			Epochs:        p.Epochs,
 			Metrics:       p.Metrics,
 		},
@@ -157,7 +156,6 @@ func NewNYCCAS(p Params) *KB {
 			LocalityLevel: localityFor(data.Config.Extent, 4*cell, p.PyramidLevels),
 			Instances:     p.Instances,
 			Workers:       p.Workers,
-			GroundWorkers: p.GroundWorkers,
 			Epochs:        p.Epochs,
 			Metrics:       p.Metrics,
 		},

@@ -40,7 +40,7 @@ func (p *Pipeline) Bind(fs *flag.FlagSet) {
 	fs.Float64Var(&p.Config.Bandwidth, "bandwidth", 50, "spatial weighing bandwidth")
 	fs.Float64Var(&p.Config.SpatialScale, "scale", 1, "spatial weighing zero-distance scale")
 	fs.Int64Var(&p.Config.Seed, "seed", 1, "sampler seed")
-	fs.IntVar(&p.Config.GroundWorkers, "ground-workers", 0, "grounding worker-pool width (0 = GOMAXPROCS, 1 = sequential; output graph is identical)")
+	fs.IntVar(&p.Config.Workers, "workers", 0, "grounding and sampler worker-pool width (0 = GOMAXPROCS, 1 = sequential; the ground graph is identical)")
 }
 
 // Validate reports what the parsed flags lack: a -program.

@@ -41,12 +41,12 @@ func TestLoadFlag(t *testing.T) {
 func TestSharedPipelineFlags(t *testing.T) {
 	args := []string{"-program", "kb.ddlog", "-load", "County=c.csv", "-engine", "DeepDive",
 		"-metric", "haversine_km", "-epochs", "50", "-bandwidth", "60", "-scale", "0.5",
-		"-seed", "7", "-ground-workers", "1"}
+		"-seed", "7", "-workers", "1"}
 	want := Pipeline{
 		Program: "kb.ddlog", Loads: LoadFlag{Pairs: [][2]string{{"County", "c.csv"}}},
 		Config: core.Config{
 			Engine: core.EngineDeepDive, Metric: geom.HaversineKm,
-			Epochs: 50, Bandwidth: 60, SpatialScale: 0.5, Seed: 7, GroundWorkers: 1,
+			Epochs: 50, Bandwidth: 60, SpatialScale: 0.5, Seed: 7, Workers: 1,
 		},
 	}
 	parse := func(args []string) (Pipeline, error) {

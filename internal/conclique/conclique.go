@@ -40,23 +40,6 @@ func Partition(cells []*pyramid.Cell) [Count][]*pyramid.Cell {
 	return groups
 }
 
-// MinCover returns the minimal set of conclique IDs whose union covers all
-// the given cells (paper Algorithm 1, GetMinConcliquesCover): exactly the
-// concliques that own at least one non-empty cell, in ascending ID order.
-func MinCover(cells []*pyramid.Cell) []ID {
-	var present [Count]bool
-	for _, c := range cells {
-		present[Of(c.Key)] = true
-	}
-	var ids []ID
-	for q := ID(0); q < Count; q++ {
-		if present[q] {
-			ids = append(ids, q)
-		}
-	}
-	return ids
-}
-
 // Neighbors reports whether two cells at the same level are 8-neighbours
 // (share an edge or a corner). Cells at different levels are never
 // considered neighbours by this predicate.

@@ -72,28 +72,6 @@ func TestNeighbors(t *testing.T) {
 	}
 }
 
-func TestMinCover(t *testing.T) {
-	// Only cells in concliques 0 and 3 present.
-	cells := []*pyramid.Cell{cellAt(2, 0, 0), cellAt(2, 2, 0), cellAt(2, 1, 1)}
-	ids := MinCover(cells)
-	if len(ids) != 2 || ids[0] != Of(cells[0].Key) && ids[1] != Of(cells[0].Key) {
-		t.Errorf("MinCover = %v", ids)
-	}
-	if got := MinCover(nil); len(got) != 0 {
-		t.Errorf("MinCover(nil) = %v", got)
-	}
-	// Full grid needs all four.
-	var all []*pyramid.Cell
-	for x := 0; x < 2; x++ {
-		for y := 0; y < 2; y++ {
-			all = append(all, cellAt(1, x, y))
-		}
-	}
-	if got := MinCover(all); len(got) != 4 {
-		t.Errorf("full-grid MinCover = %v", got)
-	}
-}
-
 // Property: for any pair of same-conclique cells, they are not neighbours.
 func TestSameConcliqueNeverNeighborsProperty(t *testing.T) {
 	f := func(x1, y1, x2, y2 uint8) bool {

@@ -95,20 +95,18 @@ type Config struct {
 	// switch off are no longer materialized at all. The field stays only
 	// because benchmark/workloads.go sets it; it goes when that stops.
 	SkipFactorTables bool
-	// GroundWorkers is the grounding worker-pool width: concurrent rule and
-	// derivation evaluation, batched join probes, and sharded spatial
-	// sweeps (0 → GOMAXPROCS, 1 → sequential). The grounded factor graph is
-	// identical for any setting.
-	GroundWorkers int
 
 	// Epochs is the total inference epochs E (0 → 1000, the paper's
 	// default).
 	Epochs int
 	// Instances is K for the spatial sampler (0 → 2).
 	Instances int
-	// Workers is the sampler worker-pool width: the spatial sampler's
-	// workers, each chunk sweeping all K instances, and the hogwild
-	// baseline's (0 → GOMAXPROCS).
+	// Workers is the worker-pool width of every parallel stage (0 →
+	// GOMAXPROCS, 1 → sequential): grounding's concurrent rule and
+	// derivation evaluation, batched join probes and sharded spatial sweeps;
+	// the spatial sampler's workers, each chunk sweeping all K instances;
+	// and the hogwild baseline's. The grounded factor graph is identical for
+	// any setting.
 	Workers int
 	// Seed drives all sampling randomness.
 	Seed int64
@@ -377,7 +375,7 @@ func (s *System) groundingOptions() grounding.Options {
 		SupportRadius:  s.cfg.SupportRadius,
 		MaxNeighbors:   s.cfg.MaxNeighbors,
 		UDFs:           s.cfg.UDFs,
-		Workers:        s.cfg.GroundWorkers,
+		Workers:        s.cfg.Workers,
 	}
 }
 
@@ -558,10 +556,6 @@ func (s *System) ensureShardGroup(ctx context.Context) error {
 	s.shardGroup = gr
 	return nil
 }
-
-// ShardGroup exposes the live sharded-inference group (nil unless
-// cfg.Shards > 1 and inference has run).
-func (s *System) ShardGroup() *shard.Group { return s.shardGroup }
 
 // ensureSampler builds (and possibly resumes) the engine sampler if none is
 // live, wiring the observability plane into it — a gibbs.build stage of the

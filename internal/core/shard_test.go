@@ -32,7 +32,7 @@ func TestShardCountInvarianceOnWorkloads(t *testing.T) {
 					s.Close()
 					t.Fatalf("shards=%d: %v", shards, err)
 				}
-				if shards > 1 && s.ShardGroup() == nil {
+				if shards > 1 && s.shardGroup == nil {
 					s.Close()
 					t.Fatalf("shards=%d: sharded path not taken", shards)
 				}

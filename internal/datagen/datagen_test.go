@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/ddlog"
 	"repro/internal/geom"
+	"repro/internal/storage"
 )
 
 func TestFieldSmoothness(t *testing.T) {
@@ -127,11 +128,26 @@ func TestWellRowsShape(t *testing.T) {
 	if len(ev) == 0 || len(ev) >= 50 {
 		t.Fatalf("evidence rows = %d", len(ev))
 	}
-	if len(wells[0]) != len(WellSchema().Cols) {
-		t.Errorf("row width = %d", len(wells[0]))
+	prog, err := ddlog.ParseAndValidate(GWDBProgram)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(ev[0]) != len(WellEvidenceSchema().Cols) {
-		t.Errorf("evidence width = %d", len(ev[0]))
+	for _, c := range []struct {
+		rel string
+		row []storage.Value
+	}{{"Well", wells[0]}, {"WellEvidence", ev[0]}} {
+		decl, ok := prog.Relation(c.rel)
+		if !ok {
+			t.Fatalf("GWDBProgram declares no %s", c.rel)
+		}
+		if len(c.row) != len(decl.Cols) {
+			t.Errorf("%s row width = %d, declared %d", c.rel, len(c.row), len(decl.Cols))
+		}
+		for i, v := range c.row {
+			if !v.IsNull() && v.Kind != decl.Cols[i].Type.Kind {
+				t.Errorf("%s.%s holds a %v, declared %v", c.rel, decl.Cols[i].Name, v.Kind, decl.Cols[i].Type.Kind)
+			}
+		}
 	}
 }
 

@@ -57,31 +57,6 @@ func EbolaCounties() []County {
 // Fig. 3 rule.
 const LiberiaRegion = "POLYGON((-12 4, -7 4, -7 9, -12 9))"
 
-// CountySchema returns the County input relation schema (Fig. 3, S1 —
-// hasLowSanitation flag included).
-func CountySchema() storage.Schema {
-	return storage.Schema{
-		Name: "County",
-		Cols: []storage.Column{
-			{Name: "id", Kind: storage.KindInt},
-			{Name: "location", Kind: storage.KindGeom, GeomType: geom.TypePoint},
-			{Name: "hasLowSanitation", Kind: storage.KindBool},
-		},
-	}
-}
-
-// CountyEvidenceSchema returns the EbolaKB evidence relation schema.
-func CountyEvidenceSchema() storage.Schema {
-	return storage.Schema{
-		Name: "CountyEvidence",
-		Cols: []storage.Column{
-			{Name: "id", Kind: storage.KindInt},
-			{Name: "location", Kind: storage.KindGeom, GeomType: geom.TypePoint},
-			{Name: "hasEbola", Kind: storage.KindBool},
-		},
-	}
-}
-
 // EbolaRows renders the counties as (County, CountyEvidence) rows.
 func EbolaRows(counties []County) (county, evidence []storage.Row) {
 	for _, c := range counties {

@@ -126,35 +126,6 @@ func Wells(cfg WellsConfig) *WellsData {
 	return data
 }
 
-// WellSchema returns the storage schema of the Well input relation used by
-// GWDBProgram.
-func WellSchema() storage.Schema {
-	return storage.Schema{
-		Name: "Well",
-		Cols: []storage.Column{
-			{Name: "id", Kind: storage.KindInt},
-			{Name: "location", Kind: storage.KindGeom, GeomType: geom.TypePoint},
-			{Name: "arsenic", Kind: storage.KindFloat},
-			{Name: "fluoride", Kind: storage.KindFloat},
-			{Name: "nitrate", Kind: storage.KindFloat},
-			{Name: "depth", Kind: storage.KindFloat},
-			{Name: "aquifer", Kind: storage.KindInt},
-		},
-	}
-}
-
-// WellEvidenceSchema returns the schema of the evidence relation.
-func WellEvidenceSchema() storage.Schema {
-	return storage.Schema{
-		Name: "WellEvidence",
-		Cols: []storage.Column{
-			{Name: "id", Kind: storage.KindInt},
-			{Name: "location", Kind: storage.KindGeom, GeomType: geom.TypePoint},
-			{Name: "safe", Kind: storage.KindBool},
-		},
-	}
-}
-
 // Rows renders the wells as (Well, WellEvidence) table rows.
 func (d *WellsData) Rows() (wells, evidence []storage.Row) {
 	for _, w := range d.Wells {
@@ -262,18 +233,6 @@ RiskLevel(W1, L1) => RiskLevel(W2, L2) :-
     Well(W1, L1, _, _, _, _, _), Well(W2, L2, _, _, _, _, _)
     [distance(L1, L2) < 40].
 `
-
-// LevelEvidenceSchema is the evidence relation of GWDBCategoricalProgram.
-func LevelEvidenceSchema() storage.Schema {
-	return storage.Schema{
-		Name: "LevelEvidence",
-		Cols: []storage.Column{
-			{Name: "id", Kind: storage.KindInt},
-			{Name: "location", Kind: storage.KindGeom, GeomType: geom.TypePoint},
-			{Name: "level", Kind: storage.KindInt},
-		},
-	}
-}
 
 // Level quantizes a truth probability into h levels (0..h-1).
 func Level(truth float64, h int) int64 {

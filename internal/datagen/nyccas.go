@@ -109,31 +109,6 @@ func Raster(cfg RasterConfig) *RasterData {
 	return data
 }
 
-// RasterSchema returns the schema of the Cell input relation.
-func RasterSchema() storage.Schema {
-	return storage.Schema{
-		Name: "Cell",
-		Cols: []storage.Column{
-			{Name: "id", Kind: storage.KindInt},
-			{Name: "location", Kind: storage.KindGeom, GeomType: geom.TypePoint},
-			{Name: "no2", Kind: storage.KindFloat},
-			{Name: "pm25", Kind: storage.KindFloat},
-		},
-	}
-}
-
-// RasterEvidenceSchema returns the schema of the evidence relation.
-func RasterEvidenceSchema() storage.Schema {
-	return storage.Schema{
-		Name: "CellEvidence",
-		Cols: []storage.Column{
-			{Name: "id", Kind: storage.KindInt},
-			{Name: "location", Kind: storage.KindGeom, GeomType: geom.TypePoint},
-			{Name: "polluted", Kind: storage.KindBool},
-		},
-	}
-}
-
 // Rows renders the raster as (Cell, CellEvidence) table rows.
 func (d *RasterData) Rows() (cells, evidence []storage.Row) {
 	for _, c := range d.Cells {

@@ -72,13 +72,3 @@ func ExactMarginals(g *Graph, maxStates int64) ([][]float64, error) {
 	}
 	return marginals, nil
 }
-
-// TrueProbability is a convenience accessor: the marginal probability that a
-// binary variable is true (value 1), i.e. the paper's "factual score".
-func TrueProbability(marginals [][]float64, v VarID) float64 {
-	m := marginals[v]
-	if len(m) < 2 {
-		return 0
-	}
-	return m[1]
-}

@@ -279,15 +279,3 @@ func Overlaps(a, b Geometry) bool {
 	}
 	return !Within(a, b) && !Within(b, a)
 }
-
-// DWithin reports whether two geometries are within distance d of each other
-// under the metric (the translated form of "distance(L1, L2) < d").
-func DWithin(a, b Geometry, d float64, m Metric) bool {
-	pa, aIsPt := a.(Point)
-	pb, bIsPt := b.(Point)
-	if aIsPt && bIsPt {
-		return m.Dist(pa, pb) <= d
-	}
-	// Non-point geometries use the planar separation distance.
-	return DistanceGeometries(a, b) <= d
-}

@@ -140,27 +140,6 @@ func TestOverlaps(t *testing.T) {
 	}
 }
 
-func TestDWithin(t *testing.T) {
-	if !DWithin(Pt(0, 0), Pt(3, 4), 5, Euclidean) {
-		t.Error("distance 5 within 5 should hold (inclusive)")
-	}
-	if DWithin(Pt(0, 0), Pt(3, 4), 4.99, Euclidean) {
-		t.Error("distance 5 within 4.99 should fail")
-	}
-	// Geographic: Monrovia to Gbarnga ~110 miles, within 150 but not 100.
-	monrovia, gbarnga := Pt(-10.8047, 6.3156), Pt(-9.4722, 6.9956)
-	if !DWithin(monrovia, gbarnga, 150, HaversineMiles) {
-		t.Error("within 150 miles should hold")
-	}
-	if DWithin(monrovia, gbarnga, 100, HaversineMiles) {
-		t.Error("within 100 miles should fail")
-	}
-	// Non-point pair falls back to separation distance.
-	if !DWithin(unitSquare, NewRect(Pt(5, 0), Pt(6, 1)), 1.5, Euclidean) {
-		t.Error("polygon-rect DWithin should hold")
-	}
-}
-
 // Property: a random point strictly inside the convex hull triangle is
 // reported inside, and a far translation of it is reported outside.
 func TestPointInPolygonProperty(t *testing.T) {

@@ -281,7 +281,7 @@ func (s *engine) RunTotal(ctx context.Context, total int) (RunStats, error) {
 // all K instances (see sweep), then the serial tail as one chunk, then the
 // epoch barrier where worker count deltas merge into the instances'
 // counters. The full sweep passes the precomputed schedule; the spatial
-// sampler's RunIncremental passes its restricted view. Nothing in the
+// sampler's RunIncrementalContext passes its restricted view. Nothing in the
 // per-epoch loop allocates.
 //
 // span is the caller's stage for this sweep — one span per call, opened,

@@ -1,6 +1,7 @@
 package gibbs
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -235,7 +236,9 @@ func TestSpatialUpdateEvidenceAndIncremental(t *testing.T) {
 	if err := s.UpdateEvidence(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	s.RunIncremental(2000)
+	if _, err := s.RunIncrementalContext(context.Background(), 2000); err != nil {
+		t.Fatal(err)
+	}
 	after := s.Marginals()
 	if after[0][0] != 1 {
 		t.Fatalf("pinned marginal = %v", after[0])
@@ -345,7 +348,9 @@ func TestPinOnQueryVariableStaysDynamic(t *testing.T) {
 		if err := s.UpdateEvidence(0, val); err != nil {
 			t.Fatal(err)
 		}
-		s.RunIncremental(3000)
+		if _, err := s.RunIncrementalContext(context.Background(), 3000); err != nil {
+			t.Fatal(err)
+		}
 		return s.MarginalVar(1)[1]
 	}
 	if low, high := incr(0), incr(1); high-low < minShift {
@@ -400,7 +405,9 @@ func TestIncrementalMovesTowardFullRecompute(t *testing.T) {
 	if err := base.UpdateEvidence(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	base.RunIncremental(8000)
+	if _, err := base.RunIncrementalContext(context.Background(), 8000); err != nil {
+		t.Fatal(err)
+	}
 	fm, im := full.Marginals(), base.Marginals()
 	if im[0][0] != 1 {
 		t.Fatalf("pinned marginal = %v", im[0])

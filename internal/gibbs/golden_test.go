@@ -2,6 +2,7 @@ package gibbs_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"hash/fnv"
 	"math"
@@ -116,7 +117,9 @@ func goldenMore(t *testing.T, s gibbs.Sampler, g *factorgraph.Graph) bool {
 		if err := s.UpdateEvidence(last, 0); err != nil {
 			t.Fatal(err)
 		}
-		s.RunIncremental(10)
+		if _, err := s.RunIncrementalContext(context.Background(), 10); err != nil {
+			t.Fatal(err)
+		}
 		return true
 	}
 	return false

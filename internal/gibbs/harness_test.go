@@ -9,6 +9,7 @@ package gibbs_test
 // sampler execution core (such as the persistent worker pool) safe.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -167,7 +168,7 @@ func starGraph(t testing.TB, leaves int) (*factorgraph.Graph, factorgraph.VarID)
 	return g, center
 }
 
-// TestIncrementalConvergesToExactConditional: UpdateEvidence + RunIncremental
+// TestIncrementalConvergesToExactConditional: UpdateEvidence + RunIncrementalContext
 // must converge to the exact conditional marginals of the re-pinned graph.
 func TestIncrementalConvergesToExactConditional(t *testing.T) {
 	const leaves = 6
@@ -180,7 +181,9 @@ func TestIncrementalConvergesToExactConditional(t *testing.T) {
 	if err := s.UpdateEvidence(center, 1); err != nil {
 		t.Fatal(err)
 	}
-	s.RunIncremental(15000)
+	if _, err := s.RunIncrementalContext(context.Background(), 15000); err != nil {
+		t.Fatal(err)
+	}
 
 	// Exact reference: the same graph built with the evidence baked in.
 	b := factorgraph.NewBuilder()
@@ -222,7 +225,7 @@ func TestIncrementalConvergesToExactConditional(t *testing.T) {
 
 // TestIncrementalAfterFullRunMatchesConditional is the serving-layer shape:
 // a full batch run first (the chain and counters converge to the prior
-// posterior), then evidence arrives and RunIncremental must converge to the
+// posterior), then evidence arrives and RunIncrementalContext must converge to the
 // *new* conditional — which requires the restricted view's counters to be
 // reset at the incremental boundary, or the pre-pin samples would keep the
 // served marginals anchored to the stale posterior.
@@ -241,7 +244,9 @@ func TestIncrementalAfterFullRunMatchesConditional(t *testing.T) {
 	if got := s.PendingDirty(); got != 1 {
 		t.Fatalf("PendingDirty = %d, want 1", got)
 	}
-	s.RunIncremental(15000)
+	if _, err := s.RunIncrementalContext(context.Background(), 15000); err != nil {
+		t.Fatal(err)
+	}
 	if got := s.PendingDirty(); got != 0 {
 		t.Fatalf("PendingDirty after incremental = %d, want 0", got)
 	}
@@ -332,7 +337,7 @@ func twoClusterGraph(t testing.TB, perCluster int) (*factorgraph.Graph, []factor
 }
 
 // TestIncrementalSweepsOnlyDirtyCells asserts via schedule instrumentation
-// that RunIncremental resamples only the dirty concliques' cells while
+// that RunIncrementalContext resamples only the dirty concliques' cells while
 // RunEpochs sweeps the whole schedule.
 func TestIncrementalSweepsOnlyDirtyCells(t *testing.T) {
 	g, clusterA, clusterB := twoClusterGraph(t, 6)
@@ -368,7 +373,9 @@ func TestIncrementalSweepsOnlyDirtyCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.InstrumentSweeps()
-	s.RunIncremental(3)
+	if _, err := s.RunIncrementalContext(context.Background(), 3); err != nil {
+		t.Fatal(err)
+	}
 	inc := s.SweptCells()
 	if len(inc) == 0 && s.SweptTailVars() == 0 {
 		t.Fatal("incremental run swept nothing")
@@ -395,7 +402,7 @@ func TestHomeCellsMatchSamplerPlacement(t *testing.T) {
 	})
 	for _, opts := range []gibbs.SpatialOptions{
 		{Levels: 5},
-		{Levels: 6, LocalityLevel: 3, Capacity: 8},
+		{Levels: 6, LocalityLevel: 3},
 	} {
 		s, err := gibbs.NewSpatial(g, opts)
 		if err != nil {
@@ -618,7 +625,9 @@ func TestMarginalVarMatchesMarginals(t *testing.T) {
 			if err := sp.UpdateEvidence(pin, 2); err != nil {
 				t.Fatal(err)
 			}
-			sp.RunIncremental(5)
+			if _, err := sp.RunIncrementalContext(context.Background(), 5); err != nil {
+				t.Fatal(err)
+			}
 			check(t, sp, "pinned")
 			if m := sp.MarginalVar(pin); m[2] != 1 {
 				t.Errorf("pinned variable %d reads %v, want a point mass on 2", pin, m)
@@ -657,7 +666,9 @@ func TestRunIncrementalWithoutSpatialAtoms(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.InstrumentSweeps()
-	s.RunIncremental(3)
+	if _, err := s.RunIncrementalContext(context.Background(), 3); err != nil {
+		t.Fatal(err)
+	}
 	if s.SweptTailVars() == 0 {
 		t.Error("incremental run swept no tail variable")
 	}

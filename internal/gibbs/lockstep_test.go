@@ -1,6 +1,7 @@
 package gibbs_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -62,7 +63,7 @@ func clusterGraph(t *testing.T, domain int32) *factorgraph.Graph {
 // TestInstanceChainIndependentOfK: instance k's chain — assignment, counters,
 // epoch — is the one it runs alone, whatever K is and whatever the worker
 // width. For K from 1 to 4 (K = 3 leaves an odd instance outside the binary
-// pairs), after a full sweep and after a RunIncremental following pins of a
+// pairs), after a full sweep and after a RunIncrementalContext following pins of a
 // located query atom and, where there is one, a tail atom, instance k's state
 // is bit-equal to that of the smallest K that has it. The cluster graphs,
 // binary and categorical, run at 1 and 3 workers; the harness's random
@@ -96,7 +97,7 @@ func TestInstanceChainIndependentOfK(t *testing.T) {
 			for _, workers := range c.workers {
 				for k := 1; k <= 4; k++ {
 					s, err := gibbs.NewSpatial(c.g, gibbs.SpatialOptions{
-						Levels: 4, Capacity: 4, Instances: k, Workers: workers, Seed: 13, BurnIn: 3,
+						Levels: 4, Instances: k, Workers: workers, Seed: 13, BurnIn: 3,
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -111,7 +112,9 @@ func TestInstanceChainIndependentOfK(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					s.RunIncremental(5)
+					if _, err := s.RunIncrementalContext(context.Background(), 5); err != nil {
+						t.Fatal(err)
+					}
 					states[1] = s.Snapshot().Instances
 					s.Close()
 					for phase, insts := range states {

@@ -40,7 +40,7 @@ import (
 //
 // Concurrency contract: one batch is in flight at a time (dispatch* then
 // wait, all from a single issuer goroutine). The samplers uphold this —
-// their RunEpochs/RunIncremental calls must not race with each other,
+// their RunEpochs/RunIncrementalContext calls must not race with each other,
 // which was already the seed implementation's contract.
 //
 // Lifetime: Close releases the worker goroutines; a finalizer backstops

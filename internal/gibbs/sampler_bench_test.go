@@ -236,6 +236,8 @@ func BenchmarkSpatialIncremental(b *testing.B) {
 		if err := s.UpdateEvidence(pin, int32(i%2)); err != nil {
 			b.Fatal(err)
 		}
-		s.RunIncremental(1)
+		if _, err := s.RunIncrementalContext(context.Background(), 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -23,8 +23,6 @@ type SpatialOptions struct {
 	// Instances is K, the number of parallel sampler instances whose counts
 	// are averaged each epoch. Default 2.
 	Instances int
-	// Capacity is the pyramid split threshold. Default 32.
-	Capacity int
 	// Seed drives all randomness deterministically.
 	Seed int64
 	// BurnIn discards the first BurnIn epochs of each instance's chain from
@@ -55,7 +53,7 @@ func (o SpatialOptions) withDefaults() SpatialOptions {
 	return o
 }
 
-// restrictedView is the restricted schedule of one RunIncremental call: the
+// restrictedView is the restricted schedule of one RunIncrementalContext call: the
 // cells of the dirty variables and their factor neighbours (with group
 // boundaries preserved) plus the affected tail variables.
 type restrictedView struct {
@@ -85,7 +83,7 @@ type restrictedView struct {
 // sequentially at the end of the epoch (the schedule's tail).
 //
 // On top of the engine it adds the paper's incremental inference:
-// UpdateEvidence pins variables on the live chains and RunIncremental
+// UpdateEvidence pins variables on the live chains and RunIncrementalContext
 // resamples only the affected cells, through a restricted view of the same
 // schedule.
 type Spatial struct {
@@ -195,10 +193,7 @@ func buildPyramid(g *factorgraph.Graph, opts SpatialOptions) (pyr *pyramid.Index
 	if len(entries) == 0 {
 		return nil, nil, nonSpatial, nil
 	}
-	pyr, err = pyramid.Build(space, entries, pyramid.Options{
-		Levels:   opts.Levels,
-		Capacity: opts.Capacity,
-	})
+	pyr, err = pyramid.Build(space, entries, pyramid.Options{Levels: opts.Levels})
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("gibbs: building pyramid: %w", err)
 	}
@@ -302,7 +297,7 @@ func (o SpatialOptions) sweepLevels() []int {
 
 // UpdateEvidence pins a variable to an observed value after construction
 // and marks it dirty for incremental inference. Its cells' concliques are
-// resampled by the next RunIncremental call. A variable that is already
+// resampled by the next RunIncrementalContext call. A variable that is already
 // evidence in the graph keeps its value — the first label wins, as in the
 // batch grounder's dedup: the same value again is a no-op, a different one is
 // an error (readers answer from the graph's evidence and compiled scores fold
@@ -331,18 +326,11 @@ func (s *Spatial) UpdateEvidence(v factorgraph.VarID, val int32) error {
 	return nil
 }
 
-// RunIncremental resamples, for n epochs, only the cells containing dirty
-// variables and their factor neighbourhoods — the paper's incremental
+// RunIncrementalContext resamples, for n epochs, only the cells containing
+// dirty variables and their factor neighbourhoods — the paper's incremental
 // inference ("the sampler is invoked on the concliques of the updated
-// variables only"). The dirty set is cleared afterwards.
-func (s *Spatial) RunIncremental(n int) {
-	if _, err := s.RunIncrementalContext(context.Background(), n); err != nil {
-		panic(err)
-	}
-}
-
-// RunIncrementalContext is the context-aware RunIncremental, with the same
-// cancellation and panic semantics as Run.
+// variables only"). The dirty set is cleared afterwards. Cancellation and
+// panic semantics are Run's.
 //
 // Before sweeping, the counters of every variable in the restricted view
 // are reset: their conditional distribution changed with the new pins, so
@@ -397,7 +385,7 @@ func (s *Spatial) resetVarCounts(v factorgraph.VarID) {
 }
 
 // PendingDirty reports how many variables are marked dirty and waiting for
-// the next RunIncremental call.
+// the next RunIncrementalContext call.
 func (s *Spatial) PendingDirty() int { return len(s.dirty) }
 
 // restrictedFor builds the restricted schedule view for the dirty set.

@@ -102,8 +102,8 @@ func structuralPatch(reason string, start time.Time) *Patch {
 
 // DeltaContext re-grounds only the slice of the program affected by new
 // rows in the changed relations, against the *live* database (whose tables
-// and spatial indexes the upsert already extended in place), and returns a
-// sparse patch relative to prev — the Result of the last full grounding.
+// the upsert already extended in place), and returns a sparse patch relative
+// to prev — the Result of the last full grounding.
 //
 // The non-structural fast path holds exactly when the changed relations
 // feed derivation rule bodies only. Then the affected derivations are

@@ -39,7 +39,7 @@ func determinismWorkloads() []groundWorkload {
 			SupportRadius:    75,
 			MaxNeighbors:     maxNeighbors,
 			PyramidLevels:    6,
-			GroundWorkers:    workers,
+			Workers:          workers,
 			Seed:             1,
 			SkipFactorTables: true,
 		})
@@ -74,7 +74,7 @@ func determinismWorkloads() []groundWorkload {
 				SupportRadius:    4 * cell,
 				MaxNeighbors:     8,
 				PyramidLevels:    6,
-				GroundWorkers:    w,
+				Workers:          w,
 				Seed:             1,
 				SkipFactorTables: true,
 			})
@@ -102,7 +102,7 @@ func determinismWorkloads() []groundWorkload {
 				SupportRadius:    75,
 				MaxNeighbors:     20,
 				PyramidLevels:    6,
-				GroundWorkers:    w,
+				Workers:          w,
 				Seed:             1,
 				PruneThreshold:   0.5,
 				SkipFactorTables: true,

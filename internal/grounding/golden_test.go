@@ -44,7 +44,7 @@ func gwdbSystem(t testing.TB, n, workers int) *core.System {
 		SupportRadius:    75,
 		MaxNeighbors:     40,
 		PyramidLevels:    6,
-		GroundWorkers:    workers,
+		Workers:          workers,
 		Seed:             1,
 		SkipFactorTables: true,
 	}, datagen.GWDBProgram, "Well", wells, "WellEvidence", evidence)
@@ -66,7 +66,7 @@ func nyccasSystem(t testing.TB, side, workers int) *core.System {
 		SupportRadius:    4 * cell,
 		MaxNeighbors:     40,
 		PyramidLevels:    6,
-		GroundWorkers:    workers,
+		Workers:          workers,
 		Seed:             1,
 		SkipFactorTables: true,
 	}, datagen.NYCCASProgram, "Cell", cells, "CellEvidence", evidence)
@@ -85,7 +85,7 @@ func gwdbCategoricalSystem(t testing.TB, n, workers int) *core.System {
 		SupportRadius:  75,
 		MaxNeighbors:   40,
 		PyramidLevels:  6,
-		GroundWorkers:  workers,
+		Workers:        workers,
 		Seed:           1,
 		PruneThreshold: 0.5,
 	}, datagen.GWDBCategoricalProgram, "Well", wells, "LevelEvidence", data.LevelRows(10))
@@ -190,7 +190,7 @@ func TestGroundGraphGoldens(t *testing.T) {
 				Metric:        geom.HaversineMiles,
 				Bandwidth:     60,
 				PyramidLevels: 4,
-				GroundWorkers: w,
+				Workers:       w,
 				Seed:          1,
 			}, datagen.EbolaProgram, "County", county, "CountyEvidence", evidence)
 		}, 0xe168e5ef38f6be16},

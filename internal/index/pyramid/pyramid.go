@@ -8,10 +8,8 @@
 // pointer-based index per level, from level 1 down to the lowest maintained
 // cell containing it. The pyramid is *partial*: after the initial complete
 // build, quadrants whose four children include at least three empty cells
-// are merged into their parent, and a maintained cell is split again only
-// when it exceeds a capacity threshold and its contents span at least two
-// children — exactly the merge/split policy the paper describes for
-// incremental updates.
+// are merged into their parent (the paper's merge policy). An index is built
+// once, by the sampler that sweeps it, and never mutated afterwards.
 package pyramid
 
 import (
@@ -41,26 +39,20 @@ type Entry struct {
 	Loc geom.Point
 }
 
-// Index is a partial pyramid index. Create with Build; not safe for
-// concurrent mutation (the spatial Gibbs sampler reads it concurrently but
-// mutates it only between epochs).
+// Index is a partial pyramid index. Create with Build; it is immutable
+// afterwards, so concurrent readers need no lock.
 type Index struct {
-	space    geom.Rect
-	levels   int
-	capacity int
-	cells    map[CellKey]*Cell
-	locs     map[int64]geom.Point
+	space  geom.Rect
+	levels int
+	cells  map[CellKey]*Cell
+	locs   map[int64]geom.Point
 }
 
 // Options configures Build.
 type Options struct {
 	// Levels is the pyramid height L (the paper uses L = 8). Must be ≥ 1.
 	Levels int
-	// Capacity is the split threshold for incremental inserts. Zero means 32.
-	Capacity int
 }
-
-const defaultCapacity = 32
 
 // Build constructs a partial pyramid over the given space from the entries:
 // a complete pyramid of height L is filled, then quadrants with three or
@@ -73,16 +65,11 @@ func Build(space geom.Rect, entries []Entry, opts Options) (*Index, error) {
 	if !space.Valid() || space.Width() <= 0 || space.Height() <= 0 {
 		return nil, fmt.Errorf("pyramid: invalid space %+v", space)
 	}
-	cap := opts.Capacity
-	if cap <= 0 {
-		cap = defaultCapacity
-	}
 	idx := &Index{
-		space:    space,
-		levels:   opts.Levels,
-		capacity: cap,
-		cells:    make(map[CellKey]*Cell),
-		locs:     make(map[int64]geom.Point, len(entries)),
+		space:  space,
+		levels: opts.Levels,
+		cells:  make(map[CellKey]*Cell),
+		locs:   make(map[int64]geom.Point, len(entries)),
 	}
 	for _, e := range entries {
 		if _, dup := idx.locs[e.ID]; dup {
@@ -167,9 +154,8 @@ func (x *Index) mergeSparseQuadrants() {
 
 // maybeMergeQuadrant merges the four level-l children of parent (px, py) at
 // level l-1 if at least three are empty or absent. Children that themselves
-// still have maintained descendants are not merged. It reports whether a
-// merge happened.
-func (x *Index) maybeMergeQuadrant(l, px, py int) bool {
+// still have maintained descendants are not merged.
+func (x *Index) maybeMergeQuadrant(l, px, py int) {
 	empty := 0
 	var present []*Cell
 	for dy := 0; dy < 2; dy++ {
@@ -184,18 +170,17 @@ func (x *Index) maybeMergeQuadrant(l, px, py int) bool {
 				continue
 			}
 			if x.hasMaintainedChildren(k) {
-				return false // deeper structure exists; keep this quadrant
+				return // deeper structure exists; keep this quadrant
 			}
 			present = append(present, c)
 		}
 	}
 	if empty < 3 {
-		return false
+		return
 	}
 	for _, c := range present {
 		delete(x.cells, c.Key)
 	}
-	return len(present) > 0
 }
 
 func (x *Index) hasMaintainedChildren(k CellKey) bool {
@@ -212,41 +197,8 @@ func (x *Index) hasMaintainedChildren(k CellKey) bool {
 	return false
 }
 
-// NonEmptyCells returns the maintained, non-empty cells of a level, sorted
-// by (Y, X) for determinism.
-func (x *Index) NonEmptyCells(level int) []*Cell {
-	var out []*Cell
-	for k, c := range x.cells {
-		if k.Level == level && len(c.Entries) > 0 {
-			out = append(out, c)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Key.Y != out[j].Key.Y {
-			return out[i].Key.Y < out[j].Key.Y
-		}
-		return out[i].Key.X < out[j].Key.X
-	})
-	return out
-}
-
 // Cell returns the maintained cell for a key, or nil.
 func (x *Index) Cell(k CellKey) *Cell { return x.cells[k] }
-
-// Chain returns the maintained chain of cells containing p, from the root
-// down to the lowest maintained cell. The incremental inference path uses
-// it to find the cells affected by an updated atom.
-func (x *Index) Chain(p geom.Point) []*Cell {
-	var out []*Cell
-	for l := 0; l < x.levels; l++ {
-		c := x.cells[x.keyAt(p, l)]
-		if c == nil {
-			break
-		}
-		out = append(out, c)
-	}
-	return out
-}
 
 // LowestCell returns the lowest maintained cell containing p.
 func (x *Index) LowestCell(p geom.Point) *Cell {
@@ -259,113 +211,6 @@ func (x *Index) LowestCell(p geom.Point) *Cell {
 		lowest = c
 	}
 	return lowest
-}
-
-// Locate returns the location of an indexed entry.
-func (x *Index) Locate(id int64) (geom.Point, bool) {
-	p, ok := x.locs[id]
-	return p, ok
-}
-
-// Insert adds an entry incrementally: the ID is appended to the maintained
-// cell chain covering its location, and the lowest cell is split when it
-// exceeds the capacity threshold and its contents span at least two
-// children (the paper's incremental split rule).
-func (x *Index) Insert(e Entry) error {
-	if _, dup := x.locs[e.ID]; dup {
-		return fmt.Errorf("pyramid: duplicate entry ID %d", e.ID)
-	}
-	x.locs[e.ID] = e.Loc
-	var lowest *Cell
-	for l := 0; l < x.levels; l++ {
-		key := x.keyAt(e.Loc, l)
-		c := x.cells[key]
-		if c == nil {
-			if l > 0 {
-				break // the parent is the lowest maintained cell
-			}
-			c = &Cell{Key: key, Region: x.cellRegion(key)}
-			x.cells[key] = c
-		}
-		c.Entries = insertSorted(c.Entries, e.ID)
-		lowest = c
-	}
-	if lowest != nil {
-		x.maybeSplit(lowest)
-	}
-	return nil
-}
-
-func insertSorted(s []int64, v int64) []int64 {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-func removeSorted(s []int64, v int64) []int64 {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	if i < len(s) && s[i] == v {
-		return append(s[:i], s[i+1:]...)
-	}
-	return s
-}
-
-// maybeSplit splits cell c into its children when it is over capacity, not
-// at the deepest level, and its contents span at least two children.
-// Splitting cascades while the new lowest cell still violates the rule.
-func (x *Index) maybeSplit(c *Cell) {
-	for c != nil && c.Key.Level+1 < x.levels && len(c.Entries) > x.capacity {
-		children := map[CellKey][]int64{}
-		for _, id := range c.Entries {
-			k := x.keyAt(x.locs[id], c.Key.Level+1)
-			children[k] = append(children[k], id)
-		}
-		if len(children) < 2 {
-			return // contents do not span two children
-		}
-		var largest *Cell
-		for k, ids := range children {
-			child := &Cell{Key: k, Region: x.cellRegion(k), Entries: ids}
-			x.cells[k] = child
-			if largest == nil || len(child.Entries) > len(largest.Entries) {
-				largest = child
-			}
-		}
-		c = largest
-	}
-}
-
-// Delete removes an entry incrementally and merges quadrants that became
-// sparse.
-func (x *Index) Delete(id int64) error {
-	loc, ok := x.locs[id]
-	if !ok {
-		return fmt.Errorf("pyramid: unknown entry ID %d", id)
-	}
-	delete(x.locs, id)
-	var deepestKey CellKey
-	found := false
-	for l := 0; l < x.levels; l++ {
-		key := x.keyAt(loc, l)
-		c := x.cells[key]
-		if c == nil {
-			break
-		}
-		c.Entries = removeSorted(c.Entries, id)
-		deepestKey = key
-		found = true
-	}
-	if found {
-		// Cascade merges upward while removal leaves sparse quadrants.
-		for k := deepestKey; k.Level >= 1; k = (CellKey{Level: k.Level - 1, X: k.X / 2, Y: k.Y / 2}) {
-			if !x.maybeMergeQuadrant(k.Level, k.X/2, k.Y/2) {
-				break
-			}
-		}
-	}
-	return nil
 }
 
 // CheckInvariants verifies structural invariants, for tests: every entry

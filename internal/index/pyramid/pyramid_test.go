@@ -26,6 +26,21 @@ func clusteredEntries(rng *rand.Rand, n int) []Entry {
 	return es
 }
 
+// nonEmptyCells returns the maintained, non-empty cells of a level, in
+// (Y, X) order.
+func nonEmptyCells(idx *Index, level int) []*Cell {
+	var out []*Cell
+	n := 1 << level
+	for y := 0; y < n; y++ {
+		for x := 0; x < n; x++ {
+			if c := idx.Cell(CellKey{Level: level, X: x, Y: y}); c != nil && len(c.Entries) > 0 {
+				out = append(out, c)
+			}
+		}
+	}
+	return out
+}
+
 func TestBuildValidation(t *testing.T) {
 	if _, err := Build(testSpace, nil, Options{Levels: 0}); err == nil {
 		t.Error("Levels=0 should fail")
@@ -57,7 +72,7 @@ func TestBuildAndInvariants(t *testing.T) {
 	}
 	// Level 1 cells partition the entries.
 	total := 0
-	for _, c := range idx.NonEmptyCells(1) {
+	for _, c := range nonEmptyCells(idx, 1) {
 		total += len(c.Entries)
 	}
 	if total != 500 {
@@ -77,7 +92,7 @@ func TestSparseQuadrantsMerged(t *testing.T) {
 	// All entries live in [0,10]², i.e. one level-1 quadrant; the other
 	// three level-1 quadrants are empty, so the level-1 quadrant set must
 	// have been merged into the root.
-	if cells := idx.NonEmptyCells(1); len(cells) != 0 {
+	if cells := nonEmptyCells(idx, 1); len(cells) != 0 {
 		t.Errorf("sparse level-1 quadrants not merged: %d cells remain", len(cells))
 	}
 	// Root still answers.
@@ -103,10 +118,10 @@ func TestDenseLevelsRetained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(idx.NonEmptyCells(1)); got != 4 {
+	if got := len(nonEmptyCells(idx, 1)); got != 4 {
 		t.Errorf("level-1 cells = %d, want 4", got)
 	}
-	if got := len(idx.NonEmptyCells(2)); got != 16 {
+	if got := len(nonEmptyCells(idx, 2)); got != 16 {
 		t.Errorf("level-2 cells = %d, want 16", got)
 	}
 	if err := idx.CheckInvariants(); err != nil {
@@ -132,132 +147,6 @@ func TestLowestCell(t *testing.T) {
 	}
 }
 
-func TestInsertIncremental(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	idx, err := Build(testSpace, randomEntries(rng, 50), Options{Levels: 4, Capacity: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 50; i < 400; i++ {
-		e := Entry{ID: int64(i), Loc: geom.Pt(rng.Float64()*100, rng.Float64()*100)}
-		if err := idx.Insert(e); err != nil {
-			t.Fatal(err)
-		}
-		if i%97 == 0 {
-			if err := idx.CheckInvariants(); err != nil {
-				t.Fatalf("after insert %d: %v", i, err)
-			}
-		}
-	}
-	if idx.Len() != 400 {
-		t.Fatalf("Len = %d", idx.Len())
-	}
-	if err := idx.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.Insert(Entry{ID: 10}); err == nil {
-		t.Error("duplicate insert should fail")
-	}
-}
-
-func TestInsertSplitsOverCapacity(t *testing.T) {
-	// Start with an almost-empty pyramid, then pour entries into one spot;
-	// the lowest cell must split once over capacity.
-	idx, err := Build(testSpace, []Entry{{ID: 0, Loc: geom.Pt(1, 1)}}, Options{Levels: 4, Capacity: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	for i := 1; i <= 40; i++ {
-		if err := idx.Insert(Entry{ID: int64(i), Loc: geom.Pt(rng.Float64()*100, rng.Float64()*100)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := idx.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// With 41 spread entries and capacity 4, deeper levels must exist.
-	if len(idx.NonEmptyCells(1)) == 0 {
-		t.Error("expected level-1 cells after splits")
-	}
-}
-
-func TestDelete(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	entries := randomEntries(rng, 200)
-	idx, err := Build(testSpace, entries, Options{Levels: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries[:150] {
-		if err := idx.Delete(e.ID); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if idx.Len() != 50 {
-		t.Fatalf("Len = %d, want 50", idx.Len())
-	}
-	if err := idx.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.Delete(9999); err == nil {
-		t.Error("deleting unknown ID should fail")
-	}
-	// Deleting everything leaves a consistent (possibly empty) pyramid.
-	for _, e := range entries[150:] {
-		if err := idx.Delete(e.ID); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if idx.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", idx.Len())
-	}
-	if err := idx.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestInsertDeleteChurnProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	idx, err := Build(testSpace, nil, Options{Levels: 5, Capacity: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := map[int64]geom.Point{}
-	nextID := int64(0)
-	for step := 0; step < 2000; step++ {
-		if len(live) == 0 || rng.Float64() < 0.6 {
-			loc := geom.Pt(rng.Float64()*100, rng.Float64()*100)
-			if err := idx.Insert(Entry{ID: nextID, Loc: loc}); err != nil {
-				t.Fatal(err)
-			}
-			live[nextID] = loc
-			nextID++
-		} else {
-			var victim int64 = -1
-			for id := range live {
-				victim = id
-				break
-			}
-			if err := idx.Delete(victim); err != nil {
-				t.Fatal(err)
-			}
-			delete(live, victim)
-		}
-		if step%250 == 0 {
-			if err := idx.CheckInvariants(); err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
-			if idx.Len() != len(live) {
-				t.Fatalf("step %d: Len=%d live=%d", step, idx.Len(), len(live))
-			}
-		}
-	}
-	if err := idx.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestEntriesOutsideSpaceClamped(t *testing.T) {
 	es := []Entry{
 		{ID: 0, Loc: geom.Pt(-50, -50)},
@@ -273,18 +162,5 @@ func TestEntriesOutsideSpaceClamped(t *testing.T) {
 	}
 	if err := idx.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLocate(t *testing.T) {
-	idx, err := Build(testSpace, []Entry{{ID: 7, Loc: geom.Pt(3, 4)}}, Options{Levels: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p, ok := idx.Locate(7); !ok || p != geom.Pt(3, 4) {
-		t.Errorf("Locate = %v %v", p, ok)
-	}
-	if _, ok := idx.Locate(8); ok {
-		t.Error("Locate unknown should fail")
 	}
 }

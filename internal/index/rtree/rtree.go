@@ -1,8 +1,8 @@
-// Package rtree implements a dynamic R-tree (Guttman [20] in the paper's
-// references) with quadratic split, plus an STR bulk loader. The grounding
-// module builds on-the-fly R-tree indexes over relations with spatial
-// attributes to accelerate spatial join and range predicates
-// (paper Section IV-B, optimization 1).
+// Package rtree implements an R-tree (Guttman [20] in the paper's
+// references) built once by Sort-Tile-Recursive packing and never mutated
+// afterwards. The grounding module builds these indexes on the fly over
+// relations with spatial attributes to accelerate spatial joins and range
+// predicates (paper Section IV-B, optimization 1).
 package rtree
 
 import (
@@ -19,10 +19,7 @@ type Item struct {
 	Data int64
 }
 
-const (
-	maxEntries = 16
-	minEntries = maxEntries * 2 / 5 // 40% fill, the usual Guttman setting
-)
+const maxEntries = 16
 
 type node struct {
 	rect     geom.Rect
@@ -31,243 +28,14 @@ type node struct {
 	children []*node // interior children
 }
 
-// Tree is a dynamic R-tree. The zero value is not usable; call New or Bulk.
+// Tree is an immutable R-tree. The zero value is not usable; call Bulk.
 type Tree struct {
 	root *node
 	size int
 }
 
-// New returns an empty R-tree.
-func New() *Tree {
-	return &Tree{root: &node{leaf: true}}
-}
-
 // Len returns the number of indexed items.
 func (t *Tree) Len() int { return t.size }
-
-// Insert adds an item to the tree.
-func (t *Tree) Insert(it Item) {
-	t.size++
-	leaf := t.chooseLeaf(t.root, it.Rect)
-	leaf.items = append(leaf.items, it)
-	leaf.rect = extend(leaf.rect, it.Rect, len(leaf.items) == 1 && len(leaf.children) == 0)
-	t.adjustPath(it.Rect)
-	if len(leaf.items) > maxEntries {
-		t.splitUpward(leaf)
-	}
-}
-
-// chooseLeaf descends to the leaf whose rectangle needs the least
-// enlargement to include r, resolving ties by smaller area.
-func (t *Tree) chooseLeaf(n *node, r geom.Rect) *node {
-	for !n.leaf {
-		best := n.children[0]
-		bestEnl := enlargement(best.rect, r)
-		for _, c := range n.children[1:] {
-			enl := enlargement(c.rect, r)
-			if enl < bestEnl || (enl == bestEnl && c.rect.Area() < best.rect.Area()) {
-				best, bestEnl = c, enl
-			}
-		}
-		best.rect = best.rect.Union(r)
-		n = best
-	}
-	return n
-}
-
-// adjustPath re-unions the root rect (children rects were adjusted during
-// descent).
-func (t *Tree) adjustPath(r geom.Rect) {
-	if t.size == 1 {
-		t.root.rect = r
-		return
-	}
-	t.root.rect = t.root.rect.Union(r)
-}
-
-func extend(base, add geom.Rect, first bool) geom.Rect {
-	if first {
-		return add
-	}
-	return base.Union(add)
-}
-
-func enlargement(base, add geom.Rect) float64 {
-	return base.Union(add).Area() - base.Area()
-}
-
-// splitUpward splits an overflowing node and propagates splits to the root.
-func (t *Tree) splitUpward(n *node) {
-	path := t.findPath(t.root, n, nil)
-	for i := len(path) - 1; i >= 0; i-- {
-		cur := path[i]
-		if !overflow(cur) {
-			continue
-		}
-		left, right := split(cur)
-		if i == 0 { // split the root: grow the tree
-			t.root = &node{
-				leaf:     false,
-				rect:     left.rect.Union(right.rect),
-				children: []*node{left, right},
-			}
-			continue
-		}
-		parent := path[i-1]
-		for j, c := range parent.children {
-			if c == cur {
-				parent.children[j] = left
-				break
-			}
-		}
-		parent.children = append(parent.children, right)
-		parent.rect = recomputeRect(parent)
-	}
-}
-
-func overflow(n *node) bool {
-	if n.leaf {
-		return len(n.items) > maxEntries
-	}
-	return len(n.children) > maxEntries
-}
-
-// findPath returns the root-to-n path. R-trees are shallow (fanout 16), so
-// the descent is cheap; we re-find the path rather than store parent
-// pointers to keep nodes small.
-func (t *Tree) findPath(cur, target *node, acc []*node) []*node {
-	acc = append(acc, cur)
-	if cur == target {
-		return acc
-	}
-	if cur.leaf {
-		return nil
-	}
-	for _, c := range cur.children {
-		if c.rect.ContainsRect(target.rect) || c.rect.Intersects(target.rect) {
-			if p := t.findPath(c, target, acc); p != nil {
-				return p
-			}
-		}
-	}
-	return nil
-}
-
-// split performs Guttman's quadratic split on an overflowing node.
-func split(n *node) (*node, *node) {
-	if n.leaf {
-		la, lb := quadraticSplitRects(itemRects(n.items))
-		left := &node{leaf: true}
-		right := &node{leaf: true}
-		for _, i := range la {
-			left.items = append(left.items, n.items[i])
-		}
-		for _, i := range lb {
-			right.items = append(right.items, n.items[i])
-		}
-		left.rect = recomputeRect(left)
-		right.rect = recomputeRect(right)
-		return left, right
-	}
-	la, lb := quadraticSplitRects(childRects(n.children))
-	left := &node{}
-	right := &node{}
-	for _, i := range la {
-		left.children = append(left.children, n.children[i])
-	}
-	for _, i := range lb {
-		right.children = append(right.children, n.children[i])
-	}
-	left.rect = recomputeRect(left)
-	right.rect = recomputeRect(right)
-	return left, right
-}
-
-func itemRects(items []Item) []geom.Rect {
-	rs := make([]geom.Rect, len(items))
-	for i, it := range items {
-		rs[i] = it.Rect
-	}
-	return rs
-}
-
-func childRects(children []*node) []geom.Rect {
-	rs := make([]geom.Rect, len(children))
-	for i, c := range children {
-		rs[i] = c.rect
-	}
-	return rs
-}
-
-// quadraticSplitRects partitions indexes of rects into two groups using
-// Guttman's quadratic PickSeeds / PickNext.
-func quadraticSplitRects(rects []geom.Rect) (a, b []int) {
-	n := len(rects)
-	// PickSeeds: pair with greatest dead area.
-	s1, s2 := 0, 1
-	worst := math.Inf(-1)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			d := rects[i].Union(rects[j]).Area() - rects[i].Area() - rects[j].Area()
-			if d > worst {
-				worst, s1, s2 = d, i, j
-			}
-		}
-	}
-	a = append(a, s1)
-	b = append(b, s2)
-	ra, rb := rects[s1], rects[s2]
-	assigned := make([]bool, n)
-	assigned[s1], assigned[s2] = true, true
-	remaining := n - 2
-	for remaining > 0 {
-		// Force assignment when one group must take all the rest to reach
-		// the minimum fill.
-		if len(a)+remaining == minEntries {
-			for i := 0; i < n; i++ {
-				if !assigned[i] {
-					a = append(a, i)
-					ra = ra.Union(rects[i])
-					assigned[i] = true
-				}
-			}
-			return a, b
-		}
-		if len(b)+remaining == minEntries {
-			for i := 0; i < n; i++ {
-				if !assigned[i] {
-					b = append(b, i)
-					rb = rb.Union(rects[i])
-					assigned[i] = true
-				}
-			}
-			return a, b
-		}
-		// PickNext: entry with max preference difference.
-		next, bestDiff := -1, math.Inf(-1)
-		var da, db float64
-		for i := 0; i < n; i++ {
-			if assigned[i] {
-				continue
-			}
-			ea := enlargement(ra, rects[i])
-			eb := enlargement(rb, rects[i])
-			if diff := math.Abs(ea - eb); diff > bestDiff {
-				next, bestDiff, da, db = i, diff, ea, eb
-			}
-		}
-		assigned[next] = true
-		remaining--
-		if da < db || (da == db && len(a) < len(b)) {
-			a = append(a, next)
-			ra = ra.Union(rects[next])
-		} else {
-			b = append(b, next)
-			rb = rb.Union(rects[next])
-		}
-	}
-	return a, b
-}
 
 func recomputeRect(n *node) geom.Rect {
 	if n.leaf {
@@ -398,8 +166,8 @@ func (t *Tree) NearestK(p geom.Point, k int) []Item {
 }
 
 // Bulk builds an R-tree from items using Sort-Tile-Recursive packing, which
-// produces a well-clustered tree much faster than repeated Insert. The input
-// slice is reordered in place.
+// produces a well-clustered tree in one pass. The input slice is reordered in
+// place.
 func Bulk(items []Item) *Tree {
 	t := &Tree{size: len(items)}
 	if len(items) == 0 {

@@ -52,7 +52,7 @@ func sameSet(a, b map[int64]bool) bool {
 }
 
 func TestEmptyTree(t *testing.T) {
-	tr := New()
+	tr := Bulk(nil)
 	if tr.Len() != 0 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
@@ -61,27 +61,6 @@ func TestEmptyTree(t *testing.T) {
 	}
 	if got := tr.NearestK(geom.Pt(0, 0), 3); got != nil {
 		t.Errorf("NearestK on empty tree = %v", got)
-	}
-}
-
-func TestInsertMatchesLinearScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	items := randomItems(rng, 500)
-	tr := New()
-	for _, it := range items {
-		tr.Insert(it)
-	}
-	if tr.Len() != len(items) {
-		t.Fatalf("Len = %d, want %d", tr.Len(), len(items))
-	}
-	for q := 0; q < 50; q++ {
-		p := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		query := geom.NewRect(p, geom.Pt(p.X+rng.Float64()*120, p.Y+rng.Float64()*120))
-		want := linearSearch(items, query)
-		got := treeSearch(tr, query)
-		if !sameSet(got, want) {
-			t.Fatalf("query %d: got %d items, want %d", q, len(got), len(want))
-		}
 	}
 }
 
@@ -161,31 +140,13 @@ func TestNearestK(t *testing.T) {
 	}
 }
 
-func TestInsertIncremental(t *testing.T) {
-	// Interleave inserts and queries to exercise split paths repeatedly.
-	rng := rand.New(rand.NewSource(6))
-	tr := New()
-	var items []Item
-	for i := 0; i < 300; i++ {
-		it := randomItems(rng, 1)[0]
-		it.Data = int64(i)
-		items = append(items, it)
-		tr.Insert(it)
-		if i%37 == 0 {
-			q := geom.NewRect(geom.Pt(0, 0), geom.Pt(1000, 1000))
-			if got := treeSearch(tr, q); len(got) != len(items) {
-				t.Fatalf("after %d inserts: full query got %d", i+1, len(got))
-			}
-		}
-	}
-}
-
 func TestDuplicateRects(t *testing.T) {
-	tr := New()
 	r := geom.NewRect(geom.Pt(1, 1), geom.Pt(2, 2))
-	for i := 0; i < 50; i++ {
-		tr.Insert(Item{Rect: r, Data: int64(i)})
+	items := make([]Item, 50)
+	for i := range items {
+		items[i] = Item{Rect: r, Data: int64(i)}
 	}
+	tr := Bulk(items)
 	got := tr.SearchAll(r)
 	if len(got) != 50 {
 		t.Errorf("duplicate search = %d, want 50", len(got))

@@ -431,84 +431,28 @@ func constMetric(arg Expr, params map[string]storage.Value) (metricLit, bool) {
 	return metricLit{src: arg, val: v, m: m}, err == nil
 }
 
-// filterScan materializes the row ids of a node passing its filters. A
-// spatial window predicate (ST_WITHIN against a constant geometry) uses the
-// table's R-tree.
+// filterScan materializes the row ids of a node passing its filters, in row
+// order. Every filter, a spatial window such as ST_WITHIN(col, const)
+// included, is evaluated on every row: no index outlives the query, and one
+// pass over the rows costs what building a window index would.
 func filterScan(n *scanNode, slots int, params map[string]storage.Value) ([]int, error) {
-	candidates, prefiltered, err := spatialCandidates(n, params)
-	if err != nil {
-		return nil, err
-	}
 	ev := &env{rows: make([]storage.Row, slots), params: params}
 	var ids []int
-	check := func(id int) error {
-		ev.rows[n.slot] = n.rows[id]
+rows:
+	for id, r := range n.rows {
+		ev.rows[n.slot] = r
 		for _, f := range n.filters {
 			ok, err := ev.evalBool(f)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if !ok {
-				return nil
+				continue rows
 			}
 		}
 		ids = append(ids, id)
-		return nil
-	}
-	if prefiltered {
-		for _, id := range candidates {
-			if id >= len(n.rows) {
-				break // appended after the plan captured the table
-			}
-			if err := check(id); err != nil {
-				return nil, err
-			}
-		}
-		return ids, nil
-	}
-	for id := range n.rows {
-		if err := check(id); err != nil {
-			return nil, err
-		}
 	}
 	return ids, nil
-}
-
-// spatialCandidates looks for a window-shaped filter, ST_WITHIN(col, const),
-// and uses the R-tree to pre-filter; the exact predicate is still applied
-// afterwards by filterScan.
-func spatialCandidates(n *scanNode, params map[string]storage.Value) ([]int, bool, error) {
-	for _, f := range n.filters {
-		call, ok := f.(Call)
-		if !ok || call.Name != "ST_WITHIN" {
-			continue
-		}
-		c, cok := call.Args[0].(boundCol)
-		if !cok || len(aliasesOf(call.Args[1])) != 0 {
-			continue
-		}
-		v, err := (&env{params: params}).eval(call.Args[1])
-		if err != nil {
-			continue
-		}
-		g, err := v.AsGeom()
-		if err != nil {
-			continue
-		}
-		if !n.tbl.HasSpatialIndex(c.Col) {
-			// Build the on-the-fly index the paper describes; worthwhile
-			// for repeated rule evaluation over the same relation.
-			if err := n.tbl.BuildSpatialIndex(c.Col); err != nil {
-				continue
-			}
-		}
-		ids, err := n.tbl.SearchSpatial(c.Col, g.Bounds())
-		if err != nil {
-			return nil, false, err
-		}
-		return ids, true, nil
-	}
-	return nil, false, nil
 }
 
 // fanout estimates how many of the node's filtered rows match one probe

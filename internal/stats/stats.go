@@ -159,22 +159,3 @@ func AvgKL(truth, estimated [][]float64, include func(v int) bool) (float64, err
 	}
 	return sum / float64(n), nil
 }
-
-// MeanAbsError returns the mean |score − truth-midpoint| over examples with
-// truth, a convenient scalar for convergence plots.
-func MeanAbsError(examples []Example) float64 {
-	var sum float64
-	n := 0
-	for _, e := range examples {
-		if !e.HasTruth {
-			continue
-		}
-		mid := (e.Truth.Lo + e.Truth.Hi) / 2
-		sum += math.Abs(e.Score - mid)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}

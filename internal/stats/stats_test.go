@@ -152,19 +152,3 @@ func TestAvgKL(t *testing.T) {
 		t.Errorf("empty selection AvgKL = %v", d)
 	}
 }
-
-func TestMeanAbsError(t *testing.T) {
-	exs := []Example{
-		{Score: 0.6, Truth: Point(0.5), HasTruth: true},
-		{Score: 0.2, Truth: TruthRange{Lo: 0.3, Hi: 0.5}, HasTruth: true},
-		{Score: 0.99, HasTruth: false},
-	}
-	got := MeanAbsError(exs)
-	want := (0.1 + 0.2) / 2
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("MAE = %v, want %v", got, want)
-	}
-	if MeanAbsError(nil) != 0 {
-		t.Error("empty MAE != 0")
-	}
-}

@@ -2,10 +2,13 @@ package storage
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/index/rtree"
 )
 
 // sensorSchema is a small spatially-indexed relation for concurrency tests.
@@ -21,11 +24,12 @@ func sensorRow(i int) Row {
 	return Row{Int(int64(i)), Geom(geom.Point{X: float64(i % 32), Y: float64(i / 32)}), Str(fmt.Sprintf("w%d", i))}
 }
 
-// TestConcurrentReadsDuringUpsert drives every read path (Len, Row, Scan,
-// LookupHash with and without an index, SearchSpatial with and without an
-// R-tree, HasSpatialIndex) while a writer keeps appending — the serving
-// layer's evidence-upsert shape. Run under -race this pins down the
-// RW-mutex guarantees on the rows slice and in-place index updates.
+// TestConcurrentReadsDuringUpsert drives every read path (Len, Row, Rows,
+// Scan) while a writer keeps appending — the serving layer's evidence-upsert
+// shape. Run under -race this pins down the RW-mutex guarantees on the rows
+// slice. The indexed case also bulk-loads an R-tree over each Rows snapshot,
+// the way a reader that queries a table spatially indexes it, and checks its
+// window search against a scan filter over the same snapshot.
 func TestConcurrentReadsDuringUpsert(t *testing.T) {
 	for _, indexed := range []bool{false, true} {
 		name := "unindexed"
@@ -43,21 +47,12 @@ func TestConcurrentReadsDuringUpsert(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if indexed {
-				if err := tbl.BuildHashIndex("id"); err != nil {
-					t.Fatal(err)
-				}
-				if err := tbl.BuildSpatialIndex("loc"); err != nil {
-					t.Fatal(err)
-				}
-			}
 
 			const appends = 512
 			var wg sync.WaitGroup
 			stop := make(chan struct{})
 
-			// Writer: one upsert stream growing the table (and, when
-			// indexed, inserting into the hash buckets and R-tree in place).
+			// Writer: one upsert stream growing the table.
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -75,7 +70,7 @@ func TestConcurrentReadsDuringUpsert(t *testing.T) {
 				wg.Add(1)
 				go func(r int) {
 					defer wg.Done()
-					window := geom.NewRect(geom.Point{X: -1, Y: -1}, geom.Point{X: 40, Y: 40})
+					window := geom.NewRect(geom.Point{X: 2, Y: 0}, geom.Point{X: 9, Y: 5})
 					for {
 						select {
 						case <-stop:
@@ -103,16 +98,17 @@ func TestConcurrentReadsDuringUpsert(t *testing.T) {
 							t.Errorf("scan saw %d rows, want ≥ %d", seen, seedRows)
 							return
 						}
-						ids, err := tbl.LookupHash("id", Int(int64(r)))
-						if err != nil || len(ids) != 1 {
-							t.Errorf("lookup id=%d: ids=%v err=%v", r, ids, err)
+						rows := tbl.Rows()
+						if len(rows) < seedRows || !rows[r][0].Equal(Int(int64(r))) {
+							t.Errorf("rows: %d rows, row %d = %v", len(rows), r, rows[r])
 							return
 						}
-						if _, err := tbl.SearchSpatial("loc", window); err != nil {
-							t.Errorf("spatial search: %v", err)
-							return
+						if indexed {
+							if err := searchMatchesScan(rows, window); err != nil {
+								t.Error(err)
+								return
+							}
 						}
-						tbl.HasSpatialIndex("loc")
 					}
 				}(r)
 			}
@@ -121,76 +117,45 @@ func TestConcurrentReadsDuringUpsert(t *testing.T) {
 			if got := tbl.Len(); got != seedRows+appends {
 				t.Fatalf("final len = %d, want %d", got, seedRows+appends)
 			}
-			// Post-quiescence: the in-place index updates must agree with a
-			// from-scratch rebuild.
-			lastID := int64(seedRows + appends - 1)
-			ids, err := tbl.LookupHash("id", Int(lastID))
-			if err != nil || len(ids) != 1 {
-				t.Fatalf("lookup of last row: ids=%v err=%v", ids, err)
+			for id, row := range tbl.Rows() {
+				if !row[0].Equal(Int(int64(id))) {
+					t.Fatalf("row %d holds id %v", id, row[0])
+				}
 			}
-			all, err := tbl.SearchSpatial("loc", geom.NewRect(geom.Point{X: -1, Y: -1}, geom.Point{X: 1e9, Y: 1e9}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if indexed && len(all) != seedRows+appends {
-				t.Fatalf("spatial search found %d rows, want %d", len(all), seedRows+appends)
+			if indexed {
+				all := geom.NewRect(geom.Point{X: -1, Y: -1}, geom.Point{X: 1e9, Y: 1e9})
+				if err := searchMatchesScan(tbl.Rows(), all); err != nil {
+					t.Fatal(err)
+				}
 			}
 		})
 	}
 }
 
-// TestConcurrentIndexBuildDuringReads rebuilds indexes while readers run:
-// the serving layer re-grounds against live tables, which re-bulk-loads
-// R-trees.
-func TestConcurrentIndexBuildDuringReads(t *testing.T) {
-	tbl, err := NewTable(sensorSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 256; i++ {
-		if err := tbl.Append(sensorRow(i)); err != nil {
-			t.Fatal(err)
+// searchMatchesScan bulk-loads an R-tree over rows' loc column and checks
+// that its window search finds exactly the rows a scan filter keeps.
+func searchMatchesScan(rows []Row, window geom.Rect) error {
+	items := make([]rtree.Item, len(rows))
+	var want []int64
+	for id, row := range rows {
+		g, err := row[1].AsGeom()
+		if err != nil {
+			return fmt.Errorf("row %d: %v", id, err)
+		}
+		items[id] = rtree.Item{Rect: g.Bounds(), Data: int64(id)}
+		if window.Intersects(g.Bounds()) {
+			want = append(want, int64(id))
 		}
 	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(stop)
-		for i := 0; i < 50; i++ {
-			if err := tbl.BuildSpatialIndex("loc"); err != nil {
-				t.Errorf("build spatial: %v", err)
-				return
-			}
-			if err := tbl.BuildHashIndex("id"); err != nil {
-				t.Errorf("build hash: %v", err)
-				return
-			}
-		}
-	}()
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, err := tbl.SearchSpatial("loc", geom.NewRect(geom.Point{}, geom.Point{X: 16, Y: 16})); err != nil {
-					t.Errorf("search: %v", err)
-					return
-				}
-				if _, err := tbl.LookupHash("id", Int(7)); err != nil {
-					t.Errorf("lookup: %v", err)
-					return
-				}
-			}
-		}()
+	var got []int64
+	for _, it := range rtree.Bulk(items).SearchAll(window) {
+		got = append(got, it.Data)
 	}
-	wg.Wait()
+	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+	if !slices.Equal(got, want) {
+		return fmt.Errorf("R-tree over %d rows found %v, scan found %v", len(rows), got, want)
+	}
+	return nil
 }
 
 func TestParseCell(t *testing.T) {

@@ -1,9 +1,7 @@
 package storage
 
 import (
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/geom"
 )
@@ -91,19 +89,6 @@ func TestValueEqualAndCompare(t *testing.T) {
 	}
 }
 
-func TestValueHashKeyConsistentWithEqualProperty(t *testing.T) {
-	f := func(a, b int64) bool {
-		va, vb := Int(a), Float(float64(b))
-		if va.Equal(vb) && va.hashKey() != vb.hashKey() {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSchemaValidate(t *testing.T) {
 	good := wellSchema()
 	if err := good.Validate(); err != nil {
@@ -167,101 +152,6 @@ func TestTableAppendAndScan(t *testing.T) {
 	}
 }
 
-func TestHashIndexLookup(t *testing.T) {
-	tb, _ := NewTable(Schema{Name: "T", Cols: []Column{
-		{Name: "k", Kind: KindInt}, {Name: "v", Kind: KindString},
-	}})
-	for i := 0; i < 100; i++ {
-		if err := tb.Append(Row{Int(int64(i % 10)), Str("row")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Scan-based lookup before any index.
-	ids, err := tb.LookupHash("k", Int(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 10 {
-		t.Fatalf("scan lookup = %d rows", len(ids))
-	}
-	if err := tb.BuildHashIndex("k"); err != nil {
-		t.Fatal(err)
-	}
-	ids2, err := tb.LookupHash("k", Int(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids2) != 10 {
-		t.Fatalf("indexed lookup = %d rows", len(ids2))
-	}
-	// Index stays fresh across appends.
-	if err := tb.Append(Row{Int(3), Str("new")}); err != nil {
-		t.Fatal(err)
-	}
-	ids3, _ := tb.LookupHash("k", Int(3))
-	if len(ids3) != 11 {
-		t.Fatalf("post-append lookup = %d rows", len(ids3))
-	}
-	if _, err := tb.LookupHash("missing", Int(0)); err == nil {
-		t.Error("lookup on missing column should fail")
-	}
-	if err := tb.BuildHashIndex("missing"); err == nil {
-		t.Error("index on missing column should fail")
-	}
-}
-
-func TestSpatialIndexSearch(t *testing.T) {
-	tb, _ := NewTable(wellSchema())
-	rng := rand.New(rand.NewSource(9))
-	n := 500
-	for i := 0; i < n; i++ {
-		p := geom.Pt(rng.Float64()*100, rng.Float64()*100)
-		if err := tb.Append(Row{Int(int64(i)), Geom(p), Float(rng.Float64()), Bool(true)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	window := geom.NewRect(geom.Pt(20, 20), geom.Pt(40, 40))
-	scanIDs, err := tb.SearchSpatial("location", window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tb.HasSpatialIndex("location") {
-		t.Error("index should not exist yet")
-	}
-	if err := tb.BuildSpatialIndex("location"); err != nil {
-		t.Fatal(err)
-	}
-	if !tb.HasSpatialIndex("location") {
-		t.Error("index should exist")
-	}
-	idxIDs, err := tb.SearchSpatial("location", window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scanIDs) != len(idxIDs) {
-		t.Fatalf("scan=%d idx=%d", len(scanIDs), len(idxIDs))
-	}
-	for i := range scanIDs {
-		if scanIDs[i] != idxIDs[i] {
-			t.Fatalf("id mismatch at %d: %d vs %d", i, scanIDs[i], idxIDs[i])
-		}
-	}
-	// Index must track appends.
-	if err := tb.Append(Row{Int(999), Geom(geom.Pt(30, 30)), Float(0), Bool(true)}); err != nil {
-		t.Fatal(err)
-	}
-	afterIDs, _ := tb.SearchSpatial("location", window)
-	if len(afterIDs) != len(idxIDs)+1 {
-		t.Fatalf("post-append search = %d, want %d", len(afterIDs), len(idxIDs)+1)
-	}
-	if err := tb.BuildSpatialIndex("arsenic_ratio"); err == nil {
-		t.Error("spatial index on scalar column should fail")
-	}
-	if err := tb.BuildSpatialIndex("nope"); err == nil {
-		t.Error("spatial index on missing column should fail")
-	}
-}
-
 func TestDBLifecycle(t *testing.T) {
 	db := NewDB()
 	if _, err := db.Create(wellSchema()); err != nil {
@@ -280,15 +170,8 @@ func TestDBLifecycle(t *testing.T) {
 	if _, err := db.Create(Schema{Name: "Alpha", Cols: []Column{{Name: "a", Kind: KindInt}}}); err != nil {
 		t.Fatal(err)
 	}
-	names := db.Names()
-	if len(names) != 2 || names[0] != "Alpha" || names[1] != "Well" {
-		t.Errorf("Names = %v", names)
-	}
-	if err := db.Drop("well"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Drop("well"); err == nil {
-		t.Error("double drop should fail")
+	if tb, err := db.Table("alpha"); err != nil || tb.Schema().Name != "Alpha" {
+		t.Errorf("Table(alpha) = %v, %v", tb, err)
 	}
 }
 
@@ -297,15 +180,7 @@ func TestNullsAllowedInRows(t *testing.T) {
 	if err := tb.Append(Row{Int(1), Null, Null, Null}); err != nil {
 		t.Fatalf("nulls should be allowed: %v", err)
 	}
-	// Spatial index skips NULL geometry.
-	if err := tb.BuildSpatialIndex("location"); err != nil {
-		t.Fatal(err)
-	}
-	ids, err := tb.SearchSpatial("location", geom.NewRect(geom.Pt(-1000, -1000), geom.Pt(1000, 1000)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 0 {
-		t.Errorf("null geometry indexed: %v", ids)
+	if _, err := tb.Row(0)[1].AsGeom(); err == nil {
+		t.Error("a NULL location read back as a geometry")
 	}
 }

@@ -2,12 +2,10 @@ package storage
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
 	"repro/internal/geom"
-	"repro/internal/index/rtree"
 )
 
 // Column describes one attribute of a relation.
@@ -61,14 +59,11 @@ func (s *Schema) Validate() error {
 // Row is one tuple, positionally matching the schema columns.
 type Row []Value
 
-// Table is an in-memory relation with optional secondary indexes.
+// Table is an in-memory, append-only relation.
 type Table struct {
 	schema Schema
 	rows   []Row
-
-	mu      sync.RWMutex
-	hashIdx map[int]map[string][]int // column -> value bucket -> row ids
-	rtrees  map[int]*rtree.Tree      // geom column -> R-tree over row ids
+	mu     sync.RWMutex
 }
 
 // NewTable creates an empty table for the schema.
@@ -76,11 +71,7 @@ func NewTable(s Schema) (*Table, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return &Table{
-		schema:  s,
-		hashIdx: map[int]map[string][]int{},
-		rtrees:  map[int]*rtree.Tree{},
-	}, nil
+	return &Table{schema: s}, nil
 }
 
 // Schema returns the table schema.
@@ -126,25 +117,15 @@ func (t *Table) checkRow(r Row) error {
 	return nil
 }
 
-// Append adds a row, updating secondary indexes. The row is stored by
-// reference; callers must not mutate it afterwards.
+// Append adds a row. The row is stored by reference; callers must not mutate
+// it afterwards.
 func (t *Table) Append(r Row) error {
 	if err := t.checkRow(r); err != nil {
 		return err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	id := len(t.rows)
 	t.rows = append(t.rows, r)
-	for col, buckets := range t.hashIdx {
-		k := r[col].hashKey()
-		buckets[k] = append(buckets[k], id)
-	}
-	for col, tree := range t.rtrees {
-		if g, err := r[col].AsGeom(); err == nil {
-			tree.Insert(rtree.Item{Rect: g.Bounds(), Data: int64(id)})
-		}
-	}
 	return nil
 }
 
@@ -174,135 +155,6 @@ func (t *Table) Scan(fn func(id int, r Row) bool) {
 			return
 		}
 	}
-}
-
-// BuildHashIndex creates (or rebuilds) a hash index on the named column.
-// The grounding queries use it for equi-joins.
-func (t *Table) BuildHashIndex(col string) error {
-	ci := t.schema.ColIndex(col)
-	if ci < 0 {
-		return fmt.Errorf("storage: %s has no column %q", t.schema.Name, col)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	buckets := map[string][]int{}
-	for id, r := range t.rows {
-		k := r[ci].hashKey()
-		buckets[k] = append(buckets[k], id)
-	}
-	t.hashIdx[ci] = buckets
-	return nil
-}
-
-// LookupHash returns the ids of rows whose column equals v, using the hash
-// index if present, else a scan.
-func (t *Table) LookupHash(col string, v Value) ([]int, error) {
-	ci := t.schema.ColIndex(col)
-	if ci < 0 {
-		return nil, fmt.Errorf("storage: %s has no column %q", t.schema.Name, col)
-	}
-	t.mu.RLock()
-	buckets, ok := t.hashIdx[ci]
-	var ids []int
-	if ok {
-		// Copy the bucket under the lock: Append grows buckets in place.
-		ids = append([]int(nil), buckets[v.hashKey()]...)
-	}
-	rows := t.rows
-	t.mu.RUnlock()
-	if ok {
-		// Defensive re-check: hash keys for numerics are normalized, but
-		// keep equality authoritative.
-		out := make([]int, 0, len(ids))
-		for _, id := range ids {
-			if rows[id][ci].Equal(v) {
-				out = append(out, id)
-			}
-		}
-		return out, nil
-	}
-	var out []int
-	for id, r := range rows {
-		if r[ci].Equal(v) {
-			out = append(out, id)
-		}
-	}
-	return out, nil
-}
-
-// BuildSpatialIndex creates (or rebuilds) an R-tree over the named geometry
-// column — the paper's "on-fly spatial indices" (Section IV-B). Rows with
-// NULL geometry are skipped.
-func (t *Table) BuildSpatialIndex(col string) error {
-	ci := t.schema.ColIndex(col)
-	if ci < 0 {
-		return fmt.Errorf("storage: %s has no column %q", t.schema.Name, col)
-	}
-	if t.schema.Cols[ci].Kind != KindGeom {
-		return fmt.Errorf("storage: %s.%s is not a geometry column", t.schema.Name, col)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	items := make([]rtree.Item, 0, len(t.rows))
-	for id, r := range t.rows {
-		g, err := r[ci].AsGeom()
-		if err != nil {
-			continue
-		}
-		items = append(items, rtree.Item{Rect: g.Bounds(), Data: int64(id)})
-	}
-	t.rtrees[ci] = rtree.Bulk(items)
-	return nil
-}
-
-// HasSpatialIndex reports whether an R-tree exists for the column.
-func (t *Table) HasSpatialIndex(col string) bool {
-	ci := t.schema.ColIndex(col)
-	if ci < 0 {
-		return false
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.rtrees[ci] != nil
-}
-
-// SearchSpatial returns ids of rows whose geometry bounding box intersects
-// the query window, using the R-tree if present (else scanning). Callers
-// must apply the exact predicate afterwards — this is the filter step of
-// the classic filter-and-refine spatial query plan.
-func (t *Table) SearchSpatial(col string, window geom.Rect) ([]int, error) {
-	ci := t.schema.ColIndex(col)
-	if ci < 0 {
-		return nil, fmt.Errorf("storage: %s has no column %q", t.schema.Name, col)
-	}
-	// The whole search runs under the read lock: Append inserts into the
-	// R-tree in place, so the traversal must exclude writers (concurrent
-	// readers still proceed in parallel).
-	t.mu.RLock()
-	tree := t.rtrees[ci]
-	if tree != nil {
-		var ids []int
-		tree.Search(window, func(it rtree.Item) bool {
-			ids = append(ids, int(it.Data))
-			return true
-		})
-		t.mu.RUnlock()
-		sort.Ints(ids)
-		return ids, nil
-	}
-	rows := t.rows
-	t.mu.RUnlock()
-	var ids []int
-	for id, r := range rows {
-		g, err := r[ci].AsGeom()
-		if err != nil {
-			continue
-		}
-		if g.Bounds().Intersects(window) {
-			ids = append(ids, id)
-		}
-	}
-	return ids, nil
 }
 
 // DB is a named collection of tables: the "database" the grounding module
@@ -342,28 +194,4 @@ func (db *DB) Table(name string) (*Table, error) {
 		return nil, fmt.Errorf("storage: no table %q", name)
 	}
 	return t, nil
-}
-
-// Drop removes a table.
-func (db *DB) Drop(name string) error {
-	key := strings.ToLower(name)
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, ok := db.tables[key]; !ok {
-		return fmt.Errorf("storage: no table %q", name)
-	}
-	delete(db.tables, key)
-	return nil
-}
-
-// Names returns the sorted table names.
-func (db *DB) Names() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	names := make([]string, 0, len(db.tables))
-	for _, t := range db.tables {
-		names = append(names, t.schema.Name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -1,8 +1,9 @@
 // Package storage provides the embedded relational substrate that Sya
 // grounds against (paper Section IV-B). The paper executes translated rule
 // queries on PostgreSQL/PostGIS; this package plays that role: typed
-// schemas, in-memory tables, hash indexes on scalar columns, and R-tree
-// indexes on spatial columns.
+// schemas and append-only in-memory tables. It keeps no indexes: the query
+// engine builds the one a query needs on the fly (sqlx's per-query spatial
+// join index) and drops it afterwards.
 package storage
 
 import (
@@ -261,33 +262,5 @@ func ParseCell(col Column, cell string) (Value, error) {
 		return Geom(g), nil
 	default:
 		return Null, fmt.Errorf("unsupported column kind %v", col.Kind)
-	}
-}
-
-// hashKey returns a map key for hash-join/index buckets.
-func (v Value) hashKey() string {
-	switch v.Kind {
-	case KindNull:
-		return "\x00"
-	case KindInt:
-		return "i" + strconv.FormatInt(v.I, 10)
-	case KindFloat:
-		// Normalize integral floats so Int(3) and Float(3) bucket together,
-		// matching Equal's cross-kind numeric semantics.
-		if v.F == float64(int64(v.F)) {
-			return "i" + strconv.FormatInt(int64(v.F), 10)
-		}
-		return "f" + strconv.FormatFloat(v.F, 'b', -1, 64)
-	case KindBool:
-		if v.I != 0 {
-			return "bt"
-		}
-		return "bf"
-	case KindString:
-		return "s" + v.S
-	case KindGeom:
-		return "g" + geom.MarshalWKT(v.G)
-	default:
-		return "?"
 	}
 }

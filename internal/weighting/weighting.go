@@ -200,13 +200,6 @@ func (r *Registry) MustRegister(f Func) {
 	}
 }
 
-// Replace adds or overwrites a function.
-func (r *Registry) Replace(f Func) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.funcs[strings.ToLower(f.Name())] = f
-}
-
 // Lookup resolves a name.
 func (r *Registry) Lookup(name string) (Func, error) {
 	r.mu.RLock()
@@ -216,16 +209,4 @@ func (r *Registry) Lookup(name string) (Func, error) {
 		return nil, fmt.Errorf("weighting: unknown @spatial function %q", name)
 	}
 	return f, nil
-}
-
-// Names returns the sorted registered names.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.funcs))
-	for n := range r.funcs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

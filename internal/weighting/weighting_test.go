@@ -147,13 +147,7 @@ func TestRegistry(t *testing.T) {
 	if err := r.Register(s); err == nil {
 		t.Error("duplicate register should fail")
 	}
-	r.Replace(Exponential{Bandwidth: 99, Scale: 1}) // overwrite allowed
-	f, _ := r.Lookup("exp")
-	if f.(Exponential).Bandwidth != 99 {
-		t.Error("Replace did not overwrite")
-	}
-	names := r.Names()
-	if len(names) != 4 {
-		t.Errorf("names = %v", names)
+	if f, err := r.Lookup("STEP"); err != nil || f.Name() != s.Name() {
+		t.Errorf("Lookup(STEP) = %v, %v; want the registered step", f, err)
 	}
 }

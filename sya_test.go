@@ -1,7 +1,14 @@
 package sya_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os/exec"
+	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 
 	sya "repro"
@@ -109,5 +116,115 @@ func TestBenchmarkModuleBuilds(t *testing.T) {
 	cmd.Dir = "benchmark"
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("go vet ./... in benchmark/: %v\n%s", err, out)
+	}
+}
+
+// testSeams are the exported funcs and methods that exist for tests, each
+// with the reason it stays exported although no non-test file calls it.
+var testSeams = map[string]string{
+	"SetTestHooks":     "gibbs' fault-injection hooks for the runtime and checkpoint tests",
+	"ReadCheckpoint":   "gibbs' checkpoint decoder, the FuzzReadCheckpoint target",
+	"LoadCheckpoint":   "gibbs' checkpoint file reader, which the resume tests inspect",
+	"WriteTo":          "Checkpoint.WriteTo, through which the checkpoint byte goldens are encoded",
+	"FrameOffsets":     "wal's frame boundaries, where the torn-log tests cut",
+	"CheckInvariants":  "pyramid's structural oracle for Build",
+	"ExactMarginals":   "factorgraph's exact-enumeration oracle the statistical harness checks samplers against",
+	"AddSpatialPair":   "the validating one-pair Builder call the test graphs are written with; grounding uses AddSpatialPairs",
+	"InstrumentSweeps": "Spatial's sweep instrumentation for the locality tests",
+	"SweptCells":       "Spatial's sweep instrumentation for the locality tests",
+	"SweptTailVars":    "Spatial's sweep instrumentation for the locality tests",
+	"ScheduledCells":   "Spatial's sweep instrumentation: the schedule size the locality tests compare against",
+	"PendingDirty":     "Spatial's sweep instrumentation: the dirty set the incremental tests drain",
+	"Pyramid":          "Spatial's sweep instrumentation: the index the golden and tail tests probe",
+	"CellStats":        "Spatial's sweep instrumentation: the per-level schedule summary",
+}
+
+// interfaceMethods are methods the standard library calls through an
+// interface, so no file in the module names them.
+var interfaceMethods = map[string]string{
+	"Error":         "error",
+	"Less":          "sort.Interface, for container/heap",
+	"Swap":          "sort.Interface, for container/heap",
+	"MarshalText":   "encoding.TextMarshaler, for flag.TextVar",
+	"UnmarshalText": "encoding.TextUnmarshaler, for flag.TextVar",
+}
+
+// TestNoTestOnlyExports fails on any exported func or method that no
+// non-test file in the module references by name (benchmark/ and examples/
+// count as callers; internal/gibbs/testutil, a test helper package, counts
+// as neither caller nor callee). Code only tests reach is surface to delete;
+// a seam tests genuinely need goes in testSeams with its reason.
+func TestNoTestOnlyExports(t *testing.T) {
+	fset := token.NewFileSet()
+	declared := map[string][]string{} // name -> declaring files
+	referenced := map[string]bool{}
+	refs := func(n ast.Node) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				referenced[id.Name] = true
+			}
+			return true
+		})
+	}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if path != "." && (strings.HasPrefix(name, ".") || name == "testdata") ||
+				path == filepath.Join("internal", "gibbs", "testutil") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		callerOnly := strings.HasPrefix(path, "benchmark"+string(filepath.Separator)) ||
+			strings.HasPrefix(path, "examples"+string(filepath.Separator))
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				refs(decl)
+				continue
+			}
+			// The declared name is not a reference to itself.
+			if fn.Recv != nil {
+				refs(fn.Recv)
+			}
+			refs(fn.Type)
+			if fn.Body != nil {
+				refs(fn.Body)
+			}
+			if callerOnly || !fn.Name.IsExported() || fn.Recv != nil && interfaceMethods[fn.Name.Name] != "" {
+				continue
+			}
+			declared[fn.Name.Name] = append(declared[fn.Name.Name], path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var unused []string
+	for name, files := range declared {
+		if !referenced[name] && testSeams[name] == "" {
+			unused = append(unused, name+" ("+strings.Join(files, ", ")+")")
+		}
+	}
+	sort.Strings(unused)
+	if len(unused) > 0 {
+		t.Errorf("exported funcs and methods no non-test file references; delete them or list them in testSeams with a reason:\n\t%s",
+			strings.Join(unused, "\n\t"))
+	}
+	for name := range testSeams {
+		if len(declared[name]) == 0 || referenced[name] {
+			t.Errorf("testSeams lists %s, which is no longer a declared, otherwise unreferenced export; drop the entry", name)
+		}
 	}
 }
