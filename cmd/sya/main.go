@@ -24,8 +24,8 @@
 // at the same file resumes where it left off, falling back to the previous
 // snapshot if the newest is torn.
 //
-// Observability: -metrics-addr serves live Prometheus-text /metrics,
-// /debug/vars and /debug/pprof/ while the run is in flight; -trace-out
+// Observability: -metrics-addr serves live Prometheus-text /metrics and
+// /debug/pprof/ while the run is in flight; -trace-out
 // writes the finished run as one JSON line — the same span-tree record syad
 // serves per request at /debug/traces: a core.ground stage with a child per
 // rule and per @spatial relation, learn.weights with an event per iteration,
@@ -116,7 +116,7 @@ func parseArgs(args []string, stderr io.Writer) (runOpts, error) {
 	fs.DurationVar(&o.timeout, "timeout", 0, "bound the whole run; partial scores are still printed (0 = none)")
 	fs.StringVar(&o.ckptPath, "checkpoint", "", "snapshot sampler state to this file and resume from it if it exists")
 	fs.IntVar(&o.ckptEvery, "checkpoint-every", 100, "epochs between checkpoint snapshots (≥ 1)")
-	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while running")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics and /debug/pprof on this address while running")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write the run's span tree (one JSON trace record, the /debug/traces schema) to this file")
 	fs.IntVar(&o.progress, "progress", 0, "print a convergence diagnostic to stderr every N epochs (0 = off)")
 	fs.StringVar(&o.localAtom, "local-atom", "", "answer one atom key (relation|term,...) by lazy local grounding instead of full inference")

@@ -86,7 +86,7 @@ func parseArgs(args []string, stderr io.Writer) (bench.Params, []string, runOpti
 	fs.IntVar(&p.Workers, "workers", p.Workers, "grounding and sampler worker-pool width (0 = GOMAXPROCS, 1 = sequential; the ground graph is identical)")
 	phase := fs.String("phase", "", "restrict to one pipeline phase: grounding (skip inference, blank quality columns)")
 	fs.DurationVar(&o.timeout, "timeout", 0, "stop starting new experiments after this long (0 = none)")
-	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve live /metrics, /debug/vars and pprof on this address while experiments run")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve live /metrics and pprof on this address while experiments run")
 	if err := fs.Parse(args); err != nil {
 		return p, nil, o, err
 	}

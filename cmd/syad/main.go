@@ -9,10 +9,9 @@
 //	    [-addr host:port] [-engine sya|deepdive] [-metric euclidean|miles|km] \
 //	    [-epochs N] [-warmup-epochs N] [-upsert-epochs N] \
 //	    [-local-budget N] [-local-epochs N] \
-//	    [-bandwidth B] [-scale S] [-seed N] [-workers N] [-label NAME] \
+//	    [-bandwidth B] [-scale S] [-seed N] [-workers N] \
 //	    [-trace-ring N] [-slow-ms D] \
-//	    [-wal file.wal] [-wal-sync-every N] [-wal-snapshot-every N] \
-//	    [-max-queued-upserts N] [-upsert-timeout D] \
+//	    [-wal file.wal] [-max-queued-upserts N] [-upsert-timeout D] \
 //	    [-read-timeout D] [-read-header-timeout D] [-write-timeout D] \
 //	    [-drain-timeout D]
 //
@@ -43,9 +42,8 @@
 // to a full re-ground + re-warmup automatically.
 //
 // With -wal, every accepted evidence batch is appended to a CRC-framed
-// write-ahead log before it is applied, and replayed on the next boot — a
-// crash (even SIGKILL mid-upsert) loses nothing that was acked. The log is
-// compacted into a rotating snapshot pair every -wal-snapshot-every records.
+// write-ahead log and fsynced before it is applied, and replayed on the next
+// boot — a crash (even SIGKILL mid-upsert) loses nothing that was acked.
 // Overload is shed: at most -max-queued-upserts evidence requests may be in
 // flight (429 beyond that), and reads during an upsert or re-ground are
 // served from the previous generation's snapshot with "stale": true.
@@ -54,8 +52,8 @@
 // -bandwidth, -scale, -seed, -workers) are bound once in cliutil and
 // shared with the sya CLI, so a batch invocation can be lifted into a
 // resident server by swapping the binary name. ^C / SIGTERM drains
-// in-flight requests for -drain-timeout, fsyncs and closes the WAL, and
-// exits cleanly.
+// in-flight requests for -drain-timeout, closes the WAL, and exits
+// cleanly.
 package main
 
 import (
@@ -108,13 +106,10 @@ type runOpts struct {
 	localBudget  int
 	localEpochs  int
 
-	label     string
 	traceRing int
 	slowMS    int
 
 	walPath          string
-	walSyncEvery     int
-	walSnapshotEvery int
 	maxQueuedUpserts int
 	upsertTimeout    time.Duration
 
@@ -142,13 +137,10 @@ func parseArgs(args []string, stderr io.Writer) (runOpts, error) {
 	fs.IntVar(&o.upsertEpochs, "upsert-epochs", 0, "incremental epochs after each evidence upsert (0 = -epochs)")
 	fs.IntVar(&o.localBudget, "local-budget", 0, "default lazy-grounding variable budget for point queries: answer from a bounded subgraph of at most N sampled variables (0 = full-graph path; ?budget= overrides per request)")
 	fs.IntVar(&o.localEpochs, "local-epochs", 0, "sampling epochs per lazy point query (0 = -epochs)")
-	fs.StringVar(&o.label, "label", "", "metrics label: scope all series with {system=NAME}")
 	fs.IntVar(&o.traceRing, "trace-ring", 64, "completed traces (requests and the boot) retained for /debug/traces (0 = tracing off)")
 	fs.IntVar(&o.slowMS, "slow-ms", 0, "log requests (and a boot) slower than this many milliseconds as structured JSON (0 = off)")
 
 	fs.StringVar(&o.walPath, "wal", "", "evidence write-ahead log file: append accepted upserts before applying, replay on boot (\"\" = durability off)")
-	fs.IntVar(&o.walSyncEvery, "wal-sync-every", 1, "fsync the WAL after every N appends (1 = every append)")
-	fs.IntVar(&o.walSnapshotEvery, "wal-snapshot-every", 64, "compact the WAL into its snapshot pair after N log records (0 = never)")
 	fs.IntVar(&o.maxQueuedUpserts, "max-queued-upserts", 32, "maximum in-flight evidence upserts before shedding with 429")
 	fs.DurationVar(&o.upsertTimeout, "upsert-timeout", 0, "server-side deadline for the inference phase of one upsert (0 = client-bounded only)")
 	fs.DurationVar(&o.readTimeout, "read-timeout", time.Minute, "http.Server ReadTimeout (whole-request read deadline)")
@@ -184,8 +176,8 @@ func run(ctx context.Context, o runOpts) (err error) {
 		return err
 	}
 	span.Finish("ok")
-	// Close syncs the WAL: surface its error so a failed final fsync is not
-	// silently swallowed on shutdown.
+	// Close closes the WAL: surface its error rather than swallow it on
+	// shutdown.
 	defer func() {
 		if cerr := srv.Close(); cerr != nil && err == nil {
 			err = cerr
@@ -215,9 +207,8 @@ func run(ctx context.Context, o runOpts) (err error) {
 		return err
 	case <-ctx.Done():
 	}
-	// Drain in-flight requests, then force-close stragglers. The deferred
-	// srv.Close fsyncs the WAL after the drain, so a SIGTERM never loses an
-	// acked upsert.
+	// Drain in-flight requests, then force-close stragglers; the deferred
+	// srv.Close closes the WAL after the drain.
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
 	defer cancel()
 	if err := hsrv.Shutdown(shutdownCtx); err != nil {
@@ -233,23 +224,17 @@ func run(ctx context.Context, o runOpts) (err error) {
 // owns the system.
 func boot(ctx context.Context, o runOpts, tracer *obs.Tracer) (*serve.Server, error) {
 	reg := obs.NewRegistry()
-	o.Config.Metrics, o.Config.MetricLabel = reg, o.label
+	o.Config.Metrics = reg
 	sys, err := o.Build(ctx)
 	if err != nil {
 		return nil, err
 	}
 
-	serveMetrics := reg
-	if o.label != "" {
-		serveMetrics = reg.With("system", o.label)
-	}
 	sp := obs.SpanFromContext(ctx).Child("serve.boot")
 	srv, err := serve.New(sys, serve.Options{
 		Epochs:           o.upsertEpochs,
-		Metrics:          serveMetrics,
+		Metrics:          reg,
 		WALPath:          o.walPath,
-		WALSyncEvery:     o.walSyncEvery,
-		WALSnapshotEvery: o.walSnapshotEvery,
 		MaxQueuedUpserts: o.maxQueuedUpserts,
 		UpsertTimeout:    o.upsertTimeout,
 		Tracer:           tracer,
@@ -261,15 +246,12 @@ func boot(ctx context.Context, o runOpts, tracer *obs.Tracer) (*serve.Server, er
 		return nil, err
 	}
 	rs := srv.ReplayStats()
-	sp.Notef("wal_snapshot_records=%d wal_log_records=%d", rs.SnapshotRecords, rs.LogRecords)
+	sp.Notef("wal_records=%d", rs.LogRecords)
 	sp.End()
 	if o.walPath != "" {
-		fmt.Fprintf(os.Stderr, "# syad: wal %s: replayed %d snapshot + %d log records", o.walPath, rs.SnapshotRecords, rs.LogRecords)
+		fmt.Fprintf(os.Stderr, "# syad: wal %s: replayed %d records", o.walPath, rs.LogRecords)
 		if rs.Truncated {
 			fmt.Fprintf(os.Stderr, " (torn tail truncated at byte %d)", rs.TruncatedAt)
-		}
-		if rs.SnapshotFallback {
-			fmt.Fprint(os.Stderr, " (snapshot fell back to previous generation)")
 		}
 		fmt.Fprintln(os.Stderr)
 	}

@@ -148,11 +148,6 @@ type Config struct {
 	// grounding size gauges. nil disables (the samplers then skip
 	// instrumentation entirely).
 	Metrics *obs.Registry
-	// MetricLabel, when non-empty, scopes this System's metrics to a
-	// labeled view of the registry (series rendered with {system="..."}),
-	// so several live Systems — e.g. multiple KBs behind one syad — can
-	// share an exposition endpoint without clobbering each other's series.
-	MetricLabel string
 	// ProgressEvery enables sampler convergence diagnostics every that many
 	// epochs (0 disables): running marginal max-delta and cross-instance
 	// spread, surfaced through RunStats, the diag gauges, diag events on the
@@ -212,11 +207,7 @@ type System struct {
 
 // NewSystem creates a system with an empty database.
 func NewSystem(cfg Config) *System {
-	cfg = cfg.withDefaults()
-	if cfg.MetricLabel != "" {
-		cfg.Metrics = cfg.Metrics.With("system", cfg.MetricLabel)
-	}
-	return &System{cfg: cfg, db: storage.NewDB()}
+	return &System{cfg: cfg.withDefaults(), db: storage.NewDB()}
 }
 
 // Config returns the effective configuration.

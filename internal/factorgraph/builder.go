@@ -19,7 +19,6 @@ type Builder struct {
 
 	spatialA, spatialB []VarID
 	spatialW           []float64
-	spatialSeen        map[[2]VarID]bool
 
 	allowedPairs map[int32][]bool
 	domainOf     map[int32]int32
@@ -29,7 +28,6 @@ type Builder struct {
 func NewBuilder() *Builder {
 	return &Builder{
 		factorOff:    []int64{0},
-		spatialSeen:  map[[2]VarID]bool{},
 		allowedPairs: map[int32][]bool{},
 		domainOf:     map[int32]int32{},
 	}
@@ -82,40 +80,6 @@ func (b *Builder) AddFactor(kind FactorKind, weight float64, vars []VarID, neg [
 	return nil
 }
 
-// AddSpatialPair adds a spatial factor between two atoms of the same
-// spatial variable relation with the given distance-derived weight.
-// Duplicate pairs (in either order) are rejected.
-func (b *Builder) AddSpatialPair(a, c VarID, w float64) error {
-	if a == c {
-		return fmt.Errorf("factorgraph: spatial self-pair on %d", a)
-	}
-	if int(a) >= len(b.vars) || int(c) >= len(b.vars) || a < 0 || c < 0 {
-		return fmt.Errorf("factorgraph: spatial pair references unknown variable")
-	}
-	va, vc := b.vars[a], b.vars[c]
-	if va.Relation != vc.Relation {
-		return fmt.Errorf("factorgraph: spatial pair crosses relations")
-	}
-	if !va.HasLoc || !vc.HasLoc {
-		return fmt.Errorf("factorgraph: spatial pair on non-spatial atoms")
-	}
-	if w < 0 {
-		return fmt.Errorf("factorgraph: spatial weight must be non-negative, got %v", w)
-	}
-	key := [2]VarID{a, c}
-	if a > c {
-		key = [2]VarID{c, a}
-	}
-	if b.spatialSeen[key] {
-		return fmt.Errorf("factorgraph: duplicate spatial pair (%d, %d)", a, c)
-	}
-	b.spatialSeen[key] = true
-	b.spatialA = append(b.spatialA, a)
-	b.spatialB = append(b.spatialB, c)
-	b.spatialW = append(b.spatialW, w)
-	return nil
-}
-
 // SpatialPair is one spatial factor for AddSpatialPairs: two atoms of the
 // same spatial relation and the distance-derived weight.
 type SpatialPair struct {
@@ -123,13 +87,12 @@ type SpatialPair struct {
 	W    float64
 }
 
-// AddSpatialPairs bulk-appends spatial factors with the same per-pair
-// validation as AddSpatialPair but WITHOUT duplicate detection: the caller
-// must guarantee each unordered pair appears at most once across all
-// AddSpatialPair/AddSpatialPairs calls. The grounding sweep guarantees this
-// structurally (canonical-ordered emission — each pair is emitted by
-// exactly one atom's neighbourhood), which keeps the bulk path free of the
-// seen-map's per-pair allocation and hashing.
+// AddSpatialPairs appends spatial factors, each between two distinct
+// located atoms of the same variable relation with a non-negative weight;
+// on an invalid pair it appends none of them. It does not detect duplicates:
+// the caller must add each unordered pair at most once. The grounding sweep
+// guarantees this structurally (canonical-ordered emission — each pair is
+// emitted by exactly one atom's neighbourhood).
 func (b *Builder) AddSpatialPairs(pairs []SpatialPair) error {
 	for _, p := range pairs {
 		if p.A == p.B {
@@ -149,18 +112,9 @@ func (b *Builder) AddSpatialPairs(pairs []SpatialPair) error {
 			return fmt.Errorf("factorgraph: spatial weight must be non-negative, got %v", p.W)
 		}
 	}
-	if cap(b.spatialA)-len(b.spatialA) < len(pairs) {
-		grow := func(dst []VarID) []VarID {
-			out := make([]VarID, len(dst), len(dst)+len(pairs))
-			copy(out, dst)
-			return out
-		}
-		b.spatialA = grow(b.spatialA)
-		b.spatialB = grow(b.spatialB)
-		w := make([]float64, len(b.spatialW), len(b.spatialW)+len(pairs))
-		copy(w, b.spatialW)
-		b.spatialW = w
-	}
+	b.spatialA = slices.Grow(b.spatialA, len(pairs))
+	b.spatialB = slices.Grow(b.spatialB, len(pairs))
+	b.spatialW = slices.Grow(b.spatialW, len(pairs))
 	for _, p := range pairs {
 		b.spatialA = append(b.spatialA, p.A)
 		b.spatialB = append(b.spatialB, p.B)

@@ -33,7 +33,7 @@ func buildChain(t *testing.T, n int, implyW, spatialW float64) *Graph {
 			}
 		}
 		if spatialW != 0 {
-			if err := b.AddSpatialPair(VarID(i), VarID(i+1), spatialW); err != nil {
+			if err := b.AddSpatialPairs([]SpatialPair{{A: VarID(i), B: VarID(i + 1), W: spatialW}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -71,23 +71,34 @@ func TestBuilderValidation(t *testing.T) {
 	if err := b.AddFactor(FactorAnd, 1, []VarID{v0, v1}, []bool{true}); err == nil {
 		t.Error("neg length mismatch should fail")
 	}
-	if err := b.AddSpatialPair(v0, v0, 1); err == nil {
+	if err := b.AddSpatialPairs([]SpatialPair{{A: v0, B: v0, W: 1}}); err == nil {
 		t.Error("self pair should fail")
 	}
-	if err := b.AddSpatialPair(v0, v2, 1); err == nil {
+	if err := b.AddSpatialPairs([]SpatialPair{{A: v0, B: v2, W: 1}}); err == nil {
 		t.Error("cross-relation pair should fail")
 	}
-	if err := b.AddSpatialPair(v0, v1, -1); err == nil {
+	if err := b.AddSpatialPairs([]SpatialPair{{A: v0, B: v1, W: -1}}); err == nil {
 		t.Error("negative weight should fail")
 	}
-	if err := b.AddSpatialPair(v0, v1, 1); err != nil {
+	if err := b.AddSpatialPairs([]SpatialPair{{A: v0, B: 99, W: 1}}); err == nil {
+		t.Error("unknown var pair should fail")
+	}
+	if err := b.AddSpatialPairs([]SpatialPair{{A: v0, B: v1, W: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AddSpatialPair(v1, v0, 1); err == nil {
-		t.Error("duplicate (reversed) pair should fail")
+	// A batch with one bad pair appends none of its pairs.
+	if err := b.AddSpatialPairs([]SpatialPair{{A: v1, B: v0, W: 1}, {A: v1, B: v1, W: 1}}); err == nil {
+		t.Error("batch with a self pair should fail")
 	}
 	if err := b.SetAllowedPairs(0, 2, []bool{true}); err == nil {
 		t.Error("wrong mask size should fail")
+	}
+	g, err := b.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := g.NumSpatialFactors(); n != 1 {
+		t.Errorf("spatial factors = %d, want the one valid pair", n)
 	}
 }
 
@@ -157,7 +168,7 @@ func TestCategoricalPruningMask(t *testing.T) {
 	h := int32(3)
 	v0, _ := b.AddVariable(Variable{Domain: h, Evidence: NoEvidence, HasLoc: true})
 	v1, _ := b.AddVariable(Variable{Domain: h, Evidence: NoEvidence, HasLoc: true, Loc: geom.Pt(1, 0)})
-	if err := b.AddSpatialPair(v0, v1, 0.5); err != nil {
+	if err := b.AddSpatialPairs([]SpatialPair{{A: v0, B: v1, W: 0.5}}); err != nil {
 		t.Fatal(err)
 	}
 	// Allow only (0,0) and (1,2).
@@ -220,12 +231,19 @@ func TestConditionalScoresMatchEnergyDelta(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		seen := map[[2]VarID]bool{}
 		for s := 0; s < 5; s++ {
 			a, c := VarID(rng.Intn(n)), VarID(rng.Intn(n))
 			if a == c {
 				continue
 			}
-			_ = b.AddSpatialPair(a, c, rng.Float64()) // duplicates allowed to fail
+			w := rng.Float64()
+			if key := [2]VarID{min(a, c), max(a, c)}; !seen[key] {
+				seen[key] = true
+				if err := b.AddSpatialPairs([]SpatialPair{{A: a, B: c, W: w}}); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 		g, err := b.Finalize()
 		if err != nil {
@@ -299,7 +317,7 @@ func TestExactMarginalsSpatialPair(t *testing.T) {
 	a, _ := b.AddVariable(Variable{Domain: 2, Evidence: 1, HasLoc: true})
 	c, _ := b.AddVariable(Variable{Domain: 2, Evidence: NoEvidence, HasLoc: true, Loc: geom.Pt(1, 0)})
 	w := 0.9
-	if err := b.AddSpatialPair(a, c, w); err != nil {
+	if err := b.AddSpatialPairs([]SpatialPair{{A: a, B: c, W: w}}); err != nil {
 		t.Fatal(err)
 	}
 	g, err := b.Finalize()

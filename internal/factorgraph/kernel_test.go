@@ -150,11 +150,11 @@ func oddShapesGraph(t testing.TB) *factorgraph.Graph {
 		t.Fatal(err)
 	}
 	for _, p := range [][2]factorgraph.VarID{{q0, q1}, {q2, q0}, {q1, e0}, {e1, q2}, {q3, q2}, {e0, q3}} {
-		if err := b.AddSpatialPair(p[0], p[1], 0.1+0.1*float64(p[0])); err != nil {
+		if err := b.AddSpatialPairs([]factorgraph.SpatialPair{{A: p[0], B: p[1], W: 0.1 + 0.1*float64(p[0])}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := b.AddSpatialPair(c0, c1, 0.3); err != nil {
+	if err := b.AddSpatialPairs([]factorgraph.SpatialPair{{A: c0, B: c1, W: 0.3}}); err != nil {
 		t.Fatal(err)
 	}
 	g, err := b.Finalize()
@@ -671,11 +671,15 @@ func fuzzGraph(data []byte) (*factorgraph.Graph, error) {
 			return nil, err
 		}
 	}
+	seen := map[[2]factorgraph.VarID]bool{}
 	for s := int(next()) % 25; s > 0; s-- {
 		a, c := factorgraph.VarID(int(next())%n), factorgraph.VarID(int(next())%n)
 		w := float64(next()) / 128
 		// Self, cross-relation and duplicate pairs are rejected: skip them.
-		_ = b.AddSpatialPair(a, c, w)
+		key := [2]factorgraph.VarID{min(a, c), max(a, c)}
+		if !seen[key] && b.AddSpatialPairs([]factorgraph.SpatialPair{{A: a, B: c, W: w}}) == nil {
+			seen[key] = true
+		}
 	}
 	g, err := b.Finalize()
 	if err != nil {
@@ -788,7 +792,7 @@ func r3ShapeGraph(t testing.TB) *factorgraph.Graph {
 				t.Fatal(err)
 			}
 		}
-		if err := b.AddSpatialPair(i, j, 0.375); err != nil {
+		if err := b.AddSpatialPairs([]factorgraph.SpatialPair{{A: i, B: j, W: 0.375}}); err != nil {
 			t.Fatal(err)
 		}
 		if err := b.AddFactor(factorgraph.FactorIsTrue, 0.75, []factorgraph.VarID{i}, []bool{i%2 == 1}); err != nil {

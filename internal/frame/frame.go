@@ -1,10 +1,10 @@
 // Package frame is the one container for every byte that leaves memory: a
 // magic/version header, then frames of
 // [u32 payload length | u32 CRC-32 (IEEE) of the payload | payload], all
-// little-endian. The evidence WAL and its snapshots, the sampler checkpoints
-// and the shard TCP stream are this layout under three magics; each package
-// declares its Format beside its payload codec and keeps only its policy
-// (truncate a torn log, reject a torn snapshot, close a corrupt connection).
+// little-endian. The evidence WAL, the sampler checkpoints and the shard TCP
+// stream are this layout under three magics; each package declares its Format
+// beside its payload codec and keeps only its policy (truncate a torn log,
+// fall back from a torn checkpoint, close a corrupt connection).
 // Bounds-checked payload reads (Cursor) and the atomically published file
 // pair (WriteFile, LoadPair) live here too, and nowhere else.
 package frame
@@ -228,20 +228,20 @@ func syncClose(f *os.File, err error) error {
 // LoadPair hands load the bytes of path and, when path cannot be read or load
 // rejects them, those of PrevPath(path); fallback reports that the previous
 // generation was the one accepted. When neither loads, err is the primary's
-// failure and prevErr the previous generation's — bare os errors for files
-// that could not be read, so os.IsNotExist tells "never written" from
-// "corrupt" and each caller decides what a missing generation means.
-func LoadPair(path string, load func(raw []byte) error) (fallback bool, err, prevErr error) {
-	var errs [2]error
+// failure — a bare os error for a file that could not be read, so
+// os.IsNotExist tells "never written" from "corrupt".
+func LoadPair(path string, load func(raw []byte) error) (fallback bool, err error) {
 	for i, p := range [2]string{path, PrevPath(path)} {
-		raw, err := os.ReadFile(p)
-		if err == nil {
-			err = load(raw)
+		raw, rerr := os.ReadFile(p)
+		if rerr == nil {
+			rerr = load(raw)
 		}
-		if err == nil {
-			return i == 1, nil, nil
+		if rerr == nil {
+			return i == 1, nil
 		}
-		errs[i] = err
+		if i == 0 {
+			err = rerr
+		}
 	}
-	return false, errs[0], errs[1]
+	return false, err
 }

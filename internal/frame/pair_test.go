@@ -4,13 +4,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"repro/internal/frame"
 	"repro/internal/gibbs"
 	"repro/internal/gibbs/testutil"
-	"repro/internal/wal"
 )
 
 // generation states of one file of a rotating pair.
@@ -24,7 +22,6 @@ const (
 const (
 	fromPrimary = "primary"
 	fromPrev    = "previous"
-	empty       = "empty"     // wal only: no snapshot yet
 	notExist    = "not-exist" // error satisfying os.IsNotExist
 	failed      = "error"     // any other error
 )
@@ -45,27 +42,25 @@ func apply(t *testing.T, path, state string) {
 }
 
 // TestPairLoaderMatrix pins, for each of the nine primary × previous states,
-// what LoadPair reports and what its two callers make of it. The callers
-// differ on purpose: a WAL without any snapshot is simply uncompacted, but a
-// lone corrupt previous snapshot may hide acked evidence, so it fails; a
-// resume reports the primary's failure whenever the previous generation does
-// not load, so "no checkpoint" stays os.IsNotExist (the fresh-run signal).
+// what LoadPair reports and what its caller makes of it: a resume reports
+// the primary's failure whenever the previous generation does not load, so
+// "no checkpoint" stays os.IsNotExist (the fresh-run signal).
 func TestPairLoaderMatrix(t *testing.T) {
 	cases := []struct {
 		primary, prev string
 		fallback      bool
-		err, prevErr  string // "", notExist or failed
-		wal, resume   string
+		err           string // "", notExist or failed
+		resume        string
 	}{
-		{ok, ok, false, "", "", fromPrimary, fromPrimary},
-		{ok, missing, false, "", "", fromPrimary, fromPrimary},
-		{ok, corrupt, false, "", "", fromPrimary, fromPrimary},
-		{missing, ok, true, "", "", fromPrev, fromPrev},
-		{missing, missing, false, notExist, notExist, empty, notExist},
-		{missing, corrupt, false, notExist, failed, failed, notExist},
-		{corrupt, ok, true, "", "", fromPrev, fromPrev},
-		{corrupt, missing, false, failed, notExist, failed, failed},
-		{corrupt, corrupt, false, failed, failed, failed, failed},
+		{ok, ok, false, "", fromPrimary},
+		{ok, missing, false, "", fromPrimary},
+		{ok, corrupt, false, "", fromPrimary},
+		{missing, ok, true, "", fromPrev},
+		{missing, missing, false, notExist, notExist},
+		{missing, corrupt, false, notExist, notExist},
+		{corrupt, ok, true, "", fromPrev},
+		{corrupt, missing, false, failed, failed},
+		{corrupt, corrupt, false, failed, failed},
 	}
 	kind := func(err error) string {
 		switch {
@@ -80,8 +75,6 @@ func TestPairLoaderMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recA := wal.Record{Relation: "A", Rows: [][]string{{"1"}}}
-	recB := wal.Record{Relation: "B", Rows: [][]string{{"2"}}}
 
 	for _, c := range cases {
 		t.Run(c.primary+"-"+c.prev, func(t *testing.T) {
@@ -97,53 +90,18 @@ func TestPairLoaderMatrix(t *testing.T) {
 			apply(t, path, c.primary)
 			apply(t, frame.PrevPath(path), c.prev)
 			var loaded string
-			fallback, err, prevErr := frame.LoadPair(path, func(raw []byte) error {
+			fallback, err := frame.LoadPair(path, func(raw []byte) error {
 				if s := string(raw); s != "old generation" && s != "new generation" {
 					return errors.New("corrupt")
 				}
 				loaded = string(raw)
 				return nil
 			})
-			if fallback != c.fallback || kind(err) != c.err || kind(prevErr) != c.prevErr {
-				t.Errorf("LoadPair = (%v, %v, %v), want (%v, %q, %q)", fallback, err, prevErr, c.fallback, c.err, c.prevErr)
+			if fallback != c.fallback || kind(err) != c.err {
+				t.Errorf("LoadPair = (%v, %v), want (%v, %q)", fallback, err, c.fallback, c.err)
 			}
 			if want := map[bool]string{false: "new generation", true: "old generation"}[fallback]; err == nil && loaded != want {
 				t.Errorf("LoadPair loaded %q, want %q", loaded, want)
-			}
-
-			// wal.Open over a snapshot pair: .prev holds A, the primary A+B,
-			// the live log is empty.
-			logPath := filepath.Join(dir, "ev.wal")
-			l, _, err := wal.Open(logPath, wal.Options{SnapshotEvery: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, rec := range []wal.Record{recA, recB} {
-				if err := l.Append(rec); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := l.Close(); err != nil {
-				t.Fatal(err)
-			}
-			apply(t, wal.SnapPath(logPath), c.primary)
-			apply(t, frame.PrevPath(wal.SnapPath(logPath)), c.prev)
-			got := failed
-			if l, stats, err := wal.Open(logPath, wal.Options{}); err == nil {
-				switch recs := l.Records(); {
-				case reflect.DeepEqual(recs, []wal.Record{recA, recB}) && !stats.SnapshotFallback:
-					got = fromPrimary
-				case reflect.DeepEqual(recs, []wal.Record{recA}) && stats.SnapshotFallback:
-					got = fromPrev
-				case len(recs) == 0 && !stats.SnapshotFallback:
-					got = empty
-				default:
-					t.Errorf("wal.Open recovered %+v with stats %+v", recs, stats)
-				}
-				l.Close()
-			}
-			if got != c.wal {
-				t.Errorf("wal.Open outcome = %s, want %s", got, c.wal)
 			}
 
 			// gibbs.ResumeFrom over a checkpoint pair: .prev at epoch 2, the
@@ -160,6 +118,7 @@ func TestPairLoaderMatrix(t *testing.T) {
 			apply(t, frame.PrevPath(ckpt), c.prev)
 			r := gibbs.NewSequential(g, 5)
 			from, err := gibbs.ResumeFrom(r, ckpt)
+			var got string
 			switch {
 			case err == nil && from == ckpt && r.TotalEpochs() == 5:
 				got = fromPrimary

@@ -243,7 +243,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 // does not exist).
 func ResumeFrom(s Sampler, path string) (string, error) {
 	var cp *Checkpoint
-	fallback, err, _ := frame.LoadPair(path, func(raw []byte) (err error) {
+	fallback, err := frame.LoadPair(path, func(raw []byte) (err error) {
 		cp, err = decodeCheckpoint(raw)
 		return err
 	})

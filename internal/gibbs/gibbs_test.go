@@ -38,12 +38,12 @@ func smallSpatialGraph(t testing.TB) *factorgraph.Graph {
 	for y := 0; y < 3; y++ {
 		for x := 0; x < 3; x++ {
 			if x+1 < 3 {
-				if err := b.AddSpatialPair(ids[[2]int{x, y}], ids[[2]int{x + 1, y}], 0.4); err != nil {
+				if err := b.AddSpatialPairs([]factorgraph.SpatialPair{{A: ids[[2]int{x, y}], B: ids[[2]int{x + 1, y}], W: 0.4}}); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if y+1 < 3 {
-				if err := b.AddSpatialPair(ids[[2]int{x, y}], ids[[2]int{x, y + 1}], 0.4); err != nil {
+				if err := b.AddSpatialPairs([]factorgraph.SpatialPair{{A: ids[[2]int{x, y}], B: ids[[2]int{x, y + 1}], W: 0.4}}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -435,7 +435,7 @@ func TestSpatialNonSpatialVarsAreSampled(t *testing.T) {
 	if err := b.AddFactor(factorgraph.FactorImply, 1.2, []factorgraph.VarID{a, d}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AddSpatialPair(a, c, 0.7); err != nil {
+	if err := b.AddSpatialPairs([]factorgraph.SpatialPair{{A: a, B: c, W: 0.7}}); err != nil {
 		t.Fatal(err)
 	}
 	g, err := b.Finalize()
@@ -486,7 +486,7 @@ func TestCategoricalSampling(t *testing.T) {
 	h := int32(4)
 	a, _ := b.AddVariable(factorgraph.Variable{Domain: h, Evidence: 2, HasLoc: true})
 	c, _ := b.AddVariable(factorgraph.Variable{Domain: h, Evidence: factorgraph.NoEvidence, HasLoc: true, Loc: geom.Pt(1, 0)})
-	if err := b.AddSpatialPair(a, c, 1.0); err != nil {
+	if err := b.AddSpatialPairs([]factorgraph.SpatialPair{{A: a, B: c, W: 1.0}}); err != nil {
 		t.Fatal(err)
 	}
 	g, err := b.Finalize()
@@ -710,13 +710,20 @@ func TestSamplersMatchExactOnRandomGraphs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		seen := map[[2]factorgraph.VarID]bool{}
 		for s := 0; s < n/2; s++ {
 			a := factorgraph.VarID(rng.next() % uint64(n))
 			c := factorgraph.VarID(rng.next() % uint64(n))
 			if a == c {
 				continue
 			}
-			_ = b.AddSpatialPair(a, c, float64(rng.next()%100)/150) // dup ok to fail
+			w := float64(rng.next()%100) / 150
+			if key := [2]factorgraph.VarID{min(a, c), max(a, c)}; !seen[key] {
+				seen[key] = true
+				if err := b.AddSpatialPairs([]factorgraph.SpatialPair{{A: a, B: c, W: w}}); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 		g, err := b.Finalize()
 		if err != nil {

@@ -150,7 +150,7 @@ func starGraph(t testing.TB, leaves int) (*factorgraph.Graph, factorgraph.VarID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := b.AddSpatialPair(center, leaf, 0.6); err != nil {
+		if err := b.AddSpatialPairs([]factorgraph.SpatialPair{{A: center, B: leaf, W: 0.6}}); err != nil {
 			t.Fatal(err)
 		}
 		w := 0.4
@@ -195,7 +195,7 @@ func TestIncrementalConvergesToExactConditional(t *testing.T) {
 			Domain: 2, Evidence: factorgraph.NoEvidence,
 			Loc: geom.Pt(50+0.3*float64(i%3+1), 50+0.3*float64(i/3+1)), HasLoc: true,
 		})
-		if err := b.AddSpatialPair(cid, leaf, 0.6); err != nil {
+		if err := b.AddSpatialPairs([]factorgraph.SpatialPair{{A: cid, B: leaf, W: 0.6}}); err != nil {
 			t.Fatal(err)
 		}
 		w := 0.4
@@ -261,7 +261,7 @@ func TestIncrementalAfterFullRunMatchesConditional(t *testing.T) {
 			Domain: 2, Evidence: factorgraph.NoEvidence,
 			Loc: geom.Pt(50+0.3*float64(i%3+1), 50+0.3*float64(i/3+1)), HasLoc: true,
 		})
-		if err := b.AddSpatialPair(cid, leaf, 0.6); err != nil {
+		if err := b.AddSpatialPairs([]factorgraph.SpatialPair{{A: cid, B: leaf, W: 0.6}}); err != nil {
 			t.Fatal(err)
 		}
 		w := 0.4
@@ -321,7 +321,7 @@ func twoClusterGraph(t testing.TB, perCluster int) (*factorgraph.Graph, []factor
 			ids = append(ids, id)
 		}
 		for i := 1; i < len(ids); i++ {
-			if err := b.AddSpatialPair(ids[i-1], ids[i], 0.5); err != nil {
+			if err := b.AddSpatialPairs([]factorgraph.SpatialPair{{A: ids[i-1], B: ids[i], W: 0.5}}); err != nil {
 				t.Fatal(err)
 			}
 		}

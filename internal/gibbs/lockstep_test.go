@@ -45,7 +45,7 @@ func clusterGraph(t *testing.T, domain int32) *factorgraph.Graph {
 		factor(factorgraph.FactorImply, ids[0], ids[1])
 		factor(factorgraph.FactorEqual, ids[1], ids[2])
 		factor(factorgraph.FactorIsTrue, ids[2])
-		if err := b.AddSpatialPair(ids[0], ids[2], 0.2+0.6*rng.Float64()); err != nil {
+		if err := b.AddSpatialPairs([]factorgraph.SpatialPair{{A: ids[0], B: ids[2], W: 0.2 + 0.6*rng.Float64()}}); err != nil {
 			t.Fatal(err)
 		}
 		anchors = append(anchors, ids[1])

@@ -56,7 +56,7 @@ func TestMAPCategorical(t *testing.T) {
 	h := int32(5)
 	a, _ := b.AddVariable(factorgraph.Variable{Domain: h, Evidence: 3, HasLoc: true})
 	c, _ := b.AddVariable(factorgraph.Variable{Domain: h, Evidence: factorgraph.NoEvidence, HasLoc: true, Loc: geom.Pt(1, 0)})
-	if err := b.AddSpatialPair(a, c, 1.5); err != nil {
+	if err := b.AddSpatialPairs([]factorgraph.SpatialPair{{A: a, B: c, W: 1.5}}); err != nil {
 		t.Fatal(err)
 	}
 	g, err := b.Finalize()

@@ -147,14 +147,24 @@ func RandomGraph(spec Spec) (*factorgraph.Graph, error) {
 		}
 	}
 	if spec.Spatial {
+		var pairs []factorgraph.SpatialPair
+		seen := map[[2]factorgraph.VarID]bool{}
 		for s := 0; s < spec.SpatialPairs; s++ {
 			a := factorgraph.VarID(rng.Intn(spec.Vars))
 			c := factorgraph.VarID(rng.Intn(spec.Vars))
 			if a == c {
 				continue
 			}
-			// Duplicate pairs are a legal collision of the generator.
-			_ = b.AddSpatialPair(a, c, rng.Float64()*0.8)
+			// Duplicate pairs are a legal collision of the generator; the
+			// weight is drawn either way, so the stream stays put.
+			w := rng.Float64() * 0.8
+			if key := [2]factorgraph.VarID{min(a, c), max(a, c)}; !seen[key] {
+				seen[key] = true
+				pairs = append(pairs, factorgraph.SpatialPair{A: a, B: c, W: w})
+			}
+		}
+		if err := b.AddSpatialPairs(pairs); err != nil {
+			return nil, err
 		}
 	}
 	return b.Finalize()

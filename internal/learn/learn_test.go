@@ -145,7 +145,7 @@ func TestWeightsSpatialScale(t *testing.T) {
 		}
 	}
 	for i := 0; i+1 < n; i++ {
-		if err := b.AddSpatialPair(int32(i), int32(i+1), 0.1); err != nil {
+		if err := b.AddSpatialPairs([]factorgraph.SpatialPair{{A: int32(i), B: int32(i + 1), W: 0.1}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -67,7 +67,7 @@ func oracleCases(t *testing.T) []oracleCase {
 		}
 	}
 	for i := int32(0); i+1 < 10; i++ {
-		if err := b.AddSpatialPair(i, i+1, 0.3); err != nil {
+		if err := b.AddSpatialPairs([]factorgraph.SpatialPair{{A: i, B: i + 1, W: 0.3}}); err != nil {
 			t.Fatal(err)
 		}
 		if err := b.AddFactor(factorgraph.FactorImply, 0.2, []factorgraph.VarID{i, i + 1}, nil); err != nil {

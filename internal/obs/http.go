@@ -1,36 +1,22 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 	"time"
 )
 
 // Server is a live exposition endpoint: Prometheus-text /metrics for the
-// registry, /debug/vars (expvar, including the registry snapshot under
-// "sya_metrics"), and the full net/http/pprof suite under /debug/pprof/ —
-// so a long sampling run can be profiled and watched without stopping it.
+// registry and the full net/http/pprof suite under /debug/pprof/ — so a
+// long sampling run can be profiled and watched without stopping it.
 type Server struct {
 	// Addr is the bound listen address (resolves ":0" requests).
 	Addr string
 	srv  *http.Server
 	ln   net.Listener
 }
-
-// publishOnce guards the process-global expvar name (expvar.Publish panics
-// on duplicates; tests open several servers).
-var publishOnce sync.Once
-
-// snapshotVar holds the registry the expvar "sya_metrics" Func reads; it is
-// swapped when a new server starts so the latest registry wins.
-var (
-	snapshotMu  sync.Mutex
-	snapshotReg *Registry
-)
 
 // Serve starts an HTTP exposition server on addr for the registry. addr may
 // end in ":0" to pick a free port; the resolved address is in Server.Addr.
@@ -40,21 +26,10 @@ func Serve(addr string, r *Registry) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: metrics listener: %w", err)
 	}
-	snapshotMu.Lock()
-	snapshotReg = r
-	snapshotMu.Unlock()
 	// Every exposition endpoint carries the process-health gauges.
 	RegisterRuntimeMetrics(r)
-	publishOnce.Do(func() {
-		expvar.Publish("sya_metrics", expvar.Func(func() any {
-			snapshotMu.Lock()
-			defer snapshotMu.Unlock()
-			return snapshotReg.Snapshot()
-		}))
-	})
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", r.Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -22,7 +21,7 @@ func get(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-func TestServeExposesMetricsExpvarAndPprof(t *testing.T) {
+func TestServeExposesMetricsAndPprof(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("sya_epochs_total").Add(3)
 	srv, err := Serve("127.0.0.1:0", r)
@@ -37,44 +36,9 @@ func TestServeExposesMetricsExpvarAndPprof(t *testing.T) {
 		t.Errorf("/metrics = %d %q", code, body)
 	}
 
-	code, body = get(t, base+"/debug/vars")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/vars = %d", code)
-	}
-	var vars map[string]any
-	if err := json.Unmarshal([]byte(body), &vars); err != nil {
-		t.Fatalf("/debug/vars not JSON: %v", err)
-	}
-	snap, ok := vars["sya_metrics"].(map[string]any)
-	if !ok || snap["sya_epochs_total"] != float64(3) {
-		t.Errorf("sya_metrics expvar = %v", vars["sya_metrics"])
-	}
-
 	code, body = get(t, base+"/debug/pprof/")
 	if code != http.StatusOK || !strings.Contains(body, "goroutine") {
 		t.Errorf("/debug/pprof/ = %d", code)
-	}
-}
-
-func TestServeSecondServerSwapsSnapshotRegistry(t *testing.T) {
-	r1 := NewRegistry()
-	r1.Counter("a").Inc()
-	s1, err := Serve("127.0.0.1:0", r1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1.Close()
-
-	r2 := NewRegistry()
-	r2.Counter("b").Add(2)
-	s2, err := Serve("127.0.0.1:0", r2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	_, body := get(t, "http://"+s2.Addr+"/debug/vars")
-	if !strings.Contains(body, `"b"`) || strings.Contains(body, `"a"`) {
-		t.Errorf("expvar snapshot did not swap to the latest registry: %s", body)
 	}
 }
 

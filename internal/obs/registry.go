@@ -1,7 +1,7 @@
 // Package obs is the pipeline's observability layer: a zero-dependency,
 // stdlib-only metrics registry (counters, gauges, histograms), a span-tree
 // tracer for batch runs, boots and requests alike (span.go), and an HTTP
-// exposition endpoint (Prometheus text, expvar, pprof).
+// exposition endpoint (Prometheus text, pprof).
 //
 // The design optimizes for a disabled-by-default hot path: every metric
 // handle is nil-safe — a nil *Registry hands out nil *Counter/*Gauge/
@@ -151,9 +151,9 @@ func (h *Histogram) Sum() float64 {
 // A nil *Registry is the disabled mode: it hands out nil handles.
 //
 // A Registry is a view over shared state: With(k, v, ...) derives a view
-// whose metrics carry extra labels, so several live Systems can share one
-// exposition endpoint with per-System series (e.g. sya_epochs_total vs
-// sya_epochs_total{system="gwdb"}). All views registered through any
+// whose metrics carry extra labels, so per-shard or per-endpoint series
+// share one exposition endpoint (e.g. sya_epochs_total vs
+// sya_epochs_total{shard="0"}). All views registered through any
 // derived Registry render through the root's WritePrometheus/Snapshot.
 type Registry struct {
 	st     *regState
@@ -463,7 +463,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 // Snapshot returns a flat series→value view of the registry (histograms
 // contribute _sum and _count entries; labeled series keep their rendered
-// labels in the key); it backs the expvar exposition and test assertions.
+// labels in the key); it backs test assertions and the benchmark's layer
+// readings.
 func (r *Registry) Snapshot() map[string]float64 {
 	if r == nil {
 		return nil

@@ -27,8 +27,8 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 			dir := t.TempDir()
 			walPath := filepath.Join(dir, "ev.wal")
 
-			// Live phase: a durable server accepts every upsert. SyncEvery
-			// is 1 (the default), so each acked batch is on disk the moment
+			// Live phase: a durable server accepts every upsert. Every
+			// append is fsynced, so each acked batch is on disk the moment
 			// the handler answers — the file below is bit-identical to what
 			// a SIGKILL right after the last ack would leave.
 			sys := w.build(t, 7)

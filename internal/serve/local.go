@@ -70,10 +70,11 @@ type localEntry struct {
 // sit orders of magnitude below a full ground.
 var localGroundBuckets = []float64{1e-5, 5e-5, 1e-4, 5e-4, .001, .005, .01, .05, .1, .5}
 
+// localCacheSize bounds the server's LRU of lazy answers keyed by
+// (atom, generation, budget).
+const localCacheSize = 128
+
 func newLocalCache(capacity int, m *obs.Registry) *localCache {
-	if capacity <= 0 {
-		capacity = 128
-	}
 	return &localCache{
 		cap:      capacity,
 		ll:       list.New(),

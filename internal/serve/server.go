@@ -58,14 +58,9 @@ type Options struct {
 	Metrics *obs.Registry
 
 	// WALPath names the evidence write-ahead log ("" → durability off).
-	// New replays any existing log before grounding.
+	// New replays any existing log before grounding; every append is
+	// fsynced before the upsert is applied.
 	WALPath string
-	// WALSyncEvery batches fsyncs: sync after every n-th append (0 or 1 →
-	// every append, the safest setting).
-	WALSyncEvery int
-	// WALSnapshotEvery compacts the log into a rotating snapshot pair after
-	// this many log records (0 → never compact automatically).
-	WALSnapshotEvery int
 	// MaxQueuedUpserts bounds in-flight evidence requests; excess upserts
 	// are shed with 429 instead of queueing on the write lock (0 → 32).
 	MaxQueuedUpserts int
@@ -88,9 +83,6 @@ type Options struct {
 	// LocalEpochs is the sampling budget per lazy query (0 → the system's
 	// configured epoch budget).
 	LocalEpochs int
-	// LocalCacheSize bounds the LRU of lazy answers keyed by
-	// (atom, generation, budget) (0 → 128).
-	LocalCacheSize int
 }
 
 // Server is a resident KB: a grounded system plus its serving indexes.
@@ -185,11 +177,7 @@ func New(sys *core.System, opts Options) (*Server, error) {
 	var replay wal.ReplayStats
 	if opts.WALPath != "" {
 		var err error
-		wlog, replay, err = wal.Open(opts.WALPath, wal.Options{
-			SyncEvery:     opts.WALSyncEvery,
-			SnapshotEvery: opts.WALSnapshotEvery,
-			Metrics:       opts.Metrics,
-		})
+		wlog, replay, err = wal.Open(opts.WALPath, wal.Options{Metrics: opts.Metrics})
 		if err != nil {
 			return nil, fmt.Errorf("serve: opening wal: %w", err)
 		}
@@ -226,7 +214,7 @@ func New(sys *core.System, opts Options) (*Server, error) {
 	s := &Server{
 		opts:        opts,
 		sys:         sys,
-		locals:      newLocalCache(opts.LocalCacheSize, m),
+		locals:      newLocalCache(localCacheSize, m),
 		wal:         wlog,
 		replay:      replay,
 		upsertSlots: make(chan struct{}, opts.MaxQueuedUpserts),
@@ -283,8 +271,7 @@ func (s *Server) Warmup(ctx context.Context, epochs int) error {
 	return err
 }
 
-// Close releases the system's sampler pool and syncs + closes the WAL, so a
-// clean shutdown never loses an acked upsert.
+// Close releases the system's sampler pool and closes the WAL.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -84,17 +84,23 @@ func refScan(raw []byte) (recs []Record, prefix []byte, ours bool) {
 // equal to that prefix, and a second Open sees the same records with nothing
 // left to truncate.
 func FuzzReplay(f *testing.F) {
-	for _, name := range []string{"v1.wal", "v1.wal.snap"} {
-		raw, err := os.ReadFile(filepath.Join("testdata", name))
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(raw)
-		f.Add(raw[:len(raw)-3])
-		raw = append([]byte(nil), raw...)
-		raw[len(raw)/2] ^= 0x40
-		f.Add(raw)
+	raw, err := os.ReadFile(filepath.Join("testdata", "v1.wal"))
+	if err != nil {
+		f.Fatal(err)
 	}
+	f.Add(raw)
+	f.Add(raw[:len(raw)-3])
+	flipped := append([]byte(nil), raw...)
+	flipped[len(raw)/2] ^= 0x40
+	f.Add(flipped)
+	// The header alone, the clean one-record prefix, and a first frame whose
+	// length claims more than a frame may carry.
+	first := 8 + 8 + int(binary.LittleEndian.Uint32(raw[8:]))
+	f.Add(raw[:8])
+	f.Add(raw[:first])
+	oversized := append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint32(oversized[8:], 1<<28+1)
+	f.Add(oversized)
 	f.Add([]byte{})
 	f.Add([]byte("WAYS"))
 	f.Add([]byte("not a wal file at all"))

@@ -6,14 +6,7 @@
 // signature of a crash mid-append — is truncated away, recovering the longest
 // clean prefix.
 //
-// The log is compacted through a periodic snapshot: the full record history
-// is published atomically at Path+".snap" with the previous generation kept
-// at ".snap.prev" as a fallback against a snapshot later found corrupted, and
-// the live log is truncated back to its header. Replay loads snapshot + log
-// tail. Unlike the log, a snapshot is read strictly: it was written
-// atomically, so a bad frame in it is corruption, not a tear.
-//
-// Log and snapshot are both internal/frame containers ("SYAW", version 1),
+// The log is one append-only internal/frame container ("SYAW", version 1),
 // one frame per record. A record payload is the evidence batch exactly as the
 // API accepted it: relation name plus rows of text cells (parsing against the
 // schema is the applier's job, so a schema change surfaces at replay, loudly).
@@ -31,8 +24,8 @@ import (
 	"repro/internal/obs"
 )
 
-// logFormat is the container of the live log and of its snapshots. A frame
-// longer than MaxPayload is treated as tail corruption.
+// logFormat is the container of the log. A frame longer than MaxPayload is
+// treated as tail corruption.
 var logFormat = frame.Format{Magic: 0x53594157 /* "SYAW" */, Version: 1, MaxPayload: 1 << 28, Name: "WAL"}
 
 // Record is one durable evidence batch: the upsert exactly as accepted by
@@ -44,116 +37,70 @@ type Record struct {
 
 // Options parameterizes a Log.
 type Options struct {
-	// SyncEvery batches fsyncs: the file is synced once every N appended
-	// records (≤1 → every append, so an acked upsert is always durable).
-	// Larger values trade the durability of the last N−1 acked batches for
-	// append throughput; Close and Sync flush the remainder.
-	SyncEvery int
-	// SnapshotEvery compacts the log into the rotating snapshot pair after
-	// this many records accumulate in the live log (0 → never compact).
-	SnapshotEvery int
 	// Metrics receives the sya_wal_* series (nil disables).
 	Metrics *obs.Registry
 }
 
 // ReplayStats reports what Open recovered.
 type ReplayStats struct {
-	// SnapshotRecords came from the snapshot (or its .prev fallback).
-	SnapshotRecords int
-	// LogRecords came from the live log tail.
+	// LogRecords came from the log.
 	LogRecords int
 	// Truncated reports that a torn or corrupted tail was cut off.
 	Truncated bool
 	// TruncatedAt is the offset the log was truncated to (when Truncated).
 	TruncatedAt int64
-	// SnapshotFallback reports that the primary snapshot was unreadable and
-	// the previous generation was loaded instead.
-	SnapshotFallback bool
 }
 
 // Log is an open write-ahead log. It is not internally synchronized: the
 // server's upsert path is already serialized (one writer at a time), so the
-// Log expects at most one Append/Sync/Compact caller at a time.
+// Log expects at most one Append caller at a time.
 type Log struct {
-	path string
-	opts Options
-
 	f    *os.File
 	size int64 // current end-of-log write offset
 
-	// records is the full durable history (snapshot + log + appends), kept
-	// in memory so compaction can rewrite it; evidence batches are small
-	// relative to the ground graph they pin.
-	records    []Record
-	logRecords int // records currently in the live log file
-	unsynced   int // appends since the last fsync
+	records []Record // what Open replayed; appends do not grow it
+	logged  int      // records in the log: replayed plus appended
 
-	// span is the request span of the in-flight AppendCtx call, so Sync can
-	// attribute its fsync to the request's trace; zero outside AppendCtx
+	// span is the request span of the in-flight AppendCtx call, so Append
+	// can attribute its fsync to the request's trace; zero outside AppendCtx
 	// (the Log is single-writer, so a plain field is race-free).
 	span obs.Span
 
-	mAppends    *obs.Counter
-	mBytes      *obs.Counter
-	mFsyncs     *obs.Counter
-	mReplayed   *obs.Counter
-	mTruncated  *obs.Counter
-	mSnapshots  *obs.Counter
-	mFallbacks  *obs.Counter
-	mCompactErr *obs.Counter
-	mRecords    *obs.Gauge
-	mSyncTime   *obs.Histogram
+	mAppends   *obs.Counter
+	mBytes     *obs.Counter
+	mFsyncs    *obs.Counter
+	mReplayed  *obs.Counter
+	mTruncated *obs.Counter
+	mRecords   *obs.Gauge
+	mSyncTime  *obs.Histogram
 }
 
-// SnapPath returns the snapshot path for a log path.
-func SnapPath(path string) string { return path + ".snap" }
-
-// Open opens (creating if absent) the log at path, loads the snapshot pair,
-// and replays the log, truncating any torn tail. The recovered records are
-// available via Records; new appends go to the live log.
+// Open opens (creating if absent) the log at path and replays it,
+// truncating any torn tail. The recovered records are available via
+// Records; new appends go to the end of the log.
+//
+// Open refuses a log with a snapshot beside it (path+".snap" or
+// path+".snap.prev"): earlier builds compacted acked records out of the log
+// into those files, so replaying the log alone would silently drop them.
 func Open(path string, opts Options) (*Log, ReplayStats, error) {
+	var stats ReplayStats
+	for _, snap := range []string{path + ".snap", path + ".snap.prev"} {
+		if _, err := os.Lstat(snap); err == nil {
+			return nil, stats, fmt.Errorf("wal: %s beside the log is a compacted snapshot; replaying the log alone would drop its records", snap)
+		} else if !os.IsNotExist(err) {
+			return nil, stats, fmt.Errorf("wal: %w", err)
+		}
+	}
 	m := opts.Metrics
 	l := &Log{
-		path:        path,
-		opts:        opts,
-		mAppends:    m.Counter("sya_wal_appends_total"),
-		mBytes:      m.Counter("sya_wal_appended_bytes_total"),
-		mFsyncs:     m.Counter("sya_wal_fsyncs_total"),
-		mReplayed:   m.Counter("sya_wal_replayed_records_total"),
-		mTruncated:  m.Counter("sya_wal_truncated_tails_total"),
-		mSnapshots:  m.Counter("sya_wal_snapshots_total"),
-		mFallbacks:  m.Counter("sya_wal_snapshot_fallbacks_total"),
-		mCompactErr: m.Counter("sya_wal_compact_errors_total"),
-		mRecords:    m.Gauge("sya_wal_records"),
-		mSyncTime:   m.Histogram("sya_wal_fsync_seconds", nil),
+		mAppends:   m.Counter("sya_wal_appends_total"),
+		mBytes:     m.Counter("sya_wal_appended_bytes_total"),
+		mFsyncs:    m.Counter("sya_wal_fsyncs_total"),
+		mReplayed:  m.Counter("sya_wal_replayed_records_total"),
+		mTruncated: m.Counter("sya_wal_truncated_tails_total"),
+		mRecords:   m.Gauge("sya_wal_records"),
+		mSyncTime:  m.Histogram("sya_wal_fsync_seconds", nil),
 	}
-	var stats ReplayStats
-
-	// Snapshot first: the compacted prefix of the history, from the primary
-	// or — when that is unreadable, or a crash landed between the two
-	// rotation renames — the previous generation. Neither existing means the
-	// log was never compacted.
-	snap := SnapPath(path)
-	var snapRecs []Record
-	fallback, err, prevErr := frame.LoadPair(snap, func(raw []byte) (err error) {
-		snapRecs, _, err = scanRecords(raw)
-		return err
-	})
-	switch {
-	case err == nil:
-	case os.IsNotExist(err) && os.IsNotExist(prevErr):
-	case os.IsNotExist(err):
-		return nil, stats, fmt.Errorf("wal: previous snapshot %s: %w", frame.PrevPath(snap), prevErr)
-	default:
-		return nil, stats, fmt.Errorf("wal: snapshot %s: %w (previous generation also unreadable)", snap, err)
-	}
-	stats.SnapshotFallback = fallback
-	if fallback {
-		l.mFallbacks.Inc()
-	}
-	stats.SnapshotRecords = len(snapRecs)
-	l.records = snapRecs
-
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, stats, fmt.Errorf("wal: %w", err)
@@ -164,7 +111,7 @@ func Open(path string, opts Options) (*Log, ReplayStats, error) {
 		f.Close()
 		return nil, stats, fmt.Errorf("wal: reading %s: %w", path, err)
 	}
-	logRecs, good, err := scanRecords(raw)
+	recs, good, err := scanRecords(raw)
 	switch {
 	case len(raw) < frame.HeaderSize:
 		// New (or header-torn) log: start it fresh.
@@ -191,11 +138,11 @@ func Open(path string, opts Options) (*Log, ReplayStats, error) {
 		f.Close()
 		return nil, stats, err
 	}
-	stats.LogRecords = len(logRecs)
-	l.records = append(l.records, logRecs...)
-	l.logRecords = len(logRecs)
-	l.mReplayed.Add(uint64(stats.SnapshotRecords + stats.LogRecords))
-	l.mRecords.Set(float64(len(l.records)))
+	stats.LogRecords = len(recs)
+	l.records = recs
+	l.logged = len(recs)
+	l.mReplayed.Add(uint64(len(recs)))
+	l.mRecords.Set(float64(len(recs)))
 	return l, stats, nil
 }
 
@@ -225,13 +172,14 @@ func (l *Log) reset() error {
 	return nil
 }
 
-// Records returns the recovered-plus-appended history, oldest first. The
-// slice is shared; callers must not mutate it.
+// Records returns the records Open replayed, oldest first. The slice is
+// shared; callers must not mutate it.
 func (l *Log) Records() []Record { return l.records }
 
-// Append frames, writes, and (per the sync policy) fsyncs one record. On a
-// write error the log is truncated back to the last good frame so a partial
-// frame cannot corrupt the middle of the file once later appends succeed.
+// Append frames, writes and fsyncs one record: when it returns nil the
+// record is durable. On a write error the log is truncated back to the last
+// good frame so a partial frame cannot corrupt the middle of the file once
+// later appends succeed.
 func (l *Log) Append(rec Record) error {
 	frm := frame.Append(nil, encodeRecord(rec))
 	if _, err := l.f.Write(frm); err != nil {
@@ -239,25 +187,18 @@ func (l *Log) Append(rec Record) error {
 		return fmt.Errorf("wal: append: %w", err)
 	}
 	l.size += int64(len(frm))
-	l.unsynced++
-	if l.opts.SyncEvery <= 1 || l.unsynced >= l.opts.SyncEvery {
-		if err := l.Sync(); err != nil {
-			return err
-		}
+	start := time.Now()
+	if err := l.f.Sync(); err != nil {
+		return fmt.Errorf("wal: fsync: %w", err)
 	}
-	l.records = append(l.records, rec)
-	l.logRecords++
+	d := time.Since(start)
+	l.mSyncTime.Observe(d.Seconds())
+	l.span.Event("wal_fsync", d)
+	l.mFsyncs.Inc()
+	l.logged++
 	l.mAppends.Inc()
 	l.mBytes.Add(uint64(len(frm)))
-	l.mRecords.Set(float64(len(l.records)))
-	if l.opts.SnapshotEvery > 0 && l.logRecords >= l.opts.SnapshotEvery {
-		// Compaction failure is not an append failure: the record above is
-		// already durable in the log; count it and retry at the next
-		// threshold crossing.
-		if err := l.Compact(); err != nil {
-			l.mCompactErr.Inc()
-		}
-	}
+	l.mRecords.Set(float64(l.logged))
 	return nil
 }
 
@@ -271,84 +212,23 @@ func (l *Log) AppendCtx(ctx context.Context, rec Record) error {
 	return l.Append(rec)
 }
 
-// Sync flushes buffered appends to stable storage. No-op when clean.
-func (l *Log) Sync() error {
-	if l.unsynced == 0 {
-		return nil
-	}
-	start := time.Now()
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
-	}
-	d := time.Since(start)
-	l.mSyncTime.Observe(d.Seconds())
-	l.span.Event("wal_fsync", d)
-	l.unsynced = 0
-	l.mFsyncs.Inc()
-	return nil
-}
-
-// Compact publishes the full record history as the snapshot (atomically,
-// the previous generation rotated to ".snap.prev") and truncates the live log
-// back to its header — only once the snapshot is durable under its name.
-// Consecutive records for the same relation are merged into one, so the
-// snapshot is both the durable history and its compaction.
-func (l *Log) Compact() error {
-	if err := l.Sync(); err != nil {
-		return err
-	}
-	buf := logFormat.AppendHeader(nil)
-	for _, rec := range mergeRecords(l.records) {
-		buf = frame.Append(buf, encodeRecord(rec))
-	}
-	if err := frame.WriteFile(SnapPath(l.path), buf); err != nil {
-		return fmt.Errorf("wal: compact: %w", err)
-	}
-	if err := l.reset(); err != nil {
-		return err
-	}
-	l.logRecords = 0
-	l.mSnapshots.Inc()
-	return nil
-}
-
-// Close flushes and closes the log file.
+// Close closes the log file. Every successful Append was already fsynced.
 func (l *Log) Close() error {
 	if l.f == nil {
 		return nil
 	}
-	syncErr := l.Sync()
-	closeErr := l.f.Close()
+	err := l.f.Close()
 	l.f = nil
-	if syncErr != nil {
-		return syncErr
-	}
-	if closeErr != nil {
-		return fmt.Errorf("wal: close: %w", closeErr)
+	if err != nil {
+		return fmt.Errorf("wal: close: %w", err)
 	}
 	return nil
 }
 
-// mergeRecords coalesces consecutive same-relation records, preserving the
-// overall row order (first-pin-wins dedup depends on it).
-func mergeRecords(recs []Record) []Record {
-	out := make([]Record, 0, len(recs))
-	for _, r := range recs {
-		if n := len(out); n > 0 && out[n-1].Relation == r.Relation {
-			merged := out[n-1]
-			merged.Rows = append(append([][]string(nil), merged.Rows...), r.Rows...)
-			out[n-1] = merged
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
-}
-
-// FrameOffsets returns the record-boundary byte offsets of a log or
-// snapshot file: the offset after the header, then after each complete,
-// CRC-valid frame. The chaos harness tears files at (and between) these
-// offsets; offs[k] is the file size at which exactly k records survive.
+// FrameOffsets returns the record-boundary byte offsets of a log file: the
+// offset after the header, then after each complete, CRC-valid frame. The
+// chaos harness tears files at (and between) these offsets; offs[k] is the
+// file size at which exactly k records survive.
 func FrameOffsets(path string) ([]int64, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -368,12 +248,11 @@ func FrameOffsets(path string) ([]int64, error) {
 	return offs, nil
 }
 
-// scanRecords decodes the records of a log or snapshot image up to the first
-// bad frame. good and err are frame.Scan's: err is nil exactly when the whole
-// image was clean (what a snapshot must be), good == 0 means the header was
-// rejected, anything else is the end of the clean prefix (where a live log is
-// cut). A CRC-clean frame that does not decode as a record ends the prefix
-// like any other bad frame.
+// scanRecords decodes the records of a log image up to the first bad frame.
+// good and err are frame.Scan's: err is nil exactly when the whole image was
+// clean, good == 0 means the header was rejected, anything else is the end of
+// the clean prefix (where the log is cut). A CRC-clean frame that does not
+// decode as a record ends the prefix like any other bad frame.
 func scanRecords(raw []byte) (recs []Record, good int, err error) {
 	good, err = logFormat.Scan(raw, func(payload []byte) error {
 		rec, err := decodeRecord(payload)

@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/frame"
@@ -42,7 +44,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	recs := testRecords()
 
 	l, stats := mustOpen(t, path, Options{})
-	if stats.SnapshotRecords != 0 || stats.LogRecords != 0 || stats.Truncated {
+	if stats.LogRecords != 0 || stats.Truncated {
 		t.Fatalf("fresh log stats = %+v", stats)
 	}
 	appendAll(t, l, recs)
@@ -52,7 +54,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 
 	l2, stats := mustOpen(t, path, Options{})
 	defer l2.Close()
-	if stats.LogRecords != len(recs) || stats.Truncated || stats.SnapshotFallback {
+	if stats.LogRecords != len(recs) || stats.Truncated {
 		t.Fatalf("replay stats = %+v", stats)
 	}
 	if got := l2.Records(); !reflect.DeepEqual(got, recs) {
@@ -154,113 +156,66 @@ func TestCorruptMiddleKeepsPrefix(t *testing.T) {
 	}
 }
 
-func TestSnapshotCompaction(t *testing.T) {
+// TestSyncPerAppend: every append is fsynced before it returns, and an
+// append does not grow the replayed history Records holds.
+func TestSyncPerAppend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ev.wal")
 	recs := testRecords()
-	reg := obs.NewRegistry()
-	// SnapshotEvery 2: the second append compacts records 1–2 into the
-	// snapshot; the third lands in the fresh log.
-	l, _ := mustOpen(t, path, Options{SnapshotEvery: 2, Metrics: reg})
-	appendAll(t, l, recs)
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(SnapPath(path)); err != nil {
-		t.Fatalf("snapshot not written: %v", err)
-	}
-	logOffs, err := FrameOffsets(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(logOffs) != 2 {
-		t.Fatalf("log holds %d records after compaction, want 1", len(logOffs)-1)
-	}
-	l2, stats := mustOpen(t, path, Options{})
-	defer l2.Close()
-	if stats.SnapshotRecords != 2 || stats.LogRecords != 1 {
-		t.Fatalf("replay stats = %+v, want 2 snapshot + 1 log records", stats)
-	}
-	if !reflect.DeepEqual(l2.Records(), recs) {
-		t.Fatalf("records = %+v, want %+v", l2.Records(), recs)
-	}
-	if v := reg.Snapshot()["sya_wal_snapshots_total"]; v != 1 {
-		t.Errorf("sya_wal_snapshots_total = %v, want 1", v)
-	}
-}
-
-// TestSnapshotFallbackToPrev corrupts the primary snapshot: replay must use
-// the rotated previous generation plus the (uncompacted) log tail.
-func TestSnapshotFallbackToPrev(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ev.wal")
-	recs := testRecords()
-	l, _ := mustOpen(t, path, Options{SnapshotEvery: 1})
-	// Every append compacts, so after three appends the snapshot holds all
-	// three (merged) and .prev holds the first two.
-	appendAll(t, l, recs)
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := testutil.CorruptFile(SnapPath(path)); err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	l2, stats := mustOpen(t, path, Options{Metrics: reg})
-	defer l2.Close()
-	if !stats.SnapshotFallback {
-		t.Fatalf("stats = %+v, want snapshot fallback", stats)
-	}
-	// The previous snapshot holds records 1–2 (record 2 and 3 share a
-	// relation, so the third-generation snapshot merged them; the second
-	// generation is records 1 and 2 as appended).
-	want := mergeRecords(recs[:2])
-	if !reflect.DeepEqual(l2.Records(), want) {
-		t.Fatalf("records = %+v, want %+v", l2.Records(), want)
-	}
-	if v := reg.Snapshot()["sya_wal_snapshot_fallbacks_total"]; v != 1 {
-		t.Errorf("fallback counter = %v, want 1", v)
-	}
-}
-
-// TestSnapshotCorruptNoFallbackFails: losing both snapshot generations must
-// refuse to boot rather than silently dropping acked evidence.
-func TestSnapshotCorruptNoFallbackFails(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ev.wal")
 	l, _ := mustOpen(t, path, Options{})
-	appendAll(t, l, testRecords())
-	if err := l.Compact(); err != nil {
+	appendAll(t, l, recs[:1])
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	l, _ = mustOpen(t, path, Options{Metrics: reg})
+	for i, rec := range recs {
+		if err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		snap := reg.Snapshot()
+		if v := snap["sya_wal_fsyncs_total"]; v != float64(i+1) {
+			t.Errorf("fsyncs after %d appends: %v", i+1, v)
+		}
+		if v := snap["sya_wal_records"]; v != float64(i+2) {
+			t.Errorf("sya_wal_records after %d appends over 1 replayed: %v", i+1, v)
+		}
+		if got := l.Records(); !reflect.DeepEqual(got, recs[:1]) {
+			t.Fatalf("Records after %d appends = %+v, want only the replayed record", i+1, got)
+		}
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := testutil.CorruptFile(SnapPath(path)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Open(path, Options{}); err == nil {
-		t.Fatal("Open succeeded with a corrupt snapshot and no previous generation")
-	}
 }
 
-func TestSyncBatching(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ev.wal")
-	reg := obs.NewRegistry()
-	l, _ := mustOpen(t, path, Options{SyncEvery: 3, Metrics: reg})
-	recs := testRecords()
-	appendAll(t, l, recs) // 3 appends → exactly one fsync
-	if v := reg.Snapshot()["sya_wal_fsyncs_total"]; v != 1 {
-		t.Errorf("fsyncs after 3 appends at SyncEvery=3: %v, want 1", v)
-	}
-	if err := l.Append(recs[0]); err != nil { // 1 unsynced
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil { // Close flushes the remainder
-		t.Fatal(err)
-	}
-	if v := reg.Snapshot()["sya_wal_fsyncs_total"]; v != 2 {
-		t.Errorf("fsyncs after close: %v, want 2", v)
-	}
-	if v := reg.Snapshot()["sya_wal_appends_total"]; v != 4 {
-		t.Errorf("appends: %v, want 4", v)
+// TestOpenRefusesSnapshotFiles: a snapshot beside the log holds records a
+// compacting build moved out of it, so Open fails naming the file and leaves
+// the log as it was rather than replay a history with a hole in it.
+func TestOpenRefusesSnapshotFiles(t *testing.T) {
+	for _, suffix := range []string{".snap", ".snap.prev"} {
+		t.Run(suffix, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "ev.wal")
+			l, _ := mustOpen(t, path, Options{})
+			appendAll(t, l, testRecords())
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := path + suffix
+			if err := os.WriteFile(snap, before, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = Open(path, Options{})
+			if err == nil || !strings.Contains(err.Error(), snap) {
+				t.Fatalf("Open beside %s: err = %v, want an error naming it", snap, err)
+			}
+			if after, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(after, before) {
+				t.Fatalf("Open changed the log it refused (err %v)", rerr)
+			}
+		})
 	}
 }
 
@@ -271,23 +226,5 @@ func TestWrongMagicIsErrorNotTear(t *testing.T) {
 	}
 	if _, _, err := Open(path, Options{}); err == nil {
 		t.Fatal("Open succeeded on a non-WAL file; truncating it would destroy data")
-	}
-}
-
-func TestMergeRecordsPreservesOrder(t *testing.T) {
-	recs := []Record{
-		{Relation: "A", Rows: [][]string{{"1"}}},
-		{Relation: "A", Rows: [][]string{{"2"}}},
-		{Relation: "B", Rows: [][]string{{"3"}}},
-		{Relation: "A", Rows: [][]string{{"4"}}},
-	}
-	got := mergeRecords(recs)
-	want := []Record{
-		{Relation: "A", Rows: [][]string{{"1"}, {"2"}}},
-		{Relation: "B", Rows: [][]string{{"3"}}},
-		{Relation: "A", Rows: [][]string{{"4"}}},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("mergeRecords = %+v, want %+v", got, want)
 	}
 }

@@ -129,7 +129,6 @@ var testSeams = map[string]string{
 	"FrameOffsets":     "wal's frame boundaries, where the torn-log tests cut",
 	"CheckInvariants":  "pyramid's structural oracle for Build",
 	"ExactMarginals":   "factorgraph's exact-enumeration oracle the statistical harness checks samplers against",
-	"AddSpatialPair":   "the validating one-pair Builder call the test graphs are written with; grounding uses AddSpatialPairs",
 	"InstrumentSweeps": "Spatial's sweep instrumentation for the locality tests",
 	"SweptCells":       "Spatial's sweep instrumentation for the locality tests",
 	"SweptTailVars":    "Spatial's sweep instrumentation for the locality tests",
