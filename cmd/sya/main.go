@@ -7,7 +7,7 @@
 //	sya -program kb.ddlog -load County=counties.csv -load CountyEvidence=ev.csv \
 //	    [-engine sya|deepdive] [-metric euclidean|miles|km] [-epochs N] \
 //	    [-bandwidth B] [-scale S] [-seed N] [-stats] [-workers N] \
-//	    [-timeout D] [-checkpoint file] [-checkpoint-every N] \
+//	    [-timeout D] \
 //	    [-metrics-addr host:port] [-trace-out run.json] \
 //	    [-progress N] [-local-atom relation|terms -local-budget N]
 //	    [-shards N [-shard-addrs host:port,...]]
@@ -18,11 +18,7 @@
 //
 // Long runs are interruptible: -timeout bounds the whole pipeline, and ^C
 // (SIGINT/SIGTERM) stops sampling gracefully — either way the scores
-// accumulated so far are still printed, flagged as partial. With
-// -checkpoint the sampler snapshots its chain state every -checkpoint-every
-// epochs (keeping the previous snapshot at <file>.prev) and a rerun pointing
-// at the same file resumes where it left off, falling back to the previous
-// snapshot if the newest is torn.
+// accumulated so far are still printed, flagged as partial.
 //
 // Observability: -metrics-addr serves live Prometheus-text /metrics and
 // /debug/pprof/ while the run is in flight; -trace-out
@@ -30,7 +26,7 @@
 // serves per request at /debug/traces: a core.ground stage with a child per
 // rule and per @spatial relation, learn.weights with an event per iteration,
 // core.infer with one sweep span (epoch count, stop reason) carrying the
-// checkpoint and -progress readings as events; -progress N prints a
+// -progress readings as events; -progress N prints a
 // convergence diagnostic line to stderr every N epochs.
 //
 // Grounding and sampling run on worker pools sized by -workers (default
@@ -40,8 +36,7 @@
 // subtree into N share-nothing shards (each with its own subgraph, compiled
 // kernels and sampler) synchronized by a halo exchange at every epoch
 // barrier; -shard-addrs switches the exchange from in-process channels to
-// length-prefixed CRC-framed TCP. A sharded run checkpoints per shard
-// (<file>.shard<i>) and resumes like a single-process one.
+// length-prefixed CRC-framed TCP.
 package main
 
 import (
@@ -88,9 +83,7 @@ type runOpts struct {
 	stats      bool
 	learnIters int
 
-	timeout   time.Duration
-	ckptPath  string
-	ckptEvery int
+	timeout time.Duration
 
 	metricsAddr string
 	traceOut    string
@@ -114,8 +107,6 @@ func parseArgs(args []string, stderr io.Writer) (runOpts, error) {
 	fs.BoolVar(&o.stats, "stats", false, "print grounding statistics")
 	fs.IntVar(&o.learnIters, "learn", 0, "learn rule weights from evidence for N iterations before inference")
 	fs.DurationVar(&o.timeout, "timeout", 0, "bound the whole run; partial scores are still printed (0 = none)")
-	fs.StringVar(&o.ckptPath, "checkpoint", "", "snapshot sampler state to this file and resume from it if it exists")
-	fs.IntVar(&o.ckptEvery, "checkpoint-every", 100, "epochs between checkpoint snapshots (≥ 1)")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics and /debug/pprof on this address while running")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write the run's span tree (one JSON trace record, the /debug/traces schema) to this file")
 	fs.IntVar(&o.progress, "progress", 0, "print a convergence diagnostic to stderr every N epochs (0 = off)")
@@ -129,8 +120,6 @@ func parseArgs(args []string, stderr io.Writer) (runOpts, error) {
 	err := o.Validate()
 	switch {
 	case err != nil:
-	case o.ckptEvery < 1:
-		err = fmt.Errorf("-checkpoint-every must be ≥ 1 (got %d)", o.ckptEvery)
 	case o.shardAddrs != "" && strings.Count(o.shardAddrs, ",")+1 != o.shards:
 		err = fmt.Errorf("-shard-addrs %q does not list one address per shard (-shards is %d)", o.shardAddrs, o.shards)
 	}
@@ -141,9 +130,6 @@ func parseArgs(args []string, stderr io.Writer) (runOpts, error) {
 }
 
 func run(o runOpts) (err error) {
-	if o.ckptEvery < 0 {
-		return fmt.Errorf("-checkpoint-every must not be negative (got %d)", o.ckptEvery)
-	}
 	// One context governs the whole pipeline: grounding, learning and
 	// sampling all stop within a chunk of ^C or the -timeout deadline.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -155,7 +141,6 @@ func run(o runOpts) (err error) {
 	}
 	cfg := &o.Config
 	cfg.Shards = o.shards
-	cfg.CheckpointPath, cfg.CheckpointEvery = o.ckptPath, o.ckptEvery
 	if o.shardAddrs != "" {
 		cfg.ShardAddrs = strings.Split(o.shardAddrs, ",")
 	}

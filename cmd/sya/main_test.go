@@ -72,29 +72,13 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
-func TestRunCheckpointAndTimeout(t *testing.T) {
+func TestRunTimeout(t *testing.T) {
 	program, county, evidence := writeFixtures(t)
 	loads := [][2]string{{"County", county}, {"CountyEvidence", evidence}}
 
-	// A checkpointed run leaves a resumable snapshot behind.
-	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-	o := opts(program, loads)
-	o.Config.Epochs, o.Config.Bandwidth, o.Config.Seed = 300, 60, 7
-	o.ckptPath, o.ckptEvery = ckpt, 50
-	if err := run(o); err != nil {
-		t.Fatal(err)
-	}
-	if fi, err := os.Stat(ckpt); err != nil || fi.Size() == 0 {
-		t.Fatalf("checkpoint not written: %v", err)
-	}
-	// A second run resumes from it rather than failing.
-	if err := run(o); err != nil {
-		t.Fatalf("resumed run: %v", err)
-	}
-
 	// An immediate -timeout interrupts the pipeline during grounding; the
 	// error is the context's, not a crash.
-	o = opts(program, loads)
+	o := opts(program, loads)
 	o.Config.Epochs, o.Config.Bandwidth, o.Config.Seed = 300, 60, 7
 	o.timeout = time.Nanosecond
 	err := run(o)
@@ -229,7 +213,6 @@ func TestCommandLine(t *testing.T) {
 			Engine: core.EngineSya, Metric: geom.Euclidean,
 			Epochs: 1000, Bandwidth: 50, SpatialScale: 1, Seed: 1,
 		}},
-		ckptEvery: 100,
 	}
 	given := defaults
 	given.Loads = cliutil.LoadFlag{Pairs: [][2]string{{"County", "c.csv"}, {"Ev", "e.csv"}}}
@@ -240,6 +223,8 @@ func TestCommandLine(t *testing.T) {
 		args    []string
 		want    runOpts
 		wantErr bool
+		// undefined, when set, is the removed flag the error must name.
+		undefined string
 	}{
 		{name: "defaults", args: []string{"-program", "kb.ddlog"}, want: defaults},
 		{name: "given values land in the field run reads", want: given, args: []string{"-program", "kb.ddlog",
@@ -248,11 +233,12 @@ func TestCommandLine(t *testing.T) {
 
 		{name: "no program", args: nil, wantErr: true},
 		{name: "malformed -load", args: []string{"-program", "kb.ddlog", "-load", "County"}, wantErr: true},
-		{name: "-checkpoint-every 0", args: []string{"-program", "kb.ddlog", "-checkpoint-every", "0"}, wantErr: true},
 		{name: "-shard-addrs shorter than -shards", args: []string{"-program", "kb.ddlog", "-shards", "3", "-shard-addrs", "a:1,b:2"}, wantErr: true},
 		{name: "removed trace rotation", args: []string{"-program", "kb.ddlog", removedRotationFlag, "4"}, wantErr: true},
 		{name: "removed graph snapshot", args: []string{"-program", "kb.ddlog", "-save-graph", "graph.bin"}, wantErr: true},
 		{name: "removed -ground-workers", args: []string{"-program", "kb.ddlog", "-ground-workers", "2"}, wantErr: true},
+		{name: "removed -checkpoint", args: []string{"-program", "kb.ddlog", "-checkpoint", "run.ckpt"}, wantErr: true, undefined: "-checkpoint"},
+		{name: "removed -checkpoint-every", args: []string{"-program", "kb.ddlog", "-checkpoint-every", "10"}, wantErr: true, undefined: "-checkpoint-every"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -260,6 +246,9 @@ func TestCommandLine(t *testing.T) {
 			if c.wantErr {
 				if err == nil {
 					t.Fatalf("parseArgs(%q) = %+v, want an error", c.args, o)
+				}
+				if want := "flag provided but not defined: " + c.undefined; c.undefined != "" && err.Error() != want {
+					t.Errorf("parseArgs(%q) error = %q, want %q", c.args, err, want)
 				}
 				return
 			}
@@ -270,15 +259,6 @@ func TestCommandLine(t *testing.T) {
 				t.Errorf("parseArgs(%q) =\n%+v, want\n%+v", c.args, o, c.want)
 			}
 		})
-	}
-}
-
-func TestRunRejectsNegativeCheckpointEvery(t *testing.T) {
-	program, county, _ := writeFixtures(t)
-	o := opts(program, [][2]string{{"County", county}})
-	o.ckptEvery = -1
-	if err := run(o); err == nil || !strings.Contains(err.Error(), "checkpoint-every") {
-		t.Errorf("negative -checkpoint-every error = %v", err)
 	}
 }
 

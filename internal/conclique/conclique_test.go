@@ -2,11 +2,69 @@ package conclique
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/index/pyramid"
 )
+
+// The sampler needs only Of; partition, neighbors and validate below are the
+// property tests' oracle for it.
+
+// partition groups cells by conclique, preserving the deterministic cell
+// order within each group. The result always has Count groups; groups with
+// no cells are empty slices.
+func partition(cells []*pyramid.Cell) [Count][]*pyramid.Cell {
+	var groups [Count][]*pyramid.Cell
+	for _, c := range cells {
+		q := Of(c.Key)
+		groups[q] = append(groups[q], c)
+	}
+	return groups
+}
+
+// neighbors reports whether two cells at the same level are 8-neighbours
+// (share an edge or a corner). Cells at different levels are never
+// considered neighbours by this predicate.
+func neighbors(a, b pyramid.CellKey) bool {
+	if a.Level != b.Level || a == b {
+		return false
+	}
+	dx := a.X - b.X
+	if dx < 0 {
+		dx = -dx
+	}
+	dy := a.Y - b.Y
+	if dy < 0 {
+		dy = -dy
+	}
+	return dx <= 1 && dy <= 1
+}
+
+// validate checks the conclique property over a set of cells: no two cells
+// with the same conclique ID are 8-neighbours. It returns the offending
+// pair, or ok=true.
+func validate(cells []*pyramid.Cell) (a, b pyramid.CellKey, ok bool) {
+	byID := partition(cells)
+	for _, group := range byID {
+		sorted := append([]*pyramid.Cell(nil), group...)
+		sort.Slice(sorted, func(i, j int) bool {
+			if sorted[i].Key.Y != sorted[j].Key.Y {
+				return sorted[i].Key.Y < sorted[j].Key.Y
+			}
+			return sorted[i].Key.X < sorted[j].Key.X
+		})
+		for i := 0; i < len(sorted); i++ {
+			for j := i + 1; j < len(sorted); j++ {
+				if neighbors(sorted[i].Key, sorted[j].Key) {
+					return sorted[i].Key, sorted[j].Key, false
+				}
+			}
+		}
+	}
+	return pyramid.CellKey{}, pyramid.CellKey{}, true
+}
 
 func cellAt(level, x, y int) *pyramid.Cell {
 	return &pyramid.Cell{Key: pyramid.CellKey{Level: level, X: x, Y: y}, Entries: []int64{1}}
@@ -39,7 +97,7 @@ func TestPaperFigure6Concliques(t *testing.T) {
 			cells = append(cells, cellAt(2, x, y))
 		}
 	}
-	groups := Partition(cells)
+	groups := partition(cells)
 	total := 0
 	for _, g := range groups {
 		total += len(g)
@@ -47,7 +105,7 @@ func TestPaperFigure6Concliques(t *testing.T) {
 	if total != len(cells) {
 		t.Fatalf("partition covers %d cells, want %d", total, len(cells))
 	}
-	if _, _, ok := Validate(cells); !ok {
+	if _, _, ok := validate(cells); !ok {
 		t.Error("grid partition violates conclique property")
 	}
 }
@@ -66,8 +124,8 @@ func TestNeighbors(t *testing.T) {
 		{pyramid.CellKey{Level: 2, X: 0, Y: 0}, true},
 	}
 	for _, c := range cases {
-		if got := Neighbors(a, c.b); got != c.want {
-			t.Errorf("Neighbors(%v, %v) = %v, want %v", a, c.b, got, c.want)
+		if got := neighbors(a, c.b); got != c.want {
+			t.Errorf("neighbors(%v, %v) = %v, want %v", a, c.b, got, c.want)
 		}
 	}
 }
@@ -80,14 +138,14 @@ func TestSameConcliqueNeverNeighborsProperty(t *testing.T) {
 		if Of(a) != Of(b) {
 			return true
 		}
-		return !Neighbors(a, b)
+		return !neighbors(a, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: Partition of random cell sets always validates and is a
+// Property: partition of random cell sets always validates and is a
 // partition (covers all, no duplicates).
 func TestPartitionProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -103,7 +161,7 @@ func TestPartitionProperty(t *testing.T) {
 			seen[k] = true
 			cells = append(cells, &pyramid.Cell{Key: k})
 		}
-		groups := Partition(cells)
+		groups := partition(cells)
 		total := 0
 		for q, g := range groups {
 			total += len(g)
@@ -116,7 +174,7 @@ func TestPartitionProperty(t *testing.T) {
 		if total != n {
 			t.Fatalf("partition size %d, want %d", total, n)
 		}
-		if a, b, ok := Validate(cells); !ok {
+		if a, b, ok := validate(cells); !ok {
 			t.Fatalf("conclique violation between %v and %v", a, b)
 		}
 	}
@@ -125,15 +183,15 @@ func TestPartitionProperty(t *testing.T) {
 func TestValidateDetectsViolation(t *testing.T) {
 	// Hand-build an invalid grouping by lying about keys: two adjacent
 	// cells forced into the same conclique id can only happen if Of is
-	// broken, so instead validate that Validate flags genuinely adjacent
-	// same-colour keys (impossible under Of — construct via Neighbors
+	// broken, so instead check that validate flags genuinely adjacent
+	// same-colour keys (impossible under Of — construct via neighbors
 	// directly).
 	a := pyramid.CellKey{Level: 2, X: 0, Y: 0}
 	b := pyramid.CellKey{Level: 2, X: 2, Y: 0}
 	if Of(a) != Of(b) {
 		t.Fatal("test setup: expected same conclique")
 	}
-	if Neighbors(a, b) {
+	if neighbors(a, b) {
 		t.Error("cells two apart should not be neighbours")
 	}
 }

@@ -13,7 +13,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
@@ -132,21 +131,9 @@ type Config struct {
 	// in-process transports.
 	ShardAddrs []string
 
-	// CheckpointPath enables fault-tolerant inference: the sampler snapshots
-	// its chain state to this file every CheckpointEvery epochs (atomic
-	// temp-file+rename writes, keeping the previous generation at
-	// CheckpointPath+".prev"), and a System whose sampler is freshly built
-	// resumes from the file automatically when it exists — falling back to
-	// the previous generation when the primary is torn or corrupted. Empty
-	// disables.
-	CheckpointPath string
-	// CheckpointEvery is the snapshot interval in epochs (0 → 100).
-	CheckpointEvery int
-
 	// Metrics, when non-nil, receives pipeline metrics: sampler epoch/chunk
-	// counters and timing histograms, checkpoint save/resume counters, and
-	// grounding size gauges. nil disables (the samplers then skip
-	// instrumentation entirely).
+	// counters and timing histograms, and grounding size gauges. nil
+	// disables (the samplers then skip instrumentation entirely).
 	Metrics *obs.Registry
 	// ProgressEvery enables sampler convergence diagnostics every that many
 	// epochs (0 disables): running marginal max-delta and cross-instance
@@ -450,9 +437,7 @@ func (s *System) InferEpochs(epochs int) (*Scores, error) {
 // example a *gibbs.WorkerPanicError); cancellation alone is not an error.
 //
 // The sampler is built once per grounding and reused across inference calls
-// (its worker pool persists); Close releases it. When CheckpointPath is
-// configured, a freshly built sampler resumes from the checkpoint file if
-// one exists and snapshots periodically while running.
+// (its worker pool persists); Close releases it.
 //
 // A span on ctx gets a core.infer stage whose children are what the call
 // did: learn.weights (auto-learning), gibbs.build or shard.build (first call
@@ -499,8 +484,8 @@ func (s *System) InferContext(ctx context.Context, epochs int) (*Scores, gibbs.R
 
 // ensureShardGroup builds the sharded-inference group if none is live:
 // partition, per-shard subgraphs/samplers, transports (TCP when ShardAddrs
-// is set, in-process channels otherwise) and per-shard checkpoint resume —
-// a shard.build stage of the span on ctx.
+// is set, in-process channels otherwise) — a shard.build stage of the span
+// on ctx.
 func (s *System) ensureShardGroup(ctx context.Context) error {
 	if s.shardGroup != nil {
 		return nil
@@ -508,16 +493,14 @@ func (s *System) ensureShardGroup(ctx context.Context) error {
 	span := obs.SpanFromContext(ctx).Child("shard.build")
 	defer span.End()
 	opts := shard.Options{
-		Shards:          s.cfg.Shards,
-		Levels:          s.cfg.PyramidLevels,
-		LocalityLevel:   s.cfg.LocalityLevel,
-		Instances:       s.cfg.Instances,
-		Workers:         s.cfg.Workers,
-		Seed:            s.cfg.Seed,
-		BurnIn:          s.burnIn(s.cfg.Instances),
-		Metrics:         s.cfg.Metrics,
-		CheckpointPath:  s.cfg.CheckpointPath,
-		CheckpointEvery: s.cfg.CheckpointEvery,
+		Shards:        s.cfg.Shards,
+		Levels:        s.cfg.PyramidLevels,
+		LocalityLevel: s.cfg.LocalityLevel,
+		Instances:     s.cfg.Instances,
+		Workers:       s.cfg.Workers,
+		Seed:          s.cfg.Seed,
+		BurnIn:        s.burnIn(s.cfg.Instances),
+		Metrics:       s.cfg.Metrics,
 	}
 	if len(s.cfg.ShardAddrs) > 0 {
 		if len(s.cfg.ShardAddrs) != s.cfg.Shards {
@@ -548,10 +531,9 @@ func (s *System) ensureShardGroup(ctx context.Context) error {
 	return nil
 }
 
-// ensureSampler builds (and possibly resumes) the engine sampler if none is
-// live, wiring the observability plane into it — a gibbs.build stage of the
-// span on ctx, with the checkpoint resume as an event on it — and re-applies
-// the grounding's evidence pins to it.
+// ensureSampler builds the engine sampler if none is live, wiring the
+// observability plane into it — a gibbs.build stage of the span on ctx —
+// and re-applies the grounding's evidence pins to it.
 func (s *System) ensureSampler(ctx context.Context) error {
 	if s.sampler != nil {
 		return nil
@@ -564,28 +546,6 @@ func (s *System) ensureSampler(ctx context.Context) error {
 	}
 	sampler.SetMetrics(gibbs.NewMetrics(s.cfg.Metrics))
 	sampler.SetProgress(s.cfg.ProgressEvery, s.cfg.Progress)
-	if s.cfg.CheckpointPath != "" {
-		resumeStart := time.Now()
-		from, resumeErr := gibbs.ResumeFrom(sampler, s.cfg.CheckpointPath)
-		switch {
-		case resumeErr == nil:
-			fallback := from != s.cfg.CheckpointPath
-			if s.cfg.Metrics != nil {
-				s.cfg.Metrics.Counter("sya_checkpoint_resumes_total").Inc()
-				if fallback {
-					s.cfg.Metrics.Counter("sya_checkpoint_resume_fallbacks_total").Inc()
-				}
-			}
-			span.Event("resume", time.Since(resumeStart)).Notef("path=%s fallback=%v epoch=%d",
-				from, fallback, sampler.TotalEpochs())
-		case os.IsNotExist(resumeErr):
-			// No checkpoint of either generation: a fresh run.
-		default:
-			sampler.Close()
-			return fmt.Errorf("core: resuming from %s: %w", s.cfg.CheckpointPath, resumeErr)
-		}
-		sampler.SetCheckpointer(&gibbs.Checkpointer{Path: s.cfg.CheckpointPath, Every: s.cfg.CheckpointEvery})
-	}
 	// Pins exist only where UpdateEvidence / UpsertEvidence found the
 	// incremental sampler, so a rebuilt one within the grounding is one too.
 	if sp, ok := sampler.(*gibbs.Spatial); ok {

@@ -2,17 +2,12 @@ package core
 
 // System-level observability tests: a Config-supplied registry and a span on
 // the context must see the whole pipeline (grounding gauges and stages,
-// sampler counters, diagnostics, checkpoint resume counters), and the resume
-// telemetry must distinguish primary resumes from .prev fallbacks.
+// sampler counters, diagnostics).
 
 import (
 	"context"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
-	"repro/internal/frame"
 	"repro/internal/gibbs"
 	"repro/internal/obs"
 )
@@ -61,77 +56,5 @@ func TestObservabilityThroughConfig(t *testing.T) {
 	}
 	if stages["diag"] != len(progress) {
 		t.Errorf("trace has %d diag events for %d Progress readings", stages["diag"], len(progress))
-	}
-}
-
-func TestResumeCountersDistinguishFallback(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sys.ckpt")
-	base := Config{Engine: EngineSya, Seed: 5, Workers: 1, BurnIn: -1,
-		CheckpointPath: path, CheckpointEvery: 10}
-
-	// Seed two checkpoint generations.
-	s1 := newEbolaSystem(t, base)
-	if _, err := s1.Ground(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s1.InferContext(context.Background(), 100); err != nil {
-		t.Fatal(err)
-	}
-	s1.Close()
-	if _, err := os.Stat(frame.PrevPath(path)); err != nil {
-		t.Fatalf("no rotated generation after the first run: %v", err)
-	}
-
-	// A healthy resume counts as a primary resume, not a fallback.
-	cfg := base
-	cfg.Metrics = obs.NewRegistry()
-	s2 := newEbolaSystem(t, cfg)
-	if _, err := s2.Ground(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s2.InferContext(context.Background(), 20); err != nil {
-		t.Fatal(err)
-	}
-	s2.Close()
-	snap := cfg.Metrics.Snapshot()
-	if snap["sya_checkpoint_resumes_total"] != 1 {
-		t.Errorf("resumes = %v, want 1", snap["sya_checkpoint_resumes_total"])
-	}
-	if snap["sya_checkpoint_resume_fallbacks_total"] != 0 {
-		t.Errorf("fallbacks = %v, want 0", snap["sya_checkpoint_resume_fallbacks_total"])
-	}
-
-	// Corrupt the primary: the resume falls back to .prev and says so.
-	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cfg = base
-	cfg.Metrics = obs.NewRegistry()
-	s3 := newEbolaSystem(t, cfg)
-	defer s3.Close()
-	if _, err := s3.Ground(); err != nil {
-		t.Fatal(err)
-	}
-	tracer := obs.NewTracer(obs.TracerOptions{RingSize: 1})
-	root := tracer.StartRequest("batch", "")
-	if _, _, err := s3.InferContext(obs.ContextWithSpan(context.Background(), root), 20); err != nil {
-		t.Fatal(err)
-	}
-	root.Finish("ok")
-	snap = cfg.Metrics.Snapshot()
-	if snap["sya_checkpoint_resumes_total"] != 1 || snap["sya_checkpoint_resume_fallbacks_total"] != 1 {
-		t.Errorf("fallback resume counters = (%v, %v), want (1, 1)",
-			snap["sya_checkpoint_resumes_total"], snap["sya_checkpoint_resume_fallbacks_total"])
-	}
-	// The trace says the same: a resume event on the sampler's build stage.
-	spans := tracer.Recent(1)[0].Spans
-	var resume obs.SpanRecord
-	for _, sp := range spans {
-		if sp.Name == "resume" {
-			resume = sp
-		}
-	}
-	if want := "path=" + frame.PrevPath(path) + " fallback=true epoch="; !strings.HasPrefix(resume.Note, want) || spans[resume.Parent].Name != "gibbs.build" {
-		t.Errorf("resume event = %+v, want note %q… under gibbs.build (%+v)", resume, want, spans)
 	}
 }

@@ -3,12 +3,11 @@ package core
 // System-level tests of the fault-tolerant runtime: end-to-end accuracy of
 // both engines against exact marginals (the statistical harness extended to
 // EngineDeepDive, which previously was only covered at the sampler layer),
-// context cancellation through the public facade, sampler lifecycle
-// (Close/reuse), and checkpoint/resume driven purely by Config.
+// context cancellation through the public facade, and sampler lifecycle
+// (Close/reuse).
 
 import (
 	"context"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/datagen"
@@ -161,60 +160,5 @@ func TestCloseReleasesWorkersAcrossLearn(t *testing.T) {
 				t.Error("sampler still live after Close")
 			}
 		})
-	}
-}
-
-func TestConfigCheckpointResumeEndToEnd(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sys.ckpt")
-	// BurnIn -1: with the default burn-in these short runs would count no
-	// samples at all and the comparison would be vacuously uniform.
-	base := Config{Engine: EngineSya, Seed: 5, Workers: 1, BurnIn: -1, CheckpointPath: path, CheckpointEvery: 25}
-
-	// Reference: an uninterrupted run with no checkpointing.
-	ref := newEbolaSystem(t, Config{Engine: EngineSya, Seed: 5, Workers: 1, BurnIn: -1})
-	defer ref.Close()
-	if _, err := ref.Ground(); err != nil {
-		t.Fatal(err)
-	}
-	wantScores, _, err := ref.InferContext(context.Background(), 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// First system runs half the budget (the last snapshot lands exactly at
-	// epoch 100 = 4×25 per instance... in sampler epochs: RunTotal splits
-	// the budget across instances) and "crashes".
-	s1 := newEbolaSystem(t, base)
-	if _, err := s1.Ground(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s1.InferContext(context.Background(), 100); err != nil {
-		t.Fatal(err)
-	}
-	halfEpochs := s1.Sampler().TotalEpochs()
-	s1.Close()
-
-	// Second system — fresh process in spirit — resumes from the file.
-	s2 := newEbolaSystem(t, base)
-	defer s2.Close()
-	if _, err := s2.Ground(); err != nil {
-		t.Fatal(err)
-	}
-	gotScores, _, err := s2.InferContext(context.Background(), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s2.Sampler().TotalEpochs(); got <= halfEpochs {
-		t.Fatalf("resumed sampler at %d epochs, want beyond the checkpointed %d", got, halfEpochs)
-	}
-	// Workers=1 spatial sampling is scheduling-deterministic, so the resumed
-	// run must reproduce the uninterrupted marginals exactly.
-	for v := range wantScores.Marginals {
-		for x := range wantScores.Marginals[v] {
-			if wantScores.Marginals[v][x] != gotScores.Marginals[v][x] {
-				t.Fatalf("marginal[%d][%d]: uninterrupted %v, resumed %v",
-					v, x, wantScores.Marginals[v][x], gotScores.Marginals[v][x])
-			}
-		}
 	}
 }

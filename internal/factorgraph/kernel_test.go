@@ -392,8 +392,8 @@ func checkKernels(t testing.TB, g *factorgraph.Graph, k, exact *factorgraph.Kern
 // regrouped reference, and closely against the plain interpreted walk — the
 // nothing-frozen set's on arbitrary assignments, the folded set's, which fold
 // frozen endpoints away, on reachable ones. Together these let the compiled
-// path inherit the TV-vs-exact statistical harness, the worker-invariance
-// tests and old checkpoints without re-validation.
+// path inherit the TV-vs-exact statistical harness and the worker-invariance
+// tests without re-validation.
 func TestKernelsMatchInterpretedBitForBit(t *testing.T) {
 	for i, c := range equivCases() {
 		c := c

@@ -1,12 +1,11 @@
 // Package frame is the one container for every byte that leaves memory: a
 // magic/version header, then frames of
 // [u32 payload length | u32 CRC-32 (IEEE) of the payload | payload], all
-// little-endian. The evidence WAL, the sampler checkpoints and the shard TCP
-// stream are this layout under three magics; each package declares its Format
-// beside its payload codec and keeps only its policy (truncate a torn log,
-// fall back from a torn checkpoint, close a corrupt connection).
-// Bounds-checked payload reads (Cursor) and the atomically published file
-// pair (WriteFile, LoadPair) live here too, and nowhere else.
+// little-endian. The evidence WAL ("SYAW") and the shard TCP stream ("SYAH")
+// are this layout under two magics; each package declares its Format beside
+// its payload codec and keeps only its policy (truncate a torn log, close a
+// corrupt connection). Bounds-checked payload reads (Cursor) live here too,
+// and nowhere else.
 package frame
 
 import (
@@ -14,8 +13,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
 	"slices"
 )
 
@@ -181,67 +178,3 @@ func (c *Cursor) fits(n uint64, elem int) int {
 
 // Str reads a u32 length-prefixed string.
 func (c *Cursor) Str() string { return string(c.Bytes(c.Count(1))) }
-
-// PrevPath names the previous generation WriteFile keeps beside path.
-func PrevPath(path string) string { return path + ".prev" }
-
-// WriteFile publishes data at path atomically and durably: written and
-// fsynced under path+".tmp", the current file rotated to PrevPath(path), the
-// temp file renamed over path, and the directory fsynced. Once it returns, a
-// crash can neither lose the new generation nor leave the pair without a
-// complete file, so the caller may discard what the file replaces.
-func WriteFile(path string, data []byte) (err error) {
-	tmp := path + ".tmp"
-	defer func() {
-		if err != nil {
-			os.Remove(tmp)
-		}
-	}()
-	f, err := os.Create(tmp)
-	if err == nil {
-		_, err = f.Write(data)
-	}
-	if err := syncClose(f, err); err != nil {
-		return err
-	}
-	if err := os.Rename(path, PrevPath(path)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("rotating previous generation: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	return syncClose(os.Open(filepath.Dir(path)))
-}
-
-// syncClose fsyncs and closes f, reporting the first failure; with err
-// already set (f may then be nil) it only closes.
-func syncClose(f *os.File, err error) error {
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// LoadPair hands load the bytes of path and, when path cannot be read or load
-// rejects them, those of PrevPath(path); fallback reports that the previous
-// generation was the one accepted. When neither loads, err is the primary's
-// failure — a bare os error for a file that could not be read, so
-// os.IsNotExist tells "never written" from "corrupt".
-func LoadPair(path string, load func(raw []byte) error) (fallback bool, err error) {
-	for i, p := range [2]string{path, PrevPath(path)} {
-		raw, rerr := os.ReadFile(p)
-		if rerr == nil {
-			rerr = load(raw)
-		}
-		if rerr == nil {
-			return i == 1, nil
-		}
-		if i == 0 {
-			err = rerr
-		}
-	}
-	return false, err
-}

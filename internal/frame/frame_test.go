@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -187,54 +185,6 @@ func TestCursor(t *testing.T) {
 	c = Cursor{Buf: append(le.AppendUint16(nil, 3), make([]byte, 23)...)}
 	if n := c.Count16(8); n != 0 || c.Err == nil {
 		t.Errorf("Count16(8) of 3 with 23 bytes left = %d, err %v; want a latched error", n, c.Err)
-	}
-}
-
-func TestWriteFileRotatesAndCleansUp(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "state")
-	read := func(p string) string {
-		b, err := os.ReadFile(p)
-		if err != nil {
-			return "<" + filepath.Base(p) + " missing>"
-		}
-		return string(b)
-	}
-	for gen, want := range []struct{ cur, prev string }{
-		{"one", "<state.prev missing>"}, {"two", "one"}, {"three", "two"},
-	} {
-		if err := WriteFile(path, []byte(want.cur)); err != nil {
-			t.Fatal(err)
-		}
-		if read(path) != want.cur || read(PrevPath(path)) != want.prev {
-			t.Errorf("generation %d: pair = (%s, %s), want (%s, %s)", gen, read(path), read(PrevPath(path)), want.cur, want.prev)
-		}
-		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-			t.Errorf("generation %d: temp file left behind (%v)", gen, err)
-		}
-	}
-	// A failed publish leaves the pair as it was and no temp file.
-	if err := WriteFile(filepath.Join(dir, "missing", "state"), []byte("x")); err == nil {
-		t.Error("WriteFile into a missing directory succeeded")
-	}
-	blocked := filepath.Join(dir, "blocked")
-	if err := os.Mkdir(PrevPath(blocked), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(PrevPath(blocked), "x"), nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(blocked, []byte("old"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFile(blocked, []byte("new")); err == nil || !strings.Contains(err.Error(), "rotating previous generation") {
-		t.Errorf("rotation onto a non-empty directory: %v, want a rotation error", err)
-	}
-	if read(blocked) != "old" {
-		t.Errorf("failed publish changed the primary to %q", read(blocked))
-	}
-	if _, err := os.Stat(blocked + ".tmp"); !os.IsNotExist(err) {
-		t.Errorf("failed publish left its temp file (%v)", err)
 	}
 }
 

@@ -61,17 +61,16 @@ const tailUnit = -1
 
 // engine is the one sampler behind Sequential, Hogwild and Spatial: K chains
 // over one graph, one epoch loop (sweepEpochs) driven by a schedule, one
-// checkpoint and marginal path, one obs/hook wiring, and one worker pool
-// that the engine builds, owns and closes. A constructor supplies the
+// marginal path, one obs/hook wiring, and one worker pool that the engine
+// builds, owns and closes. A constructor supplies the
 // schedule, the chunking (split), the PRNG stream identity and the pool
 // width; see DESIGN §6 for the table of what each variant supplies.
 type engine struct {
 	name string
 	g    *factorgraph.Graph
 	sc   scorer
-	// seed and workers are the lineage a checkpoint records and validates
-	// (both 0 for the sequential sampler, whose chain PRNG state carries it).
-	seed    int64
+	// workers is the pool width (0 for the sequential sampler, whose one
+	// chunk runs inline on the caller).
 	workers int
 	// split is the most chunks a group is cut into; each covers all K
 	// instances.
@@ -94,12 +93,7 @@ type engine struct {
 	batchUnits []int32
 	batchTail  []factorgraph.VarID
 
-	// restored, when non-nil, runs after a successful Restore so a variant
-	// can drop state derived from the replaced chain.
-	restored func()
-
-	hooks TestHooks     // fault-injection plane (zero in production)
-	ckpt  *Checkpointer // periodic snapshot writer (nil: disabled)
+	hooks TestHooks // fault-injection plane (zero in production)
 
 	obsState // metrics/diagnostics plane (zero: disabled)
 
@@ -177,10 +171,6 @@ func (s *engine) SetProgress(every int, fn func(Progress)) {
 	s.enableProgress(s.g, every, fn, chains)
 }
 
-// SetCheckpointer enables periodic snapshots: during context-aware runs a
-// checkpoint is written at every epoch multiple of cp.Every. nil disables.
-func (s *engine) SetCheckpointer(cp *Checkpointer) { s.ckpt = cp }
-
 // runChunk is the pool's chunk runner: units [lo, hi) of the batch in
 // flight, or its serial tail, swept for every instance in lockstep.
 func (s *engine) runChunk(w *workerState, lo, hi int32) {
@@ -244,8 +234,8 @@ func (s *engine) RunEpochs(n int) {
 // chunk-granular: parked chunks are skipped once ctx fires and the call
 // returns after at most one in-flight chunk per worker, keeping the partial
 // samples accumulated so far. A worker panic returns a *WorkerPanicError
-// (the sampler is then poisoned; see WorkerPanicError). A checkpoint write
-// failure returns the write error. nil ctx means context.Background().
+// (the sampler is then poisoned; see WorkerPanicError). nil ctx means
+// context.Background().
 func (s *engine) Run(ctx context.Context, n int) (RunStats, error) {
 	span := obs.SpanFromContext(ctx).Child("gibbs.steady")
 	st, err := s.sweepEpochs(ctx, span, n, s.sched.units, s.sched.groupOff, s.sched.tail)
@@ -286,10 +276,9 @@ func (s *engine) RunTotal(ctx context.Context, total int) (RunStats, error) {
 //
 // span is the caller's stage for this sweep — one span per call, opened,
 // noted (epochs, stop reason) and ended by the caller; a disabled span is
-// free. Checkpoint saves and errors and the SetProgress readings land on it
-// as events, from this goroutine. Per-epoch timing is deliberately not in
-// the tree: it lives in the sya_epoch_seconds / sya_merge_seconds /
-// sya_chunk_queue_depth series.
+// free. The SetProgress readings land on it as events, from this goroutine.
+// Per-epoch timing is deliberately not in the tree: it lives in the
+// sya_epoch_seconds / sya_merge_seconds / sya_chunk_queue_depth series.
 //
 // Interruption points: ctx is checked before each epoch, between groups and
 // at the barrier, and workers skip parked chunks once ctx fires. An epoch
@@ -384,13 +373,6 @@ func (s *engine) sweepEpochs(ctx context.Context, span obs.Span, n int, units, g
 		}
 		if s.diagDue(s.epochs) {
 			s.takeDiag(span, s.name, s.epochs, &st)
-		}
-		if s.ckpt != nil && s.ckpt.due(s.epochs) {
-			if err := saveCheckpointObs(s.met, span, s.epochs, func() error {
-				return s.ckpt.Save(s.Snapshot())
-			}); err != nil {
-				return st, err
-			}
 		}
 		if s.hooks.AfterEpoch != nil {
 			s.hooks.AfterEpoch(s.epochs)

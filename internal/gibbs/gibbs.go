@@ -1,7 +1,7 @@
 // Package gibbs implements the inference module of the paper (Section V):
 // marginal-probability estimation over a (spatial) factor graph via Gibbs
 // sampling. There is one sampler engine — K chains, one epoch loop, one
-// worker pool, one checkpoint and observability path — driven by a flat
+// worker pool, one observability path — driven by a flat
 // schedule of groups → units → variables plus a serial tail; the three
 // variants are three schedules of it:
 //
@@ -100,15 +100,6 @@ type Sampler interface {
 	MarginalVar(v factorgraph.VarID) []float64
 	// TotalEpochs reports epochs run so far.
 	TotalEpochs() int
-	// Snapshot captures the full chain state as a versioned checkpoint;
-	// Restore loads one produced by the same sampler kind over the same
-	// graph and seed, making a resumed run continue exactly where the
-	// snapshot was taken.
-	Snapshot() *Checkpoint
-	Restore(cp *Checkpoint) error
-	// SetCheckpointer enables periodic snapshots during context-aware runs
-	// (nil disables).
-	SetCheckpointer(cp *Checkpointer)
 	// SetMetrics attaches metric handles from an obs registry (nil disables;
 	// the disabled path costs one nil check per epoch). Call with no run in
 	// flight.

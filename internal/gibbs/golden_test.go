@@ -1,13 +1,10 @@
 package gibbs_test
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"hash/fnv"
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/factorgraph"
@@ -16,34 +13,33 @@ import (
 )
 
 // chainGoldens pins chain identity across commits: every other test checks a
-// property within one build (determinism, resume, compiled≡interpreted), so
-// a refactor that changes every chain the same way passes them all. Each
-// entry is marginalHash after 40 epochs with burn-in 4 (run), and after the
-// variant's follow-up step (more; see goldenMore). The constants and the
-// testdata/*.ckpt fixtures were recorded at commit 258f4b8, before the three
-// samplers became schedules of one engine; a mismatch means the sampling
-// program changed, not that the constants need refreshing.
-var chainGoldens = map[string]struct{ run, more uint64 }{
-	"binary-logical/sequential":      {0x189c0c15649d3a89, 0},
-	"binary-logical/hogwild":         {0x172cf45144c447eb, 0xac7fe37cb024fbf0},
-	"binary-logical/spatial":         {0xc0afce46a1e6ab24, 0},
-	"binary-spatial/sequential":      {0x4231bf5feb4232db, 0},
-	"binary-spatial/hogwild":         {0x8f43597aa2aa6b95, 0x9781b7de4c269c87},
-	"binary-spatial/spatial":         {0xf0d9a98e384a3c4c, 0x9e16c273b7d4641a},
-	"categorical-logical/sequential": {0x38894d75427cf5e7, 0},
-	"categorical-logical/hogwild":    {0xc004b51834c37f8b, 0x92cd0a6acd6992bb},
-	"categorical-logical/spatial":    {0x71fd2dec1cbd7311, 0},
-	"categorical-spatial/sequential": {0xd131dec53c7c88a7, 0},
-	"categorical-spatial/hogwild":    {0xb465e013af11c308, 0x9c71bc29319cc2ec},
-	"categorical-spatial/spatial":    {0xa34be2d97ef50ca2, 0xe93db8c0e0b4d3e6},
-	"spatial-300/sequential":         {0x8d047cf574376f69, 0},
-	"spatial-300/hogwild":            {0xa1d43709680d6f77, 0xbc2772ecaac6a04a},
-	"spatial-300/spatial":            {0xcf3a87545302fe78, 0x5ccb295d8f13b5d7},
+// property within one build (determinism, K and worker invariance,
+// compiled≡interpreted), so a refactor that changes every chain the same way
+// passes them all. Each entry is marginalHash after 40 epochs with burn-in 4
+// (run), after the variant's follow-up step (more; see goldenMore), and
+// stateHash of the chains at epoch 20 (state). The run and more constants
+// were recorded at commit 258f4b8, before the three samplers became
+// schedules of one engine; the state constants later, on the same program,
+// where the three categorical-spatial ones equal the hash of the epoch-20
+// chain files 258f4b8 checked in and replace them. A mismatch means the
+// sampling program changed, not that the constants need refreshing.
+var chainGoldens = map[string]struct{ run, more, state uint64 }{
+	"binary-logical/sequential":      {0x189c0c15649d3a89, 0, 0x0ea62cbfde56447b},
+	"binary-logical/hogwild":         {0x172cf45144c447eb, 0xac7fe37cb024fbf0, 0x7f19d84f816d105a},
+	"binary-logical/spatial":         {0xc0afce46a1e6ab24, 0, 0xe8a07cbcedc44720},
+	"binary-spatial/sequential":      {0x4231bf5feb4232db, 0, 0x7ac70ab64bb9a331},
+	"binary-spatial/hogwild":         {0x8f43597aa2aa6b95, 0x9781b7de4c269c87, 0x3cfcc356b63ca570},
+	"binary-spatial/spatial":         {0xf0d9a98e384a3c4c, 0x9e16c273b7d4641a, 0x6029513a65b629c1},
+	"categorical-logical/sequential": {0x38894d75427cf5e7, 0, 0x226023c10f1be531},
+	"categorical-logical/hogwild":    {0xc004b51834c37f8b, 0x92cd0a6acd6992bb, 0xbe5caa15b7a7c917},
+	"categorical-logical/spatial":    {0x71fd2dec1cbd7311, 0, 0xa0c2494d4f78566f},
+	"categorical-spatial/sequential": {0xd131dec53c7c88a7, 0, 0xf1cc3e4a1181f85a},
+	"categorical-spatial/hogwild":    {0xb465e013af11c308, 0x9c71bc29319cc2ec, 0x6caa346a266e25f9},
+	"categorical-spatial/spatial":    {0xa34be2d97ef50ca2, 0xe93db8c0e0b4d3e6, 0x67c371950bac5c07},
+	"spatial-300/sequential":         {0x8d047cf574376f69, 0, 0x43b52981ad8822fb},
+	"spatial-300/hogwild":            {0xa1d43709680d6f77, 0xbc2772ecaac6a04a, 0x78284827bbb984e1},
+	"spatial-300/spatial":            {0xcf3a87545302fe78, 0x5ccb295d8f13b5d7, 0xc7a5c2852123cd22},
 }
-
-// goldenFixtureGraph is the graph the checked-in epoch-20 checkpoints were
-// taken on: categorical, with both scheduled cells and a serial tail.
-const goldenFixtureGraph = "categorical-spatial"
 
 // marginalHash is FNV-64a over the IEEE bits of every marginal entry.
 func marginalHash(m [][]float64) uint64 {
@@ -85,6 +81,29 @@ func goldenSampler(t *testing.T, kind string, g *factorgraph.Graph) gibbs.Sample
 		}
 		return s
 	}
+}
+
+// stateHash is FNV-64a over every chain's epoch index, assignment and count
+// rows, in instance order.
+func stateHash(chains []gibbs.ChainState) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(b[:], x)
+		h.Write(b[:])
+	}
+	for _, c := range chains {
+		put(uint64(c.Epochs))
+		for _, x := range c.Assign {
+			put(uint64(uint32(x)))
+		}
+		for _, row := range c.Counts {
+			for _, n := range row {
+				put(uint64(n))
+			}
+		}
+	}
+	return h.Sum64()
 }
 
 // goldenMore runs the variant's follow-up step after the 40-epoch run and
@@ -141,8 +160,8 @@ func TestChainGoldens(t *testing.T) {
 				s := goldenSampler(t, kind, g)
 				defer s.Close()
 				s.RunEpochs(20)
-				if sh.Name == goldenFixtureGraph {
-					checkGoldenFixture(t, kind, g, s, want.run)
+				if got := stateHash(gibbs.ChainStates(s)); got != want.state {
+					t.Errorf("epoch-20 chain state hash = %#016x, want %#016x", got, want.state)
 				}
 				s.RunEpochs(20)
 				if got := marginalHash(s.Marginals()); got != want.run {
@@ -155,34 +174,5 @@ func TestChainGoldens(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// checkGoldenFixture checks both directions of checkpoint compatibility
-// against the checked-in epoch-20 file: s (at epoch 20) must serialise to
-// exactly those bytes, and a fresh sampler restored from them must finish
-// the run on the same 40-epoch hash.
-func checkGoldenFixture(t *testing.T, kind string, g *factorgraph.Graph, s gibbs.Sampler, want uint64) {
-	t.Helper()
-	path := filepath.Join("testdata", kind+".ckpt")
-	fixture, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := s.Snapshot().WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), fixture) {
-		t.Errorf("epoch-20 snapshot (%d bytes) differs from %s (%d bytes)", buf.Len(), path, len(fixture))
-	}
-	r := goldenSampler(t, kind, g)
-	defer r.Close()
-	if _, err := gibbs.ResumeFrom(r, path); err != nil {
-		t.Fatalf("restoring %s: %v", path, err)
-	}
-	r.RunEpochs(20)
-	if got := marginalHash(r.Marginals()); got != want {
-		t.Errorf("resumed from %s: 40-epoch chain hash = %#016x, want %#016x", path, got, want)
 	}
 }

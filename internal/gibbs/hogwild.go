@@ -20,13 +20,12 @@ import (
 //
 // The bucket partition is fixed-grain (hogwildGrain variables per bucket)
 // and each bucket's PRNG stream derives from (seed, epoch, bucket index) —
-// both independent of the worker count and of worker interleaving. A
-// checkpoint therefore resumes the identical sampling program at any
-// worker width. Whether the resulting *chain* is bit-identical depends only
-// on hogwild's inherent benign races: with Workers=1, or when concurrently
-// swept variables do not interact, runs are bit-identical across widths and
-// across cut+resume; with dependent variables swept concurrently, hogwild
-// is scheduling-dependent by design, resumed or not.
+// both independent of the worker count and of worker interleaving, so any
+// width executes the identical sampling program. Whether the resulting
+// *chain* is bit-identical depends only on hogwild's inherent benign races:
+// with Workers=1, or when concurrently swept variables do not interact,
+// runs are bit-identical across widths; with dependent variables swept
+// concurrently, hogwild is scheduling-dependent by design.
 type Hogwild struct{ engine }
 
 // hogwildGrain is the bucket size of the hogwild partition. Buckets — not
@@ -48,7 +47,7 @@ func NewHogwild(g *factorgraph.Graph, seed int64, workers int) *Hogwild {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = min(workers, buckets)
-	h := &Hogwild{engine: engine{name: "hogwild", g: g, seed: seed, workers: workers, split: int32(buckets)}}
+	h := &Hogwild{engine: engine{name: "hogwild", g: g, workers: workers, split: int32(buckets)}}
 	// Stream identity is (seed, epoch, bucket): pinned to the chunk, never
 	// to the worker that happens to execute it.
 	h.stream = func(_ int, epoch uint64, bucket int32) uint64 {

@@ -3,6 +3,7 @@ package gibbs_test
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/factorgraph"
@@ -93,7 +94,7 @@ func TestInstanceChainIndependentOfK(t *testing.T) {
 				}
 			}
 			// ref[phase][k]: instance k's state from the first run that had it.
-			var ref [2][]gibbs.InstanceState
+			var ref [2][]gibbs.ChainState
 			for _, workers := range c.workers {
 				for k := 1; k <= 4; k++ {
 					s, err := gibbs.NewSpatial(c.g, gibbs.SpatialOptions{
@@ -106,7 +107,7 @@ func TestInstanceChainIndependentOfK(t *testing.T) {
 						t.Fatalf("%d cells: too few for several chunks per conclique", cells)
 					}
 					s.RunEpochs(8)
-					states := [2][]gibbs.InstanceState{s.Snapshot().Instances}
+					states := [2][]gibbs.ChainState{gibbs.ChainStates(s)}
 					for _, v := range pins {
 						if err := s.UpdateEvidence(v, c.g.Var(v).Domain-1); err != nil {
 							t.Fatal(err)
@@ -115,7 +116,7 @@ func TestInstanceChainIndependentOfK(t *testing.T) {
 					if _, err := s.RunIncrementalContext(context.Background(), 5); err != nil {
 						t.Fatal(err)
 					}
-					states[1] = s.Snapshot().Instances
+					states[1] = gibbs.ChainStates(s)
 					s.Close()
 					for phase, insts := range states {
 						for i, got := range insts {
@@ -133,5 +134,40 @@ func TestInstanceChainIndependentOfK(t *testing.T) {
 				t.Fatalf("recorded %d instances, want 4", len(ref[0]))
 			}
 		})
+	}
+}
+
+// TestAddCountsSumsEveryInstance: AddCounts, through which the sharded
+// runtime gathers a shard's marginals, adds every instance's count row (at
+// K = 3, the odd instance outside the binary pairs included) onto what the
+// caller's row already holds.
+func TestAddCountsSumsEveryInstance(t *testing.T) {
+	g := clusterGraph(t, 3)
+	s, err := gibbs.NewSpatial(g, gibbs.SpatialOptions{Levels: 4, Instances: 3, Workers: 1, Seed: 13, BurnIn: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.RunEpochs(6)
+	chains := gibbs.ChainStates(s)
+	lastCounted := false
+	for v := range chains[2].Counts {
+		row := make([]int64, len(chains[2].Counts[v]))
+		row[0] = 1
+		s.AddCounts(factorgraph.VarID(v), row)
+		want := make([]int64, len(row))
+		want[0] = 1
+		for _, c := range chains {
+			for x, n := range c.Counts[v] {
+				want[x] += n
+			}
+		}
+		if !slices.Equal(row, want) {
+			t.Fatalf("variable %d: AddCounts row %v, want %v", v, row, want)
+		}
+		lastCounted = lastCounted || slices.ContainsFunc(chains[2].Counts[v], func(n int64) bool { return n > 0 })
+	}
+	if !lastCounted {
+		t.Fatal("test premise broken: instance 2 counted nothing")
 	}
 }

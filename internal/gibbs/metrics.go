@@ -29,10 +29,6 @@ type Metrics struct {
 	// QueueDepth is the deepest pool work-channel backlog observed in the
 	// last epoch — the scheduling-pressure signal for chunk-size tuning.
 	QueueDepth *obs.Gauge
-	// Checkpoint persistence: successful saves, failed saves, save latency.
-	CkptSaves      *obs.Counter
-	CkptSaveErrors *obs.Counter
-	CkptSaveDur    *obs.Histogram
 	// Convergence diagnostics (set when diagnostics run; see SetProgress).
 	DiagMaxDelta *obs.Gauge
 	DiagSpread   *obs.Gauge
@@ -54,16 +50,13 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		return nil
 	}
 	return &Metrics{
-		Epochs:         r.Counter("sya_epochs_total"),
-		Chunks:         r.Counter("sya_chunks_total"),
-		EpochDur:       r.Histogram("sya_epoch_seconds", nil),
-		MergeDur:       r.Histogram("sya_merge_seconds", nil),
-		QueueDepth:     r.Gauge("sya_chunk_queue_depth"),
-		CkptSaves:      r.Counter("sya_checkpoint_saves_total"),
-		CkptSaveErrors: r.Counter("sya_checkpoint_save_errors_total"),
-		CkptSaveDur:    r.Histogram("sya_checkpoint_save_seconds", nil),
-		DiagMaxDelta:   r.Gauge("sya_diag_max_delta"),
-		DiagSpread:     r.Gauge("sya_diag_spread"),
+		Epochs:       r.Counter("sya_epochs_total"),
+		Chunks:       r.Counter("sya_chunks_total"),
+		EpochDur:     r.Histogram("sya_epoch_seconds", nil),
+		MergeDur:     r.Histogram("sya_merge_seconds", nil),
+		QueueDepth:   r.Gauge("sya_chunk_queue_depth"),
+		DiagMaxDelta: r.Gauge("sya_diag_max_delta"),
+		DiagSpread:   r.Gauge("sya_diag_spread"),
 
 		KernelBuildSeconds: r.Gauge("sya_kernel_build_seconds"),
 		KernelOps:          r.Gauge("sya_kernel_ops"),
@@ -125,28 +118,6 @@ func finishEpochObs(m *Metrics, eo *epochObs) {
 	m.EpochDur.Observe(time.Since(eo.start).Seconds())
 	m.MergeDur.Observe(eo.merge.Seconds())
 	m.QueueDepth.Set(float64(eo.queue))
-}
-
-// saveCheckpointObs wraps a checkpoint save with timing and counters, and
-// records it as a checkpoint (or checkpoint_error) event on the sweep span.
-// m may be nil and span disabled.
-func saveCheckpointObs(m *Metrics, span obs.Span, epoch int, save func() error) error {
-	t0 := time.Now()
-	err := save()
-	dur := time.Since(t0)
-	if err != nil {
-		if m != nil {
-			m.CkptSaveErrors.Inc()
-		}
-		span.Event("checkpoint_error", dur).Notef("epoch=%d: %v", epoch, err)
-		return err
-	}
-	if m != nil {
-		m.CkptSaves.Inc()
-		m.CkptSaveDur.Observe(dur.Seconds())
-	}
-	span.Event("checkpoint", dur).Notef("epoch=%d", epoch)
-	return nil
 }
 
 // obsState is the engine's instrumentation state: the metric handles and the

@@ -1,20 +1,16 @@
 package gibbs_test
 
 // Observability wiring tests: metric counters, the sweep span and its
-// events, convergence diagnostics and checkpoint rotation must behave
-// identically across all three sampler variants, and the whole layer must
+// events and convergence diagnostics must behave identically across all
+// three sampler variants, and the whole layer must
 // disappear when disabled (nil registry, no span on the context — see
 // BenchmarkObsOverhead and TestSteadyEpochAllocFreeWithoutSpan).
 
 import (
 	"context"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/factorgraph"
-	"repro/internal/frame"
 	"repro/internal/gibbs"
 	"repro/internal/gibbs/testutil"
 	"repro/internal/obs"
@@ -55,8 +51,6 @@ func TestSamplerObsWiring(t *testing.T) {
 			root := tracer.StartRequest("run", "")
 			var progress []gibbs.Progress
 			s.SetProgress(2, func(p gibbs.Progress) { progress = append(progress, p) })
-			ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-			s.SetCheckpointer(&gibbs.Checkpointer{Path: ckpt, Every: 3})
 
 			st, err := s.Run(obs.ContextWithSpan(context.Background(), root), 6)
 			if err != nil {
@@ -70,13 +64,6 @@ func TestSamplerObsWiring(t *testing.T) {
 			}
 			if snap["sya_chunks_total"] < 6 {
 				t.Errorf("sya_chunks_total = %v, want >= 6", snap["sya_chunks_total"])
-			}
-			// Epochs 3 and 6 are checkpoint epochs.
-			if got := snap["sya_checkpoint_saves_total"]; got != 2 {
-				t.Errorf("sya_checkpoint_saves_total = %v, want 2", got)
-			}
-			if got := snap["sya_checkpoint_save_errors_total"]; got != 0 {
-				t.Errorf("sya_checkpoint_save_errors_total = %v, want 0", got)
 			}
 
 			// The compiled-kernel gauges carry the graph's build stats, the
@@ -120,12 +107,12 @@ func TestSamplerObsWiring(t *testing.T) {
 			}
 
 			// The span tree: one sweep stage under the root, noted with the
-			// epoch count and stop reason, carrying the checkpoint and
-			// diagnostic events — and no per-epoch spans.
+			// epoch count and stop reason, carrying the diagnostic events —
+			// and no per-epoch spans.
 			spans := tracer.Recent(1)[0].Spans
-			if len(spans) != 7 || spans[1].Name != "gibbs.steady" || spans[1].Parent != 0 ||
+			if len(spans) != 5 || spans[1].Name != "gibbs.steady" || spans[1].Parent != 0 ||
 				spans[1].Note != "epochs=6 reason=done sampler="+name {
-				t.Fatalf("span tree = %+v, want root, one gibbs.steady sweep and its 5 events", spans)
+				t.Fatalf("span tree = %+v, want root, one gibbs.steady sweep and its 3 events", spans)
 			}
 			events := map[string]int{}
 			for _, sp := range spans[2:] {
@@ -134,33 +121,10 @@ func TestSamplerObsWiring(t *testing.T) {
 				}
 				events[sp.Name]++
 			}
-			if events["checkpoint"] != 2 || events["diag"] != 3 {
-				t.Errorf("sweep events = %v, want 2 checkpoint / 3 diag", events)
+			if len(events) != 1 || events["diag"] != 3 {
+				t.Errorf("sweep events = %v, want 3 diag", events)
 			}
 		})
-	}
-}
-
-// TestCheckpointErrorIsASweepEvent: a failed save fails the run, bumps the
-// error counter and is named, with the cause, on the sweep span.
-func TestCheckpointErrorIsASweepEvent(t *testing.T) {
-	s := gibbs.NewSequential(obsGraph(t), 5)
-	reg := obs.NewRegistry()
-	s.SetMetrics(gibbs.NewMetrics(reg))
-	s.SetCheckpointer(&gibbs.Checkpointer{Path: filepath.Join(t.TempDir(), "no-such-dir", "run.ckpt"), Every: 1})
-	tracer := obs.NewTracer(obs.TracerOptions{RingSize: 1})
-	root := tracer.StartRequest("run", "")
-	if _, err := s.Run(obs.ContextWithSpan(context.Background(), root), 3); err == nil {
-		t.Fatal("a failing checkpoint save must fail the run")
-	}
-	root.Finish("error")
-	if got := reg.Snapshot()["sya_checkpoint_save_errors_total"]; got != 1 {
-		t.Errorf("sya_checkpoint_save_errors_total = %v, want 1", got)
-	}
-	spans := tracer.Recent(1)[0].Spans
-	last := spans[len(spans)-1]
-	if last.Name != "checkpoint_error" || !strings.HasPrefix(last.Note, "epoch=1: ") || spans[last.Parent].Name != "gibbs.steady" {
-		t.Errorf("span tree = %+v, want a checkpoint_error event under the sweep", spans)
 	}
 }
 
@@ -202,119 +166,6 @@ func TestPreCanceledRunStillReportsDiag(t *testing.T) {
 				t.Errorf("diag = %+v (valid %v), want a zero epoch-0 reading", st.Diag, st.DiagValid)
 			}
 		})
-	}
-}
-
-func TestCheckpointSaveRotatesPreviousGeneration(t *testing.T) {
-	g := obsGraph(t)
-	s := gibbs.NewSequential(g, 5)
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	ck := &gibbs.Checkpointer{Path: path}
-
-	s.RunEpochs(2)
-	if err := ck.Save(s.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(frame.PrevPath(path)); !os.IsNotExist(err) {
-		t.Fatalf("first save should not create a .prev file (err %v)", err)
-	}
-	s.RunEpochs(3)
-	if err := ck.Save(s.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-
-	cur, err := gibbs.LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev, err := gibbs.LoadCheckpoint(frame.PrevPath(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cur.Epochs != 5 || prev.Epochs != 2 {
-		t.Errorf("generations = (cur %d, prev %d) epochs, want (5, 2)", cur.Epochs, prev.Epochs)
-	}
-}
-
-func TestResumeFromFallsBackToPrev(t *testing.T) {
-	g := obsGraph(t)
-	s := gibbs.NewSequential(g, 5)
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	ck := &gibbs.Checkpointer{Path: path}
-	s.RunEpochs(2)
-	if err := ck.Save(s.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	s.RunEpochs(3)
-	if err := ck.Save(s.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-
-	// Healthy primary: resume uses it.
-	r := gibbs.NewSequential(g, 5)
-	from, err := gibbs.ResumeFrom(r, path)
-	if err != nil || from != path {
-		t.Fatalf("healthy resume = (%q, %v), want the primary", from, err)
-	}
-	if r.TotalEpochs() != 5 {
-		t.Errorf("resumed epochs = %d, want 5", r.TotalEpochs())
-	}
-
-	// Corrupted primary: resume falls back to the rotated generation.
-	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r = gibbs.NewSequential(g, 5)
-	from, err = gibbs.ResumeFrom(r, path)
-	if err != nil {
-		t.Fatalf("fallback resume: %v", err)
-	}
-	if from != frame.PrevPath(path) {
-		t.Errorf("fallback resumed from %q, want %q", from, frame.PrevPath(path))
-	}
-	if r.TotalEpochs() != 2 {
-		t.Errorf("fallback epochs = %d, want 2", r.TotalEpochs())
-	}
-
-	// Both generations unreadable: the primary's error surfaces.
-	if err := os.WriteFile(frame.PrevPath(path), []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := gibbs.ResumeFrom(gibbs.NewSequential(g, 5), path); err == nil {
-		t.Error("resume with both generations corrupt should fail")
-	}
-
-	// Neither file exists: os.IsNotExist, the "fresh run" signal.
-	missing := filepath.Join(t.TempDir(), "none.ckpt")
-	if _, err := gibbs.ResumeFrom(gibbs.NewSequential(g, 5), missing); !os.IsNotExist(err) {
-		t.Errorf("missing resume error = %v, want os.IsNotExist", err)
-	}
-}
-
-// TestResumeFallbackSkipsRestoreErrors pins the fallback boundary: a
-// checkpoint that loads fine but fails Restore validation is a caller bug
-// (wrong graph/seed), not corruption, so the error returns as-is instead of
-// silently resuming an older generation.
-func TestResumeFallbackSkipsRestoreErrors(t *testing.T) {
-	g := obsGraph(t)
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	ck := &gibbs.Checkpointer{Path: path}
-
-	// .prev from the matching sampler, primary from a different variant.
-	match := gibbs.NewSequential(g, 5)
-	match.RunEpochs(2)
-	if err := ck.Save(match.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	other := gibbs.NewHogwild(g, 5, 1)
-	defer other.Close()
-	other.RunEpochs(4)
-	if err := ck.Save(other.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := gibbs.ResumeFrom(gibbs.NewSequential(g, 5), path); err == nil {
-		t.Error("mismatched primary should surface its Restore error, not fall back")
 	}
 }
 

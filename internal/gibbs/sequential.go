@@ -10,8 +10,7 @@ import "repro/internal/factorgraph"
 // It is the engine's degenerate schedule: one group holding one unit with
 // every scheduled variable, one chain, an inline pool (the sweep runs on the
 // calling goroutine), and one persistent PRNG whose state flows across
-// epochs and into the checkpoint — so resume is bit-identical trivially and
-// a snapshot records seed 0. Its chunk is the whole sweep: cancellation is
+// epochs. Its chunk is the whole sweep: cancellation is
 // epoch-granular, BeforeChunk fires once per epoch on the caller, and a
 // panic there propagates (there is no worker to isolate it; the chain state
 // stays consistent up to the last completed epoch).

@@ -105,15 +105,14 @@ func NewSpatial(g *factorgraph.Graph, opts SpatialOptions) (*Spatial, error) {
 	opts = opts.withDefaults()
 	s := &Spatial{
 		engine: engine{
-			name: "spatial", g: g, seed: opts.Seed, workers: opts.Workers,
+			name: "spatial", g: g, workers: opts.Workers,
 			split: int32(opts.Workers), burnIn: opts.BurnIn,
 		},
 		opts:      opts,
 		cellIndex: map[pyramid.CellKey]int32{},
+		dirty:     map[factorgraph.VarID]bool{},
 	}
 	s.stream = s.cellStream
-	s.restored = s.resetIncremental
-	s.resetIncremental()
 	pyr, entries, nonSpatial, err := buildPyramid(g, opts)
 	if err != nil {
 		return nil, err
@@ -134,18 +133,11 @@ func NewSpatial(g *factorgraph.Graph, opts SpatialOptions) (*Spatial, error) {
 // with a fixed tag in place of the cell for the serial tail.
 func (s *Spatial) cellStream(k int, epoch uint64, unit int32) uint64 {
 	if unit == tailUnit {
-		return taskSeed(s.seed, uint64(k)+1, epoch<<8, 0xfeed)
+		return taskSeed(s.opts.Seed, uint64(k)+1, epoch<<8, 0xfeed)
 	}
 	key := s.keys[unit]
-	return taskSeed(s.seed, uint64(k)+1, epoch<<8,
+	return taskSeed(s.opts.Seed, uint64(k)+1, epoch<<8,
 		uint64(key.Level)<<40, uint64(uint32(key.X))<<16|uint64(uint32(key.Y)))
-}
-
-// resetIncremental drops the dirty set (at construction, and after a
-// Restore: pins travel with the checkpoint, pending incremental work does
-// not).
-func (s *Spatial) resetIncremental() {
-	s.dirty = map[factorgraph.VarID]bool{}
 }
 
 // HomeCells computes the home pyramid cell of every located query atom of g
@@ -500,6 +492,17 @@ func (s *Spatial) SetChainValue(k int, v factorgraph.VarID, x int32) error {
 	}
 	s.instances[k].assign.Set(v, x)
 	return nil
+}
+
+// AddCounts adds v's sample counts, summed over the K instances, into row
+// (at least v's domain long). The sharded runtime gathers a shard's interior
+// marginals through it; not safe concurrently with a running sweep.
+func (s *Spatial) AddCounts(v factorgraph.VarID, row []int64) {
+	for _, inst := range s.instances {
+		for x, c := range inst.counts.c[v] {
+			row[x] += c
+		}
+	}
 }
 
 // ScheduledCells returns the number of cells in the full sweep schedule.

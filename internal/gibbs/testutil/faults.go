@@ -9,8 +9,8 @@ import (
 
 // This file is the fault-injection plane of the harness: helpers that turn
 // the samplers' TestHooks into reproducible failures (a worker panic at the
-// k-th dispatched chunk, a context cancel at the e-th epoch), corrupt
-// checkpoint files the way a crash would, and assert that the runtime
+// k-th dispatched chunk, a context cancel at the e-th epoch), tear files
+// the way a crash would, and assert that the runtime
 // neither leaks goroutines nor deadlocks when those failures strike.
 
 // PanicAtChunk returns a BeforeChunk hook that panics with a recognizable
@@ -34,20 +34,9 @@ func CancelAtEpoch(cancel func(), e int) func(int) {
 	}
 }
 
-// TearFile truncates the file to half its size, simulating a crash mid-write
-// on a filesystem that exposed the partial content (the torn-checkpoint
-// case the frame CRC exists to catch).
-func TearFile(path string) error {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	return os.Truncate(path, fi.Size()/2)
-}
-
-// TearFileAt truncates the file to exactly off bytes — the surgical variant
-// of TearFile, used by the WAL chaos sweep to place the tear at (and between)
-// every frame boundary.
+// TearFileAt truncates the file to exactly off bytes, simulating a crash
+// mid-write on a filesystem that exposed the partial content; the WAL chaos
+// sweep places the tear at (and between) every frame boundary.
 func TearFileAt(path string, off int64) error {
 	return os.Truncate(path, off)
 }
@@ -60,20 +49,6 @@ func CopyFile(dst, src string) error {
 		return err
 	}
 	return os.WriteFile(dst, raw, 0o644)
-}
-
-// CorruptFile flips one bit in the middle of the file — content corruption
-// that keeps the length intact, so only a checksum can notice.
-func CorruptFile(path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if len(raw) == 0 {
-		return fmt.Errorf("testutil: %s is empty", path)
-	}
-	raw[len(raw)/2] ^= 0x40
-	return os.WriteFile(path, raw, 0o644)
 }
 
 // GoroutineLeakCheck snapshots the goroutine count; calling the returned

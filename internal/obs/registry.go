@@ -97,7 +97,7 @@ type Histogram struct {
 
 // DurationBuckets are the default boundaries (seconds) for latency
 // histograms: 1µs to 1min in decade steps with midpoints, covering both a
-// ~µs chunk merge and a multi-second checkpoint fsync.
+// ~µs chunk merge and a multi-second epoch or WAL fsync.
 var DurationBuckets = []float64{
 	1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3,
 	1e-2, 5e-2, 0.1, 0.5, 1, 5, 10, 60,

@@ -109,7 +109,7 @@ type TraceRecord struct {
 }
 
 // maxSpans bounds one trace's span tree, so a long run with per-iteration
-// stages (learning, -progress readings, checkpoints) holds a bounded record;
+// stages (learning iterations, -progress readings) holds a bounded record;
 // what does not fit is counted in TraceRecord.Dropped.
 const maxSpans = 1024
 

@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"os"
 	"sort"
 	"strconv"
 	"sync"
@@ -46,14 +45,6 @@ type Options struct {
 	// (sya_shard_exchange_bytes, sya_shard_exchange_seconds,
 	// sya_shard_boundary_vars) on {shard="i"}-labeled views.
 	Metrics *obs.Registry
-	// CheckpointPath enables per-shard checkpointing: shard i snapshots to
-	// <path>.shard<i> every CheckpointEvery epochs through the standard
-	// gibbs.Checkpointer, and a fresh group resumes from existing files.
-	// All shards must resume to the same epoch (all files from one
-	// generation) or New fails. Empty disables.
-	CheckpointPath string
-	// CheckpointEvery is the snapshot interval in epochs (0 → 100).
-	CheckpointEvery int
 }
 
 func (o Options) withDefaults() Options {
@@ -112,8 +103,7 @@ type node struct {
 // Group runs sharded inference over one ground graph: N share-nothing
 // nodes in lockstep epochs with halo exchange at every barrier, and a
 // coordinator (shard 0's side of the group) that merges the shards'
-// marginal counts — drawn from the samplers' checkpoint snapshots — into
-// the full graph's marginal view after each run.
+// marginal counts into the full graph's marginal view after each run.
 type Group struct {
 	g     *factorgraph.Graph
 	opts  Options
@@ -125,7 +115,7 @@ type Group struct {
 }
 
 // New partitions the graph and builds the N nodes (subgraph, compiled
-// kernels, sampler, transport wiring, checkpoint resume). The group owns
+// kernels, sampler, transport wiring). The group owns
 // the transports from here on: Close closes them.
 func New(g *factorgraph.Graph, opts Options) (*Group, error) {
 	opts = opts.withDefaults()
@@ -215,33 +205,9 @@ func New(g *factorgraph.Graph, opts Options) (*Group, error) {
 			n.exSeconds = reg.Histogram("sya_shard_exchange_seconds", exchangeBuckets)
 			reg.Gauge("sya_shard_boundary_vars").Set(float64(n.haloVars))
 		}
-		if opts.CheckpointPath != "" {
-			path := shardCheckpointPath(opts.CheckpointPath, i)
-			if _, err := gibbs.ResumeFrom(n.smp, path); err != nil && !os.IsNotExist(err) {
-				n.smp.Close()
-				gr.Close()
-				return nil, fmt.Errorf("shard %d: resuming from %s: %w", i, path, err)
-			}
-			n.smp.SetCheckpointer(&gibbs.Checkpointer{Path: path, Every: opts.CheckpointEvery})
-		}
 		gr.nodes = append(gr.nodes, n)
 	}
-	// Lockstep requires every shard at the same epoch: mixed-generation
-	// checkpoints (one shard resumed, another fresh) would desynchronize
-	// the barrier stamps and the chains.
-	for _, n := range gr.nodes[1:] {
-		if n.smp.TotalEpochs() != gr.nodes[0].smp.TotalEpochs() {
-			e0, ei := gr.nodes[0].smp.TotalEpochs(), n.smp.TotalEpochs()
-			gr.Close()
-			return nil, fmt.Errorf("shard: inconsistent checkpoint generations: shard 0 at epoch %d, shard %d at epoch %d (delete the .shard* files to restart)", e0, n.id, ei)
-		}
-	}
 	return gr, nil
-}
-
-// shardCheckpointPath names shard i's checkpoint file.
-func shardCheckpointPath(base string, i int) string {
-	return fmt.Sprintf("%s.shard%d", base, i)
 }
 
 // Plan exposes the shard assignment (tests and diagnostics).
@@ -466,21 +432,14 @@ func (n *node) applyHalo(m Message, k int) error {
 }
 
 // encodeCountsFrame serializes this shard's interior marginal counts,
-// summed across instances, from the sampler's checkpoint snapshot.
+// summed across instances.
 func (n *node) encodeCountsFrame() []byte {
-	cp := n.smp.Snapshot()
 	vids := make([]int64, len(n.sub.Interior))
 	rows := make([][]int64, len(n.sub.Interior))
 	for li, gv := range n.sub.Interior {
 		vids[li] = int64(gv)
-		dom := int(n.sub.Graph.Var(factorgraph.VarID(li)).Domain)
-		row := make([]int64, dom)
-		for _, inst := range cp.Instances {
-			for x, c := range inst.Counts[li] {
-				row[x] += c
-			}
-		}
-		rows[li] = row
+		rows[li] = make([]int64, n.sub.Graph.Var(factorgraph.VarID(li)).Domain)
+		n.smp.AddCounts(factorgraph.VarID(li), rows[li])
 	}
 	return encodeCounts(vids, rows)
 }

@@ -31,8 +31,8 @@
 // stashed and replayed.
 //
 // Failure semantics. A transport error, a halo frame that fails CRC or
-// domain validation, an epoch-stamp mismatch (e.g. shards resumed from
-// inconsistent checkpoints), or a barrier timeout (ExchangeTimeout) aborts
+// domain validation, an epoch-stamp mismatch, or a barrier timeout
+// (ExchangeTimeout) aborts
 // the run with an error naming the shard; the coordinator then cancels the
 // remaining shards and returns the first error. Cancellation of the run
 // context is not an error: each shard stops at its next chunk boundary and

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -148,62 +147,6 @@ func TestShardedExchangeMetrics(t *testing.T) {
 	}
 	if int(boundary) != st.BoundaryVars {
 		t.Errorf("metric boundary vars %v != ExchangeStats.BoundaryVars %d", boundary, st.BoundaryVars)
-	}
-}
-
-// TestShardedCheckpointResume: a sharded run checkpoints per shard and a
-// fresh group resumes every shard to the same epoch; a missing shard file
-// (inconsistent generation) fails construction with a diagnostic.
-func TestShardedCheckpointResume(t *testing.T) {
-	g := mustGraph(t, testutil.Spec{Vars: 20, Domain: 2, Spatial: true, Seed: 71})
-	dir := t.TempDir()
-	opts := testOptions(2)
-	opts.CheckpointPath = filepath.Join(dir, "ckpt")
-	opts.CheckpointEvery = 10
-
-	gr, err := New(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := gr.Run(context.Background(), 200); err != nil {
-		gr.Close()
-		t.Fatal(err)
-	}
-	want := gr.Epochs()
-	wantM := gr.Marginals()
-	gr.Close()
-	if want == 0 {
-		t.Fatal("no epochs ran")
-	}
-
-	// Resume: both shards come back at the checkpointed epoch and the
-	// restored counters reproduce the marginals.
-	gr2, err := New(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := gr2.Epochs()
-	if got == 0 || got > want {
-		t.Errorf("resumed at epoch %d, want in (0, %d]", got, want)
-	}
-	if _, err := gr2.Run(context.Background(), 2); err != nil {
-		gr2.Close()
-		t.Fatal(err)
-	}
-	m2 := gr2.Marginals()
-	gr2.Close()
-	if d := testutil.MaxTV(m2, wantM); d > tvTol {
-		t.Errorf("resumed marginals diverged by %.4f", d)
-	}
-
-	// Torn generation: shard 1's file gone, shard 0 resumed → epochs differ.
-	if err := testutil.TearFile(shardCheckpointPath(opts.CheckpointPath, 1)); err != nil {
-		t.Fatal(err)
-	}
-	// A torn file fails shard 1's resume outright; that is also an
-	// acceptable (and named) failure. Remove it for the generation check.
-	if _, err := New(g, opts); err == nil {
-		t.Error("New succeeded with a torn shard checkpoint")
 	}
 }
 

@@ -72,8 +72,8 @@ func decodeHalo(p []byte, k, nvars int, apply func(idx int, vals []int32) error)
 
 // Counts payload: u32 row count, then per sampled interior variable its
 // full-graph id, domain size, and per-value counts — a sparse row set
-// (unsampled variables are omitted) drawn from the sampler's checkpoint
-// snapshot and merged by the coordinator into the global marginal view.
+// (unsampled variables are omitted) read from the sampler's counters and
+// merged by the coordinator into the global marginal view.
 
 // encodeCounts serializes the non-zero rows. vids[i] is rows[i]'s
 // full-graph variable id.

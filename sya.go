@@ -105,13 +105,6 @@ const (
 // goroutine panicked: the panic value plus the worker's stack trace.
 type WorkerPanicError = gibbs.WorkerPanicError
 
-// Checkpointer configures periodic sampler snapshots (see
-// Config.CheckpointPath for the usual way to enable them).
-type Checkpointer = gibbs.Checkpointer
-
-// Checkpoint is a versioned snapshot of sampler chain state.
-type Checkpoint = gibbs.Checkpoint
-
 // World is a MAP assignment of all ground atoms.
 type World = core.World
 

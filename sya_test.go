@@ -122,10 +122,7 @@ func TestBenchmarkModuleBuilds(t *testing.T) {
 // testSeams are the exported funcs and methods that exist for tests, each
 // with the reason it stays exported although no non-test file calls it.
 var testSeams = map[string]string{
-	"SetTestHooks":     "gibbs' fault-injection hooks for the runtime and checkpoint tests",
-	"ReadCheckpoint":   "gibbs' checkpoint decoder, the FuzzReadCheckpoint target",
-	"LoadCheckpoint":   "gibbs' checkpoint file reader, which the resume tests inspect",
-	"WriteTo":          "Checkpoint.WriteTo, through which the checkpoint byte goldens are encoded",
+	"SetTestHooks":     "gibbs' fault-injection hooks for the worker-panic and cancellation tests",
 	"FrameOffsets":     "wal's frame boundaries, where the torn-log tests cut",
 	"CheckInvariants":  "pyramid's structural oracle for Build",
 	"ExactMarginals":   "factorgraph's exact-enumeration oracle the statistical harness checks samplers against",
