@@ -2,7 +2,6 @@ package gibbs
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/factorgraph"
 	"repro/internal/obs"
@@ -55,6 +54,16 @@ type instance struct {
 	count  bool // the epoch in flight is past burn-in: its draws are counted
 }
 
+// keep stores the draw x of v and, past burn-in, counts it. Only the one
+// chunk that sweeps v this epoch writes v's row, so no two workers race.
+func (inst *instance) keep(v factorgraph.VarID, x int32) {
+	inst.assign.Set(v, x)
+	if inst.count {
+		inst.counts.c[v][x]++
+		inst.counts.totals[v]++
+	}
+}
+
 // tailUnit is the unit index under which the serial tail draws its stream
 // and rides the pool (as the chunk [tailUnit, tailUnit)).
 const tailUnit = -1
@@ -69,8 +78,7 @@ type engine struct {
 	name string
 	g    *factorgraph.Graph
 	sc   scorer
-	// workers is the pool width (0 for the sequential sampler, whose one
-	// chunk runs inline on the caller).
+	// workers is the pool width; at most 1 runs every chunk on the caller.
 	workers int
 	// split is the most chunks a group is cut into; each covers all K
 	// instances.
@@ -105,7 +113,7 @@ type engine struct {
 
 // start builds the chain state and the pool once the constructor has set the
 // identity fields and the schedule: K instances and a pool of s.workers
-// goroutines (0: chunks run inline on the caller). A constructor that
+// goroutines (at most 1: chunks run on the caller). A constructor that
 // brings its own programs has set sc; every other one scores through the
 // graph's folded set.
 func (s *engine) start(instances int) {
@@ -113,7 +121,7 @@ func (s *engine) start(instances int) {
 		s.sc = newScorer(s.g)
 	}
 	s.pinned = make([]bool, s.g.NumVars())
-	s.pool = newPool(s.workers, instances, len(s.sched.vars)+len(s.sched.tail), s.g)
+	s.pool = newPool(s.workers, instances, s.g)
 	for k := 0; k < instances; k++ {
 		s.instances = append(s.instances, &instance{assign: s.g.InitialAssignment(), counts: newCounts(s.g)})
 	}
@@ -186,8 +194,8 @@ func (s *engine) runChunk(w *workerState, lo, hi int32) {
 // sweep samples one unit's variables with standard Gibbs steps, all K
 // instances at a variable before the next. A binary program is walked once
 // per pair of instances (an odd last one, or the interpreted walk, goes
-// alone). Each instance has its own stream, burn-in flag and worker deltas,
-// so its chain is the one it would run alone, at any K.
+// alone). Each instance has its own stream, burn-in flag and counters, so
+// its chain is the one it would run alone, at any K.
 func (s *engine) sweep(w *workerState, u int32, vars []factorgraph.VarID) {
 	insts, rngs := s.instances, w.rngs
 	if s.chain != nil {
@@ -206,12 +214,12 @@ func (s *engine) sweep(w *workerState, u int32, vars []factorgraph.VarID) {
 			for ; k+1 < len(insts); k += 2 {
 				a, b := insts[k], insts[k+1]
 				da, db := s.sc.k.BinaryLogOddsPair(v, a.assign, b.assign)
-				w.keep(k, a, v, sampleBinary(da, &rngs[k]))
-				w.keep(k+1, b, v, sampleBinary(db, &rngs[k+1]))
+				a.keep(v, sampleBinary(da, &rngs[k]))
+				b.keep(v, sampleBinary(db, &rngs[k+1]))
 			}
 		}
 		for ; k < len(insts); k++ {
-			w.keep(k, insts[k], v, sampleOne(&s.sc, v, insts[k].assign, &rngs[k], w.buf))
+			insts[k].keep(v, sampleOne(&s.sc, v, insts[k].assign, &rngs[k], w.buf))
 		}
 	}
 	if s.chain != nil {
@@ -268,9 +276,9 @@ func (s *engine) RunTotal(ctx context.Context, total int) (RunStats, error) {
 
 // sweepEpochs runs up to n epochs over the given unit batch: groups
 // serially, each group's units chunked across the pool, every chunk sweeping
-// all K instances (see sweep), then the serial tail as one chunk, then the
-// epoch barrier where worker count deltas merge into the instances'
-// counters. The full sweep passes the precomputed schedule; the spatial
+// all K instances (see sweep), then the serial tail as one chunk. Draws
+// count straight into the instances' counters, so an epoch ends at its last
+// barrier. The full sweep passes the precomputed schedule; the spatial
 // sampler's RunIncrementalContext passes its restricted view. Nothing in the
 // per-epoch loop allocates.
 //
@@ -278,15 +286,14 @@ func (s *engine) RunTotal(ctx context.Context, total int) (RunStats, error) {
 // noted (epochs, stop reason) and ended by the caller; a disabled span is
 // free. The SetProgress readings land on it as events, from this goroutine.
 // Per-epoch timing is deliberately not in the tree: it lives in the
-// sya_epoch_seconds / sya_merge_seconds / sya_chunk_queue_depth series.
+// sya_epoch_seconds / sya_chunk_queue_depth series.
 //
 // Interruption points: ctx is checked before each epoch, between groups and
 // at the barrier, and workers skip parked chunks once ctx fires. An epoch
-// cut short by cancellation keeps its merged partial samples but is not
-// counted in RunStats.Epochs (its PRNG epoch identity is consumed). On a
-// worker panic the pending worker deltas are discarded so no partial chunk
-// reaches the counters, and the pool's sticky *WorkerPanicError is returned.
-// An inline pool has no fault envelope: a panic propagates to the caller.
+// cut short by cancellation keeps its partial samples but is not counted in
+// RunStats.Epochs (its PRNG epoch identity is consumed). On a worker panic
+// the pool's sticky *WorkerPanicError is returned; the counters keep the
+// draws of the epoch in flight, as after a cancellation.
 func (s *engine) sweepEpochs(ctx context.Context, span obs.Span, n int, units, groupOff []int32, tail []factorgraph.VarID) (RunStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -350,16 +357,6 @@ func (s *engine) sweepEpochs(ctx context.Context, span obs.Span, n int, units, g
 				return st, err
 			}
 		}
-		var mergeStart time.Time
-		if active {
-			mergeStart = time.Now()
-		}
-		for k, inst := range s.instances {
-			s.pool.mergeDeltas(k, inst.counts)
-		}
-		if active {
-			eo.merge = time.Since(mergeStart)
-		}
 		if interrupted || ctx.Err() != nil {
 			// Cancellation landed mid-epoch: chunks pulled after the fire
 			// were skipped, so the epoch is partial — keep its samples but
@@ -382,27 +379,27 @@ func (s *engine) sweepEpochs(ctx context.Context, span obs.Span, n int, units, g
 	return st, nil
 }
 
-// barrier waits for the batch in flight. On a worker panic it drops every
-// instance's unmerged deltas (a partially-executed chunk must not reach the
-// counters) and returns the pool's sticky error.
+// barrier waits for the batch in flight and returns the pool's sticky
+// worker-panic error, if any.
 func (s *engine) barrier() error {
 	s.pool.wait()
-	err := s.pool.err()
-	if err != nil {
-		for k := range s.instances {
-			s.pool.discardDeltas(k)
-		}
-	}
-	return err
+	return s.pool.err()
 }
 
 // Marginals implements Sampler: the average of the K instances' counters
-// (Algorithm 1 lines 16 and 18–19), one MarginalVar per variable.
+// (Algorithm 1 lines 16 and 18–19), one MarginalVar per variable. Every row
+// is cut from one backing array, capacity-capped so a caller's append copies.
 func (s *engine) Marginals() [][]float64 {
 	n := s.g.NumVars()
-	out := make([][]float64, n)
+	cells := 0
 	for i := 0; i < n; i++ {
-		out[i] = s.MarginalVar(factorgraph.VarID(i))
+		cells += int(s.g.DomainOf(factorgraph.VarID(i)))
+	}
+	out, flat := make([][]float64, n), make([]float64, cells)
+	for i := 0; i < n; i++ {
+		d := int(s.g.DomainOf(factorgraph.VarID(i)))
+		out[i], flat = flat[:d:d], flat[d:]
+		s.marginalInto(factorgraph.VarID(i), out[i])
 	}
 	return out
 }
@@ -414,22 +411,31 @@ func (s *engine) Marginals() [][]float64 {
 // sweep; callers serialize reads against sampling (the server holds its
 // read lock for queries and its write lock around resamples).
 func (s *engine) MarginalVar(v factorgraph.VarID) []float64 {
-	meta := s.g.Var(v)
+	m := make([]float64, s.g.DomainOf(v))
+	s.marginalInto(v, m)
+	return m
+}
+
+// marginalInto writes v's marginal into the zeroed m, one slot per value.
+func (s *engine) marginalInto(v factorgraph.VarID, m []float64) {
+	if ev := s.g.Var(v).Evidence; ev != factorgraph.NoEvidence {
+		m[ev] = 1
+		return
+	}
+	if s.pinned[v] {
+		m[s.instances[0].assign.Get(v)] = 1
+		return
+	}
 	var total float64
-	if meta.Evidence == factorgraph.NoEvidence {
-		if s.pinned[v] {
-			m := make([]float64, meta.Domain)
-			m[s.instances[0].assign.Get(v)] = 1
-			return m
-		}
-		for _, inst := range s.instances {
-			total += float64(inst.counts.totals[v])
-		}
+	for _, inst := range s.instances {
+		total += float64(inst.counts.totals[v])
 	}
 	if total == 0 {
-		return s.g.PriorMarginal(v)
+		for x := range m {
+			m[x] = 1 / float64(len(m))
+		}
+		return
 	}
-	m := make([]float64, meta.Domain)
 	for _, inst := range s.instances {
 		for x, c := range inst.counts.c[v] {
 			m[x] += float64(c)
@@ -438,5 +444,4 @@ func (s *engine) MarginalVar(v factorgraph.VarID) []float64 {
 	for x := range m {
 		m[x] /= total
 	}
-	return m
 }

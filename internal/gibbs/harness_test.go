@@ -10,6 +10,7 @@ package gibbs_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -426,22 +427,27 @@ func TestHomeCellsMatchSamplerPlacement(t *testing.T) {
 	}
 }
 
-// TestSpatialSteadyStateEpochAllocFree pins the pooled epoch loop's
-// zero-allocation property (the benchmark counterpart records numbers; this
-// enforces the invariant in every test run).
+// TestSpatialSteadyStateEpochAllocFree pins the epoch loop's zero-allocation
+// property, pooled and with one worker running every chunk on the caller (the
+// benchmark counterpart records numbers; this enforces the invariant in
+// every test run).
 func TestSpatialSteadyStateEpochAllocFree(t *testing.T) {
 	g := mustGraph(t, testutil.Spec{
 		Vars: 400, Domain: 2, Spatial: true,
 		LogicalFactors: 300, SpatialPairs: 600, Seed: 5,
 	})
-	s, err := gibbs.NewSpatial(g, gibbs.SpatialOptions{Levels: 5, Instances: 2, Seed: 3, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	s.RunEpochs(3) // warm the pool, touched-list capacities and sudog caches
-	if allocs := testing.AllocsPerRun(5, func() { s.RunEpochs(1) }); allocs > 0 {
-		t.Errorf("steady-state spatial epoch allocated %.1f times", allocs)
+	for _, workers := range []int{2, 1} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			s, err := gibbs.NewSpatial(g, gibbs.SpatialOptions{Levels: 5, Instances: 2, Seed: 3, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			s.RunEpochs(3) // warm the pool and sudog caches
+			if allocs := testing.AllocsPerRun(5, func() { s.RunEpochs(1) }); allocs > 0 {
+				t.Errorf("steady-state spatial epoch allocated %.1f times", allocs)
+			}
+		})
 	}
 }
 
@@ -451,11 +457,15 @@ func TestHogwildSteadyStateEpochAllocFree(t *testing.T) {
 		Vars: 400, Domain: 2, Spatial: true,
 		LogicalFactors: 300, SpatialPairs: 600, Seed: 6,
 	})
-	h := gibbs.NewHogwild(g, 3, 2)
-	defer h.Close()
-	h.RunEpochs(3)
-	if allocs := testing.AllocsPerRun(5, func() { h.RunEpochs(1) }); allocs > 0 {
-		t.Errorf("steady-state hogwild epoch allocated %.1f times", allocs)
+	for _, workers := range []int{2, 1} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			h := gibbs.NewHogwild(g, 3, workers)
+			defer h.Close()
+			h.RunEpochs(3)
+			if allocs := testing.AllocsPerRun(5, func() { h.RunEpochs(1) }); allocs > 0 {
+				t.Errorf("steady-state hogwild epoch allocated %.1f times", allocs)
+			}
+		})
 	}
 }
 
@@ -633,6 +643,25 @@ func TestMarginalVarMatchesMarginals(t *testing.T) {
 				t.Errorf("pinned variable %d reads %v, want a point mass on 2", pin, m)
 			}
 		})
+	}
+}
+
+// TestMarginalsAllocateTwice: the whole-graph read cuts every row from one
+// backing array, so it costs the row table and the array, whatever the
+// graph's size, and a caller's append to a row never writes its neighbour.
+func TestMarginalsAllocateTwice(t *testing.T) {
+	g := mustGraph(t, testutil.Spec{Vars: 40, Domain: 3, Spatial: true, Seed: 77})
+	s := gibbs.NewSequential(g, 3)
+	defer s.Close()
+	s.RunEpochs(5)
+	if allocs := testing.AllocsPerRun(5, func() { s.Marginals() }); allocs > 2 {
+		t.Errorf("Marginals allocated %.0f times over %d variables, want at most 2", allocs, g.NumVars())
+	}
+	all := s.Marginals()
+	next := all[1][0]
+	_ = append(all[0], 42)
+	if all[1][0] != next {
+		t.Error("appending to one marginal row overwrote the next row")
 	}
 }
 

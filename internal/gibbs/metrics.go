@@ -22,10 +22,8 @@ type Metrics struct {
 	// executed (bumped by workers via the pool hook).
 	Epochs *obs.Counter
 	Chunks *obs.Counter
-	// EpochDur and MergeDur time the whole epoch barrier-to-barrier and the
-	// worker-delta merge inside it (seconds).
+	// EpochDur times the whole epoch barrier-to-barrier (seconds).
 	EpochDur *obs.Histogram
-	MergeDur *obs.Histogram
 	// QueueDepth is the deepest pool work-channel backlog observed in the
 	// last epoch — the scheduling-pressure signal for chunk-size tuning.
 	QueueDepth *obs.Gauge
@@ -53,7 +51,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		Epochs:       r.Counter("sya_epochs_total"),
 		Chunks:       r.Counter("sya_chunks_total"),
 		EpochDur:     r.Histogram("sya_epoch_seconds", nil),
-		MergeDur:     r.Histogram("sya_merge_seconds", nil),
 		QueueDepth:   r.Gauge("sya_chunk_queue_depth"),
 		DiagMaxDelta: r.Gauge("sya_diag_max_delta"),
 		DiagSpread:   r.Gauge("sya_diag_spread"),
@@ -91,7 +88,6 @@ func composeChunkHook(c *obs.Counter, fault func(uint64)) func(uint64) {
 type epochObs struct {
 	start time.Time
 	queue int // deepest work-channel backlog seen this epoch
-	merge time.Duration
 }
 
 // beginEpochObs starts an epoch measurement when instrumentation is active.
@@ -112,11 +108,10 @@ func (eo *epochObs) noteQueue(depth int) {
 
 // finishEpochObs publishes one epoch's measurements to the metrics
 // registry. Per-epoch timing lives there (sya_epoch_seconds,
-// sya_merge_seconds, sya_chunk_queue_depth), not in the span tree.
+// sya_chunk_queue_depth), not in the span tree.
 func finishEpochObs(m *Metrics, eo *epochObs) {
 	m.Epochs.Inc()
 	m.EpochDur.Observe(time.Since(eo.start).Seconds())
-	m.MergeDur.Observe(eo.merge.Seconds())
 	m.QueueDepth.Set(float64(eo.queue))
 }
 

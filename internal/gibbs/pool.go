@@ -11,32 +11,30 @@ import (
 
 // Pool is the persistent worker pool behind the sampler engine
 // (DimmWitted-style long-lived execution engine). Every sampler builds
-// exactly one pool, owns it, and closes it on Close; its goroutines start
-// lazily on the first dispatch, block on a work channel between batches, and
-// own all reusable per-worker state:
+// exactly one pool, owns it, and closes it on Close. A pool of two or more
+// workers starts its goroutines lazily on the first dispatch; they block on
+// a work channel between batches. A pool of at most one worker starts no
+// goroutine: every chunk runs on the issuer at dispatch. Either way each
+// worker owns its reusable scratch:
 //
 //   - a score buffer sized to the graph's maximum domain (unused on the
 //     binary fast path),
-//   - per-instance count deltas plus a touched-variable list, merged into
-//     the owning instance's counters at epoch barriers,
 //   - per-instance PRNG streams of the unit being swept (a chunk sweeps all),
 //
 // so a steady-state epoch performs no allocations: issuers send chunk
-// values over the channel, workers run them against pre-flattened
-// schedules, and a shared WaitGroup forms the batch barrier.
+// values over the channel (or run them in place), workers run them against
+// pre-flattened schedules, and a shared WaitGroup forms the batch barrier.
+// Draws count straight into their instance's counters: every variable is
+// swept by exactly one chunk per epoch, so no two workers write one row.
 //
-// Fault tolerance: every chunk runs under a recover. A panicking chunk
-// poisons the pool — the first panic's value and stack are captured, and
-// from then on workers acknowledge chunks without executing them — so the
-// batch barrier always completes and the issuer surfaces one
-// *WorkerPanicError instead of deadlocking. Cancellation rides on the
+// Fault tolerance: every chunk, pooled or run in place, runs under a
+// recover. A panicking chunk poisons the pool — the first panic's value and
+// stack are captured, and from then on chunks are acknowledged without
+// executing — so the batch barrier always completes and the issuer surfaces
+// one *WorkerPanicError instead of deadlocking. Cancellation rides on the
 // chunks themselves: a chunk dispatched with a done channel is skipped when
-// the channel has fired by the time a worker pulls it, bounding a canceled
-// run's latency to at most one in-flight chunk.
-//
-// An inline pool (zero goroutines — the sequential sampler's) keeps the same
-// scratch, delta and hook plumbing but runs each chunk on the issuer at
-// dispatch, outside the fault envelope: a panic propagates to the caller.
+// the channel has fired by the time it starts, bounding a canceled run's
+// latency to at most one in-flight chunk.
 //
 // Concurrency contract: one batch is in flight at a time (dispatch* then
 // wait, all from a single issuer goroutine). The samplers uphold this —
@@ -49,7 +47,7 @@ import (
 // abandoned pool becomes collectable and its finalizer shuts the workers
 // down).
 type Pool struct {
-	work  chan chunk      // nil: inline pool
+	work  chan chunk      // nil: chunks run on the issuer
 	wg    *sync.WaitGroup // in-flight chunks of the current batch
 	sh    *poolShared
 	ws    []*workerState
@@ -106,8 +104,8 @@ func (sh *poolShared) beforeChunk() {
 
 // chunk is one unit of dispatched work for e.runChunk: [lo, hi) is a range of
 // the batch's unit list, or the serial tail. done, when non-nil, is the
-// issuing run's cancellation channel: a worker that pulls a chunk whose done
-// has fired acknowledges it without executing.
+// issuing run's cancellation channel: a chunk whose done has fired by the
+// time it starts is acknowledged without executing.
 type chunk struct {
 	e      *engine
 	lo, hi int32
@@ -118,73 +116,39 @@ type chunk struct {
 // separate allocation so adjacent workers do not false-share slice headers.
 type workerState struct {
 	buf []float64 // score buffer (categorical path), len = maxDomain
-	// Per-instance count deltas: dc[k] accumulates this worker's samples
-	// for instance k since the last epoch barrier, touched[k] lists the
-	// variables with non-zero deltas (so merging is O(samples), not
-	// O(vars×domain)). Capacity is fixed at pool construction; appends
-	// never reallocate in steady state.
-	dc      []*counts
-	touched [][]factorgraph.VarID
 	// rngs holds each instance's stream of the unit being swept.
 	rngs []prng
 }
 
-// keep stores instance k's draw x of v and, past burn-in, records it.
-func (w *workerState) keep(k int, inst *instance, v factorgraph.VarID, x int32) {
-	inst.assign.Set(v, x)
-	if inst.count {
-		w.record(k, v, x)
-	}
-}
-
-// record accumulates one sample into the worker-local delta for instance k.
-func (w *workerState) record(k int, v factorgraph.VarID, x int32) {
-	d := w.dc[k]
-	if d.totals[v] == 0 {
-		w.touched[k] = append(w.touched[k], v)
-	}
-	d.c[v][x]++
-	d.totals[v]++
-}
-
 // newPool sizes a pool for a sampler over g with the given worker count and
 // number of sampler instances: every worker runs chunks that cover all
-// instances, so it holds deltas and a stream per instance. nvars, the
-// schedule's variable count, bounds each touched list. workers = 0 builds an
-// inline pool: one scratch state, no goroutines.
-func newPool(workers, instances, nvars int, g *factorgraph.Graph) *Pool {
+// instances, so it holds a stream per instance. workers ≤ 1 builds a pool
+// that runs every chunk on the issuer: one scratch state, no goroutines.
+func newPool(workers, instances int, g *factorgraph.Graph) *Pool {
 	p := &Pool{
 		wg: new(sync.WaitGroup),
 		sh: new(poolShared),
 	}
-	if workers > 0 {
+	if workers > 1 {
 		p.work = make(chan chunk, workers*4)
 	}
 	for i := 0; i < max(workers, 1); i++ {
-		w := &workerState{
-			buf:     make([]float64, maxDomain(g)),
-			dc:      make([]*counts, instances),
-			touched: make([][]factorgraph.VarID, instances),
-			rngs:    make([]prng, instances),
-		}
-		for k := 0; k < instances; k++ {
-			w.dc[k] = newCounts(g)
-			w.touched[k] = make([]factorgraph.VarID, 0, nvars)
-		}
-		p.ws = append(p.ws, w)
+		p.ws = append(p.ws, &workerState{
+			buf:  make([]float64, maxDomain(g)),
+			rngs: make([]prng, instances),
+		})
 	}
 	runtime.SetFinalizer(p, (*Pool).Close)
 	return p
 }
 
 // dispatch queues one chunk of the current batch, starting the workers on
-// first use. done, when non-nil, lets parked chunks be skipped once the
-// issuing run is canceled. The issuer must follow a sequence of dispatches
-// with wait.
+// first use, or runs it in place when the pool has no goroutines. done,
+// when non-nil, lets parked chunks be skipped once the issuing run is
+// canceled. The issuer must follow a sequence of dispatches with wait.
 func (p *Pool) dispatch(e *engine, lo, hi int32, done <-chan struct{}) {
 	if p.work == nil {
-		p.sh.beforeChunk()
-		e.runChunk(p.ws[0], lo, hi)
+		runPoolChunk(p.sh, p.ws[0], chunk{e: e, lo: lo, hi: hi, done: done})
 		return
 	}
 	p.start.Do(func() {
@@ -219,44 +183,6 @@ func (p *Pool) setHook(h func(n uint64)) {
 	p.sh.hookChunks.Store(0)
 }
 
-// mergeDeltas folds every worker's count deltas for instance k into dst and
-// resets them; called at epoch barriers with no batch in flight (the
-// wg.Done→Wait edge orders the workers' writes before this read).
-func (p *Pool) mergeDeltas(k int, dst *counts) {
-	for _, w := range p.ws {
-		d := w.dc[k]
-		for _, v := range w.touched[k] {
-			row, drow := d.c[v], dst.c[v]
-			for x, c := range row {
-				if c != 0 {
-					drow[x] += c
-					row[x] = 0
-				}
-			}
-			dst.totals[v] += d.totals[v]
-			d.totals[v] = 0
-		}
-		w.touched[k] = w.touched[k][:0]
-	}
-}
-
-// discardDeltas drops every worker's unmerged deltas for instance k;
-// used after a worker panic so a partially-executed chunk's samples never
-// reach the instance counters.
-func (p *Pool) discardDeltas(k int) {
-	for _, w := range p.ws {
-		d := w.dc[k]
-		for _, v := range w.touched[k] {
-			row := d.c[v]
-			for x := range row {
-				row[x] = 0
-			}
-			d.totals[v] = 0
-		}
-		w.touched[k] = w.touched[k][:0]
-	}
-}
-
 // Close releases the worker goroutines. Safe to call multiple times; the
 // pool must be idle (no batch in flight).
 func (p *Pool) Close() {
@@ -276,11 +202,10 @@ func poolWorker(work chan chunk, wg *sync.WaitGroup, sh *poolShared, w *workerSt
 	}
 }
 
-// runPoolChunk executes one chunk under the pool's fault envelope: poisoned
-// pools and fired done channels skip execution (still acknowledging the
-// chunk via the caller's wg.Done), and a panic — from the sampler code or
-// an injected hook — is captured into the shared fault state instead of
-// unwinding the worker.
+// runPoolChunk executes one chunk under the pool's fault envelope, on a
+// worker or on the issuer: poisoned pools and fired done channels skip
+// execution, and a panic — from the sampler code or an injected hook — is
+// captured into the shared fault state instead of unwinding the goroutine.
 func runPoolChunk(sh *poolShared, w *workerState, c chunk) {
 	defer func() {
 		if r := recover(); r != nil {

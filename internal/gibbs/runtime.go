@@ -52,8 +52,7 @@ type RunStats struct {
 	// Diag is the final convergence reading of the run and DiagValid reports
 	// whether one was taken. Diagnostics run only when SetProgress enabled
 	// them; a reading is taken at every diagnostic epoch and once more at
-	// return (done and canceled paths — not after a worker panic, whose
-	// unmerged deltas were discarded).
+	// return (done and canceled paths — not after a worker panic).
 	Diag      DiagStats
 	DiagValid bool
 }
@@ -71,9 +70,9 @@ func reasonFromCtx(ctx context.Context) StopReason {
 // poisoned from the moment of the panic — workers drain and acknowledge all
 // queued chunks without executing them, so the epoch barrier still completes
 // (no deadlock, no goroutine leak) — and every subsequent run on the same
-// sampler returns the same error. The sampler's counters hold the state of
-// the last completed epoch barrier; the panicked epoch's partial deltas are
-// never merged.
+// sampler returns the same error. As after a cancellation, the sampler's
+// counters keep the draws of the epoch in flight; every marginal stays
+// normalised.
 type WorkerPanicError struct {
 	// Value is the recovered panic value.
 	Value any

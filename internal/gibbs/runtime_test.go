@@ -2,15 +2,17 @@ package gibbs_test
 
 // Fault-injection tests for the fault-tolerant runtime: injected worker
 // panics must surface as a single *WorkerPanicError from the epoch barrier
-// (no deadlocked wait, no leaked goroutines, no partial chunk reaching the
-// counters), and context cancellation must stop a run at a chunk boundary
+// (no deadlocked wait, no leaked goroutines, every marginal still
+// normalised), and context cancellation must stop a run at a chunk boundary
 // while keeping the partial marginals. The faults are driven through the
 // TestHooks plane (see internal/gibbs/testutil/faults.go) across all three
-// sampler variants; the CI race job runs this file under -race.
+// sampler variants, pooled and with one worker running every chunk on the
+// caller; the CI race job runs this file under -race.
 
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -30,16 +32,23 @@ func faultGraph(t *testing.T) *factorgraph.Graph {
 	return g
 }
 
-// pooledSamplers builds the two pool-backed samplers for a subtest run.
+// pooledSamplers builds the two pool-backed samplers for a subtest run, at
+// two workers and at one (whose chunks all run on the caller).
 func pooledSamplers(t *testing.T, g *factorgraph.Graph) map[string]gibbs.Sampler {
 	t.Helper()
 	sp, err := gibbs.NewSpatial(g, gibbs.SpatialOptions{Instances: 2, Workers: 2, Seed: 11})
 	if err != nil {
 		t.Fatalf("NewSpatial: %v", err)
 	}
+	sp1, err := gibbs.NewSpatial(g, gibbs.SpatialOptions{Instances: 2, Workers: 1, Seed: 11})
+	if err != nil {
+		t.Fatalf("NewSpatial: %v", err)
+	}
 	return map[string]gibbs.Sampler{
-		"spatial": sp,
-		"hogwild": gibbs.NewHogwild(g, 11, 2),
+		"spatial":          sp,
+		"hogwild":          gibbs.NewHogwild(g, 11, 2),
+		"spatial_workers1": sp1,
+		"hogwild_workers1": gibbs.NewHogwild(g, 11, 1),
 	}
 }
 
@@ -90,8 +99,8 @@ func TestWorkerPanicSurfacesWithoutLeakOrDeadlock(t *testing.T) {
 				t.Errorf("second Run error = %v, want the sticky *WorkerPanicError", err2)
 			}
 
-			// Marginals still come from the last consistent barrier: every
-			// query distribution must be normalized, not torn.
+			// The counters keep the draws of the epoch in flight: every
+			// query distribution must still be normalized, not torn.
 			for v, m := range s.Marginals() {
 				var sum float64
 				for _, p := range m {
@@ -105,18 +114,65 @@ func TestWorkerPanicSurfacesWithoutLeakOrDeadlock(t *testing.T) {
 	}
 }
 
-func TestSequentialHookPanicPropagates(t *testing.T) {
-	// The sequential sampler has no worker pool to isolate: an injected
-	// panic propagates on the calling goroutine, by design.
+// TestSequentialHookPanicSurfaces: the sequential sampler's sweep runs on the
+// caller under the same fault envelope as a pooled chunk, so an injected
+// panic surfaces as the sticky *WorkerPanicError instead of unwinding Run.
+func TestSequentialHookPanicSurfaces(t *testing.T) {
 	g := faultGraph(t)
 	s := gibbs.NewSequential(g, 11)
+	defer s.Close()
 	s.SetTestHooks(gibbs.TestHooks{BeforeChunk: testutil.PanicAtChunk(3)})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected the injected panic to propagate")
-		}
-	}()
-	_, _ = s.Run(context.Background(), 50)
+	st, err := s.Run(context.Background(), 50)
+	var wp *gibbs.WorkerPanicError
+	if !errors.As(err, &wp) {
+		t.Fatalf("Run error = %v, want *WorkerPanicError", err)
+	}
+	if !strings.Contains(wp.Error(), "injected fault at chunk 3") {
+		t.Errorf("panic value not preserved: %v", wp)
+	}
+	if st.Reason != gibbs.ReasonPanic || st.Epochs != 3 {
+		t.Errorf("got %+v, want 3 epochs, ReasonPanic", st)
+	}
+	if _, err2 := s.Run(context.Background(), 1); !errors.As(err2, &wp) {
+		t.Errorf("second Run error = %v, want the sticky *WorkerPanicError", err2)
+	}
+}
+
+// TestOneWorkerRunStartsNoGoroutine: a pool of one worker runs every chunk
+// on the caller, so a run leaves the goroutine count where it found it.
+func TestOneWorkerRunStartsNoGoroutine(t *testing.T) {
+	g := faultGraph(t)
+	sp, err := gibbs.NewSpatial(g, gibbs.SpatialOptions{Instances: 2, Workers: 1, Seed: 11})
+	if err != nil {
+		t.Fatalf("NewSpatial: %v", err)
+	}
+	samplers := map[string]gibbs.Sampler{
+		"spatial":    sp,
+		"hogwild":    gibbs.NewHogwild(g, 11, 1),
+		"sequential": gibbs.NewSequential(g, 11),
+	}
+	for name, s := range samplers {
+		t.Run(name, func(t *testing.T) {
+			defer s.Close()
+			// Let the workers of pools closed earlier finish exiting, so
+			// none leaves during Run and masks one Run started.
+			base := runtime.NumGoroutine()
+			for i := 0; i < 200; i++ {
+				time.Sleep(5 * time.Millisecond)
+				n := runtime.NumGoroutine()
+				if n == base {
+					break
+				}
+				base = n
+			}
+			if _, err := s.Run(context.Background(), 5); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if n := runtime.NumGoroutine(); n != base {
+				t.Errorf("goroutines: %d before Run, %d after", base, n)
+			}
+		})
+	}
 }
 
 func TestCancelStopsRunWithPartialMarginals(t *testing.T) {

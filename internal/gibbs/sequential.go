@@ -8,12 +8,12 @@ import "repro/internal/factorgraph"
 // weight learning runs its two chains on it.
 //
 // It is the engine's degenerate schedule: one group holding one unit with
-// every scheduled variable, one chain, an inline pool (the sweep runs on the
-// calling goroutine), and one persistent PRNG whose state flows across
-// epochs. Its chunk is the whole sweep: cancellation is
+// every scheduled variable, one chain, a pool without goroutines (the sweep
+// runs on the calling goroutine), and one persistent PRNG whose state flows
+// across epochs. Its chunk is the whole sweep: cancellation is
 // epoch-granular, BeforeChunk fires once per epoch on the caller, and a
-// panic there propagates (there is no worker to isolate it; the chain state
-// stays consistent up to the last completed epoch).
+// panic in the sweep surfaces as the pooled samplers' sticky
+// *WorkerPanicError.
 type Sequential struct{ engine }
 
 // NewSequential builds a sequential sampler with the given seed over the

@@ -30,7 +30,8 @@ type SpatialOptions struct {
 	BurnIn int
 	// Workers caps the parallelism of a conclique sweep: its cells are cut
 	// into at most Workers chunks, each sweeping all K instances, and the
-	// pool holds Workers persistent goroutines. Default GOMAXPROCS.
+	// pool holds Workers persistent goroutines (none at 1: every chunk runs
+	// on the caller). Default GOMAXPROCS.
 	Workers int
 	// Space overrides the pyramid bounding space (derived from atom
 	// locations when zero).
@@ -365,8 +366,7 @@ func (s *Spatial) RunIncrementalContext(ctx context.Context, n int) (RunStats, e
 }
 
 // resetVarCounts zeroes one variable's accumulated samples on every
-// instance. Worker deltas need no reset: they are empty outside
-// sweepEpochs.
+// instance.
 func (s *Spatial) resetVarCounts(v factorgraph.VarID) {
 	for _, inst := range s.instances {
 		for x := range inst.counts.c[v] {

@@ -23,8 +23,7 @@
 // Barrier protocol. All shards run the same epoch count in lockstep: after
 // each epoch, every shard sends one halo frame per neighbouring shard
 // (the changed boundary-variable values of all K instances, as a sparse
-// index/value delta — the same touched-list idea the pool's count-delta
-// merge uses) and blocks until it has received the same epoch's frame from
+// index/value delta) and blocks until it has received the same epoch's frame from
 // every neighbour, then resumes sampling against the refreshed halo copies.
 // Because a shard cannot start epoch e+1 before finishing the epoch-e
 // barrier, at most two epochs' frames are ever in flight; early frames are

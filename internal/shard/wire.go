@@ -9,9 +9,8 @@ import (
 
 // Halo payload: u32 entry count, then per changed boundary variable its
 // index into the (statically known, both-sides identical) per-direction
-// variable list followed by the K instances' values — the same sparse
-// touched-list shape the pool's count-delta merge uses. A variable absent
-// from the delta keeps its previous halo value on the receiver.
+// variable list followed by the K instances' values. A variable absent from
+// the delta keeps its previous halo value on the receiver.
 
 // encodeHalo diffs the current var-major values (K per variable) against
 // last (nil on the first exchange: everything is sent) and returns the
