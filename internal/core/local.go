@@ -21,8 +21,6 @@ import (
 type LocalBudget struct {
 	// MaxVars caps the sampled (interior) variables. ≤ 0 → 256.
 	MaxVars int
-	// MaxFactors caps kept factors (logical + spatial). 0 = unlimited.
-	MaxFactors int
 	// MinInfluence prunes frontier candidates below this root influence
 	// (decay product along the strongest path). ≤ 0 → 1e-4.
 	MinInfluence float64
@@ -108,7 +106,6 @@ func (s *System) QueryLocal(ctx context.Context, key string, budget LocalBudget)
 	groundStart := time.Now()
 	lg, err := grounding.ExtractLocal(s.ground, vid, grounding.LocalOptions{
 		MaxVars:      budget.MaxVars,
-		MaxFactors:   budget.MaxFactors,
 		MinInfluence: budget.MinInfluence,
 		Freeze:       freeze,
 	})

@@ -1,6 +1,6 @@
 package factorgraph
 
-import "sort"
+import "math/bits"
 
 // Subgraph is an interior + frozen-boundary cut of a larger graph, as built
 // by Sub. Every factor touching an interior variable is fully contained, so
@@ -39,50 +39,62 @@ type Subgraph struct {
 // copies, which are exactly Subgraph.Halo — must say so with
 // Graph.MarkLive(sub.Halo) before the subgraph is first sampled.
 func Sub(g *Graph, interior []VarID, freeze func(VarID) int32) (*Subgraph, error) {
-	in := make(map[VarID]bool, len(interior))
-	for _, v := range interior {
-		in[v] = true
+	// local renumbers parent ids: interior first in the order given, the
+	// boundary after it; NoVar marks a variable outside the cut.
+	local := make([]VarID, g.NumVars())
+	for i := range local {
+		local[i] = NoVar
+	}
+	for i, v := range interior {
+		local[v] = VarID(i)
 	}
 
-	factorSet := map[int32]bool{}
-	spatialSet := map[int32]bool{}
-	boundarySet := map[VarID]bool{}
+	// One bitset over the parent's ids each marks the kept factors, the kept
+	// pairs and the boundary; reading a bitset back lists it ascending.
+	factorBits := make([]uint64, (g.NumFactors()+63)/64)
+	pairBits := make([]uint64, (g.NumSpatialFactors()+63)/64)
+	boundaryBits := make([]uint64, (g.NumVars()+63)/64)
 	for _, v := range interior {
 		for _, f := range g.VarLogicalFactors(v) {
-			factorSet[f] = true
+			setBit(factorBits, f)
 		}
 		for _, sp := range g.VarSpatialPairs(v) {
-			spatialSet[sp] = true
+			setBit(pairBits, sp)
 		}
 	}
-	factors := sortedInt32(factorSet)
-	spatials := sortedInt32(spatialSet)
+	factors, spatials := setBits(factorBits), setBits(pairBits)
+	arity := 0
 	for _, f := range factors {
 		vars, _ := g.FactorVars(f)
+		arity += len(vars)
 		for _, u := range vars {
-			if !in[u] {
-				boundarySet[u] = true
+			if local[u] == NoVar {
+				setBit(boundaryBits, u)
 			}
 		}
 	}
 	for _, sp := range spatials {
 		a, b, _ := g.SpatialPair(sp)
-		if !in[a] {
-			boundarySet[a] = true
+		if local[a] == NoVar {
+			setBit(boundaryBits, a)
 		}
-		if !in[b] {
-			boundarySet[b] = true
+		if local[b] == NoVar {
+			setBit(boundaryBits, b)
 		}
 	}
-	boundary := make([]VarID, 0, len(boundarySet))
-	for v := range boundarySet {
-		boundary = append(boundary, v)
-	}
-	sort.Slice(boundary, func(i, j int) bool { return boundary[i] < boundary[j] })
+	boundary := setBits(boundaryBits)
 
+	// Every size is known: the builder's arrays are allocated once.
 	b := NewBuilder()
+	nv := len(interior) + len(boundary)
+	b.vars = make([]Variable, 0, nv)
+	b.factorKind = make([]FactorKind, 0, len(factors))
+	b.factorWeight = make([]float64, 0, len(factors))
+	b.factorOff = append(make([]int64, 0, len(factors)+1), 0)
+	b.factorVars = make([]VarID, 0, arity)
+	b.factorNeg = make([]bool, 0, arity)
 	seenRel := map[int32]bool{}
-	localID := make(map[VarID]VarID, len(interior)+len(boundary))
+	localID := make(map[VarID]VarID, nv)
 	add := func(v VarID, meta Variable) error {
 		if rel := meta.Relation; !seenRel[rel] {
 			seenRel[rel] = true
@@ -96,6 +108,7 @@ func Sub(g *Graph, interior []VarID, freeze func(VarID) int32) (*Subgraph, error
 		if err != nil {
 			return err
 		}
+		local[v] = lid
 		localID[v] = lid
 		return nil
 	}
@@ -115,24 +128,26 @@ func Sub(g *Graph, interior []VarID, freeze func(VarID) int32) (*Subgraph, error
 			return nil, err
 		}
 	}
+	var lvars []VarID
 	for _, f := range factors {
 		vars, neg := g.FactorVars(f)
-		lvars := make([]VarID, len(vars))
-		for i, u := range vars {
-			lvars[i] = localID[u]
+		lvars = lvars[:0]
+		for _, u := range vars {
+			lvars = append(lvars, local[u])
 		}
-		lneg := append([]bool(nil), neg...)
-		if err := b.AddFactor(g.FactorKindOf(f), g.FactorWeightOf(f), lvars, lneg); err != nil {
+		if err := b.AddFactor(g.FactorKindOf(f), g.FactorWeightOf(f), lvars, neg); err != nil {
 			return nil, err
 		}
 	}
-	pairs := make([]SpatialPair, 0, len(spatials))
+	// The pairs are the parent's, renumbered; Finalize validates them.
+	b.spatialA = make([]VarID, 0, len(spatials))
+	b.spatialB = make([]VarID, 0, len(spatials))
+	b.spatialW = make([]float64, 0, len(spatials))
 	for _, sp := range spatials {
 		a, c, w := g.SpatialPair(sp)
-		pairs = append(pairs, SpatialPair{A: localID[a], B: localID[c], W: w})
-	}
-	if err := b.AddSpatialPairs(pairs); err != nil {
-		return nil, err
+		b.spatialA = append(b.spatialA, local[a])
+		b.spatialB = append(b.spatialB, local[c])
+		b.spatialW = append(b.spatialW, w)
 	}
 	sub, err := b.Finalize()
 	if err != nil {
@@ -144,12 +159,19 @@ func Sub(g *Graph, interior []VarID, freeze func(VarID) int32) (*Subgraph, error
 	}, nil
 }
 
-// sortedInt32 flattens a set into an ascending slice.
-func sortedInt32(set map[int32]bool) []int32 {
-	out := make([]int32, 0, len(set))
-	for x := range set {
-		out = append(out, x)
+func setBit(set []uint64, id int32) { set[id>>6] |= 1 << (id & 63) }
+
+// setBits lists the ids set in a bitset, ascending.
+func setBits(set []uint64) []int32 {
+	n := 0
+	for _, w := range set {
+		n += bits.OnesCount64(w)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := make([]int32, 0, n)
+	for i, w := range set {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, int32(i*64+bits.TrailingZeros64(w)))
+		}
+	}
 	return out
 }

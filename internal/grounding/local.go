@@ -1,7 +1,6 @@
 package grounding
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -48,9 +47,6 @@ import (
 type LocalOptions struct {
 	// MaxVars caps the interior (sampled) variable count. Default 256.
 	MaxVars int
-	// MaxFactors caps the kept factor count (logical + spatial); expansion
-	// stops before a variable whose factors would exceed it. 0 = unlimited.
-	MaxFactors int
 	// MinInfluence prunes frontier candidates whose root influence falls
 	// below it. Default 1e-4.
 	MinInfluence float64
@@ -101,23 +97,55 @@ type frontierItem struct {
 	inf float64
 }
 
-type frontierHeap []frontierItem
-
-func (h frontierHeap) Len() int { return len(h) }
-func (h frontierHeap) Less(i, j int) bool {
-	if h[i].inf != h[j].inf {
-		return h[i].inf > h[j].inf
+func (a frontierItem) before(b frontierItem) bool {
+	if a.inf != b.inf {
+		return a.inf > b.inf
 	}
-	return h[i].v < h[j].v
+	return a.v < b.v
 }
-func (h frontierHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *frontierHeap) Push(x any)   { *h = append(*h, x.(frontierItem)) }
-func (h *frontierHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+// frontier is a binary heap of candidates, strongest first.
+type frontier []frontierItem
+
+func (h *frontier) push(it frontierItem) {
+	q := append(*h, it)
+	for i := len(q) - 1; i > 0 && q[i].before(q[(i-1)/2]); i = (i - 1) / 2 {
+		q[i], q[(i-1)/2] = q[(i-1)/2], q[i]
+	}
+	*h = q
+}
+
+func (h *frontier) pop() frontierItem {
+	q := *h
+	top, n := q[0], len(q)-1
+	q[0], q = q[n], q[:n]
+	for i, c := 0, 1; c < n; i, c = c, 2*c+1 {
+		if c+1 < n && q[c+1].before(q[c]) {
+			c++
+		}
+		if !q[c].before(q[i]) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+	}
+	*h = q
+	return top
+}
+
+// Frontier states of a variable, in the order it can move through them.
+const (
+	unseen  = iota // not reached yet
+	guess          // reached; frozen at val if the expansion stops here
+	open           // on the frontier at influence best
+	in             // interior
+	blocked        // evidence-grade at val: frozen boundary, never expanded
+)
+
+// varState is one variable's frontier bookkeeping, indexed by full-graph id.
+type varState struct {
+	best  float64
+	val   int32
+	state uint8
 }
 
 // edgeStrength maps a factor weight to its influence attenuation.
@@ -136,85 +164,79 @@ func ExtractLocal(res *Result, root factorgraph.VarID, opts LocalOptions) (*Loca
 	if int(root) < 0 || int(root) >= g.NumVars() {
 		return nil, fmt.Errorf("grounding: local root %d out of range", root)
 	}
-	frozenAt := func(v factorgraph.VarID) (int32, bool) {
+	// consult asks once per variable how it freezes: graph evidence and an
+	// evidence-grade Freeze answer block it, a guess leaves it expandable.
+	vs := make([]varState, g.NumVars())
+	consult := func(v factorgraph.VarID) *varState {
+		s := &vs[v]
+		if s.state != unseen {
+			return s
+		}
+		s.state = guess
 		if ev := g.Var(v).Evidence; ev != factorgraph.NoEvidence {
-			return ev, true
+			s.val, s.state = ev, blocked
+		} else if opts.Freeze != nil {
+			var evGrade bool
+			if s.val, evGrade = opts.Freeze(v); evGrade {
+				s.state = blocked
+			}
 		}
-		if opts.Freeze != nil {
-			return opts.Freeze(v)
-		}
-		return 0, false
+		return s
 	}
-	if val, ok := frozenAt(root); ok {
+	if s := consult(root); s.state == blocked {
 		// The query atom is itself observed: a one-variable "subgraph" with
 		// a point-mass marginal and no error.
-		return extractEvidenceRoot(g, root, val)
+		return extractEvidenceRoot(g, root, s.val)
 	}
 
 	// Frontier expansion: best-first by influence over the full graph's CSR
 	// adjacency. Evidence-grade variables are recorded for the boundary but
 	// never expanded (d-separation).
-	const (
-		stateUnseen = 0
-		stateOpen   = 1
-		stateIn     = 2 // interior
-	)
-	state := map[factorgraph.VarID]int8{}
-	best := map[factorgraph.VarID]float64{}
+	vs[root].best, vs[root].state = 1, open
 	var interior []factorgraph.VarID
-	kept := 0 // factors guaranteed kept so far (all factors of interior vars)
-
-	fh := frontierHeap{{v: root, inf: 1}}
-	state[root], best[root] = stateOpen, 1
+	var from frontierItem
+	fh := frontier{{v: root, inf: 1}}
+	expand := func(u factorgraph.VarID, w float64) {
+		s := consult(u)
+		if s.state == in || s.state == blocked {
+			return // a blocked variable joins as frozen boundary
+		}
+		inf := from.inf * edgeStrength(w)
+		if inf < opts.MinInfluence {
+			return // below threshold: left frozen at the boundary
+		}
+		if inf > s.best || s.state == guess {
+			s.state, s.best = open, inf
+			fh.push(frontierItem{v: u, inf: inf})
+		}
+	}
 	for len(fh) > 0 {
-		it := heap.Pop(&fh).(frontierItem)
-		if state[it.v] == stateIn || it.inf < best[it.v] {
+		from = fh.pop()
+		if vs[from.v].state == in || from.inf < vs[from.v].best {
 			continue // stale heap entry
 		}
 		if len(interior) >= opts.MaxVars {
 			break
 		}
-		degree := len(g.VarLogicalFactors(it.v)) + len(g.VarSpatialPairs(it.v))
-		if opts.MaxFactors > 0 && kept+degree > opts.MaxFactors && len(interior) > 0 {
-			break
-		}
-		state[it.v] = stateIn
-		interior = append(interior, it.v)
-		kept += degree
-		expand := func(u factorgraph.VarID, w float64) {
-			if u == it.v || state[u] == stateIn {
-				return
-			}
-			inf := it.inf * edgeStrength(w)
-			if _, evGrade := frozenAt(u); evGrade {
-				return // joins as frozen boundary if a kept factor reaches it
-			}
-			if inf < opts.MinInfluence {
-				return // below threshold: left frozen at the boundary
-			}
-			if inf > best[u] || state[u] == stateUnseen {
-				state[u] = stateOpen
-				best[u] = inf
-				heap.Push(&fh, frontierItem{v: u, inf: inf})
-			}
-		}
-		for _, f := range g.VarLogicalFactors(it.v) {
+		vs[from.v].state = in
+		interior = append(interior, from.v)
+		for _, f := range g.VarLogicalFactors(from.v) {
 			w := g.FactorWeightOf(f)
 			vars, _ := g.FactorVars(f)
 			for _, u := range vars {
 				expand(u, w)
 			}
 		}
-		for _, sp := range g.VarSpatialPairs(it.v) {
+		for _, sp := range g.VarSpatialPairs(from.v) {
 			a, b, w := g.SpatialPair(sp)
 			other := a
-			if a == it.v {
+			if a == from.v {
 				other = b
 			}
 			expand(other, w)
 		}
 	}
-	return buildLocalGraph(g, root, interior, frozenAt)
+	return buildLocalGraph(g, root, interior, vs)
 }
 
 // extractEvidenceRoot handles a query whose atom is already observed (graph
@@ -237,36 +259,30 @@ func extractEvidenceRoot(g *factorgraph.Graph, root factorgraph.VarID, val int32
 
 // buildLocalGraph materializes the subgraph through factorgraph.Sub —
 // interior variables first (in expansion order), then every non-interior
-// neighbour frozen as evidence, then all factors and spatial pairs touching
-// an interior variable — and sums the cut weight over the kept factors with
-// an uncertain frozen endpoint. Any positive cut weight means the expansion
-// truncated uncertain tissue (an uncertain boundary variable is always
-// adjacent to the interior through the edge that discovered it).
-func buildLocalGraph(g *factorgraph.Graph, root factorgraph.VarID, interior []factorgraph.VarID,
-	frozenAt func(factorgraph.VarID) (int32, bool)) (*LocalGraph, error) {
-	uncertain := map[factorgraph.VarID]bool{}
-	sub, err := factorgraph.Sub(g, interior, func(v factorgraph.VarID) int32 {
-		val, evGrade := frozenAt(v)
-		if !evGrade {
-			uncertain[v] = true
-		}
-		return val
-	})
+// neighbour frozen as evidence at the value the frontier recorded, then all
+// factors and spatial pairs touching an interior variable — and sums the cut
+// weight over the kept factors with an uncertain (guess-frozen) endpoint.
+// Any positive cut weight means the expansion truncated uncertain tissue (an
+// uncertain boundary variable is always adjacent to the interior through the
+// edge that discovered it).
+func buildLocalGraph(g *factorgraph.Graph, root factorgraph.VarID, interior []factorgraph.VarID, vs []varState) (*LocalGraph, error) {
+	sub, err := factorgraph.Sub(g, interior, func(v factorgraph.VarID) int32 { return vs[v].val })
 	if err != nil {
 		return nil, err
 	}
+	uncertain := func(v factorgraph.VarID) bool { return vs[v].state == guess || vs[v].state == open }
 	var cutWeight float64
 	for _, f := range sub.Factors {
 		vars, _ := g.FactorVars(f)
 		for _, u := range vars {
-			if uncertain[u] {
+			if uncertain(u) {
 				cutWeight += math.Abs(g.FactorWeightOf(f))
 				break
 			}
 		}
 	}
 	for _, sp := range sub.Spatials {
-		if a, b, w := g.SpatialPair(sp); uncertain[a] || uncertain[b] {
+		if a, b, w := g.SpatialPair(sp); uncertain(a) || uncertain(b) {
 			cutWeight += math.Abs(w)
 		}
 	}

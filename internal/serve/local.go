@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"context"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 
@@ -158,8 +159,8 @@ func (c *localCache) len() int {
 
 // localBudget resolves the effective point-query budget: the ?budget= knob
 // when present (0 forces the full-graph path), else the server default.
-func (s *Server) localBudget(r *http.Request) (int, error) {
-	raw := r.URL.Query().Get("budget")
+func (s *Server) localBudget(q url.Values) (int, error) {
+	raw := q.Get("budget")
 	if raw == "" {
 		return s.opts.LocalBudget, nil
 	}

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -531,8 +532,8 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func queryFloat(r *http.Request, name string) (float64, error) {
-	raw := r.URL.Query().Get(name)
+func queryFloat(q url.Values, name string) (float64, error) {
+	raw := q.Get(name)
 	if raw == "" {
 		return 0, fmt.Errorf("missing query parameter %q", name)
 	}
@@ -580,10 +581,11 @@ func probeAndScore(rq *reqScope, v *view, probe func() []rtree.Item) []ScoredAto
 }
 
 func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request, rq *reqScope) {
-	rel := r.URL.Query().Get("relation")
-	x, errX := queryFloat(r, "x")
-	y, errY := queryFloat(r, "y")
-	budget, errB := s.localBudget(r)
+	q := r.URL.Query()
+	rel := q.Get("relation")
+	x, errX := queryFloat(q, "x")
+	y, errY := queryFloat(q, "y")
+	budget, errB := s.localBudget(q)
 	if rel == "" || errX != nil || errY != nil || errB != nil || budget < 0 {
 		s.fail(w, rq, http.StatusBadRequest, "point query needs relation, x, y (and budget ≥ 0)")
 		return
@@ -614,11 +616,12 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request, rq *reqScop
 }
 
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request, rq *reqScope) {
-	rel := r.URL.Query().Get("relation")
-	minx, e1 := queryFloat(r, "minx")
-	miny, e2 := queryFloat(r, "miny")
-	maxx, e3 := queryFloat(r, "maxx")
-	maxy, e4 := queryFloat(r, "maxy")
+	q := r.URL.Query()
+	rel := q.Get("relation")
+	minx, e1 := queryFloat(q, "minx")
+	miny, e2 := queryFloat(q, "miny")
+	maxx, e3 := queryFloat(q, "maxx")
+	maxy, e4 := queryFloat(q, "maxy")
 	if rel == "" || e1 != nil || e2 != nil || e3 != nil || e4 != nil {
 		s.fail(w, rq, http.StatusBadRequest, "range query needs relation, minx, miny, maxx, maxy")
 		return
@@ -641,10 +644,11 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request, rq *reqScop
 }
 
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request, rq *reqScope) {
-	rel := r.URL.Query().Get("relation")
-	x, e1 := queryFloat(r, "x")
-	y, e2 := queryFloat(r, "y")
-	k, e3 := strconv.Atoi(r.URL.Query().Get("k"))
+	q := r.URL.Query()
+	rel := q.Get("relation")
+	x, e1 := queryFloat(q, "x")
+	y, e2 := queryFloat(q, "y")
+	k, e3 := strconv.Atoi(q.Get("k"))
 	if rel == "" || e1 != nil || e2 != nil || e3 != nil || k <= 0 {
 		s.fail(w, rq, http.StatusBadRequest, "knn query needs relation, x, y, k>0")
 		return
